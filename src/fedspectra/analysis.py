@@ -18,7 +18,6 @@ from .models import (
     LabeledBatch,
     TwoLayerParams,
     input_chain,
-    loss_of,
     output_chain,
     predict,
     vec_residual,
@@ -273,9 +272,14 @@ def gram_H_tkc(global_W, local_W, X, X_c) -> np.ndarray:
     return (X.T @ X_c) * (gate_rows.T @ gate_cols) / m
 
 
+def contraction_factor(eta, participants, lambda_min, local_steps, n_clients) -> float:
+    """One-round contraction factor rho = 1 - eta*|S|*lambda_min*K/(2 N^2)."""
+    return 1.0 - eta * participants * lambda_min * local_steps / (2.0 * n_clients**2)
+
+
 def bound_series(loss0, eta, local_steps, n_clients, lambda_min, sizes) -> BoundSeries:
-    """Loss upper-bound series from per-round contraction factors
-    rho_t = 1 - eta*|S_t|*lambda_min*K/(2 N^2)."""
+    """Loss upper-bound series from per-round contraction factors rho_t
+    (see contraction_factor)."""
     if loss0 < 0.0:
         raise ValueError("loss0 must be nonnegative")
     if eta <= 0.0 or local_steps < 1 or n_clients < 1:
@@ -287,7 +291,7 @@ def bound_series(loss0, eta, local_steps, n_clients, lambda_min, sizes) -> Bound
         raise ValueError("participant counts must lie in [1, n_clients]")
     rho = []
     for s in sizes:
-        r = 1.0 - eta * s * lambda_min * local_steps / (2.0 * n_clients**2)
+        r = contraction_factor(eta, s, lambda_min, local_steps, n_clients)
         if r <= 0.0:
             raise ValueError(
                 f"contraction factor {r:g} is not in (0, 1]: eta too large for the bound"
@@ -502,6 +506,17 @@ def check_local_descent(local_losses, eta, *, lam, depth=None, d_out=None, tol=0
     )
 
 
+def stacked_residual(params_per_member, batches, members) -> np.ndarray:
+    """Flattened residuals of each member's parameters on that member's batch,
+    concatenated in member order (the stacked xi of the local-deviation bound)."""
+    return np.concatenate(
+        [
+            vec_residual(predict(p, batches[c].X), batches[c].Y)
+            for p, c in zip(params_per_member, members, strict=True)
+        ]
+    )
+
+
 def check_local_deviation(
     xi_k,
     xi_bar,
@@ -693,10 +708,9 @@ def predict_first_order(
     offsets = np.concatenate([[0], np.cumsum(widths)])
 
     # participant-restricted residual of the broadcast model
-    bar_parts = [
-        vec_residual(predict(global_params, batches[c].X), batches[c].Y) for c in members
-    ]
-    xi_bar_S = np.concatenate(bar_parts)
+    xi_bar_S = stacked_residual([global_params] * s, batches, members)
+    # positions of the participants' residual entries in the global vector
+    member_slots = np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in members])
 
     # initialization-time Gram blocks, both restricted and zero-padded
     P0_blocks = [(c, gram_P_tkc(init_params, init_params, X, batches[c].X)) for c in members]
@@ -708,23 +722,17 @@ def predict_first_order(
     dev_sum = np.zeros_like(xi_bar)
     dev_pad_sum = np.zeros_like(xi_bar)
     for k in range(local_steps):
-        xi_k_parts = [
-            vec_residual(predict(trajectories[i][k], batches[c].X), batches[c].Y)
-            for i, c in enumerate(members)
-        ]
-        xi_k = np.concatenate(xi_k_parts)
+        params_k = [traj[k] for traj in trajectories]
+        xi_k = stacked_residual(params_k, batches, members)
         P_tk = np.hstack(
-            [
-                gram_P_tkc(global_params, trajectories[i][k], X, batches[c].X)
-                for i, c in enumerate(members)
-            ]
+            [gram_P_tkc(global_params, p, X, batches[c].X) for p, c in zip(params_k, members)]
         )
         update += P_tk @ xi_k
         shift_sum += (P_tk - P0_S) @ xi_k
-        dev_sum += P0_S @ (xi_k - xi_bar_S)
+        dev_k = xi_k - xi_bar_S
+        dev_sum += P0_S @ dev_k
         padded = np.zeros(offsets[-1])
-        for i, c in enumerate(members):
-            padded[offsets[c] : offsets[c + 1]] = xi_k_parts[i] - bar_parts[i]
+        padded[member_slots] = dev_k
         dev_pad_sum += P0_hat @ padded
 
     coeff = eta / s

@@ -10,8 +10,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,8 +37,6 @@ from .models import (
     init_deep_linear,
     init_two_layer,
     loss_of,
-    predict,
-    vec_residual,
 )
 
 EXIT_OK = 0
@@ -49,233 +49,191 @@ MODEL_TWO_LAYER = "two-layer-relu"
 
 CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
 
-_LINEAR_CHECKS = (
-    "init-spectra",
-    "gram-floor",
-    "local-descent",
-    "local-deviation",
-    "global-drift",
-    "local-drift",
-    "first-order",
-)
-_RELU_CHECKS = ("ntk-trace", "local-descent", "local-deviation", "global-drift")
-
 
 class ConfigError(ValueError):
     """Configuration rejected; the message starts with the offending key path."""
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _positive(path, value):
+    if value <= 0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
+
+
+def _nonnegative(path, value):
+    if value < 0:
+        raise ConfigError(f"{path}: must be >= 0, got {value}")
+
+
+def _unit_interval(path, value):
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{path}: must lie in (0, 1], got {value}")
+
+
+def _read_schedule(path, raw):
+    if not isinstance(raw, list) or not all(
+        isinstance(r, list) and all(_is_int(c) for c in r) for r in raw
+    ):
+        raise ConfigError(f"{path}: expected a list of client index lists")
+    return tuple(tuple(r) for r in raw)
+
+
+def _read_check_names(path, raw):
+    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
+        raise ConfigError(f"{path}: expected a list of check names")
+    return tuple(raw)
+
+
+def _read_rounds(path, raw):
+    if not isinstance(raw, list) or not all(_is_int(t) for t in raw):
+        raise ConfigError(f"{path}: expected a list of integers")
+    return tuple(sorted(set(raw)))
+
+
+def _read_rates(path, raw):
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    for r in raw:
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
+            raise ConfigError(f"{path}: rate {r!r} must lie in (0, 1]")
+    return tuple(float(r) for r in raw)
+
+
+def _read_seeds(path, raw):
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    if not all(_is_int(s) for s in raw):
+        raise ConfigError(f"{path}: expected integers")
+    return tuple(raw)
+
+
+def _config_field(default, *, check=None, read=None):
+    """A config key: `check` validates a scalar after its type check; `read`
+    parses a list value in place of the type check."""
+    return field(default=default, metadata={"check": check, "read": read})
+
+
 @dataclass(frozen=True)
 class ModelSection:
     kind: str = MODEL_DEEP_LINEAR
-    depth: int = 3
-    width: int = 500
-    d_in: int = 10
-    d_out: int = 5
-    dim: int = 10  # two-layer input dimension (synthetic data only)
+    depth: int = _config_field(3, check=_positive)
+    width: int = _config_field(500, check=_positive)
+    d_in: int = _config_field(10, check=_positive)
+    d_out: int = _config_field(5, check=_positive)
+    # two-layer input dimension (synthetic data only)
+    dim: int = _config_field(10, check=_positive)
 
 
 @dataclass(frozen=True)
 class DataSection:
     kind: str = "synthetic"
-    n: int = 80
+    n: int = _config_field(80, check=_positive)
     images: str | None = None
     labels: str | None = None
-    subset: int | None = None
-    classes_per_client: int = 3
+    subset: int | None = _config_field(None, check=_positive)
+    classes_per_client: int = _config_field(3, check=_positive)
     partition: str | None = None  # None = by-label when labels exist, else round-robin
     preprocess: bool = False
 
 
 @dataclass(frozen=True)
 class FederationSection:
-    n_clients: int = 20
-    local_steps: int = 5
-    rounds: int = 100
-    eta: float = 0.0005
-    rate: float = 1.0
-    schedule: tuple | None = None
+    n_clients: int = _config_field(20, check=_positive)
+    local_steps: int = _config_field(5, check=_positive)
+    rounds: int = _config_field(100, check=_nonnegative)
+    eta: float = _config_field(0.0005, check=_positive)
+    rate: float = _config_field(1.0, check=_unit_interval)
+    schedule: tuple | None = _config_field(None, read=_read_schedule)
     seed: int = 0
-    workers: int = 1
-    stop_loss_fraction: float | None = None
+    workers: int = _config_field(1, check=_positive)
+    stop_loss_fraction: float | None = _config_field(None, check=_positive)
 
 
 @dataclass(frozen=True)
 class VerifySection:
-    checks: tuple | None = None  # None = every check applicable to the model kind
-    rounds: tuple | None = None  # None = {0, T//2, T-1}
+    # None = every check applicable to the model kind
+    checks: tuple | None = _config_field(None, read=_read_check_names)
+    rounds: tuple | None = _config_field(None, read=_read_rounds)  # None = {0, T//2, T-1}
 
 
 @dataclass(frozen=True)
 class SweepSection:
-    rates: tuple = (0.1, 0.5, 1.0)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    rates: tuple = _config_field((0.1, 0.5, 1.0), read=_read_rates)
+    seeds: tuple = _config_field((0, 1, 2, 3, 4), read=_read_seeds)
 
 
 @dataclass(frozen=True)
 class AnalysisSection:
-    max_gram_dim: int = 1024
+    max_gram_dim: int = _config_field(1024, check=_positive)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    # serialize_config writes the sections in this order; verify goes last
+    # and is left out when empty
     model: ModelSection = ModelSection()
     data: DataSection = DataSection()
     federation: FederationSection = FederationSection()
-    verify: VerifySection = VerifySection()
     sweep: SweepSection = SweepSection()
     analysis: AnalysisSection = AnalysisSection()
+    verify: VerifySection = VerifySection()
 
 
-def _reject_unknown(obj, path, allowed):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
+# Keys each model and data kind accepts, in the order serialize_config writes
+# them. Sections without a kind accept every field, in field order.
+_KIND_KEYS = {
+    "model": {
+        MODEL_DEEP_LINEAR: ("kind", "width", "depth", "d_in", "d_out"),
+        MODEL_TWO_LAYER: ("kind", "width", "dim"),
+    },
+    "data": {
+        "synthetic": ("kind", "n", "partition", "preprocess"),
+        "idx": (
+            "kind", "images", "labels", "subset", "classes_per_client", "partition", "preprocess"
+        ),
+    },
+}
+
+_SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
-def _typed(obj, key, path, kind, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise ConfigError(f"{path}.{key}: expected a boolean, got {v!r}")
-        return v
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-        return v
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-        return float(v)
-    if kind is str:
-        if not isinstance(v, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
-        return v
-    raise AssertionError(kind)
-
-
-def _positive(value, path):
-    if value is not None and value <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
+def _read_key(f, path, value):
+    if f.metadata.get("read") is not None:
+        return f.metadata["read"](path, value)
+    kind = (typing.get_args(f.type) or (f.type,))[0]  # X for both X and X | None
+    what, accepts = _SCALARS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    value = kind(value)
+    if f.metadata.get("check") is not None:
+        f.metadata["check"](path, value)
     return value
 
 
-def _parse_model(obj) -> ModelSection:
-    kind = _typed(obj, "kind", "model", str, MODEL_DEEP_LINEAR)
-    if kind == MODEL_DEEP_LINEAR:
-        _reject_unknown(obj, "model", {"kind", "depth", "width", "d_in", "d_out"})
-        return ModelSection(
-            kind=kind,
-            depth=_positive(_typed(obj, "depth", "model", int, 3), "model.depth"),
-            width=_positive(_typed(obj, "width", "model", int, 500), "model.width"),
-            d_in=_positive(_typed(obj, "d_in", "model", int, 10), "model.d_in"),
-            d_out=_positive(_typed(obj, "d_out", "model", int, 5), "model.d_out"),
-        )
-    if kind == MODEL_TWO_LAYER:
-        _reject_unknown(obj, "model", {"kind", "width", "dim"})
-        return ModelSection(
-            kind=kind,
-            width=_positive(_typed(obj, "width", "model", int, 500), "model.width"),
-            dim=_positive(_typed(obj, "dim", "model", int, 10), "model.dim"),
-        )
-    raise ConfigError(
-        f"model.kind: expected {MODEL_DEEP_LINEAR!r} or {MODEL_TWO_LAYER!r}, got {kind!r}"
-    )
-
-
-def _parse_data(obj) -> DataSection:
-    kind = _typed(obj, "kind", "data", str, "synthetic")
-    if kind == "synthetic":
-        _reject_unknown(obj, "data", {"kind", "n", "partition", "preprocess"})
-        partition = _typed(obj, "partition", "data", str, None)
-        if partition not in (None, "iid"):
-            raise ConfigError("data.partition: synthetic data has no labels to split by")
-        return DataSection(
-            kind=kind,
-            n=_positive(_typed(obj, "n", "data", int, 80), "data.n"),
-            partition=partition,
-            preprocess=_typed(obj, "preprocess", "data", bool, False),
-        )
-    if kind == "idx":
-        _reject_unknown(
-            obj,
-            "data",
-            {"kind", "images", "labels", "subset", "classes_per_client", "partition", "preprocess"},
-        )
-        images = _typed(obj, "images", "data", str, None)
-        labels = _typed(obj, "labels", "data", str, None)
-        if images is None or labels is None:
-            raise ConfigError("data.images: idx data needs both images and labels paths")
-        partition = _typed(obj, "partition", "data", str, None)
-        if partition not in (None, "iid", "noniid"):
-            raise ConfigError(f"data.partition: expected 'iid' or 'noniid', got {partition!r}")
-        return DataSection(
-            kind=kind,
-            images=images,
-            labels=labels,
-            subset=_positive(_typed(obj, "subset", "data", int, None), "data.subset"),
-            classes_per_client=_positive(
-                _typed(obj, "classes_per_client", "data", int, 3), "data.classes_per_client"
-            ),
-            partition=partition,
-            preprocess=_typed(obj, "preprocess", "data", bool, False),
-        )
-    raise ConfigError(f"data.kind: expected 'synthetic' or 'idx', got {kind!r}")
-
-
-def _parse_federation(obj) -> FederationSection:
-    _reject_unknown(
-        obj,
-        "federation",
-        {
-            "n_clients",
-            "local_steps",
-            "rounds",
-            "eta",
-            "rate",
-            "schedule",
-            "seed",
-            "workers",
-            "stop_loss_fraction",
-        },
-    )
-    rate = _typed(obj, "rate", "federation", float, 1.0)
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"federation.rate: must lie in (0, 1], got {rate}")
-    schedule = None
-    if "schedule" in obj:
-        if "rate" in obj:
-            raise ConfigError("federation.schedule: give either rate or schedule, not both")
-        raw = obj["schedule"]
-        if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-            raise ConfigError("federation.schedule: expected a list of client index lists")
-        schedule = tuple(tuple(int(c) for c in r) for r in raw)
-    rounds = _typed(obj, "rounds", "federation", int, 100)
-    if rounds < 0:
-        raise ConfigError(f"federation.rounds: must be >= 0, got {rounds}")
-    section = FederationSection(
-        n_clients=_positive(_typed(obj, "n_clients", "federation", int, 20), "federation.n_clients"),
-        local_steps=_positive(
-            _typed(obj, "local_steps", "federation", int, 5), "federation.local_steps"
-        ),
-        rounds=rounds,
-        eta=_positive(_typed(obj, "eta", "federation", float, 0.0005), "federation.eta"),
-        rate=rate,
-        schedule=schedule,
-        seed=_typed(obj, "seed", "federation", int, 0),
-        workers=_positive(_typed(obj, "workers", "federation", int, 1), "federation.workers"),
-        stop_loss_fraction=_positive(
-            _typed(obj, "stop_loss_fraction", "federation", float, None),
-            "federation.stop_loss_fraction",
-        ),
-    )
-    try:
-        section_to_federation_config(section)
-    except ValueError as e:
-        raise ConfigError(f"federation: {e}") from e
-    return section
+def _parse_section(name, cls, obj):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: expected an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    allowed = fields
+    if name in _KIND_KEYS:
+        kinds = _KIND_KEYS[name]
+        kind = _read_key(fields["kind"], f"{name}.kind", obj.get("kind", fields["kind"].default))
+        if kind not in kinds:
+            choices = " or ".join(repr(k) for k in kinds)
+            raise ConfigError(f"{name}.kind: expected {choices}, got {kind!r}")
+        allowed = kinds[kind]
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    return cls(**{key: _read_key(fields[key], f"{name}.{key}", v) for key, v in obj.items()})
 
 
 def section_to_federation_config(section: FederationSection) -> FederationConfig:
@@ -287,68 +245,6 @@ def section_to_federation_config(section: FederationSection) -> FederationConfig
         eta=section.eta,
         participation=participation,
         seed=section.seed,
-    )
-
-
-def _parse_verify(obj, model_kind, rounds_total) -> VerifySection:
-    _reject_unknown(obj, "verify", {"checks", "rounds"})
-    known = _LINEAR_CHECKS if model_kind == MODEL_DEEP_LINEAR else _RELU_CHECKS
-    checks = None
-    if "checks" in obj:
-        raw = obj["checks"]
-        if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
-            raise ConfigError("verify.checks: expected a list of check names")
-        for c in raw:
-            if c not in known:
-                raise ConfigError(
-                    f"verify.checks: {c!r} is not a known check for {model_kind} "
-                    f"(choose from {', '.join(known)})"
-                )
-        checks = tuple(raw)
-    rounds = None
-    if "rounds" in obj:
-        raw = obj["rounds"]
-        if not isinstance(raw, list) or any(
-            isinstance(t, bool) or not isinstance(t, int) for t in raw
-        ):
-            raise ConfigError("verify.rounds: expected a list of integers")
-        for t in raw:
-            if not 0 <= t < max(rounds_total, 1):
-                raise ConfigError(
-                    f"verify.rounds: round {t} outside [0, {rounds_total})"
-                )
-        rounds = tuple(sorted(set(raw)))
-    return VerifySection(checks=checks, rounds=rounds)
-
-
-def _parse_sweep(obj) -> SweepSection:
-    _reject_unknown(obj, "sweep", {"rates", "seeds"})
-    rates = (0.1, 0.5, 1.0)
-    if "rates" in obj:
-        raw = obj["rates"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("sweep.rates: expected a nonempty list")
-        for r in raw:
-            if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
-                raise ConfigError(f"sweep.rates: rate {r!r} must lie in (0, 1]")
-        rates = tuple(float(r) for r in raw)
-    seeds = (0, 1, 2, 3, 4)
-    if "seeds" in obj:
-        raw = obj["seeds"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("sweep.seeds: expected a nonempty list")
-        if any(isinstance(s, bool) or not isinstance(s, int) for s in raw):
-            raise ConfigError("sweep.seeds: expected integers")
-        seeds = tuple(raw)
-    return SweepSection(rates=rates, seeds=seeds)
-
-
-def _parse_analysis(obj) -> AnalysisSection:
-    _reject_unknown(obj, "analysis", {"max_gram_dim"})
-    return AnalysisSection(
-        max_gram_dim=_positive(
-            _typed(obj, "max_gram_dim", "analysis", int, 1024), "analysis.max_gram_dim"
-        )
     )
 
 
@@ -364,87 +260,58 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(obj, "config", {"model", "data", "federation", "verify", "sweep", "analysis"})
-    for key in ("model", "data", "federation", "verify", "sweep", "analysis"):
-        if key in obj and not isinstance(obj[key], dict):
-            raise ConfigError(f"{key}: expected an object")
-    model = _parse_model(obj.get("model", {}))
-    data = _parse_data(obj.get("data", {}))
-    federation = _parse_federation(obj.get("federation", {}))
-    verify = _parse_verify(obj.get("verify", {}), model.kind, federation.rounds)
-    sweep = _parse_sweep(obj.get("sweep", {}))
-    analysis_section = _parse_analysis(obj.get("analysis", {}))
-    if model.kind == MODEL_TWO_LAYER and data.kind == "synthetic" and data.n < model.dim:
-        raise ConfigError("data.n: need at least dim samples for synthetic data")
-    if model.kind == MODEL_DEEP_LINEAR and data.kind == "synthetic" and data.n < model.d_in:
-        raise ConfigError("data.n: need at least d_in samples for synthetic data")
-    return ExperimentConfig(
-        model=model,
-        data=data,
-        federation=federation,
-        verify=verify,
-        sweep=sweep,
-        analysis=analysis_section,
+    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for key in obj:
+        if key not in sections:
+            raise ConfigError(f"config.{key}: unknown key")
+    cfg = ExperimentConfig(
+        **{name: _parse_section(name, cls, obj.get(name, {})) for name, cls in sections.items()}
     )
+    model, data, fed = cfg.model, cfg.data, cfg.federation
+    if data.kind == "synthetic" and data.partition not in (None, "iid"):
+        raise ConfigError("data.partition: synthetic data has no labels to split by")
+    if data.kind == "idx" and (data.images is None or data.labels is None):
+        raise ConfigError("data.images: idx data needs both images and labels paths")
+    if data.kind == "idx" and data.partition not in (None, "iid", "noniid"):
+        raise ConfigError(f"data.partition: expected 'iid' or 'noniid', got {data.partition!r}")
+    if "schedule" in obj.get("federation", {}) and "rate" in obj["federation"]:
+        raise ConfigError("federation.schedule: give either rate or schedule, not both")
+    try:
+        section_to_federation_config(fed)
+    except ValueError as e:
+        raise ConfigError(f"federation: {e}") from e
+    known = _known_checks(model.kind)
+    for c in cfg.verify.checks or ():
+        if c not in known:
+            raise ConfigError(
+                f"verify.checks: {c!r} is not a known check for {model.kind} "
+                f"(choose from {', '.join(known)})"
+            )
+    for t in cfg.verify.rounds or ():
+        if not 0 <= t < max(fed.rounds, 1):
+            raise ConfigError(f"verify.rounds: round {t} outside [0, {fed.rounds})")
+    if data.kind == "synthetic" and model.kind == MODEL_TWO_LAYER and data.n < model.dim:
+        raise ConfigError("data.n: need at least dim samples for synthetic data")
+    if data.kind == "synthetic" and model.kind == MODEL_DEEP_LINEAR and data.n < model.d_in:
+        raise ConfigError("data.n: need at least d_in samples for synthetic data")
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON for a parsed config; parse_config(serialize_config(c))
     reproduces c exactly."""
-
-    def drop_none(d):
-        return {k: v for k, v in d.items() if v is not None}
-
-    model = {"kind": cfg.model.kind, "width": cfg.model.width}
-    if cfg.model.kind == MODEL_DEEP_LINEAR:
-        model.update(depth=cfg.model.depth, d_in=cfg.model.d_in, d_out=cfg.model.d_out)
-    else:
-        model.update(dim=cfg.model.dim)
-    data = drop_none(
-        {
-            "kind": cfg.data.kind,
-            "n": cfg.data.n if cfg.data.kind == "synthetic" else None,
-            "images": cfg.data.images,
-            "labels": cfg.data.labels,
-            "subset": cfg.data.subset,
-            "classes_per_client": cfg.data.classes_per_client
-            if cfg.data.kind == "idx"
-            else None,
-            "partition": cfg.data.partition,
-            "preprocess": cfg.data.preprocess,
-        }
-    )
-    federation = drop_none(
-        {
-            "n_clients": cfg.federation.n_clients,
-            "local_steps": cfg.federation.local_steps,
-            "rounds": cfg.federation.rounds,
-            "eta": cfg.federation.eta,
-            "rate": None if cfg.federation.schedule is not None else cfg.federation.rate,
-            "schedule": [list(r) for r in cfg.federation.schedule]
-            if cfg.federation.schedule is not None
-            else None,
-            "seed": cfg.federation.seed,
-            "workers": cfg.federation.workers,
-            "stop_loss_fraction": cfg.federation.stop_loss_fraction,
-        }
-    )
-    verify = drop_none(
-        {
-            "checks": list(cfg.verify.checks) if cfg.verify.checks is not None else None,
-            "rounds": list(cfg.verify.rounds) if cfg.verify.rounds is not None else None,
-        }
-    )
-    sweep = {"rates": list(cfg.sweep.rates), "seeds": list(cfg.sweep.seeds)}
-    doc = {
-        "model": model,
-        "data": data,
-        "federation": federation,
-        "sweep": sweep,
-        "analysis": {"max_gram_dim": cfg.analysis.max_gram_dim},
-    }
-    if verify:
-        doc["verify"] = verify
+    doc = {}
+    for f in dataclasses.fields(cfg):
+        section = getattr(cfg, f.name)
+        if f.name in _KIND_KEYS:
+            keys = _KIND_KEYS[f.name][section.kind]
+        else:
+            keys = [g.name for g in dataclasses.fields(section)]
+        body = {k: getattr(section, k) for k in keys if getattr(section, k) is not None}
+        if f.name == "federation" and section.schedule is not None:
+            del body["rate"]
+        if body:
+            doc[f.name] = body
     return json.dumps(doc, indent=2)
 
 
@@ -829,40 +696,186 @@ def _literal_lambda_min_gram(Xc) -> float:
     return float(sv[-1] ** 2)
 
 
+def _worst(candidates):
+    """First (report, *where) tuple with the largest slack."""
+    return max(candidates, key=lambda c: c[0].slack)
+
+
+def _init_spectra(run):
+    return analysis.check_init_spectra(run.exp.init_params, run.exp.X)
+
+
+def _gram_floor(run):
+    if run.gram_dim > run.cfg.analysis.max_gram_dim:
+        raise ConfigError(
+            f"analysis.max_gram_dim: gram-floor needs a {run.gram_dim}-dim Gram matrix; "
+            f"raise the limit or shrink the data"
+        )
+    return [analysis.check_gram_floor(run.exp.init_params, run.exp.X)]
+
+
+def _ntk_trace(run):
+    return [analysis.check_ntk_trace(run.exp.X)]
+
+
+def _local_descent(run, snap):
+    cfg, exp = run.cfg, run.exp
+
+    def check(i, c):
+        if cfg.model.kind == MODEL_DEEP_LINEAR:
+            return analysis.check_local_descent(
+                snap.local_losses[i],
+                cfg.federation.eta,
+                lam=_literal_lambda_min_gram(exp.batches[c].X),
+                depth=cfg.model.depth,
+                d_out=run.d_out,
+            )
+        return analysis.check_local_descent(
+            snap.local_losses[i], cfg.federation.eta, lam=exp.lambda_min
+        )
+
+    rep, c = _worst((check(i, c), c) for i, c in enumerate(snap.members))
+    return [dataclasses.replace(rep, context=rep.context | {"t": snap.t, "client": c})]
+
+
+def _local_deviation(run, snap):
+    fed, batches, members = run.cfg.federation, run.exp.batches, snap.members
+    xi_bar_S = analysis.stacked_residual([snap.global_params] * len(members), batches, members)
+    xi = [
+        analysis.stacked_residual([traj[k] for traj in snap.trajectories], batches, members)
+        for k in range(1, fed.local_steps + 1)
+    ]
+    forms = {"local-deviation": {"norm_x": run.norm_x, "d_out": run.d_out}}
+    if run.cfg.model.kind == MODEL_TWO_LAYER:
+        forms["local-deviation-crude"] = {
+            "n_total": run.exp.X.shape[1],
+            "local_steps": fed.local_steps,
+        }
+    reports = []
+    for name, form in forms.items():
+        worst, _ = _worst(
+            (analysis.check_local_deviation(xi_k, xi_bar_S, fed.eta, k, **form), k)
+            for k, xi_k in enumerate(xi, start=1)
+        )
+        reports.append(
+            dataclasses.replace(worst, name=name, context=worst.context | {"t": snap.t})
+        )
+    return reports
+
+
+def _global_drift(run, snap):
+    context = {"t": snap.t, "loss0": run.loss0, "radius": run.drift_radius}
+    return [
+        analysis.check_drift(
+            snap.global_params, run.exp.init_params, run.drift_radius, context=context
+        )
+    ]
+
+
+def _local_drift(run, snap):
+    rep, c, k = _worst(
+        (analysis.check_local_drift(traj[k], snap.global_params, run.exp.batches[c]), c, k)
+        for traj, c in zip(snap.trajectories, snap.members)
+        for k in range(1, run.cfg.federation.local_steps + 1)
+    )
+    return [dataclasses.replace(rep, context=rep.context | {"t": snap.t, "client": c, "k": k})]
+
+
+def _first_order(run, snap):
+    if run.gram_dim > run.cfg.analysis.max_gram_dim:
+        raise ConfigError(
+            f"analysis.max_gram_dim: first-order needs {run.gram_dim}-dim Gram blocks"
+        )
+    full, half, ratio = analysis.first_order_scaling(
+        snap.global_params,
+        run.exp.init_params,
+        list(run.exp.batches),
+        list(snap.members),
+        run.cfg.federation.eta,
+        run.cfg.federation.local_steps,
+    )
+    ctx = {
+        "t": snap.t,
+        "scaling_ratio": ratio,
+        "reconstruction_gap": full.reconstruction_gap,
+        "term_contraction": full.term_contraction,
+        "term_gram_shift": full.term_gram_shift,
+        "term_local_deviation": full.term_local_deviation,
+        "term_local_deviation_padded": full.term_local_deviation_padded,
+    }
+    return [
+        analysis.make_report(
+            "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=ctx
+        ),
+        analysis.make_report(
+            "first-order:halving",
+            measured=abs(ratio - 4.0),
+            bound=0.5,
+            context={"t": snap.t, "scaling_ratio": ratio},
+        ),
+    ]
+
+
+_BOTH_MODELS = (MODEL_DEEP_LINEAR, MODEL_TWO_LAYER)
+
+# Every verify check in report order: (name, model kinds, runs per round,
+# function). Set-up checks are called with the run state; per-round checks
+# also get each observed round's snapshot once training has finished.
+_VERIFY_CHECKS = (
+    ("init-spectra", (MODEL_DEEP_LINEAR,), False, _init_spectra),
+    ("gram-floor", (MODEL_DEEP_LINEAR,), False, _gram_floor),
+    ("ntk-trace", (MODEL_TWO_LAYER,), False, _ntk_trace),
+    ("local-descent", _BOTH_MODELS, True, _local_descent),
+    ("local-deviation", _BOTH_MODELS, True, _local_deviation),
+    ("global-drift", _BOTH_MODELS, True, _global_drift),
+    ("local-drift", (MODEL_DEEP_LINEAR,), True, _local_drift),
+    ("first-order", (MODEL_DEEP_LINEAR,), True, _first_order),
+)
+
+
+def _known_checks(model_kind) -> tuple:
+    return tuple(name for name, kinds, _, _ in _VERIFY_CHECKS if model_kind in kinds)
+
+
+def _drift_radius(cfg: ExperimentConfig, exp: Experiment, loss0, norm_x) -> float:
+    if cfg.model.kind == MODEL_DEEP_LINEAR:
+        return analysis.drift_radius_deep_linear(
+            loss0,
+            exp.Y.shape[0],
+            cfg.federation.n_clients,
+            norm_x,
+            cfg.model.depth,
+            analysis.sigma_min_nonzero(exp.X),
+        )
+    return analysis.drift_radius_two_layer(
+        cfg.federation.n_clients,
+        exp.X.shape[1],
+        np.sqrt(2.0 * loss0),
+        cfg.model.width,
+        exp.lambda_min,
+    )
+
+
 def _verify_reports(cfg: ExperimentConfig, exp: Experiment):
-    model_kind = cfg.model.kind
-    known = _LINEAR_CHECKS if model_kind == MODEL_DEEP_LINEAR else _RELU_CHECKS
-    checks = cfg.verify.checks if cfg.verify.checks is not None else known
+    kind = cfg.model.kind
+    wanted = cfg.verify.checks if cfg.verify.checks is not None else _known_checks(kind)
+    checks = [
+        (per_round, fn)
+        for name, kinds, per_round, fn in _VERIFY_CHECKS
+        if name in wanted and kind in kinds
+    ]
     T = cfg.federation.rounds
     if cfg.verify.rounds is not None:
         rounds = [t for t in cfg.verify.rounds if t < T]
     else:
-        rounds = sorted({0, T // 2, T - 1} & set(range(T))) if T > 0 else []
+        rounds = sorted({0, T // 2, T - 1}) if T > 0 else []
 
-    reports = []
-    gram_dim = exp.X.shape[1] * (exp.Y.shape[0] if exp.Y.ndim == 2 else 1)
-    if "init-spectra" in checks:
-        reports.extend(analysis.check_init_spectra(exp.init_params, exp.X))
-    if "gram-floor" in checks:
-        if gram_dim > cfg.analysis.max_gram_dim:
-            raise ConfigError(
-                f"analysis.max_gram_dim: gram-floor needs a {gram_dim}-dim Gram matrix; "
-                f"raise the limit or shrink the data"
-            )
-        reports.append(analysis.check_gram_floor(exp.init_params, exp.X))
-    if "ntk-trace" in checks:
-        reports.append(analysis.check_ntk_trace(exp.X))
-
-    round_checks = [c for c in checks if c in (
-        "local-descent", "local-deviation", "global-drift", "local-drift", "first-order"
-    )]
+    d_out = exp.Y.shape[0] if exp.Y.ndim == 2 else 1
+    run = SimpleNamespace(cfg=cfg, exp=exp, d_out=d_out, gram_dim=exp.X.shape[1] * d_out)
+    reports = [rep for per_round, fn in checks if not per_round for rep in fn(run)]
+    round_checks = [fn for per_round, fn in checks if per_round]
     if not round_checks or not rounds:
         return reports
-
-    norm_x = float(np.linalg.norm(exp.X, ord=2))
-    d_out = exp.Y.shape[0] if exp.Y.ndim == 2 else 1
-    n_total = exp.X.shape[1]
-    relu_lam = exp.lambda_min if model_kind == MODEL_TWO_LAYER else None
 
     snapshots = {}
     result = run_fedavg(
@@ -874,149 +887,13 @@ def _verify_reports(cfg: ExperimentConfig, exp: Experiment):
         observer=lambda snap: snapshots.setdefault(snap.t, snap),
         observe_rounds=set(rounds),
     )
-    loss0 = result.losses[0]
-
-    if model_kind == MODEL_DEEP_LINEAR:
-        drift_radius = analysis.drift_radius_deep_linear(
-            loss0,
-            d_out,
-            cfg.federation.n_clients,
-            norm_x,
-            cfg.model.depth,
-            analysis.sigma_min_nonzero(exp.X),
-        )
-    else:
-        drift_radius = analysis.drift_radius_two_layer(
-            cfg.federation.n_clients,
-            n_total,
-            np.sqrt(2.0 * loss0),
-            cfg.model.width,
-            relu_lam,
-        )
-
+    run.loss0 = result.losses[0]
+    run.norm_x = float(np.linalg.norm(exp.X, ord=2))
+    run.drift_radius = _drift_radius(cfg, exp, run.loss0, run.norm_x)
     for t in rounds:
-        snap = snapshots.get(t)
-        if snap is None:
-            continue
-        members = list(snap.members)
-        if "local-descent" in checks:
-            worst = None
-            for i, c in enumerate(members):
-                if model_kind == MODEL_DEEP_LINEAR:
-                    rep = analysis.check_local_descent(
-                        snap.local_losses[i],
-                        cfg.federation.eta,
-                        lam=_literal_lambda_min_gram(exp.batches[c].X),
-                        depth=cfg.model.depth,
-                        d_out=d_out,
-                    )
-                else:
-                    rep = analysis.check_local_descent(
-                        snap.local_losses[i], cfg.federation.eta, lam=relu_lam
-                    )
-                if worst is None or rep.slack > worst[0].slack:
-                    worst = (rep, c)
-            rep, c = worst
-            reports.append(
-                dataclasses.replace(rep, context=rep.context | {"t": t, "client": c})
-            )
-        if "local-deviation" in checks:
-            bar_parts = [
-                vec_residual(
-                    predict(snap.global_params, exp.batches[c].X), exp.batches[c].Y
-                )
-                for c in members
-            ]
-            xi_bar_S = np.concatenate(bar_parts)
-            for form in ("proportional", "crude"):
-                if form == "crude" and model_kind == MODEL_DEEP_LINEAR:
-                    continue
-                worst = None
-                for k in range(1, cfg.federation.local_steps + 1):
-                    xi_k = np.concatenate(
-                        [
-                            vec_residual(
-                                predict(snap.trajectories[i][k], exp.batches[c].X),
-                                exp.batches[c].Y,
-                            )
-                            for i, c in enumerate(members)
-                        ]
-                    )
-                    if form == "proportional":
-                        rep = analysis.check_local_deviation(
-                            xi_k, xi_bar_S, cfg.federation.eta, k,
-                            norm_x=norm_x, d_out=d_out,
-                        )
-                    else:
-                        rep = analysis.check_local_deviation(
-                            xi_k, xi_bar_S, cfg.federation.eta, k,
-                            n_total=n_total, local_steps=cfg.federation.local_steps,
-                        )
-                    if worst is None or rep.slack > worst.slack:
-                        worst = rep
-                name = "local-deviation" if form == "proportional" else "local-deviation-crude"
-                reports.append(
-                    dataclasses.replace(worst, name=name, context=worst.context | {"t": t})
-                )
-        if "global-drift" in checks:
-            rep = analysis.check_drift(
-                snap.global_params,
-                exp.init_params,
-                drift_radius,
-                context={"t": t, "loss0": loss0, "radius": drift_radius},
-            )
-            reports.append(rep)
-        if "local-drift" in checks and model_kind == MODEL_DEEP_LINEAR:
-            worst = None
-            for i, c in enumerate(members):
-                for k in range(1, cfg.federation.local_steps + 1):
-                    rep = analysis.check_local_drift(
-                        snap.trajectories[i][k], snap.global_params, exp.batches[c]
-                    )
-                    if worst is None or rep.slack > worst[0].slack:
-                        worst = (rep, c, k)
-            rep, c, k = worst
-            reports.append(
-                dataclasses.replace(rep, context=rep.context | {"t": t, "client": c, "k": k})
-            )
-        if "first-order" in checks and model_kind == MODEL_DEEP_LINEAR:
-            if gram_dim > cfg.analysis.max_gram_dim:
-                raise ConfigError(
-                    f"analysis.max_gram_dim: first-order needs {gram_dim}-dim Gram blocks"
-                )
-            full, half, ratio = analysis.first_order_scaling(
-                snap.global_params,
-                exp.init_params,
-                list(exp.batches),
-                members,
-                cfg.federation.eta,
-                cfg.federation.local_steps,
-            )
-            ctx = {
-                "t": t,
-                "scaling_ratio": ratio,
-                "reconstruction_gap": full.reconstruction_gap,
-                "term_contraction": full.term_contraction,
-                "term_gram_shift": full.term_gram_shift,
-                "term_local_deviation": full.term_local_deviation,
-                "term_local_deviation_padded": full.term_local_deviation_padded,
-            }
-            reports.append(
-                analysis.make_report(
-                    "first-order:relative-error",
-                    measured=full.relative_error,
-                    bound=1e-2,
-                    context=ctx,
-                )
-            )
-            reports.append(
-                analysis.make_report(
-                    "first-order:halving",
-                    measured=abs(ratio - 4.0),
-                    bound=0.5,
-                    context={"t": t, "scaling_ratio": ratio},
-                )
-            )
+        if t in snapshots:
+            for fn in round_checks:
+                reports.extend(fn(run, snapshots[t]))
     return reports
 
 
@@ -1053,12 +930,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         fed = dataclasses.replace(fed, seed=args.seed)
     if args.rate is not None:
-        if not 0.0 < args.rate <= 1.0:
-            raise ConfigError(f"--rate: must lie in (0, 1], got {args.rate}")
+        _unit_interval("--rate", args.rate)
         fed = dataclasses.replace(fed, rate=args.rate, schedule=None)
     if args.rounds is not None:
-        if args.rounds < 0:
-            raise ConfigError(f"--rounds: must be >= 0, got {args.rounds}")
+        _nonnegative("--rounds", args.rounds)
         fed = dataclasses.replace(fed, rounds=args.rounds)
         if fed.schedule is not None and len(fed.schedule) != args.rounds:
             raise ConfigError("--rounds: conflicts with the explicit schedule length")
@@ -1067,10 +942,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, seeds=(args.seed,)))
     if args.command == "sweep" and args.rate is not None:
         cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, rates=(args.rate,)))
-    try:
-        section_to_federation_config(cfg.federation)
-    except ValueError as e:
-        raise ConfigError(f"federation: {e}") from e
     return cfg
 
 

@@ -1,10 +1,11 @@
 """Synchronous federated averaging with deterministic partial participation."""
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import contraction_factor
 from .models import (
     DeepLinearParams,
     LabeledBatch,
@@ -259,8 +260,8 @@ def run_fedavg(
             )
         rho = None
         if lambda_min is not None:
-            rho = 1.0 - cfg.eta * len(members) * lambda_min * cfg.local_steps / (
-                2.0 * cfg.n_clients**2
+            rho = contraction_factor(
+                cfg.eta, len(members), lambda_min, cfg.local_steps, cfg.n_clients
             )
         traces.append(
             RoundTrace(

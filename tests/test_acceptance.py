@@ -27,8 +27,6 @@ from fedspectra.models import (
     init_deep_linear,
     init_two_layer,
     loss_of,
-    predict,
-    vec_residual,
 )
 
 from oracles import finite_difference_grad, gram_linear_bruteforce, mc_relu_kernel
@@ -75,11 +73,8 @@ def run4():
         members = list(snap.members)
         if snap.t == 3:
             state.round3 = (snap.global_params, members)
-        xi_bar = np.concatenate(
-            [
-                vec_residual(predict(snap.global_params, batches[c].X), batches[c].Y)
-                for c in members
-            ]
+        xi_bar = analysis.stacked_residual(
+            [snap.global_params] * len(members), batches, members
         )
         for i, c in enumerate(members):
             rep = analysis.check_local_descent(
@@ -90,13 +85,8 @@ def run4():
             if not rep.passed:
                 state.descent_fail.append((snap.t, c))
         for k in range(1, 6):
-            xi_k = np.concatenate(
-                [
-                    vec_residual(
-                        predict(snap.trajectories[i][k], batches[c].X), batches[c].Y
-                    )
-                    for i, c in enumerate(members)
-                ]
+            xi_k = analysis.stacked_residual(
+                [traj[k] for traj in snap.trajectories], batches, members
             )
             rep = analysis.check_local_deviation(
                 xi_k, xi_bar, eta, k, norm_x=norm_x, d_out=5
@@ -139,11 +129,8 @@ def run6():
 
     def observer(snap):
         members = list(snap.members)
-        xi_bar = np.concatenate(
-            [
-                vec_residual(predict(snap.global_params, batches[c].X), batches[c].Y)
-                for c in members
-            ]
+        xi_bar = analysis.stacked_residual(
+            [snap.global_params] * len(members), batches, members
         )
         for i, c in enumerate(members):
             rep = analysis.check_local_descent(snap.local_losses[i], eta, lam=lam)
@@ -152,13 +139,8 @@ def run6():
             if not rep.passed:
                 state.descent_fail.append((snap.t, c))
         for k in range(1, 6):
-            xi_k = np.concatenate(
-                [
-                    vec_residual(
-                        predict(snap.trajectories[i][k], batches[c].X), batches[c].Y
-                    )
-                    for i, c in enumerate(members)
-                ]
+            xi_k = analysis.stacked_residual(
+                [traj[k] for traj in snap.trajectories], batches, members
             )
             for rep in (
                 analysis.check_local_deviation(

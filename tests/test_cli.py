@@ -73,6 +73,28 @@ def test_unknown_check_name_lists_choices():
         parse_config(json.dumps({"verify": {"checks": ["ntk-trace"]}}))
 
 
+RELU_SCHEDULED = {
+    "model": {"kind": "two-layer-relu", "width": 64, "dim": 6},
+    "data": {"kind": "synthetic", "n": 20},
+    "federation": {"schedule": [[0, 1], [1]], "rounds": 2, "n_clients": 2},
+    "verify": {"checks": ["global-drift", "ntk-trace"], "rounds": [1, 0]},
+    "sweep": {"rates": [0.25, 1], "seeds": [3, 1]},
+}
+
+IDX_DOC = {
+    "data": {
+        "kind": "idx",
+        "images": "imgs.idx",
+        "labels": "labs.idx",
+        "subset": 40,
+        "classes_per_client": 2,
+        "partition": "noniid",
+        "preprocess": True,
+    },
+    "federation": {"rate": 0.5, "workers": 2, "stop_loss_fraction": 0.01},
+}
+
+
 def test_serialize_round_trips():
     docs = [
         "",
@@ -85,10 +107,220 @@ def test_serialize_round_trips():
                 "verify": {"checks": ["ntk-trace"], "rounds": [0]},
             }
         ),
+        json.dumps(IDX_DOC),
     ]
     for doc in docs:
         cfg = parse_config(doc)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+_DEFAULT_SWEEP = {"rates": [0.1, 0.5, 1.0], "seeds": [0, 1, 2, 3, 4]}
+_DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in": 10, "d_out": 5}
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (
+            {},
+            {
+                "model": _DEFAULT_LINEAR_MODEL,
+                "data": {"kind": "synthetic", "n": 80, "preprocess": False},
+                "federation": {
+                    "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
+                    "rate": 1.0, "seed": 0, "workers": 1,
+                },
+                "sweep": _DEFAULT_SWEEP,
+                "analysis": {"max_gram_dim": 1024},
+            },
+        ),
+        (
+            RELU_SCHEDULED,
+            {
+                "model": {"kind": "two-layer-relu", "width": 64, "dim": 6},
+                "data": {"kind": "synthetic", "n": 20, "preprocess": False},
+                "federation": {
+                    "n_clients": 2, "local_steps": 5, "rounds": 2, "eta": 0.0005,
+                    "schedule": [[0, 1], [1]], "seed": 0, "workers": 1,
+                },
+                "sweep": {"rates": [0.25, 1.0], "seeds": [3, 1]},
+                "analysis": {"max_gram_dim": 1024},
+                "verify": {"checks": ["global-drift", "ntk-trace"], "rounds": [0, 1]},
+            },
+        ),
+        (
+            IDX_DOC,
+            {
+                "model": _DEFAULT_LINEAR_MODEL,
+                "data": IDX_DOC["data"],
+                "federation": {
+                    "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
+                    "rate": 0.5, "seed": 0, "workers": 2, "stop_loss_fraction": 0.01,
+                },
+                "sweep": _DEFAULT_SWEEP,
+                "analysis": {"max_gram_dim": 1024},
+            },
+        ),
+    ],
+    ids=["default-linear", "relu-schedule-verify-sweep", "idx"],
+)
+def test_serialize_text_is_pinned(doc, expected):
+    # trace.json and verify.json echo this text, so its key order is part of
+    # the artifact format: width second in model, verify last.
+    assert serialize_config(parse_config(json.dumps(doc))) == json.dumps(expected, indent=2)
+
+
+def _fed(**federation):
+    return {"federation": federation}
+
+
+def _idx(**data):
+    return {"data": {"kind": "idx", "images": "i", "labels": "l", **data}}
+
+
+def _relu(**model):
+    return {"model": {"kind": "two-layer-relu", **model}}
+
+
+def _sched(schedule, rounds=1):
+    return {"federation": {"schedule": schedule, "rounds": rounds, "n_clients": 2}}
+
+
+_LINEAR_CHOICES = (
+    "init-spectra, gram-floor, local-descent, local-deviation, global-drift, "
+    "local-drift, first-order"
+)
+_RELU_CHOICES = "ntk-trace, local-descent, local-deviation, global-drift"
+
+# One fault per input: (config text or document, extra CLI arguments, message).
+CONFIG_ERRORS = [
+    # document shape
+    ("{not json", [], "config is not valid JSON: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    ("[]", [], "config root must be a JSON object"),
+    ({"bogus": {}}, [], "config.bogus: unknown key"),
+    ({"model": 3}, [], "model: expected an object"),
+    ({"verify": []}, [], "verify: expected an object"),
+    # value types
+    ({"model": {"depth": 2.5}}, [], "model.depth: expected an integer, got 2.5"),
+    (_fed(rounds=True), [], "federation.rounds: expected an integer, got True"),
+    (_fed(seed=1.0), [], "federation.seed: expected an integer, got 1.0"),
+    (_fed(eta="x"), [], "federation.eta: expected a number, got 'x'"),
+    (_fed(rate=False), [], "federation.rate: expected a number, got False"),
+    (_fed(stop_loss_fraction="1"), [],
+     "federation.stop_loss_fraction: expected a number, got '1'"),
+    ({"model": {"kind": 5}}, [], "model.kind: expected a string, got 5"),
+    ({"data": {"kind": None}}, [], "data.kind: expected a string, got None"),
+    ({"data": {"preprocess": "yes"}}, [], "data.preprocess: expected a boolean, got 'yes'"),
+    ({"data": {"partition": 1}}, [], "data.partition: expected a string, got 1"),
+    (_idx(images=5), [], "data.images: expected a string, got 5"),
+    (_idx(subset=None), [], "data.subset: expected an integer, got None"),
+    ({"analysis": {"max_gram_dim": "big"}}, [],
+     "analysis.max_gram_dim: expected an integer, got 'big'"),
+    # kinds
+    ({"model": {"kind": "cnn"}}, [],
+     "model.kind: expected 'deep-linear' or 'two-layer-relu', got 'cnn'"),
+    ({"data": {"kind": "csv"}}, [], "data.kind: expected 'synthetic' or 'idx', got 'csv'"),
+    # unknown keys, including keys that belong to the other kind
+    ({"model": {"depht": 3}}, [], "model.depht: unknown key"),
+    ({"model": {"dim": 4}}, [], "model.dim: unknown key"),
+    (_relu(depth=2), [], "model.depth: unknown key"),
+    (_relu(d_in=4), [], "model.d_in: unknown key"),
+    ({"data": {"images": "x"}}, [], "data.images: unknown key"),
+    ({"data": {"classes_per_client": 2}}, [], "data.classes_per_client: unknown key"),
+    (_idx(n=5), [], "data.n: unknown key"),
+    (_fed(clients=3), [], "federation.clients: unknown key"),
+    ({"verify": {"check": []}}, [], "verify.check: unknown key"),
+    ({"sweep": {"rate": [0.5]}}, [], "sweep.rate: unknown key"),
+    ({"analysis": {"max_gram": 5}}, [], "analysis.max_gram: unknown key"),
+    # ranges
+    ({"model": {"depth": 0}}, [], "model.depth: must be positive, got 0"),
+    ({"model": {"width": -1}}, [], "model.width: must be positive, got -1"),
+    ({"model": {"d_in": 0}}, [], "model.d_in: must be positive, got 0"),
+    ({"model": {"d_out": 0}}, [], "model.d_out: must be positive, got 0"),
+    (_relu(dim=0), [], "model.dim: must be positive, got 0"),
+    ({"data": {"n": 0}}, [], "data.n: must be positive, got 0"),
+    (_idx(subset=0), [], "data.subset: must be positive, got 0"),
+    (_idx(classes_per_client=0), [], "data.classes_per_client: must be positive, got 0"),
+    (_fed(n_clients=0), [], "federation.n_clients: must be positive, got 0"),
+    (_fed(local_steps=-2), [], "federation.local_steps: must be positive, got -2"),
+    (_fed(eta=0), [], "federation.eta: must be positive, got 0.0"),
+    (_fed(eta=-0.001), [], "federation.eta: must be positive, got -0.001"),
+    (_fed(workers=0), [], "federation.workers: must be positive, got 0"),
+    (_fed(stop_loss_fraction=0), [],
+     "federation.stop_loss_fraction: must be positive, got 0.0"),
+    ({"analysis": {"max_gram_dim": 0}}, [], "analysis.max_gram_dim: must be positive, got 0"),
+    (_fed(rate=0), [], "federation.rate: must lie in (0, 1], got 0.0"),
+    (_fed(rate=1.5), [], "federation.rate: must lie in (0, 1], got 1.5"),
+    (_fed(rounds=-1), [], "federation.rounds: must be >= 0, got -1"),
+    # partition vs data kind
+    ({"data": {"partition": "noniid"}}, [],
+     "data.partition: synthetic data has no labels to split by"),
+    (_idx(partition="bogus"), [], "data.partition: expected 'iid' or 'noniid', got 'bogus'"),
+    ({"data": {"kind": "idx", "images": "i"}}, [],
+     "data.images: idx data needs both images and labels paths"),
+    ({"data": {"kind": "idx", "labels": "l"}}, [],
+     "data.images: idx data needs both images and labels paths"),
+    # rate vs schedule, and the schedule itself
+    ({"federation": {"schedule": [[0]], "rounds": 1, "rate": 0.5}}, [],
+     "federation.schedule: give either rate or schedule, not both"),
+    (_sched("all"), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([0, 1]), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([["x"]]), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([[None]]), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([[0.9]]), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([[True]]), [], "federation.schedule: expected a list of client index lists"),
+    (_sched([[0]], rounds=3), [],
+     "federation: participation schedule must have one entry per round"),
+    (_sched([[]]), [], "federation: round 0: empty participant set"),
+    (_sched([[1, 1]]), [], "federation: round 0: duplicate participant"),
+    (_sched([[2]]), [], "federation: round 0: client index out of range"),
+    (_sched([[-1]]), [], "federation: round 0: client index out of range"),
+    # verify checks and rounds
+    ({"verify": {"checks": "all"}}, [], "verify.checks: expected a list of check names"),
+    ({"verify": {"checks": [1]}}, [], "verify.checks: expected a list of check names"),
+    ({"verify": {"checks": ["ntk-trace"]}}, [],
+     f"verify.checks: 'ntk-trace' is not a known check for deep-linear "
+     f"(choose from {_LINEAR_CHOICES})"),
+    ({**_relu(), "verify": {"checks": ["gram-floor"]}}, [],
+     f"verify.checks: 'gram-floor' is not a known check for two-layer-relu "
+     f"(choose from {_RELU_CHOICES})"),
+    ({"verify": {"rounds": [0.5]}}, [], "verify.rounds: expected a list of integers"),
+    ({"verify": {"rounds": [True]}}, [], "verify.rounds: expected a list of integers"),
+    ({"verify": {"rounds": 3}}, [], "verify.rounds: expected a list of integers"),
+    ({"federation": {"rounds": 10}, "verify": {"rounds": [0, 10]}}, [],
+     "verify.rounds: round 10 outside [0, 10)"),
+    ({"verify": {"rounds": [-1]}}, [], "verify.rounds: round -1 outside [0, 100)"),
+    ({"federation": {"rounds": 0}, "verify": {"rounds": [1]}}, [],
+     "verify.rounds: round 1 outside [0, 0)"),
+    # sweep
+    ({"sweep": {"rates": []}}, [], "sweep.rates: expected a nonempty list"),
+    ({"sweep": {"rates": 0.5}}, [], "sweep.rates: expected a nonempty list"),
+    ({"sweep": {"rates": [0]}}, [], "sweep.rates: rate 0 must lie in (0, 1]"),
+    ({"sweep": {"rates": [True]}}, [], "sweep.rates: rate True must lie in (0, 1]"),
+    ({"sweep": {"rates": ["a"]}}, [], "sweep.rates: rate 'a' must lie in (0, 1]"),
+    ({"sweep": {"seeds": []}}, [], "sweep.seeds: expected a nonempty list"),
+    ({"sweep": {"seeds": [1.5]}}, [], "sweep.seeds: expected integers"),
+    ({"sweep": {"seeds": [False]}}, [], "sweep.seeds: expected integers"),
+    # sample count vs input dimension
+    (_relu(dim=100), [], "data.n: need at least dim samples for synthetic data"),
+    ({"data": {"n": 5}}, [], "data.n: need at least d_in samples for synthetic data"),
+    # command-line overrides
+    ({}, ["--rate", "0"], "--rate: must lie in (0, 1], got 0.0"),
+    ({}, ["--rate", "1.5"], "--rate: must lie in (0, 1], got 1.5"),
+    ({}, ["--rounds", "-1"], "--rounds: must be >= 0, got -1"),
+    (_sched([[0], [1]], rounds=2), ["--rounds", "5"],
+     "--rounds: conflicts with the explicit schedule length"),
+]
+
+
+@pytest.mark.parametrize("doc, extra, message", CONFIG_ERRORS, ids=[m for *_, m in CONFIG_ERRORS])
+def test_config_error_messages(tmp_path, capsys, doc, extra, message):
+    path = tmp_path / "c.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"), *extra])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_schedule_must_match_round_count():
