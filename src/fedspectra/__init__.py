@@ -53,9 +53,7 @@ from .federation import (
     RoundSnapshot,
     RoundTrace,
     RunResult,
-    aggregate,
     global_loss,
-    local_train,
     local_trajectory,
     run_fedavg,
     sample_participants,
@@ -64,15 +62,11 @@ from .models import (
     DeepLinearParams,
     LabeledBatch,
     TwoLayerParams,
-    forward_deep_linear,
-    forward_two_layer,
-    grad_deep_linear,
     grad_two_layer,
     grads_deep_linear,
     init_deep_linear,
     init_two_layer,
     loss_of,
-    predict,
     square_loss,
     vec_residual,
 )

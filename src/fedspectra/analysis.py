@@ -16,10 +16,8 @@ import numpy as np
 from .models import (
     DeepLinearParams,
     LabeledBatch,
-    TwoLayerParams,
     input_chain,
     output_chain,
-    predict,
     vec_residual,
 )
 
@@ -511,7 +509,7 @@ def stacked_residual(params_per_member, batches, members) -> np.ndarray:
     concatenated in member order (the stacked xi of the local-deviation bound)."""
     return np.concatenate(
         [
-            vec_residual(predict(p, batches[c].X), batches[c].Y)
+            vec_residual(p.predict(batches[c].X), batches[c].Y)
             for p, c in zip(params_per_member, members, strict=True)
         ]
     )
@@ -576,32 +574,12 @@ def drift_radius_two_layer(n_clients, n_samples, init_residual_norm, width, lam)
     )
 
 
-def _drift_measure(params_now, params_init):
-    if isinstance(params_now, DeepLinearParams):
-        if not isinstance(params_init, DeepLinearParams) or params_now.depth != params_init.depth:
-            raise ValueError("parameter snapshots must share an architecture")
-        per_layer = [
-            float(np.linalg.norm(W1 - W0))
-            for W1, W0 in zip(params_now.layers, params_init.layers)
-        ]
-        return max(per_layer), {"per_layer_frobenius": tuple(per_layer)}
-    if isinstance(params_now, TwoLayerParams):
-        if not isinstance(params_init, TwoLayerParams):
-            raise ValueError("parameter snapshots must share an architecture")
-        rows = np.linalg.norm(params_now.hidden - params_init.hidden, axis=1)
-        return float(rows.max()), {
-            "max_row_drift": float(rows.max()),
-            "mean_row_drift": float(rows.mean()),
-        }
-    raise TypeError(f"unsupported parameter type {type(params_now).__name__}")
-
-
 def check_drift(params_now, params_init, radius, *, tol=0.0, context=None) -> CheckReport:
     """Largest parameter movement since initialization against a drift radius:
     per-layer Frobenius norm for the linear network, per-neuron row norm for
     the ReLU network. Pass radius from the matching drift_radius_* formula and
     put the formula's inputs in context so the report is self-describing."""
-    measured, detail = _drift_measure(params_now, params_init)
+    measured, detail = params_now.drift(params_init)
     ctx = dict(context or {})
     ctx.update(detail)
     return make_report("global-drift", measured=measured, bound=radius, tol=tol, context=ctx)
@@ -620,7 +598,7 @@ def check_local_drift(local_params, global_params, batch: LabeledBatch, *, tol=0
     measured = max(per_layer)
     norm_xc = float(np.linalg.norm(batch.X, ord=2))
     smin = sigma_min_nonzero(batch.X)
-    resid = float(np.linalg.norm(vec_residual(predict(global_params, batch.X), batch.Y)))
+    resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
     radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
         global_params.depth * smin**2
     ) * resid
@@ -697,13 +675,11 @@ def predict_first_order(
     local_steps = k_plus_1 - 1
     n_clients = len(batches)
     X = np.hstack([b.X for b in batches])
-    Y = np.hstack([b.Y for b in batches]) if batches[0].Y.ndim == 2 else np.concatenate(
-        [b.Y for b in batches]
-    )
-    xi_bar = vec_residual(predict(global_params, X), Y)
+    Y = np.hstack([b.Y for b in batches])
+    xi_bar = vec_residual(global_params.predict(X), Y)
     base_norm = float(np.linalg.norm(xi_bar))
     s = len(members)
-    d_out = getattr(global_params, "d_out", 1)
+    d_out = global_params.d_out
     widths = [b.n * d_out for b in batches]
     offsets = np.concatenate([[0], np.cumsum(widths)])
 
@@ -767,20 +743,17 @@ def first_order_scaling(params, init_params, batches, members, eta, local_steps)
     """Run one round at eta and at eta/2 from the same state and return the
     two FirstOrderReports plus the ratio of their absolute prediction errors.
     A ratio near 4 is the signature of a second-order remainder."""
-    from .federation import aggregate, local_trajectory
+    from .federation import local_trajectory
 
     def probe(e):
         trajs = [
             local_trajectory(params, batches[c], e, local_steps)[0]
             for c in sorted(int(c) for c in members)
         ]
-        averaged = aggregate([traj[-1] for traj in trajs])
+        averaged = type(params).average([traj[-1] for traj in trajs])
         X = np.hstack([b.X for b in batches])
-        if batches[0].Y.ndim == 2:
-            Y = np.hstack([b.Y for b in batches])
-        else:
-            Y = np.concatenate([b.Y for b in batches])
-        actual = vec_residual(predict(averaged, X), Y)
+        Y = np.hstack([b.Y for b in batches])
+        actual = vec_residual(averaged.predict(X), Y)
         return predict_first_order(
             params, init_params, trajs, batches, members, e, next_residual=actual
         )

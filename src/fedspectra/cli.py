@@ -32,12 +32,7 @@ from .federation import (
     FederationConfig,
     run_fedavg,
 )
-from .models import (
-    LabeledBatch,
-    init_deep_linear,
-    init_two_layer,
-    loss_of,
-)
+from .models import LabeledBatch, init_deep_linear, init_two_layer
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -381,8 +376,8 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
             y = np.ravel(ds.Y)
         batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=y[ix]) for ix in index_lists)
     X = np.hstack([b.X for b in batches])
+    Y = np.hstack([b.Y for b in batches])
     if cfg.model.kind == MODEL_DEEP_LINEAR:
-        Y = np.hstack([b.Y for b in batches])
         init = init_deep_linear(
             cfg.model.depth, cfg.model.width, X.shape[0], Y.shape[0], cfg.federation.seed
         )
@@ -392,7 +387,6 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
                 analysis.gram_P0(init, X), analysis.effective_rank(X) * Y.shape[0]
             )
     else:
-        Y = np.concatenate([b.Y for b in batches])
         init = init_two_layer(cfg.model.width, X.shape[0], cfg.federation.seed)
         lam = None
         if X.shape[1] <= cfg.analysis.max_gram_dim:
@@ -527,18 +521,13 @@ def _svg_plot(path, curves, *, title, x_label, y_label, width=720, height=480):
 
 
 def _run_training(cfg: ExperimentConfig, exp: Experiment):
-    fed_cfg = section_to_federation_config(cfg.federation)
-    stop = None
-    if cfg.federation.stop_loss_fraction is not None:
-        loss0 = sum(loss_of(exp.init_params, b) for b in exp.batches)
-        stop = cfg.federation.stop_loss_fraction * loss0
     return run_fedavg(
-        fed_cfg,
+        section_to_federation_config(cfg.federation),
         exp.init_params,
         list(exp.batches),
         lambda_min=exp.lambda_min,
         workers=cfg.federation.workers,
-        stop_loss=stop,
+        stop_fraction=cfg.federation.stop_loss_fraction,
     )
 
 

@@ -6,14 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import contraction_factor
-from .models import (
-    DeepLinearParams,
-    LabeledBatch,
-    TwoLayerParams,
-    grads_deep_linear,
-    grad_two_layer,
-    loss_of,
-)
+from .models import LabeledBatch, loss_of
 from .rng import stream
 
 
@@ -118,19 +111,6 @@ def sample_participants(t, cfg: FederationConfig) -> tuple:
     return tuple(int(c) for c in np.sort(members))
 
 
-def _sgd_step(params, batch: LabeledBatch, eta):
-    if isinstance(params, DeepLinearParams):
-        grads = grads_deep_linear(params, batch)
-        layers = tuple(W - eta * g for W, g in zip(params.layers, grads))
-        return DeepLinearParams(layers=layers, width=params.width)
-    if isinstance(params, TwoLayerParams):
-        return TwoLayerParams(
-            hidden=params.hidden - eta * grad_two_layer(params, batch),
-            signs=params.signs,
-        )
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
-
-
 def local_trajectory(params, batch: LabeledBatch, eta, steps):
     """Run full-batch gradient descent, keeping every iterate.
 
@@ -140,7 +120,7 @@ def local_trajectory(params, batch: LabeledBatch, eta, steps):
     traj = [params]
     losses = [loss_of(params, batch)]
     for k in range(steps):
-        params = _sgd_step(params, batch, eta)
+        params = params.step(batch, eta)
         value = loss_of(params, batch)
         if not np.isfinite(value):
             raise DivergenceError(
@@ -151,33 +131,6 @@ def local_trajectory(params, batch: LabeledBatch, eta, steps):
         traj.append(params)
         losses.append(value)
     return traj, losses
-
-
-def local_train(params, batch: LabeledBatch, eta, steps):
-    """Convenience wrapper: final local iterate plus the loss sequence."""
-    traj, losses = local_trajectory(params, batch, eta, steps)
-    return traj[-1], losses
-
-
-def aggregate(param_list):
-    """Unweighted server average. The list order is fixed by the caller
-    (ascending client index), so the summation order is reproducible."""
-    if not param_list:
-        raise ValueError("nothing to aggregate")
-    head = param_list[0]
-    if isinstance(head, DeepLinearParams):
-        layers = tuple(
-            np.mean(np.stack([p.layers[i] for p in param_list]), axis=0)
-            for i in range(head.depth)
-        )
-        return DeepLinearParams(layers=layers, width=head.width)
-    if isinstance(head, TwoLayerParams):
-        for p in param_list[1:]:
-            if not np.array_equal(p.signs, head.signs):
-                raise ValueError("cannot average models with different output signs")
-        hidden = np.mean(np.stack([p.hidden for p in param_list]), axis=0)
-        return TwoLayerParams(hidden=hidden, signs=head.signs)
-    raise TypeError(f"unsupported parameter type {type(head).__name__}")
 
 
 def global_loss(params, client_batches) -> float:
@@ -195,7 +148,7 @@ def run_fedavg(
     workers=1,
     observer=None,
     observe_rounds=None,
-    stop_loss=None,
+    stop_fraction=None,
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
@@ -205,7 +158,8 @@ def run_fedavg(
       are collected by client position so the aggregate is order-stable.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average is formed.
-    - stop_loss ends the run early once the global loss reaches it.
+    - stop_fraction ends the run early once the global loss reaches
+      stop_fraction times the starting loss.
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
@@ -215,7 +169,7 @@ def run_fedavg(
         raise DivergenceError(f"non-finite initial loss {losses[0]}", loss=losses[0])
     traces = []
     for t in range(cfg.rounds):
-        if stop_loss is not None and losses[-1] <= stop_loss:
+        if stop_fraction is not None and losses[-1] <= stop_fraction * losses[0]:
             break
         members = sample_participants(t, cfg)
 
@@ -250,7 +204,7 @@ def run_fedavg(
                 )
             )
 
-        params = aggregate([traj[-1] for traj in trajectories])
+        params = type(params).average([traj[-1] for traj in trajectories])
         value = global_loss(params, client_batches)
         if not np.isfinite(value):
             raise DivergenceError(

@@ -1,9 +1,10 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
-Both expose forward maps and closed-form gradients of the (unnormalized)
-square loss; there is no automatic differentiation anywhere. All arithmetic
-is 64-bit. Parameter values are treated as immutable: every update builds
-new arrays.
+Both parameter classes expose the same four members: predict(X), the
+gradient step step(batch, eta), the server average average(params) (a
+classmethod) and drift(init). Gradients of the (unnormalized) square loss are closed-form;
+there is no automatic differentiation anywhere. All arithmetic is 64-bit.
+Parameter values are treated as immutable: every update builds new arrays.
 """
 
 from dataclasses import dataclass
@@ -85,6 +86,42 @@ class DeepLinearParams:
     def scale(self) -> float:
         return 1.0 / np.sqrt(float(self.width) ** (self.depth - 1) * self.d_out)
 
+    def predict(self, X) -> np.ndarray:
+        """U = scale * W^depth ... W^1 X."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.d_in:
+            raise ValueError(f"X must have {self.d_in} rows, got shape {X.shape}")
+        Z = X
+        for W in self.layers:
+            Z = W @ Z
+        return self.scale * Z
+
+    def step(self, batch: LabeledBatch, eta) -> "DeepLinearParams":
+        """One full-batch gradient step on every layer."""
+        grads = grads_deep_linear(self, batch)
+        layers = tuple(W - eta * g for W, g in zip(self.layers, grads))
+        return DeepLinearParams(layers=layers, width=self.width)
+
+    @classmethod
+    def average(cls, params) -> "DeepLinearParams":
+        """Unweighted layer-wise mean, summed in list order."""
+        if not params:
+            raise ValueError("nothing to aggregate")
+        head = params[0]
+        layers = tuple(
+            np.mean(np.stack([p.layers[i] for p in params]), axis=0)
+            for i in range(head.depth)
+        )
+        return cls(layers=layers, width=head.width)
+
+    def drift(self, init) -> tuple:
+        """Largest per-layer Frobenius distance from init, plus the per-layer list."""
+        shapes = [W.shape for W in self.layers]
+        if not isinstance(init, DeepLinearParams) or [W.shape for W in init.layers] != shapes:
+            raise ValueError("parameter snapshots must share an architecture")
+        per_layer = [float(np.linalg.norm(W1 - W0)) for W1, W0 in zip(self.layers, init.layers)]
+        return max(per_layer), {"per_layer_frobenius": tuple(per_layer)}
+
 
 @dataclass(frozen=True, eq=False)
 class TwoLayerParams:
@@ -108,6 +145,42 @@ class TwoLayerParams:
     @property
     def dim(self) -> int:
         return self.hidden.shape[1]
+
+    def predict(self, X) -> np.ndarray:
+        """y_i = (1/sqrt(width)) sum_r signs_r * max(0, w_r . x_i), as a length-n vector."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.dim:
+            raise ValueError(f"X must have {self.dim} rows, got shape {X.shape}")
+        return (self.signs / np.sqrt(self.width)) @ np.maximum(self.hidden @ X, 0.0)
+
+    def step(self, batch: LabeledBatch, eta) -> "TwoLayerParams":
+        """One full-batch gradient step on the hidden weights; the signs stay fixed."""
+        return TwoLayerParams(
+            hidden=self.hidden - eta * grad_two_layer(self, batch), signs=self.signs
+        )
+
+    @classmethod
+    def average(cls, params) -> "TwoLayerParams":
+        """Unweighted mean of the hidden weights, summed in list order; every
+        net must carry the same output signs."""
+        if not params:
+            raise ValueError("nothing to aggregate")
+        head = params[0]
+        for p in params[1:]:
+            if not np.array_equal(p.signs, head.signs):
+                raise ValueError("cannot average models with different output signs")
+        hidden = np.mean(np.stack([p.hidden for p in params]), axis=0)
+        return cls(hidden=hidden, signs=head.signs)
+
+    def drift(self, init) -> tuple:
+        """Largest per-neuron (row) distance from init, plus the max and mean."""
+        if not isinstance(init, TwoLayerParams) or init.hidden.shape != self.hidden.shape:
+            raise ValueError("parameter snapshots must share an architecture")
+        rows = np.linalg.norm(self.hidden - init.hidden, axis=1)
+        return float(rows.max()), {
+            "max_row_drift": float(rows.max()),
+            "mean_row_drift": float(rows.mean()),
+        }
 
 
 def init_deep_linear(depth, width, d_in, d_out, seed) -> DeepLinearParams:
@@ -154,23 +227,12 @@ def output_chain(p: DeepLinearParams) -> list:
     return chain
 
 
-def forward_deep_linear(p: DeepLinearParams, X) -> np.ndarray:
-    """U = scale * W^depth ... W^1 X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != p.d_in:
-        raise ValueError(f"X must have {p.d_in} rows, got shape {X.shape}")
-    Z = X
-    for W in p.layers:
-        Z = W @ Z
-    return p.scale * Z
-
-
 def grads_deep_linear(p: DeepLinearParams, batch: LabeledBatch) -> list:
     """Square-loss gradients for every layer at once.
 
     Layer j receives scale * out_j.T @ (U - Y) @ in_j.T, where in_j/out_j are
     the partial products around layer j. Shares the chain products across
-    layers; grad_deep_linear is the single-layer view of the same formula.
+    layers.
     """
     if batch.Y.ndim != 2 or batch.Y.shape[0] != p.d_out:
         raise ValueError(f"Y must have shape ({p.d_out}, n)")
@@ -179,21 +241,6 @@ def grads_deep_linear(p: DeepLinearParams, batch: LabeledBatch) -> list:
     U = p.scale * (p.layers[-1] @ ins[-1])
     E = U - batch.Y
     return [p.scale * (outs[j].T @ E @ ins[j].T) for j in range(p.depth)]
-
-
-def grad_deep_linear(p: DeepLinearParams, batch: LabeledBatch, layer: int) -> np.ndarray:
-    """Gradient of square_loss with respect to one layer (0-based index)."""
-    if not 0 <= layer < p.depth:
-        raise ValueError(f"layer index {layer} out of range [0, {p.depth})")
-    return grads_deep_linear(p, batch)[layer]
-
-
-def forward_two_layer(p: TwoLayerParams, X) -> np.ndarray:
-    """y_i = (1/sqrt(width)) sum_r signs_r * max(0, w_r . x_i), as a length-n vector."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != p.dim:
-        raise ValueError(f"X must have {p.dim} rows, got shape {X.shape}")
-    return (p.signs / np.sqrt(p.width)) @ np.maximum(p.hidden @ X, 0.0)
 
 
 def grad_two_layer(p: TwoLayerParams, batch: LabeledBatch) -> np.ndarray:
@@ -234,14 +281,5 @@ def vec_residual(U, Y) -> np.ndarray:
     return diff.flatten(order="F")
 
 
-def predict(params, X) -> np.ndarray:
-    """Forward pass for either architecture."""
-    if isinstance(params, DeepLinearParams):
-        return forward_deep_linear(params, X)
-    if isinstance(params, TwoLayerParams):
-        return forward_two_layer(params, X)
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
-
-
 def loss_of(params, batch: LabeledBatch) -> float:
-    return square_loss(predict(params, batch.X), batch.Y)
+    return square_loss(params.predict(batch.X), batch.Y)

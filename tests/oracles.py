@@ -158,3 +158,37 @@ def pooled_gradient_step_linear(layers, scale, X, Y, eta):
         lift = E if suf is None else suf.T @ E
         new_layers.append(layers[l] - eta * scale * (lift @ feats.T))
     return new_layers
+
+
+def relu_gradient_step_loops(hidden, signs, X, y, eta):
+    """One full-batch gradient step on the hidden weights of the two-layer
+    ReLU net, scalar by scalar. Row r moves by -eta/sqrt(width) * sum_i
+    (f(x_i) - y_i) signs_r x_i [w_r . x_i >= 0]; the gate is open at zero."""
+    hidden = np.asarray(hidden, dtype=float)
+    X = np.asarray(X, dtype=float)
+    width, dim = hidden.shape
+    n = X.shape[1]
+    norm = 1.0 / np.sqrt(width)
+    pre = np.zeros((width, n))
+    for r in range(width):
+        for i in range(n):
+            acc = 0.0
+            for a in range(dim):
+                acc += hidden[r, a] * X[a, i]
+            pre[r, i] = acc
+    residual = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for r in range(width):
+            if pre[r, i] > 0.0:
+                acc += signs[r] * pre[r, i]
+        residual[i] = norm * acc - y[i]
+    out = np.zeros((width, dim))
+    for r in range(width):
+        for a in range(dim):
+            g = 0.0
+            for i in range(n):
+                if pre[r, i] >= 0.0:
+                    g += residual[i] * signs[r] * X[a, i]
+            out[r, a] = hidden[r, a] - eta * norm * g
+    return out

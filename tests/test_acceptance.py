@@ -156,7 +156,7 @@ def run6():
                     state.deviation_fail.append((snap.t, k))
 
     cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=eta, seed=0)
-    result = run_fedavg(cfg, init, batches, observer=observer, stop_loss=1e-2 * loss0)
+    result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.lambda_min = lam
@@ -183,7 +183,7 @@ def run6_wide():
             state.drift_fail.append(snap.t)
 
     cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0)
-    result = run_fedavg(cfg, init, batches, observer=observer, stop_loss=1e-2 * loss0)
+    result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
     final = analysis.check_drift(result.params, init, radius)
     state.drift_count += 1
     state.worst_drift = max(state.worst_drift, final.slack)
@@ -290,7 +290,7 @@ def test_criterion_05_more_participants_reach_the_target_sooner():
                 participation=rate, seed=seed,
             )
             loss0 = _initial_loss(init, batches)
-            result = run_fedavg(cfg, init, batches, stop_loss=1e-2 * loss0)
+            result = run_fedavg(cfg, init, batches, stop_fraction=1e-2)
             assert result.final_loss <= 1e-2 * loss0  # cap was never the stopper
             counts.append(len(result.traces))
         mean_rounds.append(np.mean(counts))

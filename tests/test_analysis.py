@@ -37,7 +37,6 @@ from fedspectra.models import (
     LabeledBatch,
     init_deep_linear,
     init_two_layer,
-    predict,
     vec_residual,
 )
 
@@ -379,6 +378,21 @@ def test_check_drift_fails_beyond_radius():
     assert not rep.passed
 
 
+@pytest.mark.parametrize(
+    "now, init",
+    [
+        (init_deep_linear(2, 4, 3, 2, seed=0), init_two_layer(4, 3, seed=0)),
+        (init_two_layer(4, 3, seed=0), init_deep_linear(2, 4, 3, 2, seed=0)),
+        (init_deep_linear(2, 4, 3, 2, seed=0), init_deep_linear(3, 4, 3, 2, seed=0)),
+        (init_deep_linear(2, 1, 3, 2, seed=0), init_deep_linear(2, 8, 3, 2, seed=0)),
+        (init_two_layer(1, 3, seed=0), init_two_layer(8, 3, seed=0)),
+    ],
+)
+def test_check_drift_rejects_mismatched_architectures(now, init):
+    with pytest.raises(ValueError, match="share an architecture"):
+        check_drift(now, init, radius=1.0)
+
+
 def test_check_local_drift_zero_when_local_equals_global():
     ds, _ = synth_linear_dataset(4, 2, 8, seed=1)
     p = init_deep_linear(3, 8, 4, 2, seed=1)
@@ -427,7 +441,7 @@ def test_predict_first_order_with_zero_rate_returns_current_residual():
     rep = predict_first_order(params, init, trajs, batches, members, 0.0)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
-    np.testing.assert_array_equal(rep.predicted, vec_residual(predict(params, X), Y))
+    np.testing.assert_array_equal(rep.predicted, vec_residual(params.predict(X), Y))
 
 
 def test_predict_first_order_terms_recombine_and_pad_agrees():

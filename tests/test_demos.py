@@ -1,0 +1,34 @@
+"""The demo scripts import only names the package still defines.
+
+The demos are read with ast rather than run: executing them takes seconds
+each, while a renamed or deleted export is caught from the imports alone.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def _package_imports(path):
+    """(module, name) for every `from fedspectra[.sub] import name` in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fedspectra":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_exist(path):
+    imports = list(_package_imports(path))
+    assert imports, f"{path.name} imports nothing from fedspectra"
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        assert hasattr(mod, name), f"{path.name}: {module} has no {name}"

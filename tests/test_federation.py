@@ -1,5 +1,7 @@
 """Round loop behavior: sampling, local descent, aggregation, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,7 @@ from fedspectra.data import partition_iid, synth_linear_dataset
 from fedspectra.federation import (
     DivergenceError,
     FederationConfig,
-    aggregate,
     global_loss,
-    local_train,
     local_trajectory,
     run_fedavg,
     sample_participants,
@@ -25,7 +25,7 @@ from fedspectra.models import (
     loss_of,
 )
 
-from oracles import pooled_gradient_step_linear
+from oracles import pooled_gradient_step_linear, relu_gradient_step_loops
 
 
 def _workload(seed=0, n_clients=4, d_in=5, d_out=2, n=16, depth=3, width=16):
@@ -44,7 +44,10 @@ def test_sample_participants_deterministic_sorted_and_sized():
     assert a == b
     assert list(a) == sorted(a)
     assert len(a) == 5
-    assert sample_participants(3, cfg) != a or True  # different rounds may differ
+    draws = [sample_participants(t, cfg) for t in range(10)]
+    assert len(set(draws)) > 1  # each round draws afresh
+    reseeded = dataclasses.replace(cfg, seed=5)
+    assert any(sample_participants(t, reseeded) != draws[t] for t in range(10))
     tiny = FederationConfig(n_clients=10, local_steps=1, rounds=1, eta=0.1, participation=0.01)
     assert len(sample_participants(0, tiny)) == 1  # at least one client every round
 
@@ -81,10 +84,18 @@ def test_local_trajectory_shapes_and_descent():
 def test_one_local_step_matches_pooled_gradient_oracle():
     params, batches = _workload()
     b = batches[1]
-    stepped, _ = local_train(params, b, eta=0.03, steps=1)
+    stepped = params.step(b, eta=0.03)
     expected = pooled_gradient_step_linear(list(params.layers), params.scale, b.X, b.Y, 0.03)
     for W, We in zip(stepped.layers, expected):
         np.testing.assert_allclose(W, We, atol=1e-12)
+
+
+def test_one_relu_step_matches_loop_oracle():
+    q = init_two_layer(16, 5, seed=2)
+    rng = np.random.default_rng(3)
+    b = LabeledBatch(X=rng.standard_normal((5, 8)), Y=rng.standard_normal(8))
+    expected = relu_gradient_step_loops(q.hidden, q.signs, b.X, b.Y, 0.03)
+    np.testing.assert_allclose(q.step(b, eta=0.03).hidden, expected, atol=1e-12)
 
 
 def test_aggregate_averages_layerwise():
@@ -92,18 +103,24 @@ def test_aggregate_averages_layerwise():
     shifted = DeepLinearParams(
         layers=tuple(W + 1.0 for W in params.layers), width=params.width
     )
-    mean = aggregate([params, shifted])
+    mean = DeepLinearParams.average([params, shifted])
     for W, Wm in zip(params.layers, mean.layers):
         np.testing.assert_allclose(Wm, W + 0.5, atol=1e-12)
-    with pytest.raises(ValueError):
-        aggregate([])
+    q = init_two_layer(8, 3, seed=0)
+    other = TwoLayerParams(hidden=init_two_layer(8, 3, seed=1).hidden, signs=q.signs)
+    mid = TwoLayerParams.average([q, other])
+    np.testing.assert_allclose(mid.hidden, 0.5 * (q.hidden + other.hidden), atol=1e-12)
+    np.testing.assert_array_equal(mid.signs, q.signs)
+    for cls in (DeepLinearParams, TwoLayerParams):
+        with pytest.raises(ValueError):
+            cls.average([])
 
 
 def test_aggregate_rejects_mismatched_relu_signs():
     a = init_two_layer(8, 3, seed=0)
     flipped = TwoLayerParams(hidden=a.hidden.copy(), signs=-a.signs)
     with pytest.raises(ValueError):
-        aggregate([a, flipped])
+        TwoLayerParams.average([a, flipped])
 
 
 def test_full_participation_single_step_equals_centralized_gd():
@@ -169,7 +186,7 @@ def test_stop_loss_ends_the_run_early():
     cfg = FederationConfig(n_clients=4, local_steps=2, rounds=50, eta=0.05, seed=0)
     full = run_fedavg(cfg, params, batches)
     target = full.losses[0] * 0.5
-    stopped = run_fedavg(cfg, params, batches, stop_loss=target)
+    stopped = run_fedavg(cfg, params, batches, stop_fraction=0.5)
     assert len(stopped.traces) < 50
     assert stopped.final_loss <= target
     assert stopped.losses[-2] > target  # stopped at the first crossing

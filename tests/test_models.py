@@ -9,9 +9,6 @@ from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
     TwoLayerParams,
-    forward_deep_linear,
-    forward_two_layer,
-    grad_deep_linear,
     grad_two_layer,
     grads_deep_linear,
     init_deep_linear,
@@ -72,14 +69,14 @@ def test_init_deterministic_and_seed_sensitive():
 def test_forward_deep_linear_matches_loop_oracle():
     p, batch = _linear_instance(seed=2)
     expected = deep_linear_forward_loops(p.layers, batch.X, p.scale)
-    np.testing.assert_allclose(forward_deep_linear(p, batch.X), expected, atol=1e-12)
+    np.testing.assert_allclose(p.predict(batch.X), expected, atol=1e-12)
 
 
 def test_forward_two_layer_matches_loop_oracle():
     q = init_two_layer(16, 6, seed=3)
     X = np.random.default_rng(4).standard_normal((6, 8))
     expected = relu_forward_loops(q.hidden, q.signs, X, q.width)
-    np.testing.assert_allclose(forward_two_layer(q, X), expected, atol=1e-12)
+    np.testing.assert_allclose(q.predict(X), expected, atol=1e-12)
 
 
 def test_deep_linear_gradient_matches_finite_differences():
@@ -91,15 +88,6 @@ def test_deep_linear_gradient_matches_finite_differences():
     fd = finite_difference_grad(f, _flatten(p))
     closed = np.concatenate([g.ravel() for g in grads_deep_linear(p, batch)])
     assert np.linalg.norm(fd - closed) / np.linalg.norm(closed) <= 1e-6
-
-
-def test_single_layer_gradient_agrees_with_full_list():
-    p, batch = _linear_instance(seed=9)
-    full = grads_deep_linear(p, batch)
-    for layer in range(p.depth):
-        np.testing.assert_array_equal(grad_deep_linear(p, batch, layer), full[layer])
-    with pytest.raises(ValueError):
-        grad_deep_linear(p, batch, p.depth)
 
 
 def test_two_layer_gradient_matches_finite_differences():
@@ -141,8 +129,8 @@ def test_forward_deep_linear_is_linear_in_the_input(seed, a, b):
     rng = np.random.default_rng(seed)
     X1 = rng.standard_normal((3, 4))
     X2 = rng.standard_normal((3, 4))
-    lhs = forward_deep_linear(p, a * X1 + b * X2)
-    rhs = a * forward_deep_linear(p, X1) + b * forward_deep_linear(p, X2)
+    lhs = p.predict(a * X1 + b * X2)
+    rhs = a * p.predict(X1) + b * p.predict(X2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -151,9 +139,7 @@ def test_forward_deep_linear_is_linear_in_the_input(seed, a, b):
 def test_forward_two_layer_is_positively_homogeneous(seed, c):
     q = init_two_layer(10, 4, seed=seed % 1000)
     X = np.random.default_rng(seed).standard_normal((4, 5))
-    np.testing.assert_allclose(
-        forward_two_layer(q, c * X), c * forward_two_layer(q, X), rtol=1e-9, atol=1e-12
-    )
+    np.testing.assert_allclose(q.predict(c * X), c * q.predict(X), rtol=1e-9, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
@@ -178,7 +164,9 @@ def test_shape_validation():
         square_loss(np.zeros((2, 3)), np.zeros((3, 2)))
     p, batch = _linear_instance(seed=0)
     with pytest.raises(ValueError):
-        forward_deep_linear(p, np.zeros((5, 3)))  # wrong input dimension
+        p.predict(np.zeros((5, 3)))  # wrong input dimension
+    with pytest.raises(ValueError):
+        init_two_layer(8, 4, seed=0).predict(np.zeros((5, 3)))
     with pytest.raises(ValueError):
         DeepLinearParams(
             layers=(np.zeros((8, 4)), np.zeros((7, 8)), np.zeros((2, 7))), width=8
