@@ -20,8 +20,15 @@ from .models import (
     output_chain,
     vec_residual,
 )
+from .rng import stream
 
 _SYMMETRY_TOL = 1e-10
+
+# Extra sketch columns beyond the rank bound (Halko, Martinsson & Tropp 2011,
+# section 4.2).
+_SKETCH_OVERSAMPLE = 10
+# Rows per block when the sketch residual is summed.
+_RESIDUAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -585,14 +592,59 @@ def check_drift(params_now, params_init, radius, *, tol=0.0, context=None) -> Ch
     return make_report("global-drift", measured=measured, bound=radius, tol=tol, context=ctx)
 
 
-def check_local_drift(local_params, global_params, batch: LabeledBatch, *, tol=0.0) -> CheckReport:
+def _low_rank_spectral_norm(D, rank, noise) -> float:
+    """Largest singular value of D, which must have rank at most `rank` (any
+    rank when None) up to a Frobenius-norm error of `noise`.
+
+    Q is an orthonormal basis of D times rank + 10 orthonormalised Gaussian
+    columns from a fixed stream (Halko, Martinsson & Tropp 2011, sections
+    4-5); when D = Q Q^T D, sigma_max(Q^T D) is sigma_max(D). The residual
+    |D - Q Q^T D|_F is certified against twice the noise plus the sketch's own
+    rounding, so a wrong rank bound raises ValueError instead of returning an
+    underestimate. The orthonormalised columns keep a full-span sketch of a
+    tall D exact to rounding, however ill-conditioned the Gaussian draw.
+    """
+    cols = min(D.shape) if rank is None else min(rank + _SKETCH_OVERSAMPLE, min(D.shape))
+    omega = np.linalg.qr(stream(0, "local-drift-sketch").standard_normal((D.shape[1], cols)))[0]
+    Q = np.linalg.qr(D @ omega)[0]
+    B = Q.T @ D
+    # |D - Q B|_F a block of rows at a time: a dense D - Q B would double the
+    # memory that D takes and raise the process's peak resident size
+    squares = 0.0
+    for i in range(0, D.shape[0], _RESIDUAL_BLOCK):
+        rows = slice(i, i + _RESIDUAL_BLOCK)
+        squares += float(np.linalg.norm(D[rows] - Q[rows] @ B)) ** 2
+    residual = np.sqrt(squares)
+    floor = 2.0 * (noise + np.finfo(float).eps * max(D.shape) * float(np.linalg.norm(D)))
+    if residual > floor:
+        raise ValueError(
+            f"delta of shape {D.shape} is not within rounding of rank {rank}: "
+            f"sketch residual {residual:g} > {floor:g}"
+        )
+    return float(np.linalg.svd(B, compute_uv=False)[0])
+
+
+def check_local_drift(
+    local_params, global_params, batch: LabeledBatch, *, steps=None, tol=0.0
+) -> CheckReport:
     """Spectral-norm distance of a client's local weights from the broadcast
     weights, against 24*sqrt(d_out)*|X_c| / (L*sigma_min^2(X_c)) times the
-    client residual norm at broadcast time (linear network only)."""
+    client residual norm at broadcast time (linear network only).
+
+    `steps` is the number of local steps on `batch` that led from the
+    broadcast weights to the local ones. Each step changes a layer by a matrix
+    of rank at most min(n_c, d_out), so the spectral norms come from a sketch
+    of rank steps*min(n_c, d_out), certified against the rounding of `steps`
+    updates (2*steps*eps*|W_global|_F). Without `steps` the sketch spans every
+    direction.
+    """
     if not isinstance(local_params, DeepLinearParams):
         raise TypeError("local drift bound applies to the linear network")
+    rank = None if steps is None else steps * min(batch.n, global_params.d_out)
+    # each update rounds every entry of the layer once
+    rounding = 0.0 if steps is None else steps * np.finfo(float).eps
     per_layer = [
-        float(np.linalg.norm(Wl - Wg, ord=2))
+        _low_rank_spectral_norm(Wl - Wg, rank, rounding * float(np.linalg.norm(Wg)))
         for Wl, Wg in zip(local_params.layers, global_params.layers)
     ]
     measured = max(per_layer)
@@ -739,27 +791,37 @@ def predict_first_order(
     )
 
 
-def first_order_scaling(params, init_params, batches, members, eta, local_steps):
+def first_order_scaling(
+    params, init_params, batches, members, eta, local_steps, *, trajectories=None
+):
     """Run one round at eta and at eta/2 from the same state and return the
     two FirstOrderReports plus the ratio of their absolute prediction errors.
-    A ratio near 4 is the signature of a second-order remainder."""
+    A ratio near 4 is the signature of a second-order remainder.
+
+    trajectories, when given, are the members' local trajectories at eta
+    (aligned with sorted(members), as in predict_first_order), e.g. from a
+    RoundSnapshot; only the eta/2 probe then trains.
+    """
     from .federation import local_trajectory
 
-    def probe(e):
-        trajs = [
+    X = np.hstack([b.X for b in batches])
+    Y = np.hstack([b.Y for b in batches])
+
+    def train(e):
+        return [
             local_trajectory(params, batches[c], e, local_steps)[0]
             for c in sorted(int(c) for c in members)
         ]
+
+    def probe(e, trajs):
         averaged = type(params).average([traj[-1] for traj in trajs])
-        X = np.hstack([b.X for b in batches])
-        Y = np.hstack([b.Y for b in batches])
         actual = vec_residual(averaged.predict(X), Y)
         return predict_first_order(
             params, init_params, trajs, batches, members, e, next_residual=actual
         )
 
-    full = probe(eta)
-    half = probe(0.5 * eta)
+    full = probe(eta, train(eta) if trajectories is None else trajectories)
+    half = probe(0.5 * eta, train(0.5 * eta))
     if half.actual_error == 0.0:
         raise ValueError("half-rate probe has zero error; scaling ratio undefined")
     return full, half, full.actual_error / half.actual_error

@@ -762,8 +762,9 @@ def _global_drift(run, snap):
 
 
 def _local_drift(run, snap):
+    batches = run.exp.batches
     rep, c, k = _worst(
-        (analysis.check_local_drift(traj[k], snap.global_params, run.exp.batches[c]), c, k)
+        (analysis.check_local_drift(traj[k], snap.global_params, batches[c], steps=k), c, k)
         for traj, c in zip(snap.trajectories, snap.members)
         for k in range(1, run.cfg.federation.local_steps + 1)
     )
@@ -782,6 +783,7 @@ def _first_order(run, snap):
         list(snap.members),
         run.cfg.federation.eta,
         run.cfg.federation.local_steps,
+        trajectories=snap.trajectories,
     )
     ctx = {
         "t": snap.t,

@@ -27,7 +27,8 @@ class FederationConfig:
 
     participation is either a rate in (0, 1] (clients drawn uniformly without
     replacement each round) or an explicit per-round schedule of client index
-    tuples with one entry per round.
+    tuples with one entry per round. Either way a round's participants are
+    visited and averaged in ascending client order.
     """
 
     n_clients: int
@@ -104,7 +105,7 @@ def sample_participants(t, cfg: FederationConfig) -> tuple:
     (cfg.seed, t) and independent of any other randomness in the run."""
     p = cfg.participation
     if not isinstance(p, (int, float)):
-        return tuple(int(c) for c in p[t])
+        return tuple(sorted(int(c) for c in p[t]))
     count = max(1, int(round(float(p) * cfg.n_clients)))
     rng = stream(cfg.seed, "participants", t)
     members = rng.choice(cfg.n_clients, size=count, replace=False)

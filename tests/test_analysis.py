@@ -397,8 +397,59 @@ def test_check_local_drift_zero_when_local_equals_global():
     ds, _ = synth_linear_dataset(4, 2, 8, seed=1)
     p = init_deep_linear(3, 8, 4, 2, seed=1)
     batch = LabeledBatch(X=ds.X, Y=ds.Y)
-    rep = check_local_drift(p, p, batch)
-    assert rep.passed and rep.measured == 0.0
+    for steps in (None, 1):
+        rep = check_local_drift(p, p, batch, steps=steps)
+        assert rep.passed and rep.measured == 0.0
+
+
+def _client_trajectory(width, eta=2e-5, steps=3, seed=0):
+    """Broadcast weights, a client batch and that client's local iterates, in
+    the shape of the wide verify config (4 clients of 8 samples)."""
+    ds, _ = synth_linear_dataset(10, 5, 32, seed=seed)
+    p = init_deep_linear(3, width, 10, 5, seed=seed)
+    batch = LabeledBatch(X=ds.X[:, :8], Y=ds.Y[:, :8])
+    return p, batch, local_trajectory(p, batch, eta, steps)[0]
+
+
+@pytest.mark.parametrize("width", [48, 256, 1000])
+def test_local_drift_sketch_agrees_with_dense_spectral_norms(width):
+    p, batch, traj = _client_trajectory(width)
+    for k in (1, 2, 3):
+        dense = [np.linalg.norm(Wl - Wg, ord=2) for Wl, Wg in zip(traj[k].layers, p.layers)]
+        for steps in (k, None):
+            rep = check_local_drift(traj[k], p, batch, steps=steps)
+            np.testing.assert_allclose(rep.context["per_layer_spectral"], dense, rtol=1e-12)
+            assert rep.measured == max(rep.context["per_layer_spectral"])
+
+
+def test_local_drift_sketch_is_reproducible():
+    p, batch, traj = _client_trajectory(256)
+    first = check_local_drift(traj[2], p, batch, steps=2)
+    assert check_local_drift(traj[2], p, batch, steps=2).context == first.context
+
+
+def test_local_drift_rejects_a_delta_above_the_rank_bound():
+    p, batch, _ = _client_trajectory(48)
+    noise = 1e-6 * np.random.default_rng(0).standard_normal(p.layers[1].shape)
+    perturbed = DeepLinearParams(
+        layers=(p.layers[0], p.layers[1] + noise, p.layers[2]), width=p.width
+    )
+    with pytest.raises(ValueError, match="rank 5"):
+        check_local_drift(perturbed, p, batch, steps=1)
+    # sketching every direction measures the same delta exactly
+    rep = check_local_drift(perturbed, p, batch)
+    assert rep.measured == pytest.approx(np.linalg.norm(noise, ord=2), rel=1e-12)
+
+
+def test_local_drift_fails_when_drift_exceeds_the_radius():
+    p, batch, traj = _client_trajectory(48)
+    # targets within 1e-12 of the broadcast model's predictions shrink the
+    # radius to almost nothing, while the local weights trained on real ones
+    near = LabeledBatch(X=batch.X, Y=p.predict(batch.X) + 1e-12)
+    rep = check_local_drift(traj[3], p, near, steps=3)
+    assert rep.measured > 0.0
+    assert not rep.passed and rep.slack > 1.0
+    assert check_local_drift(traj[3], p, batch, steps=3).passed
 
 
 def test_check_gram_floor_on_a_moderate_instance():
@@ -465,6 +516,22 @@ def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
     assert full.relative_error <= 1e-2
     assert half.actual_error < full.actual_error
     assert 2.5 <= ratio <= 5.5  # quadratic remainder signature, loose band
+
+
+def test_first_order_scaling_reuses_given_trajectories_bit_for_bit():
+    init, params, batches, cfg = _round_state()
+    members = [0, 2]
+    trajs = [
+        local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members
+    ]
+    fresh = first_order_scaling(params, init, batches, members, cfg.eta, cfg.local_steps)
+    reused = first_order_scaling(
+        params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
+    )
+    assert fresh[2] == reused[2]
+    for a, b in zip(fresh[:2], reused[:2]):
+        np.testing.assert_array_equal(a.predicted, b.predicted)
+        assert a.actual_error == b.actual_error
 
 
 def test_predict_first_order_validates_trajectories():

@@ -372,6 +372,18 @@ def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_train_trace_ignores_the_order_of_schedule_entries(tmp_path):
+    outs = []
+    for name, entry in (("written", [2, 0, 1]), ("sorted", [0, 1, 2])):
+        doc = json.loads(json.dumps(SMALL_LINEAR))
+        doc["federation"] |= {"schedule": [entry, [1, 0]] * 2, "rounds": 4}
+        cfg = _write(tmp_path, f"{name}.json", doc)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        outs.append((tmp_path / name / "trace.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert b",0;1;2," in outs[0] and b",0;1," in outs[0]
+
+
 def test_train_seed_override_changes_participants_not_format(tmp_path):
     doc = json.loads(json.dumps(SMALL_LINEAR))
     doc["federation"]["rate"] = 0.5
