@@ -20,7 +20,7 @@ from fedspectra import (
 
 ds, _ = synth_linear_dataset(d_in=16, d_out=1, n=64, seed=0)
 H = gram_H_infinity(ds.X)
-s = spectrum(H, need_eigen=True)
+s = spectrum(H)
 print(f"n = 64 unit-norm inputs: lambda_min = {s.lambda_min:.4f}, "
       f"lambda_max = {s.lambda_max:.4f}")
 

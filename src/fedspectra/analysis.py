@@ -33,16 +33,12 @@ _RESIDUAL_BLOCK = 128
 
 @dataclass(frozen=True)
 class GramSpectrum:
-    """Singular values always; eigenvalues only when the input was square and
-    symmetric to within the asymmetry tolerance."""
+    """Eigenvalues of a symmetric matrix, in ascending order."""
 
     shape: tuple
-    sigma_min: float
-    sigma_max: float
-    singular_values: np.ndarray
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    eigenvalues: np.ndarray | None = None
+    lambda_min: float
+    lambda_max: float
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,58 +96,52 @@ class BoundSeries:
     values: tuple
 
 
-def spectrum(M, *, need_eigen=False) -> GramSpectrum:
-    """Singular values of any matrix; eigenvalues when it is square and
-    symmetric up to 1e-10 absolute asymmetry (symmetrized before eigh).
-
-    need_eigen=True turns "eigenvalues unavailable" into a ValueError.
-    """
+def spectrum(M) -> GramSpectrum:
+    """Eigenvalues of a square matrix that is symmetric up to 1e-10 absolute
+    asymmetry (symmetrized before eigh); any other input raises ValueError."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValueError(f"need a nonempty 2-D matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    sv = np.linalg.svd(M, compute_uv=False)
-    eig = None
-    if M.shape[0] == M.shape[1]:
-        asym = float(np.max(np.abs(M - M.T)))
-        if asym <= _SYMMETRY_TOL:
-            eig = np.linalg.eigvalsh(0.5 * (M + M.T))
-        elif need_eigen:
-            raise ValueError(f"matrix is materially asymmetric (max |M - M^T| = {asym:g})")
-    elif need_eigen:
+    if M.shape[0] != M.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix, got shape {M.shape}")
+    asym = float(np.max(np.abs(M - M.T)))
+    if asym > _SYMMETRY_TOL:
+        raise ValueError(f"matrix is materially asymmetric (max |M - M^T| = {asym:g})")
+    eig = np.linalg.eigvalsh(0.5 * (M + M.T))
     return GramSpectrum(
-        shape=M.shape,
-        sigma_min=float(sv[-1]),
-        sigma_max=float(sv[0]),
-        singular_values=sv,
-        lambda_min=float(eig[0]) if eig is not None else None,
-        lambda_max=float(eig[-1]) if eig is not None else None,
-        eigenvalues=eig,
+        shape=M.shape, lambda_min=float(eig[0]), lambda_max=float(eig[-1]), eigenvalues=eig
     )
 
 
-def effective_rank(M) -> int:
-    """Number of singular values above the usual max(shape)*eps*sigma_max cut."""
-    sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+def nonzero_singular_values(M) -> np.ndarray:
+    """Singular values above the usual max(shape)*eps*sigma_max cut, in
+    descending order."""
+    M = np.asarray(M, dtype=float)
+    sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > max(M.shape) * np.finfo(float).eps * sv[0]))
+        return sv[:0]
+    return sv[sv > max(M.shape) * np.finfo(float).eps * sv[0]]
+
+
+def effective_rank(M) -> int:
+    """Number of numerically nonzero singular values."""
+    return int(nonzero_singular_values(M).size)
 
 
 def sigma_min_nonzero(M) -> float:
     """Smallest numerically nonzero singular value."""
-    r = effective_rank(M)
-    if r == 0:
+    sv = nonzero_singular_values(M)
+    if sv.size == 0:
         raise ValueError("matrix is numerically zero")
-    return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[r - 1])
+    return float(sv[-1])
 
 
 def rank_restricted_lambda_min(M, rank) -> float:
     """rank-th largest eigenvalue of a symmetric matrix: the least eigenvalue
     once the structural null space (everything past `rank`) is set aside."""
-    spec = spectrum(M, need_eigen=True)
+    spec = spectrum(M)
     n = spec.shape[0]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
@@ -593,8 +583,8 @@ def check_drift(params_now, params_init, radius, *, tol=0.0, context=None) -> Ch
 
 
 def _low_rank_spectral_norm(D, rank, noise) -> float:
-    """Largest singular value of D, which must have rank at most `rank` (any
-    rank when None) up to a Frobenius-norm error of `noise`.
+    """Largest singular value of D, which must have rank at most `rank` up to
+    a Frobenius-norm error of `noise`.
 
     Q is an orthonormal basis of D times rank + 10 orthonormalised Gaussian
     columns from a fixed stream (Halko, Martinsson & Tropp 2011, sections
@@ -604,7 +594,7 @@ def _low_rank_spectral_norm(D, rank, noise) -> float:
     underestimate. The orthonormalised columns keep a full-span sketch of a
     tall D exact to rounding, however ill-conditioned the Gaussian draw.
     """
-    cols = min(D.shape) if rank is None else min(rank + _SKETCH_OVERSAMPLE, min(D.shape))
+    cols = min(rank + _SKETCH_OVERSAMPLE, min(D.shape))
     omega = np.linalg.qr(stream(0, "local-drift-sketch").standard_normal((D.shape[1], cols)))[0]
     Q = np.linalg.qr(D @ omega)[0]
     B = Q.T @ D
@@ -624,48 +614,47 @@ def _low_rank_spectral_norm(D, rank, noise) -> float:
     return float(np.linalg.svd(B, compute_uv=False)[0])
 
 
-def check_local_drift(
-    local_params, global_params, batch: LabeledBatch, *, steps=None, tol=0.0
-) -> CheckReport:
-    """Spectral-norm distance of a client's local weights from the broadcast
-    weights, against 24*sqrt(d_out)*|X_c| / (L*sigma_min^2(X_c)) times the
-    client residual norm at broadcast time (linear network only).
+def check_local_drift(trajectory, batch: LabeledBatch, *, tol=0.0) -> list:
+    """Spectral-norm distance of each local iterate trajectory[k] (k >= 1)
+    from the broadcast weights trajectory[0], against 24*sqrt(d_out)*|X_c| /
+    (L*sigma_min^2(X_c)) times the client residual norm at broadcast time
+    (linear network only); one report per step k.
 
-    `steps` is the number of local steps on `batch` that led from the
-    broadcast weights to the local ones. Each step changes a layer by a matrix
-    of rank at most min(n_c, d_out), so the spectral norms come from a sketch
-    of rank steps*min(n_c, d_out), certified against the rounding of `steps`
-    updates (2*steps*eps*|W_global|_F). Without `steps` the sketch spans every
-    direction.
+    trajectory is one client's local gradient steps on `batch`. Each step
+    changes a layer by a matrix of rank at most min(n_c, d_out), so the
+    spectral norms at step k come from a sketch of rank k*min(n_c, d_out),
+    certified against the rounding of k updates (2*k*eps*|W_global|_F).
     """
-    if not isinstance(local_params, DeepLinearParams):
+    global_params = trajectory[0]
+    if not isinstance(global_params, DeepLinearParams):
         raise TypeError("local drift bound applies to the linear network")
-    rank = None if steps is None else steps * min(batch.n, global_params.d_out)
-    # each update rounds every entry of the layer once
-    rounding = 0.0 if steps is None else steps * np.finfo(float).eps
-    per_layer = [
-        _low_rank_spectral_norm(Wl - Wg, rank, rounding * float(np.linalg.norm(Wg)))
-        for Wl, Wg in zip(local_params.layers, global_params.layers)
-    ]
-    measured = max(per_layer)
     norm_xc = float(np.linalg.norm(batch.X, ord=2))
     smin = sigma_min_nonzero(batch.X)
     resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
     radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
         global_params.depth * smin**2
     ) * resid
-    return make_report(
-        "local-drift",
-        measured=measured,
-        bound=radius,
-        tol=tol,
-        context={
-            "per_layer_spectral": tuple(per_layer),
-            "client_residual_norm": resid,
-            "sigma_min_Xc": smin,
-            "norm_Xc": norm_xc,
-        },
-    )
+    norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
+    context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
+    reports = []
+    for k, local_params in enumerate(trajectory[1:], start=1):
+        rank = k * min(batch.n, global_params.d_out)
+        # each update rounds every entry of the layer once
+        rounding = k * np.finfo(float).eps
+        per_layer = tuple(
+            _low_rank_spectral_norm(Wl - Wg, rank, rounding * norm)
+            for Wl, Wg, norm in zip(local_params.layers, global_params.layers, norms_g)
+        )
+        reports.append(
+            make_report(
+                "local-drift",
+                measured=max(per_layer),
+                bound=radius,
+                tol=tol,
+                context={"per_layer_spectral": per_layer} | context,
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import analysis
+from . import analysis, verify
 from .data import (
     Dataset,
     load_idx,
@@ -32,15 +31,15 @@ from .federation import (
     FederationConfig,
     run_fedavg,
 )
-from .models import LabeledBatch, init_deep_linear, init_two_layer
+from .models import DeepLinearParams, LabeledBatch, TwoLayerParams, init_deep_linear, init_two_layer
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
 
-MODEL_DEEP_LINEAR = "deep-linear"
-MODEL_TWO_LAYER = "two-layer-relu"
+MODEL_DEEP_LINEAR = DeepLinearParams.kind
+MODEL_TWO_LAYER = TwoLayerParams.kind
 
 CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
 
@@ -275,7 +274,7 @@ def parse_config(text: str) -> ExperimentConfig:
         section_to_federation_config(fed)
     except ValueError as e:
         raise ConfigError(f"federation: {e}") from e
-    known = _known_checks(model.kind)
+    known = verify.known_checks(model.kind)
     for c in cfg.verify.checks or ():
         if c not in known:
             raise ConfigError(
@@ -312,14 +311,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Everything a command needs: client batches in client order, the global
-    data they concatenate to, initial parameters, and the contraction rate's
-    spectral input (None when the Gram matrix exceeds max_gram_dim)."""
+    """Everything a command needs: client batches in client order, initial
+    parameters, and the contraction rate's spectral input (None when the Gram
+    matrix exceeds max_gram_dim)."""
 
-    cfg: ExperimentConfig
     batches: tuple
-    X: np.ndarray
-    Y: np.ndarray
     init_params: object
     lambda_min: float | None
     perturbed_columns: int
@@ -328,13 +324,9 @@ class Experiment:
 
 def _load_dataset(cfg: ExperimentConfig):
     if cfg.data.kind == "synthetic":
-        if cfg.model.kind == MODEL_DEEP_LINEAR:
-            ds, _ = synth_linear_dataset(
-                cfg.model.d_in, cfg.model.d_out, cfg.data.n, cfg.federation.seed
-            )
-        else:
-            ds, _ = synth_linear_dataset(cfg.model.dim, 1, cfg.data.n, cfg.federation.seed)
-        return ds
+        m = cfg.model
+        d_in, d_out = (m.d_in, m.d_out) if m.kind == MODEL_DEEP_LINEAR else (m.dim, 1)
+        return synth_linear_dataset(d_in, d_out, cfg.data.n, cfg.federation.seed)[0]
     try:
         ds = load_idx(cfg.data.images, cfg.data.labels)
     except OSError as e:
@@ -357,46 +349,35 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     dropped = 0
     use_labels = ds.labels is not None and cfg.data.partition != "iid"
     if use_labels:
-        part = partition_noniid(
-            ds, N, cfg.data.classes_per_client, cfg.federation.seed
-        )
+        part = partition_noniid(ds, N, cfg.data.classes_per_client, cfg.federation.seed)
         index_lists = [np.asarray(ix, dtype=int) for ix in part.client_indices]
         dropped = part.dropped
     else:
         index_lists = partition_iid(ds.n, N)
     if cfg.model.kind == MODEL_DEEP_LINEAR:
         targets = ds.Y
-        batches = tuple(
-            LabeledBatch(X=ds.X[:, ix], Y=targets[:, ix]) for ix in index_lists
-        )
+    elif ds.labels is not None:
+        targets = relu_targets(ds.labels, ds.Y.shape[0])
     else:
-        if ds.labels is not None:
-            y = relu_targets(ds.labels, ds.Y.shape[0])
-        else:
-            y = np.ravel(ds.Y)
-        batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=y[ix]) for ix in index_lists)
+        targets = np.ravel(ds.Y)
+    batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=targets[..., ix]) for ix in index_lists)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
+    lam = None
     if cfg.model.kind == MODEL_DEEP_LINEAR:
         init = init_deep_linear(
             cfg.model.depth, cfg.model.width, X.shape[0], Y.shape[0], cfg.federation.seed
         )
-        lam = None
         if X.shape[1] * Y.shape[0] <= cfg.analysis.max_gram_dim:
             lam = analysis.rank_restricted_lambda_min(
                 analysis.gram_P0(init, X), analysis.effective_rank(X) * Y.shape[0]
             )
     else:
         init = init_two_layer(cfg.model.width, X.shape[0], cfg.federation.seed)
-        lam = None
         if X.shape[1] <= cfg.analysis.max_gram_dim:
-            spec = analysis.spectrum(analysis.gram_H_infinity(X), need_eigen=True)
-            lam = spec.lambda_min
+            lam = analysis.spectrum(analysis.gram_H_infinity(X)).lambda_min
     return Experiment(
-        cfg=cfg,
         batches=batches,
-        X=X,
-        Y=Y,
         init_params=init,
         lambda_min=lam,
         perturbed_columns=perturbed,
@@ -675,217 +656,24 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, rates=None, seeds=None) -> int:
     return EXIT_OK
 
 
-def _literal_lambda_min_gram(Xc) -> float:
-    """Least eigenvalue of Xc^T Xc: zero when the columns are dependent."""
-    if Xc.shape[1] == 0:
-        return 0.0
-    if analysis.effective_rank(Xc) < Xc.shape[1]:
-        return 0.0
-    sv = np.linalg.svd(Xc, compute_uv=False)
-    return float(sv[-1] ** 2)
+_SHRINK = "; raise the limit or shrink the data"
+# What each check that builds a dense Gram matrix of RunContext.gram_dim rows needs.
+_GRAM_NEEDS = {
+    (MODEL_DEEP_LINEAR, "gram-floor"): "a {}-dim Gram matrix" + _SHRINK,
+    (MODEL_DEEP_LINEAR, "first-order"): "{}-dim Gram blocks",
+    (MODEL_TWO_LAYER, "local-descent"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
+    (MODEL_TWO_LAYER, "global-drift"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
+}
 
 
-def _worst(candidates):
-    """First (report, *where) tuple with the largest slack."""
-    return max(candidates, key=lambda c: c[0].slack)
-
-
-def _init_spectra(run):
-    return analysis.check_init_spectra(run.exp.init_params, run.exp.X)
-
-
-def _gram_floor(run):
-    if run.gram_dim > run.cfg.analysis.max_gram_dim:
-        raise ConfigError(
-            f"analysis.max_gram_dim: gram-floor needs a {run.gram_dim}-dim Gram matrix; "
-            f"raise the limit or shrink the data"
-        )
-    return [analysis.check_gram_floor(run.exp.init_params, run.exp.X)]
-
-
-def _ntk_trace(run):
-    return [analysis.check_ntk_trace(run.exp.X)]
-
-
-def _local_descent(run, snap):
-    cfg, exp = run.cfg, run.exp
-
-    def check(i, c):
-        if cfg.model.kind == MODEL_DEEP_LINEAR:
-            return analysis.check_local_descent(
-                snap.local_losses[i],
-                cfg.federation.eta,
-                lam=_literal_lambda_min_gram(exp.batches[c].X),
-                depth=cfg.model.depth,
-                d_out=run.d_out,
-            )
-        return analysis.check_local_descent(
-            snap.local_losses[i], cfg.federation.eta, lam=exp.lambda_min
-        )
-
-    rep, c = _worst((check(i, c), c) for i, c in enumerate(snap.members))
-    return [dataclasses.replace(rep, context=rep.context | {"t": snap.t, "client": c})]
-
-
-def _local_deviation(run, snap):
-    fed, batches, members = run.cfg.federation, run.exp.batches, snap.members
-    xi_bar_S = analysis.stacked_residual([snap.global_params] * len(members), batches, members)
-    xi = [
-        analysis.stacked_residual([traj[k] for traj in snap.trajectories], batches, members)
-        for k in range(1, fed.local_steps + 1)
-    ]
-    forms = {"local-deviation": {"norm_x": run.norm_x, "d_out": run.d_out}}
-    if run.cfg.model.kind == MODEL_TWO_LAYER:
-        forms["local-deviation-crude"] = {
-            "n_total": run.exp.X.shape[1],
-            "local_steps": fed.local_steps,
-        }
-    reports = []
-    for name, form in forms.items():
-        worst, _ = _worst(
-            (analysis.check_local_deviation(xi_k, xi_bar_S, fed.eta, k, **form), k)
-            for k, xi_k in enumerate(xi, start=1)
-        )
-        reports.append(
-            dataclasses.replace(worst, name=name, context=worst.context | {"t": snap.t})
-        )
-    return reports
-
-
-def _global_drift(run, snap):
-    context = {"t": snap.t, "loss0": run.loss0, "radius": run.drift_radius}
-    return [
-        analysis.check_drift(
-            snap.global_params, run.exp.init_params, run.drift_radius, context=context
-        )
-    ]
-
-
-def _local_drift(run, snap):
-    batches = run.exp.batches
-    rep, c, k = _worst(
-        (analysis.check_local_drift(traj[k], snap.global_params, batches[c], steps=k), c, k)
-        for traj, c in zip(snap.trajectories, snap.members)
-        for k in range(1, run.cfg.federation.local_steps + 1)
-    )
-    return [dataclasses.replace(rep, context=rep.context | {"t": snap.t, "client": c, "k": k})]
-
-
-def _first_order(run, snap):
-    if run.gram_dim > run.cfg.analysis.max_gram_dim:
-        raise ConfigError(
-            f"analysis.max_gram_dim: first-order needs {run.gram_dim}-dim Gram blocks"
-        )
-    full, half, ratio = analysis.first_order_scaling(
-        snap.global_params,
-        run.exp.init_params,
-        list(run.exp.batches),
-        list(snap.members),
-        run.cfg.federation.eta,
-        run.cfg.federation.local_steps,
-        trajectories=snap.trajectories,
-    )
-    ctx = {
-        "t": snap.t,
-        "scaling_ratio": ratio,
-        "reconstruction_gap": full.reconstruction_gap,
-        "term_contraction": full.term_contraction,
-        "term_gram_shift": full.term_gram_shift,
-        "term_local_deviation": full.term_local_deviation,
-        "term_local_deviation_padded": full.term_local_deviation_padded,
-    }
-    return [
-        analysis.make_report(
-            "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=ctx
-        ),
-        analysis.make_report(
-            "first-order:halving",
-            measured=abs(ratio - 4.0),
-            bound=0.5,
-            context={"t": snap.t, "scaling_ratio": ratio},
-        ),
-    ]
-
-
-_BOTH_MODELS = (MODEL_DEEP_LINEAR, MODEL_TWO_LAYER)
-
-# Every verify check in report order: (name, model kinds, runs per round,
-# function). Set-up checks are called with the run state; per-round checks
-# also get each observed round's snapshot once training has finished.
-_VERIFY_CHECKS = (
-    ("init-spectra", (MODEL_DEEP_LINEAR,), False, _init_spectra),
-    ("gram-floor", (MODEL_DEEP_LINEAR,), False, _gram_floor),
-    ("ntk-trace", (MODEL_TWO_LAYER,), False, _ntk_trace),
-    ("local-descent", _BOTH_MODELS, True, _local_descent),
-    ("local-deviation", _BOTH_MODELS, True, _local_deviation),
-    ("global-drift", _BOTH_MODELS, True, _global_drift),
-    ("local-drift", (MODEL_DEEP_LINEAR,), True, _local_drift),
-    ("first-order", (MODEL_DEEP_LINEAR,), True, _first_order),
-)
-
-
-def _known_checks(model_kind) -> tuple:
-    return tuple(name for name, kinds, _, _ in _VERIFY_CHECKS if model_kind in kinds)
-
-
-def _drift_radius(cfg: ExperimentConfig, exp: Experiment, loss0, norm_x) -> float:
-    if cfg.model.kind == MODEL_DEEP_LINEAR:
-        return analysis.drift_radius_deep_linear(
-            loss0,
-            exp.Y.shape[0],
-            cfg.federation.n_clients,
-            norm_x,
-            cfg.model.depth,
-            analysis.sigma_min_nonzero(exp.X),
-        )
-    return analysis.drift_radius_two_layer(
-        cfg.federation.n_clients,
-        exp.X.shape[1],
-        np.sqrt(2.0 * loss0),
-        cfg.model.width,
-        exp.lambda_min,
-    )
-
-
-def _verify_reports(cfg: ExperimentConfig, exp: Experiment):
-    kind = cfg.model.kind
-    wanted = cfg.verify.checks if cfg.verify.checks is not None else _known_checks(kind)
-    checks = [
-        (per_round, fn)
-        for name, kinds, per_round, fn in _VERIFY_CHECKS
-        if name in wanted and kind in kinds
-    ]
-    T = cfg.federation.rounds
-    if cfg.verify.rounds is not None:
-        rounds = [t for t in cfg.verify.rounds if t < T]
-    else:
-        rounds = sorted({0, T // 2, T - 1}) if T > 0 else []
-
-    d_out = exp.Y.shape[0] if exp.Y.ndim == 2 else 1
-    run = SimpleNamespace(cfg=cfg, exp=exp, d_out=d_out, gram_dim=exp.X.shape[1] * d_out)
-    reports = [rep for per_round, fn in checks if not per_round for rep in fn(run)]
-    round_checks = [fn for per_round, fn in checks if per_round]
-    if not round_checks or not rounds:
-        return reports
-
-    snapshots = {}
-    result = run_fedavg(
-        section_to_federation_config(cfg.federation),
-        exp.init_params,
-        list(exp.batches),
-        lambda_min=exp.lambda_min,
-        workers=cfg.federation.workers,
-        observer=lambda snap: snapshots.setdefault(snap.t, snap),
-        observe_rounds=set(rounds),
-    )
-    run.loss0 = result.losses[0]
-    run.norm_x = float(np.linalg.norm(exp.X, ord=2))
-    run.drift_radius = _drift_radius(cfg, exp, run.loss0, run.norm_x)
-    for t in rounds:
-        if t in snapshots:
-            for fn in round_checks:
-                reports.extend(fn(run, snapshots[t]))
-    return reports
+def _check_gram_limits(cfg: ExperimentConfig, ctx, names, rounds):
+    """Reject the first selected check whose Gram matrix is over
+    analysis.max_gram_dim; a per-round check only when a round is observed."""
+    over = ctx.gram_dim > cfg.analysis.max_gram_dim
+    for name in names:
+        need = _GRAM_NEEDS.get((cfg.model.kind, name))
+        if over and need is not None and (rounds or not verify.CHECKS[name][1]):
+            raise ConfigError(f"analysis.max_gram_dim: {name} needs {need.format(ctx.gram_dim)}")
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
@@ -893,7 +681,26 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     exp = build_experiment(cfg)
-    reports = _verify_reports(cfg, exp)
+    fed = cfg.federation
+    ctx = verify.RunContext(exp.batches, exp.init_params, exp.lambda_min, fed.eta, fed.local_steps)
+    wanted = cfg.verify.checks
+    names = [n for n in verify.known_checks(cfg.model.kind) if wanted is None or n in wanted]
+    T = fed.rounds
+    listed = cfg.verify.rounds if cfg.verify.rounds is not None else (0, T // 2, T - 1)
+    per_round = any(verify.CHECKS[n][1] for n in names)
+    rounds = sorted({t for t in listed if 0 <= t < T}) if per_round else []
+    _check_gram_limits(cfg, ctx, names, rounds)
+    snapshots = []  # in round order, one per observed round
+    if rounds:
+        run_fedavg(
+            section_to_federation_config(fed),
+            exp.init_params,
+            list(exp.batches),
+            workers=fed.workers,
+            observer=snapshots.append,
+            observe_rounds=set(rounds),
+        )
+    reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
     (out / "verify.json").write_text(
         json.dumps(

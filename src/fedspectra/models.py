@@ -51,6 +51,7 @@ class DeepLinearParams:
     width**(depth-1) * d_out).
     """
 
+    kind = "deep-linear"  # the config's model.kind
     layers: tuple
     width: int
 
@@ -127,6 +128,7 @@ class DeepLinearParams:
 class TwoLayerParams:
     """Hidden weights (rows are neurons) and the fixed output signs."""
 
+    kind = "two-layer-relu"  # the config's model.kind
     hidden: np.ndarray
     signs: np.ndarray
 

@@ -9,12 +9,13 @@ no trajectory history has to be retained.
 
 import json
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedspectra import analysis
+from fedspectra import analysis, verify
 from fedspectra.cli import EXIT_OK, main
 from fedspectra.data import partition_iid, synth_linear_dataset
 from fedspectra.federation import FederationConfig, run_fedavg
@@ -48,6 +49,29 @@ def _initial_loss(params, batches):
     return sum(float(loss_of(params, b)) for b in batches)
 
 
+def _tallies(*keys):
+    """State holding <key>_count, <key>_fail and worst_<key> for each key."""
+    state = SimpleNamespace()
+    for key in keys:
+        vars(state).update({f"{key}_count": 0, f"{key}_fail": [], f"worst_{key}": -np.inf})
+    return state
+
+
+def _tally(state, key, reports):
+    """Count the reports, keep the largest slack and the context of each failure."""
+    fields = vars(state)
+    for rep in reports:
+        fields[f"{key}_count"] += 1
+        fields[f"worst_{key}"] = max(fields[f"worst_{key}"], rep.slack)
+        if not rep.passed:
+            fields[f"{key}_fail"].append(rep.context)
+
+
+def _local_checks(state, ctx, snap):
+    _tally(state, "descent", verify.local_descent(ctx, snap))
+    _tally(state, "deviation", verify.local_deviation(ctx, snap))
+
+
 # ---------------------------------------------------------- shared run (4) ----
 # Deep linear reference job: d_in=10, d_out=5, n=32, depth 3, width 256,
 # 8 clients, 5 local steps, full participation, 500 rounds, seed 2.
@@ -58,43 +82,15 @@ def run4():
     t0 = time.monotonic()
     ds, batches = _linear_batches(10, 5, 32, 8, seed=2)
     sv = np.linalg.svd(ds.X, compute_uv=False)
-    kappa = (sv[0] / sv[-1]) ** 2
-    norm_x = float(sv[0])
-    eta = 4.0 * 5 / (3 * kappa * 5 * norm_x**2)
+    eta = 4.0 * 5 / (3 * (sv[0] / sv[-1]) ** 2 * 5 * sv[0] ** 2)
     init = init_deep_linear(3, 256, 10, 5, seed=2)
-    lam_local = [np.linalg.svd(b.X, compute_uv=False)[-1] ** 2 for b in batches]
-
-    state = SimpleNamespace(
-        descent_fail=[], deviation_fail=[], descent_count=0, deviation_count=0,
-        worst_descent=-np.inf, worst_deviation=-np.inf, round3=None,
-    )
+    ctx = verify.RunContext(batches, init, None, eta, 5)
+    state = _tallies("descent", "deviation")
 
     def observer(snap):
-        members = list(snap.members)
         if snap.t == 3:
-            state.round3 = (snap.global_params, members)
-        xi_bar = analysis.stacked_residual(
-            [snap.global_params] * len(members), batches, members
-        )
-        for i, c in enumerate(members):
-            rep = analysis.check_local_descent(
-                snap.local_losses[i], eta, lam=lam_local[c], depth=3, d_out=5
-            )
-            state.descent_count += 1
-            state.worst_descent = max(state.worst_descent, rep.slack)
-            if not rep.passed:
-                state.descent_fail.append((snap.t, c))
-        for k in range(1, 6):
-            xi_k = analysis.stacked_residual(
-                [traj[k] for traj in snap.trajectories], batches, members
-            )
-            rep = analysis.check_local_deviation(
-                xi_k, xi_bar, eta, k, norm_x=norm_x, d_out=5
-            )
-            state.deviation_count += 1
-            state.worst_deviation = max(state.worst_deviation, rep.slack)
-            if not rep.passed:
-                state.deviation_fail.append((snap.t, k))
+            state.round3 = (snap.global_params, list(snap.members))
+        _local_checks(state, ctx, snap)
 
     cfg = FederationConfig(n_clients=8, local_steps=5, rounds=500, eta=eta, seed=2)
     result = run_fedavg(cfg, init, batches, observer=observer)
@@ -116,51 +112,18 @@ def run4():
 def run6():
     t0 = time.monotonic()
     ds, batches = _relu_batches(16, 64, 4, seed=0)
-    lam = analysis.spectrum(analysis.gram_H_infinity(ds.X), need_eigen=True).lambda_min
-    eta = 0.05
-    norm_x = float(np.linalg.norm(ds.X, ord=2))
+    lam = analysis.spectrum(analysis.gram_H_infinity(ds.X)).lambda_min
     init = init_two_layer(2048, 16, seed=0)
-    loss0 = _initial_loss(init, batches)
+    ctx = verify.RunContext(batches, init, lam, 0.05, 5)
+    state = _tallies("descent", "deviation")
 
-    state = SimpleNamespace(
-        descent_fail=[], deviation_fail=[], descent_count=0, deviation_count=0,
-        worst_descent=-np.inf, worst_deviation=-np.inf,
-    )
-
-    def observer(snap):
-        members = list(snap.members)
-        xi_bar = analysis.stacked_residual(
-            [snap.global_params] * len(members), batches, members
-        )
-        for i, c in enumerate(members):
-            rep = analysis.check_local_descent(snap.local_losses[i], eta, lam=lam)
-            state.descent_count += 1
-            state.worst_descent = max(state.worst_descent, rep.slack)
-            if not rep.passed:
-                state.descent_fail.append((snap.t, c))
-        for k in range(1, 6):
-            xi_k = analysis.stacked_residual(
-                [traj[k] for traj in snap.trajectories], batches, members
-            )
-            for rep in (
-                analysis.check_local_deviation(
-                    xi_k, xi_bar, eta, k, norm_x=norm_x, d_out=1
-                ),
-                analysis.check_local_deviation(
-                    xi_k, xi_bar, eta, k, n_total=64, local_steps=5
-                ),
-            ):
-                state.deviation_count += 1
-                state.worst_deviation = max(state.worst_deviation, rep.slack)
-                if not rep.passed:
-                    state.deviation_fail.append((snap.t, k))
-
-    cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=eta, seed=0)
+    cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0)
+    observer = partial(_local_checks, state, ctx)
     result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.lambda_min = lam
-    state.loss0 = loss0
+    state.loss0 = ctx.loss0
     return state
 
 
@@ -168,29 +131,18 @@ def run6():
 def run6_wide():
     # same ReLU job at width 4096, tracking how far each hidden row moves
     ds, batches = _relu_batches(16, 64, 4, seed=0)
-    lam = analysis.spectrum(analysis.gram_H_infinity(ds.X), need_eigen=True).lambda_min
+    lam = analysis.spectrum(analysis.gram_H_infinity(ds.X)).lambda_min
     init = init_two_layer(4096, 16, seed=0)
-    loss0 = _initial_loss(init, batches)
-    radius = analysis.drift_radius_two_layer(4, 64, np.sqrt(2.0 * loss0), 4096, lam)
-
-    state = SimpleNamespace(drift_fail=[], drift_count=0, worst_drift=-np.inf)
+    ctx = verify.RunContext(batches, init, lam, 0.05, 5)
+    state = _tallies("drift")
 
     def observer(snap):
-        rep = analysis.check_drift(snap.global_params, init, radius)
-        state.drift_count += 1
-        state.worst_drift = max(state.worst_drift, rep.slack)
-        if not rep.passed:
-            state.drift_fail.append(snap.t)
+        _tally(state, "drift", verify.global_drift(ctx, snap))
 
     cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0)
     result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
-    final = analysis.check_drift(result.params, init, radius)
-    state.drift_count += 1
-    state.worst_drift = max(state.worst_drift, final.slack)
-    if not final.passed:
-        state.drift_fail.append(len(result.traces))
+    _tally(state, "drift", [analysis.check_drift(result.params, init, ctx.drift_radius)])
     state.result = result
-    state.radius = radius
     return state
 
 

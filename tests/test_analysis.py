@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedspectra.analysis import (
     assemble_P_S,
@@ -203,7 +201,6 @@ def test_H_tkc_converges_to_H_infinity_at_large_width():
 def test_spectrum_identity_and_diagonal():
     s = spectrum(np.eye(3))
     assert s.lambda_min == s.lambda_max == 1.0
-    assert s.sigma_min == s.sigma_max == 1.0
     d = spectrum(np.diag([1.0, 4.0]))
     assert (d.lambda_min, d.lambda_max) == (1.0, 4.0)
 
@@ -217,25 +214,15 @@ def test_spectrum_matches_characteristic_polynomial_oracle():
 
 
 def test_spectrum_asymmetric_matrix_has_no_eigenvalues():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s = spectrum(M)
-    assert s.eigenvalues is None and s.lambda_min is None
-    with pytest.raises(ValueError):
-        spectrum(M, need_eigen=True)
+    with pytest.raises(ValueError, match="asymmetric"):
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        spectrum(np.ones((2, 3)))
 
 
 def test_spectrum_rejects_non_finite():
     with pytest.raises(ValueError):
         spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5))
-def test_spectrum_transpose_agrees_on_singular_values(seed, a, b):
-    M = np.random.default_rng(seed).standard_normal((a, b))
-    sv1 = spectrum(M).singular_values
-    sv2 = spectrum(M.T).singular_values
-    assert np.max(np.abs(sv1 - sv2)) <= 1e-10
 
 
 def test_rank_helpers():
@@ -397,9 +384,8 @@ def test_check_local_drift_zero_when_local_equals_global():
     ds, _ = synth_linear_dataset(4, 2, 8, seed=1)
     p = init_deep_linear(3, 8, 4, 2, seed=1)
     batch = LabeledBatch(X=ds.X, Y=ds.Y)
-    for steps in (None, 1):
-        rep = check_local_drift(p, p, batch, steps=steps)
-        assert rep.passed and rep.measured == 0.0
+    (rep,) = check_local_drift([p, p], batch)
+    assert rep.passed and rep.measured == 0.0
 
 
 def _client_trajectory(width, eta=2e-5, steps=3, seed=0):
@@ -414,18 +400,18 @@ def _client_trajectory(width, eta=2e-5, steps=3, seed=0):
 @pytest.mark.parametrize("width", [48, 256, 1000])
 def test_local_drift_sketch_agrees_with_dense_spectral_norms(width):
     p, batch, traj = _client_trajectory(width)
-    for k in (1, 2, 3):
+    reports = check_local_drift(traj, batch)
+    assert len(reports) == 3
+    for k, rep in enumerate(reports, start=1):
         dense = [np.linalg.norm(Wl - Wg, ord=2) for Wl, Wg in zip(traj[k].layers, p.layers)]
-        for steps in (k, None):
-            rep = check_local_drift(traj[k], p, batch, steps=steps)
-            np.testing.assert_allclose(rep.context["per_layer_spectral"], dense, rtol=1e-12)
-            assert rep.measured == max(rep.context["per_layer_spectral"])
+        np.testing.assert_allclose(rep.context["per_layer_spectral"], dense, rtol=1e-12)
+        assert rep.measured == max(rep.context["per_layer_spectral"])
 
 
 def test_local_drift_sketch_is_reproducible():
     p, batch, traj = _client_trajectory(256)
-    first = check_local_drift(traj[2], p, batch, steps=2)
-    assert check_local_drift(traj[2], p, batch, steps=2).context == first.context
+    first = check_local_drift(traj, batch)
+    assert [r.context for r in check_local_drift(traj, batch)] == [r.context for r in first]
 
 
 def test_local_drift_rejects_a_delta_above_the_rank_bound():
@@ -435,10 +421,7 @@ def test_local_drift_rejects_a_delta_above_the_rank_bound():
         layers=(p.layers[0], p.layers[1] + noise, p.layers[2]), width=p.width
     )
     with pytest.raises(ValueError, match="rank 5"):
-        check_local_drift(perturbed, p, batch, steps=1)
-    # sketching every direction measures the same delta exactly
-    rep = check_local_drift(perturbed, p, batch)
-    assert rep.measured == pytest.approx(np.linalg.norm(noise, ord=2), rel=1e-12)
+        check_local_drift([p, perturbed], batch)
 
 
 def test_local_drift_fails_when_drift_exceeds_the_radius():
@@ -446,10 +429,10 @@ def test_local_drift_fails_when_drift_exceeds_the_radius():
     # targets within 1e-12 of the broadcast model's predictions shrink the
     # radius to almost nothing, while the local weights trained on real ones
     near = LabeledBatch(X=batch.X, Y=p.predict(batch.X) + 1e-12)
-    rep = check_local_drift(traj[3], p, near, steps=3)
+    rep = check_local_drift(traj, near)[-1]
     assert rep.measured > 0.0
     assert not rep.passed and rep.slack > 1.0
-    assert check_local_drift(traj[3], p, batch, steps=3).passed
+    assert all(r.passed for r in check_local_drift(traj, batch))
 
 
 def test_check_gram_floor_on_a_moderate_instance():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedspectra import cli, verify
 from fedspectra.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -17,6 +18,7 @@ from fedspectra.cli import (
     serialize_config,
 )
 from fedspectra.data import save_idx
+from fedspectra.federation import run_fedavg
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -314,13 +316,52 @@ CONFIG_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("doc, extra, message", CONFIG_ERRORS, ids=[m for *_, m in CONFIG_ERRORS])
-def test_config_error_messages(tmp_path, capsys, doc, extra, message):
+_RELU_OVER_LIMIT = {
+    **_relu(width=64, dim=8),
+    "data": {"n": 40},
+    "federation": {"n_clients": 4, "rounds": 3},
+    "analysis": {"max_gram_dim": 16},
+}
+_LINEAR_OVER_LIMIT = {**SMALL_LINEAR, "analysis": {"max_gram_dim": 8}}
+_SHRINK = "raise the limit or shrink the data"
+
+# Faults that only verify reaches: Gram matrices over analysis.max_gram_dim.
+# Each is reported before training starts.
+VERIFY_CONFIG_ERRORS = [
+    (_LINEAR_OVER_LIMIT, [],
+     f"analysis.max_gram_dim: gram-floor needs a 24-dim Gram matrix; {_SHRINK}"),
+    ({**_LINEAR_OVER_LIMIT, "verify": {"checks": ["first-order"]}}, [],
+     "analysis.max_gram_dim: first-order needs 24-dim Gram blocks"),
+    (_RELU_OVER_LIMIT, [],
+     f"analysis.max_gram_dim: local-descent needs the 40-dim H-infinity Gram matrix; {_SHRINK}"),
+    ({**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "global-drift"]}}, [],
+     f"analysis.max_gram_dim: global-drift needs the 40-dim H-infinity Gram matrix; {_SHRINK}"),
+]
+_CONFIG_ERROR_CASES = [("train", *e) for e in CONFIG_ERRORS] + [
+    ("verify", *e) for e in VERIFY_CONFIG_ERRORS
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, message", _CONFIG_ERROR_CASES, ids=[m for *_, m in _CONFIG_ERROR_CASES]
+)
+def test_config_error_messages(tmp_path, capsys, command, doc, extra, message):
     path = tmp_path / "c.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"), *extra])
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *extra])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_max_gram_dim_spares_checks_that_need_no_gram_matrix(tmp_path):
+    # the H-infinity limit binds only local-descent and global-drift, and
+    # only when a round is observed
+    for name, doc in (
+        ("deviation", {**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "local-deviation"]}}),
+        ("no-rounds", {**_RELU_OVER_LIMIT, "federation": {"n_clients": 4, "rounds": 0}}),
+    ):
+        cfg = _write(tmp_path, f"{name}.json", doc)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
 
 
 def test_schedule_must_match_round_count():
@@ -469,14 +510,16 @@ def test_sweep_single_cell_matches_train(tmp_path):
 # ------------------------------------------------------------------ verify ----
 
 
+WIDE_LINEAR = {
+    "model": {"kind": "deep-linear", "depth": 3, "width": 1000, "d_in": 10, "d_out": 5},
+    "data": {"kind": "synthetic", "n": 32},
+    "federation": {"n_clients": 4, "local_steps": 3, "rounds": 4, "eta": 2e-05, "seed": 1},
+    "verify": {"rounds": [0, 2]},
+}
+
+
 def test_verify_all_checks_pass_on_wide_linear_model(tmp_path, capsys):
-    doc = {
-        "model": {"kind": "deep-linear", "depth": 3, "width": 1000, "d_in": 10, "d_out": 5},
-        "data": {"kind": "synthetic", "n": 32},
-        "federation": {"n_clients": 4, "local_steps": 3, "rounds": 4, "eta": 2e-05, "seed": 1},
-        "verify": {"rounds": [0, 2]},
-    }
-    cfg = _write(tmp_path, "c.json", doc)
+    cfg = _write(tmp_path, "c.json", WIDE_LINEAR)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "verify.json").read_text())
@@ -487,6 +530,54 @@ def test_verify_all_checks_pass_on_wide_linear_model(tmp_path, capsys):
     assert "first-order:relative-error" in names
     printed = capsys.readouterr().out
     assert printed.count("PASS") == len(names)
+
+
+def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
+    cfg = _write(tmp_path, "c.json", WIDE_LINEAR)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    entries = json.loads((out / "verify.json").read_text())["checks"]
+
+    parsed = parse_config(json.dumps(WIDE_LINEAR))
+    exp = cli.build_experiment(parsed)
+    fed = parsed.federation
+    ctx = verify.RunContext(exp.batches, exp.init_params, exp.lambda_min, fed.eta, fed.local_steps)
+    snapshots = []
+    run_fedavg(
+        cli.section_to_federation_config(fed), exp.init_params, list(exp.batches),
+        observer=snapshots.append, observe_rounds={0, 2},
+    )
+    expected, candidates = [], 0
+    for snap in snapshots:
+        for kinds, per_round, check in verify.CHECKS.values():
+            if per_round and "deep-linear" in kinds:
+                reports = check(ctx, snap)
+                candidates += len(reports)
+                for name in dict.fromkeys(r.name for r in reports):
+                    same = [r for r in reports if r.name == name]
+                    expected.append(max(same, key=lambda r: r.slack))
+    # per round: 4 clients for local-descent, 3 steps for local-deviation, one
+    # global-drift, 4 x 3 for local-drift and the two first-order reports
+    assert (candidates, len(expected)) == (2 * 22, 2 * 6)
+    setup, per_round = entries[: -len(expected)], entries[-len(expected) :]
+    assert [e["name"] for e in setup][-1] == "gram-floor"
+    assert per_round == [json.loads(json.dumps(cli._report_dict(r))) for r in expected]
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_commands_call_the_benchmark_patch_points_once(tmp_path, monkeypatch, command):
+    # perfbench/child.py times set-up and training by replacing these two
+    # names in the cli module, so both commands must call them through it
+    calls = {"build_experiment": 0, "run_fedavg": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == {"build_experiment": 1, "run_fedavg": 1}
 
 
 def test_verify_detects_violated_width_bound(tmp_path):
