@@ -13,11 +13,9 @@ from fedspectra import (
     FederationConfig,
     LabeledBatch,
     bound_series,
-    effective_rank,
-    gram_P0,
+    gram_P0_lambda_min,
     init_deep_linear,
     partition_iid,
-    rank_restricted_lambda_min,
     run_fedavg,
     synth_linear_dataset,
 )
@@ -29,9 +27,9 @@ batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(n,
 init = init_deep_linear(depth=3, width=256, d_in=d_in, d_out=d_out, seed=2)
 
 # data is over-complete (n > d_in), so the Gram matrix is rank deficient and
-# the meaningful least eigenvalue lives on the residual-reachable subspace
-P0 = gram_P0(init, ds.X)
-lam = rank_restricted_lambda_min(P0, effective_rank(ds.X) * d_out)
+# the meaningful least eigenvalue lives on the residual-reachable subspace;
+# it is read off the Gram matrix of the data's row space
+lam = gram_P0_lambda_min(init, ds.X)[0]
 print(f"least Gram eigenvalue on the reachable subspace: {lam:.4f}")
 
 sv = np.linalg.svd(ds.X, compute_uv=False)

@@ -11,7 +11,6 @@ from .analysis import (
     CheckReport,
     FirstOrderReport,
     GramSpectrum,
-    assemble_P_S,
     bound_series,
     check_drift,
     check_gram_floor,
@@ -27,11 +26,10 @@ from .analysis import (
     gram_H_infinity,
     gram_H_tkc,
     gram_P0,
-    gram_P_tkc,
+    gram_P0_lambda_min,
     lambda_min_floor,
     make_report,
     predict_first_order,
-    rank_restricted_lambda_min,
     sigma_min_nonzero,
     spectrum,
 )

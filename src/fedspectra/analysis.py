@@ -119,10 +119,13 @@ def nonzero_singular_values(M) -> np.ndarray:
     """Singular values above the usual max(shape)*eps*sigma_max cut, in
     descending order."""
     M = np.asarray(M, dtype=float)
-    sv = np.linalg.svd(M, compute_uv=False)
+    return _nonzero(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def _nonzero(sv, shape) -> np.ndarray:
     if sv.size == 0 or sv[0] == 0.0:
         return sv[:0]
-    return sv[sv > max(M.shape) * np.finfo(float).eps * sv[0]]
+    return sv[sv > max(shape) * np.finfo(float).eps * sv[0]]
 
 
 def effective_rank(M) -> int:
@@ -136,16 +139,6 @@ def sigma_min_nonzero(M) -> float:
     if sv.size == 0:
         raise ValueError("matrix is numerically zero")
     return float(sv[-1])
-
-
-def rank_restricted_lambda_min(M, rank) -> float:
-    """rank-th largest eigenvalue of a symmetric matrix: the least eigenvalue
-    once the structural null space (everything past `rank`) is set aside."""
-    spec = spectrum(M)
-    n = spec.shape[0]
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in [1, {n}], got {rank}")
-    return float(spec.eigenvalues[n - rank])
 
 
 def gram_P0(p: DeepLinearParams, X) -> np.ndarray:
@@ -167,69 +160,20 @@ def gram_P0(p: DeepLinearParams, X) -> np.ndarray:
     return (p.scale**2) * P
 
 
-def gram_P_tkc(global_p: DeepLinearParams, local_p: DeepLinearParams, X, X_c) -> np.ndarray:
-    """Asymmetric Gram block pairing global-parameter features on X (rows)
-    with local-parameter features on X_c (columns). With local_p == global_p
-    and X_c == X this reduces to gram_P0."""
-    if (
-        global_p.depth != local_p.depth
-        or global_p.width != local_p.width
-        or global_p.d_in != local_p.d_in
-        or global_p.d_out != local_p.d_out
-    ):
-        raise ValueError("global and local parameters have different architectures")
-    X = np.asarray(X, dtype=float)
-    X_c = np.asarray(X_c, dtype=float)
-    if X.shape[0] != global_p.d_in or X_c.shape[0] != global_p.d_in:
-        raise ValueError("data rows must match the input dimension")
-    ins_g = input_chain(global_p, X)
-    outs_g = output_chain(global_p)
-    ins_l = input_chain(local_p, X_c)
-    outs_l = output_chain(local_p)
-    d_out = global_p.d_out
-    P = np.zeros((X.shape[1] * d_out, X_c.shape[1] * d_out))
-    for Ag, Bg, Al, Bl in zip(ins_g, outs_g, ins_l, outs_l):
-        P += np.kron(Ag.T @ Al, Bg @ Bl.T)
-    return (global_p.scale * local_p.scale) * P
+def gram_P0_lambda_min(p: DeepLinearParams, X) -> tuple:
+    """Least nonzero eigenvalue of gram_P0(p, X), and the rank r of X.
 
-
-def assemble_P_S(blocks, participants, n_clients, widths=None) -> np.ndarray:
-    """Zero-padded horizontal assembly of per-client Gram blocks.
-
-    blocks is a list of (client, matrix); it must cover the participant set
-    exactly. Clients outside the set contribute zero blocks. widths gives the
-    column width of every client's block (participant or not); when omitted,
-    all blocks must share one width and it is used for the idle clients too.
+    Cut to its r nonzero singular values, X = U_r S_r V_r^T, and then
+    gram_P0(p, X) = (V_r kron I) gram_P0(p, U_r S_r) (V_r kron I)^T with V_r
+    orthonormal. So the nonzero eigenvalues of gram_P0(p, X) are those of
+    the (r*d_out)-square gram_P0(p, U_r S_r), whatever the sample count.
     """
-    participants = sorted(int(c) for c in participants)
-    if len(set(participants)) != len(participants):
-        raise ValueError("duplicate participant")
-    if participants and (participants[0] < 0 or participants[-1] >= n_clients):
-        raise ValueError("participant index out of range")
-    given = {int(c): np.asarray(B, dtype=float) for c, B in blocks}
-    if set(given) != set(participants):
-        raise ValueError("blocks must cover exactly the participant set")
-    if not given:
-        raise ValueError("no blocks to assemble")
-    rows = {B.shape[0] for B in given.values()}
-    if len(rows) != 1:
-        raise ValueError("blocks disagree on row count")
-    (n_rows,) = rows
-    if widths is None:
-        cols = {B.shape[1] for B in given.values()}
-        if len(cols) != 1:
-            raise ValueError("widths must be given when client blocks differ in width")
-        widths = [cols.pop()] * n_clients
-    if len(widths) != n_clients:
-        raise ValueError("need one width per client")
-    for c, B in given.items():
-        if B.shape[1] != widths[c]:
-            raise ValueError(f"client {c}: block width {B.shape[1]} != declared {widths[c]}")
-    parts = [
-        given[c] if c in given else np.zeros((n_rows, widths[c]))
-        for c in range(n_clients)
-    ]
-    return np.hstack(parts)
+    X = np.asarray(X, dtype=float)
+    U, sv, _ = np.linalg.svd(X, full_matrices=False)
+    r = _nonzero(sv, X.shape).size
+    if r == 0:
+        raise ValueError("data are numerically zero")
+    return spectrum(gram_P0(p, U[:, :r] * sv[:r])).lambda_min, r
 
 
 def gram_H_infinity(X) -> np.ndarray:
@@ -318,15 +262,11 @@ def lambda_min_floor(depth, sigma_min_x, d_out) -> float:
 
 
 def check_gram_floor(p: DeepLinearParams, X, *, tol=0.0) -> CheckReport:
-    """Floor vs the least structurally nonzero eigenvalue of gram_P0.
-
-    The Gram matrix inherits rank(X)*d_out nonzero directions from the data,
-    so the observed value is the eigenvalue at that rank position.
-    """
+    """Floor vs the least nonzero eigenvalue of gram_P0 (see
+    gram_P0_lambda_min)."""
     X = np.asarray(X, dtype=float)
-    r = effective_rank(X)
     floor = lambda_min_floor(p.depth, sigma_min_nonzero(X), p.d_out)
-    observed = rank_restricted_lambda_min(gram_P0(p, X), r * p.d_out)
+    observed, r = gram_P0_lambda_min(p, X)
     return make_report(
         "gram-floor",
         measured=floor,
@@ -415,9 +355,10 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
             )
         )
     # prefix products applied to the data: layers 1..j, j < L
-    r = effective_rank(X)
-    smax_x = float(np.linalg.svd(X, compute_uv=False)[0])
-    smin_x = sigma_min_nonzero(X)
+    sv_x = nonzero_singular_values(X)
+    if sv_x.size == 0:
+        raise ValueError("data are numerically zero")
+    r, smax_x, smin_x = sv_x.size, float(sv_x[0]), float(sv_x[-1])
     for j in range(1, L):
         WX = _product_range(p.layers, 0, j) @ X
         sv = np.linalg.svd(WX, compute_uv=False)
@@ -657,6 +598,27 @@ def check_local_drift(trajectory, batch: LabeledBatch, *, tol=0.0) -> list:
     return reports
 
 
+def _gram_pairs(row_p, row_outs, p, X_c) -> list:
+    """Per layer, the factors of the mixed Gram block between the features of
+    row_p (rows; row_outs is its output_chain) and those of p on X_c
+    (columns): the scaled output product B_row B_p^T and p's input chain A_p."""
+    scale = row_p.scale * p.scale
+    layers = zip(row_outs, output_chain(p), input_chain(p, X_c))
+    return [(scale * (B @ Bp.T), A) for B, Bp, A in layers]
+
+
+def _gram_times(pairs, row_ins, V) -> np.ndarray:
+    """The mixed Gram block times vec(V), as a d_out x n matrix; row_ins is
+    row_p's input_chain on X.
+
+    By vec(N V M) = kron(M^T, N) vec(V), layer j adds
+    (B_row B_p^T) V (A_p^T A_row). Multiplied left to right, nothing larger
+    than d_out x max(width, n) is formed: no Kronecker block, and no
+    width x width product.
+    """
+    return sum((M @ V @ A.T) @ A_row for (M, A), A_row in zip(pairs, row_ins))
+
+
 @dataclass(frozen=True)
 class FirstOrderReport:
     """One-round residual prediction and the norms of its decomposition.
@@ -665,10 +627,9 @@ class FirstOrderReport:
     recursion (second-order remainder dropped). term_contraction is the
     contracted current residual; term_gram_shift measures feature movement
     since initialization; term_local_deviation measures within-round client
-    divergence (with its zero-padded twin, which must agree numerically);
-    reconstruction_gap certifies the three terms recombine into predicted.
-    actual_error and relative_error are filled when the true next residual is
-    supplied.
+    divergence; reconstruction_gap certifies the three terms recombine into
+    predicted. actual_error and relative_error are filled when the true next
+    residual is supplied.
     """
 
     predicted: np.ndarray
@@ -676,7 +637,6 @@ class FirstOrderReport:
     term_contraction: float
     term_gram_shift: float
     term_local_deviation: float
-    term_local_deviation_padded: float
     reconstruction_gap: float
     actual_error: float | None = None
     relative_error: float | None = None
@@ -714,50 +674,38 @@ def predict_first_order(
     if k_plus_1 < 2:
         raise ValueError("trajectories must contain at least one local step")
     local_steps = k_plus_1 - 1
-    n_clients = len(batches)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
     xi_bar = vec_residual(global_params.predict(X), Y)
     base_norm = float(np.linalg.norm(xi_bar))
     s = len(members)
-    d_out = global_params.d_out
-    widths = [b.n * d_out for b in batches]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    # the global residual as a d_out x n matrix, and each client's columns
+    R_bar = xi_bar.reshape(global_params.d_out, -1, order="F")
+    starts = np.cumsum([0] + [b.n for b in batches])
 
-    # participant-restricted residual of the broadcast model
-    xi_bar_S = stacked_residual([global_params] * s, batches, members)
-    # positions of the participants' residual entries in the global vector
-    member_slots = np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in members])
-
-    # initialization-time Gram blocks, both restricted and zero-padded
-    P0_blocks = [(c, gram_P_tkc(init_params, init_params, X, batches[c].X)) for c in members]
-    P0_S = np.hstack([B for _, B in P0_blocks])
-    P0_hat = assemble_P_S(P0_blocks, members, n_clients, widths=widths)
-
-    update = np.zeros_like(xi_bar)
-    shift_sum = np.zeros_like(xi_bar)
-    dev_sum = np.zeros_like(xi_bar)
-    dev_pad_sum = np.zeros_like(xi_bar)
+    # the global and initial chains on X, and the initial factor pairs per member
+    ins_g, outs_g = input_chain(global_params, X), output_chain(global_params)
+    ins_0, outs_0 = input_chain(init_params, X), output_chain(init_params)
+    P0 = {c: _gram_pairs(init_params, outs_0, init_params, batches[c].X) for c in members}
+    R_bar_S = {c: global_params.predict(batches[c].X) - batches[c].Y for c in members}
+    contraction = sum(
+        _gram_times(P0[c], ins_0, R_bar[:, starts[c] : starts[c + 1]]) for c in members
+    )
+    update, shift_sum, dev_sum = np.zeros((3, *R_bar.shape))
     for k in range(local_steps):
-        params_k = [traj[k] for traj in trajectories]
-        xi_k = stacked_residual(params_k, batches, members)
-        P_tk = np.hstack(
-            [gram_P_tkc(global_params, p, X, batches[c].X) for p, c in zip(params_k, members)]
-        )
-        update += P_tk @ xi_k
-        shift_sum += (P_tk - P0_S) @ xi_k
-        dev_k = xi_k - xi_bar_S
-        dev_sum += P0_S @ dev_k
-        padded = np.zeros(offsets[-1])
-        padded[member_slots] = dev_k
-        dev_pad_sum += P0_hat @ padded
+        for traj, c in zip(trajectories, members):
+            X_c, p = batches[c].X, traj[k]
+            R_k = p.predict(X_c) - batches[c].Y
+            moved = _gram_times(_gram_pairs(global_params, outs_g, p, X_c), ins_g, R_k)
+            update += moved
+            shift_sum += moved - _gram_times(P0[c], ins_0, R_k)
+            dev_sum += _gram_times(P0[c], ins_0, R_k - R_bar_S[c])
 
     coeff = eta / s
-    predicted = xi_bar - coeff * update
-    term1 = xi_bar - (eta * local_steps / s) * (P0_hat @ xi_bar)
-    term2 = coeff * shift_sum
-    term3 = coeff * dev_sum
-    term3_pad = coeff * dev_pad_sum
+    predicted = xi_bar - coeff * update.flatten(order="F")
+    term1 = xi_bar - (eta * local_steps / s) * contraction.flatten(order="F")
+    term2 = coeff * shift_sum.flatten(order="F")
+    term3 = coeff * dev_sum.flatten(order="F")
     gap = float(np.linalg.norm((term1 - term2 - term3) - predicted))
 
     actual_error = relative_error = None
@@ -773,7 +721,6 @@ def predict_first_order(
         term_contraction=float(np.linalg.norm(term1)),
         term_gram_shift=float(np.linalg.norm(term2)),
         term_local_deviation=float(np.linalg.norm(term3)),
-        term_local_deviation_padded=float(np.linalg.norm(term3_pad)),
         reconstruction_gap=gap,
         actual_error=actual_error,
         relative_error=relative_error,

@@ -313,11 +313,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 class Experiment:
     """Everything a command needs: client batches in client order, initial
     parameters, and the contraction rate's spectral input (None when the Gram
-    matrix exceeds max_gram_dim)."""
+    matrix exceeds max_gram_dim), with H-infinity's largest eigenvalue for the
+    two-layer model."""
 
     batches: tuple
     init_params: object
     lambda_min: float | None
+    lambda_max: float | None
     perturbed_columns: int
     dropped_samples: int
 
@@ -363,23 +365,23 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=targets[..., ix]) for ix in index_lists)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
-    lam = None
+    lam = lam_max = None
     if cfg.model.kind == MODEL_DEEP_LINEAR:
         init = init_deep_linear(
             cfg.model.depth, cfg.model.width, X.shape[0], Y.shape[0], cfg.federation.seed
         )
-        if X.shape[1] * Y.shape[0] <= cfg.analysis.max_gram_dim:
-            lam = analysis.rank_restricted_lambda_min(
-                analysis.gram_P0(init, X), analysis.effective_rank(X) * Y.shape[0]
-            )
+        if min(X.shape) * Y.shape[0] <= cfg.analysis.max_gram_dim:
+            lam = analysis.gram_P0_lambda_min(init, X)[0]
     else:
         init = init_two_layer(cfg.model.width, X.shape[0], cfg.federation.seed)
         if X.shape[1] <= cfg.analysis.max_gram_dim:
-            lam = analysis.spectrum(analysis.gram_H_infinity(X)).lambda_min
+            spec = analysis.spectrum(analysis.gram_H_infinity(X))
+            lam, lam_max = spec.lambda_min, spec.lambda_max
     return Experiment(
         batches=batches,
         init_params=init,
         lambda_min=lam,
+        lambda_max=lam_max,
         perturbed_columns=perturbed,
         dropped_samples=dropped,
     )
@@ -519,51 +521,39 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     exp = build_experiment(cfg)
     result = _run_training(cfg, exp)
 
-    bound_values = None
-    if exp.lambda_min is not None and exp.lambda_min > 0.0:
+    fed, bound_values, skipped = cfg.federation, None, None
+    if exp.lambda_min is not None and exp.lambda_min <= 0.0:
+        skipped = f"lambda_min {exp.lambda_min:g} is not positive"
+    elif exp.lambda_min is not None:
+        sizes = [len(tr.members) for tr in result.traces]
         try:
-            series = analysis.bound_series(
-                result.losses[0],
-                cfg.federation.eta,
-                cfg.federation.local_steps,
-                cfg.federation.n_clients,
-                exp.lambda_min,
-                [len(tr.members) for tr in result.traces],
-            )
-            bound_values = series.values
-        except ValueError:
-            bound_values = None
+            bound_values = analysis.bound_series(
+                result.losses[0], fed.eta, fed.local_steps, fed.n_clients, exp.lambda_min, sizes
+            ).values
+        except ValueError as e:
+            skipped = str(e)
+    if skipped is not None:
+        print(f"train: bound_cum not written: {skipped}", file=sys.stderr)
+    bounds = bound_values or (None,) * len(result.losses)
 
     lines = [CSV_HEADER]
     for tr in result.traces:
-        bound = bound_values[tr.t] if bound_values is not None else None
-        lines.append(
-            ",".join(
-                [
-                    str(tr.t),
-                    ";".join(str(c) for c in tr.members),
-                    _g17(tr.loss),
-                    _g17(tr.ratio),
-                    _g17(tr.rho_theory),
-                    _g17(bound),
-                ]
-            )
-        )
+        numbers = map(_g17, (tr.loss, tr.ratio, tr.rho_theory, bounds[tr.t]))
+        lines.append(",".join([str(tr.t), ";".join(str(c) for c in tr.members), *numbers]))
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
-    rows = []
-    for tr in result.traces:
-        rows.append(
-            {
-                "t": tr.t,
-                "participants": list(tr.members),
-                "loss": tr.loss,
-                "ratio": tr.ratio,
-                "rho_theory": tr.rho_theory,
-                "bound_cum": bound_values[tr.t] if bound_values is not None else None,
-                "local_losses": [list(ls) for ls in tr.local_losses],
-            }
-        )
+    rows = [
+        {
+            "t": tr.t,
+            "participants": list(tr.members),
+            "loss": tr.loss,
+            "ratio": tr.ratio,
+            "rho_theory": tr.rho_theory,
+            "bound_cum": bounds[tr.t],
+            "local_losses": [list(ls) for ls in tr.local_losses],
+        }
+        for tr in result.traces
+    ]
     (out / "trace.json").write_text(
         json.dumps(
             _jsonable(
@@ -657,23 +647,31 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, rates=None, seeds=None) -> int:
 
 
 _SHRINK = "; raise the limit or shrink the data"
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 # What each check that builds a dense Gram matrix of RunContext.gram_dim rows needs.
 _GRAM_NEEDS = {
     (MODEL_DEEP_LINEAR, "gram-floor"): "a {}-dim Gram matrix" + _SHRINK,
-    (MODEL_DEEP_LINEAR, "first-order"): "{}-dim Gram blocks",
     (MODEL_TWO_LAYER, "local-descent"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
     (MODEL_TWO_LAYER, "global-drift"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
 }
 
 
-def _check_gram_limits(cfg: ExperimentConfig, ctx, names, rounds):
+def _check_gram_limits(cfg: ExperimentConfig, exp: Experiment, ctx, names, rounds):
     """Reject the first selected check whose Gram matrix is over
-    analysis.max_gram_dim; a per-round check only when a round is observed."""
-    over = ctx.gram_dim > cfg.analysis.max_gram_dim
+    analysis.max_gram_dim, or whose bound divides by a least H-infinity
+    eigenvalue below sqrt(eps)*lambda_max (arccos keeps only about half the
+    digits near cos = 1); a per-round check only when a round is observed."""
     for name in names:
         need = _GRAM_NEEDS.get((cfg.model.kind, name))
-        if over and need is not None and (rounds or not verify.CHECKS[name][1]):
+        if need is None or not (rounds or not verify.CHECKS[name][1]):
+            continue
+        if ctx.gram_dim > cfg.analysis.max_gram_dim:
             raise ConfigError(f"analysis.max_gram_dim: {name} needs {need.format(ctx.gram_dim)}")
+        if exp.lambda_max is not None and exp.lambda_min < _SQRT_EPS * exp.lambda_max:
+            raise ConfigError(
+                f"data.preprocess: {name} needs lambda_min(H-infinity) >= sqrt(eps)*lambda_max; "
+                "parallel or repeated inputs leave it near 0, and data.preprocess separates them"
+            )
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
@@ -689,7 +687,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     listed = cfg.verify.rounds if cfg.verify.rounds is not None else (0, T // 2, T - 1)
     per_round = any(verify.CHECKS[n][1] for n in names)
     rounds = sorted({t for t in listed if 0 <= t < T}) if per_round else []
-    _check_gram_limits(cfg, ctx, names, rounds)
+    _check_gram_limits(cfg, exp, ctx, names, rounds)
     snapshots = []  # in round order, one per observed round
     if rounds:
         run_fedavg(

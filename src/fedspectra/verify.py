@@ -44,7 +44,11 @@ class RunContext:
 
     @property
     def gram_dim(self) -> int:
-        return self.X.shape[1] * self.d_out
+        """Side of the Gram matrix that set-up builds: P0 on the data's row
+        space (linear) or H-infinity (ReLU)."""
+        if self.init_params.kind == LINEAR:
+            return min(self.X.shape) * self.d_out
+        return self.X.shape[1]
 
     @cached_property
     def loss0(self) -> float:
@@ -147,8 +151,7 @@ def first_order(ctx, snap):
         ctx.eta, ctx.local_steps, trajectories=snap.trajectories,
     )
     terms = (
-        "reconstruction_gap", "term_contraction", "term_gram_shift",
-        "term_local_deviation", "term_local_deviation_padded",
+        "reconstruction_gap", "term_contraction", "term_gram_shift", "term_local_deviation",
     )
     halving = {"t": snap.t, "scaling_ratio": ratio}
     context = halving | {n: getattr(full, n) for n in terms}

@@ -27,7 +27,9 @@ from fedspectra.models import (
     grads_deep_linear,
     init_deep_linear,
     init_two_layer,
+    input_chain,
     loss_of,
+    output_chain,
 )
 
 from oracles import finite_difference_grad, gram_linear_bruteforce, mc_relu_kernel
@@ -202,14 +204,29 @@ def test_criterion_02_infinite_width_kernel_closed_form():
 
 
 def test_criterion_03_gram_builders_match_bruteforce_oracle():
-    """Dense Gram assembly agrees with the entrywise loop oracle."""
+    """Dense P0, its least nonzero eigenvalue from the data's row space, and
+    the mixed Gram block applied as products agree with the entrywise loop
+    oracle."""
     p = init_deep_linear(2, 3, 2, 2, seed=0)
-    X = np.random.default_rng(1).standard_normal((2, 3))
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((2, 3))
     oracle = gram_linear_bruteforce(
         list(p.layers), list(p.layers), X, X, p.width, p.d_out
     )
     assert np.max(np.abs(analysis.gram_P0(p, X) - oracle)) <= 1e-10
-    assert np.max(np.abs(analysis.gram_P_tkc(p, p, X, X) - analysis.gram_P0(p, X))) <= 1e-12
+    lam, rank = analysis.gram_P0_lambda_min(p, X)
+    assert rank == 2
+    assert lam == pytest.approx(np.linalg.eigvalsh(oracle)[-2 * p.d_out], rel=1e-12)
+    local = DeepLinearParams(
+        layers=tuple(W + 0.3 * rng.standard_normal(W.shape) for W in p.layers), width=p.width
+    )
+    V = rng.standard_normal((p.d_out, 2))
+    pairs = analysis._gram_pairs(p, output_chain(p), local, X[:, :2])
+    got = analysis._gram_times(pairs, input_chain(p, X), V).flatten(order="F")
+    mixed = gram_linear_bruteforce(
+        list(p.layers), list(local.layers), X, X[:, :2], p.width, p.d_out
+    )
+    assert np.linalg.norm(got - mixed @ V.flatten(order="F")) <= 1e-12 * np.linalg.norm(got)
 
 
 def test_criterion_04_deep_linear_convergence(run4):

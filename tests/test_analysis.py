@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedspectra import analysis
 from fedspectra.analysis import (
-    assemble_P_S,
     bound_series,
     check_drift,
     check_gram_floor,
@@ -20,11 +22,10 @@ from fedspectra.analysis import (
     gram_H_infinity,
     gram_H_tkc,
     gram_P0,
-    gram_P_tkc,
+    gram_P0_lambda_min,
     lambda_min_floor,
     make_report,
     predict_first_order,
-    rank_restricted_lambda_min,
     sigma_min_nonzero,
     spectrum,
 )
@@ -35,6 +36,8 @@ from fedspectra.models import (
     LabeledBatch,
     init_deep_linear,
     init_two_layer,
+    input_chain,
+    output_chain,
     vec_residual,
 )
 
@@ -74,74 +77,60 @@ def test_gram_P0_matches_entrywise_oracle():
     assert np.max(np.abs(gram_P0(p, X) - expected)) <= 1e-10
 
 
-# ------------------------------------------------------------- gram_P_tkc ----
+# ----------------------------------------- compressed P0 and Gram products ----
 
 
-def test_gram_P_tkc_reduces_to_gram_P0():
-    p = init_deep_linear(3, 8, 3, 2, seed=1)
-    X = np.random.default_rng(3).standard_normal((3, 5))
-    assert np.max(np.abs(gram_P_tkc(p, p, X, X) - gram_P0(p, X))) <= 1e-12
+def _bruteforce(g, l, X, X_c):
+    return gram_linear_bruteforce(list(g.layers), list(l.layers), X, X_c, g.width, g.d_out)
 
 
-def test_gram_P_tkc_restricts_to_column_blocks():
-    p = init_deep_linear(2, 6, 3, 2, seed=2)
-    X = np.random.default_rng(4).standard_normal((3, 4))
-    cols = [0, 2]
-    block = gram_P_tkc(p, p, X, X[:, cols])
-    full = gram_P0(p, X)
-    keep = np.concatenate([[j * p.d_out + a for a in range(p.d_out)] for j in cols])
-    np.testing.assert_allclose(block, full[:, keep], atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    d_in=st.integers(1, 5),
+    d_out=st.integers(1, 3),
+    n=st.integers(1, 7),
+    repeats=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_gram_P0_lambda_min_matches_the_dense_rank_restricted_eigenvalue(
+    depth, d_in, d_out, n, repeats, seed
+):
+    # data of rank min(d_in, n) with singular values in [1, 2], plus repeated
+    # columns; the dense reference is the (rank*d_out)-th largest eigenvalue
+    # of the loop oracle (worst seen over 300 draws: 1.3e-14 relative)
+    rng = np.random.default_rng(seed)
+    r = min(d_in, n)
+    U = np.linalg.qr(rng.standard_normal((d_in, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    X = (U * rng.uniform(1.0, 2.0, r)) @ V.T
+    X = np.hstack([X, X[:, rng.integers(0, n, repeats)]])
+    p = init_deep_linear(depth, 8, d_in, d_out, seed)
+    lam, rank = gram_P0_lambda_min(p, X)
+    assert rank == r
+    expected = np.linalg.eigvalsh(_bruteforce(p, p, X, X))[-r * d_out]
+    assert lam == pytest.approx(expected, rel=1e-12)
 
 
-def test_gram_P_tkc_matches_entrywise_oracle_with_distinct_params():
-    g = init_deep_linear(2, 3, 2, 2, seed=7)
+def test_gram_P0_lambda_min_rejects_zero_data():
+    p = init_deep_linear(2, 4, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="numerically zero"):
+        gram_P0_lambda_min(p, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_gram_product_matches_the_oracle_block(depth):
+    # distinct global and local parameters, local features on a subset of columns
+    g = init_deep_linear(depth, 6, 4, 3, seed=7)
     l = _perturbed(g, 0.3, seed=8)
-    X = np.random.default_rng(9).standard_normal((2, 3))
-    X_c = np.random.default_rng(10).standard_normal((2, 2))
-    expected = gram_linear_bruteforce(
-        list(g.layers), list(l.layers), X, X_c, g.width, g.d_out
-    )
-    assert np.max(np.abs(gram_P_tkc(g, l, X, X_c) - expected)) <= 1e-10
-
-
-def test_gram_P_tkc_rejects_mismatched_architectures():
-    g = init_deep_linear(2, 4, 3, 2, seed=0)
-    other = init_deep_linear(3, 4, 3, 2, seed=0)
-    X = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        gram_P_tkc(g, other, X, X)
-
-
-# ------------------------------------------------------------ assemble_P_S ----
-
-
-def test_assemble_full_participation_is_plain_concatenation():
-    rng = np.random.default_rng(0)
-    blocks = [(c, rng.standard_normal((3, 2))) for c in range(3)]
-    out = assemble_P_S(blocks, [0, 1, 2], 3)
-    np.testing.assert_array_equal(out, np.hstack([B for _, B in blocks]))
-
-
-def test_assemble_pads_idle_clients_with_zeros():
-    B = np.ones((2, 2))
-    out = assemble_P_S([(0, B)], [0], 2)
-    assert out.shape == (2, 4)
-    np.testing.assert_array_equal(out[:, :2], B)
-    np.testing.assert_array_equal(out[:, 2:], np.zeros((2, 2)))
-
-
-def test_assemble_column_dimension_covers_every_client():
-    B = np.ones((2, 3))
-    out = assemble_P_S([(1, B)], [1], 4, widths=[2, 3, 4, 1])
-    assert out.shape == (2, 2 + 3 + 4 + 1)
-
-
-def test_assemble_rejects_wrong_block_cover():
-    B = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        assemble_P_S([(0, B)], [0, 1], 2)
-    with pytest.raises(ValueError):
-        assemble_P_S([(0, B), (1, B)], [0], 2)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((4, 5))
+    X_c = X[:, [1, 3, 4]]
+    V = rng.standard_normal((3, 3))
+    pairs = analysis._gram_pairs(g, output_chain(g), l, X_c)
+    got = analysis._gram_times(pairs, input_chain(g, X), V).flatten(order="F")
+    want = _bruteforce(g, l, X, X_c) @ V.flatten(order="F")
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # -------------------------------------------------------- ReLU Gram kernels ----
@@ -229,10 +218,6 @@ def test_rank_helpers():
     X = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
     assert effective_rank(X) == 1
     assert sigma_min_nonzero(X) == pytest.approx(np.linalg.norm(X))
-    M = np.diag([5.0, 2.0, 0.0])
-    assert rank_restricted_lambda_min(M, 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        rank_restricted_lambda_min(M, 4)
 
 
 # ------------------------------------------------------------- bound_series ----
@@ -478,7 +463,7 @@ def test_predict_first_order_with_zero_rate_returns_current_residual():
     np.testing.assert_array_equal(rep.predicted, vec_residual(params.predict(X), Y))
 
 
-def test_predict_first_order_terms_recombine_and_pad_agrees():
+def test_predict_first_order_terms_recombine():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
     trajs = [
@@ -486,9 +471,47 @@ def test_predict_first_order_terms_recombine_and_pad_agrees():
     ]
     rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
     assert rep.reconstruction_gap <= 1e-10 * max(rep.base_norm, 1.0)
-    assert rep.term_local_deviation == pytest.approx(
-        rep.term_local_deviation_padded, rel=1e-10, abs=1e-12
-    )
+
+
+def _dense_first_order(params, init, trajs, batches, members, eta):
+    """The recursion with dense Gram blocks from the loop oracle: the
+    prediction and the norms of its three terms."""
+    X = np.hstack([b.X for b in batches])
+    xi_bar = vec_residual(params.predict(X), np.hstack([b.Y for b in batches]))
+
+    def stack(ps):
+        return np.concatenate(
+            [vec_residual(p.predict(batches[c].X), batches[c].Y) for p, c in zip(ps, members)]
+        )
+
+    P0_S = np.hstack([_bruteforce(init, init, X, batches[c].X) for c in members])
+    xi_bar_S = stack([params] * len(members))
+    update = shift = dev = 0.0
+    for k in range(len(trajs[0]) - 1):
+        xi_k = stack([t[k] for t in trajs])
+        P_tk = np.hstack(
+            [_bruteforce(params, t[k], X, batches[c].X) for t, c in zip(trajs, members)]
+        )
+        update = update + P_tk @ xi_k
+        shift = shift + (P_tk - P0_S) @ xi_k
+        dev = dev + P0_S @ (xi_k - xi_bar_S)
+    coeff = eta / len(members)
+    term1 = xi_bar - coeff * (len(trajs[0]) - 1) * (P0_S @ xi_bar_S)
+    norms = [np.linalg.norm(v) for v in (term1, coeff * shift, coeff * dev)]
+    return xi_bar - coeff * update, norms
+
+
+def test_predict_first_order_matches_the_dense_recursion():
+    init, params, batches, cfg = _round_state()
+    members = [0, 2]
+    trajs = [
+        local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members
+    ]
+    rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
+    predicted, norms = _dense_first_order(params, init, trajs, batches, members, cfg.eta)
+    assert np.linalg.norm(rep.predicted - predicted) <= 1e-12 * np.linalg.norm(predicted)
+    got = [rep.term_contraction, rep.term_gram_shift, rep.term_local_deviation]
+    np.testing.assert_allclose(got, norms, rtol=0.0, atol=1e-10)
 
 
 def test_predict_first_order_prediction_is_accurate_and_eta_scaled():

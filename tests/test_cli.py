@@ -322,16 +322,37 @@ _RELU_OVER_LIMIT = {
     "federation": {"n_clients": 4, "rounds": 3},
     "analysis": {"max_gram_dim": 16},
 }
-_LINEAR_OVER_LIMIT = {**SMALL_LINEAR, "analysis": {"max_gram_dim": 8}}
+# P0 is built on the data's row space: min(d_in, n) * d_out = 8 rows
+_LINEAR_OVER_LIMIT = {**SMALL_LINEAR, "analysis": {"max_gram_dim": 7}}
 _SHRINK = "raise the limit or shrink the data"
 
-# Faults that only verify reaches: Gram matrices over analysis.max_gram_dim.
-# Each is reported before training starts.
+
+def _repeated_idx(tmp_path, preprocess=False):
+    """60 IDX images of 8x8 pixels where image 59 repeats image 3, with its
+    label. Without preprocessing lambda_min(H-infinity) is at most 2.7e-10 of
+    lambda_max (negative at some seeds); with it, about 7e-5."""
+    rng = np.random.default_rng(1)
+    X = rng.integers(1, 256, (64, 60)) / 255
+    labels = rng.integers(0, 3, 60)
+    X[:, 59], labels[59] = X[:, 3], labels[3]
+    save_idx(tmp_path / "rep.idx", tmp_path / "rep-labels.idx", X, labels, (8, 8))
+    return {
+        **_relu(width=64, dim=64),
+        **_idx(images=str(tmp_path / "rep.idx"), labels=str(tmp_path / "rep-labels.idx"),
+               partition="iid", preprocess=preprocess),
+        "federation": {"n_clients": 4, "rounds": 3, "eta": 0.01, "seed": 1},
+        "verify": {"checks": ["global-drift"]},
+    }
+
+
+# Faults that only verify reaches: Gram matrices over analysis.max_gram_dim,
+# and a vanishing H-infinity eigenvalue. Each is reported before training.
 VERIFY_CONFIG_ERRORS = [
     (_LINEAR_OVER_LIMIT, [],
-     f"analysis.max_gram_dim: gram-floor needs a 24-dim Gram matrix; {_SHRINK}"),
-    ({**_LINEAR_OVER_LIMIT, "verify": {"checks": ["first-order"]}}, [],
-     "analysis.max_gram_dim: first-order needs 24-dim Gram blocks"),
+     f"analysis.max_gram_dim: gram-floor needs a 8-dim Gram matrix; {_SHRINK}"),
+    (_repeated_idx, [],
+     "data.preprocess: global-drift needs lambda_min(H-infinity) >= sqrt(eps)*lambda_max; "
+     "parallel or repeated inputs leave it near 0, and data.preprocess separates them"),
     (_RELU_OVER_LIMIT, [],
      f"analysis.max_gram_dim: local-descent needs the 40-dim H-infinity Gram matrix; {_SHRINK}"),
     ({**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "global-drift"]}}, [],
@@ -346,6 +367,8 @@ _CONFIG_ERROR_CASES = [("train", *e) for e in CONFIG_ERRORS] + [
     "command, doc, extra, message", _CONFIG_ERROR_CASES, ids=[m for *_, m in _CONFIG_ERROR_CASES]
 )
 def test_config_error_messages(tmp_path, capsys, command, doc, extra, message):
+    if callable(doc):
+        doc = doc(tmp_path)
     path = tmp_path / "c.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *extra])
@@ -355,13 +378,20 @@ def test_config_error_messages(tmp_path, capsys, command, doc, extra, message):
 
 def test_max_gram_dim_spares_checks_that_need_no_gram_matrix(tmp_path):
     # the H-infinity limit binds only local-descent and global-drift, and
-    # only when a round is observed
+    # only when a round is observed; first-order applies its Gram blocks as
+    # products and builds none
     for name, doc in (
         ("deviation", {**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "local-deviation"]}}),
         ("no-rounds", {**_RELU_OVER_LIMIT, "federation": {"n_clients": 4, "rounds": 0}}),
+        ("first-order", {**_LINEAR_OVER_LIMIT, "verify": {"checks": ["first-order"]}}),
     ):
         cfg = _write(tmp_path, f"{name}.json", doc)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+
+
+def test_preprocessing_separates_a_repeated_input(tmp_path):
+    cfg = _write(tmp_path, "c.json", _repeated_idx(tmp_path, preprocess=True))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_schedule_must_match_round_count():
@@ -389,6 +419,21 @@ def test_train_writes_trace_artifacts(tmp_path):
     assert len(doc["rows"]) == 5
     assert len(doc["losses"]) == 6  # includes the final loss
     assert (out / "loss.svg").read_text().startswith("<svg")
+
+
+def test_train_says_why_it_writes_no_bound(tmp_path, capsys):
+    # one client taking 20 steps at eta 0.1 trains to 4e-13, but the bound's
+    # contraction factor is about -0.3
+    doc = json.loads(json.dumps(SMALL_LINEAR))
+    doc["federation"] |= {"n_clients": 1, "local_steps": 20, "eta": 0.1}
+    cfg = _write(tmp_path, "c.json", doc)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("train: bound_cum not written: contraction factor -0.")
+    assert err.endswith(" is not in (0, 1]: eta too large for the bound\n")
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",nan") for row in rows)
 
 
 def test_train_zero_rounds_leaves_header_only(tmp_path):
