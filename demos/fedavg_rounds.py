@@ -40,7 +40,7 @@ for rate in (0.25, 1.0):
         n_clients=n_clients, local_steps=5, rounds=60, eta=eta,
         participation=rate, seed=2,
     )
-    result = run_fedavg(cfg, init, batches, lambda_min=lam)
+    result = run_fedavg(cfg, init, batches)
     series = bound_series(
         result.losses[0], eta, 5, n_clients, lam,
         [len(tr.members) for tr in result.traces],
@@ -50,7 +50,7 @@ for rate in (0.25, 1.0):
     for tr in result.traces[:5] + result.traces[-2:]:
         print(
             f"{tr.t:>4} {len(tr.members):>3}  {tr.loss:<10.4g} "
-            f"{tr.ratio:.5f}  {tr.rho_theory:.5f}  {series.values[tr.t]:.4g}"
+            f"{tr.ratio:.5f}  {series.rho[tr.t]:.5f}  {series.values[tr.t]:.4g}"
         )
     print(f"final loss {result.final_loss:.4g}, "
           f"drop {result.losses[0] / result.final_loss:.1f}x in {cfg.rounds} rounds")

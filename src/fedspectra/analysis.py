@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .federation import local_trajectory
 from .models import (
     DeepLinearParams,
     LabeledBatch,
@@ -30,6 +31,13 @@ _SKETCH_OVERSAMPLE = 10
 # Rows per block when the sketch residual is summed.
 _RESIDUAL_BLOCK = 128
 
+# Largest gap |trace(H-infinity) - n/2| that ntk-trace accepts for unit-norm
+# inputs.
+_NTK_TRACE_TOL = 1e-10
+# Interior weight products are bounded by this constant times sqrt(depth), at
+# sqrt(width) per factor.
+_INTERIOR_CONSTANT = 10.0
+
 
 @dataclass(frozen=True)
 class GramSpectrum:
@@ -43,7 +51,7 @@ class GramSpectrum:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one inequality check: passed ⟺ measured <= bound*(1+tol).
+    """Outcome of one inequality check: passed ⟺ measured <= bound.
 
     Lower-bound facts are reported in the same orientation by storing the
     theoretical floor as `measured` and the observed quantity as `bound`; the
@@ -55,14 +63,13 @@ class CheckReport:
     measured: float
     bound: float
     slack: float
-    tol: float
     context: dict = field(default_factory=dict)
 
 
-def make_report(name, measured, bound, *, tol=0.0, context=None) -> CheckReport:
+def make_report(name, measured, bound, *, context=None) -> CheckReport:
     measured = float(measured)
     bound = float(bound)
-    passed = bool(measured <= bound * (1.0 + tol))
+    passed = bool(measured <= bound)
     if bound != 0.0:
         slack = measured / bound
     else:
@@ -73,7 +80,6 @@ def make_report(name, measured, bound, *, tol=0.0, context=None) -> CheckReport:
         measured=measured,
         bound=bound,
         slack=float(slack),
-        tol=float(tol),
         context=dict(context or {}),
     )
 
@@ -261,7 +267,7 @@ def lambda_min_floor(depth, sigma_min_x, d_out) -> float:
     return 0.8**4 * depth * sigma_min_x**2 / d_out
 
 
-def check_gram_floor(p: DeepLinearParams, X, *, tol=0.0) -> CheckReport:
+def check_gram_floor(p: DeepLinearParams, X) -> CheckReport:
     """Floor vs the least nonzero eigenvalue of gram_P0 (see
     gram_P0_lambda_min)."""
     X = np.asarray(X, dtype=float)
@@ -271,7 +277,6 @@ def check_gram_floor(p: DeepLinearParams, X, *, tol=0.0) -> CheckReport:
         "gram-floor",
         measured=floor,
         bound=observed,
-        tol=tol,
         context={
             "floor": floor,
             "observed_lambda_min": observed,
@@ -282,17 +287,16 @@ def check_gram_floor(p: DeepLinearParams, X, *, tol=0.0) -> CheckReport:
     )
 
 
-def check_ntk_trace(X, *, tol_abs=1e-10) -> CheckReport:
+def check_ntk_trace(X) -> CheckReport:
     """For unit-norm inputs the closed-form infinite-width Gram matrix has
-    trace exactly n/2; checks the absolute gap against tol_abs."""
+    trace exactly n/2; checks the absolute gap against _NTK_TRACE_TOL."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     gap = abs(float(np.trace(gram_H_infinity(X))) - 0.5 * n)
     return make_report(
         "ntk-trace",
         measured=gap,
-        bound=tol_abs,
-        tol=0.0,
+        bound=_NTK_TRACE_TOL,
         context={"n": n, "expected_trace": 0.5 * n},
     )
 
@@ -305,14 +309,14 @@ def _product_range(layers, start, stop):
     return P
 
 
-def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.0) -> list:
+def check_init_spectra(p: DeepLinearParams, X) -> list:
     """Initialization-scale checks on weight products and data features.
 
     For each suffix product (layer i through the top, i >= 2, 1-based) the
     extreme singular values must lie within [0.8, 1.2] of sqrt(width) per
     factor; for each prefix product applied to the data (layers 1..j, j < L)
     the same band holds relative to the extreme singular values of X; interior
-    products are checked against interior_constant * sqrt(depth) at the same
+    products are checked against _INTERIOR_CONSTANT * sqrt(depth) at the same
     per-factor scale. Lower bounds are reported floor-first, and rank-deficient
     data uses its nonzero spectrum. Depth 1 has nothing to check and returns a
     single vacuous-pass marker.
@@ -325,7 +329,6 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 "init-spectra:vacuous",
                 measured=0.0,
                 bound=0.0,
-                tol=0.0,
                 context={"reason": "depth 1 has no weight products to bound"},
             )
         ]
@@ -341,7 +344,6 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 f"init-suffix-sigma-max:{i}",
                 measured=sv[0],
                 bound=1.2 * unit,
-                tol=tol,
                 context=ctx | {"observed_sigma_max": float(sv[0])},
             )
         )
@@ -350,7 +352,6 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 f"init-suffix-sigma-min:{i}",
                 measured=0.8 * unit,
                 bound=sv[-1],
-                tol=tol,
                 context=ctx | {"floor": 0.8 * unit, "observed_sigma_min": float(sv[-1])},
             )
         )
@@ -369,7 +370,6 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 f"init-prefix-data-sigma-max:{j}",
                 measured=sv[0],
                 bound=1.2 * unit * smax_x,
-                tol=tol,
                 context=ctx | {"observed_sigma_max": float(sv[0])},
             )
         )
@@ -378,7 +378,6 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 f"init-prefix-data-sigma-min:{j}",
                 measured=0.8 * unit * smin_x,
                 bound=sv[r - 1],
-                tol=tol,
                 context=ctx
                 | {"floor": 0.8 * unit * smin_x, "observed_sigma_min": float(sv[r - 1])},
             )
@@ -392,15 +391,14 @@ def check_init_spectra(p: DeepLinearParams, X, *, interior_constant=10.0, tol=0.
                 make_report(
                     f"init-interior-norm:{i}..{j}",
                     measured=np.linalg.norm(W, ord=2),
-                    bound=interior_constant * np.sqrt(L) * unit,
-                    tol=tol,
+                    bound=_INTERIOR_CONSTANT * np.sqrt(L) * unit,
                     context={"layers": f"{i}..{j}", "scale_unit": unit},
                 )
             )
     return reports
 
 
-def check_local_descent(local_losses, eta, *, lam, depth=None, d_out=None, tol=0.0) -> CheckReport:
+def check_local_descent(local_losses, eta, *, lam, depth=None, d_out=None) -> CheckReport:
     """Per-step geometric decrease of the local training loss.
 
     With depth/d_out given (linear network) the step factor is
@@ -431,7 +429,6 @@ def check_local_descent(local_losses, eta, *, lam, depth=None, d_out=None, tol=0
         "local-descent",
         measured=measured,
         bound=bound,
-        tol=tol,
         context={
             "factor": factor,
             "worst_step": worst_step,
@@ -463,7 +460,6 @@ def check_local_deviation(
     d_out=None,
     n_total=None,
     local_steps=None,
-    tol=0.0,
 ) -> CheckReport:
     """Distance of the step-k stacked local residual from the broadcast-time
     one, against the linear-in-k bound.
@@ -490,7 +486,6 @@ def check_local_deviation(
         "local-deviation",
         measured=measured,
         bound=coeff * base,
-        tol=tol,
         context={"k": int(k), "eta": float(eta), "coefficient": coeff, "base_norm": base},
     )
 
@@ -512,7 +507,7 @@ def drift_radius_two_layer(n_clients, n_samples, init_residual_norm, width, lam)
     )
 
 
-def check_drift(params_now, params_init, radius, *, tol=0.0, context=None) -> CheckReport:
+def check_drift(params_now, params_init, radius, *, context=None) -> CheckReport:
     """Largest parameter movement since initialization against a drift radius:
     per-layer Frobenius norm for the linear network, per-neuron row norm for
     the ReLU network. Pass radius from the matching drift_radius_* formula and
@@ -520,7 +515,7 @@ def check_drift(params_now, params_init, radius, *, tol=0.0, context=None) -> Ch
     measured, detail = params_now.drift(params_init)
     ctx = dict(context or {})
     ctx.update(detail)
-    return make_report("global-drift", measured=measured, bound=radius, tol=tol, context=ctx)
+    return make_report("global-drift", measured=measured, bound=radius, context=ctx)
 
 
 def _low_rank_spectral_norm(D, rank, noise) -> float:
@@ -555,7 +550,7 @@ def _low_rank_spectral_norm(D, rank, noise) -> float:
     return float(np.linalg.svd(B, compute_uv=False)[0])
 
 
-def check_local_drift(trajectory, batch: LabeledBatch, *, tol=0.0) -> list:
+def check_local_drift(trajectory, batch: LabeledBatch) -> list:
     """Spectral-norm distance of each local iterate trajectory[k] (k >= 1)
     from the broadcast weights trajectory[0], against 24*sqrt(d_out)*|X_c| /
     (L*sigma_min^2(X_c)) times the client residual norm at broadcast time
@@ -565,16 +560,20 @@ def check_local_drift(trajectory, batch: LabeledBatch, *, tol=0.0) -> list:
     changes a layer by a matrix of rank at most min(n_c, d_out), so the
     spectral norms at step k come from a sketch of rank k*min(n_c, d_out),
     certified against the rounding of k updates (2*k*eps*|W_global|_F).
+    A client whose data are numerically zero (no samples, say) gets radius 0:
+    every gradient is a product with X_c, so its deltas are 0 too.
     """
     global_params = trajectory[0]
     if not isinstance(global_params, DeepLinearParams):
         raise TypeError("local drift bound applies to the linear network")
-    norm_xc = float(np.linalg.norm(batch.X, ord=2))
-    smin = sigma_min_nonzero(batch.X)
+    sv = nonzero_singular_values(batch.X)
     resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
-    radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
-        global_params.depth * smin**2
-    ) * resid
+    norm_xc = smin = radius = 0.0
+    if sv.size:
+        norm_xc, smin = float(sv[0]), float(sv[-1])
+        radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
+            global_params.depth * smin**2
+        ) * resid
     norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
     context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
     reports = []
@@ -591,7 +590,6 @@ def check_local_drift(trajectory, batch: LabeledBatch, *, tol=0.0) -> list:
                 "local-drift",
                 measured=max(per_layer),
                 bound=radius,
-                tol=tol,
                 context={"per_layer_spectral": per_layer} | context,
             )
         )
@@ -727,27 +725,17 @@ def predict_first_order(
     )
 
 
-def first_order_scaling(
-    params, init_params, batches, members, eta, local_steps, *, trajectories=None
-):
-    """Run one round at eta and at eta/2 from the same state and return the
-    two FirstOrderReports plus the ratio of their absolute prediction errors.
-    A ratio near 4 is the signature of a second-order remainder.
+def first_order_scaling(params, init_params, batches, members, eta, local_steps, *, trajectories):
+    """Predict one round at eta and at eta/2 from the same state and return
+    the two FirstOrderReports plus the ratio of their absolute prediction
+    errors. A ratio near 4 is the signature of a second-order remainder.
 
-    trajectories, when given, are the members' local trajectories at eta
-    (aligned with sorted(members), as in predict_first_order), e.g. from a
-    RoundSnapshot; only the eta/2 probe then trains.
+    trajectories are the members' local trajectories at eta (aligned with
+    sorted(members), as in predict_first_order), e.g. from a RoundSnapshot;
+    only the eta/2 probe trains.
     """
-    from .federation import local_trajectory
-
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
-
-    def train(e):
-        return [
-            local_trajectory(params, batches[c], e, local_steps)[0]
-            for c in sorted(int(c) for c in members)
-        ]
 
     def probe(e, trajs):
         averaged = type(params).average([traj[-1] for traj in trajs])
@@ -756,8 +744,14 @@ def first_order_scaling(
             params, init_params, trajs, batches, members, e, next_residual=actual
         )
 
-    full = probe(eta, train(eta) if trajectories is None else trajectories)
-    half = probe(0.5 * eta, train(0.5 * eta))
+    full = probe(eta, trajectories)
+    half = probe(
+        0.5 * eta,
+        [
+            local_trajectory(params, batches[c], 0.5 * eta, local_steps)[0]
+            for c in sorted(int(c) for c in members)
+        ],
+    )
     if half.actual_error == 0.0:
         raise ValueError("half-rate probe has zero error; scaling ratio undefined")
     return full, half, full.actual_error / half.actual_error

@@ -3,7 +3,7 @@
 Artifacts are deterministic functions of (config, seed): CSV traces with
 17-significant-digit floats, JSON reports, and self-contained SVG loss plots.
 Exit codes: 0 success, 1 verification failure, 2 runtime divergence,
-3 configuration error.
+3 configuration or usage error.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, verify
 from .data import (
     Dataset,
+    IdxFormatError,
     load_idx,
     partition_iid,
     partition_noniid,
@@ -333,6 +334,10 @@ def _load_dataset(cfg: ExperimentConfig):
         ds = load_idx(cfg.data.images, cfg.data.labels)
     except OSError as e:
         raise ConfigError(f"data.images: cannot read dataset ({e})") from e
+    except IdxFormatError as e:
+        raise ConfigError(f"data.images: {e}") from e
+    if ds.n == 0:
+        raise ConfigError(f"data.images: {cfg.data.images} holds no images")
     if cfg.data.subset is not None:
         s = cfg.data.subset
         if s > ds.n:
@@ -508,7 +513,6 @@ def _run_training(cfg: ExperimentConfig, exp: Experiment):
         section_to_federation_config(cfg.federation),
         exp.init_params,
         list(exp.batches),
-        lambda_min=exp.lambda_min,
         workers=cfg.federation.workers,
         stop_fraction=cfg.federation.stop_loss_fraction,
     )
@@ -521,24 +525,30 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     exp = build_experiment(cfg)
     result = _run_training(cfg, exp)
 
-    fed, bound_values, skipped = cfg.federation, None, None
-    if exp.lambda_min is not None and exp.lambda_min <= 0.0:
-        skipped = f"lambda_min {exp.lambda_min:g} is not positive"
-    elif exp.lambda_min is not None:
-        sizes = [len(tr.members) for tr in result.traces]
-        try:
-            bound_values = analysis.bound_series(
-                result.losses[0], fed.eta, fed.local_steps, fed.n_clients, exp.lambda_min, sizes
-            ).values
-        except ValueError as e:
-            skipped = str(e)
+    fed, lam = cfg.federation, exp.lambda_min
+    sizes = [len(tr.members) for tr in result.traces]
+    rhos, bound_values, skipped = [None] * len(sizes), None, None
+    if lam is not None:
+        rhos = [
+            analysis.contraction_factor(fed.eta, s, lam, fed.local_steps, fed.n_clients)
+            for s in sizes
+        ]
+        if lam <= 0.0:
+            skipped = f"lambda_min {lam:g} is not positive"
+        else:
+            try:
+                bound_values = analysis.bound_series(
+                    result.losses[0], fed.eta, fed.local_steps, fed.n_clients, lam, sizes
+                ).values
+            except ValueError as e:
+                skipped = str(e)
     if skipped is not None:
         print(f"train: bound_cum not written: {skipped}", file=sys.stderr)
     bounds = bound_values or (None,) * len(result.losses)
 
     lines = [CSV_HEADER]
-    for tr in result.traces:
-        numbers = map(_g17, (tr.loss, tr.ratio, tr.rho_theory, bounds[tr.t]))
+    for tr, rho in zip(result.traces, rhos):
+        numbers = map(_g17, (tr.loss, tr.ratio, rho, bounds[tr.t]))
         lines.append(",".join([str(tr.t), ";".join(str(c) for c in tr.members), *numbers]))
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
@@ -548,11 +558,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
             "participants": list(tr.members),
             "loss": tr.loss,
             "ratio": tr.ratio,
-            "rho_theory": tr.rho_theory,
+            "rho_theory": rho,
             "bound_cum": bounds[tr.t],
             "local_losses": [list(ls) for ls in tr.local_losses],
         }
-        for tr in result.traces
+        for tr, rho in zip(result.traces, rhos)
     ]
     (out / "trace.json").write_text(
         json.dumps(
@@ -586,16 +596,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir, rates=None, seeds=None) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
     """Cross product of participation rates and seeds; per-rate mean/min/max
     loss curves to sweep.csv and an overlay plot to sweep.svg. Failed cells
     are reported on stderr and excluded from the aggregates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rates = list(rates if rates is not None else cfg.sweep.rates)
-    seeds = list(seeds if seeds is not None else cfg.sweep.seeds)
-    if not rates or not seeds:
-        raise ConfigError("sweep: rates and seeds must be nonempty")
+    rates, seeds = cfg.sweep.rates, cfg.sweep.seeds
 
     per_rate = {}
     failures = []
@@ -721,26 +728,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    fed = cfg.federation
-    if args.seed is not None:
-        fed = dataclasses.replace(fed, seed=args.seed)
-    if args.rate is not None:
-        _unit_interval("--rate", args.rate)
-        fed = dataclasses.replace(fed, rate=args.rate, schedule=None)
-    if args.rounds is not None:
-        _nonnegative("--rounds", args.rounds)
-        fed = dataclasses.replace(fed, rounds=args.rounds)
-        if fed.schedule is not None and len(fed.schedule) != args.rounds:
-            raise ConfigError("--rounds: conflicts with the explicit schedule length")
-    cfg = dataclasses.replace(cfg, federation=fed)
-    if args.command == "sweep" and args.seed is not None:
-        cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, seeds=(args.seed,)))
-    if args.command == "sweep" and args.rate is not None:
-        cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, rates=(args.rate,)))
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fedspectra",
@@ -755,10 +742,11 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="path to a JSON experiment config")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the run seed")
-        sp.add_argument("--rate", type=float, default=None, help="override the participation rate")
-        sp.add_argument("--rounds", type=int, default=None, help="override the round count")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error; 2 means divergence here
+        return EXIT_OK if e.code == 0 else EXIT_CONFIG
 
     try:
         text = Path(args.config).read_text()
@@ -766,7 +754,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = _apply_overrides(parse_config(text), args)
+        cfg = parse_config(text)
         if args.command == "train":
             return cmd_train(cfg, args.out)
         if args.command == "sweep":

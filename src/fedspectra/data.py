@@ -1,5 +1,6 @@
 """Dataset ingestion, synthetic teacher data, preprocessing, and partitioners."""
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -66,10 +67,11 @@ class ClientPartition:
 
 
 def _read_exact(f, nbytes, path, what):
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
+    # checked before reading: a read allocates every byte it asks for, and a header
+    # may claim more than memory holds or an index can count
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
         raise IdxFormatError(f"{path}: truncated {what}")
-    return buf
+    return f.read(nbytes)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -89,6 +91,9 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
         if count < 0 or rows <= 0 or cols <= 0:
             raise IdxFormatError(f"{images_path}: nonpositive dimension")
+        # each image becomes a column of rows * cols float64 values, even when there are none
+        if rows * cols > np.iinfo(np.intp).max // 8:
+            raise IdxFormatError(f"{images_path}: {rows}x{cols} images are too large")
         raw = _read_exact(f, count * rows * cols, images_path, "pixel payload")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
 
@@ -101,6 +106,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         (label_count,) = struct.unpack(
             ">i", _read_exact(f, 4, labels_path, "item count")
         )
+        if label_count < 0:
+            raise IdxFormatError(f"{labels_path}: negative item count {label_count}")
         labels = np.frombuffer(
             _read_exact(f, label_count, labels_path, "label payload"), dtype=np.uint8
         ).astype(np.int64)

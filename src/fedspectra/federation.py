@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import contraction_factor
 from .models import LabeledBatch, loss_of
 from .rng import stream
 
@@ -73,7 +72,6 @@ class RoundTrace:
     members: tuple
     loss: float
     ratio: float
-    rho_theory: float | None
     local_losses: tuple
 
 
@@ -145,7 +143,6 @@ def run_fedavg(
     init_params,
     client_batches,
     *,
-    lambda_min=None,
     workers=1,
     observer=None,
     observe_rounds=None,
@@ -153,8 +150,6 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - lambda_min, when given, fills each trace row's one-round contraction
-      factor 1 - eta * |S_t| * lambda_min * K / (2 N^2).
     - workers > 1 runs participants' local training in a thread pool; results
       are collected by client position so the aggregate is order-stable.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
@@ -213,18 +208,12 @@ def run_fedavg(
                 round_index=t,
                 loss=value,
             )
-        rho = None
-        if lambda_min is not None:
-            rho = contraction_factor(
-                cfg.eta, len(members), lambda_min, cfg.local_steps, cfg.n_clients
-            )
         traces.append(
             RoundTrace(
                 t=t,
                 members=members,
                 loss=losses[-1],
                 ratio=value / losses[-1] if losses[-1] > 0.0 else 1.0,
-                rho_theory=rho,
                 local_losses=local_losses,
             )
         )

@@ -1,6 +1,7 @@
 """Config parsing, subcommand artifacts, and exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -194,125 +195,143 @@ _LINEAR_CHOICES = (
 )
 _RELU_CHOICES = "ntk-trace, local-descent, local-deviation, global-drift"
 
-# One fault per input: (config text or document, extra CLI arguments, message).
+def _bad_idx(name, images=None, labels=None):
+    """An IDX config whose images (or labels) file holds the given bytes; the
+    other file of the pair is a valid one-image file."""
+
+    def doc(tmp_path):
+        paths = {"images": tmp_path / f"{name}.idx", "labels": tmp_path / f"{name}-labels.idx"}
+        paths["images"].write_bytes(images or struct.pack(">iiii", 0x0803, 1, 1, 1) + b"\0")
+        paths["labels"].write_bytes(labels or struct.pack(">ii", 0x0801, 1) + b"\0")
+        return {**_idx(**{k: str(v) for k, v in paths.items()}), "model": {"d_in": 1, "d_out": 1}}
+
+    return doc
+
+
+# One fault per input: (config text, document, or function of the test's
+# directory that returns a document; message).
 CONFIG_ERRORS = [
     # document shape
-    ("{not json", [], "config is not valid JSON: Expecting property name enclosed in "
+    ("{not json", "config is not valid JSON: Expecting property name enclosed in "
      "double quotes: line 1 column 2 (char 1)"),
-    ("[]", [], "config root must be a JSON object"),
-    ({"bogus": {}}, [], "config.bogus: unknown key"),
-    ({"model": 3}, [], "model: expected an object"),
-    ({"verify": []}, [], "verify: expected an object"),
+    ("[]", "config root must be a JSON object"),
+    ({"bogus": {}}, "config.bogus: unknown key"),
+    ({"model": 3}, "model: expected an object"),
+    ({"verify": []}, "verify: expected an object"),
     # value types
-    ({"model": {"depth": 2.5}}, [], "model.depth: expected an integer, got 2.5"),
-    (_fed(rounds=True), [], "federation.rounds: expected an integer, got True"),
-    (_fed(seed=1.0), [], "federation.seed: expected an integer, got 1.0"),
-    (_fed(eta="x"), [], "federation.eta: expected a number, got 'x'"),
-    (_fed(rate=False), [], "federation.rate: expected a number, got False"),
-    (_fed(stop_loss_fraction="1"), [],
+    ({"model": {"depth": 2.5}}, "model.depth: expected an integer, got 2.5"),
+    (_fed(rounds=True), "federation.rounds: expected an integer, got True"),
+    (_fed(seed=1.0), "federation.seed: expected an integer, got 1.0"),
+    (_fed(eta="x"), "federation.eta: expected a number, got 'x'"),
+    (_fed(rate=False), "federation.rate: expected a number, got False"),
+    (_fed(stop_loss_fraction="1"),
      "federation.stop_loss_fraction: expected a number, got '1'"),
-    ({"model": {"kind": 5}}, [], "model.kind: expected a string, got 5"),
-    ({"data": {"kind": None}}, [], "data.kind: expected a string, got None"),
-    ({"data": {"preprocess": "yes"}}, [], "data.preprocess: expected a boolean, got 'yes'"),
-    ({"data": {"partition": 1}}, [], "data.partition: expected a string, got 1"),
-    (_idx(images=5), [], "data.images: expected a string, got 5"),
-    (_idx(subset=None), [], "data.subset: expected an integer, got None"),
-    ({"analysis": {"max_gram_dim": "big"}}, [],
+    ({"model": {"kind": 5}}, "model.kind: expected a string, got 5"),
+    ({"data": {"kind": None}}, "data.kind: expected a string, got None"),
+    ({"data": {"preprocess": "yes"}}, "data.preprocess: expected a boolean, got 'yes'"),
+    ({"data": {"partition": 1}}, "data.partition: expected a string, got 1"),
+    (_idx(images=5), "data.images: expected a string, got 5"),
+    (_idx(subset=None), "data.subset: expected an integer, got None"),
+    ({"analysis": {"max_gram_dim": "big"}},
      "analysis.max_gram_dim: expected an integer, got 'big'"),
     # kinds
-    ({"model": {"kind": "cnn"}}, [],
+    ({"model": {"kind": "cnn"}},
      "model.kind: expected 'deep-linear' or 'two-layer-relu', got 'cnn'"),
-    ({"data": {"kind": "csv"}}, [], "data.kind: expected 'synthetic' or 'idx', got 'csv'"),
+    ({"data": {"kind": "csv"}}, "data.kind: expected 'synthetic' or 'idx', got 'csv'"),
     # unknown keys, including keys that belong to the other kind
-    ({"model": {"depht": 3}}, [], "model.depht: unknown key"),
-    ({"model": {"dim": 4}}, [], "model.dim: unknown key"),
-    (_relu(depth=2), [], "model.depth: unknown key"),
-    (_relu(d_in=4), [], "model.d_in: unknown key"),
-    ({"data": {"images": "x"}}, [], "data.images: unknown key"),
-    ({"data": {"classes_per_client": 2}}, [], "data.classes_per_client: unknown key"),
-    (_idx(n=5), [], "data.n: unknown key"),
-    (_fed(clients=3), [], "federation.clients: unknown key"),
-    ({"verify": {"check": []}}, [], "verify.check: unknown key"),
-    ({"sweep": {"rate": [0.5]}}, [], "sweep.rate: unknown key"),
-    ({"analysis": {"max_gram": 5}}, [], "analysis.max_gram: unknown key"),
+    ({"model": {"depht": 3}}, "model.depht: unknown key"),
+    ({"model": {"dim": 4}}, "model.dim: unknown key"),
+    (_relu(depth=2), "model.depth: unknown key"),
+    (_relu(d_in=4), "model.d_in: unknown key"),
+    ({"data": {"images": "x"}}, "data.images: unknown key"),
+    ({"data": {"classes_per_client": 2}}, "data.classes_per_client: unknown key"),
+    (_idx(n=5), "data.n: unknown key"),
+    (_fed(clients=3), "federation.clients: unknown key"),
+    ({"verify": {"check": []}}, "verify.check: unknown key"),
+    ({"sweep": {"rate": [0.5]}}, "sweep.rate: unknown key"),
+    ({"analysis": {"max_gram": 5}}, "analysis.max_gram: unknown key"),
     # ranges
-    ({"model": {"depth": 0}}, [], "model.depth: must be positive, got 0"),
-    ({"model": {"width": -1}}, [], "model.width: must be positive, got -1"),
-    ({"model": {"d_in": 0}}, [], "model.d_in: must be positive, got 0"),
-    ({"model": {"d_out": 0}}, [], "model.d_out: must be positive, got 0"),
-    (_relu(dim=0), [], "model.dim: must be positive, got 0"),
-    ({"data": {"n": 0}}, [], "data.n: must be positive, got 0"),
-    (_idx(subset=0), [], "data.subset: must be positive, got 0"),
-    (_idx(classes_per_client=0), [], "data.classes_per_client: must be positive, got 0"),
-    (_fed(n_clients=0), [], "federation.n_clients: must be positive, got 0"),
-    (_fed(local_steps=-2), [], "federation.local_steps: must be positive, got -2"),
-    (_fed(eta=0), [], "federation.eta: must be positive, got 0.0"),
-    (_fed(eta=-0.001), [], "federation.eta: must be positive, got -0.001"),
-    (_fed(workers=0), [], "federation.workers: must be positive, got 0"),
-    (_fed(stop_loss_fraction=0), [],
+    ({"model": {"depth": 0}}, "model.depth: must be positive, got 0"),
+    ({"model": {"width": -1}}, "model.width: must be positive, got -1"),
+    ({"model": {"d_in": 0}}, "model.d_in: must be positive, got 0"),
+    ({"model": {"d_out": 0}}, "model.d_out: must be positive, got 0"),
+    (_relu(dim=0), "model.dim: must be positive, got 0"),
+    ({"data": {"n": 0}}, "data.n: must be positive, got 0"),
+    (_idx(subset=0), "data.subset: must be positive, got 0"),
+    (_idx(classes_per_client=0), "data.classes_per_client: must be positive, got 0"),
+    (_fed(n_clients=0), "federation.n_clients: must be positive, got 0"),
+    (_fed(local_steps=-2), "federation.local_steps: must be positive, got -2"),
+    (_fed(eta=0), "federation.eta: must be positive, got 0.0"),
+    (_fed(eta=-0.001), "federation.eta: must be positive, got -0.001"),
+    (_fed(workers=0), "federation.workers: must be positive, got 0"),
+    (_fed(stop_loss_fraction=0),
      "federation.stop_loss_fraction: must be positive, got 0.0"),
-    ({"analysis": {"max_gram_dim": 0}}, [], "analysis.max_gram_dim: must be positive, got 0"),
-    (_fed(rate=0), [], "federation.rate: must lie in (0, 1], got 0.0"),
-    (_fed(rate=1.5), [], "federation.rate: must lie in (0, 1], got 1.5"),
-    (_fed(rounds=-1), [], "federation.rounds: must be >= 0, got -1"),
+    ({"analysis": {"max_gram_dim": 0}}, "analysis.max_gram_dim: must be positive, got 0"),
+    (_fed(rate=0), "federation.rate: must lie in (0, 1], got 0.0"),
+    (_fed(rate=1.5), "federation.rate: must lie in (0, 1], got 1.5"),
+    (_fed(rounds=-1), "federation.rounds: must be >= 0, got -1"),
     # partition vs data kind
-    ({"data": {"partition": "noniid"}}, [],
+    ({"data": {"partition": "noniid"}},
      "data.partition: synthetic data has no labels to split by"),
-    (_idx(partition="bogus"), [], "data.partition: expected 'iid' or 'noniid', got 'bogus'"),
-    ({"data": {"kind": "idx", "images": "i"}}, [],
+    (_idx(partition="bogus"), "data.partition: expected 'iid' or 'noniid', got 'bogus'"),
+    ({"data": {"kind": "idx", "images": "i"}},
      "data.images: idx data needs both images and labels paths"),
-    ({"data": {"kind": "idx", "labels": "l"}}, [],
+    ({"data": {"kind": "idx", "labels": "l"}},
      "data.images: idx data needs both images and labels paths"),
     # rate vs schedule, and the schedule itself
-    ({"federation": {"schedule": [[0]], "rounds": 1, "rate": 0.5}}, [],
+    ({"federation": {"schedule": [[0]], "rounds": 1, "rate": 0.5}},
      "federation.schedule: give either rate or schedule, not both"),
-    (_sched("all"), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([0, 1]), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([["x"]]), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([[None]]), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([[0.9]]), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([[True]]), [], "federation.schedule: expected a list of client index lists"),
-    (_sched([[0]], rounds=3), [],
+    (_sched("all"), "federation.schedule: expected a list of client index lists"),
+    (_sched([0, 1]), "federation.schedule: expected a list of client index lists"),
+    (_sched([["x"]]), "federation.schedule: expected a list of client index lists"),
+    (_sched([[None]]), "federation.schedule: expected a list of client index lists"),
+    (_sched([[0.9]]), "federation.schedule: expected a list of client index lists"),
+    (_sched([[True]]), "federation.schedule: expected a list of client index lists"),
+    (_sched([[0]], rounds=3),
      "federation: participation schedule must have one entry per round"),
-    (_sched([[]]), [], "federation: round 0: empty participant set"),
-    (_sched([[1, 1]]), [], "federation: round 0: duplicate participant"),
-    (_sched([[2]]), [], "federation: round 0: client index out of range"),
-    (_sched([[-1]]), [], "federation: round 0: client index out of range"),
+    (_sched([[]]), "federation: round 0: empty participant set"),
+    (_sched([[1, 1]]), "federation: round 0: duplicate participant"),
+    (_sched([[2]]), "federation: round 0: client index out of range"),
+    (_sched([[-1]]), "federation: round 0: client index out of range"),
     # verify checks and rounds
-    ({"verify": {"checks": "all"}}, [], "verify.checks: expected a list of check names"),
-    ({"verify": {"checks": [1]}}, [], "verify.checks: expected a list of check names"),
-    ({"verify": {"checks": ["ntk-trace"]}}, [],
+    ({"verify": {"checks": "all"}}, "verify.checks: expected a list of check names"),
+    ({"verify": {"checks": [1]}}, "verify.checks: expected a list of check names"),
+    ({"verify": {"checks": ["ntk-trace"]}},
      f"verify.checks: 'ntk-trace' is not a known check for deep-linear "
      f"(choose from {_LINEAR_CHOICES})"),
-    ({**_relu(), "verify": {"checks": ["gram-floor"]}}, [],
+    ({**_relu(), "verify": {"checks": ["gram-floor"]}},
      f"verify.checks: 'gram-floor' is not a known check for two-layer-relu "
      f"(choose from {_RELU_CHOICES})"),
-    ({"verify": {"rounds": [0.5]}}, [], "verify.rounds: expected a list of integers"),
-    ({"verify": {"rounds": [True]}}, [], "verify.rounds: expected a list of integers"),
-    ({"verify": {"rounds": 3}}, [], "verify.rounds: expected a list of integers"),
-    ({"federation": {"rounds": 10}, "verify": {"rounds": [0, 10]}}, [],
+    ({"verify": {"rounds": [0.5]}}, "verify.rounds: expected a list of integers"),
+    ({"verify": {"rounds": [True]}}, "verify.rounds: expected a list of integers"),
+    ({"verify": {"rounds": 3}}, "verify.rounds: expected a list of integers"),
+    ({"federation": {"rounds": 10}, "verify": {"rounds": [0, 10]}},
      "verify.rounds: round 10 outside [0, 10)"),
-    ({"verify": {"rounds": [-1]}}, [], "verify.rounds: round -1 outside [0, 100)"),
-    ({"federation": {"rounds": 0}, "verify": {"rounds": [1]}}, [],
+    ({"verify": {"rounds": [-1]}}, "verify.rounds: round -1 outside [0, 100)"),
+    ({"federation": {"rounds": 0}, "verify": {"rounds": [1]}},
      "verify.rounds: round 1 outside [0, 0)"),
     # sweep
-    ({"sweep": {"rates": []}}, [], "sweep.rates: expected a nonempty list"),
-    ({"sweep": {"rates": 0.5}}, [], "sweep.rates: expected a nonempty list"),
-    ({"sweep": {"rates": [0]}}, [], "sweep.rates: rate 0 must lie in (0, 1]"),
-    ({"sweep": {"rates": [True]}}, [], "sweep.rates: rate True must lie in (0, 1]"),
-    ({"sweep": {"rates": ["a"]}}, [], "sweep.rates: rate 'a' must lie in (0, 1]"),
-    ({"sweep": {"seeds": []}}, [], "sweep.seeds: expected a nonempty list"),
-    ({"sweep": {"seeds": [1.5]}}, [], "sweep.seeds: expected integers"),
-    ({"sweep": {"seeds": [False]}}, [], "sweep.seeds: expected integers"),
+    ({"sweep": {"rates": []}}, "sweep.rates: expected a nonempty list"),
+    ({"sweep": {"rates": 0.5}}, "sweep.rates: expected a nonempty list"),
+    ({"sweep": {"rates": [0]}}, "sweep.rates: rate 0 must lie in (0, 1]"),
+    ({"sweep": {"rates": [True]}}, "sweep.rates: rate True must lie in (0, 1]"),
+    ({"sweep": {"rates": ["a"]}}, "sweep.rates: rate 'a' must lie in (0, 1]"),
+    ({"sweep": {"seeds": []}}, "sweep.seeds: expected a nonempty list"),
+    ({"sweep": {"seeds": [1.5]}}, "sweep.seeds: expected integers"),
+    ({"sweep": {"seeds": [False]}}, "sweep.seeds: expected integers"),
     # sample count vs input dimension
-    (_relu(dim=100), [], "data.n: need at least dim samples for synthetic data"),
-    ({"data": {"n": 5}}, [], "data.n: need at least d_in samples for synthetic data"),
-    # command-line overrides
-    ({}, ["--rate", "0"], "--rate: must lie in (0, 1], got 0.0"),
-    ({}, ["--rate", "1.5"], "--rate: must lie in (0, 1], got 1.5"),
-    ({}, ["--rounds", "-1"], "--rounds: must be >= 0, got -1"),
-    (_sched([[0], [1]], rounds=2), ["--rounds", "5"],
-     "--rounds: conflicts with the explicit schedule length"),
+    (_relu(dim=100), "data.n: need at least dim samples for synthetic data"),
+    ({"data": {"n": 5}}, "data.n: need at least d_in samples for synthetic data"),
+    # malformed IDX files; {tmp} stands for the test's directory
+    (_bad_idx("bad-magic", struct.pack(">iiii", 0x0802, 1, 1, 1) + b"\0"),
+     "data.images: {tmp}/bad-magic.idx: bad magic 0x00000802, expected 0x00000803"),
+    # more pixels than a read can ask for (2**65 bytes)
+    (_bad_idx("huge", struct.pack(">iiii", 0x0803, 2**31 - 1, 2**17, 2**17)),
+     "data.images: {tmp}/huge.idx: truncated pixel payload"),
+    (_bad_idx("negative-labels", labels=struct.pack(">ii", 0x0801, -5)),
+     "data.images: {tmp}/negative-labels-labels.idx: negative item count -5"),
+    (_bad_idx("empty", struct.pack(">iiii", 0x0803, 0, 1, 1), struct.pack(">ii", 0x0801, 0)),
+     "data.images: {tmp}/empty.idx holds no images"),
 ]
 
 
@@ -348,14 +367,14 @@ def _repeated_idx(tmp_path, preprocess=False):
 # Faults that only verify reaches: Gram matrices over analysis.max_gram_dim,
 # and a vanishing H-infinity eigenvalue. Each is reported before training.
 VERIFY_CONFIG_ERRORS = [
-    (_LINEAR_OVER_LIMIT, [],
+    (_LINEAR_OVER_LIMIT,
      f"analysis.max_gram_dim: gram-floor needs a 8-dim Gram matrix; {_SHRINK}"),
-    (_repeated_idx, [],
+    (_repeated_idx,
      "data.preprocess: global-drift needs lambda_min(H-infinity) >= sqrt(eps)*lambda_max; "
      "parallel or repeated inputs leave it near 0, and data.preprocess separates them"),
-    (_RELU_OVER_LIMIT, [],
+    (_RELU_OVER_LIMIT,
      f"analysis.max_gram_dim: local-descent needs the 40-dim H-infinity Gram matrix; {_SHRINK}"),
-    ({**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "global-drift"]}}, [],
+    ({**_RELU_OVER_LIMIT, "verify": {"checks": ["ntk-trace", "global-drift"]}},
      f"analysis.max_gram_dim: global-drift needs the 40-dim H-infinity Gram matrix; {_SHRINK}"),
 ]
 _CONFIG_ERROR_CASES = [("train", *e) for e in CONFIG_ERRORS] + [
@@ -364,15 +383,16 @@ _CONFIG_ERROR_CASES = [("train", *e) for e in CONFIG_ERRORS] + [
 
 
 @pytest.mark.parametrize(
-    "command, doc, extra, message", _CONFIG_ERROR_CASES, ids=[m for *_, m in _CONFIG_ERROR_CASES]
+    "command, doc, message", _CONFIG_ERROR_CASES, ids=[m for *_, m in _CONFIG_ERROR_CASES]
 )
-def test_config_error_messages(tmp_path, capsys, command, doc, extra, message):
+def test_config_error_messages(tmp_path, capsys, command, doc, message):
     if callable(doc):
         doc = doc(tmp_path)
     path = tmp_path / "c.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *extra])
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+    message = message.replace("{tmp}", str(tmp_path))
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
@@ -421,6 +441,23 @@ def test_train_writes_trace_artifacts(tmp_path):
     assert (out / "loss.svg").read_text().startswith("<svg")
 
 
+def test_train_rho_theory_is_the_contraction_factor_of_each_round(tmp_path):
+    doc = json.loads(json.dumps(SMALL_LINEAR))
+    schedule = [[0], [0, 1, 2], [1, 3], [0, 1, 2, 3], [2]]
+    doc["federation"] |= {"n_clients": 4, "schedule": schedule}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    lam = json.loads((tmp_path / "out" / "trace.json").read_text())["lambda_min"]
+    assert lam > 0.0
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+    fed = doc["federation"]
+    for row, members in zip(rows, schedule, strict=True):
+        rho = float(row.split(",")[4])
+        assert rho == pytest.approx(
+            1.0 - fed["eta"] * len(members) * lam * fed["local_steps"] / (2.0 * 4**2)
+        )
+
+
 def test_train_says_why_it_writes_no_bound(tmp_path, capsys):
     # one client taking 20 steps at eta 0.1 trains to 4e-13, but the bound's
     # contraction factor is about -0.3
@@ -437,9 +474,11 @@ def test_train_says_why_it_writes_no_bound(tmp_path, capsys):
 
 
 def test_train_zero_rounds_leaves_header_only(tmp_path):
-    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    doc = json.loads(json.dumps(SMALL_LINEAR))
+    doc["federation"]["rounds"] = 0
+    cfg = _write(tmp_path, "c.json", doc)
     out = tmp_path / "out"
-    assert main(["train", "--config", cfg, "--out", str(out), "--rounds", "0"]) == EXIT_OK
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "trace.csv").read_text().splitlines() == [
         "t,participants,loss,ratio,rho_theory,bound_cum"
     ]
@@ -470,15 +509,13 @@ def test_train_trace_ignores_the_order_of_schedule_entries(tmp_path):
     assert b",0;1;2," in outs[0] and b",0;1," in outs[0]
 
 
-def test_train_seed_override_changes_participants_not_format(tmp_path):
+def test_train_seed_changes_participants_not_format(tmp_path):
     doc = json.loads(json.dumps(SMALL_LINEAR))
     doc["federation"]["rate"] = 0.5
-    cfg = _write(tmp_path, "c.json", doc)
     for seed, name in ((0, "s0"), (7, "s7")):
-        code = main(
-            ["train", "--config", cfg, "--out", str(tmp_path / name), "--seed", str(seed)]
-        )
-        assert code == EXIT_OK
+        doc["federation"]["seed"] = seed
+        cfg = _write(tmp_path, f"{name}.json", doc)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
     a = (tmp_path / "s0" / "trace.csv").read_text()
     b = (tmp_path / "s7" / "trace.csv").read_text()
     assert a != b
@@ -506,11 +543,30 @@ def test_bad_config_exits_3(tmp_path):
     assert main(["train", "--config", q, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_rate_override_conflicts_with_schedule(tmp_path):
-    doc = {"federation": {"schedule": [[0], [1]], "rounds": 2, "n_clients": 2}}
-    cfg = _write(tmp_path, "c.json", doc)
-    code = main(["train", "--config", cfg, "--out", str(tmp_path), "--rounds", "5"])
-    assert code == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--rounds", "5"],  # the run-setting flags are gone: set them in the config
+        ["train", "--seed", "1"],
+        ["sweep", "--rate", "0.5"],
+        ["train", "--bogus"],
+        ["evaluate"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_3(tmp_path, capsys, args):
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    command, *extra = args
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_flag_exits_3_and_help_exits_0(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert main(["verify", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------- sweep ----
@@ -535,13 +591,8 @@ def test_sweep_grid_summary_envelope(tmp_path):
 
 
 def test_sweep_single_cell_matches_train(tmp_path):
-    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
-    assert (
-        main(
-            ["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "--rate", "1.0", "--seed", "0"]
-        )
-        == EXIT_OK
-    )
+    cfg = _write(tmp_path, "c.json", {**SMALL_LINEAR, "sweep": {"rates": [1.0], "seeds": [0]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_OK
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "tr")]) == EXIT_OK
     train_losses = [
         float(line.split(",")[2])
@@ -692,3 +743,24 @@ def test_idx_pipeline_end_to_end(tmp_path):
     assert len(doc2["rows"]) == 3
     losses = [r["loss"] for r in doc2["rows"]]
     assert all(np.isfinite(losses))
+
+
+def test_verify_local_drift_passes_clients_without_samples(tmp_path):
+    # one class per client over three classes leaves clients 5 and 7 empty
+    rng = np.random.default_rng(0)
+    save_idx(tmp_path / "i.idx", tmp_path / "l.idx", rng.integers(1, 256, (16, 12)) / 255,
+             np.arange(12) % 3, (4, 4))
+    doc = {
+        "model": {"kind": "deep-linear", "width": 16, "depth": 2},
+        **_idx(images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"),
+               partition="noniid", classes_per_client=1),
+        "federation": {"n_clients": 8, "rounds": 2, "eta": 0.01, "local_steps": 2},
+        "verify": {"checks": ["local-drift"]},
+    }
+    exp = cli.build_experiment(parse_config(json.dumps(doc)))
+    assert [c for c, b in enumerate(exp.batches) if b.n == 0] == [5, 7]
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["local-drift"] * 2

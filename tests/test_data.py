@@ -1,5 +1,6 @@
 """IDX codec, synthetic data, partitioners, and preprocessing behavior."""
 
+import math
 import struct
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_load_idx_rejects_truncated_payload(tmp_path):
         load_idx(img, lab)
 
 
+def test_load_idx_rejects_images_too_large_to_index(tmp_path):
+    # no images, but numpy cannot shape even an empty float64 column of 2**62 rows
+    img = tmp_path / "wide.idx"
+    lab = tmp_path / "labels.idx"
+    img.write_bytes(struct.pack(">iiii", 0x00000803, 0, 2**31 - 1, 2**31 - 1))
+    lab.write_bytes(struct.pack(">ii", 0x00000801, 0))
+    with pytest.raises(IdxFormatError, match="2147483647x2147483647 images are too large"):
+        load_idx(img, lab)
+
+
 def test_load_idx_rejects_count_mismatch(tmp_path):
     pixels = np.zeros((2, 1, 1), dtype=np.uint8)
     img, _ = _write_idx_pair(tmp_path, pixels, [0, 1])
@@ -70,6 +81,50 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
     lab.write_bytes(struct.pack(">ii", 0x00000801, 1) + b"\x00")
     with pytest.raises(IdxFormatError, match="item count"):
         load_idx(img, lab)
+
+
+_INT32 = st.one_of(st.integers(-2, 4), st.integers(-(2**31), 2**31 - 1))
+
+
+@st.composite
+def _idx_file(draw, magic, fields):
+    """One IDX file: a magic number that is usually right, int32 header
+    fields (small, negative or huge), and a payload short of, equal to or
+    longer than the one the fields claim, kept under 300 bytes."""
+    magic = draw(st.one_of(st.just(magic), _INT32))
+    claimed = math.prod(fields) if min(fields) >= 0 else 0
+    fit = min(claimed, 256)
+    size = draw(
+        st.sampled_from(
+            [st.integers(0, max(fit - 1, 0)), st.just(fit), st.integers(fit + 1, fit + 16)]
+        )
+    )
+    payload = draw(st.binary(min_size=(n := draw(size)), max_size=n))
+    return struct.pack(f">{1 + len(fields)}i", magic, *fields) + payload
+
+
+@st.composite
+def _idx_pair(draw):
+    count, rows, cols = draw(_INT32), draw(_INT32), draw(_INT32)
+    label_count = draw(st.one_of(st.just(count), _INT32))
+    images = draw(_idx_file(0x00000803, (count, rows, cols)))
+    labels = draw(_idx_file(0x00000801, (label_count,)))
+    return images, labels, (count, rows, cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_idx_pair())
+def test_load_idx_returns_the_header_shapes_or_raises_idx_format_error(tmp_path_factory, pair):
+    images, labels, (count, rows, cols) = pair
+    d = tmp_path_factory.mktemp("idx")
+    (d / "i.idx").write_bytes(images)
+    (d / "l.idx").write_bytes(labels)
+    try:
+        ds = load_idx(d / "i.idx", d / "l.idx")
+    except IdxFormatError:
+        return
+    assert ds.X.shape == (rows * cols, count)
+    assert ds.labels.shape == (count,) and ds.Y.shape[1] == count
 
 
 def test_idx_round_trip_is_byte_exact(tmp_path):

@@ -1,13 +1,11 @@
-"""The demo scripts and the README's Python blocks import only names the
-package still defines.
+"""The demo scripts and the README's Python blocks run to completion.
 
-Both are read with ast rather than run, since a renamed or deleted export is
-caught from the imports alone. verify_pipeline.py, which drives train and
-every verify check through the CLI, also runs end to end.
+Each runs in a fresh process with the package's source on the path, so a
+removed export, keyword argument or attribute fails here, not only a removed
+import. verify_pipeline.py, which drives train and every verify check
+through the CLI, must also report that every check passed.
 """
 
-import ast
-import importlib
 import os
 import re
 import subprocess
@@ -21,12 +19,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
 
 
-def _package_imports(source, filename):
-    """(module, name) for every `from fedspectra[.sub] import name` in source."""
-    for node in ast.walk(ast.parse(source, filename=filename)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fedspectra":
-            for alias in node.names:
-                yield node.module, alias.name
+def _python(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=os.environ | {"PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
 
 
 def test_demos_are_found():
@@ -34,33 +35,16 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_exist(path):
-    _assert_imports_exist(path.read_text(), path.name)
+def test_demo_runs(path):
+    proc = _python(str(path))
+    assert proc.returncode == 0, proc.stderr
+    if path.name == "verify_pipeline.py":
+        assert "all passed: True" in proc.stdout
 
 
-def test_readme_python_imports_exist():
+def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert blocks, "README.md has no python block"
     for i, block in enumerate(blocks):
-        _assert_imports_exist(block, f"README.md python block {i}")
-
-
-def _assert_imports_exist(source, label):
-    imports = list(_package_imports(source, label))
-    assert imports, f"{label} imports nothing from fedspectra"
-    for module, name in imports:
-        mod = importlib.import_module(module)
-        assert hasattr(mod, name), f"{label}: {module} has no {name}"
-
-
-def test_verify_pipeline_demo_runs_and_passes():
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "verify_pipeline.py")],
-        env=os.environ | {"PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "all passed: True" in proc.stdout
+        proc = _python("-c", block)
+        assert proc.returncode == 0, f"README.md python block {i}:\n{proc.stderr}"
