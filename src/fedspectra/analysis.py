@@ -92,12 +92,6 @@ class BoundSeries:
     one more entry than rho and values[0] == loss0.
     """
 
-    loss0: float
-    eta: float
-    local_steps: int
-    n_clients: int
-    lambda_min: float
-    sizes: tuple
     rho: tuple
     values: tuple
 
@@ -245,16 +239,7 @@ def bound_series(loss0, eta, local_steps, n_clients, lambda_min, sizes) -> Bound
     values = [float(loss0)]
     for r in rho:
         values.append(values[-1] * r)
-    return BoundSeries(
-        loss0=float(loss0),
-        eta=float(eta),
-        local_steps=int(local_steps),
-        n_clients=int(n_clients),
-        lambda_min=float(lambda_min),
-        sizes=sizes,
-        rho=tuple(rho),
-        values=tuple(values),
-    )
+    return BoundSeries(rho=tuple(rho), values=tuple(values))
 
 
 def lambda_min_floor(depth, sigma_min_x, d_out) -> float:
@@ -398,21 +383,11 @@ def check_init_spectra(p: DeepLinearParams, X) -> list:
     return reports
 
 
-def check_local_descent(local_losses, eta, *, lam, depth=None, d_out=None) -> CheckReport:
-    """Per-step geometric decrease of the local training loss.
-
-    With depth/d_out given (linear network) the step factor is
-    1 - eta*depth*lam/(4*d_out) where lam is the least (effective) eigenvalue
-    of the local data Gram X_c^T X_c; without them (ReLU network) the factor
-    is 1 - eta*lam/2 with lam from the infinite-width Gram matrix. Reports the
-    worst step's squared-residual ratio against the factor's power.
-    """
-    if (depth is None) != (d_out is None):
-        raise ValueError("give both depth and d_out, or neither")
-    if depth is not None:
-        factor = 1.0 - eta * depth * lam / (4.0 * d_out)
-    else:
-        factor = 1.0 - eta * lam / 2.0
+def check_local_descent(local_losses, factor, lam) -> CheckReport:
+    """Per-step geometric decrease of the local training loss: the worst
+    step's squared-residual ratio against the step factor's power. The factor
+    comes from the Gram eigenvalue lam, which the context keeps (see
+    verify.local_descent)."""
     losses = [float(v) for v in local_losses]
     if not losses:
         raise ValueError("need at least the starting loss")
@@ -450,43 +425,21 @@ def stacked_residual(params_per_member, batches, members) -> np.ndarray:
     )
 
 
-def check_local_deviation(
-    xi_k,
-    xi_bar,
-    eta,
-    k,
-    *,
-    norm_x=None,
-    d_out=None,
-    n_total=None,
-    local_steps=None,
-) -> CheckReport:
+def check_local_deviation(xi_k, xi_bar, coefficient, k, eta) -> CheckReport:
     """Distance of the step-k stacked local residual from the broadcast-time
-    one, against the linear-in-k bound.
-
-    Two bound forms: norm_x/d_out gives 57*k*eta*|X|^2/(10*d_out) * |xi_bar|;
-    n_total/local_steps gives the cruder 2*eta*n*K * |xi_bar| used for the
-    ReLU analysis. Exactly one form must be selected.
-    """
-    linear_form = norm_x is not None and d_out is not None
-    relu_form = n_total is not None and local_steps is not None
-    if linear_form == relu_form:
-        raise ValueError("select exactly one bound form")
+    one, against coefficient * |xi_bar| (the coefficients are in
+    verify.local_deviation); k and eta go into the context."""
     xi_k = np.asarray(xi_k, dtype=float)
     xi_bar = np.asarray(xi_bar, dtype=float)
     if xi_k.shape != xi_bar.shape:
         raise ValueError("residual stacks must have equal shapes")
     base = float(np.linalg.norm(xi_bar))
     measured = float(np.linalg.norm(xi_k - xi_bar))
-    if linear_form:
-        coeff = 57.0 * k * eta * norm_x**2 / (10.0 * d_out)
-    else:
-        coeff = 2.0 * eta * n_total * local_steps
     return make_report(
         "local-deviation",
         measured=measured,
-        bound=coeff * base,
-        context={"k": int(k), "eta": float(eta), "coefficient": coeff, "base_norm": base},
+        bound=coefficient * base,
+        context={"k": int(k), "eta": float(eta), "coefficient": coefficient, "base_norm": base},
     )
 
 

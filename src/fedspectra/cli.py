@@ -207,7 +207,12 @@ def _read_key(f, path, value):
     what, accepts = _SCALARS[kind]
     if not accepts(value):
         raise ConfigError(f"{path}: expected {what}, got {value!r}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer too large for a float key
+        value = float("inf")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if f.metadata.get("check") is not None:
         f.metadata["check"](path, value)
     return value
@@ -310,21 +315,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """Everything a command needs: client batches in client order, initial
-    parameters, and the contraction rate's spectral input (None when the Gram
-    matrix exceeds max_gram_dim), with H-infinity's largest eigenvalue for the
-    two-layer model."""
-
-    batches: tuple
-    init_params: object
-    lambda_min: float | None
-    lambda_max: float | None
-    perturbed_columns: int
-    dropped_samples: int
-
-
 def _load_dataset(cfg: ExperimentConfig):
     if cfg.data.kind == "synthetic":
         m = cfg.model
@@ -346,50 +336,46 @@ def _load_dataset(cfg: ExperimentConfig):
     return ds
 
 
-def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Materialize data, partition, targets, and initial parameters."""
+def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
+    """Materialize data, partition, targets, initial parameters and the
+    contraction rate's spectral input (left out over analysis.max_gram_dim)."""
     ds = _load_dataset(cfg)
     perturbed = 0
     if cfg.data.preprocess:
         ds, perturbed = preprocess_unit_norm(ds)
-    N = cfg.federation.n_clients
+    m, fed = cfg.model, cfg.federation
     dropped = 0
     use_labels = ds.labels is not None and cfg.data.partition != "iid"
     if use_labels:
-        part = partition_noniid(ds, N, cfg.data.classes_per_client, cfg.federation.seed)
+        part = partition_noniid(ds, fed.n_clients, cfg.data.classes_per_client, fed.seed)
         index_lists = [np.asarray(ix, dtype=int) for ix in part.client_indices]
         dropped = part.dropped
     else:
-        index_lists = partition_iid(ds.n, N)
-    if cfg.model.kind == MODEL_DEEP_LINEAR:
+        index_lists = partition_iid(ds.n, fed.n_clients)
+    if m.kind == MODEL_DEEP_LINEAR:
         targets = ds.Y
     elif ds.labels is not None:
         targets = relu_targets(ds.labels, ds.Y.shape[0])
     else:
         targets = np.ravel(ds.Y)
     batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=targets[..., ix]) for ix in index_lists)
-    X = np.hstack([b.X for b in batches])
-    Y = np.hstack([b.Y for b in batches])
-    lam = lam_max = None
-    if cfg.model.kind == MODEL_DEEP_LINEAR:
-        init = init_deep_linear(
-            cfg.model.depth, cfg.model.width, X.shape[0], Y.shape[0], cfg.federation.seed
-        )
-        if min(X.shape) * Y.shape[0] <= cfg.analysis.max_gram_dim:
-            lam = analysis.gram_P0_lambda_min(init, X)[0]
+    if m.kind == MODEL_DEEP_LINEAR:
+        init = init_deep_linear(m.depth, m.width, ds.X.shape[0], ds.Y.shape[0], fed.seed)
     else:
-        init = init_two_layer(cfg.model.width, X.shape[0], cfg.federation.seed)
-        if X.shape[1] <= cfg.analysis.max_gram_dim:
-            spec = analysis.spectrum(analysis.gram_H_infinity(X))
-            lam, lam_max = spec.lambda_min, spec.lambda_max
-    return Experiment(
-        batches=batches,
-        init_params=init,
-        lambda_min=lam,
-        lambda_max=lam_max,
-        perturbed_columns=perturbed,
-        dropped_samples=dropped,
+        init = init_two_layer(m.width, ds.X.shape[0], fed.seed)
+    ctx = verify.RunContext(
+        batches, init, None, fed.eta, fed.local_steps,
+        perturbed_columns=perturbed, dropped_samples=dropped,
     )
+    if ctx.gram_dim > cfg.analysis.max_gram_dim:
+        return ctx
+    # the stacked data live only here: a context that cached them would hold
+    # a second copy of the data through training
+    X = np.hstack([b.X for b in batches])
+    if m.kind == MODEL_DEEP_LINEAR:
+        return dataclasses.replace(ctx, lambda_min=analysis.gram_P0_lambda_min(init, X)[0])
+    spec = analysis.spectrum(analysis.gram_H_infinity(X))
+    return dataclasses.replace(ctx, lambda_min=spec.lambda_min, lambda_max=spec.lambda_max)
 
 
 def _g17(v) -> str:
@@ -508,11 +494,11 @@ def _svg_plot(path, curves, *, title, x_label, y_label, width=720, height=480):
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def _run_training(cfg: ExperimentConfig, exp: Experiment):
+def _run_training(cfg: ExperimentConfig, ctx: verify.RunContext):
     return run_fedavg(
         section_to_federation_config(cfg.federation),
-        exp.init_params,
-        list(exp.batches),
+        ctx.init_params,
+        list(ctx.batches),
         workers=cfg.federation.workers,
         stop_fraction=cfg.federation.stop_loss_fraction,
     )
@@ -521,11 +507,10 @@ def _run_training(cfg: ExperimentConfig, exp: Experiment):
 def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     """Run one federated training job; write trace.csv, trace.json, loss.svg."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    exp = build_experiment(cfg)
-    result = _run_training(cfg, exp)
+    ctx = build_experiment(cfg)
+    result = _run_training(cfg, ctx)
 
-    fed, lam = cfg.federation, exp.lambda_min
+    fed, lam = cfg.federation, ctx.lambda_min
     sizes = [len(tr.members) for tr in result.traces]
     rhos, bound_values, skipped = [None] * len(sizes), None, None
     if lam is not None:
@@ -569,9 +554,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
             _jsonable(
                 {
                     "config": json.loads(serialize_config(cfg)),
-                    "lambda_min": exp.lambda_min,
-                    "perturbed_columns": exp.perturbed_columns,
-                    "dropped_samples": exp.dropped_samples,
+                    "lambda_min": ctx.lambda_min,
+                    "perturbed_columns": ctx.perturbed_columns,
+                    "dropped_samples": ctx.dropped_samples,
                     "losses": list(result.losses),
                     "final_loss": result.final_loss,
                     "rows": rows,
@@ -601,7 +586,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
     loss curves to sweep.csv and an overlay plot to sweep.svg. Failed cells
     are reported on stderr and excluded from the aggregates."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rates, seeds = cfg.sweep.rates, cfg.sweep.seeds
 
     per_rate = {}
@@ -616,8 +600,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
                 ),
             )
             try:
-                exp = build_experiment(cell_cfg)
-                runs.append(list(_run_training(cell_cfg, exp).losses))
+                runs.append(list(_run_training(cell_cfg, build_experiment(cell_cfg)).losses))
             except DivergenceError as e:
                 failures.append((rate, seed, str(e)))
                 print(f"sweep: rate={rate} seed={seed} diverged: {e}", file=sys.stderr)
@@ -653,54 +636,24 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
     return EXIT_OK
 
 
-_SHRINK = "; raise the limit or shrink the data"
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-# What each check that builds a dense Gram matrix of RunContext.gram_dim rows needs.
-_GRAM_NEEDS = {
-    (MODEL_DEEP_LINEAR, "gram-floor"): "a {}-dim Gram matrix" + _SHRINK,
-    (MODEL_TWO_LAYER, "local-descent"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
-    (MODEL_TWO_LAYER, "global-drift"): "the {}-dim H-infinity Gram matrix" + _SHRINK,
-}
-
-
-def _check_gram_limits(cfg: ExperimentConfig, exp: Experiment, ctx, names, rounds):
-    """Reject the first selected check whose Gram matrix is over
-    analysis.max_gram_dim, or whose bound divides by a least H-infinity
-    eigenvalue below sqrt(eps)*lambda_max (arccos keeps only about half the
-    digits near cos = 1); a per-round check only when a round is observed."""
-    for name in names:
-        need = _GRAM_NEEDS.get((cfg.model.kind, name))
-        if need is None or not (rounds or not verify.CHECKS[name][1]):
-            continue
-        if ctx.gram_dim > cfg.analysis.max_gram_dim:
-            raise ConfigError(f"analysis.max_gram_dim: {name} needs {need.format(ctx.gram_dim)}")
-        if exp.lambda_max is not None and exp.lambda_min < _SQRT_EPS * exp.lambda_max:
-            raise ConfigError(
-                f"data.preprocess: {name} needs lambda_min(H-infinity) >= sqrt(eps)*lambda_max; "
-                "parallel or repeated inputs leave it near 0, and data.preprocess separates them"
-            )
-
-
 def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     """Run the configured checks and write verify.json; exit 0 iff all pass."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    exp = build_experiment(cfg)
+    ctx = build_experiment(cfg)
     fed = cfg.federation
-    ctx = verify.RunContext(exp.batches, exp.init_params, exp.lambda_min, fed.eta, fed.local_steps)
-    wanted = cfg.verify.checks
-    names = [n for n in verify.known_checks(cfg.model.kind) if wanted is None or n in wanted]
     T = fed.rounds
     listed = cfg.verify.rounds if cfg.verify.rounds is not None else (0, T // 2, T - 1)
-    per_round = any(verify.CHECKS[n][1] for n in names)
-    rounds = sorted({t for t in listed if 0 <= t < T}) if per_round else []
-    _check_gram_limits(cfg, exp, ctx, names, rounds)
+    rounds = sorted({t for t in listed if 0 <= t < T})
+    try:
+        names, rounds = verify.select(ctx, cfg.verify.checks, rounds, cfg.analysis.max_gram_dim)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     snapshots = []  # in round order, one per observed round
     if rounds:
         run_fedavg(
             section_to_federation_config(fed),
-            exp.init_params,
-            list(exp.batches),
+            ctx.init_params,
+            list(ctx.batches),
             workers=fed.workers,
             observer=snapshots.append,
             observe_rounds=set(rounds),
@@ -713,8 +666,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
                 {
                     "passed": all_passed,
                     "config": json.loads(serialize_config(cfg)),
-                    "lambda_min": exp.lambda_min,
-                    "perturbed_columns": exp.perturbed_columns,
+                    "lambda_min": ctx.lambda_min,
+                    "perturbed_columns": ctx.perturbed_columns,
                     "checks": [_report_dict(r) for r in reports],
                 }
             ),
@@ -750,11 +703,15 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         cfg = parse_config(text)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create {args.out}: {e}") from e
         if args.command == "train":
             return cmd_train(cfg, args.out)
         if args.command == "sweep":

@@ -22,16 +22,21 @@ RELU = TwoLayerParams.kind
 
 @dataclass(frozen=True, eq=False)
 class RunContext:
-    """One run as the checks see it: client batches in client order, initial
+    """One run from set-up to verdict: client batches in client order, initial
     parameters, the least Gram eigenvalue behind the contraction rate (None
-    when analysis.max_gram_dim left it out), step size and local step count.
-    Everything else is derived from these on first use."""
+    when analysis.max_gram_dim left it out), step size and local step count;
+    H-infinity's largest eigenvalue (two-layer model only), and the columns
+    preprocessing nudged and the samples the partition dropped. Everything
+    else is derived from these on first use."""
 
     batches: tuple
     init_params: object
     lambda_min: float | None
     eta: float
     local_steps: int
+    lambda_max: float | None = None
+    perturbed_columns: int = 0
+    dropped_samples: int = 0
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -44,11 +49,12 @@ class RunContext:
 
     @property
     def gram_dim(self) -> int:
-        """Side of the Gram matrix that set-up builds: P0 on the data's row
-        space (linear) or H-infinity (ReLU)."""
-        if self.init_params.kind == LINEAR:
-            return min(self.X.shape) * self.d_out
-        return self.X.shape[1]
+        """Side of the Gram matrix that set-up builds, from the batch shapes:
+        P0 on the data's row space, min(d_in, n)*d_out (linear), or
+        H-infinity, n (ReLU)."""
+        n = sum(b.n for b in self.batches)
+        p = self.init_params
+        return min(p.d_in, n) * p.d_out if p.kind == LINEAR else n
 
     @cached_property
     def loss0(self) -> float:
@@ -101,31 +107,36 @@ def ntk_trace(ctx):
 
 
 def local_descent(ctx, snap):
-    """One report per participant."""
+    """One report per participant. The step factor is
+    1 - eta*depth*lam/(4*d_out) with lam the least eigenvalue of the client's
+    data Gram X_c^T X_c (linear), or 1 - eta*lam/2 with lam the least
+    H-infinity eigenvalue (ReLU)."""
     reports = []
     for losses, c in zip(snap.local_losses, snap.members):
         if ctx.init_params.kind == LINEAR:
-            form = {"lam": ctx.local_lambda[c], "depth": ctx.init_params.depth, "d_out": ctx.d_out}
+            lam = ctx.local_lambda[c]
+            factor = 1.0 - ctx.eta * ctx.init_params.depth * lam / (4.0 * ctx.d_out)
         else:
-            form = {"lam": ctx.lambda_min}
-        rep = analysis.check_local_descent(losses, ctx.eta, **form)
-        reports.append(_at(rep, t=snap.t, client=c))
+            lam = ctx.lambda_min
+            factor = 1.0 - ctx.eta * lam / 2.0
+        reports.append(_at(analysis.check_local_descent(losses, factor, lam), t=snap.t, client=c))
     return reports
 
 
 def local_deviation(ctx, snap):
-    """One report per local step and bound form; the ReLU model adds the
-    crude form as local-deviation-crude."""
+    """One report per local step k and bound: the coefficient of |xi_bar| is
+    57*k*eta*|X|^2/(10*d_out); the ReLU model adds the crude 2*eta*n*K as
+    local-deviation-crude."""
     batches, members = ctx.batches, snap.members
     xi_bar_S = analysis.stacked_residual([snap.global_params] * len(members), batches, members)
-    forms = {"local-deviation": {"norm_x": ctx.norm_x, "d_out": ctx.d_out}}
-    if ctx.init_params.kind == RELU:
-        forms["local-deviation-crude"] = {"n_total": ctx.X.shape[1], "local_steps": ctx.local_steps}
     reports = []
     for k in range(1, ctx.local_steps + 1):
         xi_k = analysis.stacked_residual([traj[k] for traj in snap.trajectories], batches, members)
-        for name, form in forms.items():
-            rep = analysis.check_local_deviation(xi_k, xi_bar_S, ctx.eta, k, **form)
+        coefficients = {"local-deviation": 57.0 * k * ctx.eta * ctx.norm_x**2 / (10.0 * ctx.d_out)}
+        if ctx.init_params.kind == RELU:
+            coefficients["local-deviation-crude"] = 2.0 * ctx.eta * ctx.X.shape[1] * ctx.local_steps
+        for name, coefficient in coefficients.items():
+            rep = analysis.check_local_deviation(xi_k, xi_bar_S, coefficient, k, ctx.eta)
             reports.append(_at(dataclasses.replace(rep, name=name), t=snap.t))
     return reports
 
@@ -165,21 +176,57 @@ def first_order(ctx, snap):
     ]
 
 
-# Every check in report order: name -> (model kinds, runs per round, function).
+# Every check in report order: name -> (model kinds, runs per round, model
+# kinds whose bound needs the Gram matrix that set-up builds, function).
 CHECKS = {
-    "init-spectra": ((LINEAR,), False, init_spectra),
-    "gram-floor": ((LINEAR,), False, gram_floor),
-    "ntk-trace": ((RELU,), False, ntk_trace),
-    "local-descent": ((LINEAR, RELU), True, local_descent),
-    "local-deviation": ((LINEAR, RELU), True, local_deviation),
-    "global-drift": ((LINEAR, RELU), True, global_drift),
-    "local-drift": ((LINEAR,), True, local_drift),
-    "first-order": ((LINEAR,), True, first_order),
+    "init-spectra": ((LINEAR,), False, (), init_spectra),
+    "gram-floor": ((LINEAR,), False, (LINEAR,), gram_floor),
+    "ntk-trace": ((RELU,), False, (), ntk_trace),
+    "local-descent": ((LINEAR, RELU), True, (RELU,), local_descent),
+    "local-deviation": ((LINEAR, RELU), True, (), local_deviation),
+    "global-drift": ((LINEAR, RELU), True, (RELU,), global_drift),
+    "local-drift": ((LINEAR,), True, (), local_drift),
+    "first-order": ((LINEAR,), True, (), first_order),
 }
+
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_GRAM_NAMES = {LINEAR: "a {}-dim Gram matrix", RELU: "the {}-dim H-infinity Gram matrix"}
 
 
 def known_checks(kind) -> tuple:
-    return tuple(name for name, (kinds, _, _) in CHECKS.items() if kind in kinds)
+    return tuple(name for name, (kinds, *_) in CHECKS.items() if kind in kinds)
+
+
+def select(ctx, wanted, rounds, max_gram_dim) -> tuple:
+    """The checks to run (`wanted`, or all of the model kind's when None) in
+    table order, and the rounds to observe: `rounds`, or none when no
+    selected check runs per round.
+
+    Raises ValueError, naming the config key, at the first selected check
+    whose set-up Gram matrix is over max_gram_dim, or whose bound divides by
+    a least H-infinity eigenvalue below sqrt(eps)*lambda_max (arccos keeps
+    only about half the digits near cos = 1). A per-round check counts only
+    when a round is observed.
+    """
+    kind = ctx.init_params.kind
+    names = [n for n in known_checks(kind) if wanted is None or n in wanted]
+    if not any(CHECKS[n][1] for n in names):
+        rounds = []
+    for name in names:
+        _, per_round, gram_kinds, _ = CHECKS[name]
+        if kind not in gram_kinds or (per_round and not rounds):
+            continue
+        if ctx.gram_dim > max_gram_dim:
+            need = _GRAM_NAMES[kind].format(ctx.gram_dim)
+            raise ValueError(
+                f"analysis.max_gram_dim: {name} needs {need}; raise the limit or shrink the data"
+            )
+        if ctx.lambda_max is not None and ctx.lambda_min < _SQRT_EPS * ctx.lambda_max:
+            raise ValueError(
+                f"data.preprocess: {name} needs lambda_min(H-infinity) >= sqrt(eps)*lambda_max; "
+                "parallel or repeated inputs leave it near 0, and data.preprocess separates them"
+            )
+    return names, rounds
 
 
 def worst_per_name(reports) -> list:
@@ -195,7 +242,7 @@ def worst_per_name(reports) -> list:
 def run_checks(ctx, names, snapshots) -> list:
     """Reports of the named checks in table order: the set-up checks once,
     then for each snapshot the worst report per name of each per-round check."""
-    rows = [(per_round, fn) for name, (_, per_round, fn) in CHECKS.items() if name in names]
+    rows = [(per_round, fn) for name, (_, per_round, _, fn) in CHECKS.items() if name in names]
     reports = [rep for per_round, fn in rows if not per_round for rep in fn(ctx)]
     for snap in snapshots:
         for per_round, fn in rows:

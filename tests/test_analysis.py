@@ -297,35 +297,33 @@ def test_check_init_spectra_passes_at_moderate_width():
 
 def test_check_local_descent_trivial_cases():
     flat = [2.0, 2.0, 2.0]
-    rep = check_local_descent(flat, eta=0.0, lam=0.7, depth=3, d_out=2)
+    rep = check_local_descent(flat, 1.0, 0.7)
     assert rep.passed and rep.context["factor"] == 1.0
-    only_start = check_local_descent([5.0], eta=0.1, lam=0.7, depth=3, d_out=2)
+    only_start = check_local_descent([5.0], 0.9, 0.7)
     assert only_start.passed and only_start.measured == 1.0
-    growing = check_local_descent([1.0, 2.0], eta=0.1, lam=0.5, depth=3, d_out=1)
+    growing = check_local_descent([1.0, 2.0], 0.9, 0.5)
     assert not growing.passed
 
 
-def test_check_local_descent_relu_form():
-    rep = check_local_descent([4.0, 3.0], eta=0.1, lam=1.0)
-    assert rep.context["factor"] == pytest.approx(0.95)
-    assert rep.passed == (3.0 / 4.0 <= 0.95)
-    with pytest.raises(ValueError):
-        check_local_descent([1.0], eta=0.1, lam=1.0, depth=3)  # d_out missing
+def test_check_local_descent_reports_the_worst_step():
+    # ratios 0.75 and 0.725 against 0.95 and 0.9025: step 2 has the larger slack
+    rep = check_local_descent([4.0, 3.0, 2.9], 0.95, 1.0)
+    assert (rep.context["worst_step"], rep.measured, rep.bound) == (2, 0.725, 0.95**2)
+    assert rep.passed and rep.context["factor"] == 0.95 and rep.context["lambda"] == 1.0
+    assert not check_local_descent([4.0, 3.9], 0.95, 1.0).passed
 
 
-def test_check_local_deviation_forms():
-    xi = np.array([1.0, 0.0])
-    rep0 = check_local_deviation(xi, xi, eta=0.1, k=0, norm_x=2.0, d_out=1)
+def test_check_local_deviation_bound_is_coefficient_times_base_norm():
+    xi = np.array([3.0, 4.0])
+    rep0 = check_local_deviation(xi, xi, 0.0, 0, 0.1)
     assert rep0.passed and rep0.measured == 0.0 and rep0.bound == 0.0
-    moved = np.array([1.1, 0.0])
-    lin = check_local_deviation(moved, xi, eta=0.1, k=2, norm_x=2.0, d_out=1)
-    assert lin.bound == pytest.approx(57.0 * 2 * 0.1 * 4.0 / 10.0 * 1.0)
-    crude = check_local_deviation(moved, xi, eta=0.1, k=2, n_total=8, local_steps=3)
-    assert crude.bound == pytest.approx(2.0 * 0.1 * 8 * 3 * 1.0)
+    moved = np.array([3.0, 4.5])
+    rep = check_local_deviation(moved, xi, 0.2, 2, 0.1)
+    assert (rep.measured, rep.bound) == (0.5, 0.2 * 5.0)
+    assert rep.context == {"k": 2, "eta": 0.1, "coefficient": 0.2, "base_norm": 5.0}
+    assert not check_local_deviation(moved, xi, 0.05, 2, 0.1).passed
     with pytest.raises(ValueError):
-        check_local_deviation(xi, xi, eta=0.1, k=1)  # no form selected
-    with pytest.raises(ValueError):
-        check_local_deviation(xi, xi, eta=0.1, k=1, norm_x=1.0, d_out=1, n_total=2, local_steps=1)
+        check_local_deviation(xi, xi[:1], 1.0, 1, 0.1)
 
 
 def test_drift_radius_plug_in_values():

@@ -270,6 +270,12 @@ CONFIG_ERRORS = [
     (_fed(rate=0), "federation.rate: must lie in (0, 1], got 0.0"),
     (_fed(rate=1.5), "federation.rate: must lie in (0, 1], got 1.5"),
     (_fed(rounds=-1), "federation.rounds: must be >= 0, got -1"),
+    # non-finite numbers, which Python's json accepts
+    ('{"federation": {"eta": 1e400}}', "federation.eta: must be finite, got inf"),
+    (_fed(eta=float("nan")), "federation.eta: must be finite, got nan"),
+    (_fed(stop_loss_fraction=float("inf")),
+     "federation.stop_loss_fraction: must be finite, got inf"),
+    ('{"federation": {"rate": 1' + "0" * 400 + "}}", "federation.rate: must be finite, got inf"),
     # partition vs data kind
     ({"data": {"partition": "noniid"}},
      "data.partition: synthetic data has no labels to split by"),
@@ -535,6 +541,25 @@ def test_missing_config_file_exits_3(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_undecodable_config_and_unusable_out_exit_3(tmp_path, capsys):
+    # exit 1 means "checks failed", so neither may end in a traceback
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"data": {"images": "\xe9"}}'.encode("latin-1"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {cfg}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    good = _write(tmp_path, "c.json", SMALL_LINEAR)
+    for out in (blocker, blocker / "sub"):
+        for command in ("train", "sweep", "verify"):
+            assert main([command, "--config", good, "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot create {out}: ")
+            assert err.count("\n") == 1
+
+
 def test_bad_config_exits_3(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -635,17 +660,15 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     entries = json.loads((out / "verify.json").read_text())["checks"]
 
     parsed = parse_config(json.dumps(WIDE_LINEAR))
-    exp = cli.build_experiment(parsed)
-    fed = parsed.federation
-    ctx = verify.RunContext(exp.batches, exp.init_params, exp.lambda_min, fed.eta, fed.local_steps)
+    ctx = cli.build_experiment(parsed)
     snapshots = []
     run_fedavg(
-        cli.section_to_federation_config(fed), exp.init_params, list(exp.batches),
+        cli.section_to_federation_config(parsed.federation), ctx.init_params, list(ctx.batches),
         observer=snapshots.append, observe_rounds={0, 2},
     )
     expected, candidates = [], 0
     for snap in snapshots:
-        for kinds, per_round, check in verify.CHECKS.values():
+        for kinds, per_round, _, check in verify.CHECKS.values():
             if per_round and "deep-linear" in kinds:
                 reports = check(ctx, snap)
                 candidates += len(reports)
@@ -674,6 +697,23 @@ def test_commands_call_the_benchmark_patch_points_once(tmp_path, monkeypatch, co
     cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert calls == {"build_experiment": 1, "run_fedavg": 1}
+
+
+def test_train_context_does_not_hold_the_stacked_data(tmp_path, monkeypatch):
+    # a cached X would keep a second copy of the data alive through training
+    contexts = []
+
+    def keep(cfg, _build=cli.build_experiment):
+        contexts.append(_build(cfg))
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "build_experiment", keep)
+    for name, doc in (("linear", SMALL_LINEAR), ("relu", RELU_SCHEDULED)):
+        cfg = _write(tmp_path, f"{name}.json", doc)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        assert isinstance(contexts[-1], verify.RunContext)
+        assert contexts[-1].lambda_min is not None
+        assert "X" not in vars(contexts[-1])
 
 
 def test_verify_detects_violated_width_bound(tmp_path):
