@@ -38,7 +38,7 @@ eta = 4.0 * d_out / (3 * (sv[0] / sv[-1]) ** 2 * 5 * sv[0] ** 2)
 for rate in (0.25, 1.0):
     cfg = FederationConfig(
         n_clients=n_clients, local_steps=5, rounds=60, eta=eta,
-        participation=rate, seed=2,
+        rate=rate, seed=2,
     )
     result = run_fedavg(cfg, init, batches)
     series = bound_series(

@@ -10,13 +10,18 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, verify
+from .config import (
+    MODEL_DEEP_LINEAR,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    serialize_config,
+)
 from .data import (
     Dataset,
     IdxFormatError,
@@ -27,292 +32,15 @@ from .data import (
     relu_targets,
     synth_linear_dataset,
 )
-from .federation import (
-    DivergenceError,
-    FederationConfig,
-    run_fedavg,
-)
-from .models import DeepLinearParams, LabeledBatch, TwoLayerParams, init_deep_linear, init_two_layer
+from .federation import DivergenceError, run_fedavg
+from .models import LabeledBatch, init_deep_linear, init_two_layer
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
 
-MODEL_DEEP_LINEAR = DeepLinearParams.kind
-MODEL_TWO_LAYER = TwoLayerParams.kind
-
 CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
-
-
-class ConfigError(ValueError):
-    """Configuration rejected; the message starts with the offending key path."""
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _positive(path, value):
-    if value <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-
-
-def _nonnegative(path, value):
-    if value < 0:
-        raise ConfigError(f"{path}: must be >= 0, got {value}")
-
-
-def _unit_interval(path, value):
-    if not 0.0 < value <= 1.0:
-        raise ConfigError(f"{path}: must lie in (0, 1], got {value}")
-
-
-def _read_schedule(path, raw):
-    if not isinstance(raw, list) or not all(
-        isinstance(r, list) and all(_is_int(c) for c in r) for r in raw
-    ):
-        raise ConfigError(f"{path}: expected a list of client index lists")
-    return tuple(tuple(r) for r in raw)
-
-
-def _read_check_names(path, raw):
-    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
-        raise ConfigError(f"{path}: expected a list of check names")
-    return tuple(raw)
-
-
-def _read_rounds(path, raw):
-    if not isinstance(raw, list) or not all(_is_int(t) for t in raw):
-        raise ConfigError(f"{path}: expected a list of integers")
-    return tuple(sorted(set(raw)))
-
-
-def _read_rates(path, raw):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    for r in raw:
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
-            raise ConfigError(f"{path}: rate {r!r} must lie in (0, 1]")
-    return tuple(float(r) for r in raw)
-
-
-def _read_seeds(path, raw):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    if not all(_is_int(s) for s in raw):
-        raise ConfigError(f"{path}: expected integers")
-    return tuple(raw)
-
-
-def _config_field(default, *, check=None, read=None):
-    """A config key: `check` validates a scalar after its type check; `read`
-    parses a list value in place of the type check."""
-    return field(default=default, metadata={"check": check, "read": read})
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    kind: str = MODEL_DEEP_LINEAR
-    depth: int = _config_field(3, check=_positive)
-    width: int = _config_field(500, check=_positive)
-    d_in: int = _config_field(10, check=_positive)
-    d_out: int = _config_field(5, check=_positive)
-    # two-layer input dimension (synthetic data only)
-    dim: int = _config_field(10, check=_positive)
-
-
-@dataclass(frozen=True)
-class DataSection:
-    kind: str = "synthetic"
-    n: int = _config_field(80, check=_positive)
-    images: str | None = None
-    labels: str | None = None
-    subset: int | None = _config_field(None, check=_positive)
-    classes_per_client: int = _config_field(3, check=_positive)
-    partition: str | None = None  # None = by-label when labels exist, else round-robin
-    preprocess: bool = False
-
-
-@dataclass(frozen=True)
-class FederationSection:
-    n_clients: int = _config_field(20, check=_positive)
-    local_steps: int = _config_field(5, check=_positive)
-    rounds: int = _config_field(100, check=_nonnegative)
-    eta: float = _config_field(0.0005, check=_positive)
-    rate: float = _config_field(1.0, check=_unit_interval)
-    schedule: tuple | None = _config_field(None, read=_read_schedule)
-    seed: int = 0
-    workers: int = _config_field(1, check=_positive)
-    stop_loss_fraction: float | None = _config_field(None, check=_positive)
-
-
-@dataclass(frozen=True)
-class VerifySection:
-    # None = every check applicable to the model kind
-    checks: tuple | None = _config_field(None, read=_read_check_names)
-    rounds: tuple | None = _config_field(None, read=_read_rounds)  # None = {0, T//2, T-1}
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    rates: tuple = _config_field((0.1, 0.5, 1.0), read=_read_rates)
-    seeds: tuple = _config_field((0, 1, 2, 3, 4), read=_read_seeds)
-
-
-@dataclass(frozen=True)
-class AnalysisSection:
-    max_gram_dim: int = _config_field(1024, check=_positive)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    # serialize_config writes the sections in this order; verify goes last
-    # and is left out when empty
-    model: ModelSection = ModelSection()
-    data: DataSection = DataSection()
-    federation: FederationSection = FederationSection()
-    sweep: SweepSection = SweepSection()
-    analysis: AnalysisSection = AnalysisSection()
-    verify: VerifySection = VerifySection()
-
-
-# Keys each model and data kind accepts, in the order serialize_config writes
-# them. Sections without a kind accept every field, in field order.
-_KIND_KEYS = {
-    "model": {
-        MODEL_DEEP_LINEAR: ("kind", "width", "depth", "d_in", "d_out"),
-        MODEL_TWO_LAYER: ("kind", "width", "dim"),
-    },
-    "data": {
-        "synthetic": ("kind", "n", "partition", "preprocess"),
-        "idx": (
-            "kind", "images", "labels", "subset", "classes_per_client", "partition", "preprocess"
-        ),
-    },
-}
-
-_SCALARS = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _read_key(f, path, value):
-    if f.metadata.get("read") is not None:
-        return f.metadata["read"](path, value)
-    kind = (typing.get_args(f.type) or (f.type,))[0]  # X for both X and X | None
-    what, accepts = _SCALARS[kind]
-    if not accepts(value):
-        raise ConfigError(f"{path}: expected {what}, got {value!r}")
-    try:
-        value = kind(value)
-    except OverflowError:  # an integer too large for a float key
-        value = float("inf")
-    if kind is float and not np.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value}")
-    if f.metadata.get("check") is not None:
-        f.metadata["check"](path, value)
-    return value
-
-
-def _parse_section(name, cls, obj):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    allowed = fields
-    if name in _KIND_KEYS:
-        kinds = _KIND_KEYS[name]
-        kind = _read_key(fields["kind"], f"{name}.kind", obj.get("kind", fields["kind"].default))
-        if kind not in kinds:
-            choices = " or ".join(repr(k) for k in kinds)
-            raise ConfigError(f"{name}.kind: expected {choices}, got {kind!r}")
-        allowed = kinds[kind]
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}: unknown key")
-    return cls(**{key: _read_key(fields[key], f"{name}.{key}", v) for key, v in obj.items()})
-
-
-def section_to_federation_config(section: FederationSection) -> FederationConfig:
-    participation = section.schedule if section.schedule is not None else section.rate
-    return FederationConfig(
-        n_clients=section.n_clients,
-        local_steps=section.local_steps,
-        rounds=section.rounds,
-        eta=section.eta,
-        participation=participation,
-        seed=section.seed,
-    )
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON experiment description; unspecified fields take defaults.
-
-    Unknown keys, type mismatches, and constraint violations raise ConfigError
-    with the dotted path of the offending key.
-    """
-    try:
-        obj = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    for key in obj:
-        if key not in sections:
-            raise ConfigError(f"config.{key}: unknown key")
-    cfg = ExperimentConfig(
-        **{name: _parse_section(name, cls, obj.get(name, {})) for name, cls in sections.items()}
-    )
-    model, data, fed = cfg.model, cfg.data, cfg.federation
-    if data.kind == "synthetic" and data.partition not in (None, "iid"):
-        raise ConfigError("data.partition: synthetic data has no labels to split by")
-    if data.kind == "idx" and (data.images is None or data.labels is None):
-        raise ConfigError("data.images: idx data needs both images and labels paths")
-    if data.kind == "idx" and data.partition not in (None, "iid", "noniid"):
-        raise ConfigError(f"data.partition: expected 'iid' or 'noniid', got {data.partition!r}")
-    if "schedule" in obj.get("federation", {}) and "rate" in obj["federation"]:
-        raise ConfigError("federation.schedule: give either rate or schedule, not both")
-    try:
-        section_to_federation_config(fed)
-    except ValueError as e:
-        raise ConfigError(f"federation: {e}") from e
-    known = verify.known_checks(model.kind)
-    for c in cfg.verify.checks or ():
-        if c not in known:
-            raise ConfigError(
-                f"verify.checks: {c!r} is not a known check for {model.kind} "
-                f"(choose from {', '.join(known)})"
-            )
-    for t in cfg.verify.rounds or ():
-        if not 0 <= t < max(fed.rounds, 1):
-            raise ConfigError(f"verify.rounds: round {t} outside [0, {fed.rounds})")
-    if data.kind == "synthetic" and model.kind == MODEL_TWO_LAYER and data.n < model.dim:
-        raise ConfigError("data.n: need at least dim samples for synthetic data")
-    if data.kind == "synthetic" and model.kind == MODEL_DEEP_LINEAR and data.n < model.d_in:
-        raise ConfigError("data.n: need at least d_in samples for synthetic data")
-    return cfg
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical JSON for a parsed config; parse_config(serialize_config(c))
-    reproduces c exactly."""
-    doc = {}
-    for f in dataclasses.fields(cfg):
-        section = getattr(cfg, f.name)
-        if f.name in _KIND_KEYS:
-            keys = _KIND_KEYS[f.name][section.kind]
-        else:
-            keys = [g.name for g in dataclasses.fields(section)]
-        body = {k: getattr(section, k) for k in keys if getattr(section, k) is not None}
-        if f.name == "federation" and section.schedule is not None:
-            del body["rate"]
-        if body:
-            doc[f.name] = body
-    return json.dumps(doc, indent=2)
 
 
 def _load_dataset(cfg: ExperimentConfig):
@@ -494,21 +222,11 @@ def _svg_plot(path, curves, *, title, x_label, y_label, width=720, height=480):
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def _run_training(cfg: ExperimentConfig, ctx: verify.RunContext):
-    return run_fedavg(
-        section_to_federation_config(cfg.federation),
-        ctx.init_params,
-        list(ctx.batches),
-        workers=cfg.federation.workers,
-        stop_fraction=cfg.federation.stop_loss_fraction,
-    )
-
-
 def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     """Run one federated training job; write trace.csv, trace.json, loss.svg."""
     out = Path(out_dir)
     ctx = build_experiment(cfg)
-    result = _run_training(cfg, ctx)
+    result = run_fedavg(cfg.federation, ctx.init_params, list(ctx.batches))
 
     fed, lam = cfg.federation, ctx.lambda_min
     sizes = [len(tr.members) for tr in result.traces]
@@ -588,23 +306,20 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
     out = Path(out_dir)
     rates, seeds = cfg.sweep.rates, cfg.sweep.seeds
 
-    per_rate = {}
-    failures = []
-    for rate in rates:
-        runs = []
-        for seed in seeds:
-            cell_cfg = dataclasses.replace(
-                cfg,
-                federation=dataclasses.replace(
-                    cfg.federation, rate=rate, schedule=None, seed=seed
-                ),
-            )
+    per_rate = {rate: [] for rate in rates}  # each rate's runs in seed order
+    failures = 0
+    for seed in seeds:
+        # set-up depends on the seed, not on the rate
+        fed = dataclasses.replace(cfg.federation, schedule=None, seed=seed)
+        ctx = build_experiment(dataclasses.replace(cfg, federation=fed))
+        for rate, runs in per_rate.items():
+            cell = dataclasses.replace(fed, rate=rate)
             try:
-                runs.append(list(_run_training(cell_cfg, build_experiment(cell_cfg)).losses))
+                runs.append(list(run_fedavg(cell, ctx.init_params, list(ctx.batches)).losses))
             except DivergenceError as e:
-                failures.append((rate, seed, str(e)))
+                failures += 1
                 print(f"sweep: rate={rate} seed={seed} diverged: {e}", file=sys.stderr)
-        per_rate[rate] = runs
+        del ctx  # hold one seed's set-up at a time
 
     lines = ["rate,t,mean_loss,min_loss,max_loss"]
     curves = []
@@ -632,7 +347,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
         y_label="loss (log scale)",
     )
     done = sum(len(r) for r in per_rate.values())
-    print(f"sweep: {done} cells completed, {len(failures)} failed")
+    print(f"sweep: {done} cells completed, {failures} failed")
     return EXIT_OK
 
 
@@ -640,7 +355,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     """Run the configured checks and write verify.json; exit 0 iff all pass."""
     out = Path(out_dir)
     ctx = build_experiment(cfg)
-    fed = cfg.federation
+    # the listed rounds are observed whatever the loss reaches
+    fed = dataclasses.replace(cfg.federation, stop_loss_fraction=None)
     T = fed.rounds
     listed = cfg.verify.rounds if cfg.verify.rounds is not None else (0, T // 2, T - 1)
     rounds = sorted({t for t in listed if 0 <= t < T})
@@ -651,10 +367,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     snapshots = []  # in round order, one per observed round
     if rounds:
         run_fedavg(
-            section_to_federation_config(fed),
+            fed,
             ctx.init_params,
             list(ctx.batches),
-            workers=fed.workers,
             observer=snapshots.append,
             observe_rounds=set(rounds),
         )

@@ -1,7 +1,9 @@
 """Synchronous federated averaging with deterministic partial participation."""
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,47 +22,85 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
+def is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def positive(path, value):
+    if not value > 0:
+        raise ValueError(f"{path}: must be positive, got {value}")
+
+
+def nonnegative(path, value):
+    if not value >= 0:
+        raise ValueError(f"{path}: must be >= 0, got {value}")
+
+
+def unit_interval(path, value):
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{path}: must lie in (0, 1], got {value}")
+
+
+def client_lists(path, value):
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) and all(is_int(c) for c in r) for r in value
+    ):
+        raise ValueError(f"{path}: expected a list of client index lists")
+
+
+def setting(default, check=None, **metadata):
+    """A field whose value rule check(path, value) runs on construction and,
+    under the key's dotted path, when a config file is read."""
+    return field(default=default, metadata={"check": check, **metadata})
+
+
+def check_setting(f, path, value):
+    """Apply field f's value rule to value, naming it path; a float must
+    first be finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path}: must be finite, got {value}")
+    if f.metadata.get("check") is not None:
+        f.metadata["check"](path, value)
+
+
 @dataclass(frozen=True)
 class FederationConfig:
-    """Round/step counts, learning rate, and the participation policy.
+    """One federated run, and the config file's `federation` section.
 
-    participation is either a rate in (0, 1] (clients drawn uniformly without
-    replacement each round) or an explicit per-round schedule of client index
-    tuples with one entry per round. Either way a round's participants are
-    visited and averaged in ascending client order.
+    A round's participants are schedule[t] when a schedule is given (one
+    entry per round), else a `rate` share of the clients, at least one,
+    drawn uniformly without replacement. Either way they are visited and
+    averaged in ascending client order. workers > 1 trains them in a thread
+    pool; the run ends early once the global loss reaches
+    stop_loss_fraction times the starting loss.
     """
 
-    n_clients: int
-    local_steps: int
-    rounds: int
-    eta: float
-    participation: object = 1.0
+    n_clients: int = setting(20, check=positive)
+    local_steps: int = setting(5, check=positive)
+    rounds: int = setting(100, check=nonnegative)
+    eta: float = setting(0.0005, check=positive)
+    rate: float = setting(1.0, check=unit_interval)
+    schedule: tuple | None = setting(None, check=client_lists)
     seed: int = 0
+    workers: int = setting(1, check=positive)
+    stop_loss_fraction: float | None = setting(None, check=positive)
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if not (self.eta > 0.0):
-            raise ValueError("eta must be positive")
-        p = self.participation
-        if isinstance(p, (int, float)):
-            if not (0.0 < float(p) <= 1.0):
-                raise ValueError("participation rate must lie in (0, 1]")
-        else:
-            if len(p) != self.rounds:
-                raise ValueError("participation schedule must have one entry per round")
-            for t, members in enumerate(p):
-                ms = [int(c) for c in members]
-                if not ms:
-                    raise ValueError(f"round {t}: empty participant set")
-                if len(set(ms)) != len(ms):
-                    raise ValueError(f"round {t}: duplicate participant")
-                if min(ms) < 0 or max(ms) >= self.n_clients:
-                    raise ValueError(f"round {t}: client index out of range")
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                check_setting(f, f.name, getattr(self, f.name))
+        if self.schedule is None:
+            return
+        object.__setattr__(self, "schedule", tuple(tuple(r) for r in self.schedule))
+        if len(self.schedule) != self.rounds:
+            raise ValueError("participation schedule must have one entry per round")
+        for t, members in enumerate(self.schedule):
+            if not members:
+                raise ValueError(f"round {t}: empty participant set")
+            if len(set(members)) != len(members):
+                raise ValueError(f"round {t}: duplicate participant")
+            if min(members) < 0 or max(members) >= self.n_clients:
+                raise ValueError(f"round {t}: client index out of range")
 
 
 @dataclass(frozen=True)
@@ -101,10 +141,9 @@ class RunResult:
 def sample_participants(t, cfg: FederationConfig) -> tuple:
     """Participant set for round t, sorted ascending. Deterministic in
     (cfg.seed, t) and independent of any other randomness in the run."""
-    p = cfg.participation
-    if not isinstance(p, (int, float)):
-        return tuple(sorted(int(c) for c in p[t]))
-    count = max(1, int(round(float(p) * cfg.n_clients)))
+    if cfg.schedule is not None:
+        return tuple(sorted(int(c) for c in cfg.schedule[t]))
+    count = max(1, int(round(float(cfg.rate) * cfg.n_clients)))
     rng = stream(cfg.seed, "participants", t)
     members = rng.choice(cfg.n_clients, size=count, replace=False)
     return tuple(int(c) for c in np.sort(members))
@@ -143,19 +182,15 @@ def run_fedavg(
     init_params,
     client_batches,
     *,
-    workers=1,
     observer=None,
     observe_rounds=None,
-    stop_fraction=None,
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - workers > 1 runs participants' local training in a thread pool; results
-      are collected by client position so the aggregate is order-stable.
+    - with cfg.workers > 1, results are collected by client position so the
+      aggregate is order-stable.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average is formed.
-    - stop_fraction ends the run early once the global loss reaches
-      stop_fraction times the starting loss.
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
@@ -164,8 +199,9 @@ def run_fedavg(
     if not np.isfinite(losses[0]):
         raise DivergenceError(f"non-finite initial loss {losses[0]}", loss=losses[0])
     traces = []
+    stop = cfg.stop_loss_fraction
     for t in range(cfg.rounds):
-        if stop_fraction is not None and losses[-1] <= stop_fraction * losses[0]:
+        if stop is not None and losses[-1] <= stop * losses[0]:
             break
         members = sample_participants(t, cfg)
 
@@ -181,8 +217,8 @@ def run_fedavg(
                     loss=e.loss,
                 ) from e
 
-        if workers > 1 and len(members) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        if cfg.workers > 1 and len(members) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(pool.map(fit, members))
         else:
             results = [fit(c) for c in members]

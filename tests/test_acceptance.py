@@ -119,9 +119,11 @@ def run6():
     ctx = verify.RunContext(batches, init, lam, 0.05, 5)
     state = _tallies("descent", "deviation")
 
-    cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0)
+    cfg = FederationConfig(
+        n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
+    )
     observer = partial(_local_checks, state, ctx)
-    result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
+    result = run_fedavg(cfg, init, batches, observer=observer)
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.lambda_min = lam
@@ -141,8 +143,10 @@ def run6_wide():
     def observer(snap):
         _tally(state, "drift", verify.global_drift(ctx, snap))
 
-    cfg = FederationConfig(n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0)
-    result = run_fedavg(cfg, init, batches, observer=observer, stop_fraction=1e-2)
+    cfg = FederationConfig(
+        n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
+    )
+    result = run_fedavg(cfg, init, batches, observer=observer)
     _tally(state, "drift", [analysis.check_drift(result.params, init, ctx.drift_radius)])
     state.result = result
     return state
@@ -256,10 +260,10 @@ def test_criterion_05_more_participants_reach_the_target_sooner():
             init = init_deep_linear(3, 256, 10, 5, seed=seed)
             cfg = FederationConfig(
                 n_clients=8, local_steps=5, rounds=3000, eta=eta,
-                participation=rate, seed=seed,
+                rate=rate, seed=seed, stop_loss_fraction=1e-2,
             )
             loss0 = _initial_loss(init, batches)
-            result = run_fedavg(cfg, init, batches, stop_fraction=1e-2)
+            result = run_fedavg(cfg, init, batches)
             assert result.final_loss <= 1e-2 * loss0  # cap was never the stopper
             counts.append(len(result.traces))
         mean_rounds.append(np.mean(counts))

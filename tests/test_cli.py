@@ -316,6 +316,8 @@ CONFIG_ERRORS = [
     ({"verify": {"rounds": [-1]}}, "verify.rounds: round -1 outside [0, 100)"),
     ({"federation": {"rounds": 0}, "verify": {"rounds": [1]}},
      "verify.rounds: round 1 outside [0, 0)"),
+    ({"federation": {"rounds": 0}, "verify": {"rounds": [0]}},
+     "verify.rounds: round 0 outside [0, 0)"),
     # sweep
     ({"sweep": {"rates": []}}, "sweep.rates: expected a nonempty list"),
     ({"sweep": {"rates": 0.5}}, "sweep.rates: expected a nonempty list"),
@@ -628,6 +630,36 @@ def test_sweep_single_cell_matches_train(tmp_path):
     np.testing.assert_array_equal(sweep_losses, train_losses)
 
 
+def test_sweep_builds_each_seed_once_and_matches_per_cell_train(tmp_path, monkeypatch):
+    # set-up depends on the seed alone, so the rates share it
+    seeds = []
+
+    def counting(cfg, _build=cli.build_experiment):
+        seeds.append(cfg.federation.seed)
+        return _build(cfg)
+
+    monkeypatch.setattr(cli, "build_experiment", counting)
+    rates = [0.34, 0.67, 1.0]
+    cfg = _write(tmp_path, "c.json", {**SMALL_LINEAR, "sweep": {"rates": rates, "seeds": [0, 1]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_OK
+    assert seeds == [0, 1]
+
+    # the same grid as one train job per cell, each with its own set-up
+    expected = ["rate,t,mean_loss,min_loss,max_loss"]
+    for rate in rates:
+        runs = []
+        for seed in (0, 1):
+            fed = {**SMALL_LINEAR["federation"], "rate": rate, "seed": seed}
+            cell = _write(tmp_path, "cell.json", {**SMALL_LINEAR, "federation": fed})
+            out = tmp_path / f"tr-{rate}-{seed}"
+            assert main(["train", "--config", cell, "--out", str(out)]) == EXIT_OK
+            runs.append(json.loads((out / "trace.json").read_text())["losses"])
+        runs = np.array(runs)
+        for t, row in enumerate(zip(runs.mean(axis=0), runs.min(axis=0), runs.max(axis=0))):
+            expected.append(",".join([cli._g17(rate), str(t), *map(cli._g17, row)]))
+    assert (tmp_path / "sw" / "sweep.csv").read_text() == "\n".join(expected) + "\n"
+
+
 # ------------------------------------------------------------------ verify ----
 
 
@@ -663,7 +695,7 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     ctx = cli.build_experiment(parsed)
     snapshots = []
     run_fedavg(
-        cli.section_to_federation_config(parsed.federation), ctx.init_params, list(ctx.batches),
+        parsed.federation, ctx.init_params, list(ctx.batches),
         observer=snapshots.append, observe_rounds={0, 2},
     )
     expected, candidates = [], 0
@@ -729,6 +761,23 @@ def test_verify_detects_violated_width_bound(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert report["passed"] is False
     assert any(not c["passed"] for c in report["checks"])
+
+
+def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
+    # train stops after one round here; verify still checks round 30
+    doc = {
+        "model": {"kind": "two-layer-relu", "width": 64, "dim": 6},
+        "data": {"kind": "synthetic", "n": 20},
+        "federation": {"n_clients": 4, "rounds": 31, "eta": 0.05, "stop_loss_fraction": 0.9999},
+        "verify": {"rounds": [30]},
+    }
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "tr")]) == EXIT_OK
+    assert len((tmp_path / "tr" / "trace.csv").read_text().splitlines()) == 1 + 1
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    per_round = [c for c in checks if "t" in c["context"]]
+    assert per_round and all(c["context"]["t"] == 30 for c in per_round)
 
 
 def test_verify_empty_check_list_passes_vacuously(tmp_path):

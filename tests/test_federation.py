@@ -38,7 +38,7 @@ def _workload(seed=0, n_clients=4, d_in=5, d_out=2, n=16, depth=3, width=16):
 
 
 def test_sample_participants_deterministic_sorted_and_sized():
-    cfg = FederationConfig(n_clients=10, local_steps=1, rounds=5, eta=0.1, participation=0.5, seed=4)
+    cfg = FederationConfig(n_clients=10, local_steps=1, rounds=5, eta=0.1, rate=0.5, seed=4)
     a = sample_participants(2, cfg)
     b = sample_participants(2, cfg)
     assert a == b
@@ -48,29 +48,54 @@ def test_sample_participants_deterministic_sorted_and_sized():
     assert len(set(draws)) > 1  # each round draws afresh
     reseeded = dataclasses.replace(cfg, seed=5)
     assert any(sample_participants(t, reseeded) != draws[t] for t in range(10))
-    tiny = FederationConfig(n_clients=10, local_steps=1, rounds=1, eta=0.1, participation=0.01)
+    tiny = FederationConfig(n_clients=10, local_steps=1, rounds=1, eta=0.1, rate=0.01)
     assert len(sample_participants(0, tiny)) == 1  # at least one client every round
 
 
 def test_explicit_schedule_is_used_verbatim():
     cfg = FederationConfig(
-        n_clients=4, local_steps=1, rounds=2, eta=0.1, participation=((2, 0), (3,))
+        n_clients=4, local_steps=1, rounds=2, eta=0.1, schedule=((2, 0), (3,))
     )
     assert sample_participants(0, cfg) == (0, 2)
     assert sample_participants(1, cfg) == (3,)
 
 
+# the rules the config file's federation section is read with, in code
+CONFIG_ERRORS = [
+    ({"rate": 1.5}, "rate: must lie in (0, 1], got 1.5"),
+    ({"rate": 0.0}, "rate: must lie in (0, 1], got 0.0"),
+    ({"rate": float("nan")}, "rate: must be finite, got nan"),
+    ({"schedule": ((0,),), "rounds": 2}, "participation schedule must have one entry per round"),
+    ({"schedule": ((),)}, "round 0: empty participant set"),
+    ({"schedule": ((0, 0),)}, "round 0: duplicate participant"),
+    ({"schedule": ((5,),)}, "round 0: client index out of range"),
+    ({"schedule": ((-1,),)}, "round 0: client index out of range"),
+    ({"schedule": ((0.5,),)}, "schedule: expected a list of client index lists"),
+    ({"schedule": "all"}, "schedule: expected a list of client index lists"),
+    ({"eta": -0.1}, "eta: must be positive, got -0.1"),
+    ({"eta": 0.0}, "eta: must be positive, got 0.0"),
+    ({"eta": float("nan")}, "eta: must be finite, got nan"),
+    ({"n_clients": 0}, "n_clients: must be positive, got 0"),
+    ({"local_steps": 0}, "local_steps: must be positive, got 0"),
+    ({"rounds": -1}, "rounds: must be >= 0, got -1"),
+    ({"workers": 0}, "workers: must be positive, got 0"),
+    ({"stop_loss_fraction": 0}, "stop_loss_fraction: must be positive, got 0"),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FederationConfig(n_clients=2, local_steps=1, rounds=1, eta=0.1, participation=1.5)
-    with pytest.raises(ValueError):
-        FederationConfig(n_clients=2, local_steps=1, rounds=2, eta=0.1, participation=((0,),))
-    with pytest.raises(ValueError):
-        FederationConfig(n_clients=2, local_steps=1, rounds=1, eta=0.1, participation=((0, 0),))
-    with pytest.raises(ValueError):
-        FederationConfig(n_clients=2, local_steps=1, rounds=1, eta=0.1, participation=((5,),))
-    with pytest.raises(ValueError):
-        FederationConfig(n_clients=2, local_steps=1, rounds=1, eta=-0.1)
+    for bad, message in CONFIG_ERRORS:
+        with pytest.raises(ValueError) as exc:
+            FederationConfig(**{"n_clients": 2, "local_steps": 1, "rounds": 1, "eta": 0.1, **bad})
+        assert str(exc.value) == message
+
+
+def test_config_defaults_and_schedule_normalisation():
+    cfg = FederationConfig(schedule=[[1, 0]] * 100)
+    assert (cfg.n_clients, cfg.local_steps, cfg.rounds, cfg.eta) == (20, 5, 100, 0.0005)
+    assert (cfg.rate, cfg.seed, cfg.workers, cfg.stop_loss_fraction) == (1.0, 0, 1, None)
+    assert cfg.schedule == ((1, 0),) * 100  # kept in the given order, as tuples
+    assert hash(cfg) == hash(dataclasses.replace(cfg))
 
 
 def test_local_trajectory_shapes_and_descent():
@@ -138,11 +163,11 @@ def test_full_participation_single_step_equals_centralized_gd():
 def test_run_is_deterministic_and_thread_count_invariant():
     params, batches = _workload(seed=3)
     cfg = FederationConfig(
-        n_clients=4, local_steps=3, rounds=6, eta=0.04, participation=0.5, seed=7
+        n_clients=4, local_steps=3, rounds=6, eta=0.04, rate=0.5, seed=7
     )
-    r1 = run_fedavg(cfg, params, batches, workers=1)
-    r2 = run_fedavg(cfg, params, batches, workers=1)
-    r4 = run_fedavg(cfg, params, batches, workers=4)
+    r1 = run_fedavg(cfg, params, batches)
+    r2 = run_fedavg(cfg, params, batches)
+    r4 = run_fedavg(dataclasses.replace(cfg, workers=4), params, batches)
     assert r1.losses == r2.losses == r4.losses  # exact float equality
     assert [t.members for t in r1.traces] == [t.members for t in r4.traces]
     for Wa, Wb in zip(r1.params.layers, r4.params.layers):
@@ -181,7 +206,7 @@ def test_stop_loss_ends_the_run_early():
     cfg = FederationConfig(n_clients=4, local_steps=2, rounds=50, eta=0.05, seed=0)
     full = run_fedavg(cfg, params, batches)
     target = full.losses[0] * 0.5
-    stopped = run_fedavg(cfg, params, batches, stop_fraction=0.5)
+    stopped = run_fedavg(dataclasses.replace(cfg, stop_loss_fraction=0.5), params, batches)
     assert len(stopped.traces) < 50
     assert stopped.final_loss <= target
     assert stopped.losses[-2] > target  # stopped at the first crossing
@@ -207,7 +232,7 @@ def test_global_loss_sums_client_losses():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.05, 1.0))
 def test_sampling_count_and_range(seed, n_clients, rate):
     cfg = FederationConfig(
-        n_clients=n_clients, local_steps=1, rounds=3, eta=0.1, participation=rate, seed=seed
+        n_clients=n_clients, local_steps=1, rounds=3, eta=0.1, rate=rate, seed=seed
     )
     members = sample_participants(1, cfg)
     assert len(members) == max(1, int(round(rate * n_clients)))

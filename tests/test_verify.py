@@ -25,7 +25,7 @@ def _round_zero(doc):
     ctx = cli.build_experiment(cfg)
     snapshots = []
     run_fedavg(
-        cli.section_to_federation_config(cfg.federation), ctx.init_params, list(ctx.batches),
+        cfg.federation, ctx.init_params, list(ctx.batches),
         observer=snapshots.append, observe_rounds={0},
     )
     return ctx, snapshots[0]
