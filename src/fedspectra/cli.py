@@ -16,8 +16,8 @@ import numpy as np
 
 from . import analysis, verify
 from .config import (
-    MODEL_DEEP_LINEAR,
     ConfigError,
+    DeepLinearModel,
     ExperimentConfig,
     parse_config,
     serialize_config,
@@ -46,7 +46,7 @@ CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
 def _load_dataset(cfg: ExperimentConfig):
     if cfg.data.kind == "synthetic":
         m = cfg.model
-        d_in, d_out = (m.d_in, m.d_out) if m.kind == MODEL_DEEP_LINEAR else (m.dim, 1)
+        d_in, d_out = (m.d_in, m.d_out) if isinstance(m, DeepLinearModel) else (m.dim, 1)
         return synth_linear_dataset(d_in, d_out, cfg.data.n, cfg.federation.seed)[0]
     try:
         ds = load_idx(cfg.data.images, cfg.data.labels)
@@ -80,14 +80,14 @@ def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
         dropped = part.dropped
     else:
         index_lists = partition_iid(ds.n, fed.n_clients)
-    if m.kind == MODEL_DEEP_LINEAR:
+    if isinstance(m, DeepLinearModel):
         targets = ds.Y
     elif ds.labels is not None:
         targets = relu_targets(ds.labels, ds.Y.shape[0])
     else:
         targets = np.ravel(ds.Y)
     batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=targets[..., ix]) for ix in index_lists)
-    if m.kind == MODEL_DEEP_LINEAR:
+    if isinstance(m, DeepLinearModel):
         init = init_deep_linear(m.depth, m.width, ds.X.shape[0], ds.Y.shape[0], fed.seed)
     else:
         init = init_two_layer(m.width, ds.X.shape[0], fed.seed)
@@ -100,7 +100,7 @@ def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
     # the stacked data live only here: a context that cached them would hold
     # a second copy of the data through training
     X = np.hstack([b.X for b in batches])
-    if m.kind == MODEL_DEEP_LINEAR:
+    if isinstance(m, DeepLinearModel):
         return dataclasses.replace(ctx, lambda_min=analysis.gram_P0_lambda_min(init, X)[0])
     spec = analysis.spectrum(analysis.gram_H_infinity(X))
     return dataclasses.replace(ctx, lambda_min=spec.lambda_min, lambda_max=spec.lambda_max)
@@ -358,8 +358,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     # the listed rounds are observed whatever the loss reaches
     fed = dataclasses.replace(cfg.federation, stop_loss_fraction=None)
     T = fed.rounds
-    listed = cfg.verify.rounds if cfg.verify.rounds is not None else (0, T // 2, T - 1)
-    rounds = sorted({t for t in listed if 0 <= t < T})
+    default = sorted({0, T // 2, T - 1}) if T else []
+    rounds = cfg.verify.rounds if cfg.verify.rounds is not None else default
     try:
         names, rounds = verify.select(ctx, cfg.verify.checks, rounds, cfg.analysis.max_gram_dim)
     except ValueError as e:

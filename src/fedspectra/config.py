@@ -1,95 +1,110 @@
 """The experiment config file: one frozen section per JSON object.
 
-parse_config reads JSON into an ExperimentConfig, checking each key's type
-and value rule under its dotted path, and serialize_config writes it back.
-The `federation` section is federation.FederationConfig itself, so a run
-built in code passes the same value rules.
+Each section checks its own values on construction and ExperimentConfig the
+rules across sections; parse_config reads JSON, checks the shape and value
+types, and builds the config, and serialize_config writes it back.
 """
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass
 
 from . import verify
-from .federation import FederationConfig, check_setting, is_int, positive, setting
+from .federation import FederationConfig, Settings, is_int, positive, setting, unit_interval
 from .models import DeepLinearParams, TwoLayerParams
-
-MODEL_DEEP_LINEAR = DeepLinearParams.kind
-MODEL_TWO_LAYER = TwoLayerParams.kind
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message starts with the offending key path."""
 
 
-def _read_check_names(path, raw):
-    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
-        raise ConfigError(f"{path}: expected a list of check names")
-    return tuple(raw)
+def _list_of(noun, rule=None, repeats=False):
+    """A value rule for a nonempty list of nouns, each passing `rule` and,
+    unless `repeats`, none listed twice (1 and 1.0 are the same entry)."""
+
+    def check(path, value):
+        if not value:
+            raise ValueError(f"{path}: expected a nonempty list of {noun}s")
+        for i, v in enumerate(value):
+            if rule is not None:
+                rule(path, v)
+            if not repeats and v in value[:i]:
+                raise ValueError(f"{path}: {noun} {v} is listed twice")
+
+    return check
 
 
-def _read_rounds(path, raw):
-    if not isinstance(raw, list) or not all(is_int(t) for t in raw):
-        raise ConfigError(f"{path}: expected a list of integers")
-    return tuple(sorted(set(raw)))
-
-
-def _read_rates(path, raw):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    for r in raw:
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
-            raise ConfigError(f"{path}: rate {r!r} must lie in (0, 1]")
-    return tuple(float(r) for r in raw)
-
-
-def _read_seeds(path, raw):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    if not all(is_int(s) for s in raw):
-        raise ConfigError(f"{path}: expected integers")
-    return tuple(raw)
-
-
+# The fields of a kind's class are the keys it accepts, in the order
+# serialize_config writes them after `kind`.
 @dataclass(frozen=True)
-class ModelSection:
-    kind: str = MODEL_DEEP_LINEAR
-    depth: int = setting(3, check=positive)
+class DeepLinearModel(Settings):
+    kind = DeepLinearParams.kind
     width: int = setting(500, check=positive)
+    depth: int = setting(3, check=positive)
     d_in: int = setting(10, check=positive)
     d_out: int = setting(5, check=positive)
-    # two-layer input dimension (synthetic data only)
-    dim: int = setting(10, check=positive)
 
 
 @dataclass(frozen=True)
-class DataSection:
-    kind: str = "synthetic"
+class TwoLayerModel(Settings):
+    kind = TwoLayerParams.kind
+    width: int = setting(500, check=positive)
+    dim: int = setting(10, check=positive)  # the input dimension of synthetic data
+
+
+@dataclass(frozen=True)
+class SyntheticData(Settings):
+    kind = "synthetic"
     n: int = setting(80, check=positive)
+    partition: str | None = None  # None = round-robin
+    preprocess: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.partition not in (None, "iid"):
+            raise ValueError("partition: synthetic data has no labels to split by")
+
+
+@dataclass(frozen=True)
+class IdxData(Settings):
+    kind = "idx"
     images: str | None = None
     labels: str | None = None
     subset: int | None = setting(None, check=positive)
     classes_per_client: int = setting(3, check=positive)
-    partition: str | None = None  # None = by-label when labels exist, else round-robin
+    partition: str | None = None  # None = by label
     preprocess: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.images is None or self.labels is None:
+            raise ValueError("images: idx data needs both images and labels paths")
+        if self.partition not in (None, "iid", "noniid"):
+            raise ValueError(f"partition: expected 'iid' or 'noniid', got {self.partition!r}")
+
 
 @dataclass(frozen=True)
-class VerifySection:
+class VerifySection(Settings):
     # None = every check applicable to the model kind
-    checks: tuple | None = setting(None, read=_read_check_names)
-    rounds: tuple | None = setting(None, read=_read_rounds)  # None = {0, T//2, T-1}
+    checks: tuple[str, ...] | None = setting(None, check=_list_of("check name", repeats=True))
+    rounds: tuple[int, ...] | None = None  # None = {0, T//2, T-1}
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.rounds is not None:
+            object.__setattr__(self, "rounds", tuple(sorted(set(self.rounds))))
 
 
 @dataclass(frozen=True)
-class SweepSection:
-    rates: tuple = setting((0.1, 0.5, 1.0), read=_read_rates)
-    seeds: tuple = setting((0, 1, 2, 3, 4), read=_read_seeds)
+class SweepSection(Settings):
+    rates: tuple[float, ...] = setting((0.1, 0.5, 1.0), check=_list_of("rate", unit_interval))
+    seeds: tuple[int, ...] = setting((0, 1, 2, 3, 4), check=_list_of("seed"))
 
 
 @dataclass(frozen=True)
-class AnalysisSection:
+class AnalysisSection(Settings):
     max_gram_dim: int = setting(1024, check=positive)
 
 
@@ -97,76 +112,81 @@ class AnalysisSection:
 class ExperimentConfig:
     # serialize_config writes the sections in this order; verify goes last
     # and is left out when empty
-    model: ModelSection = ModelSection()
-    data: DataSection = DataSection()
+    model: DeepLinearModel | TwoLayerModel = DeepLinearModel()
+    data: SyntheticData | IdxData = SyntheticData()
     federation: FederationConfig = FederationConfig()
     sweep: SweepSection = SweepSection()
     analysis: AnalysisSection = AnalysisSection()
     verify: VerifySection = VerifySection()
 
+    def __post_init__(self):
+        model, T = self.model, self.federation.rounds
+        known = verify.known_checks(model.kind)
+        for c in self.verify.checks or ():
+            if c not in known:
+                raise ValueError(
+                    f"verify.checks: {c!r} is not a known check for {model.kind} "
+                    f"(choose from {', '.join(known)})"
+                )
+        for t in self.verify.rounds or ():
+            if not 0 <= t < T:
+                raise ValueError(f"verify.rounds: round {t} outside [0, {T})")
+        dim = "d_in" if isinstance(model, DeepLinearModel) else "dim"
+        if isinstance(self.data, SyntheticData) and self.data.n < getattr(model, dim):
+            raise ValueError(f"data.n: need at least {dim} samples for synthetic data")
 
-# Keys each model and data kind accepts, in the order serialize_config writes
-# them. Sections without a kind accept every field, in field order.
-_KIND_KEYS = {
-    "model": {
-        MODEL_DEEP_LINEAR: ("kind", "width", "depth", "d_in", "d_out"),
-        MODEL_TWO_LAYER: ("kind", "width", "dim"),
-    },
-    "data": {
-        "synthetic": ("kind", "n", "partition", "preprocess"),
-        "idx": (
-            "kind", "images", "labels", "subset", "classes_per_client", "partition", "preprocess"
-        ),
-    },
-}
 
 _SCALARS = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    int: ("an integer", is_int),
-    float: ("a number", lambda v: is_int(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("a boolean", "booleans", lambda v: isinstance(v, bool)),
+    int: ("an integer", "integers", is_int),
+    float: ("a number", "numbers", lambda v: is_int(v) or isinstance(v, float)),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
 }
 
 
-def _read_key(f, path, value):
-    if f.metadata.get("read") is not None:
-        return f.metadata["read"](path, value)
-    kind = (typing.get_args(f.type) or (f.type,))[0]  # X for both X and X | None
-    if kind in _SCALARS:  # a list key is checked by its value rule alone
-        what, accepts = _SCALARS[kind]
-        if not accepts(value):
-            raise ConfigError(f"{path}: expected {what}, got {value!r}")
-        try:
-            value = kind(value)
-        except OverflowError:  # an integer too large for a float key
-            value = float("inf")
+def _read_key(annotation, path, value):
+    """Check a JSON value's type against a field's annotation and convert it:
+    X | None reads as X, tuple[X, ...] as a list of X; other types pass."""
+    if isinstance(annotation, types.UnionType):
+        annotation = typing.get_args(annotation)[0]
+    if typing.get_origin(annotation) is tuple:
+        kind = typing.get_args(annotation)[0]
+        _, what, accepts = _SCALARS[kind]
+        if not isinstance(value, list) or not all(accepts(v) for v in value):
+            raise ConfigError(f"{path}: expected a list of {what}, got {value!r}")
+        return tuple(_read_key(kind, path, v) for v in value)
+    if annotation not in _SCALARS:
+        return value
+    what, _, accepts = _SCALARS[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
     try:
-        check_setting(f, path, value)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return value
+        return annotation(value)
+    except OverflowError:  # an integer too large for a float key
+        return float("inf")
 
 
-def _parse_section(name, cls, obj):
+def _parse_section(name, f, obj):
     if not isinstance(obj, dict):
         raise ConfigError(f"{name}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    allowed = fields
-    if name in _KIND_KEYS:
-        kinds = _KIND_KEYS[name]
-        kind = _read_key(fields["kind"], f"{name}.kind", obj.get("kind", fields["kind"].default))
+    cls = f.type
+    if isinstance(cls, types.UnionType):  # one class per kind
+        kinds = {c.kind: c for c in typing.get_args(cls)}
+        kind = _read_key(str, f"{name}.kind", obj.get("kind", f.default.kind))
         if kind not in kinds:
             choices = " or ".join(repr(k) for k in kinds)
             raise ConfigError(f"{name}.kind: expected {choices}, got {kind!r}")
-        allowed = kinds[kind]
+        cls = kinds[kind]
+        obj = {key: v for key, v in obj.items() if key != "kind"}
+    fields = {g.name: g for g in dataclasses.fields(cls)}
     for key in obj:
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(f"{name}.{key}: unknown key")
-    values = {key: _read_key(fields[key], f"{name}.{key}", v) for key, v in obj.items()}
+    values = {key: _read_key(fields[key].type, f"{name}.{key}", v) for key, v in obj.items()}
     try:
         return cls(**values)
-    except ValueError as e:  # a rule across keys, such as the schedule's
-        raise ConfigError(f"{name}: {e}") from e
+    except ValueError as e:  # messages start with the field's name
+        raise ConfigError(f"{name}.{e}") from e
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -181,37 +201,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    sections = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     for key in obj:
         if key not in sections:
             raise ConfigError(f"config.{key}: unknown key")
-    cfg = ExperimentConfig(
-        **{name: _parse_section(name, cls, obj.get(name, {})) for name, cls in sections.items()}
-    )
-    model, data, fed = cfg.model, cfg.data, cfg.federation
-    if data.kind == "synthetic" and data.partition not in (None, "iid"):
-        raise ConfigError("data.partition: synthetic data has no labels to split by")
-    if data.kind == "idx" and (data.images is None or data.labels is None):
-        raise ConfigError("data.images: idx data needs both images and labels paths")
-    if data.kind == "idx" and data.partition not in (None, "iid", "noniid"):
-        raise ConfigError(f"data.partition: expected 'iid' or 'noniid', got {data.partition!r}")
+    parsed = {name: _parse_section(name, f, obj.get(name, {})) for name, f in sections.items()}
     if "schedule" in obj.get("federation", {}) and "rate" in obj["federation"]:
         raise ConfigError("federation.schedule: give either rate or schedule, not both")
-    known = verify.known_checks(model.kind)
-    for c in cfg.verify.checks or ():
-        if c not in known:
-            raise ConfigError(
-                f"verify.checks: {c!r} is not a known check for {model.kind} "
-                f"(choose from {', '.join(known)})"
-            )
-    for t in cfg.verify.rounds or ():
-        if not 0 <= t < fed.rounds:
-            raise ConfigError(f"verify.rounds: round {t} outside [0, {fed.rounds})")
-    if data.kind == "synthetic" and model.kind == MODEL_TWO_LAYER and data.n < model.dim:
-        raise ConfigError("data.n: need at least dim samples for synthetic data")
-    if data.kind == "synthetic" and model.kind == MODEL_DEEP_LINEAR and data.n < model.d_in:
-        raise ConfigError("data.n: need at least d_in samples for synthetic data")
-    return cfg
+    try:
+        return ExperimentConfig(**parsed)
+    except ValueError as e:  # messages give the full key path
+        raise ConfigError(str(e)) from e
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -220,11 +220,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     doc = {}
     for f in dataclasses.fields(cfg):
         section = getattr(cfg, f.name)
-        if f.name in _KIND_KEYS:
-            keys = _KIND_KEYS[f.name][section.kind]
-        else:
-            keys = [g.name for g in dataclasses.fields(section)]
-        body = {k: getattr(section, k) for k in keys if getattr(section, k) is not None}
+        body = {"kind": getattr(section, "kind", None)}
+        body.update((g.name, getattr(section, g.name)) for g in dataclasses.fields(section))
+        body = {k: v for k, v in body.items() if v is not None}
         if f.name == "federation" and section.schedule is not None:
             del body["rate"]
         if body:

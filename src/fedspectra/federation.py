@@ -48,23 +48,26 @@ def client_lists(path, value):
         raise ValueError(f"{path}: expected a list of client index lists")
 
 
-def setting(default, check=None, **metadata):
-    """A field whose value rule check(path, value) runs on construction and,
-    under the key's dotted path, when a config file is read."""
-    return field(default=default, metadata={"check": check, **metadata})
+def setting(default, check=None):
+    """A field whose value rule check(path, value) runs on construction."""
+    return field(default=default, metadata={"check": check})
 
 
-def check_setting(f, path, value):
-    """Apply field f's value rule to value, naming it path; a float must
-    first be finite."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{path}: must be finite, got {value}")
-    if f.metadata.get("check") is not None:
-        f.metadata["check"](path, value)
+class Settings:
+    """Base of every config section: construction runs each field's value
+    rule, naming the field, once a float is finite; None is unset and passes."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, check = getattr(self, f.name), f.metadata.get("check")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
+            if value is not None and check is not None:
+                check(f.name, value)
 
 
 @dataclass(frozen=True)
-class FederationConfig:
+class FederationConfig(Settings):
     """One federated run, and the config file's `federation` section.
 
     A round's participants are schedule[t] when a schedule is given (one
@@ -86,21 +89,19 @@ class FederationConfig:
     stop_loss_fraction: float | None = setting(None, check=positive)
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) is not None:
-                check_setting(f, f.name, getattr(self, f.name))
+        super().__post_init__()
         if self.schedule is None:
             return
         object.__setattr__(self, "schedule", tuple(tuple(r) for r in self.schedule))
         if len(self.schedule) != self.rounds:
-            raise ValueError("participation schedule must have one entry per round")
+            raise ValueError("schedule: must have one entry per round")
         for t, members in enumerate(self.schedule):
             if not members:
-                raise ValueError(f"round {t}: empty participant set")
+                raise ValueError(f"schedule: round {t}: empty participant set")
             if len(set(members)) != len(members):
-                raise ValueError(f"round {t}: duplicate participant")
+                raise ValueError(f"schedule: round {t}: duplicate participant")
             if min(members) < 0 or max(members) >= self.n_clients:
-                raise ValueError(f"round {t}: client index out of range")
+                raise ValueError(f"schedule: round {t}: client index out of range")
 
 
 @dataclass(frozen=True)

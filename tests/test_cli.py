@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedspectra import cli, verify
 from fedspectra.cli import (
@@ -18,8 +20,18 @@ from fedspectra.cli import (
     parse_config,
     serialize_config,
 )
+from fedspectra.config import (
+    AnalysisSection,
+    DeepLinearModel,
+    ExperimentConfig,
+    IdxData,
+    SweepSection,
+    SyntheticData,
+    TwoLayerModel,
+    VerifySection,
+)
 from fedspectra.data import save_idx
-from fedspectra.federation import run_fedavg
+from fedspectra.federation import FederationConfig, run_fedavg
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -46,7 +58,8 @@ def test_empty_config_takes_documented_defaults():
     assert cfg.federation.eta == 0.0005
     assert (cfg.federation.n_clients, cfg.federation.local_steps) == (20, 5)
     assert cfg.federation.rate == 1.0
-    assert cfg.data.classes_per_client == 3
+    assert cfg.data.kind == "synthetic"
+    assert parse_config(json.dumps(_idx())).data.classes_per_client == 3
     assert cfg.sweep.rates == (0.1, 0.5, 1.0)
 
 
@@ -115,6 +128,95 @@ def test_serialize_round_trips():
     for doc in docs:
         cfg = parse_config(doc)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+_POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    """An ExperimentConfig built in code from values the file format accepts."""
+    model = draw(
+        st.one_of(
+            st.builds(DeepLinearModel, *[st.integers(1, 2**40)] * 4),
+            st.builds(TwoLayerModel, st.integers(1, 2**40), st.integers(1, 50)),
+        )
+    )
+    dim = model.d_in if isinstance(model, DeepLinearModel) else model.dim
+    data = draw(
+        st.one_of(
+            st.builds(SyntheticData, st.integers(dim, dim + 50),
+                      st.sampled_from([None, "iid"]), st.booleans()),
+            st.builds(IdxData, st.text(), st.text(), st.none() | st.integers(1, 10**6),
+                      st.integers(1, 10), st.sampled_from([None, "iid", "noniid"]),
+                      st.booleans()),
+        )
+    )
+    n_clients, rounds = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    members = st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True).map(tuple)
+    schedule = draw(st.none() | st.tuples(*[members] * rounds))
+    federation = FederationConfig(
+        n_clients=n_clients,
+        local_steps=draw(st.integers(1, 10)),
+        rounds=rounds,
+        eta=draw(_POSITIVE_FLOATS),
+        # a file gives either rate or schedule, so a schedule keeps the default rate
+        rate=1.0 if schedule is not None else draw(st.floats(0.0, 1.0, exclude_min=True)),
+        schedule=schedule,
+        seed=draw(st.integers(-(2**70), 2**70)),
+        workers=draw(st.integers(1, 8)),
+        stop_loss_fraction=draw(st.none() | _POSITIVE_FLOATS),
+    )
+    rates = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, unique=True)
+    seeds = st.lists(st.integers(-(2**40), 2**40), min_size=1, unique=True)
+    checks = st.lists(st.sampled_from(verify.known_checks(model.kind)), min_size=1)
+    observed = st.lists(st.integers(0, rounds - 1)) if rounds else st.just([])
+    return ExperimentConfig(
+        model=model,
+        data=data,
+        federation=federation,
+        sweep=SweepSection(tuple(draw(rates)), tuple(draw(seeds))),
+        analysis=AnalysisSection(draw(st.integers(1, 2**40))),
+        verify=VerifySection(
+            draw(st.none() | checks.map(tuple)), draw(st.none() | observed.map(tuple))
+        ),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_configs())
+def test_serialize_round_trips_configs_built_in_code(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# One bad value per section built in code; the message is the one parsing
+# reports, without the section's prefix.
+CONSTRUCTION_ERRORS = [
+    (lambda: DeepLinearModel(depth=0), "depth: must be positive, got 0"),
+    (lambda: AnalysisSection(max_gram_dim=-5), "max_gram_dim: must be positive, got -5"),
+    (lambda: SweepSection(rates=(0.0,)), "rates: must lie in (0, 1], got 0.0"),
+    (lambda: SweepSection(rates=(0.5, 0.5)), "rates: rate 0.5 is listed twice"),
+    (lambda: IdxData(images="i"), "images: idx data needs both images and labels paths"),
+    (lambda: SyntheticData(partition="noniid"),
+     "partition: synthetic data has no labels to split by"),
+    (lambda: VerifySection(checks=()), "checks: expected a nonempty list of check names"),
+    (lambda: ExperimentConfig(federation=FederationConfig(rounds=2),
+                              verify=VerifySection(rounds=(9,))),
+     "verify.rounds: round 9 outside [0, 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", CONSTRUCTION_ERRORS, ids=[m for _, m in CONSTRUCTION_ERRORS]
+)
+def test_construction_enforces_what_parsing_enforces(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_verify_rounds_are_sorted_and_distinct_on_construction():
+    assert VerifySection(rounds=(5, 3, 3)).rounds == (3, 5)
 
 
 _DEFAULT_SWEEP = {"rates": [0.1, 0.5, 1.0], "seeds": [0, 1, 2, 3, 4]}
@@ -294,23 +396,24 @@ CONFIG_ERRORS = [
     (_sched([[0.9]]), "federation.schedule: expected a list of client index lists"),
     (_sched([[True]]), "federation.schedule: expected a list of client index lists"),
     (_sched([[0]], rounds=3),
-     "federation: participation schedule must have one entry per round"),
-    (_sched([[]]), "federation: round 0: empty participant set"),
-    (_sched([[1, 1]]), "federation: round 0: duplicate participant"),
-    (_sched([[2]]), "federation: round 0: client index out of range"),
-    (_sched([[-1]]), "federation: round 0: client index out of range"),
+     "federation.schedule: must have one entry per round"),
+    (_sched([[]]), "federation.schedule: round 0: empty participant set"),
+    (_sched([[1, 1]]), "federation.schedule: round 0: duplicate participant"),
+    (_sched([[2]]), "federation.schedule: round 0: client index out of range"),
+    (_sched([[-1]]), "federation.schedule: round 0: client index out of range"),
     # verify checks and rounds
-    ({"verify": {"checks": "all"}}, "verify.checks: expected a list of check names"),
-    ({"verify": {"checks": [1]}}, "verify.checks: expected a list of check names"),
+    ({"verify": {"checks": "all"}}, "verify.checks: expected a list of strings, got 'all'"),
+    ({"verify": {"checks": [1]}}, "verify.checks: expected a list of strings, got [1]"),
+    ({"verify": {"checks": []}}, "verify.checks: expected a nonempty list of check names"),
     ({"verify": {"checks": ["ntk-trace"]}},
      f"verify.checks: 'ntk-trace' is not a known check for deep-linear "
      f"(choose from {_LINEAR_CHOICES})"),
     ({**_relu(), "verify": {"checks": ["gram-floor"]}},
      f"verify.checks: 'gram-floor' is not a known check for two-layer-relu "
      f"(choose from {_RELU_CHOICES})"),
-    ({"verify": {"rounds": [0.5]}}, "verify.rounds: expected a list of integers"),
-    ({"verify": {"rounds": [True]}}, "verify.rounds: expected a list of integers"),
-    ({"verify": {"rounds": 3}}, "verify.rounds: expected a list of integers"),
+    ({"verify": {"rounds": [0.5]}}, "verify.rounds: expected a list of integers, got [0.5]"),
+    ({"verify": {"rounds": [True]}}, "verify.rounds: expected a list of integers, got [True]"),
+    ({"verify": {"rounds": 3}}, "verify.rounds: expected a list of integers, got 3"),
     ({"federation": {"rounds": 10}, "verify": {"rounds": [0, 10]}},
      "verify.rounds: round 10 outside [0, 10)"),
     ({"verify": {"rounds": [-1]}}, "verify.rounds: round -1 outside [0, 100)"),
@@ -319,14 +422,17 @@ CONFIG_ERRORS = [
     ({"federation": {"rounds": 0}, "verify": {"rounds": [0]}},
      "verify.rounds: round 0 outside [0, 0)"),
     # sweep
-    ({"sweep": {"rates": []}}, "sweep.rates: expected a nonempty list"),
-    ({"sweep": {"rates": 0.5}}, "sweep.rates: expected a nonempty list"),
-    ({"sweep": {"rates": [0]}}, "sweep.rates: rate 0 must lie in (0, 1]"),
-    ({"sweep": {"rates": [True]}}, "sweep.rates: rate True must lie in (0, 1]"),
-    ({"sweep": {"rates": ["a"]}}, "sweep.rates: rate 'a' must lie in (0, 1]"),
-    ({"sweep": {"seeds": []}}, "sweep.seeds: expected a nonempty list"),
-    ({"sweep": {"seeds": [1.5]}}, "sweep.seeds: expected integers"),
-    ({"sweep": {"seeds": [False]}}, "sweep.seeds: expected integers"),
+    ({"sweep": {"rates": []}}, "sweep.rates: expected a nonempty list of rates"),
+    ({"sweep": {"rates": 0.5}}, "sweep.rates: expected a list of numbers, got 0.5"),
+    ({"sweep": {"rates": [0]}}, "sweep.rates: must lie in (0, 1], got 0.0"),
+    ({"sweep": {"rates": [True]}}, "sweep.rates: expected a list of numbers, got [True]"),
+    ({"sweep": {"rates": ["a"]}}, "sweep.rates: expected a list of numbers, got ['a']"),
+    ({"sweep": {"rates": [0.5, 0.5, 1.0]}}, "sweep.rates: rate 0.5 is listed twice"),
+    ({"sweep": {"rates": [1, 1.0]}}, "sweep.rates: rate 1.0 is listed twice"),
+    ({"sweep": {"seeds": []}}, "sweep.seeds: expected a nonempty list of seeds"),
+    ({"sweep": {"seeds": [1.5]}}, "sweep.seeds: expected a list of integers, got [1.5]"),
+    ({"sweep": {"seeds": [False]}}, "sweep.seeds: expected a list of integers, got [False]"),
+    ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds: seed 0 is listed twice"),
     # sample count vs input dimension
     (_relu(dim=100), "data.n: need at least dim samples for synthetic data"),
     ({"data": {"n": 5}}, "data.n: need at least d_in samples for synthetic data"),
@@ -390,8 +496,44 @@ _CONFIG_ERROR_CASES = [("train", *e) for e in CONFIG_ERRORS] + [
 ]
 
 
+# Cases whose message was reworded keep the id they had before, so each case
+# keeps its name; every other case is named by its message.
+_FORMER_IDS = {
+    "federation.schedule: must have one entry per round":
+        "federation: participation schedule must have one entry per round",
+    "federation.schedule: round 0: empty participant set":
+        "federation: round 0: empty participant set",
+    "federation.schedule: round 0: duplicate participant":
+        "federation: round 0: duplicate participant",
+    "federation.schedule: round 0: client index out of range":
+        "federation: round 0: client index out of range",
+    "verify.checks: expected a list of strings, got 'all'":
+        "verify.checks: expected a list of check names",
+    "verify.checks: expected a list of strings, got [1]":
+        "verify.checks: expected a list of check names",
+    "verify.rounds: expected a list of integers, got [0.5]":
+        "verify.rounds: expected a list of integers",
+    "verify.rounds: expected a list of integers, got [True]":
+        "verify.rounds: expected a list of integers",
+    "verify.rounds: expected a list of integers, got 3":
+        "verify.rounds: expected a list of integers",
+    "sweep.rates: expected a nonempty list of rates": "sweep.rates: expected a nonempty list",
+    "sweep.rates: expected a list of numbers, got 0.5": "sweep.rates: expected a nonempty list",
+    "sweep.rates: must lie in (0, 1], got 0.0": "sweep.rates: rate 0 must lie in (0, 1]",
+    "sweep.rates: expected a list of numbers, got [True]":
+        "sweep.rates: rate True must lie in (0, 1]",
+    "sweep.rates: expected a list of numbers, got ['a']":
+        "sweep.rates: rate 'a' must lie in (0, 1]",
+    "sweep.seeds: expected a nonempty list of seeds": "sweep.seeds: expected a nonempty list",
+    "sweep.seeds: expected a list of integers, got [1.5]": "sweep.seeds: expected integers",
+    "sweep.seeds: expected a list of integers, got [False]": "sweep.seeds: expected integers",
+}
+
+
 @pytest.mark.parametrize(
-    "command, doc, message", _CONFIG_ERROR_CASES, ids=[m for *_, m in _CONFIG_ERROR_CASES]
+    "command, doc, message",
+    _CONFIG_ERROR_CASES,
+    ids=[_FORMER_IDS.get(m, m) for *_, m in _CONFIG_ERROR_CASES],
 )
 def test_config_error_messages(tmp_path, capsys, command, doc, message):
     if callable(doc):
@@ -778,15 +920,6 @@ def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
     per_round = [c for c in checks if "t" in c["context"]]
     assert per_round and all(c["context"]["t"] == 30 for c in per_round)
-
-
-def test_verify_empty_check_list_passes_vacuously(tmp_path):
-    doc = json.loads(json.dumps(SMALL_LINEAR))
-    doc["verify"] = {"checks": []}
-    cfg = _write(tmp_path, "c.json", doc)
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "verify.json").read_text())["checks"] == []
 
 
 def test_verify_two_layer_trace_and_descent(tmp_path):

@@ -65,11 +65,11 @@ CONFIG_ERRORS = [
     ({"rate": 1.5}, "rate: must lie in (0, 1], got 1.5"),
     ({"rate": 0.0}, "rate: must lie in (0, 1], got 0.0"),
     ({"rate": float("nan")}, "rate: must be finite, got nan"),
-    ({"schedule": ((0,),), "rounds": 2}, "participation schedule must have one entry per round"),
-    ({"schedule": ((),)}, "round 0: empty participant set"),
-    ({"schedule": ((0, 0),)}, "round 0: duplicate participant"),
-    ({"schedule": ((5,),)}, "round 0: client index out of range"),
-    ({"schedule": ((-1,),)}, "round 0: client index out of range"),
+    ({"schedule": ((0,),), "rounds": 2}, "schedule: must have one entry per round"),
+    ({"schedule": ((),)}, "schedule: round 0: empty participant set"),
+    ({"schedule": ((0, 0),)}, "schedule: round 0: duplicate participant"),
+    ({"schedule": ((5,),)}, "schedule: round 0: client index out of range"),
+    ({"schedule": ((-1,),)}, "schedule: round 0: client index out of range"),
     ({"schedule": ((0.5,),)}, "schedule: expected a list of client index lists"),
     ({"schedule": "all"}, "schedule: expected a list of client index lists"),
     ({"eta": -0.1}, "eta: must be positive, got -0.1"),

@@ -1,14 +1,21 @@
-"""The package's import layering, read from the sources without importing them.
+"""The package's layering: its imports, and where config value rules run.
 
 Only the CLI imports `cli`, and the library modules below the config file do
 not import `config`, so `federation.FederationConfig` stays usable without
-either: imports run cli -> config -> verify -> federation.
+either: imports run cli -> config -> verify -> federation. Every config
+section runs its field rules through `federation.Settings` on construction,
+and `config.py` runs none of them itself.
 """
 
 import ast
+import dataclasses
+import typing
 from pathlib import Path
 
 import pytest
+
+from fedspectra.config import ExperimentConfig
+from fedspectra.federation import Settings
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedspectra"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -42,3 +49,36 @@ def test_only_the_cli_imports_cli(module):
 @pytest.mark.parametrize("module", BELOW_CONFIG)
 def test_library_modules_do_not_import_config(module):
     assert "config" not in _imported(module)
+
+
+SECTIONS = [
+    cls
+    for f in dataclasses.fields(ExperimentConfig)
+    for cls in typing.get_args(f.type) or (f.type,)
+]
+
+
+@pytest.mark.parametrize("cls", SECTIONS, ids=lambda cls: cls.__name__)
+def test_every_config_section_runs_the_shared_rule_path(cls, monkeypatch):
+    seen = []
+    shared = Settings.__post_init__
+
+    def spy(self):
+        seen.append(type(self))
+        shared(self)
+
+    monkeypatch.setattr(Settings, "__post_init__", spy)
+    try:
+        cls()
+    except ValueError:  # a section whose defaults break its own rules
+        pass
+    assert seen == [cls]
+
+
+def test_config_runs_no_value_rule_outside_construction():
+    nodes = list(ast.walk(ast.parse((SRC / "config.py").read_text())))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"check_setting", "metadata"}
+    assert not [n for n in nodes if isinstance(n, ast.keyword) and n.arg == "read"]
