@@ -71,11 +71,11 @@ class FederationConfig(Settings):
     """One federated run, and the config file's `federation` section.
 
     A round's participants are schedule[t] when a schedule is given (one
-    entry per round), else a `rate` share of the clients, at least one,
-    drawn uniformly without replacement. Either way they are visited and
-    averaged in ascending client order. workers > 1 trains them in a thread
-    pool; the run ends early once the global loss reaches
-    stop_loss_fraction times the starting loss.
+    entry per round, the rate left at its default), else a `rate` share of
+    the clients, at least one, drawn uniformly without replacement. Either
+    way they are visited and averaged in ascending client order. workers > 1
+    trains them in a thread pool; the run ends early once the global loss
+    reaches stop_loss_fraction times the starting loss.
     """
 
     n_clients: int = setting(20, check=positive)
@@ -92,6 +92,8 @@ class FederationConfig(Settings):
         super().__post_init__()
         if self.schedule is None:
             return
+        if self.rate != 1.0:  # the file format cannot hold both
+            raise ValueError("schedule: give either rate or schedule, not both")
         object.__setattr__(self, "schedule", tuple(tuple(r) for r in self.schedule))
         if len(self.schedule) != self.rounds:
             raise ValueError("schedule: must have one entry per round")
@@ -119,7 +121,8 @@ class RoundTrace:
 @dataclass(frozen=True)
 class RoundSnapshot:
     """Handed to an observer: global params entering round t plus every
-    participant's full local trajectory (step 0 is the broadcast copy)."""
+    participant's full local trajectory (step 0 is the broadcast copy).
+    No array in it is written to after it is built."""
 
     t: int
     members: tuple
@@ -150,25 +153,20 @@ def sample_participants(t, cfg: FederationConfig) -> tuple:
     return tuple(int(c) for c in np.sort(members))
 
 
-def local_trajectory(params, batch: LabeledBatch, eta, steps):
-    """Run full-batch gradient descent, keeping every iterate.
+def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
+    """Run full-batch gradient descent (params.descend).
 
-    Returns (trajectory, losses): both have steps+1 entries, index 0 being the
-    starting point.
+    Returns (trajectory, losses). losses has steps+1 entries, index 0 being
+    the starting point; so has trajectory when keep, else it holds the last
+    iterate only.
     """
-    traj = [params]
-    losses = [loss_of(params, batch)]
-    for k in range(steps):
-        params = params.step(batch, eta)
-        value = loss_of(params, batch)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"non-finite local loss {value} at local step {k + 1}",
-                step=k + 1,
-                loss=value,
-            )
-        traj.append(params)
-        losses.append(value)
+    traj, losses = params.descend(batch, eta, steps, keep)
+    value = losses[-1]
+    if not np.isfinite(value):
+        k = len(losses) - 1
+        raise DivergenceError(
+            f"non-finite local loss {value} at local step {k}", step=k, loss=value
+        )
     return traj, losses
 
 
@@ -191,7 +189,9 @@ def run_fedavg(
     - with cfg.workers > 1, results are collected by client position so the
       aggregate is order-stable.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
-      observe_rounds is None) before the server average is formed.
+      observe_rounds is None) before the server average is formed. Only
+      those rounds keep every local iterate; the others keep each client's
+      last one.
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
@@ -205,10 +205,13 @@ def run_fedavg(
         if stop is not None and losses[-1] <= stop * losses[0]:
             break
         members = sample_participants(t, cfg)
+        observed = observer is not None and (observe_rounds is None or t in observe_rounds)
 
         def fit(c):
             try:
-                return local_trajectory(params, client_batches[c], cfg.eta, cfg.local_steps)
+                return local_trajectory(
+                    params, client_batches[c], cfg.eta, cfg.local_steps, keep=observed
+                )
             except DivergenceError as e:
                 raise DivergenceError(
                     f"round {t}, client {c}: {e}",
@@ -226,7 +229,7 @@ def run_fedavg(
         trajectories = tuple(traj for traj, _ in results)
         local_losses = tuple(tuple(ls) for _, ls in results)
 
-        if observer is not None and (observe_rounds is None or t in observe_rounds):
+        if observed:
             observer(
                 RoundSnapshot(
                     t=t,

@@ -1,10 +1,12 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
 Both parameter classes expose the same four members: predict(X), the
-gradient step step(batch, eta), the server average average(params) (a
-classmethod) and drift(init). Gradients of the (unnormalized) square loss are closed-form;
-there is no automatic differentiation anywhere. All arithmetic is 64-bit.
-Parameter values are treated as immutable: every update builds new arrays.
+local descent descend(batch, eta, steps, keep), the server average
+average(params) (a classmethod) and drift(init). Gradients of the
+(unnormalized) square loss are closed-form; there is no automatic
+differentiation anywhere. All arithmetic is 64-bit. A parameter object is
+never changed once built: descend updates a private copy of the weights in
+place and hands out only arrays it no longer writes to.
 """
 
 from dataclasses import dataclass
@@ -41,8 +43,48 @@ class LabeledBatch:
         return self.X.shape[1]
 
 
+def _mean(arrays) -> np.ndarray:
+    """Elementwise mean, summed in list order as np.mean over a stacked axis 0
+    sums it, without the stacked copy."""
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        total += a
+    total /= len(arrays)
+    return total
+
+
+class _LocalDescent:
+    """The local-descent loop both parameter classes share. A class supplies
+    _weights() (its arrays), _with(arrays) (a new object around them) and
+    _step_in_place(arrays, batch, eta), which returns the loss of the
+    iterate the arrays hold and then, unless eta is None, takes one gradient
+    step on them in place."""
+
+    def descend(self, batch: LabeledBatch, eta, steps, keep=False) -> tuple:
+        """Run `steps` full-batch gradient steps from self on a private copy.
+
+        Returns (iterates, losses). losses[k] is the loss of iterate k, read
+        off the residual that iterate's gradient forms; the last takes one
+        forward pass. iterates holds iterates 0 (self) to steps when keep,
+        else the last one only. Descent stops at the first non-finite loss,
+        which then ends losses.
+        """
+        weights = [W.copy() for W in self._weights()]
+        iterates, losses = [self], []
+        for k in range(steps + 1):
+            last = k == steps
+            losses.append(self._step_in_place(weights, batch, None if last else eta))
+            if last or not np.isfinite(losses[-1]):
+                break
+            if k == steps - 1:  # the copy is written no more
+                iterates.append(self._with(weights))
+            elif keep:
+                iterates.append(self._with([W.copy() for W in weights]))
+        return tuple(iterates if keep else iterates[-1:]), losses
+
+
 @dataclass(frozen=True, eq=False)
-class DeepLinearParams:
+class DeepLinearParams(_LocalDescent):
     """Weight stack W^1..W^depth with the fixed output scaling.
 
     Shapes: W^1 is (width, d_in), interior layers are (width, width), the
@@ -97,11 +139,17 @@ class DeepLinearParams:
             Z = W @ Z
         return self.scale * Z
 
-    def step(self, batch: LabeledBatch, eta) -> "DeepLinearParams":
-        """One full-batch gradient step on every layer."""
-        grads = grads_deep_linear(self, batch)
-        layers = tuple(W - eta * g for W, g in zip(self.layers, grads))
-        return DeepLinearParams(layers=layers, width=self.width)
+    def _weights(self) -> tuple:
+        return self.layers
+
+    def _with(self, layers) -> "DeepLinearParams":
+        return DeepLinearParams(layers=tuple(layers), width=self.width)
+
+    def _step_in_place(self, layers, batch, eta) -> float:
+        E, factors = _backprop_deep_linear(layers, self.scale, batch, eta is not None)
+        for W, (left, right) in zip(layers, factors):
+            W -= (eta * left) @ right.T
+        return _half_square(E)
 
     @classmethod
     def average(cls, params) -> "DeepLinearParams":
@@ -109,10 +157,7 @@ class DeepLinearParams:
         if not params:
             raise ValueError("nothing to aggregate")
         head = params[0]
-        layers = tuple(
-            np.mean(np.stack([p.layers[i] for p in params]), axis=0)
-            for i in range(head.depth)
-        )
+        layers = tuple(_mean([p.layers[i] for p in params]) for i in range(head.depth))
         return cls(layers=layers, width=head.width)
 
     def drift(self, init) -> tuple:
@@ -125,7 +170,7 @@ class DeepLinearParams:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoLayerParams:
+class TwoLayerParams(_LocalDescent):
     """Hidden weights (rows are neurons) and the fixed output signs."""
 
     kind = "two-layer-relu"  # the config's model.kind
@@ -155,11 +200,17 @@ class TwoLayerParams:
             raise ValueError(f"X must have {self.dim} rows, got shape {X.shape}")
         return (self.signs / np.sqrt(self.width)) @ np.maximum(self.hidden @ X, 0.0)
 
-    def step(self, batch: LabeledBatch, eta) -> "TwoLayerParams":
-        """One full-batch gradient step on the hidden weights; the signs stay fixed."""
-        return TwoLayerParams(
-            hidden=self.hidden - eta * grad_two_layer(self, batch), signs=self.signs
-        )
+    def _weights(self) -> tuple:
+        return (self.hidden,)
+
+    def _with(self, weights) -> "TwoLayerParams":
+        return TwoLayerParams(hidden=weights[0], signs=self.signs)
+
+    def _step_in_place(self, weights, batch, eta) -> float:
+        residual, grad = _backprop_two_layer(weights[0], self.signs, batch, eta is not None)
+        if grad is not None:
+            weights[0] -= eta * grad  # the signs stay fixed
+        return _half_square(residual)
 
     @classmethod
     def average(cls, params) -> "TwoLayerParams":
@@ -171,7 +222,7 @@ class TwoLayerParams:
         for p in params[1:]:
             if not np.array_equal(p.signs, head.signs):
                 raise ValueError("cannot average models with different output signs")
-        hidden = np.mean(np.stack([p.hidden for p in params]), axis=0)
+        hidden = _mean([p.hidden for p in params])
         return cls(hidden=hidden, signs=head.signs)
 
     def drift(self, init) -> tuple:
@@ -208,15 +259,19 @@ def init_two_layer(width, dim, seed) -> TwoLayerParams:
     return TwoLayerParams(hidden=hidden, signs=signs)
 
 
+def _inputs(layers, X) -> list:
+    chain = [X]
+    for W in layers[:-1]:
+        chain.append(W @ chain[-1])
+    return chain
+
+
 def input_chain(p: DeepLinearParams, X) -> list:
     """Partial products feeding each layer: entry j is (W^j ... W^1) X, entry 0 is X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != p.d_in:
         raise ValueError(f"X must have {p.d_in} rows")
-    chain = [X]
-    for W in p.layers[:-1]:
-        chain.append(W @ chain[-1])
-    return chain
+    return _inputs(p.layers, X)
 
 
 def output_chain(p: DeepLinearParams) -> list:
@@ -229,20 +284,49 @@ def output_chain(p: DeepLinearParams) -> list:
     return chain
 
 
+def _backprop_deep_linear(layers, scale, batch: LabeledBatch, backprop=True) -> tuple:
+    """Residual E = scale * W^L ... W^1 X - Y and, when backprop, each
+    layer's gradient as a factor pair (left, right), the gradient being
+    left @ right.T: right is the layer's input (W^(j-1) ... W^1) X and left
+    = scale * (W^L ... W^(j+1)).T @ E, both of them (rows x n)."""
+    d_in, d_out = layers[0].shape[1], layers[-1].shape[0]
+    if batch.X.shape[0] != d_in:
+        raise ValueError(f"X must have {d_in} rows")
+    if batch.Y.ndim != 2 or batch.Y.shape[0] != d_out:
+        raise ValueError(f"Y must have shape ({d_out}, n)")
+    ins = _inputs(layers, batch.X)
+    E = scale * (layers[-1] @ ins[-1]) - batch.Y
+    if not backprop:
+        return E, []
+    factors = [(scale * E, ins[-1])]
+    for W, right in zip(layers[:0:-1], ins[-2::-1]):
+        factors.append((W.T @ factors[-1][0], right))
+    return E, factors[::-1]
+
+
 def grads_deep_linear(p: DeepLinearParams, batch: LabeledBatch) -> list:
     """Square-loss gradients for every layer at once.
 
     Layer j receives scale * out_j.T @ (U - Y) @ in_j.T, where in_j/out_j are
-    the partial products around layer j. Shares the chain products across
-    layers.
+    the partial products around layer j; out_j.T @ (U - Y) is formed by
+    back-propagating the residual one layer at a time.
     """
-    if batch.Y.ndim != 2 or batch.Y.shape[0] != p.d_out:
-        raise ValueError(f"Y must have shape ({p.d_out}, n)")
-    ins = input_chain(p, batch.X)
-    outs = output_chain(p)
-    U = p.scale * (p.layers[-1] @ ins[-1])
-    E = U - batch.Y
-    return [p.scale * (outs[j].T @ E @ ins[j].T) for j in range(p.depth)]
+    return [left @ right.T for left, right in _backprop_deep_linear(p.layers, p.scale, batch)[1]]
+
+
+def _backprop_two_layer(hidden, signs, batch: LabeledBatch, backprop=True) -> tuple:
+    """Residual f(X) - y and, when backprop, the hidden weights' gradient."""
+    X = batch.X
+    y = np.ravel(batch.Y)
+    if X.shape[0] != hidden.shape[1]:
+        raise ValueError(f"X must have {hidden.shape[1]} rows")
+    Z = hidden @ X
+    residual = (signs / np.sqrt(hidden.shape[0])) @ np.maximum(Z, 0.0) - y
+    if not backprop:
+        return residual, None
+    masked = (Z >= 0.0) * residual
+    # the signs are +-1, so applying them after the product changes no bit
+    return residual, (1.0 / np.sqrt(hidden.shape[0])) * (signs[:, None] * (masked @ X.T))
 
 
 def grad_two_layer(p: TwoLayerParams, batch: LabeledBatch) -> np.ndarray:
@@ -251,15 +335,7 @@ def grad_two_layer(p: TwoLayerParams, batch: LabeledBatch) -> np.ndarray:
     Row r is (1/sqrt(width)) sum_i (f(x_i) - y_i) signs_r x_i [w_r . x_i >= 0];
     the indicator is active at exactly zero.
     """
-    X = batch.X
-    y = np.ravel(batch.Y)
-    if X.shape[0] != p.dim:
-        raise ValueError(f"X must have {p.dim} rows")
-    Z = p.hidden @ X
-    active = Z >= 0.0
-    residual = (p.signs / np.sqrt(p.width)) @ np.maximum(Z, 0.0) - y
-    weights = (p.signs[:, None] * active) * residual[None, :]
-    return (1.0 / np.sqrt(p.width)) * (weights @ X.T)
+    return _backprop_two_layer(p.hidden, p.signs, batch)[1]
 
 
 def square_loss(U, Y) -> float:
@@ -268,7 +344,11 @@ def square_loss(U, Y) -> float:
     Y = np.asarray(Y, dtype=float)
     if U.shape != Y.shape:
         raise ValueError(f"shape mismatch: {U.shape} vs {Y.shape}")
-    return 0.5 * float(np.sum((U - Y) ** 2))
+    return _half_square(U - Y)
+
+
+def _half_square(E) -> float:
+    return 0.5 * float(np.sum(E**2))
 
 
 def vec_residual(U, Y) -> np.ndarray:

@@ -295,6 +295,22 @@ def test_check_init_spectra_passes_at_moderate_width():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("width", [16, 256, 1000])
+def test_init_interior_norms_agree_with_the_dense_svd(width):
+    # depth 4 has three interior products: layers 2..2, 2..3 and 3..3
+    p = init_deep_linear(4, width, 10, 5, seed=width)
+    X = np.random.default_rng(width).standard_normal((10, 32))
+    interior = [r for r in check_init_spectra(p, X) if r.name.startswith("init-interior")]
+    assert [r.name for r in interior] == [
+        "init-interior-norm:2..2", "init-interior-norm:2..3", "init-interior-norm:3..3"
+    ]
+    for r in interior:
+        i, j = map(int, r.context["layers"].split(".."))
+        product = p.layers[i - 1] if i == j else p.layers[j - 1] @ p.layers[i - 1]
+        dense = np.linalg.svd(product, compute_uv=False)[0]
+        assert abs(r.measured - dense) <= 1e-12 * dense
+
+
 def test_check_local_descent_trivial_cases():
     flat = [2.0, 2.0, 2.0]
     rep = check_local_descent(flat, 1.0, 0.7)

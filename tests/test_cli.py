@@ -1,7 +1,10 @@
 """Config parsing, subcommand artifacts, and exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,9 @@ from fedspectra.config import (
 )
 from fedspectra.data import save_idx
 from fedspectra.federation import FederationConfig, run_fedavg
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -155,18 +161,24 @@ def _configs(draw):
     n_clients, rounds = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     members = st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True).map(tuple)
     schedule = draw(st.none() | st.tuples(*[members] * rounds))
-    federation = FederationConfig(
+    rate = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    fed = dict(
         n_clients=n_clients,
         local_steps=draw(st.integers(1, 10)),
         rounds=rounds,
         eta=draw(_POSITIVE_FLOATS),
-        # a file gives either rate or schedule, so a schedule keeps the default rate
-        rate=1.0 if schedule is not None else draw(st.floats(0.0, 1.0, exclude_min=True)),
         schedule=schedule,
         seed=draw(st.integers(-(2**70), 2**70)),
         workers=draw(st.integers(1, 8)),
         stop_loss_fraction=draw(st.none() | _POSITIVE_FLOATS),
     )
+    if schedule is not None and rate != 1.0:
+        # a file gives either rate or schedule, so construction rejects both
+        with pytest.raises(ValueError) as exc:
+            FederationConfig(rate=rate, **fed)
+        assert str(exc.value) == "schedule: give either rate or schedule, not both"
+        rate = 1.0
+    federation = FederationConfig(rate=rate, **fed)
     rates = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, unique=True)
     seeds = st.lists(st.integers(-(2**40), 2**40), min_size=1, unique=True)
     checks = st.lists(st.sampled_from(verify.known_checks(model.kind)), min_size=1)
@@ -647,6 +659,32 @@ def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_train_trace_agrees_across_blas_thread_counts(tmp_path):
+    # BLAS may split a product's sums differently with more threads, so the
+    # bytes can differ in the last bits; every number agrees to 1e-12 relative
+    cfg = _write(tmp_path, "c.json", {"federation": {"rounds": 10}})
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        args = ["train", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedspectra.cli", *args],
+            env=os.environ | {"PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces.append([row.split(",") for row in (out / "trace.csv").read_text().splitlines()])
+    one, two = traces
+    assert len(one) == len(two) == 11
+    assert [r[:2] for r in one] == [r[:2] for r in two]  # header, t and participants
+    values = np.array([[[float(v) for v in r[2:]] for r in t[1:]] for t in traces])
+    assert np.all(np.isfinite(values))  # loss, ratio, rho_theory, bound_cum
+    np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=0)
+
+
 def test_train_trace_ignores_the_order_of_schedule_entries(tmp_path):
     outs = []
     for name, entry in (("written", [2, 0, 1]), ("sorted", [0, 1, 2])):
@@ -903,6 +941,25 @@ def test_verify_detects_violated_width_bound(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert report["passed"] is False
     assert any(not c["passed"] for c in report["checks"])
+
+
+def test_verify_reports_a_width_below_the_data_rank_as_a_failed_floor(tmp_path, capsys):
+    # W1 X has rank <= width 8 < rank(X) = 10: its 10th singular value is 0
+    doc = {
+        "model": {"kind": "deep-linear", "depth": 3, "width": 8, "d_in": 10, "d_out": 5},
+        "data": {"kind": "synthetic", "n": 32},
+        "federation": {"n_clients": 4, "local_steps": 3, "rounds": 6, "eta": 0.02},
+    }
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERIFY_FAILED
+    checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+    for j in (1, 2):
+        floor = checks[f"init-prefix-data-sigma-min:{j}"]
+        assert floor["passed"] is False
+        assert floor["bound"] == floor["context"]["observed_sigma_min"] == 0.0
+        assert floor["context"]["data_rank"] == 10
+    assert "FAIL init-prefix-data-sigma-min:1" in capsys.readouterr().out
 
 
 def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):

@@ -72,6 +72,7 @@ CONFIG_ERRORS = [
     ({"schedule": ((-1,),)}, "schedule: round 0: client index out of range"),
     ({"schedule": ((0.5,),)}, "schedule: expected a list of client index lists"),
     ({"schedule": "all"}, "schedule: expected a list of client index lists"),
+    ({"schedule": ((0,),), "rate": 0.5}, "schedule: give either rate or schedule, not both"),
     ({"eta": -0.1}, "eta: must be positive, got -0.1"),
     ({"eta": 0.0}, "eta: must be positive, got 0.0"),
     ({"eta": float("nan")}, "eta: must be finite, got nan"),
@@ -109,7 +110,7 @@ def test_local_trajectory_shapes_and_descent():
 def test_one_local_step_matches_pooled_gradient_oracle():
     params, batches = _workload()
     b = batches[1]
-    stepped = params.step(b, eta=0.03)
+    (stepped,), _ = params.descend(b, 0.03, 1)
     expected = pooled_gradient_step_linear(list(params.layers), params.scale, b.X, b.Y, 0.03)
     for W, We in zip(stepped.layers, expected):
         np.testing.assert_allclose(W, We, atol=1e-12)
@@ -120,7 +121,8 @@ def test_one_relu_step_matches_loop_oracle():
     rng = np.random.default_rng(3)
     b = LabeledBatch(X=rng.standard_normal((5, 8)), Y=rng.standard_normal(8))
     expected = relu_gradient_step_loops(q.hidden, q.signs, b.X, b.Y, 0.03)
-    np.testing.assert_allclose(q.step(b, eta=0.03).hidden, expected, atol=1e-12)
+    (stepped,), _ = q.descend(b, 0.03, 1)
+    np.testing.assert_allclose(stepped.hidden, expected, atol=1e-12)
 
 
 def test_aggregate_averages_layerwise():
@@ -139,6 +141,27 @@ def test_aggregate_averages_layerwise():
     for cls in (DeepLinearParams, TwoLayerParams):
         with pytest.raises(ValueError):
             cls.average([])
+
+
+def test_aggregate_matches_a_stacked_mean_bit_for_bit():
+    # the average sums in list order, as np.mean over a stacked axis does,
+    # and leaves its inputs alone
+    rng = np.random.default_rng(0)
+    shapes = ((16, 5), (16, 16), (2, 16))
+    for n in (1, 2, 9, 20):
+        nets = [
+            DeepLinearParams(layers=tuple(rng.standard_normal(s) for s in shapes), width=16)
+            for _ in range(n)
+        ]
+        before = [[W.copy() for W in p.layers] for p in nets]
+        mean = DeepLinearParams.average(nets)
+        for i, W in enumerate(mean.layers):
+            assert np.array_equal(W, np.mean(np.stack([p.layers[i] for p in nets]), axis=0))
+        for p, layers in zip(nets, before):
+            assert all(np.array_equal(W, W0) for W, W0 in zip(p.layers, layers))
+        relu = [TwoLayerParams(hidden=p.layers[1], signs=np.ones(16)) for p in nets]
+        expected = np.mean(np.stack([q.hidden for q in relu]), axis=0)
+        assert np.array_equal(TwoLayerParams.average(relu).hidden, expected)
 
 
 def test_aggregate_rejects_mismatched_relu_signs():
@@ -199,6 +222,34 @@ def test_observer_sees_requested_rounds_with_full_trajectories():
     assert all(len(traj) == 4 for traj in snap.trajectories)
     # broadcast copy is the entering global model
     assert snap.trajectories[0][0] is params
+
+
+def test_observed_rounds_do_not_change_the_run():
+    # observed rounds keep every local iterate, the others only the last one
+    params, batches = _workload(seed=4, width=64)
+    cfg = FederationConfig(n_clients=4, local_steps=3, rounds=5, eta=0.013, seed=1)
+    plain = run_fedavg(cfg, params, batches)
+    seen = []
+    watched = run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={1, 3})
+    assert [s.t for s in seen] == [1, 3]
+    assert plain.losses == watched.losses
+    assert [tr.local_losses for tr in plain.traces] == [tr.local_losses for tr in watched.traces]
+    assert all(np.array_equal(a, b) for a, b in zip(plain.params.layers, watched.params.layers))
+
+
+def test_snapshot_iterates_outlive_the_run_unchanged():
+    # descent updates its weights in place; no iterate handed to an observer
+    # may share them, so each snapshot still holds what a fresh descent gives
+    params, batches = _workload(seed=6, width=64)
+    cfg = FederationConfig(n_clients=4, local_steps=3, rounds=4, eta=0.011, seed=2)
+    seen = []
+    run_fedavg(cfg, params, batches, observer=seen.append)
+    for snap in seen:
+        for traj, c in zip(snap.trajectories, snap.members):
+            fresh, _ = snap.global_params.descend(batches[c], cfg.eta, cfg.local_steps, keep=True)
+            assert len(traj) == len(fresh) == cfg.local_steps + 1
+            for a, b in zip(traj, fresh):
+                assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(a.layers, b.layers))
 
 
 def test_stop_loss_ends_the_run_early():

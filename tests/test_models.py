@@ -173,3 +173,89 @@ def test_shape_validation():
         )
     with pytest.raises(ValueError):
         TwoLayerParams(hidden=np.zeros((4, 3)), signs=np.array([1.0, -1.0, 2.0, 1.0]))
+
+
+def _dense_descent(p, batch, eta, steps):
+    """The update descend replaces: a new W - eta * G per layer per step,
+    each loss from a separate forward pass."""
+    iterates = [p]
+    for _ in range(steps):
+        if isinstance(p, DeepLinearParams):
+            grads = grads_deep_linear(p, batch)
+            layers = tuple(W - eta * g for W, g in zip(p.layers, grads))
+            p = DeepLinearParams(layers=layers, width=p.width)
+        else:
+            p = TwoLayerParams(hidden=p.hidden - eta * grad_two_layer(p, batch), signs=p.signs)
+        iterates.append(p)
+    return iterates, [loss_of(q, batch) for q in iterates]
+
+
+def _weights(p):
+    return p.layers if isinstance(p, DeepLinearParams) else (p.hidden,)
+
+
+# eta is not a power of two, so scaling by it rounds
+DESCENT_CASES = [
+    *[
+        pytest.param(
+            init_deep_linear(depth, width, 10, 5, seed=1),
+            LabeledBatch(
+                X=np.random.default_rng(2).standard_normal((10, 16)),
+                Y=np.random.default_rng(3).standard_normal((5, 16)),
+            ),
+            0.3 / width,
+            id=f"deep-linear-depth{depth}-width{width}",
+        )
+        for depth, width in ((1, 8), (3, 256), (3, 1000), (4, 64))
+    ],
+    *[
+        pytest.param(
+            init_two_layer(width, 16, seed=2),
+            LabeledBatch(
+                X=np.random.default_rng(4).standard_normal((16, 100)) / 4.0,
+                Y=np.random.default_rng(5).standard_normal(100),
+            ),
+            0.07,
+            id=f"two-layer-relu-width{width}",
+        )
+        for width in (16, 2048)
+    ],
+]
+
+
+@pytest.mark.parametrize("p,batch,eta", DESCENT_CASES)
+def test_fused_descent_matches_dense_steps(p, batch, eta):
+    steps = 4
+    dense, dense_losses = _dense_descent(p, batch, eta, steps)
+    fused, losses = p.descend(batch, eta, steps, keep=True)
+    assert len(fused) == len(losses) == steps + 1 and fused[0] is p
+    assert losses[-1] < losses[0]  # the steps descend, so the updates are not negligible
+    np.testing.assert_allclose(losses, dense_losses, rtol=1e-12, atol=0)
+    for a, b in zip(fused[1:], dense[1:]):
+        for Wa, Wb, W0 in zip(_weights(a), _weights(b), _weights(p)):
+            # the displacement from the start, not the weights, at 1e-12
+            assert np.linalg.norm(Wa - Wb) <= 1e-12 * np.linalg.norm(Wb - W0)
+    last, last_losses = p.descend(batch, eta, steps, keep=False)
+    assert last_losses == losses
+    assert len(last) == 1
+    assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(_weights(last[0]), _weights(fused[-1])))
+
+
+def test_descent_leaves_its_start_and_each_iterate_unchanged():
+    p, batch = _linear_instance(seed=4)
+    before = [W.copy() for W in p.layers]
+    iterates, _ = p.descend(batch, 0.01, 3, keep=True)
+    assert all(np.array_equal(W, W0) for W, W0 in zip(p.layers, before))
+    arrays = [W for q in iterates for W in q.layers]
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_descent_stops_at_the_first_non_finite_loss():
+    p, batch = _linear_instance(seed=5)
+    iterates, losses = p.descend(batch, 1e8, 10, keep=True)
+    assert 1 < len(losses) < 11
+    assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
+    assert len(iterates) == len(losses)
