@@ -1,7 +1,9 @@
 """Drive the command line pipeline end to end from Python.
 
-Writes a config file, trains once, then runs the verification checks and
-prints the resulting report. Everything lands in a temporary directory.
+Writes a config file and runs `verify` once: it trains through every round,
+writes the same trace files as `train`, then runs the verification checks.
+Prints the head of the trace and the resulting report. Everything lands in a
+temporary directory.
 """
 
 import json
@@ -22,14 +24,14 @@ with tempfile.TemporaryDirectory() as tmp:
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(config, indent=2))
 
-    code = main(["train", "--config", str(cfg), "--out", str(tmp / "train")])
-    print(f"train exit code: {code}")
-    head = (tmp / "train" / "trace.csv").read_text().splitlines()
+    out = tmp / "verify"
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    print(f"\nverify exit code: {code}, files: {', '.join(sorted(p.name for p in out.iterdir()))}")
+    head = (out / "trace.csv").read_text().splitlines()
     print("trace.csv:", head[0])
     for line in head[1:3]:
         print("          ", line[:100])
 
-    code = main(["verify", "--config", str(cfg), "--out", str(tmp / "verify")])
-    report = json.loads((tmp / "verify" / "verify.json").read_text())
-    print(f"\nverify exit code: {code}, all passed: {report['passed']}")
+    report = json.loads((out / "verify.json").read_text())
+    print(f"all passed: {report['passed']}")
     print(f"checks run: {len(report['checks'])}")

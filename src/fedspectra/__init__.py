@@ -21,10 +21,8 @@ from .analysis import (
     check_ntk_trace,
     drift_radius_deep_linear,
     drift_radius_two_layer,
-    effective_rank,
     first_order_scaling,
     gram_H_infinity,
-    gram_H_tkc,
     gram_P0,
     gram_P0_lambda_min,
     lambda_min_floor,

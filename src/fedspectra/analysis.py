@@ -128,11 +128,6 @@ def _nonzero(sv, shape) -> np.ndarray:
     return sv[sv > max(shape) * np.finfo(float).eps * sv[0]]
 
 
-def effective_rank(M) -> int:
-    """Number of numerically nonzero singular values."""
-    return int(nonzero_singular_values(M).size)
-
-
 def sigma_min_nonzero(M) -> float:
     """Smallest numerically nonzero singular value."""
     sv = nonzero_singular_values(M)
@@ -192,23 +187,6 @@ def gram_H_infinity(X) -> np.ndarray:
     # arccos is ill-conditioned at cos=1; the self-angle is exactly zero
     np.fill_diagonal(theta, 0.0)
     return G * (np.pi - theta) / (2.0 * np.pi)
-
-
-def gram_H_tkc(global_W, local_W, X, X_c) -> np.ndarray:
-    """Finite-width ReLU Gram block: entry (i, j) averages x_i.x_j over hidden
-    units whose global weights activate x_i and local weights activate x_j."""
-    global_W = np.asarray(global_W, dtype=float)
-    local_W = np.asarray(local_W, dtype=float)
-    X = np.asarray(X, dtype=float)
-    X_c = np.asarray(X_c, dtype=float)
-    if global_W.shape != local_W.shape:
-        raise ValueError("weight matrices must have equal shapes")
-    if X.shape[0] != global_W.shape[1] or X_c.shape[0] != global_W.shape[1]:
-        raise ValueError("data rows must match the weight columns")
-    m = global_W.shape[0]
-    gate_rows = (global_W @ X >= 0.0).astype(float)
-    gate_cols = (local_W @ X_c >= 0.0).astype(float)
-    return (X.T @ X_c) * (gate_rows.T @ gate_cols) / m
 
 
 def contraction_factor(eta, participants, lambda_min, local_steps, n_clients) -> float:

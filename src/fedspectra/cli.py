@@ -222,13 +222,24 @@ def _svg_plot(path, curves, *, title, x_label, y_label, width=720, height=480):
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
-    """Run one federated training job; write trace.csv, trace.json, loss.svg."""
-    out = Path(out_dir)
-    ctx = build_experiment(cfg)
-    result = run_fedavg(cfg.federation, ctx.init_params, list(ctx.batches))
+def _write_json(path, doc):
+    path.write_text(json.dumps(_jsonable(doc), indent=2) + "\n")
 
-    fed, lam = cfg.federation, ctx.lambda_min
+
+def _header(cfg: ExperimentConfig, ctx: verify.RunContext) -> dict:
+    return {
+        "config": json.loads(serialize_config(cfg)),
+        "lambda_min": ctx.lambda_min,
+        "perturbed_columns": ctx.perturbed_columns,
+    }
+
+
+def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, fed, **observe):
+    """Run `fed` once from ctx and write trace.csv, trace.json and loss.svg,
+    both traces from one list of per-round rows. Returns the RunResult."""
+    result = run_fedavg(fed, ctx.init_params, list(ctx.batches), **observe)
+
+    lam = ctx.lambda_min
     sizes = [len(tr.members) for tr in result.traces]
     rhos, bound_values, skipped = [None] * len(sizes), None, None
     if lam is not None:
@@ -246,14 +257,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
             except ValueError as e:
                 skipped = str(e)
     if skipped is not None:
-        print(f"train: bound_cum not written: {skipped}", file=sys.stderr)
+        print(f"{command}: bound_cum not written: {skipped}", file=sys.stderr)
     bounds = bound_values or (None,) * len(result.losses)
-
-    lines = [CSV_HEADER]
-    for tr, rho in zip(result.traces, rhos):
-        numbers = map(_g17, (tr.loss, tr.ratio, rho, bounds[tr.t]))
-        lines.append(",".join([str(tr.t), ";".join(str(c) for c in tr.members), *numbers]))
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
     rows = [
         {
@@ -267,27 +272,25 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
         }
         for tr, rho in zip(result.traces, rhos)
     ]
-    (out / "trace.json").write_text(
-        json.dumps(
-            _jsonable(
-                {
-                    "config": json.loads(serialize_config(cfg)),
-                    "lambda_min": ctx.lambda_min,
-                    "perturbed_columns": ctx.perturbed_columns,
-                    "dropped_samples": ctx.dropped_samples,
-                    "losses": list(result.losses),
-                    "final_loss": result.final_loss,
-                    "rows": rows,
-                }
-            ),
-            indent=2,
-        )
-        + "\n"
+    lines = [CSV_HEADER]
+    for r in rows:
+        numbers = map(_g17, (r["loss"], r["ratio"], r["rho_theory"], r["bound_cum"]))
+        lines.append(",".join([str(r["t"]), ";".join(map(str, r["participants"])), *numbers]))
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    _write_json(
+        out / "trace.json",
+        {
+            **_header(cfg, ctx),
+            "dropped_samples": ctx.dropped_samples,
+            "losses": list(result.losses),
+            "final_loss": result.final_loss,
+            "rows": rows,
+        },
     )
 
-    curves = [("loss", [(t, v) for t, v in enumerate(result.losses)])]
+    curves = [("loss", list(enumerate(result.losses)))]
     if bound_values is not None:
-        curves.append(("bound", [(t, v) for t, v in enumerate(bound_values)]))
+        curves.append(("bound", list(enumerate(bound_values))))
     _svg_plot(
         out / "loss.svg",
         curves,
@@ -295,6 +298,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
         x_label="round",
         y_label="loss (log scale)",
     )
+    return result
+
+
+def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
+    """Run one federated training job; write trace.csv, trace.json, loss.svg."""
+    result = _train("train", cfg, build_experiment(cfg), Path(out_dir), cfg.federation)
     print(f"train: {len(result.traces)} rounds, final loss {result.final_loss:.6g}")
     return EXIT_OK
 
@@ -352,43 +361,26 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
-    """Run the configured checks and write verify.json; exit 0 iff all pass."""
+    """Train as `train` does, but through every round, checking the rounds
+    that verify.select picks; write verify.json too and exit 0 iff all pass."""
     out = Path(out_dir)
     ctx = build_experiment(cfg)
-    # the listed rounds are observed whatever the loss reaches
-    fed = dataclasses.replace(cfg.federation, stop_loss_fraction=None)
-    T = fed.rounds
-    default = sorted({0, T // 2, T - 1}) if T else []
-    rounds = cfg.verify.rounds if cfg.verify.rounds is not None else default
+    fed = cfg.federation
     try:
-        names, rounds = verify.select(ctx, cfg.verify.checks, rounds, cfg.analysis.max_gram_dim)
+        names, rounds = verify.select(
+            ctx, cfg.verify.checks, cfg.verify.rounds, fed.rounds, cfg.analysis.max_gram_dim
+        )
     except ValueError as e:
         raise ConfigError(str(e)) from e
     snapshots = []  # in round order, one per observed round
-    if rounds:
-        run_fedavg(
-            fed,
-            ctx.init_params,
-            list(ctx.batches),
-            observer=snapshots.append,
-            observe_rounds=set(rounds),
-        )
+    # the selected rounds are observed whatever the loss reaches
+    fed = dataclasses.replace(fed, stop_loss_fraction=None)
+    _train("verify", cfg, ctx, out, fed, observer=snapshots.append, observe_rounds=set(rounds))
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
-    (out / "verify.json").write_text(
-        json.dumps(
-            _jsonable(
-                {
-                    "passed": all_passed,
-                    "config": json.loads(serialize_config(cfg)),
-                    "lambda_min": ctx.lambda_min,
-                    "perturbed_columns": ctx.perturbed_columns,
-                    "checks": [_report_dict(r) for r in reports],
-                }
-            ),
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        out / "verify.json",
+        {"passed": all_passed, **_header(cfg, ctx), "checks": [_report_dict(r) for r in reports]},
     )
     for r in reports:
         state = "PASS" if r.passed else "FAIL"
@@ -405,7 +397,7 @@ def main(argv=None) -> int:
     for name, doc in (
         ("train", "run one training job and emit trace files"),
         ("sweep", "run a participation-rate x seed grid and emit summaries"),
-        ("verify", "run theory checks and emit verify.json"),
+        ("verify", "train, run theory checks and emit trace files and verify.json"),
     ):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="path to a JSON experiment config")

@@ -89,7 +89,7 @@ class IdxData(Settings):
 class VerifySection(Settings):
     # None = every check applicable to the model kind
     checks: tuple[str, ...] | None = setting(None, check=_list_of("check name", repeats=True))
-    rounds: tuple[int, ...] | None = None  # None = {0, T//2, T-1}
+    rounds: tuple[int, ...] | None = None  # None = {0, T//2, T-1}, set by verify.select
 
     def __post_init__(self):
         super().__post_init__()

@@ -197,10 +197,11 @@ def known_checks(kind) -> tuple:
     return tuple(name for name, (kinds, *_) in CHECKS.items() if kind in kinds)
 
 
-def select(ctx, wanted, rounds, max_gram_dim) -> tuple:
+def select(ctx, wanted, rounds, T, max_gram_dim) -> tuple:
     """The checks to run (`wanted`, or all of the model kind's when None) in
-    table order, and the rounds to observe: `rounds`, or none when no
-    selected check runs per round.
+    table order, and the rounds to observe of a run of T rounds: `rounds`,
+    or {0, T//2, T-1} when None, or none when no selected check runs per
+    round.
 
     Raises ValueError, naming the config key, at the first selected check
     whose set-up Gram matrix is over max_gram_dim, or whose bound divides by
@@ -212,6 +213,8 @@ def select(ctx, wanted, rounds, max_gram_dim) -> tuple:
     names = [n for n in known_checks(kind) if wanted is None or n in wanted]
     if not any(CHECKS[n][1] for n in names):
         rounds = []
+    elif rounds is None:
+        rounds = sorted({0, T // 2, T - 1}) if T else []
     for name in names:
         _, per_round, gram_kinds, _ = CHECKS[name]
         if kind not in gram_kinds or (per_round and not rounds):

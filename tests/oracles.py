@@ -134,6 +134,15 @@ def mc_relu_kernel(X, draws, seed):
     return (X.T @ X) * co_active
 
 
+def gram_H_tkc(global_W, local_W, X, X_c):
+    """Finite-width ReLU Gram block: entry (i, j) averages x_i.x_j over hidden
+    units whose global weights activate x_i and local weights activate x_j."""
+    m = global_W.shape[0]
+    gate_rows = (global_W @ X >= 0.0).astype(float)
+    gate_cols = (local_W @ X_c >= 0.0).astype(float)
+    return (X.T @ X_c) * (gate_rows.T @ gate_cols) / m
+
+
 def eig_2x2(M):
     """Eigenvalues of a symmetric 2x2 matrix from the characteristic polynomial."""
     a, b, c = float(M[0, 0]), float(M[0, 1]), float(M[1, 1])

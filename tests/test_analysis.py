@@ -17,10 +17,8 @@ from fedspectra.analysis import (
     check_ntk_trace,
     drift_radius_deep_linear,
     drift_radius_two_layer,
-    effective_rank,
     first_order_scaling,
     gram_H_infinity,
-    gram_H_tkc,
     gram_P0,
     gram_P0_lambda_min,
     lambda_min_floor,
@@ -41,7 +39,7 @@ from fedspectra.models import (
     vec_residual,
 )
 
-from oracles import eig_2x2, gram_linear_bruteforce, mc_relu_kernel
+from oracles import eig_2x2, gram_H_tkc, gram_linear_bruteforce, mc_relu_kernel
 
 
 def _perturbed(p: DeepLinearParams, scale, seed):
@@ -216,7 +214,7 @@ def test_spectrum_rejects_non_finite():
 
 def test_rank_helpers():
     X = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
-    assert effective_rank(X) == 1
+    assert analysis.nonzero_singular_values(X).size == 1
     assert sigma_min_nonzero(X) == pytest.approx(np.linalg.norm(X))
 
 

@@ -895,10 +895,21 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     assert per_round == [json.loads(json.dumps(cli._report_dict(r))) for r in expected]
 
 
-@pytest.mark.parametrize("command", ["train", "verify"])
-def test_commands_call_the_benchmark_patch_points_once(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param("train", SMALL_LINEAR, id="train"),
+        pytest.param("verify", SMALL_LINEAR, id="verify"),
+        pytest.param(
+            "verify", {**SMALL_LINEAR, "verify": {"checks": ["init-spectra"]}},
+            id="verify-setup-only",
+        ),
+    ],
+)
+def test_commands_call_the_benchmark_patch_points_once(tmp_path, monkeypatch, command, doc):
     # perfbench/child.py times set-up and training by replacing these two
-    # names in the cli module, so both commands must call them through it
+    # names in the cli module, so both commands must call them through it;
+    # verify trains even when it checks no round
     calls = {"build_experiment": 0, "run_fedavg": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
@@ -906,9 +917,31 @@ def test_commands_call_the_benchmark_patch_points_once(tmp_path, monkeypatch, co
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counting)
-    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    cfg = _write(tmp_path, "c.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert calls == {"build_experiment": 1, "run_fedavg": 1}
+
+
+def test_each_command_writes_its_files(tmp_path):
+    cfg = _write(tmp_path, "c.json", {**SMALL_LINEAR, "sweep": {"rates": [1.0], "seeds": [0]}})
+    trace = {"trace.csv", "trace.json", "loss.svg"}
+    for command, files in (
+        ("train", trace),
+        ("verify", trace | {"verify.json"}),
+        ("sweep", {"sweep.csv", "sweep.svg"}),
+    ):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert {p.name for p in out.iterdir()} == files
+
+
+@pytest.mark.parametrize("doc", [SMALL_LINEAR, RELU_SCHEDULED], ids=["linear", "relu"])
+def test_verify_writes_the_trace_files_of_train(tmp_path, doc):
+    cfg = _write(tmp_path, "c.json", doc)
+    for command in ("train", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_OK
+    for name in ("trace.csv", "trace.json", "loss.svg"):
+        assert (tmp_path / "verify" / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
 
 
 def test_train_context_does_not_hold_the_stacked_data(tmp_path, monkeypatch):
@@ -977,6 +1010,8 @@ def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
     per_round = [c for c in checks if "t" in c["context"]]
     assert per_round and all(c["context"]["t"] == 30 for c in per_round)
+    # and its trace holds every round that it trained
+    assert len((tmp_path / "v" / "trace.csv").read_text().splitlines()) == 1 + 31
 
 
 def test_verify_two_layer_trace_and_descent(tmp_path):

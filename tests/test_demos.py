@@ -2,8 +2,9 @@
 
 Each runs in a fresh process with the package's source on the path, so a
 removed export, keyword argument or attribute fails here, not only a removed
-import. verify_pipeline.py, which drives train and every verify check
-through the CLI, must also report that every check passed.
+import. verify_pipeline.py, which drives every verify check through the
+CLI and reads the trace from the same run, must also report that every
+check passed.
 """
 
 import os

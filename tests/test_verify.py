@@ -78,8 +78,15 @@ def test_gram_dim_is_the_side_of_the_matrix_set_up_builds():
 
 def test_select_observes_rounds_only_for_per_round_checks():
     ctx = cli.build_experiment(cli.parse_config(json.dumps(TINY_LINEAR)))
-    assert verify.select(ctx, ("gram-floor", "init-spectra"), [0], 1024) == (
+    assert verify.select(ctx, ("gram-floor", "init-spectra"), [0], 4, 1024) == (
         ["init-spectra", "gram-floor"], [],
     )
-    names, rounds = verify.select(ctx, None, [0], 1024)
+    names, rounds = verify.select(ctx, None, [0], 4, 1024)
     assert (names, rounds) == (list(verify.known_checks("deep-linear")), [0])
+
+
+@pytest.mark.parametrize("T, expected", [(0, []), (1, [0]), (2, [0, 1]), (5, [0, 2, 4])])
+def test_select_defaults_to_the_first_middle_and_last_round(T, expected):
+    ctx = cli.build_experiment(cli.parse_config(json.dumps(TINY_LINEAR)))
+    assert verify.select(ctx, None, None, T, 1024)[1] == expected
+    assert verify.select(ctx, ("init-spectra",), None, T, 1024)[1] == []
