@@ -280,7 +280,7 @@ def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, fe
     _write_json(
         out / "trace.json",
         {
-            **_header(cfg, ctx),
+            **_header(dataclasses.replace(cfg, federation=fed), ctx),
             "dropped_samples": ctx.dropped_samples,
             "losses": list(result.losses),
             "final_loss": result.final_loss,

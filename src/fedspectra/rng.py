@@ -14,6 +14,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def _tag_int(tag) -> int:
+    # a numpy integer reprs as e.g. 'np.int64(5)' under numpy 2, so it would key
+    # a different stream than the same Python int
+    if isinstance(tag, np.integer):
+        tag = int(tag)
     digest = hashlib.sha256(repr(tag).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -21,8 +25,9 @@ def _tag_int(tag) -> int:
 def stream(seed: int, *tags) -> np.random.Generator:
     """Return a Generator keyed by (seed, *tags).
 
-    Tags may be strings or ints; they are hashed into the seed material so
-    e.g. stream(s, "participants", t) is independent of stream(s, "init").
+    Tags may be strings or ints (a numpy integer keys the same stream as the
+    equal Python int); they are hashed into the seed material so e.g.
+    stream(s, "participants", t) is independent of stream(s, "init").
     """
     entropy = [int(seed) & _MASK64] + [_tag_int(t) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))

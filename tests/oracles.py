@@ -201,3 +201,41 @@ def relu_gradient_step_loops(hidden, signs, X, y, eta):
                     g += residual[i] * signs[r] * X[a, i]
             out[r, a] = hidden[r, a] - eta * norm * g
     return out
+
+
+def _parallel_to_any_loop(X_prev, x) -> bool:
+    if X_prev.shape[1] == 0:
+        return False
+    cos = np.abs(X_prev.T @ x)
+    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    return bool(np.any(angles < 1e-6))
+
+
+def preprocess_unit_norm_loop(X):
+    """`data.preprocess_unit_norm` on a feature matrix, the sequential way:
+    every column, in order, is tested against all earlier ones and nudged
+    until it is parallel to none. Returns (X, number of perturbed columns).
+
+    The one exception to this module's rule: the nudges draw from
+    `fedspectra.rng.stream` under the package's perturbation key, because the
+    output is compared bit for bit and the noise is part of it.
+    """
+    from fedspectra.rng import stream
+
+    X = np.array(X, dtype=float)
+    norms = np.linalg.norm(X, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError(f"zero column at index {int(np.argmin(norms))}")
+    off = np.abs(norms - 1.0) > 1e-13
+    X[:, off] = X[:, off] / norms[off]
+    perturbed = 0
+    for j in range(X.shape[1]):
+        attempt = 0
+        while _parallel_to_any_loop(X[:, :j], X[:, j]):
+            noise = stream(0x5EED_0F_C0_1D, "perturb", j, attempt).standard_normal(X.shape[0])
+            x = X[:, j] + 1e-3 * noise
+            X[:, j] = x / np.linalg.norm(x)
+            attempt += 1
+        if attempt:
+            perturbed += 1
+    return X, perturbed

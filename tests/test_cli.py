@@ -1010,8 +1010,12 @@ def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
     per_round = [c for c in checks if "t" in c["context"]]
     assert per_round and all(c["context"]["t"] == 30 for c in per_round)
-    # and its trace holds every round that it trained
+    # and its trace holds every round that it trained, under the setting it ran with
     assert len((tmp_path / "v" / "trace.csv").read_text().splitlines()) == 1 + 31
+    # (the canonical config leaves an unset key out)
+    header = {d: json.loads((tmp_path / d / "trace.json").read_text())["config"] for d in ("tr", "v")}
+    assert header["tr"]["federation"]["stop_loss_fraction"] == 0.9999
+    assert "stop_loss_fraction" not in header["v"]["federation"]
 
 
 def test_verify_two_layer_trace_and_descent(tmp_path):

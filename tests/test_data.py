@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedspectra import data
 from fedspectra.data import (
     Dataset,
     IdxFormatError,
@@ -19,6 +20,8 @@ from fedspectra.data import (
     save_idx,
     synth_linear_dataset,
 )
+from fedspectra.rng import stream
+from oracles import preprocess_unit_norm_loop
 
 
 def _write_idx_pair(tmp_path, pixels, labels):
@@ -206,18 +209,115 @@ def test_preprocess_normalizes_and_is_idempotent():
     assert np.array_equal(out.X, again.X)  # bitwise stable on re-application
 
 
+def _matches_the_loop(X):
+    """Run preprocess_unit_norm and the sequential oracle on X; assert the same
+    count and bit-identical columns, and return the preprocessed Dataset and count."""
+    out, perturbed = preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, X.shape[1]))))
+    want, want_perturbed = preprocess_unit_norm_loop(X)
+    assert perturbed == want_perturbed
+    assert out.X.tobytes() == want.tobytes()
+    return out, perturbed
+
+
 def test_preprocess_breaks_up_parallel_columns():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(8)
     X = np.stack([x, 2.0 * x, -0.5 * x, rng.standard_normal(8)], axis=1)
-    ds = Dataset(X=X, Y=np.zeros((1, 4)))
-    out, perturbed = preprocess_unit_norm(ds)
+    out, perturbed = _matches_the_loop(X)
     assert perturbed == 2  # one copy and the anti-parallel copy both move
     G = np.abs(out.X.T @ out.X)
     np.fill_diagonal(G, 0.0)
     assert np.all(np.arccos(np.clip(G, 0.0, 1.0)) >= 1e-6)
     out2, again = preprocess_unit_norm(out)
     assert again == 0 and np.array_equal(out.X, out2.X)
+
+
+def test_preprocess_matches_the_loop_on_a_column_repeated_three_times():
+    x, y, z = np.random.default_rng(8).standard_normal((3, 8))
+    assert _matches_the_loop(np.stack([x, y, x, z, x, x], axis=1))[1] == 3
+
+
+@pytest.mark.parametrize("angle, nudged", [(1e-7, 1), (1e-5, 0)])
+def test_preprocess_nudges_only_pairs_closer_than_a_microradian(angle, nudged):
+    a, u = np.linalg.qr(np.random.default_rng(7).standard_normal((8, 2)))[0].T
+    X = np.stack([a, np.cos(angle) * a + np.sin(angle) * u], axis=1)
+    assert _matches_the_loop(X)[1] == nudged
+
+
+def test_preprocess_tests_later_columns_against_the_nudged_value():
+    rng = np.random.default_rng(9)
+    a, c = rng.standard_normal((2, 8))
+    nudged = preprocess_unit_norm_loop(np.stack([a, a], axis=1))[0][:, 1]
+    # far enough from a that only the comparison with the nudged copy flags it
+    assert abs(a @ nudged) / np.linalg.norm(a) < 1.0 - data._SCREEN_MARGIN
+    assert _matches_the_loop(np.stack([a, a, c, nudged], axis=1))[1] == 2
+
+
+@st.composite
+def _planted_copies(draw):
+    """A small random matrix in which some columns are scaled, sign-flipped
+    or slightly moved copies of earlier ones (copies of copies included)."""
+    d, n = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((d, n))
+    for j in range(1, n):
+        kind = draw(st.sampled_from(["fresh", "copy", "near"]))
+        if kind == "fresh":
+            continue
+        src = X[:, draw(st.integers(0, j - 1))]
+        if kind == "near":
+            src = src + draw(st.sampled_from([1e-10, 1e-7, 1e-5])) * rng.standard_normal(d)
+        X[:, j] = draw(st.sampled_from([1.0, -1.0, 2.5, -1e-3, 1e4])) * src
+    return X
+
+
+@settings(deadline=None, max_examples=60)
+@given(_planted_copies())
+def test_preprocess_matches_the_loop_on_planted_copies(X):
+    _matches_the_loop(X)
+
+
+IDX_IMAGES, IDX_REPEATS = 4000, 80
+
+
+@pytest.fixture(scope="module")
+def idx_with_repeats(tmp_path_factory):
+    """4000 seeded 28x28 images, IDX_REPEATS of them exact copies of an earlier
+    image that is not itself a copy, written by save_idx and read by load_idx."""
+    rng = np.random.default_rng([0, 0x1D7])
+    pixels = rng.integers(1, 256, size=(28 * 28, IDX_IMAGES), dtype=np.int64)
+    copies = np.sort(rng.choice(np.arange(1, IDX_IMAGES), size=IDX_REPEATS, replace=False))
+    originals = np.setdiff1d(np.arange(IDX_IMAGES), copies)
+    for j in copies:
+        pixels[:, j] = pixels[:, rng.choice(originals[originals < j])]
+    d = tmp_path_factory.mktemp("idx")
+    save_idx(d / "i.idx", d / "l.idx", pixels / 255.0, rng.integers(0, 10, IDX_IMAGES), (28, 28))
+    return load_idx(d / "i.idx", d / "l.idx")
+
+
+def test_preprocess_matches_the_loop_on_idx_images(idx_with_repeats):
+    assert _matches_the_loop(idx_with_repeats.X)[1] == IDX_REPEATS
+
+
+def test_preprocess_runs_the_exact_test_only_on_flagged_columns(monkeypatch, idx_with_repeats):
+    outcomes = []
+    exact = data._parallel_to_any
+
+    def counted(X_prev, x):
+        outcomes.append(exact(X_prev, x))
+        return outcomes[-1]
+
+    monkeypatch.setattr(data, "_parallel_to_any", counted)
+    _, perturbed = preprocess_unit_norm(idx_with_repeats)
+    attempts = sum(outcomes)
+    assert perturbed == IDX_REPEATS
+    # one test per flagged column plus one per nudge, not one per column
+    assert len(outcomes) <= perturbed + IDX_REPEATS + attempts < IDX_IMAGES // 10
+
+
+def test_stream_keys_a_numpy_integer_tag_as_the_equal_int():
+    want = stream(0, "t", 3).standard_normal(4)
+    assert np.array_equal(stream(0, "t", np.int64(3)).standard_normal(4), want)
 
 
 def test_preprocess_rejects_zero_column():
