@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .federation import local_trajectory
+from .federation import local_round
 from .models import (
     DeepLinearParams,
     LabeledBatch,
@@ -671,7 +671,7 @@ def first_order_scaling(params, init_params, batches, members, eta, local_steps,
 
     trajectories are the members' local trajectories at eta (aligned with
     sorted(members), as in predict_first_order), e.g. from a RoundSnapshot;
-    only the eta/2 probe trains.
+    only the eta/2 probe trains, every member in one local_round.
     """
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
@@ -684,13 +684,9 @@ def first_order_scaling(params, init_params, batches, members, eta, local_steps,
         )
 
     full = probe(eta, trajectories)
-    half = probe(
-        0.5 * eta,
-        [
-            local_trajectory(params, batches[c], 0.5 * eta, local_steps)[0]
-            for c in sorted(int(c) for c in members)
-        ],
-    )
+    own = [batches[c] for c in sorted(int(c) for c in members)]
+    runs, _ = local_round(params, own, 0.5 * eta, local_steps, keep=True)
+    half = probe(0.5 * eta, [iterates for iterates, _ in runs])
     if half.actual_error == 0.0:
         raise ValueError("half-rate probe has zero error; scaling ratio undefined")
     return full, half, full.actual_error / half.actual_error

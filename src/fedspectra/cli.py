@@ -375,6 +375,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     snapshots = []  # in round order, one per observed round
     # the selected rounds are observed whatever the loss reaches
     fed = dataclasses.replace(fed, stop_loss_fraction=None)
+    cfg = dataclasses.replace(cfg, federation=fed)  # both headers record the run
     _train("verify", cfg, ctx, out, fed, observer=snapshots.append, observe_rounds=set(rounds))
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)

@@ -3,6 +3,7 @@
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -153,21 +154,33 @@ def sample_participants(t, cfg: FederationConfig) -> tuple:
     return tuple(int(c) for c in np.sort(members))
 
 
-def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
-    """Run full-batch gradient descent (params.descend).
+def local_round(params, batches, eta, steps, keep=False, map=map) -> tuple:
+    """One round of full-batch gradient descent from params on each batch
+    (params.descend_round; `map`, builtin map or an executor's, runs the
+    clients).
 
-    Returns (trajectory, losses). losses has steps+1 entries, index 0 being
-    the starting point; so has trajectory when keep, else it holds the last
-    iterate only.
+    Returns (runs, average). runs[i] is (iterates, losses) for batches[i]:
+    losses has steps+1 entries, index 0 being the starting point, and so has
+    iterates when keep, else it is empty. average() forms the server average
+    of the last iterates. Raises DivergenceError, its client being the index
+    into batches, for the first batch whose loss went non-finite.
     """
-    traj, losses = params.descend(batch, eta, steps, keep)
-    value = losses[-1]
-    if not np.isfinite(value):
-        k = len(losses) - 1
-        raise DivergenceError(
-            f"non-finite local loss {value} at local step {k}", step=k, loss=value
-        )
-    return traj, losses
+    runs, average = params.descend_round(batches, eta, steps, keep=keep, map=map)
+    for i, (_, losses) in enumerate(runs):
+        value = losses[-1]
+        if not np.isfinite(value):
+            k = len(losses) - 1
+            raise DivergenceError(
+                f"non-finite local loss {value} at local step {k}", client=i, step=k, loss=value
+            )
+    return runs, average
+
+
+def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
+    """local_round on one batch. Returns (trajectory, losses): trajectory
+    holds all steps+1 iterates when keep, else the last one only."""
+    ((trajectory, losses),), last = local_round(params, [batch], eta, steps, keep)
+    return (trajectory if keep else (last(),)), losses
 
 
 def global_loss(params, client_batches) -> float:
@@ -186,12 +199,11 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - with cfg.workers > 1, results are collected by client position so the
-      aggregate is order-stable.
+    - with cfg.workers > 1, clients train in a thread pool; results are
+      collected by client position so the aggregate is order-stable.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
-      observe_rounds is None) before the server average is formed. Only
-      those rounds keep every local iterate; the others keep each client's
-      last one.
+      observe_rounds is None) before the server average is applied. Only
+      those rounds keep every local iterate; the others keep none.
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
@@ -206,28 +218,21 @@ def run_fedavg(
             break
         members = sample_participants(t, cfg)
         observed = observer is not None and (observe_rounds is None or t in observe_rounds)
-
-        def fit(c):
-            try:
-                return local_trajectory(
-                    params, client_batches[c], cfg.eta, cfg.local_steps, keep=observed
+        batches = [client_batches[c] for c in members]
+        threads = cfg.workers > 1 and len(members) > 1
+        try:
+            with ThreadPoolExecutor(max_workers=cfg.workers) if threads else nullcontext() as pool:
+                clients = pool.map if threads else map
+                runs, average = local_round(
+                    params, batches, cfg.eta, cfg.local_steps, observed, clients
                 )
-            except DivergenceError as e:
-                raise DivergenceError(
-                    f"round {t}, client {c}: {e}",
-                    round_index=t,
-                    client=c,
-                    step=e.step,
-                    loss=e.loss,
-                ) from e
-
-        if cfg.workers > 1 and len(members) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(fit, members))
-        else:
-            results = [fit(c) for c in members]
-        trajectories = tuple(traj for traj, _ in results)
-        local_losses = tuple(tuple(ls) for _, ls in results)
+        except DivergenceError as e:
+            c = members[e.client]
+            raise DivergenceError(
+                f"round {t}, client {c}: {e}", round_index=t, client=c, step=e.step, loss=e.loss
+            ) from e
+        trajectories = tuple(iterates for iterates, _ in runs)
+        local_losses = tuple(tuple(ls) for _, ls in runs)
 
         if observed:
             observer(
@@ -240,7 +245,7 @@ def run_fedavg(
                 )
             )
 
-        params = type(params).average([traj[-1] for traj in trajectories])
+        params = average()
         value = global_loss(params, client_batches)
         if not np.isfinite(value):
             raise DivergenceError(

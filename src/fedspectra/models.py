@@ -1,15 +1,17 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
-Both parameter classes expose the same four members: predict(X), the
-local descent descend(batch, eta, steps, keep), the server average
-average(params) (a classmethod) and drift(init). Gradients of the
-(unnormalized) square loss are closed-form; there is no automatic
+Both parameter classes expose the same four members: predict(X), one
+round of local descent descend_round(batches, eta, steps, keep, map), the
+server average average(params) (a classmethod) and drift(init). Gradients
+of the (unnormalized) square loss are closed-form; there is no automatic
 differentiation anywhere. All arithmetic is 64-bit. A parameter object is
-never changed once built: descend updates a private copy of the weights in
-place and hands out only arrays it no longer writes to.
+never changed once built: a client's descent updates a private copy of the
+weights in place and hands out only arrays it no longer writes to.
 """
 
+import ctypes
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,6 +55,58 @@ def _mean(arrays) -> np.ndarray:
     return total
 
 
+@cache
+def _blas_dgemm():
+    """cblas_dgemm of the OpenBLAS that numpy's own matmul calls, or None
+    when numpy is built against a BLAS that does not export it under the
+    64-bit-integer names of OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        handle = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_cblas_dgemm64_", "cblas_dgemm64_"):
+        fn = getattr(handle, name, None)
+        if fn is not None:
+            size, ptr = ctypes.c_int64, ctypes.c_void_p
+            fn.restype = None
+            fn.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [ctypes.c_double, ptr, size]
+            fn.argtypes += [ptr, size, ctypes.c_double, ptr, size]
+            return fn
+    return None
+
+
+def _subtract_product(W, A, B):
+    """W -= A @ B.T in place, W being C-contiguous.
+
+    numpy's matmul cannot add into its output, so W -= A @ B.T writes the
+    product to a temporary, then reads it and W back: three passes over an
+    array the size of W where BLAS's C = C - A B^T makes one. BLAS runs the
+    same kernel on the same operands as matmul and subtracts each finished
+    entry from W, so W ends bit for bit as W -= A @ B.T leaves it. A W with
+    one row or column is left to numpy, whose matmul takes its
+    matrix-vector kernel there.
+    """
+    (rows, n), cols = A.shape, B.shape[0]
+    if W.shape != (rows, cols) or B.shape[1] != n:
+        raise ValueError(f"cannot subtract {A.shape} @ {B.shape}.T from {W.shape}")
+    dgemm = _blas_dgemm()
+    doubles = all(M.dtype == np.float64 for M in (W, A, B))
+    if dgemm is None or min(rows, cols) == 1 or not (doubles and W.flags.c_contiguous):
+        W -= A @ B.T
+        return
+    if n == 0:
+        return
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    row_major, no_trans, trans = 101, 111, 112
+    # W = -1 * A @ B.T + 1 * W, each matrix row-major with its row length as stride
+    args = (rows, cols, n, -1.0, A.ctypes.data, n, B.ctypes.data, n, 1.0, W.ctypes.data, cols)
+    dgemm(row_major, no_trans, trans, *args)
+
+
 class _LocalDescent:
     """The local-descent loop both parameter classes share. A class supplies
     _weights() (its arrays), _with(arrays) (a new object around them) and
@@ -60,14 +114,52 @@ class _LocalDescent:
     iterate the arrays hold and then, unless eta is None, takes one gradient
     step on them in place."""
 
-    def descend(self, batch: LabeledBatch, eta, steps, keep=False) -> tuple:
-        """Run `steps` full-batch gradient steps from self on a private copy.
+    def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
+        """`steps` full-batch gradient steps from self on each batch, one
+        client per call of `map` (builtin map, or an executor's, which also
+        yields in batch order).
 
-        Returns (iterates, losses). losses[k] is the loss of iterate k, read
-        off the residual that iterate's gradient forms; the last takes one
-        forward pass. iterates holds iterates 0 (self) to steps when keep,
-        else the last one only. Descent stops at the first non-finite loss,
-        which then ends losses.
+        Returns (runs, average). runs[i] is (iterates, losses) for
+        batches[i]: losses[k] is the loss of iterate k, read off the residual
+        that iterate's gradient forms; the last takes one forward pass. A
+        client's descent stops at its first non-finite loss, which then ends
+        its losses. iterates holds iterates 0 (self) to the last when keep,
+        else nothing. average() returns the server average of the last
+        iterates, summed in batch order as average(params) sums them, and
+        raises ValueError when a client's loss ended non-finite.
+
+        Without keep, each client's last iterate joins the sum as soon as
+        its descent ends, so the round holds one client's weights beside the
+        sum. With keep, average() sums the kept last iterates on call, so a
+        caller can hand them to an observer before the average exists.
+        """
+        if not batches:
+            raise ValueError("need at least one batch")
+        runs, lasts, total = [], [], None
+        for iterates, losses in map(lambda b: self._descend(b, eta, steps, keep), batches):
+            runs.append((iterates if keep else (), losses))
+            if keep:
+                lasts.append(iterates[-1])
+            elif total is None:
+                total = [W.copy() for W in iterates[-1]._weights()]
+            else:
+                for T, W in zip(total, iterates[-1]._weights()):
+                    T += W
+        if not keep:
+            for T in total:
+                T /= len(runs)
+
+        def average():
+            if not all(np.isfinite(losses[-1]) for _, losses in runs):
+                raise ValueError("a client's local loss ended non-finite; no average")
+            return type(self).average(lasts) if keep else self._with(total)
+
+        return tuple(runs), average
+
+    def _descend(self, batch: LabeledBatch, eta, steps, keep) -> tuple:
+        """One client's `steps` full-batch gradient steps from self on a
+        private copy. Returns (iterates, losses) as descend_round describes a
+        run, except that iterates holds the last iterate alone when not keep.
         """
         weights = [W.copy() for W in self._weights()]
         iterates, losses = [self], []
@@ -148,7 +240,7 @@ class DeepLinearParams(_LocalDescent):
     def _step_in_place(self, layers, batch, eta) -> float:
         E, factors = _backprop_deep_linear(layers, self.scale, batch, eta is not None)
         for W, (left, right) in zip(layers, factors):
-            W -= (eta * left) @ right.T
+            _subtract_product(W, eta * left, right)
         return _half_square(E)
 
     @classmethod

@@ -549,8 +549,9 @@ def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
     assert 2.5 <= ratio <= 5.5  # quadratic remainder signature, loose band
 
 
-def test_first_order_scaling_predicts_from_the_given_trajectories():
-    # the eta probe uses the trajectories as given; only the eta/2 probe trains
+def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch):
+    # the eta probe uses the trajectories as given; only the eta/2 probe
+    # trains, every member in one round
     init, params, batches, cfg = _round_state()
     members = [0, 2]
     X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
@@ -563,9 +564,17 @@ def test_first_order_scaling_predicts_from_the_given_trajectories():
 
     trajs, want_full = probe(cfg.eta)
     _, want_half = probe(0.5 * cfg.eta)
+    rounds = []
+
+    def counted(self, round_batches, *args, _round=type(params).descend_round, **kwargs):
+        rounds.append(len(round_batches))
+        return _round(self, round_batches, *args, **kwargs)
+
+    monkeypatch.setattr(type(params), "descend_round", counted)
     full, half, ratio = first_order_scaling(
         params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
     )
+    assert rounds == [len(members)]
     for got, want in ((full, want_full), (half, want_half)):
         np.testing.assert_array_equal(got.predicted, want.predicted)
         assert got.actual_error == want.actual_error

@@ -1016,6 +1016,8 @@ def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     header = {d: json.loads((tmp_path / d / "trace.json").read_text())["config"] for d in ("tr", "v")}
     assert header["tr"]["federation"]["stop_loss_fraction"] == 0.9999
     assert "stop_loss_fraction" not in header["v"]["federation"]
+    verify_header = json.loads((tmp_path / "v" / "verify.json").read_text())["config"]
+    assert verify_header["federation"] == header["v"]["federation"]
 
 
 def test_verify_two_layer_trace_and_descent(tmp_path):

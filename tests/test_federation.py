@@ -1,6 +1,7 @@
 """Round loop behavior: sampling, local descent, aggregation, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_local_trajectory_shapes_and_descent():
 def test_one_local_step_matches_pooled_gradient_oracle():
     params, batches = _workload()
     b = batches[1]
-    (stepped,), _ = params.descend(b, 0.03, 1)
+    (stepped,), _ = local_trajectory(params, b, 0.03, 1, keep=False)
     expected = pooled_gradient_step_linear(list(params.layers), params.scale, b.X, b.Y, 0.03)
     for W, We in zip(stepped.layers, expected):
         np.testing.assert_allclose(W, We, atol=1e-12)
@@ -121,7 +122,7 @@ def test_one_relu_step_matches_loop_oracle():
     rng = np.random.default_rng(3)
     b = LabeledBatch(X=rng.standard_normal((5, 8)), Y=rng.standard_normal(8))
     expected = relu_gradient_step_loops(q.hidden, q.signs, b.X, b.Y, 0.03)
-    (stepped,), _ = q.descend(b, 0.03, 1)
+    (stepped,), _ = local_trajectory(q, b, 0.03, 1, keep=False)
     np.testing.assert_allclose(stepped.hidden, expected, atol=1e-12)
 
 
@@ -246,10 +247,87 @@ def test_snapshot_iterates_outlive_the_run_unchanged():
     run_fedavg(cfg, params, batches, observer=seen.append)
     for snap in seen:
         for traj, c in zip(snap.trajectories, snap.members):
-            fresh, _ = snap.global_params.descend(batches[c], cfg.eta, cfg.local_steps, keep=True)
+            fresh, _ = local_trajectory(snap.global_params, batches[c], cfg.eta, cfg.local_steps)
             assert len(traj) == len(fresh) == cfg.local_steps + 1
             for a, b in zip(traj, fresh):
                 assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(a.layers, b.layers))
+
+
+def _uneven_workload(width, sizes, seed=3, depth=3, d_in=10, d_out=5):
+    ds, _ = synth_linear_dataset(d_in, d_out, sum(sizes), seed=seed)
+    ends = np.cumsum(sizes)
+    batches = [
+        LabeledBatch(X=ds.X[:, e - n : e], Y=ds.Y[:, e - n : e]) for n, e in zip(sizes, ends)
+    ]
+    return init_deep_linear(depth, width, d_in, d_out, seed=seed), batches
+
+
+def _dense_steps_linear(params, batch, eta, steps):
+    """The layers of iterates 0 to steps, each step from the pooled-gradient
+    oracle, and each iterate's loss."""
+    iterates = [list(params.layers)]
+    for _ in range(steps):
+        iterates.append(
+            pooled_gradient_step_linear(iterates[-1], params.scale, batch.X, batch.Y, eta)
+        )
+    return iterates, [
+        loss_of(DeepLinearParams(layers=tuple(layers), width=params.width), batch)
+        for layers in iterates
+    ]
+
+
+@pytest.mark.parametrize(
+    "width,sizes,eta",
+    [
+        pytest.param(256, (2, 9, 1, 5, 12, 3), 0.05, id="uneven-clients"),
+        # as many samples per client as the width: every update is full rank
+        pytest.param(100, (100,) * 4, 0.002, id="full-rank"),
+    ],
+)
+def test_rounds_match_the_dense_step_oracle(width, sizes, eta):
+    """Each observed member's iterates and losses, and the server average,
+    against dense steps from the pooled-gradient oracle, at 1e-12 of the
+    displacement; half the clients take part. Rounds that keep no iterates
+    reach the same average bit for bit."""
+    params, batches = _uneven_workload(width, sizes)
+    cfg = FederationConfig(
+        n_clients=len(sizes), local_steps=4, rounds=3, eta=eta, rate=0.5, seed=1
+    )
+    seen = []
+    result = run_fedavg(cfg, params, batches, observer=seen.append)
+    unobserved = run_fedavg(cfg, params, batches)
+    assert all(np.array_equal(a, b) for a, b in zip(result.params.layers, unobserved.params.layers))
+    assert all(len(s.members) == len(sizes) // 2 for s in seen)
+    for snap, after in zip(seen, [s.global_params for s in seen[1:]] + [result.params]):
+        start = snap.global_params
+        last = []
+        for c, traj, losses in zip(snap.members, snap.trajectories, snap.local_losses):
+            want, want_losses = _dense_steps_linear(start, batches[c], cfg.eta, cfg.local_steps)
+            assert len(traj) == len(want) and traj[0] is start
+            assert losses[-1] < losses[0]
+            np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+            for q, layers in zip(traj[1:], want[1:]):
+                for W, Wo, W0 in zip(q.layers, layers, start.layers):
+                    assert np.linalg.norm(W - Wo) <= 1e-12 * np.linalg.norm(Wo - W0)
+            last.append(DeepLinearParams(layers=tuple(want[-1]), width=width))
+        average = DeepLinearParams.average(last)
+        for W, Wo, W0 in zip(after.layers, average.layers, start.layers):
+            assert np.linalg.norm(W - Wo) <= 1e-12 * np.linalg.norm(Wo - W0)
+
+
+def test_an_unobserved_linear_round_holds_one_client_at_a_time():
+    # the default linear shape: 20 clients of 4 samples, 5 local steps; each
+    # client's last iterate joins the server sum as soon as it is done
+    width = 500
+    params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005)
+    tracemalloc.start()
+    try:
+        run_fedavg(cfg, params, batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * width * width * 8  # one interior copy per client would be 20 of them
 
 
 def test_stop_loss_ends_the_run_early():
@@ -271,6 +349,25 @@ def test_divergence_raises_with_context():
         run_fedavg(cfg, params, batches)
     assert exc.value.round_index == 0
     assert exc.value.client is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_the_first_member_even_when_it_diverges_later():
+    params, batches = _workload(seed=0)
+    # larger inputs diverge sooner: client 2 before client 0, clients 1 and 3 not at all
+    for c, scale in ((0, 2.0), (2, 16.0)):
+        batches[c] = LabeledBatch(X=scale * batches[c].X, Y=batches[c].Y)
+    steps = {}
+    for c in (0, 2):
+        with pytest.raises(DivergenceError) as alone:
+            local_trajectory(params, batches[c], 1.0, 8)
+        steps[c] = alone.value.step
+    assert steps[2] < steps[0]
+    cfg = FederationConfig(n_clients=4, local_steps=8, rounds=1, eta=1.0)
+    with pytest.raises(DivergenceError) as exc:
+        run_fedavg(cfg, params, batches)
+    assert (exc.value.round_index, exc.value.client, exc.value.step) == (0, 0, steps[0])
+    assert str(exc.value).startswith("round 0, client 0: non-finite local loss")
 
 
 def test_global_loss_sums_client_losses():

@@ -16,6 +16,7 @@ from fedspectra.models import (
     loss_of,
     square_loss,
     vec_residual,
+    _subtract_product,
 )
 
 from oracles import (
@@ -176,8 +177,8 @@ def test_shape_validation():
 
 
 def _dense_descent(p, batch, eta, steps):
-    """The update descend replaces: a new W - eta * G per layer per step,
-    each loss from a separate forward pass."""
+    """The update a client's descent replaces: a new W - eta * G per layer
+    per step, each loss from a separate forward pass."""
     iterates = [p]
     for _ in range(steps):
         if isinstance(p, DeepLinearParams):
@@ -227,7 +228,7 @@ DESCENT_CASES = [
 def test_fused_descent_matches_dense_steps(p, batch, eta):
     steps = 4
     dense, dense_losses = _dense_descent(p, batch, eta, steps)
-    fused, losses = p.descend(batch, eta, steps, keep=True)
+    ((fused, losses),), average = p.descend_round([batch], eta, steps, keep=True)
     assert len(fused) == len(losses) == steps + 1 and fused[0] is p
     assert losses[-1] < losses[0]  # the steps descend, so the updates are not negligible
     np.testing.assert_allclose(losses, dense_losses, rtol=1e-12, atol=0)
@@ -235,16 +236,21 @@ def test_fused_descent_matches_dense_steps(p, batch, eta):
         for Wa, Wb, W0 in zip(_weights(a), _weights(b), _weights(p)):
             # the displacement from the start, not the weights, at 1e-12
             assert np.linalg.norm(Wa - Wb) <= 1e-12 * np.linalg.norm(Wb - W0)
-    last, last_losses = p.descend(batch, eta, steps, keep=False)
-    assert last_losses == losses
-    assert len(last) == 1
-    assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(_weights(last[0]), _weights(fused[-1])))
+    ((unkept, last_losses),), last = p.descend_round([batch], eta, steps, keep=False)
+    assert unkept == () and last_losses == losses
+    # one client's average is its last iterate, whether or not the round keeps iterates
+    for q in (average(), last()):
+        assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(_weights(q), _weights(fused[-1])))
 
 
 def test_descent_leaves_its_start_and_each_iterate_unchanged():
     p, batch = _linear_instance(seed=4)
     before = [W.copy() for W in p.layers]
-    iterates, _ = p.descend(batch, 0.01, 3, keep=True)
+    ((iterates, _),), _ = p.descend_round([batch], 0.01, 3, keep=True)
+    # with no steps every client's last iterate is the start, which the
+    # server sum must not be formed in
+    _, average = p.descend_round([batch, batch, batch], 0.01, 0)
+    assert not any(np.shares_memory(W, W0) for W, W0 in zip(average().layers, p.layers))
     assert all(np.array_equal(W, W0) for W, W0 in zip(p.layers, before))
     arrays = [W for q in iterates for W in q.layers]
     assert not any(
@@ -255,7 +261,49 @@ def test_descent_leaves_its_start_and_each_iterate_unchanged():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_descent_stops_at_the_first_non_finite_loss():
     p, batch = _linear_instance(seed=5)
-    iterates, losses = p.descend(batch, 1e8, 10, keep=True)
+    ((iterates, losses),), _ = p.descend_round([batch], 1e8, 10, keep=True)
     assert 1 < len(losses) < 11
     assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
     assert len(iterates) == len(losses)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_round_has_no_average_once_a_client_diverged():
+    p, batch = _linear_instance(seed=5)
+    for keep in (False, True):
+        runs, average = p.descend_round([batch, batch], 1e8, 10, keep=keep)
+        assert not np.isfinite(runs[0][1][-1])
+        with pytest.raises(ValueError, match="non-finite"):
+            average()
+
+
+def test_a_round_averages_its_clients_as_average_does():
+    rng = np.random.default_rng(8)
+    p = init_deep_linear(3, 32, 4, 2, seed=8)
+    batches = [
+        LabeledBatch(X=rng.standard_normal((4, n)), Y=rng.standard_normal((2, n)))
+        for n in (3, 5, 1)
+    ]
+    runs, kept = p.descend_round(batches, 0.01, 3, keep=True)
+    want = DeepLinearParams.average([iterates[-1] for iterates, _ in runs])
+    _, folded = p.descend_round(batches, 0.01, 3, keep=False)
+    for q in (kept(), folded()):
+        assert all(np.array_equal(W, Wo) for W, Wo in zip(q.layers, want.layers))
+
+
+@pytest.mark.parametrize(
+    "rows,cols,n",
+    [
+        (500, 500, 4), (1000, 1000, 8), (500, 10, 4), (1, 64, 3), (64, 1, 3), (33, 17, 1),
+        (40, 30, 0),
+    ],
+)
+def test_subtract_product_is_the_numpy_update_bit_for_bit(rows, cols, n):
+    rng = np.random.default_rng(rows + cols + n)
+    W = rng.standard_normal((rows, cols))
+    A = 0.0137 * rng.standard_normal((rows, n))
+    B = rng.standard_normal((cols, 2 * n))[:, ::2]  # strided, as a batch's column slice can be
+    want = W.copy()
+    want -= A @ B.T
+    _subtract_product(W, A, B)
+    assert np.array_equal(W, want)
