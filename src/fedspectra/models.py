@@ -5,8 +5,9 @@ round of local descent descend_round(batches, eta, steps, keep, map), the
 server average average(params) (a classmethod) and drift(init). Gradients
 of the (unnormalized) square loss are closed-form; there is no automatic
 differentiation anywhere. All arithmetic is 64-bit. A parameter object is
-never changed once built: a client's descent updates a private copy of the
-weights in place and hands out only arrays it no longer writes to.
+never changed once built: a client's descent updates private arrays (a copy
+of the weights, or the ReLU net's pre-activations in sample space) in place
+and hands out only arrays it no longer writes to.
 """
 
 import ctypes
@@ -304,6 +305,47 @@ class TwoLayerParams(_LocalDescent):
             weights[0] -= eta * grad  # the signs stay fixed
         return _half_square(residual)
 
+    def _descend(self, batch: LabeledBatch, eta, steps, keep) -> tuple:
+        """As _LocalDescent._descend, but in sample space when the client's
+        shape makes that cheaper (_descends_in_sample_space).
+
+        Every gradient c*(s o M) X^T lies in the row space of X, so a step
+        moves the pre-activations Z = H X by (eta*c*s) o (M G), G = X^T X,
+        without forming H. H is formed only for the iterates handed out, as
+        H0 - (eta*c*s) o (A X^T), A being the sum of the steps' M so far.
+        """
+        if not _descends_in_sample_space(self.width, self.dim, batch.n, steps):
+            return super()._descend(batch, eta, steps, keep)
+        X, y = batch.X, np.ravel(batch.Y)
+        if X.shape[0] != self.dim:
+            raise ValueError(f"X must have {self.dim} rows")
+        gram = X.T @ X
+        Z = self.hidden @ X
+        A = np.zeros_like(Z)
+        rate = (eta / np.sqrt(self.width)) * self.signs[:, None]  # eta*c*s, per row
+
+        def iterate():  # a fresh array, sharing nothing with A, Z or the start
+            H = A @ X.T
+            H *= rate
+            return self._with((np.subtract(self.hidden, H, out=H),))
+
+        iterates, losses = [self], []
+        for k in range(steps + 1):
+            residual = _relu_residual(Z, self.signs, y)
+            losses.append(_half_square(residual))
+            if k == steps or not np.isfinite(losses[-1]):
+                break
+            masked = (Z >= 0.0) * residual
+            A += masked
+            step = masked @ gram
+            step *= rate
+            Z -= step
+            if keep:
+                iterates.append(iterate())
+        if not keep and len(losses) > 1:
+            iterates.append(iterate())
+        return tuple(iterates if keep else iterates[-1:]), losses
+
     @classmethod
     def average(cls, params) -> "TwoLayerParams":
         """Unweighted mean of the hidden weights, summed in list order; every
@@ -413,12 +455,29 @@ def _backprop_two_layer(hidden, signs, batch: LabeledBatch, backprop=True) -> tu
     if X.shape[0] != hidden.shape[1]:
         raise ValueError(f"X must have {hidden.shape[1]} rows")
     Z = hidden @ X
-    residual = (signs / np.sqrt(hidden.shape[0])) @ np.maximum(Z, 0.0) - y
+    residual = _relu_residual(Z, signs, y)
     if not backprop:
         return residual, None
     masked = (Z >= 0.0) * residual
     # the signs are +-1, so applying them after the product changes no bit
     return residual, (1.0 / np.sqrt(hidden.shape[0])) * (signs[:, None] * (masked @ X.T))
+
+
+def _relu_residual(Z, signs, y) -> np.ndarray:
+    """f(X) - y, read off the pre-activations Z = hidden @ X."""
+    return (signs / np.sqrt(Z.shape[0])) @ np.maximum(Z, 0.0) - y
+
+
+def _descends_in_sample_space(width, dim, n, steps) -> bool:
+    """Whether `steps` ReLU steps on n samples take no more multiply-adds in
+    sample space than dense. Dense forms H X and M X^T per step and H X once
+    more for the last loss: (2K+1)*m*d*n. Sample space forms H0 X, X^T X and
+    the last iterate's A X^T once and M X^T X per step:
+    2*m*d*n + d*n^2 + K*m*n^2, K being `steps`.
+    A client without samples costs nothing either way and takes sample space.
+    """
+    dense = (2 * steps + 1) * width * dim * n
+    return 2 * width * dim * n + dim * n * n + steps * width * n * n <= dense
 
 
 def grad_two_layer(p: TwoLayerParams, batch: LabeledBatch) -> np.ndarray:

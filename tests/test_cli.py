@@ -35,6 +35,7 @@ from fedspectra.config import (
 )
 from fedspectra.data import save_idx
 from fedspectra.federation import FederationConfig, run_fedavg
+from fedspectra.models import _descends_in_sample_space, loss_of
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -657,6 +658,55 @@ def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path):
         assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
         outs.append((tmp_path / name / "trace.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path):
+    # 8x8 images: every client holds fewer samples than the 64 inputs, one
+    # class holds 4 of the 60 images, and two clients are left empty
+    rng = np.random.default_rng(0)
+    labels = np.where(np.arange(60) < 56, np.arange(60) % 2, 2)
+    save_idx(tmp_path / "i.idx", tmp_path / "l.idx", rng.integers(1, 256, (64, 60)) / 255,
+             labels, (8, 8))
+    doc = {
+        "model": {"kind": "two-layer-relu", "width": 256},
+        **_idx(images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"),
+               partition="noniid", classes_per_client=1, preprocess=True),
+        "federation": {"n_clients": 8, "rounds": 6, "local_steps": 3, "eta": 0.1, "seed": 0},
+    }
+    cfg = parse_config(json.dumps(doc))
+    exp = cli.build_experiment(cfg)
+    sizes = [b.n for b in exp.batches]
+    assert 0 in sizes and max(sizes) < 64
+    assert all(_descends_in_sample_space(256, 64, n, 3) for n in sizes)
+    par = json.loads(json.dumps(doc))
+    par["federation"]["workers"] = 4
+    paths = [_write(tmp_path, "w1.json", doc), _write(tmp_path, "w4.json", par)]
+    outs = []
+    for name, path in (("a", paths[0]), ("b", paths[0]), ("c", paths[1])):
+        assert main(["train", "--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
+        outs.append((tmp_path / name / "trace.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    # every ReLU check passes, and verify's trace is train's
+    assert main(["verify", "--config", paths[0], "--out", str(tmp_path / "v")]) == EXIT_OK
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert report["passed"] and {c["name"] for c in report["checks"]} >= {
+        "ntk-trace", "local-descent", "local-deviation", "global-drift"
+    }
+    assert (tmp_path / "v" / "trace.csv").read_bytes() == outs[0]
+    # each iterate handed to an observer is the one whose loss the run
+    # recorded, and it outlives the run unchanged
+    seen = []
+    run_fedavg(cfg.federation, exp.init_params, list(exp.batches),
+               observer=lambda s: seen.append((s, [[q.hidden.copy() for q in traj]
+                                                   for traj in s.trajectories])))
+    assert seen
+    for snap, copies in seen:
+        for traj, held, losses, c in zip(snap.trajectories, copies, snap.local_losses,
+                                         snap.members):
+            assert len(traj) == cfg.federation.local_steps + 1
+            assert all(np.array_equal(q.hidden, H) for q, H in zip(traj, held))
+            recomputed = [loss_of(q, exp.batches[c]) for q in traj]
+            np.testing.assert_allclose(recomputed, losses, rtol=1e-12, atol=0)
 
 
 def test_train_trace_agrees_across_blas_thread_counts(tmp_path):

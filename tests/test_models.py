@@ -16,6 +16,8 @@ from fedspectra.models import (
     loss_of,
     square_loss,
     vec_residual,
+    _LocalDescent,
+    _descends_in_sample_space,
     _subtract_product,
 )
 
@@ -195,7 +197,16 @@ def _weights(p):
     return p.layers if isinstance(p, DeepLinearParams) else (p.hidden,)
 
 
-# eta is not a power of two, so scaling by it rounds
+def _relu_batch(dim, n, scale, seed=4):
+    return LabeledBatch(
+        X=np.random.default_rng(seed).standard_normal((dim, n)) * scale,
+        Y=np.random.default_rng(seed + 1).standard_normal(n),
+    )
+
+
+# eta is not a power of two, so scaling by it rounds. The last field says
+# whether a ReLU case descends in sample space; the dense ReLU path is the
+# oracle's arithmetic, so its cases must match it bit for bit.
 DESCENT_CASES = [
     *[
         pytest.param(
@@ -205,6 +216,7 @@ DESCENT_CASES = [
                 Y=np.random.default_rng(3).standard_normal((5, 16)),
             ),
             0.3 / width,
+            False,
             id=f"deep-linear-depth{depth}-width{width}",
         )
         for depth, width in ((1, 8), (3, 256), (3, 1000), (4, 64))
@@ -212,21 +224,34 @@ DESCENT_CASES = [
     *[
         pytest.param(
             init_two_layer(width, 16, seed=2),
-            LabeledBatch(
-                X=np.random.default_rng(4).standard_normal((16, 100)) / 4.0,
-                Y=np.random.default_rng(5).standard_normal(100),
-            ),
+            _relu_batch(16, 100, 0.25),
             0.07,
+            False,
             id=f"two-layer-relu-width{width}",
         )
         for width in (16, 2048)
     ],
+    # fewer samples than input dimensions; at eta 0.05 the displacement
+    # stands well above the rounding of a full H matrix, eps * |H0|
+    *[
+        pytest.param(
+            init_two_layer(width, dim, seed=2),
+            _relu_batch(dim, n, 1.0 / np.sqrt(dim)),
+            0.05,
+            True,
+            id=f"two-layer-relu-width{width}-dim{dim}-n{n}",
+        )
+        for width, dim, n in ((2048, 64, 20), (128, 784, 200), (16, 64, 8))
+    ],
 ]
 
 
-@pytest.mark.parametrize("p,batch,eta", DESCENT_CASES)
-def test_fused_descent_matches_dense_steps(p, batch, eta):
+@pytest.mark.parametrize("p,batch,eta,sample_space", DESCENT_CASES)
+def test_fused_descent_matches_dense_steps(p, batch, eta, sample_space):
     steps = 4
+    relu = isinstance(p, TwoLayerParams)
+    if relu:
+        assert _descends_in_sample_space(p.width, p.dim, batch.n, steps) is sample_space
     dense, dense_losses = _dense_descent(p, batch, eta, steps)
     ((fused, losses),), average = p.descend_round([batch], eta, steps, keep=True)
     assert len(fused) == len(losses) == steps + 1 and fused[0] is p
@@ -236,11 +261,63 @@ def test_fused_descent_matches_dense_steps(p, batch, eta):
         for Wa, Wb, W0 in zip(_weights(a), _weights(b), _weights(p)):
             # the displacement from the start, not the weights, at 1e-12
             assert np.linalg.norm(Wa - Wb) <= 1e-12 * np.linalg.norm(Wb - W0)
+            if relu and not sample_space:
+                assert np.array_equal(Wa, Wb)
+    if relu and not sample_space:
+        assert losses == dense_losses
     ((unkept, last_losses),), last = p.descend_round([batch], eta, steps, keep=False)
     assert unkept == () and last_losses == losses
     # one client's average is its last iterate, whether or not the round keeps iterates
     for q in (average(), last()):
         assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(_weights(q), _weights(fused[-1])))
+
+
+@pytest.mark.parametrize(
+    "width,dim,n,steps,sample_space",
+    [
+        pytest.param(128, 784, 200, 5, True, id="idx-client"),
+        pytest.param(2048, 16, 100, 5, False, id="more-samples-than-dims"),
+    ],
+)
+def test_relu_descent_takes_the_path_with_fewer_multiply_adds(
+    width, dim, n, steps, sample_space, monkeypatch
+):
+    assert _descends_in_sample_space(width, dim, n, steps) is sample_space
+    # the dense path is the loop both classes share; count the calls into it
+    dense, calls = _LocalDescent._descend, []
+    monkeypatch.setattr(_LocalDescent, "_descend", lambda *a: calls.append(a) or dense(*a))
+    init_two_layer(width, dim, seed=0).descend_round([_relu_batch(dim, n, 0.1)], 0.01, steps)
+    assert len(calls) == (0 if sample_space else 1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_relu_client_with_one_or_no_sample_descends_in_sample_space(n):
+    p = init_two_layer(16, 64, seed=3)
+    before = p.hidden.copy()
+    batch = _relu_batch(64, n, 1.0 / 8.0)
+    steps = 4
+    assert _descends_in_sample_space(p.width, p.dim, n, steps)
+    for keep in (True, False):
+        ((iterates, losses),), average = p.descend_round([batch], 0.5, steps, keep=keep)
+        last = average()
+        assert len(losses) == steps + 1
+        assert not np.shares_memory(last.hidden, p.hidden)
+        if n == 0:
+            assert losses == [0.0] * (steps + 1)
+            assert np.array_equal(last.hidden, p.hidden)
+        else:
+            dense, dense_losses = _dense_descent(p, batch, 0.5, steps)
+            np.testing.assert_allclose(losses, dense_losses, rtol=1e-12, atol=0)
+            assert losses[-1] < losses[0]
+            shift = dense[-1].hidden - p.hidden
+            assert np.linalg.norm(last.hidden - dense[-1].hidden) <= 1e-12 * np.linalg.norm(shift)
+        # kept iterates are fresh arrays: none shares memory with another or the start
+        arrays = [q.hidden for q in iterates]
+        assert len(arrays) == (steps + 1 if keep else 0)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )
+    assert np.array_equal(p.hidden, before)
 
 
 def test_descent_leaves_its_start_and_each_iterate_unchanged():
@@ -260,11 +337,13 @@ def test_descent_leaves_its_start_and_each_iterate_unchanged():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_descent_stops_at_the_first_non_finite_loss():
-    p, batch = _linear_instance(seed=5)
-    ((iterates, losses),), _ = p.descend_round([batch], 1e8, 10, keep=True)
-    assert 1 < len(losses) < 11
-    assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
-    assert len(iterates) == len(losses)
+    relu = init_two_layer(16, 64, seed=3), _relu_batch(64, 8, 1.0 / 8.0)
+    assert _descends_in_sample_space(relu[0].width, relu[0].dim, relu[1].n, 10)
+    for (p, batch), eta in ((_linear_instance(seed=5), 1e8), (relu, 1e40)):
+        ((iterates, losses),), _ = p.descend_round([batch], eta, 10, keep=True)
+        assert 1 < len(losses) < 11
+        assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
+        assert len(iterates) == len(losses)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
