@@ -76,7 +76,8 @@ class FederationConfig(Settings):
     the clients, at least one, drawn uniformly without replacement. Either
     way they are visited and averaged in ascending client order. workers > 1
     trains them in a thread pool; the run ends early once the global loss
-    reaches stop_loss_fraction times the starting loss.
+    reaches stop_loss_fraction times the starting loss, after one more round
+    of local descent that it discards (see run_fedavg).
     """
 
     n_clients: int = setting(20, check=positive)
@@ -166,14 +167,23 @@ def local_round(params, batches, eta, steps, keep=False, map=map) -> tuple:
     into batches, for the first batch whose loss went non-finite.
     """
     runs, average = params.descend_round(batches, eta, steps, keep=keep, map=map)
+    error = _local_divergence(runs)
+    if error is not None:
+        raise error
+    return runs, average
+
+
+def _local_divergence(runs):
+    """The DivergenceError for the first run whose loss ended non-finite,
+    its client being the run's index, or None."""
     for i, (_, losses) in enumerate(runs):
         value = losses[-1]
         if not np.isfinite(value):
             k = len(losses) - 1
-            raise DivergenceError(
+            return DivergenceError(
                 f"non-finite local loss {value} at local step {k}", client=i, step=k, loss=value
             )
-    return runs, average
+    return None
 
 
 def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
@@ -185,7 +195,9 @@ def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
 
 def global_loss(params, client_batches) -> float:
     """Training loss over the union of all client data (the loss is a plain
-    sum over samples, so summing per-client values is exact)."""
+    sum over samples, so summing per-client values is exact). run_fedavg
+    calls it only after its last round; before that it sums the same terms
+    in the same order, most of them read off the next round's descent."""
     return float(sum(loss_of(params, b) for b in client_batches))
 
 
@@ -204,63 +216,75 @@ def run_fedavg(
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average is applied. Only
       those rounds keep every local iterate; the others keep none.
+    - the global loss entering round t is summed in client order from the
+      participants' step-0 losses of round t, each a forward pass at the
+      weights entering it, and a loss_of pass for every other client; only
+      the loss after the last round comes from global_loss. So a round's
+      loss is known only once the next round has descended: the stop test
+      and a non-finite global loss act before that round's own divergence,
+      observer or average, and a run that stops early discards one round of
+      descent.
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
-    params = init_params
-    losses = [global_loss(params, client_batches)]
-    if not np.isfinite(losses[0]):
-        raise DivergenceError(f"non-finite initial loss {losses[0]}", loss=losses[0])
-    traces = []
+    params, traces, losses, row = init_params, [], [], None
     stop = cfg.stop_loss_fraction
-    for t in range(cfg.rounds):
-        if stop is not None and losses[-1] <= stop * losses[0]:
-            break
-        members = sample_participants(t, cfg)
-        observed = observer is not None and (observe_rounds is None or t in observe_rounds)
-        batches = [client_batches[c] for c in members]
-        threads = cfg.workers > 1 and len(members) > 1
-        try:
+    for t in range(cfg.rounds + 1):
+        if t == cfg.rounds:
+            value = global_loss(params, client_batches)
+        else:
+            members = sample_participants(t, cfg)
+            observed = observer is not None and (observe_rounds is None or t in observe_rounds)
+            batches = [client_batches[c] for c in members]
+            threads = cfg.workers > 1 and len(members) > 1
             with ThreadPoolExecutor(max_workers=cfg.workers) if threads else nullcontext() as pool:
                 clients = pool.map if threads else map
-                runs, average = local_round(
-                    params, batches, cfg.eta, cfg.local_steps, observed, clients
+                runs, average = params.descend_round(
+                    batches, cfg.eta, cfg.local_steps, keep=observed, map=clients
                 )
-        except DivergenceError as e:
-            c = members[e.client]
+            step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
+            value = float(
+                sum(
+                    step0[c] if c in step0 else loss_of(params, batch)
+                    for c, batch in enumerate(client_batches)
+                )
+            )
+        if not np.isfinite(value):
+            if row is None:
+                raise DivergenceError(f"non-finite initial loss {value}", loss=value)
             raise DivergenceError(
-                f"round {t}, client {c}: {e}", round_index=t, client=c, step=e.step, loss=e.loss
-            ) from e
-        trajectories = tuple(iterates for iterates, _ in runs)
-        local_losses = tuple(tuple(ls) for _, ls in runs)
+                f"non-finite global loss {value} after round {t - 1}",
+                round_index=t - 1,
+                loss=value,
+            )
+        if row is not None:
+            ratio = value / losses[-1] if losses[-1] > 0.0 else 1.0
+            traces.append(RoundTrace(loss=losses[-1], ratio=ratio, **row))
+        losses.append(value)
+        if t == cfg.rounds or (stop is not None and value <= stop * losses[0]):
+            break
 
+        error = _local_divergence(runs)
+        if error is not None:
+            c = members[error.client]
+            raise DivergenceError(
+                f"round {t}, client {c}: {error}",
+                round_index=t,
+                client=c,
+                step=error.step,
+                loss=error.loss,
+            ) from error
+        local_losses = tuple(tuple(ls) for _, ls in runs)
         if observed:
             observer(
                 RoundSnapshot(
                     t=t,
                     members=members,
                     global_params=params,
-                    trajectories=trajectories,
+                    trajectories=tuple(iterates for iterates, _ in runs),
                     local_losses=local_losses,
                 )
             )
-
         params = average()
-        value = global_loss(params, client_batches)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"non-finite global loss {value} after round {t}",
-                round_index=t,
-                loss=value,
-            )
-        traces.append(
-            RoundTrace(
-                t=t,
-                members=members,
-                loss=losses[-1],
-                ratio=value / losses[-1] if losses[-1] > 0.0 else 1.0,
-                local_losses=local_losses,
-            )
-        )
-        losses.append(value)
+        row = {"t": t, "members": members, "local_losses": local_losses}
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

@@ -12,7 +12,7 @@ and hands out only arrays it no longer writes to.
 
 import ctypes
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,6 +44,11 @@ class LabeledBatch:
     @property
     def n(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X^T X, formed on first use and kept: a batch's data never change."""
+        return self.X.T @ self.X
 
 
 def _mean(arrays) -> np.ndarray:
@@ -302,7 +307,8 @@ class TwoLayerParams(_LocalDescent):
     def _step_in_place(self, weights, batch, eta) -> float:
         residual, grad = _backprop_two_layer(weights[0], self.signs, batch, eta is not None)
         if grad is not None:
-            weights[0] -= eta * grad  # the signs stay fixed
+            grad *= eta
+            weights[0] -= grad  # the signs stay fixed
         return _half_square(residual)
 
     def _descend(self, batch: LabeledBatch, eta, steps, keep) -> tuple:
@@ -313,15 +319,20 @@ class TwoLayerParams(_LocalDescent):
         moves the pre-activations Z = H X by (eta*c*s) o (M G), G = X^T X,
         without forming H. H is formed only for the iterates handed out, as
         H0 - (eta*c*s) o (A X^T), A being the sum of the steps' M so far.
+        G is the batch's cached `gram`, formed once per run on the client's
+        first sample-space round, not once per round. The path rule still
+        charges d*n^2 for it and leaves kept iterates out, on purpose, so no
+        client changes path (see _descends_in_sample_space).
         """
         if not _descends_in_sample_space(self.width, self.dim, batch.n, steps):
             return super()._descend(batch, eta, steps, keep)
         X, y = batch.X, np.ravel(batch.Y)
         if X.shape[0] != self.dim:
             raise ValueError(f"X must have {self.dim} rows")
-        gram = X.T @ X
+        gram = batch.gram
         Z = self.hidden @ X
         A = np.zeros_like(Z)
+        masked = np.empty_like(Z)
         rate = (eta / np.sqrt(self.width)) * self.signs[:, None]  # eta*c*s, per row
 
         def iterate():  # a fresh array, sharing nothing with A, Z or the start
@@ -335,7 +346,8 @@ class TwoLayerParams(_LocalDescent):
             losses.append(_half_square(residual))
             if k == steps or not np.isfinite(losses[-1]):
                 break
-            masked = (Z >= 0.0) * residual
+            np.greater_equal(Z, 0.0, out=masked)
+            masked *= residual
             A += masked
             step = masked @ gram
             step *= rate
@@ -458,9 +470,14 @@ def _backprop_two_layer(hidden, signs, batch: LabeledBatch, backprop=True) -> tu
     residual = _relu_residual(Z, signs, y)
     if not backprop:
         return residual, None
-    masked = (Z >= 0.0) * residual
+    # Z is read no more: it becomes the float mask, then the masked residual
+    masked = np.greater_equal(Z, 0.0, out=Z)
+    masked *= residual
+    grad = masked @ X.T
     # the signs are +-1, so applying them after the product changes no bit
-    return residual, (1.0 / np.sqrt(hidden.shape[0])) * (signs[:, None] * (masked @ X.T))
+    grad *= signs[:, None]
+    grad *= 1.0 / np.sqrt(hidden.shape[0])
+    return residual, grad
 
 
 def _relu_residual(Z, signs, y) -> np.ndarray:
@@ -475,6 +492,12 @@ def _descends_in_sample_space(width, dim, n, steps) -> bool:
     the last iterate's A X^T once and M X^T X per step:
     2*m*d*n + d*n^2 + K*m*n^2, K being `steps`.
     A client without samples costs nothing either way and takes sample space.
+
+    X^T X is formed once per run (LabeledBatch.gram), but the rule still
+    charges its d*n^2 to every round, so no client changes path. Kept
+    iterates (one more m*d*n product each in sample space) are left out on
+    purpose: an observed round must round as an unobserved one does. Forming
+    kept iterates lazily is the open route (ROADMAP item 14).
     """
     dense = (2 * steps + 1) * width * dim * n
     return 2 * width * dim * n + dim * n * n + steps * width * n * n <= dense

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 finite differences, Monte Carlo) and shares no code with the package beyond
-numpy, so agreement between the two is evidence rather than tautology.
+numpy, so agreement between the two is evidence rather than tautology. Two
+functions are exceptions, and each says why in its docstring.
 """
 
 import numpy as np
@@ -239,3 +240,82 @@ def preprocess_unit_norm_loop(X):
         if attempt:
             perturbed += 1
     return X, perturbed
+
+
+def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe_rounds=None):
+    """`federation.run_fedavg` as it ran before the global loss was read off
+    the next round's step-0 losses: a full global_loss pass before the first
+    round and after every average, the stop test at the top of each round.
+
+    The other exception to this module's rule: it drives the package's own
+    sampling, local round and average, since what it checks is only the
+    order of the loop around them, bit for bit.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    from contextlib import nullcontext
+
+    from fedspectra.federation import (
+        DivergenceError,
+        RoundSnapshot,
+        RoundTrace,
+        RunResult,
+        global_loss,
+        local_round,
+        sample_participants,
+    )
+
+    if len(client_batches) != cfg.n_clients:
+        raise ValueError("need one batch per client")
+    params = init_params
+    losses = [global_loss(params, client_batches)]
+    if not np.isfinite(losses[0]):
+        raise DivergenceError(f"non-finite initial loss {losses[0]}", loss=losses[0])
+    traces = []
+    stop = cfg.stop_loss_fraction
+    for t in range(cfg.rounds):
+        if stop is not None and losses[-1] <= stop * losses[0]:
+            break
+        members = sample_participants(t, cfg)
+        observed = observer is not None and (observe_rounds is None or t in observe_rounds)
+        batches = [client_batches[c] for c in members]
+        threads = cfg.workers > 1 and len(members) > 1
+        try:
+            with ThreadPoolExecutor(max_workers=cfg.workers) if threads else nullcontext() as pool:
+                clients = pool.map if threads else map
+                runs, average = local_round(
+                    params, batches, cfg.eta, cfg.local_steps, observed, clients
+                )
+        except DivergenceError as e:
+            c = members[e.client]
+            raise DivergenceError(
+                f"round {t}, client {c}: {e}", round_index=t, client=c, step=e.step, loss=e.loss
+            ) from e
+        trajectories = tuple(iterates for iterates, _ in runs)
+        local_losses = tuple(tuple(ls) for _, ls in runs)
+        if observed:
+            observer(
+                RoundSnapshot(
+                    t=t,
+                    members=members,
+                    global_params=params,
+                    trajectories=trajectories,
+                    local_losses=local_losses,
+                )
+            )
+        params = average()
+        value = global_loss(params, client_batches)
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"non-finite global loss {value} after round {t}", round_index=t, loss=value
+            )
+        traces.append(
+            RoundTrace(
+                t=t,
+                members=members,
+                loss=losses[-1],
+                ratio=value / losses[-1] if losses[-1] > 0.0 else 1.0,
+                local_losses=local_losses,
+            )
+        )
+        losses.append(value)
+    return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedspectra import federation
 from fedspectra.data import partition_iid, synth_linear_dataset
 from fedspectra.federation import (
     DivergenceError,
@@ -21,12 +22,13 @@ from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
     TwoLayerParams,
+    _descends_in_sample_space,
     init_deep_linear,
     init_two_layer,
     loss_of,
 )
 
-from oracles import pooled_gradient_step_linear, relu_gradient_step_loops
+from oracles import eager_run_fedavg, pooled_gradient_step_linear, relu_gradient_step_loops
 
 
 def _workload(seed=0, n_clients=4, d_in=5, d_out=2, n=16, depth=3, width=16):
@@ -373,7 +375,162 @@ def test_divergence_names_the_first_member_even_when_it_diverges_later():
 def test_global_loss_sums_client_losses():
     params, batches = _workload(seed=6)
     total = global_loss(params, batches)
-    assert total == pytest.approx(sum(loss_of(params, b) for b in batches))
+    assert total == sum(loss_of(params, b) for b in batches)
+
+
+def _relu_workload(seed=0, sizes=(4, 40, 8, 50), width=64, dim=20):
+    """ReLU clients of the given sizes; at 3 local steps those of 4 and 8
+    samples descend in sample space and those of 40 and 50 on the dense step."""
+    rng = np.random.default_rng(seed)
+    batches = [
+        LabeledBatch(X=rng.standard_normal((dim, n)) / np.sqrt(dim), Y=rng.standard_normal(n))
+        for n in sizes
+    ]
+    return init_two_layer(width, dim, seed=seed), batches
+
+
+def _assert_same_run(a, b):
+    assert a.traces == b.traces
+    assert a.losses == b.losses
+    assert all(np.array_equal(x, y) for x, y in zip(a.params._weights(), b.params._weights()))
+
+
+RUN_CASES = {
+    "rate-1": {},
+    "rate-half": {"rate": 0.5},
+    "schedule": {"schedule": ((0, 2, 5), (1,), tuple(range(8)), (3, 7), (2, 3, 4, 6), (1, 2))},
+    "workers-4": {"rate": 0.5, "workers": 4},
+    "workers-4-full": {"workers": 4},
+}
+
+
+@pytest.mark.parametrize("kind", ["deep-linear", "two-layer-relu"])
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_matches_the_eager_loop_bit_for_bit(kind, case):
+    """Reading each round's global loss off the next round's step-0 losses
+    changes no bit of the traces, the losses or the final weights, with and
+    without an observer."""
+    if kind == "deep-linear":
+        (params, batches), eta = _workload(seed=2, n_clients=8, n=32), 0.03
+    else:
+        (params, batches), eta = _relu_workload(seed=2, sizes=(4, 40, 8, 50) * 2), 0.05
+    cfg = FederationConfig(
+        n_clients=8, local_steps=3, rounds=6, eta=eta, seed=1, **RUN_CASES[case]
+    )
+    _assert_same_run(run_fedavg(cfg, params, batches), eager_run_fedavg(cfg, params, batches))
+    seen = {"new": [], "eager": []}
+    runs = [
+        run(cfg, params, batches, observer=seen[name].append, observe_rounds={1, 4})
+        for name, run in (("new", run_fedavg), ("eager", eager_run_fedavg))
+    ]
+    _assert_same_run(*runs)
+    assert [s.t for s in seen["new"]] == [s.t for s in seen["eager"]] == [1, 4]
+    for a, b in zip(seen["new"], seen["eager"]):
+        assert (a.members, a.local_losses) == (b.members, b.local_losses)
+        for ta, tb in zip(a.trajectories, b.trajectories):
+            assert len(ta) == len(tb) == cfg.local_steps + 1
+            for qa, qb in zip(ta, tb):
+                assert all(np.array_equal(x, y) for x, y in zip(qa._weights(), qb._weights()))
+
+
+@pytest.mark.parametrize("kind", ["deep-linear", "two-layer-relu"])
+def test_a_stopped_run_matches_the_eager_loop_and_hides_the_discarded_round(kind):
+    params, batches = _workload(seed=1) if kind == "deep-linear" else _relu_workload(seed=1)
+    eta = 0.05 if kind == "deep-linear" else 0.1
+    cfg = FederationConfig(n_clients=4, local_steps=2, rounds=20, eta=eta, rate=0.5, seed=3)
+    full = run_fedavg(cfg, params, batches).losses
+    # stop once the loss falls to midway between the losses after rounds 3 and 4
+    stopped = dataclasses.replace(cfg, stop_loss_fraction=0.5 * (full[4] + full[5]) / full[0])
+    seen = {"new": [], "eager": []}
+    runs = [
+        run(stopped, params, batches, observer=seen[name].append)
+        for name, run in (("new", run_fedavg), ("eager", eager_run_fedavg))
+    ]
+    _assert_same_run(*runs)
+    assert len(runs[0].traces) == 5 and runs[0].losses == full[:6]
+    # round 5 descended, but the stop test discarded it before any observer
+    assert [s.t for s in seen["new"]] == [s.t for s in seen["eager"]] == [0, 1, 2, 3, 4]
+    everything = dataclasses.replace(cfg, stop_loss_fraction=1.0)
+    for run in (run_fedavg, eager_run_fedavg):
+        shown = []
+        result = run(everything, params, batches, observer=shown.append)
+        assert (result.traces, result.losses, shown) == ((), full[:1], [])
+        assert result.params is params
+
+
+def test_a_full_participation_run_makes_one_forward_pass_per_client(monkeypatch):
+    # every client's loss at the averaged weights is its step-0 loss of the
+    # next round; only the loss after the last round takes forward passes
+    calls = []
+
+    def counted(params, batch):
+        calls.append(batch)
+        return loss_of(params, batch)
+
+    monkeypatch.setattr(federation, "loss_of", counted)
+    rounds = 5
+    for params, batches in (_workload(seed=3), _relu_workload(seed=3)):
+        for rate, run in ((1.0, run_fedavg), (1.0, eager_run_fedavg), (0.5, run_fedavg)):
+            cfg = FederationConfig(
+                n_clients=4, local_steps=2, rounds=rounds, eta=0.01, rate=rate, seed=4
+            )
+            calls.clear()
+            run(cfg, params, batches)
+            if run is eager_run_fedavg:
+                assert len(calls) == (rounds + 1) * 4
+            else:  # the non-participants of every round, then everyone once
+                idle = sum(4 - len(sample_participants(t, cfg)) for t in range(rounds))
+                assert len(calls) == idle + 4 == (4 if rate == 1.0 else 14)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_global_loss_names_its_round_and_no_client(monkeypatch):
+    # round 1's average is poisoned; round 2 then descends from it and its
+    # clients diverge too, but the global loss after round 1 is raised first
+    params, batches = _relu_workload()
+    rounds = []
+    descend_round = TwoLayerParams.descend_round
+
+    def poisoned(self, *args, **kwargs):
+        runs, average = descend_round(self, *args, **kwargs)
+        rounds.append(None)
+        if len(rounds) == 2:
+            return runs, lambda: TwoLayerParams(np.full_like(self.hidden, np.inf), self.signs)
+        return runs, average
+
+    monkeypatch.setattr(TwoLayerParams, "descend_round", poisoned)
+    cfg = FederationConfig(n_clients=4, local_steps=2, rounds=4, eta=0.01)
+    for run in (run_fedavg, eager_run_fedavg):
+        rounds.clear()
+        with pytest.raises(DivergenceError) as exc:
+            run(cfg, params, batches)
+        assert (exc.value.round_index, exc.value.client, exc.value.step) == (1, None, None)
+        assert str(exc.value).startswith("non-finite global loss")
+
+
+def test_each_client_gram_is_formed_once_per_run(monkeypatch):
+    params, batches = _relu_workload()
+    steps = 3
+    sample = [_descends_in_sample_space(params.width, params.dim, b.n, steps) for b in batches]
+    assert sample == [True, False, True, False]
+    used = {id(b): [] for b in batches}
+    descend = TwoLayerParams._descend
+
+    def spy(self, batch, *args):
+        out = descend(self, batch, *args)
+        used[id(batch)].append(batch.__dict__.get("gram"))
+        return out
+
+    monkeypatch.setattr(TwoLayerParams, "_descend", spy)
+    cfg = FederationConfig(n_clients=4, local_steps=steps, rounds=4, eta=0.05)
+    run_fedavg(cfg, params, batches)
+    for b, in_sample_space in zip(batches, sample):
+        assert len(used[id(b)]) == cfg.rounds
+        if in_sample_space:  # one Gram, formed in round 0 and read by every round
+            assert all(g is b.gram for g in used[id(b)])
+            assert np.array_equal(b.gram, b.X.T @ b.X)
+        else:
+            assert used[id(b)] == [None] * cfg.rounds
 
 
 @settings(deadline=None, max_examples=30)
