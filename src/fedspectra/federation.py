@@ -2,13 +2,16 @@
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import os
+import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .models import LabeledBatch, loss_of
+from .models import LabeledBatch, blas_threads, loss_of
 from .rng import stream
 
 
@@ -74,10 +77,12 @@ class FederationConfig(Settings):
     A round's participants are schedule[t] when a schedule is given (one
     entry per round, the rate left at its default), else a `rate` share of
     the clients, at least one, drawn uniformly without replacement. Either
-    way they are visited and averaged in ascending client order. workers > 1
-    trains them in a thread pool; the run ends early once the global loss
-    reaches stop_loss_fraction times the starting loss, after one more round
-    of local descent that it discards (see run_fedavg).
+    way they are visited and averaged in ascending client order, by
+    `workers` threads at once (1: one after another; None: one per usable
+    core or one after another, whichever a timed round finds faster; see
+    client_pool). The run ends early once the global loss reaches
+    stop_loss_fraction times the starting loss, after one more round of
+    local descent that it discards (see run_fedavg).
     """
 
     n_clients: int = setting(20, check=positive)
@@ -87,7 +92,7 @@ class FederationConfig(Settings):
     rate: float = setting(1.0, check=unit_interval)
     schedule: tuple | None = setting(None, check=client_lists)
     seed: int = 0
-    workers: int = setting(1, check=positive)
+    workers: int | None = setting(None, check=positive)
     stop_loss_fraction: float | None = setting(None, check=positive)
 
     def __post_init__(self):
@@ -155,10 +160,95 @@ def sample_participants(t, cfg: FederationConfig) -> tuple:
     return tuple(int(c) for c in np.sort(members))
 
 
-def local_round(params, batches, eta, steps, keep=False, map=map) -> tuple:
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _blas_held(hold):
+    """Hold OpenBLAS to one thread when hold and numpy's BLAS allows it, so
+    that clients descending side by side do not each split their products
+    over the cores the others use."""
+    threads = blas_threads() if hold else None
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@contextmanager
+def client_pool(workers=None):
+    """Yields descend(params, batches, eta, steps, keep), which runs
+    params.descend_round, its clients on one thread pool that lives as long
+    as the context, e.g. a whole run.
+
+    Side by side, the clients go through an ordered, bounded window of the
+    pool's size: a client is taken, and its private copy made, only once
+    descend_round has added the result that many clients before it to the
+    server sum, so at most that many private weight copies live beside the
+    sum. workers 1 is the serial loop; workers k > 1 runs every call of more
+    than one client side by side on k threads. workers None takes one thread
+    per usable core and measures which way is faster: for each value of
+    keep, the first call runs side by side to warm up, the second serially
+    and the third side by side, both timed, and every later call the way
+    that took less time per client. Where OpenBLAS's thread count cannot be
+    set, None means 1.
+
+    A call of more than one client on more than one thread runs with
+    OpenBLAS held to one thread, whichever way it runs, restored on return
+    or raise once no client is running. Each client's arithmetic and the
+    order of the sum are the serial loop's, so at one BLAS thread every
+    output is the same whichever way a call runs.
+    """
+    count = workers or (_usable_cores() if blas_threads() is not None else 1)
+    timed = {}  # keep -> seconds per client of the calls that chose the way
+
+    def descend(params, batches, eta, steps, keep):
+        together = hold = count > 1 and len(batches) > 1
+        seconds = timed.setdefault(keep, []) if workers is None and hold else None
+        if seconds is not None:
+            together = len(seconds) != 1 if len(seconds) < 3 else seconds[2] < seconds[1]
+        start = time.perf_counter()
+        with _blas_held(hold):
+            if not together:
+                result = params.descend_round(batches, eta, steps, keep)
+            else:
+                pending = deque()
+
+                def window(fn, clients):
+                    for client in clients:  # taken only once the window has room
+                        pending.append(pool.submit(fn, client))
+                        if len(pending) == count:
+                            yield pending.popleft().result()
+                    while pending:
+                        yield pending.popleft().result()
+
+                try:
+                    result = params.descend_round(batches, eta, steps, keep, map=window)
+                finally:  # no client may still run once the hold is let go
+                    for future in pending:
+                        future.cancel()
+                    wait(pending)
+        if seconds is not None and len(seconds) < 3:
+            seconds.append((time.perf_counter() - start) / len(batches))
+        return result
+
+    with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
+        yield descend
+
+
+def local_round(params, batches, eta, steps, keep=False, workers=None) -> tuple:
     """One round of full-batch gradient descent from params on each batch
-    (params.descend_round; `map`, builtin map or an executor's, runs the
-    clients).
+    (params.descend_round, the clients run as client_pool(workers) runs
+    them).
 
     Returns (runs, average). runs[i] is (iterates, losses) for batches[i]:
     losses has steps+1 entries, index 0 being the starting point, and so has
@@ -166,7 +256,8 @@ def local_round(params, batches, eta, steps, keep=False, map=map) -> tuple:
     of the last iterates. Raises DivergenceError, its client being the index
     into batches, for the first batch whose loss went non-finite.
     """
-    runs, average = params.descend_round(batches, eta, steps, keep=keep, map=map)
+    with client_pool(workers) as descend:
+        runs, average = descend(params, batches, eta, steps, keep)
     error = _local_divergence(runs)
     if error is not None:
         raise error
@@ -211,8 +302,9 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - with cfg.workers > 1, clients train in a thread pool; results are
-      collected by client position so the aggregate is order-stable.
+    - the clients of every round descend on one client_pool(cfg.workers),
+      opened for the whole run; the server sum is formed in client order,
+      so at one BLAS thread every output is the same at any worker count.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average is applied. Only
       those rounds keep every local iterate; the others keep none.
@@ -229,62 +321,58 @@ def run_fedavg(
         raise ValueError("need one batch per client")
     params, traces, losses, row = init_params, [], [], None
     stop = cfg.stop_loss_fraction
-    for t in range(cfg.rounds + 1):
-        if t == cfg.rounds:
-            value = global_loss(params, client_batches)
-        else:
-            members = sample_participants(t, cfg)
-            observed = observer is not None and (observe_rounds is None or t in observe_rounds)
-            batches = [client_batches[c] for c in members]
-            threads = cfg.workers > 1 and len(members) > 1
-            with ThreadPoolExecutor(max_workers=cfg.workers) if threads else nullcontext() as pool:
-                clients = pool.map if threads else map
-                runs, average = params.descend_round(
-                    batches, cfg.eta, cfg.local_steps, keep=observed, map=clients
+    with client_pool(cfg.workers) as descend:
+        for t in range(cfg.rounds + 1):
+            if t == cfg.rounds:
+                value = global_loss(params, client_batches)
+            else:
+                members = sample_participants(t, cfg)
+                observed = observer is not None and (observe_rounds is None or t in observe_rounds)
+                batches = [client_batches[c] for c in members]
+                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, observed)
+                step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
+                value = float(
+                    sum(
+                        step0[c] if c in step0 else loss_of(params, batch)
+                        for c, batch in enumerate(client_batches)
+                    )
                 )
-            step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
-            value = float(
-                sum(
-                    step0[c] if c in step0 else loss_of(params, batch)
-                    for c, batch in enumerate(client_batches)
+            if not np.isfinite(value):
+                if row is None:
+                    raise DivergenceError(f"non-finite initial loss {value}", loss=value)
+                raise DivergenceError(
+                    f"non-finite global loss {value} after round {t - 1}",
+                    round_index=t - 1,
+                    loss=value,
                 )
-            )
-        if not np.isfinite(value):
-            if row is None:
-                raise DivergenceError(f"non-finite initial loss {value}", loss=value)
-            raise DivergenceError(
-                f"non-finite global loss {value} after round {t - 1}",
-                round_index=t - 1,
-                loss=value,
-            )
-        if row is not None:
-            ratio = value / losses[-1] if losses[-1] > 0.0 else 1.0
-            traces.append(RoundTrace(loss=losses[-1], ratio=ratio, **row))
-        losses.append(value)
-        if t == cfg.rounds or (stop is not None and value <= stop * losses[0]):
-            break
+            if row is not None:
+                ratio = value / losses[-1] if losses[-1] > 0.0 else 1.0
+                traces.append(RoundTrace(loss=losses[-1], ratio=ratio, **row))
+            losses.append(value)
+            if t == cfg.rounds or (stop is not None and value <= stop * losses[0]):
+                break
 
-        error = _local_divergence(runs)
-        if error is not None:
-            c = members[error.client]
-            raise DivergenceError(
-                f"round {t}, client {c}: {error}",
-                round_index=t,
-                client=c,
-                step=error.step,
-                loss=error.loss,
-            ) from error
-        local_losses = tuple(tuple(ls) for _, ls in runs)
-        if observed:
-            observer(
-                RoundSnapshot(
-                    t=t,
-                    members=members,
-                    global_params=params,
-                    trajectories=tuple(iterates for iterates, _ in runs),
-                    local_losses=local_losses,
+            error = _local_divergence(runs)
+            if error is not None:
+                c = members[error.client]
+                raise DivergenceError(
+                    f"round {t}, client {c}: {error}",
+                    round_index=t,
+                    client=c,
+                    step=error.step,
+                    loss=error.loss,
+                ) from error
+            local_losses = tuple(tuple(ls) for _, ls in runs)
+            if observed:
+                observer(
+                    RoundSnapshot(
+                        t=t,
+                        members=members,
+                        global_params=params,
+                        trajectories=tuple(iterates for iterates, _ in runs),
+                        local_losses=local_losses,
+                    )
                 )
-            )
-        params = average()
-        row = {"t": t, "members": members, "local_losses": local_losses}
+            params = average()
+            row = {"t": t, "members": members, "local_losses": local_losses}
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

@@ -62,18 +62,25 @@ def _mean(arrays) -> np.ndarray:
 
 
 @cache
-def _blas_dgemm():
-    """cblas_dgemm of the OpenBLAS that numpy's own matmul calls, or None
-    when numpy is built against a BLAS that does not export it under the
-    64-bit-integer names of OpenBLAS."""
+def _numpy_library():
+    """A ctypes handle on numpy's own extension, through which the symbols of
+    the BLAS that its matmul calls resolve, or None."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
     try:
-        handle = ctypes.CDLL(_multiarray_umath.__file__)
+        return ctypes.CDLL(_multiarray_umath.__file__)
     except OSError:
         return None
+
+
+@cache
+def _blas_dgemm():
+    """cblas_dgemm of the OpenBLAS that numpy's own matmul calls, or None
+    when numpy is built against a BLAS that does not export it under the
+    64-bit-integer names of OpenBLAS."""
+    handle = _numpy_library()
     for name in ("scipy_cblas_dgemm64_", "cblas_dgemm64_"):
         fn = getattr(handle, name, None)
         if fn is not None:
@@ -83,6 +90,21 @@ def _blas_dgemm():
             fn.argtypes += [ptr, size, ctypes.c_double, ptr, size]
             return fn
     return None
+
+
+@cache
+def blas_threads():
+    """(get, put): read and set the thread count of the OpenBLAS that numpy's
+    matmul calls, a process-wide setting; None when numpy's BLAS does not
+    export them under the names of scipy-openblas."""
+    handle = _numpy_library()
+    get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    return get, put
 
 
 def _subtract_product(W, A, B):
@@ -122,8 +144,8 @@ class _LocalDescent:
 
     def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
         """`steps` full-batch gradient steps from self on each batch, one
-        client per call of `map` (builtin map, or an executor's, which also
-        yields in batch order).
+        client per call of `map` (builtin map, or any map that also yields in
+        batch order, such as federation.client_pool's window on a thread pool).
 
         Returns (runs, average). runs[i] is (iterates, losses) for
         batches[i]: losses[k] is the loss of iterate k, read off the residual
@@ -135,14 +157,19 @@ class _LocalDescent:
         raises ValueError when a client's loss ended non-finite.
 
         Without keep, each client's last iterate joins the sum as soon as
-        its descent ends, so the round holds one client's weights beside the
-        sum. With keep, average() sums the kept last iterates on call, so a
-        caller can hand them to an observer before the average exists.
+        `map` yields it, so a round under builtin map holds one client's
+        weights beside the sum, and one under a map that runs at most w
+        clients ahead holds w. With keep, average() sums the kept last
+        iterates on call, so a caller can hand them to an observer before
+        the average exists.
         """
         if not batches:
             raise ValueError("need at least one batch")
         runs, lasts, total = [], [], None
-        for iterates, losses in map(lambda b: self._descend(b, eta, steps, keep), batches):
+        # each client's private copy is made as `map` takes the client, in the
+        # calling thread, so a thread pool's threads keep no weights of their own
+        clients = ((b, self._private_copy(b, steps)) for b in batches)
+        for iterates, losses in map(lambda c: self._descend(*c, eta, steps, keep), clients):
             runs.append((iterates if keep else (), losses))
             if keep:
                 lasts.append(iterates[-1])
@@ -151,6 +178,7 @@ class _LocalDescent:
             else:
                 for T, W in zip(total, iterates[-1]._weights()):
                     T += W
+            iterates = W = None  # this client's weights go before map starts the next
         if not keep:
             for T in total:
                 T /= len(runs)
@@ -162,12 +190,16 @@ class _LocalDescent:
 
         return tuple(runs), average
 
-    def _descend(self, batch: LabeledBatch, eta, steps, keep) -> tuple:
-        """One client's `steps` full-batch gradient steps from self on a
-        private copy. Returns (iterates, losses) as descend_round describes a
-        run, except that iterates holds the last iterate alone when not keep.
+    def _private_copy(self, batch: LabeledBatch, steps) -> list:
+        """The copy of self's weights that a client's descent updates in place."""
+        return [W.copy() for W in self._weights()]
+
+    def _descend(self, batch: LabeledBatch, weights, eta, steps, keep) -> tuple:
+        """One client's `steps` full-batch gradient steps from self on
+        weights, its private copy. Returns (iterates, losses) as descend_round
+        describes a run, except that iterates holds the last iterate alone
+        when not keep.
         """
-        weights = [W.copy() for W in self._weights()]
         iterates, losses = [self], []
         for k in range(steps + 1):
             last = k == steps
@@ -311,9 +343,15 @@ class TwoLayerParams(_LocalDescent):
             weights[0] -= grad  # the signs stay fixed
         return _half_square(residual)
 
-    def _descend(self, batch: LabeledBatch, eta, steps, keep) -> tuple:
-        """As _LocalDescent._descend, but in sample space when the client's
-        shape makes that cheaper (_descends_in_sample_space).
+    def _private_copy(self, batch: LabeledBatch, steps):
+        """None for a client that descends in sample space, which needs no copy."""
+        if _descends_in_sample_space(self.width, self.dim, batch.n, steps):
+            return None
+        return super()._private_copy(batch, steps)
+
+    def _descend(self, batch: LabeledBatch, weights, eta, steps, keep) -> tuple:
+        """As _LocalDescent._descend, but in sample space when the client has
+        no private copy, its shape making that cheaper (_private_copy).
 
         Every gradient c*(s o M) X^T lies in the row space of X, so a step
         moves the pre-activations Z = H X by (eta*c*s) o (M G), G = X^T X,
@@ -324,8 +362,8 @@ class TwoLayerParams(_LocalDescent):
         charges d*n^2 for it and leaves kept iterates out, on purpose, so no
         client changes path (see _descends_in_sample_space).
         """
-        if not _descends_in_sample_space(self.width, self.dim, batch.n, steps):
-            return super()._descend(batch, eta, steps, keep)
+        if weights is not None:
+            return super()._descend(batch, weights, eta, steps, keep)
         X, y = batch.X, np.ravel(batch.Y)
         if X.shape[0] != self.dim:
             raise ValueError(f"X must have {self.dim} rows")

@@ -251,9 +251,6 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
     sampling, local round and average, since what it checks is only the
     order of the loop around them, bit for bit.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from contextlib import nullcontext
-
     from fedspectra.federation import (
         DivergenceError,
         RoundSnapshot,
@@ -278,13 +275,10 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
         members = sample_participants(t, cfg)
         observed = observer is not None and (observe_rounds is None or t in observe_rounds)
         batches = [client_batches[c] for c in members]
-        threads = cfg.workers > 1 and len(members) > 1
         try:
-            with ThreadPoolExecutor(max_workers=cfg.workers) if threads else nullcontext() as pool:
-                clients = pool.map if threads else map
-                runs, average = local_round(
-                    params, batches, cfg.eta, cfg.local_steps, observed, clients
-                )
+            runs, average = local_round(
+                params, batches, cfg.eta, cfg.local_steps, observed, cfg.workers
+            )
         except DivergenceError as e:
             c = members[e.client]
             raise DivergenceError(

@@ -334,8 +334,9 @@ def test_criterion_11_first_order_residual_prediction(run4):
     assert half.actual_error < full.actual_error
 
 
-def test_criterion_12_trace_files_are_deterministic(tmp_path):
-    """Fixed config+seed reproduces trace.csv byte for byte, at 1 or 4 workers."""
+def test_criterion_12_trace_files_are_deterministic(tmp_path, one_blas_thread):
+    """Fixed config+seed reproduces trace.csv byte for byte, at 1 or 4 workers
+    and at the default, at one BLAS thread."""
     base = {
         "model": {"kind": "deep-linear", "depth": 3, "width": 256, "d_in": 10, "d_out": 5},
         "data": {"kind": "synthetic", "n": 32},
@@ -345,13 +346,14 @@ def test_criterion_12_trace_files_are_deterministic(tmp_path):
         },
     }
     contents = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 4), ("d", 4)):
+    for name, workers in (("a", 1), ("b", 1), ("c", 4), ("d", 4), ("e", None)):
         doc = json.loads(json.dumps(base))
-        doc["federation"]["workers"] = workers
+        if workers is not None:
+            doc["federation"]["workers"] = workers
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / name
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         contents.append((out / "trace.csv").read_bytes())
-    assert contents[0] == contents[1] == contents[2] == contents[3]
+    assert contents[0] == contents[1] == contents[2] == contents[3] == contents[4]
     assert len(contents[0].splitlines()) == 1 + 40

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import analysis
+from fedspectra import analysis, federation
 from fedspectra.analysis import (
     bound_series,
     check_drift,
@@ -32,6 +32,7 @@ from fedspectra.federation import FederationConfig, local_trajectory, run_fedavg
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
+    blas_threads,
     init_deep_linear,
     init_two_layer,
     input_chain,
@@ -567,18 +568,25 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch):
     rounds = []
 
     def counted(self, round_batches, *args, _round=type(params).descend_round, **kwargs):
-        rounds.append(len(round_batches))
+        rounds.append((len(round_batches), kwargs.get("map", map) is map))
         return _round(self, round_batches, *args, **kwargs)
 
     monkeypatch.setattr(type(params), "descend_round", counted)
-    full, half, ratio = first_order_scaling(
-        params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
-    )
-    assert rounds == [len(members)]
-    for got, want in ((full, want_full), (half, want_half)):
-        np.testing.assert_array_equal(got.predicted, want.predicted)
-        assert got.actual_error == want.actual_error
-    assert ratio == full.actual_error / half.actual_error
+    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in (1, None):
+        rounds.clear()
+        full, half, ratio = first_order_scaling(
+            params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs,
+            workers=workers,
+        )
+        # the probe's members descend on the given worker count's client
+        # pool: by default two cores give two workers, unless BLAS cannot be
+        # held to one thread
+        assert rounds == [(len(members), workers == 1 or blas_threads() is None)]
+        for got, want in ((full, want_full), (half, want_half)):
+            np.testing.assert_array_equal(got.predicted, want.predicted)
+            assert got.actual_error == want.actual_error
+        assert ratio == full.actual_error / half.actual_error
 
 
 def test_predict_first_order_validates_trajectories():

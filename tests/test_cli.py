@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import cli, verify
+from fedspectra import cli, federation, verify
 from fedspectra.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -35,7 +35,7 @@ from fedspectra.config import (
 )
 from fedspectra.data import save_idx
 from fedspectra.federation import FederationConfig, run_fedavg
-from fedspectra.models import _descends_in_sample_space, loss_of
+from fedspectra.models import DeepLinearParams, _descends_in_sample_space, blas_threads, loss_of
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,7 +170,7 @@ def _configs(draw):
         eta=draw(_POSITIVE_FLOATS),
         schedule=schedule,
         seed=draw(st.integers(-(2**70), 2**70)),
-        workers=draw(st.integers(1, 8)),
+        workers=draw(st.none() | st.integers(1, 8)),
         stop_loss_fraction=draw(st.none() | _POSITIVE_FLOATS),
     )
     if schedule is not None and rate != 1.0:
@@ -246,7 +246,7 @@ _DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in"
                 "data": {"kind": "synthetic", "n": 80, "preprocess": False},
                 "federation": {
                     "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
-                    "rate": 1.0, "seed": 0, "workers": 1,
+                    "rate": 1.0, "seed": 0,
                 },
                 "sweep": _DEFAULT_SWEEP,
                 "analysis": {"max_gram_dim": 1024},
@@ -259,7 +259,7 @@ _DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in"
                 "data": {"kind": "synthetic", "n": 20, "preprocess": False},
                 "federation": {
                     "n_clients": 2, "local_steps": 5, "rounds": 2, "eta": 0.0005,
-                    "schedule": [[0, 1], [1]], "seed": 0, "workers": 1,
+                    "schedule": [[0, 1], [1]], "seed": 0,
                 },
                 "sweep": {"rates": [0.25, 1.0], "seeds": [3, 1]},
                 "analysis": {"max_gram_dim": 1024},
@@ -647,20 +647,27 @@ def test_train_zero_rounds_leaves_header_only(tmp_path):
     ]
 
 
-def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path):
-    base = dict(SMALL_LINEAR)
-    cfg1 = _write(tmp_path, "w1.json", base)
-    par = json.loads(json.dumps(base))
-    par["federation"]["workers"] = 4
-    cfg4 = _write(tmp_path, "w4.json", par)
+def _with_workers(tmp_path, doc, counts):
+    """One config file per entry of counts (None leaves the default)."""
+    paths = []
+    for workers in counts:
+        par = json.loads(json.dumps(doc))
+        if workers is not None:
+            par["federation"]["workers"] = workers
+        paths.append(_write(tmp_path, f"w{workers}.json", par))
+    return paths
+
+
+def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path, one_blas_thread):
+    serial, default, four = _with_workers(tmp_path, SMALL_LINEAR, (1, None, 4))
     outs = []
-    for name, cfg in (("a", cfg1), ("b", cfg1), ("c", cfg4)):
+    for name, cfg in (("a", serial), ("b", serial), ("c", default), ("d", four)):
         assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
         outs.append((tmp_path / name / "trace.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
-def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path):
+def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path, one_blas_thread):
     # 8x8 images: every client holds fewer samples than the 64 inputs, one
     # class holds 4 of the 60 images, and two clients are left empty
     rng = np.random.default_rng(0)
@@ -678,14 +685,12 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path):
     sizes = [b.n for b in exp.batches]
     assert 0 in sizes and max(sizes) < 64
     assert all(_descends_in_sample_space(256, 64, n, 3) for n in sizes)
-    par = json.loads(json.dumps(doc))
-    par["federation"]["workers"] = 4
-    paths = [_write(tmp_path, "w1.json", doc), _write(tmp_path, "w4.json", par)]
+    paths = _with_workers(tmp_path, doc, (1, None, 4))
     outs = []
-    for name, path in (("a", paths[0]), ("b", paths[0]), ("c", paths[1])):
+    for name, path in (("a", paths[0]), ("b", paths[0]), ("c", paths[1]), ("d", paths[2])):
         assert main(["train", "--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
         outs.append((tmp_path / name / "trace.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
     # every ReLU check passes, and verify's trace is train's
     assert main(["verify", "--config", paths[0], "--out", str(tmp_path / "v")]) == EXIT_OK
     report = json.loads((tmp_path / "v" / "verify.json").read_text())
@@ -711,12 +716,14 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path):
 
 def test_train_trace_agrees_across_blas_thread_counts(tmp_path):
     # BLAS may split a product's sums differently with more threads, so the
-    # bytes can differ in the last bits; every number agrees to 1e-12 relative
-    cfg = _write(tmp_path, "c.json", {"federation": {"rounds": 10}})
+    # bytes can differ in the last bits; every number agrees to 1e-12 relative.
+    # One worker descends at every BLAS thread; by default clients descend
+    # with BLAS held to one thread
+    serial, default = _with_workers(tmp_path, {"federation": {"rounds": 10}}, (1, None))
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     traces = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
+    for threads, cfg in (("1", serial), ("2", serial), ("1", default), ("2", default)):
+        out = tmp_path / f"{threads}-{Path(cfg).stem}"
         args = ["train", "--config", cfg, "--out", str(out)]
         proc = subprocess.run(
             [sys.executable, "-m", "fedspectra.cli", *args],
@@ -727,12 +734,14 @@ def test_train_trace_agrees_across_blas_thread_counts(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         traces.append([row.split(",") for row in (out / "trace.csv").read_text().splitlines()])
-    one, two = traces
-    assert len(one) == len(two) == 11
-    assert [r[:2] for r in one] == [r[:2] for r in two]  # header, t and participants
+    one = traces[0]
+    assert len(one) == 11 and traces[2] == one  # at one BLAS thread, byte for byte
+    for other in traces[1:]:
+        assert [r[:2] for r in other] == [r[:2] for r in one]  # header, t and participants
     values = np.array([[[float(v) for v in r[2:]] for r in t[1:]] for t in traces])
     assert np.all(np.isfinite(values))  # loss, ratio, rho_theory, bound_cum
-    np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=0)
+    for other in values[1:]:
+        np.testing.assert_allclose(other, values[0], rtol=1e-12, atol=0)
 
 
 def test_train_trace_ignores_the_order_of_schedule_entries(tmp_path):
@@ -992,6 +1001,45 @@ def test_verify_writes_the_trace_files_of_train(tmp_path, doc):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_OK
     for name in ("trace.csv", "trace.json", "loss.svg"):
         assert (tmp_path / "verify" / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
+
+
+def test_a_default_run_records_no_worker_count(tmp_path):
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+    for name in ("trace.json", "verify.json"):
+        recorded = json.loads((tmp_path / "v" / name).read_text())["config"]
+        assert "workers" not in recorded["federation"]
+        assert parse_config(json.dumps(recorded)) == parse_config(json.dumps(SMALL_LINEAR))
+        assert parse_config(json.dumps(recorded)).federation.workers is None
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.parametrize("workers", [1, None])
+def test_verify_probes_at_the_blas_thread_count_of_its_rounds(tmp_path, monkeypatch, workers):
+    # the first-order check's eta/2 probe descends as the run's rounds did:
+    # one worker leaves BLAS at its thread count, the default holds it to one
+    get, put = blas_threads()
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS will not run two threads here")
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen, descend_round = [], DeepLinearParams.descend_round
+
+        def spy(self, *args, **kwargs):
+            seen.append(get())
+            return descend_round(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
+        (cfg,) = _with_workers(tmp_path, SMALL_LINEAR, (workers,))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+        report = json.loads((tmp_path / "v" / "verify.json").read_text())
+        probes = sum(c["name"] == "first-order:halving" for c in report["checks"])
+        assert probes and len(seen) == SMALL_LINEAR["federation"]["rounds"] + probes
+        assert set(seen) == {2 if workers == 1 else 1}
+    finally:
+        put(before)
 
 
 def test_train_context_does_not_hold_the_stacked_data(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
 """Round loop behavior: sampling, local descent, aggregation, determinism."""
 
+import builtins
 import dataclasses
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +27,7 @@ from fedspectra.models import (
     LabeledBatch,
     TwoLayerParams,
     _descends_in_sample_space,
+    blas_threads,
     init_deep_linear,
     init_two_layer,
     loss_of,
@@ -97,7 +102,7 @@ def test_config_validation():
 def test_config_defaults_and_schedule_normalisation():
     cfg = FederationConfig(schedule=[[1, 0]] * 100)
     assert (cfg.n_clients, cfg.local_steps, cfg.rounds, cfg.eta) == (20, 5, 100, 0.0005)
-    assert (cfg.rate, cfg.seed, cfg.workers, cfg.stop_loss_fraction) == (1.0, 0, 1, None)
+    assert (cfg.rate, cfg.seed, cfg.workers, cfg.stop_loss_fraction) == (1.0, 0, None, None)
     assert cfg.schedule == ((1, 0),) * 100  # kept in the given order, as tuples
     assert hash(cfg) == hash(dataclasses.replace(cfg))
 
@@ -186,18 +191,19 @@ def test_full_participation_single_step_equals_centralized_gd():
         np.testing.assert_allclose(W, We, atol=1e-10)
 
 
-def test_run_is_deterministic_and_thread_count_invariant():
+def test_run_is_deterministic_and_thread_count_invariant(one_blas_thread):
     params, batches = _workload(seed=3)
     cfg = FederationConfig(
         n_clients=4, local_steps=3, rounds=6, eta=0.04, rate=0.5, seed=7
     )
-    r1 = run_fedavg(cfg, params, batches)
-    r2 = run_fedavg(cfg, params, batches)
-    r4 = run_fedavg(dataclasses.replace(cfg, workers=4), params, batches)
-    assert r1.losses == r2.losses == r4.losses  # exact float equality
-    assert [t.members for t in r1.traces] == [t.members for t in r4.traces]
-    for Wa, Wb in zip(r1.params.layers, r4.params.layers):
-        assert np.array_equal(Wa, Wb)
+    r1 = run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
+    runs = [run_fedavg(cfg, params, batches) for _ in range(2)]
+    runs.append(run_fedavg(dataclasses.replace(cfg, workers=4), params, batches))
+    for r in runs:
+        assert r.losses == r1.losses  # exact float equality
+        assert [t.members for t in r.traces] == [t.members for t in r1.traces]
+        for Wa, Wb in zip(r1.params.layers, r.params.layers):
+            assert np.array_equal(Wa, Wb)
 
 
 def test_trace_rows_are_consistent_with_the_loss_series():
@@ -322,14 +328,190 @@ def test_an_unobserved_linear_round_holds_one_client_at_a_time():
     # client's last iterate joins the server sum as soon as it is done
     width = 500
     params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
-    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005, workers=1)
     tracemalloc.start()
     try:
         run_fedavg(cfg, params, batches)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * width * width * 8  # one interior copy per client would be 20 of them
+    # the sum and one client's interior copy; a client's weights are let go
+    # before the next client copies them
+    assert peak < 2.5 * width * width * 8
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_an_unobserved_round_holds_one_client_per_worker_beside_the_sum(workers):
+    width = 500
+    params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005, workers=workers)
+    tracemalloc.start()
+    try:
+        run_fedavg(cfg, params, batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (workers + 1.5) * width * width * 8
+
+
+def _spy_on_clients(monkeypatch, summing_lag=0.005):
+    """Record, as each client's descent starts, how many clients have
+    started whose results descend_round has not yet added to the server sum,
+    and the BLAS thread count the client sees. descend_round adds a result
+    to the sum before it asks for the next; it is made to lag that long
+    after each, so that a map running ahead of it would start more."""
+    state = {"started": 0, "summed": 0, "ahead": [], "threads": []}
+    lock = threading.Lock()
+    descend, descend_round = DeepLinearParams._descend, DeepLinearParams.descend_round
+    get = blas_threads()[0] if blas_threads() is not None else lambda: None
+
+    def spy(self, *args):
+        with lock:
+            state["started"] += 1
+            state["ahead"].append(state["started"] - state["summed"])
+            state["threads"].append(get())
+        return descend(self, *args)
+
+    def summing(self, batches, eta, steps, keep=False, map=map):
+        def counted(fn, items):
+            for result in map(fn, items):
+                yield result
+                time.sleep(summing_lag)
+                with lock:
+                    state["summed"] += 1
+
+        return descend_round(self, batches, eta, steps, keep, map=counted)
+
+    monkeypatch.setattr(DeepLinearParams, "_descend", spy)
+    monkeypatch.setattr(DeepLinearParams, "descend_round", summing)
+    return state
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_parallel_clients_run_in_an_ordered_bounded_window(monkeypatch, workers, one_blas_thread):
+    params, batches = _workload(n_clients=20, n=80)
+    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01, workers=workers)
+    serial = run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
+    state = _spy_on_clients(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
+    try:
+        _assert_same_run(run_fedavg(cfg, params, batches), serial)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(state["ahead"]) == 40
+    assert max(state["ahead"]) == workers  # never more beside the sum
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch):
+    get, put = blas_threads()
+    before = get()
+    put(2)
+    if get() != 2:
+        put(before)
+        pytest.skip("OpenBLAS will not run two threads here")
+    try:
+        params, batches = _workload(n_clients=20, n=80)
+        cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01, workers=2)
+        state = _spy_on_clients(monkeypatch, summing_lag=0.0)
+        run_fedavg(cfg, params, batches)
+        assert state["threads"] == [1] * 40
+        assert get() == 2
+        state["threads"].clear()
+        run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
+        assert state["threads"] == [2] * 40  # the serial path leaves BLAS alone
+        with pytest.raises(DivergenceError):
+            run_fedavg(dataclasses.replace(cfg, eta=1e6, local_steps=8), params, batches)
+        assert get() == 2
+
+        def raising(snapshot):
+            assert get() == 2  # the observer runs outside the held section
+            raise KeyError("observer")
+
+        with pytest.raises(KeyError):
+            run_fedavg(cfg, params, batches, observer=raising)
+        assert get() == 2
+    finally:
+        put(before)
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch):
+    # client 3 fails while client 4 descends beside it; the thread count is
+    # put back only once client 4 has ended
+    get, put = blas_threads()
+    params, batches = _workload(n_clients=20, n=80)
+    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=1, eta=0.01, workers=2)
+    lock, started, state = threading.Lock(), threading.Event(), {"running": 0, "puts": []}
+    descend = DeepLinearParams._descend
+
+    def failing(self, batch, *args):
+        if batch is batches[3]:
+            assert started.wait(10.0)
+            raise MemoryError("client 3")
+        with lock:
+            state["running"] += 1
+        if batch is batches[4]:
+            started.set()
+            time.sleep(0.1)
+        try:
+            return descend(self, batch, *args)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    def counted_put(n):
+        with lock:
+            state["puts"].append((n, state["running"]))
+        put(n)
+
+    before = get()
+    monkeypatch.setattr(DeepLinearParams, "_descend", failing)
+    monkeypatch.setattr(federation, "blas_threads", lambda: (get, counted_put))
+    with pytest.raises(MemoryError):
+        run_fedavg(cfg, params, batches)
+    assert state["puts"] == [(1, 0), (before, 0)]
+    assert get() == before
+
+
+@pytest.mark.parametrize("blas", ["settable", "fixed"])
+def test_the_default_pool_has_one_thread_per_usable_core(monkeypatch, blas):
+    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    if blas == "fixed":
+        monkeypatch.setattr(federation, "blas_threads", lambda: None)
+    params, batches = _workload(n_clients=20, n=80)
+    state = _spy_on_clients(monkeypatch)
+    # a run's first round runs side by side, unless BLAS cannot be held to
+    # one thread: then the clients would fight over its cores
+    run_fedavg(FederationConfig(n_clients=20, local_steps=2, rounds=1, eta=0.01), params, batches)
+    held = blas == "settable" and blas_threads() is not None
+    assert max(state["ahead"]) == (3 if held else 1)
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.parametrize("slower", ["side by side", "serial"])
+def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypatch, slower):
+    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    params, batches = _workload(n_clients=6, n=40)
+    get = blas_threads()[0]
+    ways, descend_round = [], DeepLinearParams.descend_round
+
+    def timed(self, batches, eta, steps, keep=False, map=map):
+        way = "serial" if map is builtins.map else "side by side"
+        ways.append((keep, way, get()))
+        if way == slower:
+            time.sleep(0.05)
+        return descend_round(self, batches, eta, steps, keep, map=map)
+
+    monkeypatch.setattr(DeepLinearParams, "descend_round", timed)
+    cfg = FederationConfig(n_clients=6, local_steps=2, rounds=10, eta=0.01)
+    # kept iterates cost more, so rounds with and without them are timed apart
+    run_fedavg(cfg, params, batches, observer=lambda s: None, observe_rounds={5, 6, 7, 8, 9})
+    faster = "serial" if slower == "side by side" else "side by side"
+    chosen = ["side by side", "serial", "side by side", faster, faster]
+    assert ways == [(keep, way, 1) for keep in (False, True) for way in chosen]
 
 
 def test_stop_loss_ends_the_run_early():
@@ -399,6 +581,7 @@ RUN_CASES = {
     "rate-1": {},
     "rate-half": {"rate": 0.5},
     "schedule": {"schedule": ((0, 2, 5), (1,), tuple(range(8)), (3, 7), (2, 3, 4, 6), (1, 2))},
+    "workers-1": {"workers": 1},
     "workers-4": {"rate": 0.5, "workers": 4},
     "workers-4-full": {"workers": 4},
 }
