@@ -664,18 +664,15 @@ def predict_first_order(
     )
 
 
-def first_order_scaling(
-    params, init_params, batches, members, eta, local_steps, *, trajectories, workers=None
-):
+def first_order_scaling(params, init_params, batches, members, eta, local_steps, *, trajectories):
     """Predict one round at eta and at eta/2 from the same state and return
     the two FirstOrderReports plus the ratio of their absolute prediction
     errors. A ratio near 4 is the signature of a second-order remainder.
 
     trajectories are the members' local trajectories at eta (aligned with
     sorted(members), as in predict_first_order), e.g. from a RoundSnapshot;
-    only the eta/2 probe trains, every member in one local_round on
-    client_pool(workers); pass the run's workers, so that the probe descends
-    at the BLAS thread count the trajectories did.
+    only the eta/2 probe trains, every member in one local_round, whose
+    client pool holds BLAS to the thread count of a run's rounds.
     """
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
@@ -689,7 +686,7 @@ def first_order_scaling(
 
     full = probe(eta, trajectories)
     own = [batches[c] for c in sorted(int(c) for c in members)]
-    runs, _ = local_round(params, own, 0.5 * eta, local_steps, keep=True, workers=workers)
+    runs, _ = local_round(params, own, 0.5 * eta, local_steps, keep=True)
     half = probe(0.5 * eta, [iterates for iterates, _ in runs])
     if half.actual_error == 0.0:
         raise ValueError("half-rate probe has zero error; scaling ratio undefined")

@@ -93,7 +93,7 @@ def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
         init = init_two_layer(m.width, ds.X.shape[0], fed.seed)
     ctx = verify.RunContext(
         batches, init, None, fed.eta, fed.local_steps,
-        perturbed_columns=perturbed, dropped_samples=dropped, workers=fed.workers,
+        perturbed_columns=perturbed, dropped_samples=dropped,
     )
     if ctx.gram_dim > cfg.analysis.max_gram_dim:
         return ctx

@@ -77,12 +77,11 @@ class FederationConfig(Settings):
     A round's participants are schedule[t] when a schedule is given (one
     entry per round, the rate left at its default), else a `rate` share of
     the clients, at least one, drawn uniformly without replacement. Either
-    way they are visited and averaged in ascending client order, by
-    `workers` threads at once (1: one after another; None: one per usable
-    core or one after another, whichever a timed round finds faster; see
-    client_pool). The run ends early once the global loss reaches
-    stop_loss_fraction times the starting loss, after one more round of
-    local descent that it discards (see run_fedavg).
+    way they are visited and averaged in ascending client order, side by
+    side on the usable cores or one after another, whichever a timed round
+    finds faster (see client_pool). The run ends early once the global loss
+    reaches stop_loss_fraction times the starting loss, after one more round
+    of local descent that it discards (see run_fedavg).
     """
 
     n_clients: int = setting(20, check=positive)
@@ -92,7 +91,6 @@ class FederationConfig(Settings):
     rate: float = setting(1.0, check=unit_interval)
     schedule: tuple | None = setting(None, check=client_lists)
     seed: int = 0
-    workers: int | None = setting(None, check=positive)
     stop_loss_fraction: float | None = setting(None, check=positive)
 
     def __post_init__(self):
@@ -185,7 +183,7 @@ def _blas_held(hold):
 
 
 @contextmanager
-def client_pool(workers=None):
+def client_pool():
     """Yields descend(params, batches, eta, steps, keep), which runs
     params.descend_round, its clients on one thread pool that lives as long
     as the context, e.g. a whole run.
@@ -194,13 +192,13 @@ def client_pool(workers=None):
     pool's size: a client is taken, and its private copy made, only once
     descend_round has added the result that many clients before it to the
     server sum, so at most that many private weight copies live beside the
-    sum. workers 1 is the serial loop; workers k > 1 runs every call of more
-    than one client side by side on k threads. workers None takes one thread
-    per usable core and measures which way is faster: for each value of
-    keep, the first call runs side by side to warm up, the second serially
-    and the third side by side, both timed, and every later call the way
-    that took less time per client. Where OpenBLAS's thread count cannot be
-    set, None means 1.
+    sum. The pool has one thread per usable core (the process's CPU
+    affinity, so `taskset` bounds it) and measures which way is faster: for
+    each value of keep, the first call of more than one client runs side by
+    side to warm up, the second serially and the third side by side, both
+    timed, and every later call the way that took less time per client. On
+    one usable core, or where OpenBLAS's thread count cannot be set, every
+    call runs serially.
 
     A call of more than one client on more than one thread runs with
     OpenBLAS held to one thread, whichever way it runs, restored on return
@@ -208,12 +206,12 @@ def client_pool(workers=None):
     order of the sum are the serial loop's, so at one BLAS thread every
     output is the same whichever way a call runs.
     """
-    count = workers or (_usable_cores() if blas_threads() is not None else 1)
+    count = _usable_cores() if blas_threads() is not None else 1
     timed = {}  # keep -> seconds per client of the calls that chose the way
 
     def descend(params, batches, eta, steps, keep):
         together = hold = count > 1 and len(batches) > 1
-        seconds = timed.setdefault(keep, []) if workers is None and hold else None
+        seconds = timed.setdefault(keep, []) if hold else None
         if seconds is not None:
             together = len(seconds) != 1 if len(seconds) < 3 else seconds[2] < seconds[1]
         start = time.perf_counter()
@@ -245,10 +243,9 @@ def client_pool(workers=None):
         yield descend
 
 
-def local_round(params, batches, eta, steps, keep=False, workers=None) -> tuple:
+def local_round(params, batches, eta, steps, keep=False) -> tuple:
     """One round of full-batch gradient descent from params on each batch
-    (params.descend_round, the clients run as client_pool(workers) runs
-    them).
+    (params.descend_round, the clients run as client_pool runs them).
 
     Returns (runs, average). runs[i] is (iterates, losses) for batches[i]:
     losses has steps+1 entries, index 0 being the starting point, and so has
@@ -256,7 +253,7 @@ def local_round(params, batches, eta, steps, keep=False, workers=None) -> tuple:
     of the last iterates. Raises DivergenceError, its client being the index
     into batches, for the first batch whose loss went non-finite.
     """
-    with client_pool(workers) as descend:
+    with client_pool() as descend:
         runs, average = descend(params, batches, eta, steps, keep)
     error = _local_divergence(runs)
     if error is not None:
@@ -302,9 +299,9 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - the clients of every round descend on one client_pool(cfg.workers),
-      opened for the whole run; the server sum is formed in client order,
-      so at one BLAS thread every output is the same at any worker count.
+    - the clients of every round descend on one client_pool, opened for
+      the whole run; the server sum is formed in client order, so at one
+      BLAS thread every output is the same whichever way a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average is applied. Only
       those rounds keep every local iterate; the others keep none.
@@ -321,7 +318,7 @@ def run_fedavg(
         raise ValueError("need one batch per client")
     params, traces, losses, row = init_params, [], [], None
     stop = cfg.stop_loss_fraction
-    with client_pool(cfg.workers) as descend:
+    with client_pool() as descend:
         for t in range(cfg.rounds + 1):
             if t == cfg.rounds:
                 value = global_loss(params, client_batches)

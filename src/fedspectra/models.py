@@ -172,6 +172,9 @@ class _LocalDescent:
         for iterates, losses in map(lambda c: self._descend(*c, eta, steps, keep), clients):
             runs.append((iterates if keep else (), losses))
             if keep:
+                # summed only once average() is called: a running sum, as
+                # below, gives the same bits but lives through the observer's
+                # checks, one more copy of the weights at the run's peak memory
                 lasts.append(iterates[-1])
             elif total is None:
                 total = [W.copy() for W in iterates[-1]._weights()]

@@ -25,9 +25,8 @@ class RunContext:
     """One run from set-up to verdict: client batches in client order, initial
     parameters, the least Gram eigenvalue behind the contraction rate (None
     when analysis.max_gram_dim left it out), step size and local step count;
-    H-infinity's largest eigenvalue (two-layer model only), the columns
-    preprocessing nudged and the samples the partition dropped, and the
-    run's worker count, so that a probe descends as the run did. Everything
+    H-infinity's largest eigenvalue (two-layer model only), and the columns
+    preprocessing nudged and the samples the partition dropped. Everything
     else is derived from these on first use."""
 
     batches: tuple
@@ -38,7 +37,6 @@ class RunContext:
     lambda_max: float | None = None
     perturbed_columns: int = 0
     dropped_samples: int = 0
-    workers: int | None = None
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -161,7 +159,7 @@ def local_drift(ctx, snap):
 def first_order(ctx, snap):
     full, _, ratio = analysis.first_order_scaling(
         snap.global_params, ctx.init_params, list(ctx.batches), list(snap.members),
-        ctx.eta, ctx.local_steps, trajectories=snap.trajectories, workers=ctx.workers,
+        ctx.eta, ctx.local_steps, trajectories=snap.trajectories,
     )
     terms = (
         "reconstruction_gap", "term_contraction", "term_gram_shift", "term_local_deviation",

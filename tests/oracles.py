@@ -276,9 +276,7 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
         observed = observer is not None and (observe_rounds is None or t in observe_rounds)
         batches = [client_batches[c] for c in members]
         try:
-            runs, average = local_round(
-                params, batches, cfg.eta, cfg.local_steps, observed, cfg.workers
-            )
+            runs, average = local_round(params, batches, cfg.eta, cfg.local_steps, observed)
         except DivergenceError as e:
             c = members[e.client]
             raise DivergenceError(

@@ -334,9 +334,9 @@ def test_criterion_11_first_order_residual_prediction(run4):
     assert half.actual_error < full.actual_error
 
 
-def test_criterion_12_trace_files_are_deterministic(tmp_path, one_blas_thread):
-    """Fixed config+seed reproduces trace.csv byte for byte, at 1 or 4 workers
-    and at the default, at one BLAS thread."""
+def test_criterion_12_trace_files_are_deterministic(tmp_path, one_blas_thread, usable_cores):
+    """Fixed config+seed reproduces trace.csv byte for byte on the host's
+    cores, on one and on four, at one BLAS thread."""
     base = {
         "model": {"kind": "deep-linear", "depth": 3, "width": 256, "d_in": 10, "d_out": 5},
         "data": {"kind": "synthetic", "n": 32},
@@ -345,13 +345,12 @@ def test_criterion_12_trace_files_are_deterministic(tmp_path, one_blas_thread):
             "eta": 0.01, "rate": 0.5, "seed": 2,
         },
     }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(base))
     contents = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 4), ("d", 4), ("e", None)):
-        doc = json.loads(json.dumps(base))
-        if workers is not None:
-            doc["federation"]["workers"] = workers
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps(doc))
+    for name, cores in (("a", None), ("b", 1), ("c", 1), ("d", 4), ("e", 4)):
+        if cores is not None:
+            usable_cores(cores)
         out = tmp_path / name
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         contents.append((out / "trace.csv").read_bytes())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import analysis, federation
+from fedspectra import analysis
 from fedspectra.analysis import (
     bound_series,
     check_drift,
@@ -550,7 +550,7 @@ def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
     assert 2.5 <= ratio <= 5.5  # quadratic remainder signature, loose band
 
 
-def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch):
+def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, usable_cores):
     # the eta probe uses the trajectories as given; only the eta/2 probe
     # trains, every member in one round
     init, params, batches, cfg = _round_state()
@@ -572,17 +572,15 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch):
         return _round(self, round_batches, *args, **kwargs)
 
     monkeypatch.setattr(type(params), "descend_round", counted)
-    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for workers in (1, None):
+    for cores in (1, 2):
+        usable_cores(cores)
         rounds.clear()
         full, half, ratio = first_order_scaling(
-            params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs,
-            workers=workers,
+            params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
         )
-        # the probe's members descend on the given worker count's client
-        # pool: by default two cores give two workers, unless BLAS cannot be
-        # held to one thread
-        assert rounds == [(len(members), workers == 1 or blas_threads() is None)]
+        # the probe's members descend on a client pool: one core runs them
+        # serially, two side by side, unless BLAS cannot be held to one thread
+        assert rounds == [(len(members), cores == 1 or blas_threads() is None)]
         for got, want in ((full, want_full), (half, want_half)):
             np.testing.assert_array_equal(got.predicted, want.predicted)
             assert got.actual_error == want.actual_error

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import cli, federation, verify
+from fedspectra import cli, verify
 from fedspectra.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -114,7 +114,7 @@ IDX_DOC = {
         "partition": "noniid",
         "preprocess": True,
     },
-    "federation": {"rate": 0.5, "workers": 2, "stop_loss_fraction": 0.01},
+    "federation": {"rate": 0.5, "stop_loss_fraction": 0.01},
 }
 
 
@@ -170,7 +170,6 @@ def _configs(draw):
         eta=draw(_POSITIVE_FLOATS),
         schedule=schedule,
         seed=draw(st.integers(-(2**70), 2**70)),
-        workers=draw(st.none() | st.integers(1, 8)),
         stop_loss_fraction=draw(st.none() | _POSITIVE_FLOATS),
     )
     if schedule is not None and rate != 1.0:
@@ -273,7 +272,7 @@ _DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in"
                 "data": IDX_DOC["data"],
                 "federation": {
                     "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
-                    "rate": 0.5, "seed": 0, "workers": 2, "stop_loss_fraction": 0.01,
+                    "rate": 0.5, "seed": 0, "stop_loss_fraction": 0.01,
                 },
                 "sweep": _DEFAULT_SWEEP,
                 "analysis": {"max_gram_dim": 1024},
@@ -362,6 +361,7 @@ CONFIG_ERRORS = [
     ({"data": {"classes_per_client": 2}}, "data.classes_per_client: unknown key"),
     (_idx(n=5), "data.n: unknown key"),
     (_fed(clients=3), "federation.clients: unknown key"),
+    (_fed(workers=2), "federation.workers: unknown key"),  # refused, not silently ignored
     ({"verify": {"check": []}}, "verify.check: unknown key"),
     ({"sweep": {"rate": [0.5]}}, "sweep.rate: unknown key"),
     ({"analysis": {"max_gram": 5}}, "analysis.max_gram: unknown key"),
@@ -378,7 +378,6 @@ CONFIG_ERRORS = [
     (_fed(local_steps=-2), "federation.local_steps: must be positive, got -2"),
     (_fed(eta=0), "federation.eta: must be positive, got 0.0"),
     (_fed(eta=-0.001), "federation.eta: must be positive, got -0.001"),
-    (_fed(workers=0), "federation.workers: must be positive, got 0"),
     (_fed(stop_loss_fraction=0),
      "federation.stop_loss_fraction: must be positive, got 0.0"),
     ({"analysis": {"max_gram_dim": 0}}, "analysis.max_gram_dim: must be positive, got 0"),
@@ -647,27 +646,30 @@ def test_train_zero_rounds_leaves_header_only(tmp_path):
     ]
 
 
-def _with_workers(tmp_path, doc, counts):
-    """One config file per entry of counts (None leaves the default)."""
-    paths = []
-    for workers in counts:
-        par = json.loads(json.dumps(doc))
-        if workers is not None:
-            par["federation"]["workers"] = workers
-        paths.append(_write(tmp_path, f"w{workers}.json", par))
-    return paths
-
-
-def test_train_trace_is_byte_identical_across_runs_and_workers(tmp_path, one_blas_thread):
-    serial, default, four = _with_workers(tmp_path, SMALL_LINEAR, (1, None, 4))
+def _train_on_cores(tmp_path, cfg, usable_cores, counts):
+    """trace.csv of one train run of cfg per entry of counts, each seeing
+    that many usable cores (None: the host's)."""
     outs = []
-    for name, cfg in (("a", serial), ("b", serial), ("c", default), ("d", four)):
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
-        outs.append((tmp_path / name / "trace.csv").read_bytes())
+    for i, cores in enumerate(counts):
+        if cores is not None:
+            usable_cores(cores)
+        out = tmp_path / f"run{i}"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        outs.append((out / "trace.csv").read_bytes())
+    return outs
+
+
+def test_train_trace_is_byte_identical_across_runs_and_workers(
+    tmp_path, one_blas_thread, usable_cores
+):
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    outs = _train_on_cores(tmp_path, cfg, usable_cores, (None, 1, 1, 4))
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
-def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path, one_blas_thread):
+def test_relu_clients_below_dim_run_deterministic_and_pass_verify(
+    tmp_path, one_blas_thread, usable_cores
+):
     # 8x8 images: every client holds fewer samples than the 64 inputs, one
     # class holds 4 of the 60 images, and two clients are left empty
     rng = np.random.default_rng(0)
@@ -685,14 +687,11 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path, one_
     sizes = [b.n for b in exp.batches]
     assert 0 in sizes and max(sizes) < 64
     assert all(_descends_in_sample_space(256, 64, n, 3) for n in sizes)
-    paths = _with_workers(tmp_path, doc, (1, None, 4))
-    outs = []
-    for name, path in (("a", paths[0]), ("b", paths[0]), ("c", paths[1]), ("d", paths[2])):
-        assert main(["train", "--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
-        outs.append((tmp_path / name / "trace.csv").read_bytes())
+    path = _write(tmp_path, "c.json", doc)
+    outs = _train_on_cores(tmp_path, path, usable_cores, (None, 4, 1, 1))
     assert outs[0] == outs[1] == outs[2] == outs[3]
     # every ReLU check passes, and verify's trace is train's
-    assert main(["verify", "--config", paths[0], "--out", str(tmp_path / "v")]) == EXIT_OK
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == EXIT_OK
     report = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert report["passed"] and {c["name"] for c in report["checks"]} >= {
         "ntk-trace", "local-descent", "local-deviation", "global-drift"
@@ -714,24 +713,31 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(tmp_path, one_
             np.testing.assert_allclose(recomputed, losses, rtol=1e-12, atol=0)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity cannot be set")
 def test_train_trace_agrees_across_blas_thread_counts(tmp_path):
     # BLAS may split a product's sums differently with more threads, so the
     # bytes can differ in the last bits; every number agrees to 1e-12 relative.
-    # One worker descends at every BLAS thread; by default clients descend
-    # with BLAS held to one thread
-    serial, default = _with_workers(tmp_path, {"federation": {"rounds": 10}}, (1, None))
+    # On one core the clients descend serially at every BLAS thread; on the
+    # host's cores rounds of several clients descend with BLAS held to one
+    cfg = _write(tmp_path, "c.json", {"federation": {"rounds": 10}})
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    host = os.sched_getaffinity(0)
+    single = {min(host)}
     traces = []
-    for threads, cfg in (("1", serial), ("2", serial), ("1", default), ("2", default)):
-        out = tmp_path / f"{threads}-{Path(cfg).stem}"
+    for threads, cores in (("1", single), ("2", single), ("1", host), ("2", host)):
+        out = tmp_path / f"{threads}-{len(traces)}"
         args = ["train", "--config", cfg, "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedspectra.cli", *args],
-            env=os.environ | {"PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
+        os.sched_setaffinity(0, cores)  # the child runs on the cores of this thread
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedspectra.cli", *args],
+                env=os.environ | {"PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+        finally:
+            os.sched_setaffinity(0, host)
         assert proc.returncode == 0, proc.stderr
         traces.append([row.split(",") for row in (out / "trace.csv").read_text().splitlines()])
     one = traces[0]
@@ -1003,28 +1009,21 @@ def test_verify_writes_the_trace_files_of_train(tmp_path, doc):
         assert (tmp_path / "verify" / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
 
 
-def test_a_default_run_records_no_worker_count(tmp_path):
-    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
-    for name in ("trace.json", "verify.json"):
-        recorded = json.loads((tmp_path / "v" / name).read_text())["config"]
-        assert "workers" not in recorded["federation"]
-        assert parse_config(json.dumps(recorded)) == parse_config(json.dumps(SMALL_LINEAR))
-        assert parse_config(json.dumps(recorded)).federation.workers is None
-
-
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
-@pytest.mark.parametrize("workers", [1, None])
-def test_verify_probes_at_the_blas_thread_count_of_its_rounds(tmp_path, monkeypatch, workers):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_probes_at_the_blas_thread_count_of_its_rounds(
+    tmp_path, monkeypatch, usable_cores, cores
+):
     # the first-order check's eta/2 probe descends as the run's rounds did:
-    # one worker leaves BLAS at its thread count, the default holds it to one
+    # on one usable core every descent, probe included, sees 2 BLAS threads;
+    # on two, rounds of several clients hold BLAS to one
     get, put = blas_threads()
     before = get()
     put(2)
     try:
         if get() != 2:
             pytest.skip("OpenBLAS will not run two threads here")
-        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        usable_cores(cores)
         seen, descend_round = [], DeepLinearParams.descend_round
 
         def spy(self, *args, **kwargs):
@@ -1032,12 +1031,12 @@ def test_verify_probes_at_the_blas_thread_count_of_its_rounds(tmp_path, monkeypa
             return descend_round(self, *args, **kwargs)
 
         monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
-        (cfg,) = _with_workers(tmp_path, SMALL_LINEAR, (workers,))
+        cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
         report = json.loads((tmp_path / "v" / "verify.json").read_text())
         probes = sum(c["name"] == "first-order:halving" for c in report["checks"])
         assert probes and len(seen) == SMALL_LINEAR["federation"]["rounds"] + probes
-        assert set(seen) == {2 if workers == 1 else 1}
+        assert set(seen) == {2 if cores == 1 else 1}
     finally:
         put(before)
 

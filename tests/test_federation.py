@@ -87,7 +87,6 @@ CONFIG_ERRORS = [
     ({"n_clients": 0}, "n_clients: must be positive, got 0"),
     ({"local_steps": 0}, "local_steps: must be positive, got 0"),
     ({"rounds": -1}, "rounds: must be >= 0, got -1"),
-    ({"workers": 0}, "workers: must be positive, got 0"),
     ({"stop_loss_fraction": 0}, "stop_loss_fraction: must be positive, got 0"),
 ]
 
@@ -102,7 +101,7 @@ def test_config_validation():
 def test_config_defaults_and_schedule_normalisation():
     cfg = FederationConfig(schedule=[[1, 0]] * 100)
     assert (cfg.n_clients, cfg.local_steps, cfg.rounds, cfg.eta) == (20, 5, 100, 0.0005)
-    assert (cfg.rate, cfg.seed, cfg.workers, cfg.stop_loss_fraction) == (1.0, 0, None, None)
+    assert (cfg.rate, cfg.seed, cfg.stop_loss_fraction) == (1.0, 0, None)
     assert cfg.schedule == ((1, 0),) * 100  # kept in the given order, as tuples
     assert hash(cfg) == hash(dataclasses.replace(cfg))
 
@@ -191,14 +190,16 @@ def test_full_participation_single_step_equals_centralized_gd():
         np.testing.assert_allclose(W, We, atol=1e-10)
 
 
-def test_run_is_deterministic_and_thread_count_invariant(one_blas_thread):
+def test_run_is_deterministic_and_thread_count_invariant(one_blas_thread, usable_cores):
     params, batches = _workload(seed=3)
     cfg = FederationConfig(
         n_clients=4, local_steps=3, rounds=6, eta=0.04, rate=0.5, seed=7
     )
-    r1 = run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
     runs = [run_fedavg(cfg, params, batches) for _ in range(2)]
-    runs.append(run_fedavg(dataclasses.replace(cfg, workers=4), params, batches))
+    usable_cores(1)
+    r1 = run_fedavg(cfg, params, batches)
+    usable_cores(4)
+    runs.append(run_fedavg(cfg, params, batches))
     for r in runs:
         assert r.losses == r1.losses  # exact float equality
         assert [t.members for t in r.traces] == [t.members for t in r1.traces]
@@ -323,12 +324,13 @@ def test_rounds_match_the_dense_step_oracle(width, sizes, eta):
             assert np.linalg.norm(W - Wo) <= 1e-12 * np.linalg.norm(Wo - W0)
 
 
-def test_an_unobserved_linear_round_holds_one_client_at_a_time():
+def test_an_unobserved_linear_round_holds_one_client_at_a_time(usable_cores):
     # the default linear shape: 20 clients of 4 samples, 5 local steps; each
     # client's last iterate joins the server sum as soon as it is done
     width = 500
     params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
-    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005, workers=1)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005)
+    usable_cores(1)
     tracemalloc.start()
     try:
         run_fedavg(cfg, params, batches)
@@ -341,10 +343,13 @@ def test_an_unobserved_linear_round_holds_one_client_at_a_time():
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_an_unobserved_round_holds_one_client_per_worker_beside_the_sum(workers):
+def test_an_unobserved_round_holds_one_client_per_worker_beside_the_sum(workers, usable_cores):
+    # a run's first round of several clients runs side by side, one client
+    # per pool thread
     width = 500
     params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
-    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005, workers=workers)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005)
+    usable_cores(workers)
     tracemalloc.start()
     try:
         run_fedavg(cfg, params, batches)
@@ -387,11 +392,17 @@ def _spy_on_clients(monkeypatch, summing_lag=0.005):
     return state
 
 
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_parallel_clients_run_in_an_ordered_bounded_window(monkeypatch, workers, one_blas_thread):
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_parallel_clients_run_in_an_ordered_bounded_window(
+    monkeypatch, cores, one_blas_thread, usable_cores
+):
+    # the first round runs side by side on the pool's threads, one per
+    # usable core, unless there is one; the second serially, timed
     params, batches = _workload(n_clients=20, n=80)
-    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01, workers=workers)
-    serial = run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
+    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01)
+    usable_cores(1)
+    serial = run_fedavg(cfg, params, batches)
+    usable_cores(cores)
     state = _spy_on_clients(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
@@ -400,12 +411,13 @@ def test_parallel_clients_run_in_an_ordered_bounded_window(monkeypatch, workers,
     finally:
         sys.setswitchinterval(interval)
     assert len(state["ahead"]) == 40
-    assert max(state["ahead"]) == workers  # never more beside the sum
+    threads = cores if blas_threads() is not None else 1
+    assert max(state["ahead"]) == threads  # never more beside the sum
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch):
+def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch, usable_cores):
     get, put = blas_threads()
     before = get()
     put(2)
@@ -414,14 +426,17 @@ def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch):
         pytest.skip("OpenBLAS will not run two threads here")
     try:
         params, batches = _workload(n_clients=20, n=80)
-        cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01, workers=2)
+        cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01)
         state = _spy_on_clients(monkeypatch, summing_lag=0.0)
-        run_fedavg(cfg, params, batches)
+        usable_cores(2)
+        run_fedavg(cfg, params, batches)  # side by side, then serially, both held
         assert state["threads"] == [1] * 40
         assert get() == 2
         state["threads"].clear()
-        run_fedavg(dataclasses.replace(cfg, workers=1), params, batches)
-        assert state["threads"] == [2] * 40  # the serial path leaves BLAS alone
+        usable_cores(1)
+        run_fedavg(cfg, params, batches)
+        assert state["threads"] == [2] * 40  # one core leaves BLAS alone
+        usable_cores(2)
         with pytest.raises(DivergenceError):
             run_fedavg(dataclasses.replace(cfg, eta=1e6, local_steps=8), params, batches)
         assert get() == 2
@@ -438,12 +453,13 @@ def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch):
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
-def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch):
+def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch, usable_cores):
     # client 3 fails while client 4 descends beside it; the thread count is
     # put back only once client 4 has ended
     get, put = blas_threads()
     params, batches = _workload(n_clients=20, n=80)
-    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=1, eta=0.01, workers=2)
+    cfg = FederationConfig(n_clients=20, local_steps=2, rounds=1, eta=0.01)
+    usable_cores(2)
     lock, started, state = threading.Lock(), threading.Event(), {"running": 0, "puts": []}
     descend = DeepLinearParams._descend
 
@@ -581,15 +597,16 @@ RUN_CASES = {
     "rate-1": {},
     "rate-half": {"rate": 0.5},
     "schedule": {"schedule": ((0, 2, 5), (1,), tuple(range(8)), (3, 7), (2, 3, 4, 6), (1, 2))},
-    "workers-1": {"workers": 1},
-    "workers-4": {"rate": 0.5, "workers": 4},
-    "workers-4-full": {"workers": 4},
+    # a pool of k workers: the process's usable cores
+    "workers-1": {"cores": 1},
+    "workers-4": {"rate": 0.5, "cores": 4},
+    "workers-4-full": {"cores": 4},
 }
 
 
 @pytest.mark.parametrize("kind", ["deep-linear", "two-layer-relu"])
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
-def test_run_matches_the_eager_loop_bit_for_bit(kind, case):
+def test_run_matches_the_eager_loop_bit_for_bit(kind, case, usable_cores):
     """Reading each round's global loss off the next round's step-0 losses
     changes no bit of the traces, the losses or the final weights, with and
     without an observer."""
@@ -597,9 +614,10 @@ def test_run_matches_the_eager_loop_bit_for_bit(kind, case):
         (params, batches), eta = _workload(seed=2, n_clients=8, n=32), 0.03
     else:
         (params, batches), eta = _relu_workload(seed=2, sizes=(4, 40, 8, 50) * 2), 0.05
-    cfg = FederationConfig(
-        n_clients=8, local_steps=3, rounds=6, eta=eta, seed=1, **RUN_CASES[case]
-    )
+    fed = dict(RUN_CASES[case])
+    if "cores" in fed:
+        usable_cores(fed.pop("cores"))
+    cfg = FederationConfig(n_clients=8, local_steps=3, rounds=6, eta=eta, seed=1, **fed)
     _assert_same_run(run_fedavg(cfg, params, batches), eager_run_fedavg(cfg, params, batches))
     seen = {"new": [], "eager": []}
     runs = [

@@ -4,7 +4,8 @@ Only the CLI imports `cli`, and the library modules below the config file do
 not import `config`, so `federation.FederationConfig` stays usable without
 either: imports run cli -> config -> verify -> federation. Every config
 section runs its field rules through `federation.Settings` on construction,
-and `config.py` runs none of them itself.
+and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
+thread count, so no other module knows when it is held.
 """
 
 import ast
@@ -37,6 +38,15 @@ def _imported(module) -> set:
     return found
 
 
+def _names(module) -> set:
+    """Every name, attribute and imported name that `module` mentions."""
+    nodes = list(ast.walk(ast.parse((SRC / f"{module}.py").read_text())))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names
+
+
 def test_modules_are_found():
     assert set(BELOW_CONFIG) | {"cli", "config"} <= set(MODULES)
 
@@ -49,6 +59,12 @@ def test_only_the_cli_imports_cli(module):
 @pytest.mark.parametrize("module", BELOW_CONFIG)
 def test_library_modules_do_not_import_config(module):
     assert "config" not in _imported(module)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_federation_knows_the_blas_thread_policy(module):
+    # models defines blas_threads; federation's client_pool alone calls it
+    assert module in ("models", "federation") or "blas_threads" not in _names(module)
 
 
 SECTIONS = [
@@ -77,8 +93,5 @@ def test_every_config_section_runs_the_shared_rule_path(cls, monkeypatch):
 
 def test_config_runs_no_value_rule_outside_construction():
     nodes = list(ast.walk(ast.parse((SRC / "config.py").read_text())))
-    names = {n.id for n in nodes if isinstance(n, ast.Name)}
-    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not names & {"check_setting", "metadata"}
+    assert not _names("config") & {"check_setting", "metadata"}
     assert not [n for n in nodes if isinstance(n, ast.keyword) and n.arg == "read"]
