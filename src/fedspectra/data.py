@@ -225,30 +225,134 @@ def _parallel_to_any(X_prev, x) -> bool:
     return bool(np.any(angles < 1e-6))
 
 
-# The screen flags column j when some earlier unit column has |cos| >= 1 - margin.
-# _parallel_to_any calls a pair parallel only when |cos| > cos(1e-6) ~ 1 - 5e-13,
-# and a block product (GEMM) and a matrix-vector product (GEMV) round the same
-# d-term dot product of unit columns apart by at most about 2*d*eps (1.7e-13 at
-# d = 784), so no pair the screen passes over is parallel to that test, for any
-# d below ~4e7. Each screen block holds at most n x _SCREEN_BLOCK doubles.
-_SCREEN_BLOCK = 256
+# The exact test calls a pair parallel when arccos|x^T y| < 1e-6, that is when
+# |x^T y| lies above about cos(1e-6) ~ 1 - 5e-13. The screen's candidates
+# hold every pair at |cos| >= 1 - _SCREEN_MARGIN, a margin far wider than that.
 _SCREEN_MARGIN = 1e-8
+_SCREEN_KEYS = 4
+_PARALLEL_COS = np.cos(1e-6)
+# columns whose norm lies within this of 1 are left as they are
+_UNIT_SLACK = 1e-13
+# each chunk of candidate pairs or gathered columns holds at most
+# n x _CHUNK_DOUBLES doubles in all
+_CHUNK_DOUBLES = 128
 
 
-def _screen_parallel(X) -> np.ndarray:
-    """Flag each column whose |cos| with some earlier column reaches 1 - margin."""
-    n = X.shape[1]
-    flagged = np.zeros(n, dtype=bool)
-    block = np.empty((n, min(_SCREEN_BLOCK, n)))
-    for b0 in range(0, n, _SCREEN_BLOCK):
-        b1 = min(b0 + _SCREEN_BLOCK, n)
-        # rows are columns 0..b1-1 against the block's columns: the upper triangle
-        # of X^T X with the block's diagonal square, of which only i < j counts
-        G = np.matmul(X[:, :b1].T, X[:, b0:b1], out=block[:b1, : b1 - b0])
-        hit = np.abs(G, out=G) >= 1.0 - _SCREEN_MARGIN
-        hit[b0:] = np.triu(hit[b0:], 1)
-        flagged[b0:b1] = hit.any(axis=0)
-    return flagged
+def _screen_directions(d) -> np.ndarray:
+    """Seeded unit directions in R^d, one per key, as the columns of a matrix."""
+    G = stream(_PERTURB_KEY, "screen", d).standard_normal((d, _SCREEN_KEYS))
+    return G / np.linalg.norm(G, axis=0)
+
+
+class _Screen:
+    """Finds the columns of unit-norm X that may be parallel to a given one.
+
+    Each column x has keys |g^T x|, one per direction g. Two columns with
+    |cos| >= 1 - margin and norms within s of 1 lie within
+    sqrt(2*margin + 4s + 2s^2) of each other up to sign, so all their keys do
+    too; computing each key rounds it by well under gap. Columns whose keys
+    all lie within tau are candidates. Sorting by the first key makes each
+    column's candidates a window of the order, found by binary search.
+
+    Two products of the same d-term dot of near-unit columns, summed in any
+    order, round apart by at most 2*gamma_d ~ d*eps; gap = (d + 2)*eps adds
+    room for where arccos rounds across 1e-6. So a candidate dot more than
+    gap from cos(1e-6) is on the same side of it as the exact test's
+    full-prefix product.
+    """
+
+    def __init__(self, X):
+        d, n = X.shape
+        self.X = X
+        self.G = _screen_directions(d)
+        self.gap = (d + 2) * np.finfo(float).eps
+        s = _UNIT_SLACK + self.gap
+        self.tau = np.sqrt(2.0 * _SCREEN_MARGIN + 4.0 * s + 2.0 * s * s) + 2.0 * self.gap
+        # keys of each column's current value, and the columns in order of the
+        # first key; a nudge rewrites the column's keys and moves it in the order
+        self.keys = np.abs(self.G.T @ X)
+        self.order = np.argsort(self.keys[0], kind="stable")
+        self.first = self.keys[0, self.order]
+        self.width = max(1, _CHUNK_DOUBLES * n // d)
+
+    def pairs(self):
+        """Yield (i, j) index arrays, i < j, of the candidate pairs among the
+        columns as they were given, at most _CHUNK_DOUBLES // 16 * n at a time."""
+        n = self.first.size
+        ends = np.searchsorted(self.first, self.first + self.tau, side="right")
+        counts = ends - np.arange(1, n + 1)
+        cum = np.concatenate(([0], np.cumsum(counts)))
+        budget = _CHUNK_DOUBLES // 16 * n
+        a0 = 0
+        while a0 < n:
+            a1 = max(a0 + 1, int(np.searchsorted(cum, cum[a0] + budget, side="right")) - 1)
+            c = counts[a0:a1]
+            lo = np.repeat(np.arange(a0, a1), c)
+            hi = np.arange(cum[a0], cum[a1]) - np.repeat(cum[a0:a1], c) + lo + 1
+            i, j = self.order[lo], self.order[hi]
+            for k in range(1, len(self.keys)):
+                close = np.abs(self.keys[k, i] - self.keys[k, j]) <= self.tau
+                i, j = i[close], j[close]
+            yield np.minimum(i, j), np.maximum(i, j)
+            a0 = a1
+
+    def flagged(self) -> np.ndarray:
+        """Flag each column that has an earlier candidate."""
+        flagged = np.zeros(self.first.size, dtype=bool)
+        for _, j in self.pairs():
+            flagged[j] = True
+        return flagged
+
+    def _window(self, first_key):
+        """Positions a..b-1 of the order whose first key lies within tau of first_key."""
+        a = np.searchsorted(self.first, first_key - self.tau, side="left")
+        return a, np.searchsorted(self.first, first_key + self.tau, side="right")
+
+    def _near(self, key, lo, hi) -> np.ndarray:
+        """Columns lo <= i < hi whose current keys all lie within tau of key."""
+        a, b = self._window(key[0])
+        cols = self.order[a:b]
+        cols = cols[(cols >= lo) & (cols < hi)]
+        return cols[np.all(np.abs(self.keys[:, cols] - key[:, None]) <= self.tau, axis=0)]
+
+    def _abs_dots(self, cols, x) -> np.ndarray:
+        """|x_i^T x| for each column i in cols, gathering width columns at a time."""
+        dots = np.empty(cols.size)
+        w = self.width
+        for s in range(0, cols.size, w):
+            np.matmul(self.X[:, cols[s:s + w]].T, x, out=dots[s:s + w])
+        return np.abs(dots, out=dots)
+
+    def parallel_to_earlier(self, j) -> bool:
+        """The exact test of column j's current value against columns 0..j-1,
+        decided from its candidates' largest dot unless that lies within gap
+        of cos(1e-6); then the full-prefix test decides."""
+        x = self.X[:, j]
+        key = np.abs(self.G.T @ x)
+        a, b = self._window(key[0])
+        if 4 * (b - a) >= j:
+            # a quarter of the earlier columns may be candidates: one product
+            # with all of them in place costs less than gathering those
+            cos = np.abs(self.X[:, :j].T @ x)
+        else:
+            cos = self._abs_dots(self._near(key, 0, j), x)
+        top = cos.max(initial=0.0)
+        if abs(top - _PARALLEL_COS) <= self.gap:
+            return _parallel_to_any(self.X[:, :j], x)
+        return bool(top > _PARALLEL_COS)
+
+    def record_nudge(self, j) -> np.ndarray:
+        """Take column j's nudged value into the keys; return the later
+        columns it is a candidate of."""
+        x = self.X[:, j]
+        key = np.abs(self.G.T @ x)
+        self.keys[:, j] = key
+        # move j to its new first key's place in the order
+        was = np.flatnonzero(self.order == j)[0]
+        order, first = np.delete(self.order, was), np.delete(self.first, was)
+        at = np.searchsorted(first, key[0])
+        self.order, self.first = np.insert(order, at, j), np.insert(first, at, key[0])
+        return self._near(key, j + 1, self.first.size)
 
 
 def preprocess_unit_norm(ds: Dataset):
@@ -259,34 +363,37 @@ def preprocess_unit_norm(ds: Dataset):
     renormalized, until it is parallel to none; later columns are compared
     with the nudged value. Returns (Dataset, number of perturbed columns).
 
-    A blocked X^T X screen first flags every column whose |cos| with an
-    earlier column is at least 1 - 1e-8, a margin far wider than the rounding
-    gap between the screen's products and the exact test's. Only flagged
-    columns, in ascending order, run the exact test and the nudge; each nudge
-    flags the later columns that reach the margin against the nudged value.
-    The result is bit-identical to testing every column against all earlier
-    ones in turn: that test finds no unflagged column parallel to an earlier
-    one, so neither version ever nudges it.
+    A screen on sorted projections (`_Screen`) first flags every column with
+    an earlier candidate: a column whose projections all lie close enough to
+    its own to allow |cos| >= 1 - 1e-8, a margin far wider than the rounding
+    gap between any two products of the same dot. Only flagged columns, in
+    ascending order, run the exact test and the nudge; each nudge flags the
+    later columns whose candidate the nudged value is. The result is
+    bit-identical to testing every column against all earlier ones in turn:
+    that test finds no unflagged column parallel to an earlier one, so
+    neither version ever nudges it, and the screen decides it for a flagged
+    one from the candidates' dots unless a dot lies within the rounding gap
+    of cos(1e-6).
     """
     X = np.array(ds.X, dtype=float)
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0.0):
         raise ValueError(f"zero column at index {int(np.argmin(norms))}")
     # leave columns already at unit norm untouched so the map is idempotent
-    off = np.abs(norms - 1.0) > 1e-13
-    X[:, off] = X[:, off] / norms[off]
-    flagged = _screen_parallel(X)
+    np.divide(X, norms, out=X, where=np.abs(norms - 1.0) > _UNIT_SLACK)
+    screen = _Screen(X)
+    flagged = screen.flagged()
     perturbed = 0
     for j in range(X.shape[1]):
         if not flagged[j]:
             continue
         attempt = 0
-        while _parallel_to_any(X[:, :j], X[:, j]):
+        while screen.parallel_to_earlier(j):
             noise = stream(_PERTURB_KEY, "perturb", j, attempt).standard_normal(X.shape[0])
             x = X[:, j] + 1e-3 * noise
             X[:, j] = x / np.linalg.norm(x)
             attempt += 1
         if attempt:
             perturbed += 1
-            flagged[j + 1:] |= np.abs(X[:, j + 1:].T @ X[:, j]) >= 1.0 - _SCREEN_MARGIN
+            flagged[screen.record_nudge(j)] = True
     return Dataset(X=X, Y=ds.Y, labels=ds.labels), perturbed

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,20 +300,126 @@ def test_preprocess_matches_the_loop_on_idx_images(idx_with_repeats):
     assert _matches_the_loop(idx_with_repeats.X)[1] == IDX_REPEATS
 
 
-def test_preprocess_runs_the_exact_test_only_on_flagged_columns(monkeypatch, idx_with_repeats):
-    outcomes = []
-    exact = data._parallel_to_any
+def _counted(monkeypatch, name):
+    """Patch data.<name> to record each call in the returned list; the
+    patched function still returns what the original does."""
+    calls, original = [], getattr(data, name)
 
-    def counted(X_prev, x):
-        outcomes.append(exact(X_prev, x))
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(data, name, counted)
+    return calls
+
+
+def _recorded_pairs(monkeypatch):
+    """Patch the screen to record every candidate pair (i, j) it yields."""
+    pairs, screen_pairs = [], data._Screen.pairs
+
+    def recorded(self):
+        for i, j in screen_pairs(self):
+            pairs.extend(zip(i.tolist(), j.tolist()))
+            yield i, j
+
+    monkeypatch.setattr(data._Screen, "pairs", recorded)
+    return pairs
+
+
+def test_preprocess_runs_the_exact_test_only_on_flagged_columns(monkeypatch, idx_with_repeats):
+    full_prefix = _counted(monkeypatch, "_parallel_to_any")
+    pairs = _recorded_pairs(monkeypatch)
+    tested, outcomes = [], []
+    exact = data._Screen.parallel_to_earlier
+
+    def counted(self, j):
+        tested.append(j)
+        outcomes.append(exact(self, j))
         return outcomes[-1]
 
-    monkeypatch.setattr(data, "_parallel_to_any", counted)
-    _, perturbed = preprocess_unit_norm(idx_with_repeats)
-    attempts = sum(outcomes)
+    monkeypatch.setattr(data._Screen, "parallel_to_earlier", counted)
+    out, perturbed = preprocess_unit_norm(idx_with_repeats)
     assert perturbed == IDX_REPEATS
-    # one test per flagged column plus one per nudge, not one per column
-    assert len(outcomes) <= perturbed + IDX_REPEATS + attempts < IDX_IMAGES // 10
+    # one test per flagged column plus one per nudge, not one per column, and
+    # only on the columns with an earlier candidate
+    attempts = sum(outcomes)
+    assert len(tested) <= perturbed + IDX_REPEATS + attempts < IDX_IMAGES // 10
+    assert set(tested) == {j for _, j in pairs}
+    # every repeat is decided from its candidates' dots, none by a full-prefix product
+    assert full_prefix == []
+    # the candidates are exactly the pairs of equal images: each copy with its
+    # original, and two copies of one original with each other
+    X = idx_with_repeats.X
+    _, group = np.unique(X.T, axis=0, return_inverse=True)
+    equal = sorted(
+        (int(i), j) for j in range(X.shape[1]) for i in np.flatnonzero(group[:j] == group[j])
+    )
+    assert sorted(pairs) == equal
+    assert len({j for _, j in pairs}) == IDX_REPEATS
+    pairs.clear()
+    preprocess_unit_norm(out)
+    assert pairs == []
+
+
+def test_preprocess_falls_back_to_the_full_prefix_test_near_a_microradian(monkeypatch):
+    """Pairs planted 0.8-1.2 µrad apart put some dots within the rounding gap
+    of cos(1e-6), where only the full-prefix product decides."""
+    full_prefix = _counted(monkeypatch, "_parallel_to_any")
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        d = int(rng.integers(2, 41))
+        a, u = np.linalg.qr(rng.standard_normal((d, 2)))[0].T
+        angle = rng.uniform(0.8e-6, 1.2e-6)
+        near = rng.choice([1.0, -2.0]) * (np.cos(angle) * a + np.sin(angle) * u)
+        _matches_the_loop(np.stack([a, rng.standard_normal(d), near], axis=1))
+    assert len(full_prefix) > 0
+
+
+def test_preprocess_screens_a_tight_cone_in_bounded_memory(monkeypatch):
+    """300 columns within 5e-5 rad of one direction: every pair is a candidate
+    and reaches the screen margin, yet none is parallel. From the screen on,
+    the pass holds no more than the n x 256 doubles of a 256-column block of
+    X^T X beyond the normalized columns."""
+    n, d = 300, 784
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    R = rng.standard_normal((d, n))
+    R -= np.outer(v, v @ R)
+    X = v[:, None] + 5e-5 * R / np.linalg.norm(R, axis=0)
+    with monkeypatch.context() as mp:
+        pairs = _recorded_pairs(mp)
+        assert _matches_the_loop(X)[1] == 0
+    assert len(pairs) == n * (n - 1) // 2
+
+    held = []
+    build = data._Screen.__init__
+
+    def build_from_here(self, X):
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        build(self, X)
+
+    monkeypatch.setattr(data._Screen, "__init__", build_from_here)
+    tracemalloc.start()
+    try:
+        preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, n))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] <= n * 256 * 8
+
+
+@settings(deadline=None, max_examples=40)
+@given(_planted_copies(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_preprocess_does_not_depend_on_the_screen_directions(X, keys, seed):
+    def directions(d):
+        G = np.random.default_rng(seed).standard_normal((d, keys))
+        return G / np.linalg.norm(G, axis=0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_screen_directions", directions)
+        _matches_the_loop(X)
 
 
 def test_stream_keys_a_numpy_integer_tag_as_the_equal_int():
