@@ -25,6 +25,7 @@ from .config import (
 from .data import (
     Dataset,
     IdxFormatError,
+    gather_columns,
     load_idx,
     partition_iid,
     partition_noniid,
@@ -86,7 +87,10 @@ def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
         targets = relu_targets(ds.labels, ds.Y.shape[0])
     else:
         targets = np.ravel(ds.Y)
-    batches = tuple(LabeledBatch(X=ds.X[:, ix], Y=targets[..., ix]) for ix in index_lists)
+    batches = tuple(
+        LabeledBatch(X=cols, Y=targets[..., ix])
+        for cols, ix in zip(gather_columns(ds.X, index_lists), index_lists)
+    )
     if isinstance(m, DeepLinearModel):
         init = init_deep_linear(m.depth, m.width, ds.X.shape[0], ds.Y.shape[0], fed.seed)
     else:

@@ -3,6 +3,7 @@
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,12 +55,13 @@ class ClientPartition:
     dropped: int = 0
 
     def __post_init__(self):
-        seen = set()
-        for idx in self.client_indices:
-            s = set(int(i) for i in idx)
-            if seen & s:
-                raise ValueError("client index lists must be pairwise disjoint")
-            seen |= s
+        sizes = [len(ix) for ix in self.client_indices]
+        held = np.fromiter(chain.from_iterable(self.client_indices), dtype=np.intp)
+        order = np.argsort(held, kind="stable")
+        held, owner = held[order], np.repeat(np.arange(len(sizes)), sizes)[order]
+        # a repeat within one list is allowed; a sample in two lists is not
+        if np.any((held[1:] == held[:-1]) & (owner[1:] != owner[:-1])):
+            raise ValueError("client index lists must be pairwise disjoint")
 
     @property
     def n_clients(self) -> int:
@@ -179,13 +181,15 @@ def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> Client
     if ds.labels is None:
         raise ValueError("dataset has no class labels")
     rng = stream(seed, "noniid-partition")
-    classes = np.unique(ds.labels)
+    # np.unique would do, but its first call imports numpy.ma (about 11 ms)
+    labels = np.sort(ds.labels)
+    classes = labels[np.diff(labels, prepend=labels[:1] - 1) != 0]
     take = min(classes_per_client, classes.size)
     client_classes = [
         frozenset(classes[rng.choice(classes.size, size=take, replace=False)].tolist())
         for _ in range(n_clients)
     ]
-    assigned = [[] for _ in range(n_clients)]
+    assigned = [[np.empty(0, dtype=np.intp)] for _ in range(n_clients)]
     dropped = 0
     for cls in classes.tolist():
         holders = [c for c in range(n_clients) if cls in client_classes[c]]
@@ -193,10 +197,10 @@ def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> Client
         if not holders:
             dropped += members.size
             continue
-        for pos, sample in enumerate(members.tolist()):
-            assigned[holders[pos % len(holders)]].append(sample)
+        for k, c in enumerate(holders):
+            assigned[c].append(members[k::len(holders)])
     return ClientPartition(
-        client_indices=tuple(tuple(sorted(ix)) for ix in assigned),
+        client_indices=tuple(tuple(np.sort(np.concatenate(ix)).tolist()) for ix in assigned),
         client_classes=tuple(client_classes),
         dropped=dropped,
     )
@@ -207,6 +211,34 @@ def partition_iid(n, n_clients) -> list:
     if n_clients <= 0:
         raise ValueError("n_clients must be positive")
     return [np.arange(c, n, n_clients) for c in range(n_clients)]
+
+
+# columns of X taken at a time when gathering: about this many bytes, so a
+# chunk's copy stays in cache
+_GATHER_BYTES = 1 << 19
+
+
+def gather_columns(X, index_lists) -> list:
+    """Return [X[:, ix] for ix in index_lists], equal bit for bit and laid out
+    column-major, as numpy lays out X[:, ix].
+
+    Lists that each take every few columns make X[:, ix] read each cache
+    line of a row-major X once per list. Here the lists' indices are merged
+    and sorted, so neighbouring columns are taken together and each line is
+    read once; each chunk of columns is copied into its rows of one
+    (picked columns, d) buffer, whose row ranges, transposed, are the results.
+    """
+    index_lists = [np.asarray(ix, dtype=np.intp) for ix in index_lists]
+    d = X.shape[0]
+    picks = np.concatenate([np.empty(0, dtype=np.intp), *index_lists])
+    order = np.argsort(picks, kind="stable")
+    picks = picks[order]
+    out = np.empty((picks.size, d), dtype=X.dtype)
+    step = max(1, _GATHER_BYTES // max(1, d * X.itemsize))
+    for s in range(0, picks.size, step):
+        out[order[s:s + step]] = X[:, picks[s:s + step]].T
+    sizes = [ix.size for ix in index_lists]
+    return [out[end - size:end].T for size, end in zip(sizes, np.cumsum(sizes))]
 
 
 def relu_targets(labels, num_classes) -> np.ndarray:
@@ -355,6 +387,23 @@ class _Screen:
         return self._near(key, j + 1, self.first.size)
 
 
+def _column_norms(X) -> np.ndarray:
+    """np.linalg.norm(X, axis=0), bit for bit, with one n-long scratch row.
+
+    On a C-ordered X of more than one column, numpy's axis-0 sum adds the
+    squared rows in turn into one row, and so does this, without squaring
+    all of X at once. A single column (or any F-ordered X) numpy sums
+    pairwise, so numpy computes it.
+    """
+    if X.flags.f_contiguous or not X.flags.c_contiguous:
+        return np.linalg.norm(X, axis=0)
+    acc = np.square(X[0])
+    row = np.empty_like(acc)
+    for x in X[1:]:
+        acc += np.square(x, out=row)
+    return np.sqrt(acc, out=acc)
+
+
 def preprocess_unit_norm(ds: Dataset):
     """Scale feature columns to unit norm and break up parallel pairs.
 
@@ -376,11 +425,12 @@ def preprocess_unit_norm(ds: Dataset):
     of cos(1e-6).
     """
     X = np.array(ds.X, dtype=float)
-    norms = np.linalg.norm(X, axis=0)
+    norms = _column_norms(X)
     if np.any(norms == 0.0):
         raise ValueError(f"zero column at index {int(np.argmin(norms))}")
-    # leave columns already at unit norm untouched so the map is idempotent
-    np.divide(X, norms, out=X, where=np.abs(norms - 1.0) > _UNIT_SLACK)
+    # leave columns already at unit norm untouched so the map is idempotent:
+    # division by 1.0 is exact
+    X /= np.where(np.abs(norms - 1.0) > _UNIT_SLACK, norms, 1.0)
     screen = _Screen(X)
     flagged = screen.flagged()
     perturbed = 0

@@ -242,6 +242,24 @@ def preprocess_unit_norm_loop(X):
     return X, perturbed
 
 
+def deal_noniid_loop(labels, client_classes):
+    """`data.partition_noniid`'s dealing, one sample at a time: each class's
+    samples, in index order, go round-robin to the clients holding that
+    class. Returns (sorted index tuples per client, number dropped)."""
+    labels = np.asarray(labels)
+    assigned = [[] for _ in client_classes]
+    dropped = 0
+    for cls in np.unique(labels).tolist():
+        holders = [c for c, held in enumerate(client_classes) if cls in held]
+        members = [i for i in range(labels.size) if labels[i] == cls]
+        if not holders:
+            dropped += len(members)
+            continue
+        for pos, sample in enumerate(members):
+            assigned[holders[pos % len(holders)]].append(sample)
+    return tuple(tuple(sorted(ix)) for ix in assigned), dropped
+
+
 def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe_rounds=None):
     """`federation.run_fedavg` as it ran before the global loss was read off
     the next round's step-0 losses: a full global_loss pass before the first

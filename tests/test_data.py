@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectra import data
 from fedspectra.data import (
+    ClientPartition,
     Dataset,
     IdxFormatError,
     load_idx,
@@ -22,7 +23,7 @@ from fedspectra.data import (
     synth_linear_dataset,
 )
 from fedspectra.rng import stream
-from oracles import preprocess_unit_norm_loop
+from oracles import deal_noniid_loop, preprocess_unit_norm_loop
 
 
 def _write_idx_pair(tmp_path, pixels, labels):
@@ -196,6 +197,104 @@ def test_partition_noniid_requires_labels():
     ds, _ = synth_linear_dataset(4, 2, 8, seed=0)
     with pytest.raises(ValueError):
         partition_noniid(ds, 2, 1, seed=0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_partition_noniid_deals_like_the_loop(n, num_classes, n_clients, per_client, seed):
+    labels = np.random.default_rng(seed).integers(0, num_classes, size=n)
+    ds = Dataset(X=np.zeros((1, n)), Y=np.zeros((num_classes, n)), labels=labels)
+    part = partition_noniid(ds, n_clients, per_client, seed)
+    assert (part.client_indices, part.dropped) == deal_noniid_loop(labels, part.client_classes)
+    # each client draws its classes from the sorted distinct labels
+    rng, classes = stream(seed, "noniid-partition"), np.unique(labels)
+    take = min(per_client, classes.size)
+    drawn = [classes[rng.choice(classes.size, size=take, replace=False)] for _ in range(n_clients)]
+    assert part.client_classes == tuple(frozenset(c.tolist()) for c in drawn)
+
+
+def test_client_partition_rejects_a_sample_held_by_two_clients():
+    none = frozenset()
+    # a repeat within one list is not an overlap
+    assert ClientPartition(((0, 2, 2), (1,), ()), (none,) * 3).n_clients == 3
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        ClientPartition(((0, 2), (3, 2)), (none,) * 2)
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        ClientPartition(((4, 4), (1,), (4,)), (none,) * 3)
+
+
+def _gathers_like_fancy_indexing(X, index_lists):
+    got = data.gather_columns(X, index_lists)
+    assert len(got) == len(index_lists)
+    for cols, ix in zip(got, index_lists):
+        want = X[:, ix]
+        assert cols.shape == want.shape and cols.dtype == want.dtype
+        assert cols.tobytes() == want.tobytes()
+        # laid out as numpy lays out X[:, ix], so BLAS sees the same operands
+        assert cols.flags.f_contiguous
+        assert cols.flags.c_contiguous == want.flags.c_contiguous
+
+
+_GATHER_SOURCES = {
+    "row-major": lambda X: X,
+    "column slice": lambda X: X[:, 3:-2],
+    "column-major": np.asfortranarray,
+    "every other row": lambda X: X[::2],
+}
+
+
+@pytest.mark.parametrize("source", _GATHER_SOURCES)
+def test_gather_columns_equals_fancy_indexing(monkeypatch, source):
+    X = _GATHER_SOURCES[source](np.random.default_rng(15).standard_normal((9, 40)))
+    n = X.shape[1]
+    _gathers_like_fancy_indexing(X, [[], [4, 1], []])  # clients without samples
+    _gathers_like_fancy_indexing(X, [list(range(n))])  # one client holds every column
+    _gathers_like_fancy_indexing(X, [[5, 0, 5, 2], [n - 1, -1, 7, 7]])  # unsorted, repeated
+    assert data.gather_columns(X, []) == []
+    # 3 columns a chunk: the 10 or 11 picked leave a short last chunk
+    monkeypatch.setattr(data, "_GATHER_BYTES", 3 * X.shape[0] * X.itemsize)
+    _gathers_like_fancy_indexing(X, [np.arange(0, n, 6), [9, 2, 30, 11]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 30),
+    st.sampled_from(sorted(_GATHER_SOURCES)),
+    st.integers(1, 2000),
+    st.integers(0, 2**32 - 1),
+)
+def test_gather_columns_equals_fancy_indexing_on_random_lists(d, n, source, chunk_bytes, seed):
+    rng = np.random.default_rng(seed)
+    X = _GATHER_SOURCES[source](rng.standard_normal((d, n + 5)))
+    lists = [rng.integers(0, X.shape[1], size=rng.integers(0, 12)) for _ in range(rng.integers(0, 5))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_GATHER_BYTES", chunk_bytes)
+        _gathers_like_fancy_indexing(X, lists)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(st.integers(1, 40), st.just(784)),
+    st.integers(1, 40),
+    st.sampled_from("CF"),
+    st.integers(0, 2**32 - 1),
+)
+@example(784, 1, "C", 0)
+@example(8, 1, "C", 0)
+def test_column_norms_equal_numpys_bit_for_bit(d, n, order, seed):
+    """The row-by-row norms of the pass against np.linalg.norm, which the loop
+    oracle uses; numpy sums a single column pairwise, not row by row."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-100, 100, size=n)
+    X = np.asarray(X, order=order)
+    assert data._column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes()
 
 
 def test_preprocess_normalizes_and_is_idempotent():
@@ -375,11 +474,21 @@ def test_preprocess_falls_back_to_the_full_prefix_test_near_a_microradian(monkey
     assert len(full_prefix) > 0
 
 
+def _pass_peak(X) -> int:
+    """Peak bytes that preprocess_unit_norm allocates on X, its output included."""
+    ds = Dataset(X=X, Y=np.zeros((1, X.shape[1])))
+    tracemalloc.start()
+    try:
+        preprocess_unit_norm(ds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_preprocess_screens_a_tight_cone_in_bounded_memory(monkeypatch):
     """300 columns within 5e-5 rad of one direction: every pair is a candidate
-    and reaches the screen margin, yet none is parallel. From the screen on,
-    the pass holds no more than the n x 256 doubles of a 256-column block of
-    X^T X beyond the normalized columns."""
+    and reaches the screen margin, yet none is parallel. Beyond its output,
+    the whole pass allocates no more than n x 256 doubles."""
     n, d = 300, 784
     rng = np.random.default_rng(14)
     v = rng.standard_normal(d)
@@ -391,23 +500,12 @@ def test_preprocess_screens_a_tight_cone_in_bounded_memory(monkeypatch):
         pairs = _recorded_pairs(mp)
         assert _matches_the_loop(X)[1] == 0
     assert len(pairs) == n * (n - 1) // 2
+    assert _pass_peak(X) <= X.nbytes + n * 256 * 8
 
-    held = []
-    build = data._Screen.__init__
 
-    def build_from_here(self, X):
-        tracemalloc.reset_peak()
-        held.append(tracemalloc.get_traced_memory()[0])
-        build(self, X)
-
-    monkeypatch.setattr(data._Screen, "__init__", build_from_here)
-    tracemalloc.start()
-    try:
-        preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, n))))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - held[0] <= n * 256 * 8
+def test_preprocess_of_idx_images_allocates_little_beyond_its_output(idx_with_repeats):
+    X = idx_with_repeats.X
+    assert _pass_peak(X) <= X.nbytes + X.shape[1] * 256 * 8
 
 
 @settings(deadline=None, max_examples=40)
