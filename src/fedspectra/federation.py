@@ -189,9 +189,9 @@ def client_pool():
     as the context, e.g. a whole run.
 
     Side by side, the clients go through an ordered, bounded window of the
-    pool's size: a client is taken, and its private copy made, only once
+    pool's size: a client is taken, and its state made, only once
     descend_round has added the result that many clients before it to the
-    server sum, so at most that many private weight copies live beside the
+    server sum, so at most that many client states live beside the
     sum. The pool has one thread per usable core (the process's CPU
     affinity, so `taskset` bounds it) and measures which way is faster: for
     each value of keep, the first call of more than one client runs side by

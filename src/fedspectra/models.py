@@ -5,9 +5,10 @@ round of local descent descend_round(batches, eta, steps, keep, map), the
 server average average(params) (a classmethod) and drift(init). Gradients
 of the (unnormalized) square loss are closed-form; there is no automatic
 differentiation anywhere. All arithmetic is 64-bit. A parameter object is
-never changed once built: a client's descent updates private arrays (a copy
-of the weights, or the ReLU net's pre-activations in sample space) in place
-and hands out only arrays it no longer writes to.
+never changed once built: each client's descent runs one shared loop on a
+client state whose private arrays it updates in place (a copy of the
+weights, or the ReLU net's pre-activations in sample space), and hands out
+only arrays the state no longer writes to.
 """
 
 import ctypes
@@ -136,11 +137,12 @@ def _subtract_product(W, A, B):
 
 
 class _LocalDescent:
-    """The local-descent loop both parameter classes share. A class supplies
-    _weights() (its arrays), _with(arrays) (a new object around them) and
-    _step_in_place(arrays, batch, eta), which returns the loss of the
-    iterate the arrays hold and then, unless eta is None, takes one gradient
-    step on them in place."""
+    """The local-descent loop both parameter classes share, each client on a
+    state from _client: loss_and_step(eta) returns the loss of the iterate
+    the state holds, then takes one step unless eta is None; iterate()
+    returns that iterate as parameters no later step writes to. A class
+    supplies _weights() (its arrays), _with(arrays) (a new object around
+    them) and _step_in_place(arrays, batch, eta), the dense state's step."""
 
     def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
         """`steps` full-batch gradient steps from self on each batch, one
@@ -156,19 +158,20 @@ class _LocalDescent:
         iterates, summed in batch order as average(params) sums them, and
         raises ValueError when a client's loss ended non-finite.
 
-        Without keep, each client's last iterate joins the sum as soon as
-        `map` yields it, so a round under builtin map holds one client's
-        weights beside the sum, and one under a map that runs at most w
-        clients ahead holds w. With keep, average() sums the kept last
-        iterates on call, so a caller can hand them to an observer before
-        the average exists.
+        Without keep, a client forms iterate `steps` alone, on every state,
+        or none (its last iterate is then self) if its loss turns non-finite
+        first. Each last iterate joins the sum as soon as `map` yields it: a
+        round under builtin map holds one client's weights beside the sum,
+        one under a map that runs at most w clients ahead w. With keep,
+        average() sums the kept last iterates on call, so a caller can hand
+        them to an observer before the average exists.
         """
         if not batches:
             raise ValueError("need at least one batch")
         runs, lasts, total = [], [], None
-        # each client's private copy is made as `map` takes the client, in the
+        # each client's state is made as `map` takes the client, in the
         # calling thread, so a thread pool's threads keep no weights of their own
-        clients = ((b, self._private_copy(b, steps)) for b in batches)
+        clients = ((b, self._client(b, steps)) for b in batches)
         for iterates, losses in map(lambda c: self._descend(*c, eta, steps, keep), clients):
             runs.append((iterates if keep else (), losses))
             if keep:
@@ -193,27 +196,47 @@ class _LocalDescent:
 
         return tuple(runs), average
 
-    def _private_copy(self, batch: LabeledBatch, steps) -> list:
-        """The copy of self's weights that a client's descent updates in place."""
-        return [W.copy() for W in self._weights()]
+    def _client(self, batch: LabeledBatch, steps):
+        """The state of one client's `steps` steps from self on batch: a copy of self's weights."""
+        return _DenseClient(self, batch, steps)
 
-    def _descend(self, batch: LabeledBatch, weights, eta, steps, keep) -> tuple:
-        """One client's `steps` full-batch gradient steps from self on
-        weights, its private copy. Returns (iterates, losses) as descend_round
-        describes a run, except that iterates holds the last iterate alone
-        when not keep.
-        """
+    def _descend(self, batch: LabeledBatch, client, eta, steps, keep) -> tuple:
+        """One client's `steps` full-batch gradient steps from self, taken on
+        client, the state _client made for batch. Returns (iterates, losses)
+        as descend_round describes a run, but with the last iterate alone
+        when not keep."""
         iterates, losses = [self], []
         for k in range(steps + 1):
-            last = k == steps
-            losses.append(self._step_in_place(weights, batch, None if last else eta))
-            if last or not np.isfinite(losses[-1]):
+            losses.append(client.loss_and_step(eta if k < steps else None))
+            if k == steps or not np.isfinite(losses[-1]):
                 break
-            if k == steps - 1:  # the copy is written no more
-                iterates.append(self._with(weights))
-            elif keep:
-                iterates.append(self._with([W.copy() for W in weights]))
+            if keep or k == steps - 1:
+                iterates.append(client.iterate())
         return tuple(iterates if keep else iterates[-1:]), losses
+
+    @classmethod
+    def average(cls, params):
+        """Unweighted mean of each weight array, summed in list order."""
+        if not params:
+            raise ValueError("nothing to aggregate")
+        return params[0]._with([_mean(arrays) for arrays in zip(*(p._weights() for p in params))])
+
+
+class _DenseClient:
+    """A copy of the start's weights, which the start's class steps in place."""
+
+    def __init__(self, start: _LocalDescent, batch: LabeledBatch, steps):
+        self.start, self.batch, self.steps_left = start, batch, steps
+        self.weights = [W.copy() for W in start._weights()]
+
+    def loss_and_step(self, eta) -> float:
+        self.steps_left -= eta is not None
+        return self.start._step_in_place(self.weights, self.batch, eta)
+
+    def iterate(self) -> _LocalDescent:
+        # after the last step the copy is written no more, so it is handed out
+        weights = self.weights if self.steps_left == 0 else [W.copy() for W in self.weights]
+        return self.start._with(weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,15 +307,6 @@ class DeepLinearParams(_LocalDescent):
             _subtract_product(W, eta * left, right)
         return _half_square(E)
 
-    @classmethod
-    def average(cls, params) -> "DeepLinearParams":
-        """Unweighted layer-wise mean, summed in list order."""
-        if not params:
-            raise ValueError("nothing to aggregate")
-        head = params[0]
-        layers = tuple(_mean([p.layers[i] for p in params]) for i in range(head.depth))
-        return cls(layers=layers, width=head.width)
-
     def drift(self, init) -> tuple:
         """Largest per-layer Frobenius distance from init, plus the per-layer list."""
         shapes = [W.shape for W in self.layers]
@@ -346,71 +360,18 @@ class TwoLayerParams(_LocalDescent):
             weights[0] -= grad  # the signs stay fixed
         return _half_square(residual)
 
-    def _private_copy(self, batch: LabeledBatch, steps):
-        """None for a client that descends in sample space, which needs no copy."""
+    def _client(self, batch: LabeledBatch, steps):
+        """Sample space for a client whose shape makes it cheaper, else the dense copy."""
         if _descends_in_sample_space(self.width, self.dim, batch.n, steps):
-            return None
-        return super()._private_copy(batch, steps)
-
-    def _descend(self, batch: LabeledBatch, weights, eta, steps, keep) -> tuple:
-        """As _LocalDescent._descend, but in sample space when the client has
-        no private copy, its shape making that cheaper (_private_copy).
-
-        Every gradient c*(s o M) X^T lies in the row space of X, so a step
-        moves the pre-activations Z = H X by (eta*c*s) o (M G), G = X^T X,
-        without forming H. H is formed only for the iterates handed out, as
-        H0 - (eta*c*s) o (A X^T), A being the sum of the steps' M so far.
-        G is the batch's cached `gram`, formed once per run on the client's
-        first sample-space round, not once per round. The path rule still
-        charges d*n^2 for it and leaves kept iterates out, on purpose, so no
-        client changes path (see _descends_in_sample_space).
-        """
-        if weights is not None:
-            return super()._descend(batch, weights, eta, steps, keep)
-        X, y = batch.X, np.ravel(batch.Y)
-        if X.shape[0] != self.dim:
-            raise ValueError(f"X must have {self.dim} rows")
-        gram = batch.gram
-        Z = self.hidden @ X
-        A = np.zeros_like(Z)
-        masked = np.empty_like(Z)
-        rate = (eta / np.sqrt(self.width)) * self.signs[:, None]  # eta*c*s, per row
-
-        def iterate():  # a fresh array, sharing nothing with A, Z or the start
-            H = A @ X.T
-            H *= rate
-            return self._with((np.subtract(self.hidden, H, out=H),))
-
-        iterates, losses = [self], []
-        for k in range(steps + 1):
-            residual = _relu_residual(Z, self.signs, y)
-            losses.append(_half_square(residual))
-            if k == steps or not np.isfinite(losses[-1]):
-                break
-            np.greater_equal(Z, 0.0, out=masked)
-            masked *= residual
-            A += masked
-            step = masked @ gram
-            step *= rate
-            Z -= step
-            if keep:
-                iterates.append(iterate())
-        if not keep and len(losses) > 1:
-            iterates.append(iterate())
-        return tuple(iterates if keep else iterates[-1:]), losses
+            return _SampleSpaceClient(self, batch)
+        return super()._client(batch, steps)
 
     @classmethod
     def average(cls, params) -> "TwoLayerParams":
-        """Unweighted mean of the hidden weights, summed in list order; every
-        net must carry the same output signs."""
-        if not params:
-            raise ValueError("nothing to aggregate")
-        head = params[0]
-        for p in params[1:]:
-            if not np.array_equal(p.signs, head.signs):
-                raise ValueError("cannot average models with different output signs")
-        hidden = _mean([p.hidden for p in params])
-        return cls(hidden=hidden, signs=head.signs)
+        """As _LocalDescent.average; every net must carry the same output signs."""
+        if any(not np.array_equal(p.signs, params[0].signs) for p in params[1:]):
+            raise ValueError("cannot average models with different output signs")
+        return super().average(params)
 
     def drift(self, init) -> tuple:
         """Largest per-neuron (row) distance from init, plus the max and mean."""
@@ -421,6 +382,44 @@ class TwoLayerParams(_LocalDescent):
             "max_row_drift": float(rows.max()),
             "mean_row_drift": float(rows.mean()),
         }
+
+
+class _SampleSpaceClient:
+    """A ReLU client's descent in sample space, with no copy of the weights.
+
+    Every gradient c*(s o M) X^T lies in the row space of X, so a step
+    moves the pre-activations Z = H X by (eta*c*s) o (M G), G = X^T X being
+    the batch's cached `gram`, without forming H. H is formed only for the
+    iterates handed out, as H0 - (eta*c*s) o (A X^T), A being the sum of the
+    steps' M so far; every step of one descent takes the same eta.
+    """
+
+    def __init__(self, start: TwoLayerParams, batch: LabeledBatch):
+        if batch.X.shape[0] != start.dim:
+            raise ValueError(f"X must have {start.dim} rows")
+        self.start, self.batch, self.Z = start, batch, None
+        self.A = np.zeros((start.width, batch.n))
+        self.masked = np.empty_like(self.A)
+
+    def loss_and_step(self, eta) -> float:
+        start, Z, masked = self.start, self.Z, self.masked
+        if Z is None:  # formed by the thread that descends
+            Z = self.Z = start.hidden @ self.batch.X
+        residual = _relu_residual(Z, start.signs, np.ravel(self.batch.Y))
+        if eta is not None:
+            self.rate = (eta / np.sqrt(start.width)) * start.signs[:, None]  # eta*c*s, per row
+            np.greater_equal(Z, 0.0, out=masked)
+            masked *= residual
+            self.A += masked
+            step = masked @ self.batch.gram
+            step *= self.rate
+            Z -= step
+        return _half_square(residual)
+
+    def iterate(self) -> TwoLayerParams:
+        H = self.A @ self.batch.X.T  # a fresh array, sharing nothing with A, Z or the start
+        H *= self.rate
+        return self.start._with((np.subtract(self.start.hidden, H, out=H),))
 
 
 def init_deep_linear(depth, width, d_in, d_out, seed) -> DeepLinearParams:

@@ -5,7 +5,9 @@ not import `config`, so `federation.FederationConfig` stays usable without
 either: imports run cli -> config -> verify -> federation. Every config
 section runs its field rules through `federation.Settings` on construction,
 and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
-thread count, so no other module knows when it is held.
+thread count, so no other module knows when it is held. Local descent has
+one loop, `models._LocalDescent._descend`, which every parameter class
+inherits and runs on the client state that the class picks.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 
 from fedspectra.config import ExperimentConfig
 from fedspectra.federation import Settings
+from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedspectra"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -65,6 +68,12 @@ def test_library_modules_do_not_import_config(module):
 def test_only_federation_knows_the_blas_thread_policy(module):
     # models defines blas_threads; federation's client_pool alone calls it
     assert module in ("models", "federation") or "blas_threads" not in _names(module)
+
+
+@pytest.mark.parametrize("cls", [DeepLinearParams, TwoLayerParams], ids=lambda c: c.__name__)
+def test_local_descent_has_one_loop(cls):
+    # a new way to descend arrives as a client state (_client), not a loop
+    assert "_descend" not in vars(cls) and cls._descend is _LocalDescent._descend
 
 
 SECTIONS = [

@@ -16,7 +16,8 @@ from fedspectra.models import (
     loss_of,
     square_loss,
     vec_residual,
-    _LocalDescent,
+    _DenseClient,
+    _SampleSpaceClient,
     _descends_in_sample_space,
     _subtract_product,
 )
@@ -283,11 +284,13 @@ def test_relu_descent_takes_the_path_with_fewer_multiply_adds(
     width, dim, n, steps, sample_space, monkeypatch
 ):
     assert _descends_in_sample_space(width, dim, n, steps) is sample_space
-    # the dense path is the loop both classes share; count the calls into it
-    dense, calls = _LocalDescent._descend, []
-    monkeypatch.setattr(_LocalDescent, "_descend", lambda *a: calls.append(a) or dense(*a))
+    # the round descends on the state that _client picks; record its type
+    pick, picked = TwoLayerParams._client, []
+    monkeypatch.setattr(
+        TwoLayerParams, "_client", lambda *a: picked.append(type(pick(*a))) or pick(*a)
+    )
     init_two_layer(width, dim, seed=0).descend_round([_relu_batch(dim, n, 0.1)], 0.01, steps)
-    assert len(calls) == (0 if sample_space else 1)
+    assert picked == [_SampleSpaceClient if sample_space else _DenseClient]
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -335,39 +338,70 @@ def test_descent_leaves_its_start_and_each_iterate_unchanged():
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_descent_stops_at_the_first_non_finite_loss():
-    relu = init_two_layer(16, 64, seed=3), _relu_batch(64, 8, 1.0 / 8.0)
-    assert _descends_in_sample_space(relu[0].width, relu[0].dim, relu[1].n, 10)
-    for (p, batch), eta in ((_linear_instance(seed=5), 1e8), (relu, 1e40)):
-        ((iterates, losses),), _ = p.descend_round([batch], eta, 10, keep=True)
-        assert 1 < len(losses) < 11
-        assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
-        assert len(iterates) == len(losses)
+# the three client states, each with the client sizes it takes at 3 and at
+# 10 steps and an eta at which its first two clients diverge within 10 steps
+STATES = {
+    "deep-linear": (_DenseClient, (3, 5, 1), 1e8),
+    "relu-dense": (_DenseClient, (8, 12, 20), 1e40),
+    "relu-sample-space": (_SampleSpaceClient, (3, 5, 1), 1e40),
+}
+
+
+def _clients(state, seed=8):
+    """(params, batches, eta) for the client state named `state` (STATES),
+    having checked that every batch descends on that state."""
+    client, sizes, eta = STATES[state]
+    rng = np.random.default_rng(seed)
+    if state == "deep-linear":
+        p = init_deep_linear(3, 32, 4, 2, seed=seed)
+        batches = [
+            LabeledBatch(X=rng.standard_normal((4, n)), Y=rng.standard_normal((2, n)))
+            for n in sizes
+        ]
+    else:
+        dim = 4 if state == "relu-dense" else 64
+        p = init_two_layer(16, dim, seed=seed)
+        batches = [_relu_batch(dim, n, 1.0 / np.sqrt(dim), seed=seed + n) for n in sizes]
+    assert all(type(p._client(b, steps)) is client for b in batches for steps in (3, 10))
+    return p, batches, eta
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_round_has_no_average_once_a_client_diverged():
-    p, batch = _linear_instance(seed=5)
+@pytest.mark.parametrize("state", STATES)
+def test_descent_stops_at_the_first_non_finite_loss(state):
+    p, (batch, *_), eta = _clients(state)
+    ((iterates, losses),), _ = p.descend_round([batch], eta, 10, keep=True)
+    assert 1 < len(losses) < 11
+    assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
+    assert len(iterates) == len(losses)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("state", STATES)
+def test_a_round_has_no_average_once_a_client_diverged(state):
+    p, batches, eta = _clients(state)
     for keep in (False, True):
-        runs, average = p.descend_round([batch, batch], 1e8, 10, keep=keep)
-        assert not np.isfinite(runs[0][1][-1])
+        runs, average = p.descend_round(batches[:2], eta, 10, keep=keep)
+        assert all(not np.isfinite(losses[-1]) for _, losses in runs)
+        assert all(len(iterates) == (len(losses) if keep else 0) for iterates, losses in runs)
         with pytest.raises(ValueError, match="non-finite"):
             average()
+        # without keep, a client that diverges before its last step forms no
+        # iterate beyond its start, whichever state it descends on
+        iterates, losses = p._descend(batches[0], p._client(batches[0], 10), eta, 10, keep)
+        assert len(losses) < 11 and iterates[0] is p
+        assert len(iterates) == (len(losses) if keep else 1)
 
 
-def test_a_round_averages_its_clients_as_average_does():
-    rng = np.random.default_rng(8)
-    p = init_deep_linear(3, 32, 4, 2, seed=8)
-    batches = [
-        LabeledBatch(X=rng.standard_normal((4, n)), Y=rng.standard_normal((2, n)))
-        for n in (3, 5, 1)
-    ]
+@pytest.mark.parametrize("state", STATES)
+def test_a_round_averages_its_clients_as_average_does(state):
+    p, batches, _ = _clients(state)
     runs, kept = p.descend_round(batches, 0.01, 3, keep=True)
-    want = DeepLinearParams.average([iterates[-1] for iterates, _ in runs])
+    want = type(p).average([iterates[-1] for iterates, _ in runs])
     _, folded = p.descend_round(batches, 0.01, 3, keep=False)
     for q in (kept(), folded()):
-        assert all(np.array_equal(W, Wo) for W, Wo in zip(q.layers, want.layers))
+        assert all(np.array_equal(W, Wo) for W, Wo in zip(_weights(q), _weights(want)))
+    assert all(np.linalg.norm(W - W0) > 0 for W, W0 in zip(_weights(want), _weights(p)))
 
 
 @pytest.mark.parametrize(
