@@ -672,22 +672,26 @@ def first_order_scaling(params, init_params, batches, members, eta, local_steps,
     trajectories are the members' local trajectories at eta (aligned with
     sorted(members), as in predict_first_order), e.g. from a RoundSnapshot;
     only the eta/2 probe trains, every member in one local_round, whose
-    client pool holds BLAS to the thread count of a run's rounds.
+    client pool holds BLAS to the thread count of a run's rounds and whose
+    own server average it scores. A depth-1 net is linear in its weights, so
+    its prediction is exact up to rounding and has no remainder to scale:
+    the eta/2 probe is skipped, and half and the ratio are None.
     """
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
 
-    def probe(e, trajs):
-        averaged = type(params).average([traj[-1] for traj in trajs])
+    def probe(e, trajs, averaged):
         actual = vec_residual(averaged.predict(X), Y)
         return predict_first_order(
             params, init_params, trajs, batches, members, e, next_residual=actual
         )
 
-    full = probe(eta, trajectories)
+    full = probe(eta, trajectories, type(params).average([traj[-1] for traj in trajectories]))
+    if params.depth == 1:
+        return full, None, None
     own = [batches[c] for c in sorted(int(c) for c in members)]
-    runs, _ = local_round(params, own, 0.5 * eta, local_steps, keep=True)
-    half = probe(0.5 * eta, [iterates for iterates, _ in runs])
+    runs, average = local_round(params, own, 0.5 * eta, local_steps, keep=True)
+    half = probe(0.5 * eta, [iterates for iterates, _ in runs], average())
     if half.actual_error == 0.0:
         raise ValueError("half-rate probe has zero error; scaling ratio undefined")
     return full, half, full.actual_error / half.actual_error

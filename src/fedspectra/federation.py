@@ -249,29 +249,28 @@ def local_round(params, batches, eta, steps, keep=False) -> tuple:
 
     Returns (runs, average). runs[i] is (iterates, losses) for batches[i]:
     losses has steps+1 entries, index 0 being the starting point, and so has
-    iterates when keep, else it is empty. average() forms the server average
-    of the last iterates. Raises DivergenceError, its client being the index
-    into batches, for the first batch whose loss went non-finite.
+    iterates when keep, else it is empty. average() returns the server
+    average of the last iterates, already summed as the round ran, kept or
+    not. Raises DivergenceError, its client being the index into batches and
+    its round None, for the first batch whose loss went non-finite.
     """
     with client_pool() as descend:
         runs, average = descend(params, batches, eta, steps, keep)
-    error = _local_divergence(runs)
-    if error is not None:
-        raise error
+    _raise_local_divergence(runs, range(len(runs)), None)
     return runs, average
 
 
-def _local_divergence(runs):
-    """The DivergenceError for the first run whose loss ended non-finite,
-    its client being the run's index, or None."""
-    for i, (_, losses) in enumerate(runs):
+def _raise_local_divergence(runs, clients, t):
+    """Raise DivergenceError for the first run whose loss ended non-finite,
+    naming clients[i] for runs[i] and, unless t is None, round t."""
+    for c, (_, losses) in zip(clients, runs):
         value = losses[-1]
         if not np.isfinite(value):
             k = len(losses) - 1
-            return DivergenceError(
-                f"non-finite local loss {value} at local step {k}", client=i, step=k, loss=value
-            )
-    return None
+            message = f"non-finite local loss {value} at local step {k}"
+            if t is not None:
+                message = f"round {t}, client {c}: {message}"
+            raise DivergenceError(message, round_index=t, client=c, step=k, loss=value)
 
 
 def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
@@ -349,16 +348,7 @@ def run_fedavg(
             if t == cfg.rounds or (stop is not None and value <= stop * losses[0]):
                 break
 
-            error = _local_divergence(runs)
-            if error is not None:
-                c = members[error.client]
-                raise DivergenceError(
-                    f"round {t}, client {c}: {error}",
-                    round_index=t,
-                    client=c,
-                    step=error.step,
-                    loss=error.loss,
-                ) from error
+            _raise_local_divergence(runs, members, t)
             local_losses = tuple(tuple(ls) for _, ls in runs)
             if observed:
                 observer(

@@ -160,39 +160,32 @@ class _LocalDescent:
 
         Without keep, a client forms iterate `steps` alone, on every state,
         or none (its last iterate is then self) if its loss turns non-finite
-        first. Each last iterate joins the sum as soon as `map` yields it: a
-        round under builtin map holds one client's weights beside the sum,
-        one under a map that runs at most w clients ahead w. With keep,
-        average() sums the kept last iterates on call, so a caller can hand
-        them to an observer before the average exists.
+        first. Kept or not, each last iterate joins the sum as soon as `map`
+        yields it: an unkept round under builtin map holds one client's
+        weights beside the sum, one under a map that runs at most w clients
+        ahead w.
         """
         if not batches:
             raise ValueError("need at least one batch")
-        runs, lasts, total = [], [], None
+        runs, total = [], None
         # each client's state is made as `map` takes the client, in the
         # calling thread, so a thread pool's threads keep no weights of their own
         clients = ((b, self._client(b, steps)) for b in batches)
         for iterates, losses in map(lambda c: self._descend(*c, eta, steps, keep), clients):
             runs.append((iterates if keep else (), losses))
-            if keep:
-                # summed only once average() is called: a running sum, as
-                # below, gives the same bits but lives through the observer's
-                # checks, one more copy of the weights at the run's peak memory
-                lasts.append(iterates[-1])
-            elif total is None:
+            if total is None:
                 total = [W.copy() for W in iterates[-1]._weights()]
             else:
                 for T, W in zip(total, iterates[-1]._weights()):
                     T += W
             iterates = W = None  # this client's weights go before map starts the next
-        if not keep:
-            for T in total:
-                T /= len(runs)
+        for T in total:
+            T /= len(runs)
 
         def average():
             if not all(np.isfinite(losses[-1]) for _, losses in runs):
                 raise ValueError("a client's local loss ended non-finite; no average")
-            return type(self).average(lasts) if keep else self._with(total)
+            return self._with(total)
 
         return tuple(runs), average
 

@@ -157,6 +157,8 @@ def local_drift(ctx, snap):
 
 
 def first_order(ctx, snap):
+    """The first-order prediction's relative error, and the halving form: at
+    depth 1, where the prediction is exact, a vacuous pass with its reason."""
     full, _, ratio = analysis.first_order_scaling(
         snap.global_params, ctx.init_params, list(ctx.batches), list(snap.members),
         ctx.eta, ctx.local_steps, trajectories=snap.trajectories,
@@ -166,14 +168,14 @@ def first_order(ctx, snap):
     )
     halving = {"t": snap.t, "scaling_ratio": ratio}
     context = halving | {n: getattr(full, n) for n in terms}
-    return [
-        analysis.make_report(
-            "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=context
-        ),
-        analysis.make_report(
-            "first-order:halving", measured=abs(ratio - 4.0), bound=0.5, context=halving
-        ),
-    ]
+    relative = analysis.make_report(
+        "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=context
+    )
+    if ratio is None:
+        why = {"t": snap.t, "reason": "depth 1 is linear in its weights: no remainder to halve"}
+        return [relative, analysis.make_report("first-order:halving-vacuous", 0, 0, context=why)]
+    halved = analysis.make_report("first-order:halving", abs(ratio - 4.0), 0.5, context=halving)
+    return [relative, halved]
 
 
 # Every check in report order: name -> (model kinds, runs per round, model

@@ -587,6 +587,51 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, u
         assert ratio == full.actual_error / half.actual_error
 
 
+def test_first_order_scaling_averages_once_and_scores_its_probe_rounds_average(monkeypatch):
+    # the eta probe averages the given trajectories; the eta/2 probe scores
+    # the average that its local_round summed as the round ran
+    init, params, batches, cfg = _round_state()
+    members = [0, 2]
+    trajs = [local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members]
+    averaged, probes = [], []
+    average = DeepLinearParams.average.__func__
+
+    def counted(cls, snapshots):
+        averaged.append(len(snapshots))
+        return average(cls, snapshots)
+
+    def probe(*args, _round=analysis.local_round, **kwargs):
+        runs, round_average = _round(*args, **kwargs)
+        probes.append(round_average)
+        return runs, round_average
+
+    monkeypatch.setattr(DeepLinearParams, "average", classmethod(counted))
+    monkeypatch.setattr(analysis, "local_round", probe)
+    _, half, _ = first_order_scaling(
+        params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
+    )
+    assert averaged == [len(members)]
+    (round_average,) = probes
+    X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
+    actual = vec_residual(round_average().predict(X), Y)
+    assert half.actual_error == float(np.linalg.norm(actual - half.predicted))
+
+
+def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(monkeypatch):
+    # depth 1 is linear in its weights: the prediction is exact, so there is
+    # no remainder whose scaling the eta/2 probe could measure
+    ds, _ = synth_linear_dataset(4, 3, 12, seed=0)
+    batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(12, 3)]
+    init = init_deep_linear(1, 8, 4, 3, seed=0)
+    trajs = [local_trajectory(init, b, 0.01, 3)[0] for b in batches]
+    monkeypatch.setattr(analysis, "local_round", None)
+    full, half, ratio = first_order_scaling(
+        init, init, batches, [0, 1, 2], 0.01, 3, trajectories=trajs
+    )
+    assert full.relative_error <= 1e-12
+    assert half is None and ratio is None
+
+
 def test_predict_first_order_validates_trajectories():
     init, params, batches, cfg = _round_state()
     trajs = [local_trajectory(params, batches[0], cfg.eta, cfg.local_steps)[0]]

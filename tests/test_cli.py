@@ -1092,6 +1092,51 @@ def test_verify_reports_a_width_below_the_data_rank_as_a_failed_floor(tmp_path, 
     assert "FAIL init-prefix-data-sigma-min:1" in capsys.readouterr().out
 
 
+DEPTH_ONE = {
+    "model": {"kind": "deep-linear", "depth": 1, "width": 8, "d_in": 10, "d_out": 5},
+    "data": {"kind": "synthetic", "n": 32},
+    "federation": {"n_clients": 4, "local_steps": 3, "rounds": 4, "eta": 0.01, "seed": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [pytest.param(DEPTH_ONE, id="d_in-10")]
+    + [
+        pytest.param(
+            {
+                "model": {"kind": "deep-linear", "depth": 1, "width": 8, "d_in": 1, "d_out": 1},
+                "data": {"kind": "synthetic", "n": n},
+                "federation": {"n_clients": 2, "local_steps": 1, "rounds": 2, "eta": 0.25},
+            },
+            id=f"d_in-1-n-{n}",
+        )
+        for n in (2, 4, 8)
+    ],
+)
+def test_verify_passes_the_halving_form_vacuously_at_depth_one(tmp_path, monkeypatch, doc):
+    # a depth-1 net is linear in its weights: the first-order prediction is
+    # exact, so halving eta would divide one rounding error by another (or
+    # by zero); the eta/2 probe is skipped and its form passes vacuously
+    rounds, descend_round = [], DeepLinearParams.descend_round
+
+    def counted(self, *args, **kwargs):
+        rounds.append(None)
+        return descend_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeepLinearParams, "descend_round", counted)
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    errors = [c for c in checks if c["name"] == "first-order:relative-error"]
+    vacuous = [c for c in checks if c["name"] == "first-order:halving-vacuous"]
+    assert errors and all(c["passed"] and c["measured"] <= 1e-12 for c in errors)
+    assert len(vacuous) == len(errors) and all("depth 1" in c["context"]["reason"] for c in vacuous)
+    assert not any(c["name"] == "first-order:halving" for c in checks)
+    assert len(rounds) == doc["federation"]["rounds"]  # no eta/2 probe trained
+
+
 def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     # train stops after one round here; verify still checks round 30
     doc = {

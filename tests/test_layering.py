@@ -7,11 +7,14 @@ section runs its field rules through `federation.Settings` on construction,
 and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
 thread count, so no other module knows when it is held. Local descent has
 one loop, `models._LocalDescent._descend`, which every parameter class
-inherits and runs on the client state that the class picks.
+inherits and runs on the client state that the class picks, and a round has
+one server sum, which `descend_round` forms as each client ends.
 """
 
 import ast
 import dataclasses
+import inspect
+import textwrap
 import typing
 from pathlib import Path
 
@@ -74,6 +77,15 @@ def test_only_federation_knows_the_blas_thread_policy(module):
 def test_local_descent_has_one_loop(cls):
     # a new way to descend arrives as a client state (_client), not a loop
     assert "_descend" not in vars(cls) and cls._descend is _LocalDescent._descend
+
+
+def test_a_round_has_one_server_sum():
+    # descend_round sums each last iterate as its client ends, kept or not;
+    # a call of the `average` classmethod (or its _mean) would be a second path
+    source = textwrap.dedent(inspect.getsource(_LocalDescent.descend_round))
+    calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    called = {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
+    assert not called & {"average", "_mean"}
 
 
 SECTIONS = [

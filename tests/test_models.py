@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedspectra import federation
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
     TwoLayerParams,
+    blas_threads,
     grad_two_layer,
     grads_deep_linear,
     init_deep_linear,
@@ -402,6 +404,31 @@ def test_a_round_averages_its_clients_as_average_does(state):
     for q in (kept(), folded()):
         assert all(np.array_equal(W, Wo) for W, Wo in zip(_weights(q), _weights(want)))
     assert all(np.linalg.norm(W - W0) > 0 for W, W0 in zip(_weights(want), _weights(p)))
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.parametrize("state", STATES)
+def test_a_round_side_by_side_averages_its_clients_as_average_does(
+    state, monkeypatch, usable_cores
+):
+    # a client pool's first call of several clients, kept or not, runs them in
+    # its window, and the server sum still adds each client in batch order
+    p, batches, _ = _clients(state)
+    windowed, descend_round = [], type(p).descend_round
+
+    def spy(self, *args, **kwargs):
+        windowed.append(kwargs.get("map", map) is not map)
+        return descend_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(p), "descend_round", spy)
+    usable_cores(2)
+    with federation.client_pool() as descend:
+        runs, kept = descend(p, batches, 0.01, 3, True)
+        _, folded = descend(p, batches, 0.01, 3, False)
+    assert windowed == [True, True]
+    want = type(p).average([iterates[-1] for iterates, _ in runs])
+    for q in (kept(), folded()):
+        assert all(np.array_equal(W, Wo) for W, Wo in zip(_weights(q), _weights(want)))
 
 
 @pytest.mark.parametrize(
