@@ -32,7 +32,6 @@ from .analysis import (
     spectrum,
 )
 from .data import (
-    ClientPartition,
     Dataset,
     IdxFormatError,
     load_idx,

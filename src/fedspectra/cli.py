@@ -19,6 +19,7 @@ from .config import (
     ConfigError,
     DeepLinearModel,
     ExperimentConfig,
+    IdxData,
     parse_config,
     serialize_config,
 )
@@ -65,22 +66,34 @@ def _load_dataset(cfg: ExperimentConfig):
     return ds
 
 
+def _refuse_blank_images(X, index, need):
+    """Raise the config error that names the first all-zero column of X by
+    its image's index in the file, index[k] for column k."""
+    blank = index[~X.any(axis=0)]
+    if blank.size:
+        raise ConfigError(
+            f"data.images: image {blank.min()} is all zeros; {need} needs every image nonzero"
+        )
+
+
 def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
     """Materialize data, partition, targets, initial parameters and the
     contraction rate's spectral input (left out over analysis.max_gram_dim)."""
     ds = _load_dataset(cfg)
     perturbed = 0
     if cfg.data.preprocess:
-        ds, perturbed = preprocess_unit_norm(ds)
+        try:
+            ds, perturbed = preprocess_unit_norm(ds)
+        except ValueError as e:
+            _refuse_blank_images(ds.X, np.arange(ds.n), "data.preprocess")
+            raise ConfigError(f"data.preprocess: {e}") from e
     m, fed = cfg.model, cfg.federation
-    dropped = 0
-    use_labels = ds.labels is not None and cfg.data.partition != "iid"
-    if use_labels:
-        part = partition_noniid(ds, fed.n_clients, cfg.data.classes_per_client, fed.seed)
-        index_lists = [np.asarray(ix, dtype=int) for ix in part.client_indices]
-        dropped = part.dropped
+    if isinstance(cfg.data, IdxData) and cfg.data.partition == "noniid":
+        index_lists, dropped = partition_noniid(
+            ds, fed.n_clients, cfg.data.classes_per_client, fed.seed
+        )
     else:
-        index_lists = partition_iid(ds.n, fed.n_clients)
+        index_lists, dropped = partition_iid(ds.n, fed.n_clients), 0
     if isinstance(m, DeepLinearModel):
         targets = ds.Y
     elif ds.labels is not None:
@@ -106,6 +119,7 @@ def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
     X = np.hstack([b.X for b in batches])
     if isinstance(m, DeepLinearModel):
         return dataclasses.replace(ctx, lambda_min=analysis.gram_P0_lambda_min(init, X)[0])
+    _refuse_blank_images(X, np.concatenate(index_lists), "the H-infinity Gram matrix")
     spec = analysis.spectrum(analysis.gram_H_infinity(X))
     return dataclasses.replace(ctx, lambda_min=spec.lambda_min, lambda_max=spec.lambda_max)
 
@@ -121,9 +135,8 @@ def _jsonable(v):
         return v.item()
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (tuple, list, set, frozenset)):
-        seq = sorted(v) if isinstance(v, (set, frozenset)) else v
-        return [_jsonable(x) for x in seq]
+    if isinstance(v, (tuple, list)):
+        return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, float) and not np.isfinite(v):
@@ -238,9 +251,10 @@ def _header(cfg: ExperimentConfig, ctx: verify.RunContext) -> dict:
     }
 
 
-def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, fed, **observe):
-    """Run `fed` once from ctx and write trace.csv, trace.json and loss.svg,
-    both traces from one list of per-round rows. Returns the RunResult."""
+def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, **observe):
+    """Run cfg.federation once from ctx; write trace.csv, trace.json and
+    loss.svg, both traces from one list of per-round rows. Returns the RunResult."""
+    fed = cfg.federation
     result = run_fedavg(fed, ctx.init_params, list(ctx.batches), **observe)
 
     lam = ctx.lambda_min
@@ -284,7 +298,7 @@ def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, fe
     _write_json(
         out / "trace.json",
         {
-            **_header(dataclasses.replace(cfg, federation=fed), ctx),
+            **_header(cfg, ctx),
             "dropped_samples": ctx.dropped_samples,
             "losses": list(result.losses),
             "final_loss": result.final_loss,
@@ -307,7 +321,7 @@ def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, fe
 
 def cmd_train(cfg: ExperimentConfig, out_dir) -> int:
     """Run one federated training job; write trace.csv, trace.json, loss.svg."""
-    result = _train("train", cfg, build_experiment(cfg), Path(out_dir), cfg.federation)
+    result = _train("train", cfg, build_experiment(cfg), Path(out_dir))
     print(f"train: {len(result.traces)} rounds, final loss {result.final_loss:.6g}")
     return EXIT_OK
 
@@ -380,7 +394,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
     # the selected rounds are observed whatever the loss reaches
     fed = dataclasses.replace(fed, stop_loss_fraction=None)
     cfg = dataclasses.replace(cfg, federation=fed)  # both headers record the run
-    _train("verify", cfg, ctx, out, fed, observer=snapshots.append, observe_rounds=set(rounds))
+    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=set(rounds))
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
     _write_json(

@@ -58,13 +58,7 @@ class TwoLayerModel(Settings):
 class SyntheticData(Settings):
     kind = "synthetic"
     n: int = setting(80, check=positive)
-    partition: str | None = None  # None = round-robin
     preprocess: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.partition not in (None, "iid"):
-            raise ValueError("partition: synthetic data has no labels to split by")
 
 
 @dataclass(frozen=True)
@@ -74,14 +68,14 @@ class IdxData(Settings):
     labels: str | None = None
     subset: int | None = setting(None, check=positive)
     classes_per_client: int = setting(3, check=positive)
-    partition: str | None = None  # None = by label
+    partition: str = "noniid"  # "noniid": by label; "iid": round-robin
     preprocess: bool = False
 
     def __post_init__(self):
         super().__post_init__()
         if self.images is None or self.labels is None:
             raise ValueError("images: idx data needs both images and labels paths")
-        if self.partition not in (None, "iid", "noniid"):
+        if self.partition not in ("iid", "noniid"):
             raise ValueError(f"partition: expected 'iid' or 'noniid', got {self.partition!r}")
 
 

@@ -3,7 +3,6 @@
 import os
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -44,28 +43,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ClientPartition:
-    """Per-client sample index lists plus the class set each client holds."""
-
-    client_indices: tuple
-    client_classes: tuple
-    dropped: int = 0
-
-    def __post_init__(self):
-        sizes = [len(ix) for ix in self.client_indices]
-        held = np.fromiter(chain.from_iterable(self.client_indices), dtype=np.intp)
-        order = np.argsort(held, kind="stable")
-        held, owner = held[order], np.repeat(np.arange(len(sizes)), sizes)[order]
-        # a repeat within one list is allowed; a sample in two lists is not
-        if np.any((held[1:] == held[:-1]) & (owner[1:] != owner[:-1])):
-            raise ValueError("client index lists must be pairwise disjoint")
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_indices)
 
 
 def _read_exact(f, nbytes, path, what):
@@ -167,12 +144,12 @@ def synth_linear_dataset(d_in, d_out, n, seed):
     return Dataset(X=X, Y=W_star @ X), W_star
 
 
-def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> ClientPartition:
+def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> tuple:
     """Label-skew split: each client draws a fixed number of classes, then each
     class's samples are dealt round-robin among the clients holding it.
 
-    Samples of classes held by no client are dropped; the count is reported on
-    the partition.
+    Returns (one ascending index array per client, number of samples
+    dropped): samples of classes held by no client are dropped.
     """
     if n_clients <= 0:
         raise ValueError("n_clients must be positive")
@@ -185,25 +162,21 @@ def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> Client
     labels = np.sort(ds.labels)
     classes = labels[np.diff(labels, prepend=labels[:1] - 1) != 0]
     take = min(classes_per_client, classes.size)
-    client_classes = [
-        frozenset(classes[rng.choice(classes.size, size=take, replace=False)].tolist())
-        for _ in range(n_clients)
+    # each client's classes, as positions in `classes`
+    held = [
+        set(rng.choice(classes.size, size=take, replace=False).tolist()) for _ in range(n_clients)
     ]
     assigned = [[np.empty(0, dtype=np.intp)] for _ in range(n_clients)]
     dropped = 0
-    for cls in classes.tolist():
-        holders = [c for c in range(n_clients) if cls in client_classes[c]]
+    for k, cls in enumerate(classes.tolist()):
+        holders = [c for c in range(n_clients) if k in held[c]]
         members = np.flatnonzero(ds.labels == cls)
         if not holders:
             dropped += members.size
             continue
-        for k, c in enumerate(holders):
-            assigned[c].append(members[k::len(holders)])
-    return ClientPartition(
-        client_indices=tuple(tuple(np.sort(np.concatenate(ix)).tolist()) for ix in assigned),
-        client_classes=tuple(client_classes),
-        dropped=dropped,
-    )
+        for h, c in enumerate(holders):
+            assigned[c].append(members[h::len(holders)])
+    return [np.sort(np.concatenate(ix)) for ix in assigned], dropped
 
 
 def partition_iid(n, n_clients) -> list:
@@ -378,13 +351,21 @@ class _Screen:
         columns it is a candidate of."""
         x = self.X[:, j]
         key = np.abs(self.G.T @ x)
+        old = self.keys[0, j]
         self.keys[:, j] = key
-        # move j to its new first key's place in the order
-        was = np.flatnonzero(self.order == j)[0]
-        order, first = np.delete(self.order, was), np.delete(self.first, was)
-        at = np.searchsorted(first, key[0])
-        self.order, self.first = np.insert(order, at, j), np.insert(first, at, key[0])
-        return self._near(key, j + 1, self.first.size)
+        # move j to its new first key's place in the order, shifting the
+        # entries in between by one; j sits among the entries equal to its
+        # old first key (exact repeats share keys)
+        order, first = self.order, self.first
+        a, b = np.searchsorted(first, old, "left"), np.searchsorted(first, old, "right")
+        was = a + int(np.flatnonzero(order[a:b] == j)[0])
+        at = int(np.searchsorted(first, key[0])) - int(old < key[0])  # as np.insert would
+        if at < was:
+            order[at + 1:was + 1], first[at + 1:was + 1] = order[at:was], first[at:was]
+        else:
+            order[was:at], first[was:at] = order[was + 1:at + 1], first[was + 1:at + 1]
+        order[at], first[at] = j, key[0]
+        return self._near(key, j + 1, first.size)
 
 
 def _column_norms(X) -> np.ndarray:
@@ -423,11 +404,19 @@ def preprocess_unit_norm(ds: Dataset):
     neither version ever nudges it, and the screen decides it for a flagged
     one from the candidates' dots unless a dot lies within the rounding gap
     of cos(1e-6).
+
+    Raises ValueError on a zero column, and on two or more columns in one
+    dimension.
     """
     X = np.array(ds.X, dtype=float)
     norms = _column_norms(X)
     if np.any(norms == 0.0):
         raise ValueError(f"zero column at index {int(np.argmin(norms))}")
+    if X.shape[0] == 1 and X.shape[1] > 1:
+        # every unit column is +-1, and a nudge renormalises it to +-1 again
+        raise ValueError(
+            f"{X.shape[1]} columns in 1 dimension are parallel, and no nudge separates them"
+        )
     # leave columns already at unit norm untouched so the map is idempotent:
     # division by 1.0 is exact
     X /= np.where(np.abs(norms - 1.0) > _UNIT_SLACK, norms, 1.0)

@@ -1,5 +1,7 @@
 """Gram builders, spectra, bounds, checkers, and the first-order oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,30 @@ def test_H_infinity_rejects_zero_column():
 def test_ntk_trace_identity_for_unit_norm_inputs():
     rep = check_ntk_trace(_unit_columns(6, 9, seed=2))
     assert rep.passed and rep.measured <= 1e-10
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_ntk_trace_agrees_with_the_trace_of_H_infinity(unit):
+    # the check sums |x_i|^2/2 in place of building the n x n matrix
+    X = np.random.default_rng(5).standard_normal((7, 40)) * 3.0
+    if unit:
+        X /= np.linalg.norm(X, axis=0)
+    trace = float(np.trace(gram_H_infinity(X)))
+    rep = check_ntk_trace(X)
+    assert rep.context == {"n": 40, "expected_trace": 20.0} and rep.bound == 1e-10
+    assert abs(rep.measured - abs(trace - 20.0)) <= 1e-12 * trace
+    assert rep.passed == unit
+
+
+def test_ntk_trace_builds_no_n_by_n_matrix():
+    X = np.random.default_rng(6).standard_normal((16, 3000))
+    tracemalloc.start()
+    try:
+        check_ntk_trace(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes  # an n x n array would take 187 times X
 
 
 def test_H_tkc_symmetric_when_shared_and_entrywise_bounded():

@@ -152,11 +152,9 @@ def _configs(draw):
     dim = model.d_in if isinstance(model, DeepLinearModel) else model.dim
     data = draw(
         st.one_of(
-            st.builds(SyntheticData, st.integers(dim, dim + 50),
-                      st.sampled_from([None, "iid"]), st.booleans()),
+            st.builds(SyntheticData, st.integers(dim, dim + 50), st.booleans()),
             st.builds(IdxData, st.text(), st.text(), st.none() | st.integers(1, 10**6),
-                      st.integers(1, 10), st.sampled_from([None, "iid", "noniid"]),
-                      st.booleans()),
+                      st.integers(1, 10), st.sampled_from(["iid", "noniid"]), st.booleans()),
         )
     )
     n_clients, rounds = draw(st.integers(1, 6)), draw(st.integers(0, 4))
@@ -209,8 +207,6 @@ CONSTRUCTION_ERRORS = [
     (lambda: SweepSection(rates=(0.0,)), "rates: must lie in (0, 1], got 0.0"),
     (lambda: SweepSection(rates=(0.5, 0.5)), "rates: rate 0.5 is listed twice"),
     (lambda: IdxData(images="i"), "images: idx data needs both images and labels paths"),
-    (lambda: SyntheticData(partition="noniid"),
-     "partition: synthetic data has no labels to split by"),
     (lambda: VerifySection(checks=()), "checks: expected a nonempty list of check names"),
     (lambda: ExperimentConfig(federation=FederationConfig(rounds=2),
                               verify=VerifySection(rounds=(9,))),
@@ -322,6 +318,26 @@ def _bad_idx(name, images=None, labels=None):
     return doc
 
 
+def _blank_idx(model, preprocess=False, **analysis):
+    """40 IDX images of 8x8 pixels, image 7 all zeros, dealt round-robin to 4
+    clients, so that image 7 is column 31 of the clients' data in turn."""
+
+    def doc(tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.integers(1, 256, (64, 40)) / 255
+        X[:, 7] = 0.0
+        paths = {"images": tmp_path / "blank.idx", "labels": tmp_path / "blank-labels.idx"}
+        save_idx(paths["images"], paths["labels"], X, rng.integers(0, 3, 40), (8, 8))
+        data = _idx(**{k: str(v) for k, v in paths.items()}, partition="iid", preprocess=preprocess)
+        cfg = {"model": model, **data, "federation": {"n_clients": 4, "rounds": 1}}
+        return cfg | ({"analysis": analysis} if analysis else {})
+
+    return doc
+
+
+_BLANK = "data.images: image 7 is all zeros; {} needs every image nonzero"
+
+
 # One fault per input: (config text, document, or function of the test's
 # directory that returns a document; message).
 CONFIG_ERRORS = [
@@ -343,7 +359,8 @@ CONFIG_ERRORS = [
     ({"model": {"kind": 5}}, "model.kind: expected a string, got 5"),
     ({"data": {"kind": None}}, "data.kind: expected a string, got None"),
     ({"data": {"preprocess": "yes"}}, "data.preprocess: expected a boolean, got 'yes'"),
-    ({"data": {"partition": 1}}, "data.partition: expected a string, got 1"),
+    (_idx(partition=1), "data.partition: expected a string, got 1"),
+    (_idx(partition=None), "data.partition: expected a string, got None"),
     (_idx(images=5), "data.images: expected a string, got 5"),
     (_idx(subset=None), "data.subset: expected an integer, got None"),
     ({"analysis": {"max_gram_dim": "big"}},
@@ -391,8 +408,7 @@ CONFIG_ERRORS = [
      "federation.stop_loss_fraction: must be finite, got inf"),
     ('{"federation": {"rate": 1' + "0" * 400 + "}}", "federation.rate: must be finite, got inf"),
     # partition vs data kind
-    ({"data": {"partition": "noniid"}},
-     "data.partition: synthetic data has no labels to split by"),
+    ({"data": {"partition": "noniid"}}, "data.partition: unknown key"),
     (_idx(partition="bogus"), "data.partition: expected 'iid' or 'noniid', got 'bogus'"),
     ({"data": {"kind": "idx", "images": "i"}},
      "data.images: idx data needs both images and labels paths"),
@@ -458,6 +474,13 @@ CONFIG_ERRORS = [
      "data.images: {tmp}/negative-labels-labels.idx: negative item count -5"),
     (_bad_idx("empty", struct.pack(">iiii", 0x0803, 0, 1, 1), struct.pack(">ii", 0x0801, 0)),
      "data.images: {tmp}/empty.idx holds no images"),
+    # a blank image, named by its index in the file
+    (_blank_idx({"kind": "deep-linear", "width": 8}, preprocess=True),
+     _BLANK.format("data.preprocess")),
+    (_blank_idx({"kind": "two-layer-relu", "width": 8}, preprocess=True),
+     _BLANK.format("data.preprocess")),
+    (_blank_idx({"kind": "two-layer-relu", "width": 8}),
+     _BLANK.format("the H-infinity Gram matrix")),
 ]
 
 
@@ -519,6 +542,7 @@ _FORMER_IDS = {
         "federation: round 0: duplicate participant",
     "federation.schedule: round 0: client index out of range":
         "federation: round 0: client index out of range",
+    "data.partition: unknown key": "data.partition: synthetic data has no labels to split by",
     "verify.checks: expected a list of strings, got 'all'":
         "verify.checks: expected a list of check names",
     "verify.checks: expected a list of strings, got [1]":
@@ -569,6 +593,43 @@ def test_max_gram_dim_spares_checks_that_need_no_gram_matrix(tmp_path):
     ):
         cfg = _write(tmp_path, f"{name}.json", doc)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+
+
+def test_a_blank_image_trains_where_nothing_normalises_it(tmp_path):
+    # neither the deep linear model nor a ReLU run that leaves H-infinity
+    # out over analysis.max_gram_dim divides by a column's norm
+    for name, doc in (
+        ("linear", _blank_idx({"kind": "deep-linear", "width": 8})),
+        ("relu", _blank_idx({"kind": "two-layer-relu", "width": 8}, max_gram_dim=39)),
+    ):
+        cfg = _write(tmp_path, f"{name}.json", doc(tmp_path))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+
+
+def test_preprocessing_refuses_one_dimensional_inputs(tmp_path):
+    # each unit column in one dimension is +-1, and a nudge renormalises it
+    # to +-1 again; in a child process, so that a loop that never ends fails
+    # the test on its timeout instead of hanging the suite
+    doc = {
+        **_relu(width=8, dim=1),
+        "data": {"kind": "synthetic", "n": 3, "preprocess": True},
+        "federation": {"n_clients": 1, "rounds": 1},
+    }
+    cfg = _write(tmp_path, "c.json", doc)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedspectra.cli", "train", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=os.environ | {"PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == (
+        "config error: data.preprocess: 3 columns in 1 dimension are parallel, "
+        "and no nudge separates them\n"
+    )
 
 
 def test_preprocessing_separates_a_repeated_input(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fedspectra import data
 from fedspectra.data import (
-    ClientPartition,
     Dataset,
     IdxFormatError,
     load_idx,
@@ -168,29 +167,42 @@ def _labeled_dataset(n=30, num_classes=5, seed=0):
     return Dataset(X=X, Y=Y, labels=labels)
 
 
+def _drawn_classes(labels, n_clients, per_client, seed):
+    """Each client's class set, re-derived from the partition's own stream:
+    each client draws its classes from the sorted distinct labels."""
+    rng, classes = stream(seed, "noniid-partition"), np.unique(labels)
+    take = min(per_client, classes.size)
+    return [
+        frozenset(classes[rng.choice(classes.size, size=take, replace=False)].tolist())
+        for _ in range(n_clients)
+    ]
+
+
 def test_partition_noniid_respects_class_budget_and_disjointness():
     ds = _labeled_dataset()
-    part = partition_noniid(ds, n_clients=4, classes_per_client=2, seed=3)
-    assert part.n_clients == 4
+    indices, dropped = partition_noniid(ds, n_clients=4, classes_per_client=2, seed=3)
+    drawn = _drawn_classes(ds.labels, 4, 2, seed=3)
+    assert len(indices) == 4
     seen = set()
-    for idx, classes in zip(part.client_indices, part.client_classes):
+    for idx, classes in zip(indices, drawn):
         assert len(classes) <= 2
-        for i in idx:
+        assert np.issubdtype(idx.dtype, np.integer) and np.all(np.diff(idx) > 0)
+        for i in idx.tolist():
             assert i not in seen
             seen.add(i)
             assert ds.labels[i] in classes
-    held = set().union(*part.client_classes)
+    held = set().union(*drawn)
     expected_dropped = sum(int(np.sum(ds.labels == c)) for c in range(5) if c not in held)
-    assert part.dropped == expected_dropped
-    assert len(seen) + part.dropped == ds.n
+    assert dropped == expected_dropped
+    assert len(seen) + dropped == ds.n
 
 
 def test_partition_noniid_is_deterministic():
     ds = _labeled_dataset()
-    a = partition_noniid(ds, 4, 2, seed=9)
-    b = partition_noniid(ds, 4, 2, seed=9)
-    assert a.client_indices == b.client_indices
-    assert a.client_classes == b.client_classes
+    a, dropped_a = partition_noniid(ds, 4, 2, seed=9)
+    b, dropped_b = partition_noniid(ds, 4, 2, seed=9)
+    assert [ix.tolist() for ix in a] == [ix.tolist() for ix in b]
+    assert dropped_a == dropped_b
 
 
 def test_partition_noniid_requires_labels():
@@ -210,23 +222,10 @@ def test_partition_noniid_requires_labels():
 def test_partition_noniid_deals_like_the_loop(n, num_classes, n_clients, per_client, seed):
     labels = np.random.default_rng(seed).integers(0, num_classes, size=n)
     ds = Dataset(X=np.zeros((1, n)), Y=np.zeros((num_classes, n)), labels=labels)
-    part = partition_noniid(ds, n_clients, per_client, seed)
-    assert (part.client_indices, part.dropped) == deal_noniid_loop(labels, part.client_classes)
-    # each client draws its classes from the sorted distinct labels
-    rng, classes = stream(seed, "noniid-partition"), np.unique(labels)
-    take = min(per_client, classes.size)
-    drawn = [classes[rng.choice(classes.size, size=take, replace=False)] for _ in range(n_clients)]
-    assert part.client_classes == tuple(frozenset(c.tolist()) for c in drawn)
-
-
-def test_client_partition_rejects_a_sample_held_by_two_clients():
-    none = frozenset()
-    # a repeat within one list is not an overlap
-    assert ClientPartition(((0, 2, 2), (1,), ()), (none,) * 3).n_clients == 3
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        ClientPartition(((0, 2), (3, 2)), (none,) * 2)
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        ClientPartition(((4, 4), (1,), (4,)), (none,) * 3)
+    indices, dropped = partition_noniid(ds, n_clients, per_client, seed)
+    drawn = _drawn_classes(labels, n_clients, per_client, seed)
+    got = tuple(tuple(ix.tolist()) for ix in indices)
+    assert (got, dropped) == deal_noniid_loop(labels, drawn)
 
 
 def _gathers_like_fancy_indexing(X, index_lists):
@@ -530,6 +529,16 @@ def test_preprocess_rejects_zero_column():
     X[:, 0] = 1.0
     with pytest.raises(ValueError, match="zero column"):
         preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, 2))))
+
+
+def test_preprocess_refuses_many_columns_in_one_dimension():
+    # every unit column in one dimension is +-1, and a nudge renormalises it
+    # to +-1 again, so the nudges would never end
+    X = np.array([[0.5, -2.0, 3.0]])
+    with pytest.raises(ValueError, match="3 columns in 1 dimension are parallel"):
+        preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, 3))))
+    one, perturbed = preprocess_unit_norm(Dataset(X=X[:, :1], Y=np.zeros((1, 1))))
+    assert one.X.tolist() == [[1.0]] and perturbed == 0
 
 
 def test_relu_targets_map_to_unit_interval():
