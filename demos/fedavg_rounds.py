@@ -47,10 +47,12 @@ for rate in (0.25, 1.0):
     )
     print(f"\nparticipation rate {rate}")
     print("  t  |S|   loss        ratio     rho       bound")
+    losses = result.losses
     for tr in result.traces[:5] + result.traces[-2:]:
+        t = tr.t
         print(
-            f"{tr.t:>4} {len(tr.members):>3}  {tr.loss:<10.4g} "
-            f"{tr.ratio:.5f}  {series.rho[tr.t]:.5f}  {series.values[tr.t]:.4g}"
+            f"{t:>4} {len(tr.members):>3}  {losses[t]:<10.4g} "
+            f"{losses[t + 1] / losses[t]:.5f}  {series.rho[t]:.5f}  {series.values[t]:.4g}"
         )
     print(f"final loss {result.final_loss:.4g}, "
           f"drop {result.losses[0] / result.final_loss:.1f}x in {cfg.rounds} rounds")

@@ -89,11 +89,13 @@ class BoundSeries:
     """Per-round contraction factors and the cumulative loss bound they imply.
 
     values[t] = loss0 * prod(rho[:t]), computed left to right, so values has
-    one more entry than rho and values[0] == loss0.
+    one more entry than rho and values[0] == loss0. Where the factors give no
+    bound, values is None and refused says why.
     """
 
     rho: tuple
-    values: tuple
+    values: tuple | None
+    refused: str | None = None
 
 
 def spectrum(M) -> GramSpectrum:
@@ -195,29 +197,26 @@ def contraction_factor(eta, participants, lambda_min, local_steps, n_clients) ->
 
 
 def bound_series(loss0, eta, local_steps, n_clients, lambda_min, sizes) -> BoundSeries:
-    """Loss upper-bound series from per-round contraction factors rho_t
-    (see contraction_factor)."""
+    """rho_t of every round (see contraction_factor) and the loss bound they
+    imply, which needs lambda_min > 0 and every rho_t in (0, 1]: else values
+    is None and refused names the first rule broken."""
     if loss0 < 0.0:
         raise ValueError("loss0 must be nonnegative")
     if eta <= 0.0 or local_steps < 1 or n_clients < 1:
         raise ValueError("eta, local_steps, n_clients must be positive")
-    if lambda_min < 0.0:
-        raise ValueError("lambda_min must be nonnegative")
     sizes = tuple(int(s) for s in sizes)
     if any(s < 1 or s > n_clients for s in sizes):
         raise ValueError("participant counts must lie in [1, n_clients]")
-    rho = []
-    for s in sizes:
-        r = contraction_factor(eta, s, lambda_min, local_steps, n_clients)
-        if r <= 0.0:
-            raise ValueError(
-                f"contraction factor {r:g} is not in (0, 1]: eta too large for the bound"
-            )
-        rho.append(r)
+    rho = tuple(contraction_factor(eta, s, lambda_min, local_steps, n_clients) for s in sizes)
+    if lambda_min <= 0.0:
+        return BoundSeries(rho, None, f"lambda_min {lambda_min:g} is not positive")
     values = [float(loss0)]
     for r in rho:
+        if r <= 0.0:
+            reason = f"contraction factor {r:g} is not in (0, 1]: eta too large for the bound"
+            return BoundSeries(rho, None, reason)
         values.append(values[-1] * r)
-    return BoundSeries(rho=tuple(rho), values=tuple(values))
+    return BoundSeries(rho, tuple(values))
 
 
 def lambda_min_floor(depth, sigma_min_x, d_out) -> float:

@@ -76,17 +76,25 @@ def _refuse_blank_images(X, index, need):
         )
 
 
-def build_experiment(cfg: ExperimentConfig) -> verify.RunContext:
-    """Materialize data, partition, targets, initial parameters and the
-    contraction rate's spectral input (left out over analysis.max_gram_dim)."""
+def _prepare_data(cfg: ExperimentConfig) -> tuple:
+    """The dataset that set-up partitions, loaded or drawn and then
+    preprocessed when cfg.data.preprocess, and the count of columns that
+    preprocessing perturbed. IDX data do not depend on the seed."""
     ds = _load_dataset(cfg)
-    perturbed = 0
-    if cfg.data.preprocess:
-        try:
-            ds, perturbed = preprocess_unit_norm(ds)
-        except ValueError as e:
-            _refuse_blank_images(ds.X, np.arange(ds.n), "data.preprocess")
-            raise ConfigError(f"data.preprocess: {e}") from e
+    if not cfg.data.preprocess:
+        return ds, 0
+    try:
+        return preprocess_unit_norm(ds)
+    except ValueError as e:
+        _refuse_blank_images(ds.X, np.arange(ds.n), "data.preprocess")
+        raise ConfigError(f"data.preprocess: {e}") from e
+
+
+def build_experiment(cfg: ExperimentConfig, data=None) -> verify.RunContext:
+    """Materialize data, partition, targets, initial parameters and the
+    contraction rate's spectral input (left out over analysis.max_gram_dim).
+    data, when given, is _prepare_data(cfg), made once for several seeds."""
+    ds, perturbed = _prepare_data(cfg) if data is None else data
     m, fed = cfg.model, cfg.federation
     if isinstance(cfg.data, IdxData) and cfg.data.partition == "noniid":
         index_lists, dropped = partition_noniid(
@@ -253,37 +261,28 @@ def _header(cfg: ExperimentConfig, ctx: verify.RunContext) -> dict:
 
 def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, **observe):
     """Run cfg.federation once from ctx; write trace.csv, trace.json and
-    loss.svg, both traces from one list of per-round rows. Returns the RunResult."""
+    loss.svg from one list of per-round rows, their rho_theory and bound_cum
+    from one analysis.bound_series call. Returns the RunResult."""
     fed = cfg.federation
     result = run_fedavg(fed, ctx.init_params, list(ctx.batches), **observe)
 
-    lam = ctx.lambda_min
-    sizes = [len(tr.members) for tr in result.traces]
-    rhos, bound_values, skipped = [None] * len(sizes), None, None
-    if lam is not None:
-        rhos = [
-            analysis.contraction_factor(fed.eta, s, lam, fed.local_steps, fed.n_clients)
-            for s in sizes
-        ]
-        if lam <= 0.0:
-            skipped = f"lambda_min {lam:g} is not positive"
-        else:
-            try:
-                bound_values = analysis.bound_series(
-                    result.losses[0], fed.eta, fed.local_steps, fed.n_clients, lam, sizes
-                ).values
-            except ValueError as e:
-                skipped = str(e)
-    if skipped is not None:
-        print(f"{command}: bound_cum not written: {skipped}", file=sys.stderr)
-    bounds = bound_values or (None,) * len(result.losses)
+    losses, sizes = result.losses, [len(tr.members) for tr in result.traces]
+    rhos, bound_values = (None,) * len(sizes), None
+    if ctx.lambda_min is not None:
+        series = analysis.bound_series(
+            losses[0], fed.eta, fed.local_steps, fed.n_clients, ctx.lambda_min, sizes
+        )
+        rhos, bound_values = series.rho, series.values
+        if series.refused is not None:
+            print(f"{command}: bound_cum not written: {series.refused}", file=sys.stderr)
+    bounds = bound_values or (None,) * len(losses)
 
     rows = [
         {
             "t": tr.t,
             "participants": list(tr.members),
-            "loss": tr.loss,
-            "ratio": tr.ratio,
+            "loss": losses[tr.t],
+            "ratio": losses[tr.t + 1] / losses[tr.t] if losses[tr.t] > 0.0 else 1.0,
             "rho_theory": rho,
             "bound_cum": bounds[tr.t],
             "local_losses": [list(ls) for ls in tr.local_losses],
@@ -300,13 +299,13 @@ def _train(command, cfg: ExperimentConfig, ctx: verify.RunContext, out: Path, **
         {
             **_header(cfg, ctx),
             "dropped_samples": ctx.dropped_samples,
-            "losses": list(result.losses),
+            "losses": list(losses),
             "final_loss": result.final_loss,
             "rows": rows,
         },
     )
 
-    curves = [("loss", list(enumerate(result.losses)))]
+    curves = [("loss", list(enumerate(losses)))]
     if bound_values is not None:
         curves.append(("bound", list(enumerate(bound_values))))
     _svg_plot(
@@ -335,10 +334,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir) -> int:
 
     per_rate = {rate: [] for rate in rates}  # each rate's runs in seed order
     failures = 0
+    # synthetic data are drawn from the seed; IDX data are read once
+    data = _prepare_data(cfg) if isinstance(cfg.data, IdxData) else None
     for seed in seeds:
         # set-up depends on the seed, not on the rate
         fed = dataclasses.replace(cfg.federation, schedule=None, seed=seed)
-        ctx = build_experiment(dataclasses.replace(cfg, federation=fed))
+        ctx = build_experiment(dataclasses.replace(cfg, federation=fed), data)
         for rate, runs in per_rate.items():
             cell = dataclasses.replace(fed, rate=rate)
             try:

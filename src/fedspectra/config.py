@@ -51,7 +51,11 @@ class DeepLinearModel(Settings):
 class TwoLayerModel(Settings):
     kind = TwoLayerParams.kind
     width: int = setting(500, check=positive)
-    dim: int = setting(10, check=positive)  # the input dimension of synthetic data
+    dim: int = setting(10, check=positive)
+
+
+# the model keys that size synthetic data; IDX data take the sizes from the files
+SYNTHETIC_SIZES = ("d_in", "d_out", "dim")
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,12 @@ class ExperimentConfig:
         dim = "d_in" if isinstance(model, DeepLinearModel) else "dim"
         if isinstance(self.data, SyntheticData) and self.data.n < getattr(model, dim):
             raise ValueError(f"data.n: need at least {dim} samples for synthetic data")
+        for f in dataclasses.fields(model) if isinstance(self.data, IdxData) else ():
+            if f.name in SYNTHETIC_SIZES and getattr(model, f.name) != f.default:
+                raise ValueError(
+                    f"model.{f.name}: applies to synthetic data only; "
+                    "IDX data take the sizes from the files"
+                )
 
 
 _SCALARS = {
@@ -209,14 +219,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical JSON for a parsed config; parse_config(serialize_config(c))
-    reproduces c exactly."""
+    """Canonical JSON for a parsed config, without the model sizes beside IDX
+    data; parse_config(serialize_config(c)) reproduces c exactly."""
     doc = {}
     for f in dataclasses.fields(cfg):
         section = getattr(cfg, f.name)
         body = {"kind": getattr(section, "kind", None)}
         body.update((g.name, getattr(section, g.name)) for g in dataclasses.fields(section))
-        body = {k: v for k, v in body.items() if v is not None}
+        unset = SYNTHETIC_SIZES if f.name == "model" and isinstance(cfg.data, IdxData) else ()
+        body = {k: v for k, v in body.items() if v is not None and k not in unset}
         if f.name == "federation" and section.schedule is not None:
             del body["rate"]
         if body:

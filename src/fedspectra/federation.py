@@ -113,27 +113,22 @@ class FederationConfig(Settings):
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """One trace row: loss is measured before the round's update is applied,
-    ratio is the factor the round achieved (loss after / loss before)."""
+    """One applied round: its participants and each one's local losses. The
+    global loss before and after round t is RunResult.losses[t] and [t + 1]."""
 
     t: int
     members: tuple
-    loss: float
-    ratio: float
     local_losses: tuple
 
 
 @dataclass(frozen=True)
-class RoundSnapshot:
-    """Handed to an observer: global params entering round t plus every
-    participant's full local trajectory (step 0 is the broadcast copy).
-    No array in it is written to after it is built."""
+class RoundSnapshot(RoundTrace):
+    """Handed to an observer: the round's record plus the global params
+    entering round t and every participant's full local trajectory (step 0
+    is the broadcast copy). No array in it is written to after it is built."""
 
-    t: int
-    members: tuple
     global_params: object
     trajectories: tuple
-    local_losses: tuple
 
 
 @dataclass(frozen=True)
@@ -315,7 +310,7 @@ def run_fedavg(
     """
     if len(client_batches) != cfg.n_clients:
         raise ValueError("need one batch per client")
-    params, traces, losses, row = init_params, [], [], None
+    params, traces, losses = init_params, [], []
     stop = cfg.stop_loss_fraction
     with client_pool() as descend:
         for t in range(cfg.rounds + 1):
@@ -334,16 +329,13 @@ def run_fedavg(
                     )
                 )
             if not np.isfinite(value):
-                if row is None:
+                if t == 0:
                     raise DivergenceError(f"non-finite initial loss {value}", loss=value)
                 raise DivergenceError(
                     f"non-finite global loss {value} after round {t - 1}",
                     round_index=t - 1,
                     loss=value,
                 )
-            if row is not None:
-                ratio = value / losses[-1] if losses[-1] > 0.0 else 1.0
-                traces.append(RoundTrace(loss=losses[-1], ratio=ratio, **row))
             losses.append(value)
             if t == cfg.rounds or (stop is not None and value <= stop * losses[0]):
                 break
@@ -355,11 +347,11 @@ def run_fedavg(
                     RoundSnapshot(
                         t=t,
                         members=members,
+                        local_losses=local_losses,
                         global_params=params,
                         trajectories=tuple(iterates for iterates, _ in runs),
-                        local_losses=local_losses,
                     )
                 )
             params = average()
-            row = {"t": t, "members": members, "local_losses": local_losses}
+            traces.append(RoundTrace(t=t, members=members, local_losses=local_losses))
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

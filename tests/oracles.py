@@ -307,9 +307,9 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
                 RoundSnapshot(
                     t=t,
                     members=members,
+                    local_losses=local_losses,
                     global_params=params,
                     trajectories=trajectories,
-                    local_losses=local_losses,
                 )
             )
         params = average()
@@ -318,14 +318,6 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
             raise DivergenceError(
                 f"non-finite global loss {value} after round {t}", round_index=t, loss=value
             )
-        traces.append(
-            RoundTrace(
-                t=t,
-                members=members,
-                loss=losses[-1],
-                ratio=value / losses[-1] if losses[-1] > 0.0 else 1.0,
-                local_losses=local_losses,
-            )
-        )
+        traces.append(RoundTrace(t=t, members=members, local_losses=local_losses))
         losses.append(value)
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

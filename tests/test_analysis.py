@@ -17,6 +17,7 @@ from fedspectra.analysis import (
     check_local_deviation,
     check_local_drift,
     check_ntk_trace,
+    contraction_factor,
     drift_radius_deep_linear,
     drift_radius_two_layer,
     first_order_scaling,
@@ -271,8 +272,35 @@ def test_bound_series_values_nonincreasing_when_contracting():
 
 
 def test_bound_series_rejects_overlarge_eta():
-    with pytest.raises(ValueError):
-        bound_series(1.0, 10.0, 5, 2, 3.0, sizes=[2])
+    # eta 20 contracts by 0.375 with one client of 4; with four, rho is -1.5
+    sizes = [1, 4, 2]
+    s = bound_series(3.0, 20.0, 2, 4, 0.5, sizes)
+    assert s.rho == tuple(contraction_factor(20.0, k, 0.5, 2, 4) for k in sizes)
+    assert s.values is None
+    assert s.refused == "contraction factor -1.5 is not in (0, 1]: eta too large for the bound"
+
+
+@pytest.mark.parametrize(
+    "lam, reason",
+    [(0.0, "lambda_min 0 is not positive"), (-0.25, "lambda_min -0.25 is not positive")],
+    ids=["lambda-zero", "lambda-negative"],
+)
+def test_bound_series_refuses_a_nonpositive_lambda_min(lam, reason):
+    sizes = [1, 4, 2]
+    s = bound_series(3.0, 0.1, 2, 4, lam, sizes)
+    assert s.rho == tuple(contraction_factor(0.1, k, lam, 2, 4) for k in sizes)
+    assert s.values is None and s.refused == reason
+
+
+def test_bound_series_values_are_the_running_product_of_its_factors():
+    sizes = [3, 1, 4, 4, 2, 1]
+    s = bound_series(7.5, 0.03, 3, 4, 1.7, sizes)
+    assert s.refused is None
+    assert s.rho == tuple(contraction_factor(0.03, k, 1.7, 3, 4) for k in sizes)
+    expected = [7.5]
+    for r in s.rho:
+        expected.append(expected[-1] * r)
+    assert s.values == tuple(expected)  # bit for bit
 
 
 def test_lambda_min_floor_values():

@@ -143,20 +143,20 @@ _POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fal
 @st.composite
 def _configs(draw):
     """An ExperimentConfig built in code from values the file format accepts."""
-    model = draw(
-        st.one_of(
-            st.builds(DeepLinearModel, *[st.integers(1, 2**40)] * 4),
-            st.builds(TwoLayerModel, st.integers(1, 2**40), st.integers(1, 50)),
-        )
-    )
-    dim = model.d_in if isinstance(model, DeepLinearModel) else model.dim
-    data = draw(
-        st.one_of(
-            st.builds(SyntheticData, st.integers(dim, dim + 50), st.booleans()),
+    idx, size = draw(st.booleans()), st.integers(1, 2**40)
+    if idx:  # IDX data take the model's sizes from the files
+        model = draw(st.builds(DeepLinearModel, size, size) | st.builds(TwoLayerModel, size))
+        data = draw(
             st.builds(IdxData, st.text(), st.text(), st.none() | st.integers(1, 10**6),
-                      st.integers(1, 10), st.sampled_from(["iid", "noniid"]), st.booleans()),
+                      st.integers(1, 10), st.sampled_from(["iid", "noniid"]), st.booleans())
         )
-    )
+    else:
+        model = draw(
+            st.builds(DeepLinearModel, *[size] * 4)
+            | st.builds(TwoLayerModel, size, st.integers(1, 50))
+        )
+        dim = model.d_in if isinstance(model, DeepLinearModel) else model.dim
+        data = draw(st.builds(SyntheticData, st.integers(dim, dim + 50), st.booleans()))
     n_clients, rounds = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     members = st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True).map(tuple)
     schedule = draw(st.none() | st.tuples(*[members] * rounds))
@@ -264,7 +264,7 @@ _DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in"
         (
             IDX_DOC,
             {
-                "model": _DEFAULT_LINEAR_MODEL,
+                "model": {"kind": "deep-linear", "width": 500, "depth": 3},
                 "data": IDX_DOC["data"],
                 "federation": {
                     "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
@@ -299,6 +299,7 @@ def _sched(schedule, rounds=1):
     return {"federation": {"schedule": schedule, "rounds": rounds, "n_clients": 2}}
 
 
+_IDX_SIZES = "applies to synthetic data only; IDX data take the sizes from the files"
 _LINEAR_CHOICES = (
     "init-spectra, gram-floor, local-descent, local-deviation, global-drift, "
     "local-drift, first-order"
@@ -313,7 +314,7 @@ def _bad_idx(name, images=None, labels=None):
         paths = {"images": tmp_path / f"{name}.idx", "labels": tmp_path / f"{name}-labels.idx"}
         paths["images"].write_bytes(images or struct.pack(">iiii", 0x0803, 1, 1, 1) + b"\0")
         paths["labels"].write_bytes(labels or struct.pack(">ii", 0x0801, 1) + b"\0")
-        return {**_idx(**{k: str(v) for k, v in paths.items()}), "model": {"d_in": 1, "d_out": 1}}
+        return _idx(**{k: str(v) for k, v in paths.items()})
 
     return doc
 
@@ -464,6 +465,10 @@ CONFIG_ERRORS = [
     # sample count vs input dimension
     (_relu(dim=100), "data.n: need at least dim samples for synthetic data"),
     ({"data": {"n": 5}}, "data.n: need at least d_in samples for synthetic data"),
+    # model sizes beside IDX data, which take both sizes from the files
+    ({**_idx(), "model": {"d_in": 784}}, f"model.d_in: {_IDX_SIZES}"),
+    ({**_idx(), "model": {"d_out": 4}}, f"model.d_out: {_IDX_SIZES}"),
+    ({**_idx(), **_relu(dim=64)}, f"model.dim: {_IDX_SIZES}"),
     # malformed IDX files; {tmp} stands for the test's directory
     (_bad_idx("bad-magic", struct.pack(">iiii", 0x0802, 1, 1, 1) + b"\0"),
      "data.images: {tmp}/bad-magic.idx: bad magic 0x00000802, expected 0x00000803"),
@@ -505,7 +510,7 @@ def _repeated_idx(tmp_path, preprocess=False):
     X[:, 59], labels[59] = X[:, 3], labels[3]
     save_idx(tmp_path / "rep.idx", tmp_path / "rep-labels.idx", X, labels, (8, 8))
     return {
-        **_relu(width=64, dim=64),
+        **_relu(width=64),
         **_idx(images=str(tmp_path / "rep.idx"), labels=str(tmp_path / "rep-labels.idx"),
                partition="iid", preprocess=preprocess),
         "federation": {"n_clients": 4, "rounds": 3, "eta": 0.01, "seed": 1},
@@ -662,6 +667,18 @@ def test_train_writes_trace_artifacts(tmp_path):
     assert len(doc["rows"]) == 5
     assert len(doc["losses"]) == 6  # includes the final loss
     assert (out / "loss.svg").read_text().startswith("<svg")
+
+
+def test_trace_csv_reads_loss_and_ratio_off_the_loss_series(tmp_path):
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    losses = json.loads((out / "trace.json").read_text())["losses"]
+    rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(losses) - 1))
+    for t, row in enumerate(rows):  # both files keep 17 digits, so exact
+        assert float(row[2]) == losses[t]
+        assert float(row[3]) == losses[t + 1] / losses[t]
 
 
 def test_train_rho_theory_is_the_contraction_factor_of_each_round(tmp_path):
@@ -936,13 +953,30 @@ def test_sweep_single_cell_matches_train(tmp_path):
     np.testing.assert_array_equal(sweep_losses, train_losses)
 
 
+def _sweep_by_train_cells(tmp_path, doc, rates, seeds) -> str:
+    """The sweep.csv text of doc's grid, from one train job per cell."""
+    expected = ["rate,t,mean_loss,min_loss,max_loss"]
+    for rate in rates:
+        runs = []
+        for seed in seeds:
+            fed = {**doc["federation"], "rate": rate, "seed": seed}
+            cell = _write(tmp_path, "cell.json", {**doc, "federation": fed})
+            out = tmp_path / f"tr-{rate}-{seed}"
+            assert main(["train", "--config", cell, "--out", str(out)]) == EXIT_OK
+            runs.append(json.loads((out / "trace.json").read_text())["losses"])
+        runs = np.array(runs)
+        for t, row in enumerate(zip(runs.mean(axis=0), runs.min(axis=0), runs.max(axis=0))):
+            expected.append(",".join([cli._g17(rate), str(t), *map(cli._g17, row)]))
+    return "\n".join(expected) + "\n"
+
+
 def test_sweep_builds_each_seed_once_and_matches_per_cell_train(tmp_path, monkeypatch):
     # set-up depends on the seed alone, so the rates share it
     seeds = []
 
-    def counting(cfg, _build=cli.build_experiment):
+    def counting(cfg, *data, _build=cli.build_experiment):
         seeds.append(cfg.federation.seed)
-        return _build(cfg)
+        return _build(cfg, *data)
 
     monkeypatch.setattr(cli, "build_experiment", counting)
     rates = [0.34, 0.67, 1.0]
@@ -951,19 +985,39 @@ def test_sweep_builds_each_seed_once_and_matches_per_cell_train(tmp_path, monkey
     assert seeds == [0, 1]
 
     # the same grid as one train job per cell, each with its own set-up
-    expected = ["rate,t,mean_loss,min_loss,max_loss"]
-    for rate in rates:
-        runs = []
-        for seed in (0, 1):
-            fed = {**SMALL_LINEAR["federation"], "rate": rate, "seed": seed}
-            cell = _write(tmp_path, "cell.json", {**SMALL_LINEAR, "federation": fed})
-            out = tmp_path / f"tr-{rate}-{seed}"
-            assert main(["train", "--config", cell, "--out", str(out)]) == EXIT_OK
-            runs.append(json.loads((out / "trace.json").read_text())["losses"])
-        runs = np.array(runs)
-        for t, row in enumerate(zip(runs.mean(axis=0), runs.min(axis=0), runs.max(axis=0))):
-            expected.append(",".join([cli._g17(rate), str(t), *map(cli._g17, row)]))
-    assert (tmp_path / "sw" / "sweep.csv").read_text() == "\n".join(expected) + "\n"
+    monkeypatch.undo()
+    expected = _sweep_by_train_cells(tmp_path, SMALL_LINEAR, rates, (0, 1))
+    assert (tmp_path / "sw" / "sweep.csv").read_text() == expected
+
+
+def test_an_idx_sweep_reads_and_preprocesses_its_data_once(tmp_path, monkeypatch, capsys):
+    # neither step depends on the seed; the label split and the weights do
+    rng = np.random.default_rng(0)
+    X, labels = rng.integers(1, 256, (64, 40)) / 255, rng.integers(0, 4, 40)
+    save_idx(tmp_path / "i.idx", tmp_path / "l.idx", X, labels, (8, 8))
+    doc = {
+        "model": {"kind": "deep-linear", "width": 16, "depth": 2},
+        **_idx(images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"),
+               classes_per_client=2, preprocess=True),
+        "federation": {"n_clients": 4, "local_steps": 2, "rounds": 3, "eta": 0.01},
+    }
+    calls = []
+    for name in ("load_idx", "preprocess_unit_norm"):
+
+        def counting(*args, _fn=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    rates, seeds = [0.5, 1.0], [0, 1, 2]
+    cfg = _write(tmp_path, "c.json", {**doc, "sweep": {"rates": rates, "seeds": seeds}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_OK
+    assert calls == ["load_idx", "preprocess_unit_norm"]
+    assert capsys.readouterr().out == "sweep: 6 cells completed, 0 failed\n"
+
+    monkeypatch.undo()
+    expected = _sweep_by_train_cells(tmp_path, doc, rates, seeds)
+    assert (tmp_path / "sw" / "sweep.csv").read_text() == expected
 
 
 # ------------------------------------------------------------------ verify ----
@@ -1249,7 +1303,7 @@ def test_idx_pipeline_end_to_end(tmp_path):
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
     save_idx(tmp_path / "imgs.idx", tmp_path / "labs.idx", X, labels, (rows, cols))
     doc = {
-        "model": {"kind": "two-layer-relu", "width": 64, "dim": rows * cols},
+        "model": {"kind": "two-layer-relu", "width": 64},
         "data": {
             "kind": "idx",
             "images": str(tmp_path / "imgs.idx"),

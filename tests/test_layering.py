@@ -8,7 +8,9 @@ and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
 thread count, so no other module knows when it is held. Local descent has
 one loop, `models._LocalDescent._descend`, which every parameter class
 inherits and runs on the client state that the class picks, and a round has
-one server sum, which `descend_round` forms as each client ends.
+one server sum, which `descend_round` forms as each client ends. A run's
+loss series lives in `RunResult.losses` alone, a snapshot is a round's
+record with more fields, and only `analysis` computes the factor rho_t.
 """
 
 import ast
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from fedspectra.config import ExperimentConfig
-from fedspectra.federation import Settings
+from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedspectra"
@@ -86,6 +88,19 @@ def test_a_round_has_one_server_sum():
     calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
     called = {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
     assert not called & {"average", "_mean"}
+
+
+def test_only_analysis_computes_the_contraction_factor():
+    # cli takes rho_t and the bound from one analysis.bound_series call
+    assert "contraction_factor" not in _names("cli")
+
+
+def test_a_round_is_recorded_once():
+    # the losses before and after round t are RunResult.losses[t] and [t + 1]
+    record = [f.name for f in dataclasses.fields(RoundTrace)]
+    assert record == ["t", "members", "local_losses"]
+    assert issubclass(RoundSnapshot, RoundTrace)
+    assert not set(inspect.get_annotations(RoundSnapshot)) & set(record)
 
 
 SECTIONS = [
