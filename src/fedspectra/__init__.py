@@ -49,7 +49,6 @@ from .federation import (
     RoundTrace,
     RunResult,
     global_loss,
-    local_trajectory,
     run_fedavg,
     sample_participants,
 )

@@ -70,18 +70,21 @@ def make_report(name, measured, bound, *, context=None) -> CheckReport:
     measured = float(measured)
     bound = float(bound)
     passed = bool(measured <= bound)
-    if bound != 0.0:
-        slack = measured / bound
-    else:
-        slack = 0.0 if measured <= 0.0 else float("inf")
     return CheckReport(
         name=name,
         passed=passed,
         measured=measured,
         bound=bound,
-        slack=float(slack),
+        slack=_slack(measured, bound),
         context=dict(context or {}),
     )
+
+
+def _slack(measured, bound) -> float:
+    """measured / bound for a positive bound, else 0 on a pass and inf on a fail."""
+    if bound > 0.0:
+        return measured / bound
+    return 0.0 if measured <= bound else float("inf")
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,7 @@ def check_local_descent(local_losses, factor, lam) -> CheckReport:
         for k in range(1, len(losses)):
             b = factor**k
             ratio = losses[k] / base
-            slack = ratio / b if b > 0.0 else float("inf")
+            slack = _slack(ratio, b)
             if worst_slack is None or slack > worst_slack:
                 worst_step, worst_slack, measured, bound = k, slack, ratio, b
     return make_report(
@@ -664,18 +667,20 @@ def predict_first_order(
     )
 
 
-def first_order_scaling(params, init_params, batches, members, eta, local_steps, *, trajectories):
+def first_order_scaling(
+    params, init_params, batches, members, eta, local_steps, *, trajectories, averaged
+):
     """Predict one round at eta and at eta/2 from the same state and return
     the two FirstOrderReports plus the ratio of their absolute prediction
     errors. A ratio near 4 is the signature of a second-order remainder.
 
-    trajectories are the members' local trajectories at eta (aligned with
-    sorted(members), as in predict_first_order), e.g. from a RoundSnapshot;
-    only the eta/2 probe trains, every member in one local_round, whose
-    client pool holds BLAS to the thread count of a run's rounds and whose
-    own server average it scores. A depth-1 net is linear in its weights, so
-    its prediction is exact up to rounding and has no remainder to scale:
-    the eta/2 probe is skipped, and half and the ratio are None.
+    Each probe scores the server average that its own round formed: at eta
+    the given round, its members' trajectories (aligned with sorted(members),
+    as in predict_first_order) and their average, e.g. a RoundSnapshot's; at
+    eta/2 one local_round of every member, on a client pool as a run's
+    rounds are. A depth-1 net is linear in its weights, so its prediction is
+    exact up to rounding: the eta/2 probe is skipped, and half and the ratio
+    are None.
     """
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
@@ -686,7 +691,7 @@ def first_order_scaling(params, init_params, batches, members, eta, local_steps,
             params, init_params, trajs, batches, members, e, next_residual=actual
         )
 
-    full = probe(eta, trajectories, type(params).average([traj[-1] for traj in trajectories]))
+    full = probe(eta, trajectories, averaged)
     if params.depth == 1:
         return full, None, None
     own = [batches[c] for c in sorted(int(c) for c in members)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .models import LabeledBatch, blas_threads, loss_of
+from .models import blas_threads, loss_of
 from .rng import stream
 
 
@@ -124,11 +124,13 @@ class RoundTrace:
 @dataclass(frozen=True)
 class RoundSnapshot(RoundTrace):
     """Handed to an observer: the round's record plus the global params
-    entering round t and every participant's full local trajectory (step 0
-    is the broadcast copy). No array in it is written to after it is built."""
+    entering round t, every participant's full local trajectory (step 0 is
+    the broadcast copy) and the server average of their last iterates, the
+    params entering round t + 1. No array in it is written to once built."""
 
     global_params: object
     trajectories: tuple
+    averaged: object
 
 
 @dataclass(frozen=True)
@@ -268,13 +270,6 @@ def _raise_local_divergence(runs, clients, t):
             raise DivergenceError(message, round_index=t, client=c, step=k, loss=value)
 
 
-def local_trajectory(params, batch: LabeledBatch, eta, steps, keep=True):
-    """local_round on one batch. Returns (trajectory, losses): trajectory
-    holds all steps+1 iterates when keep, else the last one only."""
-    ((trajectory, losses),), last = local_round(params, [batch], eta, steps, keep)
-    return (trajectory if keep else (last(),)), losses
-
-
 def global_loss(params, client_batches) -> float:
     """Training loss over the union of all client data (the loss is a plain
     sum over samples, so summing per-client values is exact). run_fedavg
@@ -297,8 +292,8 @@ def run_fedavg(
       the whole run; the server sum is formed in client order, so at one
       BLAS thread every output is the same whichever way a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
-      observe_rounds is None) before the server average is applied. Only
-      those rounds keep every local iterate; the others keep none.
+      observe_rounds is None) before the server average, its `averaged`, is
+      applied. Only those rounds keep every local iterate; the others keep none.
     - the global loss entering round t is summed in client order from the
       participants' step-0 losses of round t, each a forward pass at the
       weights entering it, and a loss_of pass for every other client; only
@@ -341,6 +336,7 @@ def run_fedavg(
                 break
 
             _raise_local_divergence(runs, members, t)
+            averaged = average()
             local_losses = tuple(tuple(ls) for _, ls in runs)
             if observed:
                 observer(
@@ -350,8 +346,9 @@ def run_fedavg(
                         local_losses=local_losses,
                         global_params=params,
                         trajectories=tuple(iterates for iterates, _ in runs),
+                        averaged=averaged,
                     )
                 )
-            params = average()
+            params = averaged
             traces.append(RoundTrace(t=t, members=members, local_losses=local_losses))
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))

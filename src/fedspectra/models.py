@@ -1,9 +1,9 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
-Both parameter classes expose the same four members: predict(X), one
-round of local descent descend_round(batches, eta, steps, keep, map), the
-server average average(params) (a classmethod) and drift(init). Gradients
-of the (unnormalized) square loss are closed-form; there is no automatic
+Both parameter classes expose the same three members: predict(X), one
+round of local descent descend_round(batches, eta, steps, keep, map), which
+also forms the round's server average, and drift(init). Gradients of the
+(unnormalized) square loss are closed-form; there is no automatic
 differentiation anywhere. All arithmetic is 64-bit. A parameter object is
 never changed once built: each client's descent runs one shared loop on a
 client state whose private arrays it updates in place (a copy of the
@@ -50,16 +50,6 @@ class LabeledBatch:
     def gram(self) -> np.ndarray:
         """X^T X, formed on first use and kept: a batch's data never change."""
         return self.X.T @ self.X
-
-
-def _mean(arrays) -> np.ndarray:
-    """Elementwise mean, summed in list order as np.mean over a stacked axis 0
-    sums it, without the stacked copy."""
-    total = arrays[0].copy()
-    for a in arrays[1:]:
-        total += a
-    total /= len(arrays)
-    return total
 
 
 @cache
@@ -155,8 +145,8 @@ class _LocalDescent:
         client's descent stops at its first non-finite loss, which then ends
         its losses. iterates holds iterates 0 (self) to the last when keep,
         else nothing. average() returns the server average of the last
-        iterates, summed in batch order as average(params) sums them, and
-        raises ValueError when a client's loss ended non-finite.
+        iterates, np.mean over a stacked axis 0 bit for bit, and raises
+        ValueError when a client's loss ended non-finite.
 
         Without keep, a client forms iterate `steps` alone, on every state,
         or none (its last iterate is then self) if its loss turns non-finite
@@ -206,13 +196,6 @@ class _LocalDescent:
             if keep or k == steps - 1:
                 iterates.append(client.iterate())
         return tuple(iterates if keep else iterates[-1:]), losses
-
-    @classmethod
-    def average(cls, params):
-        """Unweighted mean of each weight array, summed in list order."""
-        if not params:
-            raise ValueError("nothing to aggregate")
-        return params[0]._with([_mean(arrays) for arrays in zip(*(p._weights() for p in params))])
 
 
 class _DenseClient:
@@ -358,13 +341,6 @@ class TwoLayerParams(_LocalDescent):
         if _descends_in_sample_space(self.width, self.dim, batch.n, steps):
             return _SampleSpaceClient(self, batch)
         return super()._client(batch, steps)
-
-    @classmethod
-    def average(cls, params) -> "TwoLayerParams":
-        """As _LocalDescent.average; every net must carry the same output signs."""
-        if any(not np.array_equal(p.signs, params[0].signs) for p in params[1:]):
-            raise ValueError("cannot average models with different output signs")
-        return super().average(params)
 
     def drift(self, init) -> tuple:
         """Largest per-neuron (row) distance from init, plus the max and mean."""

@@ -161,7 +161,7 @@ def first_order(ctx, snap):
     depth 1, where the prediction is exact, a vacuous pass with its reason."""
     full, _, ratio = analysis.first_order_scaling(
         snap.global_params, ctx.init_params, list(ctx.batches), list(snap.members),
-        ctx.eta, ctx.local_steps, trajectories=snap.trajectories,
+        ctx.eta, ctx.local_steps, trajectories=snap.trajectories, averaged=snap.averaged,
     )
     terms = (
         "reconstruction_gap", "term_contraction", "term_gram_shift", "term_local_deviation",
@@ -205,11 +205,12 @@ def select(ctx, wanted, rounds, T, max_gram_dim) -> tuple:
     or {0, T//2, T-1} when None, or none when no selected check runs per
     round.
 
-    Raises ValueError, naming the config key, at the first selected check
-    whose set-up Gram matrix is over max_gram_dim, or whose bound divides by
-    a least H-infinity eigenvalue below sqrt(eps)*lambda_max (arccos keeps
-    only about half the digits near cos = 1). A per-round check counts only
-    when a round is observed.
+    Raises ValueError, naming the config key, when every selected check
+    runs per round and no round is observed, so nothing would be checked;
+    and at the first selected check whose set-up Gram matrix is over
+    max_gram_dim, or whose bound divides by a least H-infinity eigenvalue
+    below sqrt(eps)*lambda_max (arccos keeps only about half the digits near
+    cos = 1). A per-round check counts only when a round is observed.
     """
     kind = ctx.init_params.kind
     names = [n for n in known_checks(kind) if wanted is None or n in wanted]
@@ -217,6 +218,11 @@ def select(ctx, wanted, rounds, T, max_gram_dim) -> tuple:
         rounds = []
     elif rounds is None:
         rounds = sorted({0, T // 2, T - 1}) if T else []
+    if not rounds and all(CHECKS[n][1] for n in names):
+        raise ValueError(
+            f"verify.rounds: no round of {T} is observed, and every selected check "
+            f"({', '.join(names)}) runs per round; nothing would be checked"
+        )
     for name in names:
         _, per_round, gram_kinds, _ = CHECKS[name]
         if kind not in gram_kinds or (per_round and not rounds):

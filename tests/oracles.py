@@ -204,6 +204,12 @@ def relu_gradient_step_loops(hidden, signs, X, y, eta):
     return out
 
 
+def stacked_mean(arrays):
+    """Unweighted elementwise mean of equally shaped arrays, through one
+    stacked copy: np.mean adds the slices of axis 0 in list order."""
+    return np.mean(np.stack(arrays), axis=0)
+
+
 def _parallel_to_any_loop(X_prev, x) -> bool:
     if X_prev.shape[1] == 0:
         return False
@@ -302,6 +308,7 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
             ) from e
         trajectories = tuple(iterates for iterates, _ in runs)
         local_losses = tuple(tuple(ls) for _, ls in runs)
+        averaged = average()
         if observed:
             observer(
                 RoundSnapshot(
@@ -310,9 +317,10 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
                     local_losses=local_losses,
                     global_params=params,
                     trajectories=trajectories,
+                    averaged=averaged,
                 )
             )
-        params = average()
+        params = averaged
         value = global_loss(params, client_batches)
         if not np.isfinite(value):
             raise DivergenceError(

@@ -91,7 +91,7 @@ def run4():
 
     def observer(snap):
         if snap.t == 3:
-            state.round3 = (snap.global_params, list(snap.members), snap.trajectories)
+            state.round3 = snap
         _local_checks(state, ctx, snap)
 
     cfg = FederationConfig(n_clients=8, local_steps=5, rounds=500, eta=eta, seed=2)
@@ -325,9 +325,10 @@ def test_criterion_10_hidden_row_drift_stays_in_radius(run6_wide):
 
 def test_criterion_11_first_order_residual_prediction(run4):
     """Round-3 residual prediction: small error, quartering under eta halving."""
-    params, members, trajectories = run4.round3
+    snap = run4.round3
     full, half, ratio = analysis.first_order_scaling(
-        params, run4.init, run4.batches, members, run4.eta, 5, trajectories=trajectories
+        snap.global_params, run4.init, run4.batches, list(snap.members), run4.eta, 5,
+        trajectories=snap.trajectories, averaged=snap.averaged,
     )
     assert full.relative_error <= 1e-2
     assert 3.5 <= ratio <= 4.5

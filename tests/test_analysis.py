@@ -31,7 +31,7 @@ from fedspectra.analysis import (
     spectrum,
 )
 from fedspectra.data import partition_iid, synth_linear_dataset
-from fedspectra.federation import FederationConfig, local_trajectory, run_fedavg
+from fedspectra.federation import FederationConfig, local_round, run_fedavg
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
@@ -44,6 +44,13 @@ from fedspectra.models import (
 )
 
 from oracles import eig_2x2, gram_H_tkc, gram_linear_bruteforce, mc_relu_kernel
+
+
+def _round(params, batches, members, eta, steps):
+    """The members' local trajectories of one round from params (every
+    iterate kept), and the server average that the round formed."""
+    runs, average = local_round(params, [batches[c] for c in members], eta, steps, keep=True)
+    return [iterates for iterates, _ in runs], average()
 
 
 def _perturbed(p: DeepLinearParams, scale, seed):
@@ -382,6 +389,20 @@ def test_check_local_descent_reports_the_worst_step():
     assert not check_local_descent([4.0, 3.9], 0.95, 1.0).passed
 
 
+def test_a_report_against_a_nonpositive_bound_has_no_negative_slack():
+    # a negative bound (a rounding-level Gram floor, a large eta's factor)
+    # ranks a failure above every pass: inf when it fails, 0 when it passes
+    fails, passes = make_report("x", 1.0, -5.7e-16), make_report("x", -2.0, -1.0)
+    assert (fails.passed, fails.slack, passes.passed, passes.slack) == (False, np.inf, True, 0.0)
+    assert make_report("x", 1.0, 4.0).slack == 0.25
+    # a step factor of -0.5: step 1 cannot reach -0.5, step 2 reaches 0.25
+    rep = check_local_descent([4.0, 3.0, 0.5], -0.5, 1.0)
+    assert (rep.context["worst_step"], rep.passed, rep.slack) == (1, False, np.inf)
+    # a factor of 0 with the loss at 0: every step meets its bound
+    rep = check_local_descent([4.0, 0.0, 0.0], 0.0, 1.0)
+    assert (rep.passed, rep.slack) == (True, 0.0)
+
+
 def test_check_local_deviation_bound_is_coefficient_times_base_norm():
     xi = np.array([3.0, 4.0])
     rep0 = check_local_deviation(xi, xi, 0.0, 0, 0.1)
@@ -444,7 +465,7 @@ def test_check_local_drift_passes_a_client_without_samples():
     # every gradient is a product with X_c, so an empty client never moves
     p = init_deep_linear(2, 8, 4, 2, seed=1)
     batch = LabeledBatch(X=np.zeros((4, 0)), Y=np.zeros((2, 0)))
-    traj = local_trajectory(p, batch, 0.01, 2)[0]
+    (traj,), _ = _round(p, [batch], [0], 0.01, 2)
     reports = check_local_drift(traj, batch)
     assert [(r.passed, r.measured, r.bound) for r in reports] == [(True, 0.0, 0.0)] * 2
 
@@ -455,7 +476,8 @@ def _client_trajectory(width, eta=2e-5, steps=3, seed=0):
     ds, _ = synth_linear_dataset(10, 5, 32, seed=seed)
     p = init_deep_linear(3, width, 10, 5, seed=seed)
     batch = LabeledBatch(X=ds.X[:, :8], Y=ds.Y[:, :8])
-    return p, batch, local_trajectory(p, batch, eta, steps)[0]
+    (traj,), _ = _round(p, [batch], [0], eta, steps)
+    return p, batch, traj
 
 
 @pytest.mark.parametrize("width", [48, 256, 1000])
@@ -532,7 +554,7 @@ def _round_state(seed=0, rounds_before=2, eta=0.02):
 def test_predict_first_order_with_zero_rate_returns_current_residual():
     init, params, batches, cfg = _round_state()
     members = [0, 1, 2]
-    trajs = [local_trajectory(params, batches[c], 0.0, cfg.local_steps)[0] for c in members]
+    trajs, _ = _round(params, batches, members, 0.0, cfg.local_steps)
     rep = predict_first_order(params, init, trajs, batches, members, 0.0)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
@@ -542,9 +564,7 @@ def test_predict_first_order_with_zero_rate_returns_current_residual():
 def test_predict_first_order_terms_recombine():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    trajs = [
-        local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members
-    ]
+    trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
     rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
     assert rep.reconstruction_gap <= 1e-10 * max(rep.base_norm, 1.0)
 
@@ -580,9 +600,7 @@ def _dense_first_order(params, init, trajs, batches, members, eta):
 def test_predict_first_order_matches_the_dense_recursion():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    trajs = [
-        local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members
-    ]
+    trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
     rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
     predicted, norms = _dense_first_order(params, init, trajs, batches, members, cfg.eta)
     assert np.linalg.norm(rep.predicted - predicted) <= 1e-12 * np.linalg.norm(predicted)
@@ -593,11 +611,10 @@ def test_predict_first_order_matches_the_dense_recursion():
 def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
     init, params, batches, cfg = _round_state()
     members = [0, 1, 2]
-    trajs = [
-        local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members
-    ]
+    trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
     full, half, ratio = first_order_scaling(
-        params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
+        params, init, batches, members, cfg.eta, cfg.local_steps,
+        trajectories=trajs, averaged=averaged,
     )
     assert full.relative_error <= 1e-2
     assert half.actual_error < full.actual_error
@@ -605,20 +622,20 @@ def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
 
 
 def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, usable_cores):
-    # the eta probe uses the trajectories as given; only the eta/2 probe
-    # trains, every member in one round
+    # the eta probe uses the round it is given; only the eta/2 probe trains,
+    # every member in one round
     init, params, batches, cfg = _round_state()
     members = [0, 2]
     X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
 
     def probe(eta):
-        trajs = [local_trajectory(params, batches[c], eta, cfg.local_steps)[0] for c in members]
-        actual = vec_residual(type(params).average([t[-1] for t in trajs]).predict(X), Y)
+        trajs, averaged = _round(params, batches, members, eta, cfg.local_steps)
+        actual = vec_residual(averaged.predict(X), Y)
         rep = predict_first_order(params, init, trajs, batches, members, eta, next_residual=actual)
-        return trajs, rep
+        return trajs, averaged, rep
 
-    trajs, want_full = probe(cfg.eta)
-    _, want_half = probe(0.5 * cfg.eta)
+    trajs, averaged, want_full = probe(cfg.eta)
+    _, _, want_half = probe(0.5 * cfg.eta)
     rounds = []
 
     def counted(self, round_batches, *args, _round=type(params).descend_round, **kwargs):
@@ -630,7 +647,8 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, u
         usable_cores(cores)
         rounds.clear()
         full, half, ratio = first_order_scaling(
-            params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
+            params, init, batches, members, cfg.eta, cfg.local_steps,
+            trajectories=trajs, averaged=averaged,
         )
         # the probe's members descend on a client pool: one core runs them
         # serially, two side by side, unless BLAS cannot be held to one thread
@@ -641,34 +659,32 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, u
         assert ratio == full.actual_error / half.actual_error
 
 
-def test_first_order_scaling_averages_once_and_scores_its_probe_rounds_average(monkeypatch):
-    # the eta probe averages the given trajectories; the eta/2 probe scores
-    # the average that its local_round summed as the round ran
+def test_first_order_scaling_scores_the_average_each_probe_round_formed(monkeypatch):
+    # the eta probe scores the average it is given, the eta/2 probe the
+    # average that its local_round summed as the round ran; neither averages
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    trajs = [local_trajectory(params, batches[c], cfg.eta, cfg.local_steps)[0] for c in members]
-    averaged, probes = [], []
-    average = DeepLinearParams.average.__func__
-
-    def counted(cls, snapshots):
-        averaged.append(len(snapshots))
-        return average(cls, snapshots)
+    trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    probes = []
 
     def probe(*args, _round=analysis.local_round, **kwargs):
         runs, round_average = _round(*args, **kwargs)
         probes.append(round_average)
         return runs, round_average
 
-    monkeypatch.setattr(DeepLinearParams, "average", classmethod(counted))
     monkeypatch.setattr(analysis, "local_round", probe)
-    _, half, _ = first_order_scaling(
-        params, init, batches, members, cfg.eta, cfg.local_steps, trajectories=trajs
-    )
-    assert averaged == [len(members)]
-    (round_average,) = probes
     X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
-    actual = vec_residual(round_average().predict(X), Y)
-    assert half.actual_error == float(np.linalg.norm(actual - half.predicted))
+    # any parameters handed in as the round's average are the ones scored
+    for given in (averaged, params):
+        full, half, _ = first_order_scaling(
+            params, init, batches, members, cfg.eta, cfg.local_steps,
+            trajectories=trajs, averaged=given,
+        )
+        actual = vec_residual(given.predict(X), Y)
+        assert full.actual_error == float(np.linalg.norm(actual - full.predicted))
+        actual = vec_residual(probes.pop()().predict(X), Y)
+        assert half.actual_error == float(np.linalg.norm(actual - half.predicted))
+    assert not probes
 
 
 def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(monkeypatch):
@@ -677,10 +693,10 @@ def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(monkeypatch)
     ds, _ = synth_linear_dataset(4, 3, 12, seed=0)
     batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(12, 3)]
     init = init_deep_linear(1, 8, 4, 3, seed=0)
-    trajs = [local_trajectory(init, b, 0.01, 3)[0] for b in batches]
+    trajs, averaged = _round(init, batches, [0, 1, 2], 0.01, 3)
     monkeypatch.setattr(analysis, "local_round", None)
     full, half, ratio = first_order_scaling(
-        init, init, batches, [0, 1, 2], 0.01, 3, trajectories=trajs
+        init, init, batches, [0, 1, 2], 0.01, 3, trajectories=trajs, averaged=averaged
     )
     assert full.relative_error <= 1e-12
     assert half is None and ratio is None
@@ -688,6 +704,6 @@ def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(monkeypatch)
 
 def test_predict_first_order_validates_trajectories():
     init, params, batches, cfg = _round_state()
-    trajs = [local_trajectory(params, batches[0], cfg.eta, cfg.local_steps)[0]]
+    trajs, _ = _round(params, batches, [0], cfg.eta, cfg.local_steps)
     with pytest.raises(ValueError):
         predict_first_order(params, init, trajs, batches, [0, 1], cfg.eta)

@@ -518,9 +518,21 @@ def _repeated_idx(tmp_path, preprocess=False):
     }
 
 
-# Faults that only verify reaches: Gram matrices over analysis.max_gram_dim,
-# and a vanishing H-infinity eigenvalue. Each is reported before training.
+# Faults that only verify reaches: a selection that would check nothing,
+# Gram matrices over analysis.max_gram_dim, and a vanishing H-infinity
+# eigenvalue. Each is reported before training.
+_PER_ROUND_ONLY = {
+    "model": {"width": 16},
+    "federation": {"n_clients": 4, "rounds": 3},
+    "verify": {"checks": ["local-descent"]},
+}
 VERIFY_CONFIG_ERRORS = [
+    ({**_PER_ROUND_ONLY, "verify": {"checks": ["local-descent"], "rounds": []}},
+     "verify.rounds: no round of 3 is observed, and every selected check (local-descent) "
+     "runs per round; nothing would be checked"),
+    ({**_PER_ROUND_ONLY, "federation": {"n_clients": 4, "rounds": 0}},
+     "verify.rounds: no round of 0 is observed, and every selected check (local-descent) "
+     "runs per round; nothing would be checked"),
     (_LINEAR_OVER_LIMIT,
      f"analysis.max_gram_dim: gram-floor needs a 8-dim Gram matrix; {_SHRINK}"),
     (_repeated_idx,
@@ -598,6 +610,17 @@ def test_max_gram_dim_spares_checks_that_need_no_gram_matrix(tmp_path):
     ):
         cfg = _write(tmp_path, f"{name}.json", doc)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("model", ["deep-linear", "two-layer-relu"])
+def test_verify_without_rounds_runs_its_set_up_checks(tmp_path, model):
+    # no round to observe leaves the checks that need none, and they pass
+    cfg = _write(tmp_path, "c.json", {"model": {"kind": model}, "federation": {"rounds": 0}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["passed"] is True and report["checks"]
+    # every per-round report names its round
+    assert not any("t" in c["context"] for c in report["checks"])
 
 
 def test_a_blank_image_trains_where_nothing_normalises_it(tmp_path):

@@ -18,7 +18,7 @@ from fedspectra.federation import (
     DivergenceError,
     FederationConfig,
     global_loss,
-    local_trajectory,
+    local_round,
     run_fedavg,
     sample_participants,
 )
@@ -33,7 +33,12 @@ from fedspectra.models import (
     loss_of,
 )
 
-from oracles import eager_run_fedavg, pooled_gradient_step_linear, relu_gradient_step_loops
+from oracles import (
+    eager_run_fedavg,
+    pooled_gradient_step_linear,
+    relu_gradient_step_loops,
+    stacked_mean,
+)
 
 
 def _workload(seed=0, n_clients=4, d_in=5, d_out=2, n=16, depth=3, width=16):
@@ -106,9 +111,15 @@ def test_config_defaults_and_schedule_normalisation():
     assert hash(cfg) == hash(dataclasses.replace(cfg))
 
 
-def test_local_trajectory_shapes_and_descent():
+def _stepped(params, batch, eta, steps):
+    """The last iterate of one client's local_round."""
+    _, average = local_round(params, [batch], eta, steps)
+    return average()
+
+
+def test_local_round_shapes_and_descent():
     params, batches = _workload()
-    traj, losses = local_trajectory(params, batches[0], eta=0.05, steps=4)
+    ((traj, losses),), _ = local_round(params, batches[:1], eta=0.05, steps=4, keep=True)
     assert len(traj) == 5 and len(losses) == 5
     assert traj[0] is params
     assert losses == sorted(losses, reverse=True)  # small step descends monotonically
@@ -117,7 +128,7 @@ def test_local_trajectory_shapes_and_descent():
 def test_one_local_step_matches_pooled_gradient_oracle():
     params, batches = _workload()
     b = batches[1]
-    (stepped,), _ = local_trajectory(params, b, 0.03, 1, keep=False)
+    stepped = _stepped(params, b, 0.03, 1)
     expected = pooled_gradient_step_linear(list(params.layers), params.scale, b.X, b.Y, 0.03)
     for W, We in zip(stepped.layers, expected):
         np.testing.assert_allclose(W, We, atol=1e-12)
@@ -128,54 +139,32 @@ def test_one_relu_step_matches_loop_oracle():
     rng = np.random.default_rng(3)
     b = LabeledBatch(X=rng.standard_normal((5, 8)), Y=rng.standard_normal(8))
     expected = relu_gradient_step_loops(q.hidden, q.signs, b.X, b.Y, 0.03)
-    (stepped,), _ = local_trajectory(q, b, 0.03, 1, keep=False)
-    np.testing.assert_allclose(stepped.hidden, expected, atol=1e-12)
-
-
-def test_aggregate_averages_layerwise():
-    params, _ = _workload()
-    shifted = DeepLinearParams(
-        layers=tuple(W + 1.0 for W in params.layers), width=params.width
-    )
-    mean = DeepLinearParams.average([params, shifted])
-    for W, Wm in zip(params.layers, mean.layers):
-        np.testing.assert_allclose(Wm, W + 0.5, atol=1e-12)
-    q = init_two_layer(8, 3, seed=0)
-    other = TwoLayerParams(hidden=init_two_layer(8, 3, seed=1).hidden, signs=q.signs)
-    mid = TwoLayerParams.average([q, other])
-    np.testing.assert_allclose(mid.hidden, 0.5 * (q.hidden + other.hidden), atol=1e-12)
-    np.testing.assert_array_equal(mid.signs, q.signs)
-    for cls in (DeepLinearParams, TwoLayerParams):
-        with pytest.raises(ValueError):
-            cls.average([])
+    np.testing.assert_allclose(_stepped(q, b, 0.03, 1).hidden, expected, atol=1e-12)
 
 
 def test_aggregate_matches_a_stacked_mean_bit_for_bit():
-    # the average sums in list order, as np.mean over a stacked axis does,
-    # and leaves its inputs alone
+    # a round sums its clients' last iterates in batch order, as np.mean over
+    # a stacked axis does, keeps the start's output signs and leaves every
+    # iterate alone
     rng = np.random.default_rng(0)
-    shapes = ((16, 5), (16, 16), (2, 16))
+    linear = init_deep_linear(3, 16, 5, 2, seed=0)
+    relu = init_two_layer(16, 5, seed=0)
     for n in (1, 2, 9, 20):
-        nets = [
-            DeepLinearParams(layers=tuple(rng.standard_normal(s) for s in shapes), width=16)
-            for _ in range(n)
-        ]
-        before = [[W.copy() for W in p.layers] for p in nets]
-        mean = DeepLinearParams.average(nets)
-        for i, W in enumerate(mean.layers):
-            assert np.array_equal(W, np.mean(np.stack([p.layers[i] for p in nets]), axis=0))
-        for p, layers in zip(nets, before):
-            assert all(np.array_equal(W, W0) for W, W0 in zip(p.layers, layers))
-        relu = [TwoLayerParams(hidden=p.layers[1], signs=np.ones(16)) for p in nets]
-        expected = np.mean(np.stack([q.hidden for q in relu]), axis=0)
-        assert np.array_equal(TwoLayerParams.average(relu).hidden, expected)
-
-
-def test_aggregate_rejects_mismatched_relu_signs():
-    a = init_two_layer(8, 3, seed=0)
-    flipped = TwoLayerParams(hidden=a.hidden.copy(), signs=-a.signs)
-    with pytest.raises(ValueError):
-        TwoLayerParams.average([a, flipped])
+        for p in (linear, relu):
+            Y = [rng.standard_normal((2, 3) if p is linear else 3) for _ in range(n)]
+            batches = [LabeledBatch(X=rng.standard_normal((5, 3)), Y=y) for y in Y]
+            runs, average = local_round(p, batches, 0.05, 2, keep=True)
+            lasts = [iterates[-1] for iterates, _ in runs]
+            weights = [q.layers if p is linear else (q.hidden,) for q in lasts]
+            before = [[W.copy() for W in ws] for ws in weights]
+            mean = average()
+            got = mean.layers if p is linear else (mean.hidden,)
+            for i, W in enumerate(got):
+                assert np.array_equal(W, stacked_mean([ws[i] for ws in weights]))
+            for ws, ws0 in zip(weights, before):
+                assert all(np.array_equal(W, W0) for W, W0 in zip(ws, ws0))
+            if p is relu:
+                assert np.array_equal(mean.signs, p.signs)
 
 
 def test_full_participation_single_step_equals_centralized_gd():
@@ -235,6 +224,18 @@ def test_observer_sees_requested_rounds_with_full_trajectories():
     assert snap.trajectories[0][0] is params
 
 
+def test_a_snapshot_carries_the_average_the_run_applies():
+    # one server average per round: the object the observer sees is the one
+    # the next round starts from, or the run's result after the last round
+    params, batches = _workload(seed=5)
+    cfg = FederationConfig(n_clients=4, local_steps=2, rounds=4, eta=0.02, rate=0.5, seed=3)
+    seen = []
+    result = run_fedavg(cfg, params, batches, observer=seen.append)
+    assert [s.t for s in seen] == list(range(cfg.rounds))
+    applied = [s.global_params for s in seen[1:]] + [result.params]
+    assert all(s.averaged is after for s, after in zip(seen, applied))
+
+
 def test_observed_rounds_do_not_change_the_run():
     # observed rounds keep every local iterate, the others only the last one
     params, batches = _workload(seed=4, width=64)
@@ -257,7 +258,9 @@ def test_snapshot_iterates_outlive_the_run_unchanged():
     run_fedavg(cfg, params, batches, observer=seen.append)
     for snap in seen:
         for traj, c in zip(snap.trajectories, snap.members):
-            fresh, _ = local_trajectory(snap.global_params, batches[c], cfg.eta, cfg.local_steps)
+            ((fresh, _),), _ = local_round(
+                snap.global_params, [batches[c]], cfg.eta, cfg.local_steps, keep=True
+            )
             assert len(traj) == len(fresh) == cfg.local_steps + 1
             for a, b in zip(traj, fresh):
                 assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(a.layers, b.layers))
@@ -319,9 +322,9 @@ def test_rounds_match_the_dense_step_oracle(width, sizes, eta):
             for q, layers in zip(traj[1:], want[1:]):
                 for W, Wo, W0 in zip(q.layers, layers, start.layers):
                     assert np.linalg.norm(W - Wo) <= 1e-12 * np.linalg.norm(Wo - W0)
-            last.append(DeepLinearParams(layers=tuple(want[-1]), width=width))
-        average = DeepLinearParams.average(last)
-        for W, Wo, W0 in zip(after.layers, average.layers, start.layers):
+            last.append(want[-1])
+        average = [stacked_mean(arrays) for arrays in zip(*last)]
+        for W, Wo, W0 in zip(after.layers, average, start.layers):
             assert np.linalg.norm(W - Wo) <= 1e-12 * np.linalg.norm(Wo - W0)
 
 
@@ -561,7 +564,7 @@ def test_divergence_names_the_first_member_even_when_it_diverges_later():
     steps = {}
     for c in (0, 2):
         with pytest.raises(DivergenceError) as alone:
-            local_trajectory(params, batches[c], 1.0, 8)
+            local_round(params, [batches[c]], 1.0, 8)
         steps[c] = alone.value.step
     assert steps[2] < steps[0]
     cfg = FederationConfig(n_clients=4, local_steps=8, rounds=1, eta=1.0)

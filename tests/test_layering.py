@@ -8,7 +8,9 @@ and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
 thread count, so no other module knows when it is held. Local descent has
 one loop, `models._LocalDescent._descend`, which every parameter class
 inherits and runs on the client state that the class picks, and a round has
-one server sum, which `descend_round` forms as each client ends. A run's
+one server sum, which `descend_round` forms as each client ends and which
+is the only server average: a snapshot carries it, and the first-order
+probes score the averages their rounds formed. A run's
 loss series lives in `RunResult.losses` alone, a snapshot is a round's
 record with more fields, and only `analysis` computes the factor rho_t.
 """
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from fedspectra import analysis, federation, models
 from fedspectra.config import ExperimentConfig
 from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
@@ -83,11 +86,19 @@ def test_local_descent_has_one_loop(cls):
 
 def test_a_round_has_one_server_sum():
     # descend_round sums each last iterate as its client ends, kept or not;
-    # a call of the `average` classmethod (or its _mean) would be a second path
-    source = textwrap.dedent(inspect.getsource(_LocalDescent.descend_round))
+    # a parameter class that could average snapshots would be a second path
+    for cls in (DeepLinearParams, TwoLayerParams, _LocalDescent):
+        assert not hasattr(cls, "average")
+    assert "_mean" not in vars(models) and "local_trajectory" not in vars(federation)
+
+
+def test_first_order_scaling_scores_the_rounds_own_averages():
+    # both probes read the average a round formed as it ran: the eta probe's
+    # comes in as `averaged` (a snapshot's), the eta/2 probe's from its round
+    assert "averaged" in inspect.signature(analysis.first_order_scaling).parameters
+    source = textwrap.dedent(inspect.getsource(analysis.first_order_scaling))
     calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
-    called = {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
-    assert not called & {"average", "_mean"}
+    assert not [f for f in calls if isinstance(f, ast.Attribute) and f.attr == "average"]
 
 
 def test_only_analysis_computes_the_contraction_factor():
