@@ -10,11 +10,12 @@ convergence rate of federated training on this data.
 import numpy as np
 
 from fedspectra import (
-    check_ntk_trace,
+    LabeledBatch,
     gram_H_infinity,
     init_two_layer,
     spectrum,
     synth_linear_dataset,
+    verify,
 )
 
 ds, _ = synth_linear_dataset(d_in=16, d_out=1, n=64, seed=0)
@@ -23,7 +24,12 @@ s = spectrum(H)
 print(f"n = 64 unit-norm inputs: lambda_min = {s.lambda_min:.4f}, "
       f"lambda_max = {s.lambda_max:.4f}")
 
-rep = check_ntk_trace(ds.X)
+# ntk-trace reads only the run's data: one client holding every sample
+ctx = verify.RunContext(
+    (LabeledBatch(X=ds.X, Y=ds.Y.ravel()),), init_two_layer(64, 16, seed=0), s.lambda_min,
+    eta=0.05, local_steps=1,
+)
+(rep,) = verify.ntk_trace(ctx)
 print(f"trace identity |tr(H) - n/2| = {rep.measured:.2e} (ok={rep.passed})")
 
 print("\nwidth   max |H_m - H_inf|")

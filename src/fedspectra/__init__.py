@@ -8,25 +8,12 @@ executable inequality checks that explain why the training loss contracts.
 
 from .analysis import (
     BoundSeries,
-    CheckReport,
     FirstOrderReport,
     GramSpectrum,
     bound_series,
-    check_drift,
-    check_gram_floor,
-    check_init_spectra,
-    check_local_descent,
-    check_local_deviation,
-    check_local_drift,
-    check_ntk_trace,
-    drift_radius_deep_linear,
-    drift_radius_two_layer,
-    first_order_scaling,
     gram_H_infinity,
     gram_P0,
     gram_P0_lambda_min,
-    lambda_min_floor,
-    make_report,
     predict_first_order,
     sigma_min_nonzero,
     spectrum,
@@ -65,5 +52,6 @@ from .models import (
     vec_residual,
 )
 from .rng import stream
+from .verify import CheckReport, make_report
 
 __version__ = "0.1.0"

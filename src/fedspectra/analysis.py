@@ -1,4 +1,5 @@
-"""Gram matrices, spectra, contraction-rate bounds, and executable checks.
+"""Gram matrices, spectra, contraction-rate bounds and the first-order
+residual prediction: the mathematics that the verify checks measure with.
 
 Conventions used throughout:
 - flattened residuals follow the column-first order of vec_residual, so for a
@@ -9,18 +10,11 @@ Conventions used throughout:
   samples than input dimensions are rank-deficient by construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import local_round
-from .models import (
-    DeepLinearParams,
-    LabeledBatch,
-    input_chain,
-    output_chain,
-    vec_residual,
-)
+from .models import DeepLinearParams, input_chain, output_chain, vec_residual
 from .rng import stream
 
 _SYMMETRY_TOL = 1e-10
@@ -31,13 +25,6 @@ _SKETCH_OVERSAMPLE = 10
 # Rows per block when the sketch residual is summed.
 _RESIDUAL_BLOCK = 128
 
-# Largest gap |trace(H-infinity) - n/2| that ntk-trace accepts for unit-norm
-# inputs.
-_NTK_TRACE_TOL = 1e-10
-# Interior weight products are bounded by this constant times sqrt(depth), at
-# sqrt(width) per factor.
-_INTERIOR_CONSTANT = 10.0
-
 
 @dataclass(frozen=True)
 class GramSpectrum:
@@ -47,44 +34,6 @@ class GramSpectrum:
     lambda_min: float
     lambda_max: float
     eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one inequality check: passed ⟺ measured <= bound.
-
-    Lower-bound facts are reported in the same orientation by storing the
-    theoretical floor as `measured` and the observed quantity as `bound`; the
-    context dict keeps the raw named values either way.
-    """
-
-    name: str
-    passed: bool
-    measured: float
-    bound: float
-    slack: float
-    context: dict = field(default_factory=dict)
-
-
-def make_report(name, measured, bound, *, context=None) -> CheckReport:
-    measured = float(measured)
-    bound = float(bound)
-    passed = bool(measured <= bound)
-    return CheckReport(
-        name=name,
-        passed=passed,
-        measured=measured,
-        bound=bound,
-        slack=_slack(measured, bound),
-        context=dict(context or {}),
-    )
-
-
-def _slack(measured, bound) -> float:
-    """measured / bound for a positive bound, else 0 on a pass and inf on a fail."""
-    if bound > 0.0:
-        return measured / bound
-    return 0.0 if measured <= bound else float("inf")
 
 
 @dataclass(frozen=True)
@@ -222,51 +171,6 @@ def bound_series(loss0, eta, local_steps, n_clients, lambda_min, sizes) -> Bound
     return BoundSeries(rho, tuple(values))
 
 
-def lambda_min_floor(depth, sigma_min_x, d_out) -> float:
-    """Initialization-time floor 0.8^4 * depth * sigma_min(X)^2 / d_out for the
-    least structurally nonzero eigenvalue of gram_P0."""
-    if depth < 1 or d_out < 1:
-        raise ValueError("depth and d_out must be >= 1")
-    if sigma_min_x < 0.0:
-        raise ValueError("sigma_min_x must be nonnegative")
-    return 0.8**4 * depth * sigma_min_x**2 / d_out
-
-
-def check_gram_floor(p: DeepLinearParams, X) -> CheckReport:
-    """Floor vs the least nonzero eigenvalue of gram_P0 (see
-    gram_P0_lambda_min)."""
-    X = np.asarray(X, dtype=float)
-    floor = lambda_min_floor(p.depth, sigma_min_nonzero(X), p.d_out)
-    observed, r = gram_P0_lambda_min(p, X)
-    return make_report(
-        "gram-floor",
-        measured=floor,
-        bound=observed,
-        context={
-            "floor": floor,
-            "observed_lambda_min": observed,
-            "data_rank": r,
-            "width": p.width,
-            "depth": p.depth,
-        },
-    )
-
-
-def check_ntk_trace(X) -> CheckReport:
-    """For unit-norm inputs the closed-form infinite-width Gram matrix has
-    trace exactly n/2; checks the absolute gap against _NTK_TRACE_TOL. The
-    self-angle is 0, so the trace is sum |x_i|^2/2, built without the matrix."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    gap = abs(0.5 * float(np.vdot(X, X)) - 0.5 * n)
-    return make_report(
-        "ntk-trace",
-        measured=gap,
-        bound=_NTK_TRACE_TOL,
-        context={"n": n, "expected_trace": 0.5 * n},
-    )
-
-
 def _product_range(layers, start, stop):
     """Product layers[stop-1] @ ... @ layers[start] (0-based, half-open)."""
     P = None
@@ -279,185 +183,6 @@ def _spectral_norm(W) -> float:
     """sigma_max(W) as the root of W^T W's top eigenvalue, in about half the
     time of an SVD; squaring loses nothing at the top of the spectrum."""
     return float(np.sqrt(max(np.linalg.eigvalsh(W.T @ W)[-1], 0.0)))
-
-
-def check_init_spectra(p: DeepLinearParams, X) -> list:
-    """Initialization-scale checks on weight products and data features.
-
-    For each suffix product (layer i through the top, i >= 2, 1-based) the
-    extreme singular values must lie within [0.8, 1.2] of sqrt(width) per
-    factor; for each prefix product applied to the data (layers 1..j, j < L)
-    the same band holds relative to the extreme singular values of X; interior
-    products are checked against _INTERIOR_CONSTANT * sqrt(depth) at the same
-    per-factor scale. Lower bounds are reported floor-first, and rank-deficient
-    data uses its nonzero spectrum. Depth 1 has nothing to check and returns a
-    single vacuous-pass marker.
-    """
-    X = np.asarray(X, dtype=float)
-    L, m = p.depth, p.width
-    if L == 1:
-        return [
-            make_report(
-                "init-spectra:vacuous",
-                measured=0.0,
-                bound=0.0,
-                context={"reason": "depth 1 has no weight products to bound"},
-            )
-        ]
-    reports = []
-    # suffix products: layers i..L (1-based), L - i + 1 factors
-    for i in range(2, L + 1):
-        W = _product_range(p.layers, i - 1, L)
-        sv = np.linalg.svd(W, compute_uv=False)
-        unit = float(m) ** ((L - i + 1) / 2.0)
-        ctx = {"layers": f"{i}..{L}", "scale_unit": unit}
-        reports.append(
-            make_report(
-                f"init-suffix-sigma-max:{i}",
-                measured=sv[0],
-                bound=1.2 * unit,
-                context=ctx | {"observed_sigma_max": float(sv[0])},
-            )
-        )
-        reports.append(
-            make_report(
-                f"init-suffix-sigma-min:{i}",
-                measured=0.8 * unit,
-                bound=sv[-1],
-                context=ctx | {"floor": 0.8 * unit, "observed_sigma_min": float(sv[-1])},
-            )
-        )
-    # prefix products applied to the data: layers 1..j, j < L
-    sv_x = nonzero_singular_values(X)
-    if sv_x.size == 0:
-        raise ValueError("data are numerically zero")
-    r, smax_x, smin_x = sv_x.size, float(sv_x[0]), float(sv_x[-1])
-    for j in range(1, L):
-        WX = _product_range(p.layers, 0, j) @ X
-        sv = np.linalg.svd(WX, compute_uv=False)
-        # W X has rank <= width, so a width below the data's rank leaves
-        # its r-th singular value at 0
-        smin = float(sv[r - 1]) if r <= sv.size else 0.0
-        unit = float(m) ** (j / 2.0)
-        ctx = {"layers": f"1..{j}", "scale_unit": unit, "data_rank": r}
-        reports.append(
-            make_report(
-                f"init-prefix-data-sigma-max:{j}",
-                measured=sv[0],
-                bound=1.2 * unit * smax_x,
-                context=ctx | {"observed_sigma_max": float(sv[0])},
-            )
-        )
-        reports.append(
-            make_report(
-                f"init-prefix-data-sigma-min:{j}",
-                measured=0.8 * unit * smin_x,
-                bound=smin,
-                context=ctx | {"floor": 0.8 * unit * smin_x, "observed_sigma_min": smin},
-            )
-        )
-    # interior products: layers i..j with 2 <= i <= j <= L-1 (all square)
-    for i in range(2, L):
-        for j in range(i, L):
-            W = _product_range(p.layers, i - 1, j)
-            unit = float(m) ** ((j - i + 1) / 2.0)
-            reports.append(
-                make_report(
-                    f"init-interior-norm:{i}..{j}",
-                    measured=_spectral_norm(W),
-                    bound=_INTERIOR_CONSTANT * np.sqrt(L) * unit,
-                    context={"layers": f"{i}..{j}", "scale_unit": unit},
-                )
-            )
-    return reports
-
-
-def check_local_descent(local_losses, factor, lam) -> CheckReport:
-    """Per-step geometric decrease of the local training loss: the worst
-    step's squared-residual ratio against the step factor's power. The factor
-    comes from the Gram eigenvalue lam, which the context keeps (see
-    verify.local_descent)."""
-    losses = [float(v) for v in local_losses]
-    if not losses:
-        raise ValueError("need at least the starting loss")
-    base = losses[0]
-    worst_step, worst_slack, measured, bound = 0, None, 1.0, 1.0
-    if base > 0.0:
-        for k in range(1, len(losses)):
-            b = factor**k
-            ratio = losses[k] / base
-            slack = _slack(ratio, b)
-            if worst_slack is None or slack > worst_slack:
-                worst_step, worst_slack, measured, bound = k, slack, ratio, b
-    return make_report(
-        "local-descent",
-        measured=measured,
-        bound=bound,
-        context={
-            "factor": factor,
-            "worst_step": worst_step,
-            "steps": len(losses) - 1,
-            "lambda": float(lam),
-            "loss0": base,
-        },
-    )
-
-
-def stacked_residual(params_per_member, batches, members) -> np.ndarray:
-    """Flattened residuals of each member's parameters on that member's batch,
-    concatenated in member order (the stacked xi of the local-deviation bound)."""
-    return np.concatenate(
-        [
-            vec_residual(p.predict(batches[c].X), batches[c].Y)
-            for p, c in zip(params_per_member, members, strict=True)
-        ]
-    )
-
-
-def check_local_deviation(xi_k, xi_bar, coefficient, k, eta) -> CheckReport:
-    """Distance of the step-k stacked local residual from the broadcast-time
-    one, against coefficient * |xi_bar| (the coefficients are in
-    verify.local_deviation); k and eta go into the context."""
-    xi_k = np.asarray(xi_k, dtype=float)
-    xi_bar = np.asarray(xi_bar, dtype=float)
-    if xi_k.shape != xi_bar.shape:
-        raise ValueError("residual stacks must have equal shapes")
-    base = float(np.linalg.norm(xi_bar))
-    measured = float(np.linalg.norm(xi_k - xi_bar))
-    return make_report(
-        "local-deviation",
-        measured=measured,
-        bound=coefficient * base,
-        context={"k": int(k), "eta": float(eta), "coefficient": coefficient, "base_norm": base},
-    )
-
-
-def drift_radius_deep_linear(loss0, d_out, n_clients, norm_x, depth, sigma_min_x) -> float:
-    """Global parameter-drift radius 25*sqrt(B)*d_out*N^2*|X| / (L*sigma_min^2(X))
-    with B instantiated as the starting loss."""
-    if sigma_min_x <= 0.0:
-        raise ValueError("sigma_min_x must be positive")
-    return 25.0 * np.sqrt(loss0) * d_out * n_clients**2 * norm_x / (depth * sigma_min_x**2)
-
-
-def drift_radius_two_layer(n_clients, n_samples, init_residual_norm, width, lam) -> float:
-    """Per-neuron drift radius 9*N^2*sqrt(n)*|y(0)-y| / (sqrt(m)*lambda)."""
-    if lam <= 0.0 or width <= 0:
-        raise ValueError("lam and width must be positive")
-    return 9.0 * n_clients**2 * np.sqrt(n_samples) * init_residual_norm / (
-        np.sqrt(width) * lam
-    )
-
-
-def check_drift(params_now, params_init, radius, *, context=None) -> CheckReport:
-    """Largest parameter movement since initialization against a drift radius:
-    per-layer Frobenius norm for the linear network, per-neuron row norm for
-    the ReLU network. Pass radius from the matching drift_radius_* formula and
-    put the formula's inputs in context so the report is self-describing."""
-    measured, detail = params_now.drift(params_init)
-    ctx = dict(context or {})
-    ctx.update(detail)
-    return make_report("global-drift", measured=measured, bound=radius, context=ctx)
 
 
 def _low_rank_spectral_norm(D, rank, noise) -> float:
@@ -490,52 +215,6 @@ def _low_rank_spectral_norm(D, rank, noise) -> float:
             f"sketch residual {residual:g} > {floor:g}"
         )
     return float(np.linalg.svd(B, compute_uv=False)[0])
-
-
-def check_local_drift(trajectory, batch: LabeledBatch) -> list:
-    """Spectral-norm distance of each local iterate trajectory[k] (k >= 1)
-    from the broadcast weights trajectory[0], against 24*sqrt(d_out)*|X_c| /
-    (L*sigma_min^2(X_c)) times the client residual norm at broadcast time
-    (linear network only); one report per step k.
-
-    trajectory is one client's local gradient steps on `batch`. Each step
-    changes a layer by a matrix of rank at most min(n_c, d_out), so the
-    spectral norms at step k come from a sketch of rank k*min(n_c, d_out),
-    certified against the rounding of k updates (2*k*eps*|W_global|_F).
-    A client whose data are numerically zero (no samples, say) gets radius 0:
-    every gradient is a product with X_c, so its deltas are 0 too.
-    """
-    global_params = trajectory[0]
-    if not isinstance(global_params, DeepLinearParams):
-        raise TypeError("local drift bound applies to the linear network")
-    sv = nonzero_singular_values(batch.X)
-    resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
-    norm_xc = smin = radius = 0.0
-    if sv.size:
-        norm_xc, smin = float(sv[0]), float(sv[-1])
-        radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
-            global_params.depth * smin**2
-        ) * resid
-    norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
-    context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
-    reports = []
-    for k, local_params in enumerate(trajectory[1:], start=1):
-        rank = k * min(batch.n, global_params.d_out)
-        # each update rounds every entry of the layer once
-        rounding = k * np.finfo(float).eps
-        per_layer = tuple(
-            _low_rank_spectral_norm(Wl - Wg, rank, rounding * norm)
-            for Wl, Wg, norm in zip(local_params.layers, global_params.layers, norms_g)
-        )
-        reports.append(
-            make_report(
-                "local-drift",
-                measured=max(per_layer),
-                bound=radius,
-                context={"per_layer_spectral": per_layer} | context,
-            )
-        )
-    return reports
 
 
 def _gram_pairs(row_p, row_outs, p, X_c) -> list:
@@ -665,38 +344,3 @@ def predict_first_order(
         actual_error=actual_error,
         relative_error=relative_error,
     )
-
-
-def first_order_scaling(
-    params, init_params, batches, members, eta, local_steps, *, trajectories, averaged
-):
-    """Predict one round at eta and at eta/2 from the same state and return
-    the two FirstOrderReports plus the ratio of their absolute prediction
-    errors. A ratio near 4 is the signature of a second-order remainder.
-
-    Each probe scores the server average that its own round formed: at eta
-    the given round, its members' trajectories (aligned with sorted(members),
-    as in predict_first_order) and their average, e.g. a RoundSnapshot's; at
-    eta/2 one local_round of every member, on a client pool as a run's
-    rounds are. A depth-1 net is linear in its weights, so its prediction is
-    exact up to rounding: the eta/2 probe is skipped, and half and the ratio
-    are None.
-    """
-    X = np.hstack([b.X for b in batches])
-    Y = np.hstack([b.Y for b in batches])
-
-    def probe(e, trajs, averaged):
-        actual = vec_residual(averaged.predict(X), Y)
-        return predict_first_order(
-            params, init_params, trajs, batches, members, e, next_residual=actual
-        )
-
-    full = probe(eta, trajectories, averaged)
-    if params.depth == 1:
-        return full, None, None
-    own = [batches[c] for c in sorted(int(c) for c in members)]
-    runs, average = local_round(params, own, 0.5 * eta, local_steps, keep=True)
-    half = probe(0.5 * eta, [iterates for iterates, _ in runs], average())
-    if half.actual_error == 0.0:
-        raise ValueError("half-rate probe has zero error; scaling ratio undefined")
-    return full, half, full.actual_error / half.actual_error

@@ -81,6 +81,11 @@ class IdxData(Settings):
             raise ValueError("images: idx data needs both images and labels paths")
         if self.partition not in ("iid", "noniid"):
             raise ValueError(f"partition: expected 'iid' or 'noniid', got {self.partition!r}")
+        if self.partition == "iid" and self.classes_per_client != IdxData.classes_per_client:
+            raise ValueError(
+                "classes_per_client: applies to the noniid partition only; "
+                "iid data are dealt round-robin"
+            )
 
 
 @dataclass(frozen=True)
@@ -220,14 +225,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON for a parsed config, without the model sizes beside IDX
-    data; parse_config(serialize_config(c)) reproduces c exactly."""
+    data or classes_per_client beside iid data; parse_config(serialize_config(c))
+    reproduces c exactly."""
+    idx = isinstance(cfg.data, IdxData)
+    unset = {
+        "model": SYNTHETIC_SIZES if idx else (),
+        "data": ("classes_per_client",) if idx and cfg.data.partition == "iid" else (),
+    }
     doc = {}
     for f in dataclasses.fields(cfg):
         section = getattr(cfg, f.name)
         body = {"kind": getattr(section, "kind", None)}
         body.update((g.name, getattr(section, g.name)) for g in dataclasses.fields(section))
-        unset = SYNTHETIC_SIZES if f.name == "model" and isinstance(cfg.data, IdxData) else ()
-        body = {k: v for k, v in body.items() if v is not None and k not in unset}
+        body = {k: v for k, v in body.items() if v is not None and k not in unset.get(f.name, ())}
         if f.name == "federation" and section.schedule is not None:
             del body["rate"]
         if body:

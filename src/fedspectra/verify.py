@@ -1,23 +1,70 @@
 """The verify checks: the paper's inequalities as one table.
 
-Set-up checks take a RunContext. Per-round checks also take a RoundSnapshot
-and return one report per candidate (client, local step or bound form), with
-the round, client and step in its context. `fedspectra verify` keeps the
-worst report per name and round; the acceptance runs tally every report.
+Each check states its inequality whole: what it measures, its bound from the
+paper's formula and its reports, with `analysis` supplying only the
+mathematics it measures with. Set-up checks take a RunContext. Per-round
+checks also take a RoundSnapshot and return one report per candidate
+(client, local step or bound form), with the round, client and step in its
+context. `fedspectra verify` keeps the worst report per name and round; the
+acceptance runs tally every report.
 """
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import analysis
-from .federation import global_loss
-from .models import DeepLinearParams, TwoLayerParams
+from .federation import global_loss, local_round
+from .models import DeepLinearParams, TwoLayerParams, vec_residual
 
 LINEAR = DeepLinearParams.kind
 RELU = TwoLayerParams.kind
+
+# Largest gap |trace(H-infinity) - n/2| that ntk-trace accepts for unit-norm
+# inputs.
+_NTK_TRACE_TOL = 1e-10
+# Interior weight products are bounded by this constant times sqrt(depth), at
+# sqrt(width) per factor.
+_INTERIOR_CONSTANT = 10.0
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one inequality check: passed ⟺ measured <= bound.
+
+    Lower-bound facts are reported in the same orientation by storing the
+    theoretical floor as `measured` and the observed quantity as `bound`; the
+    context dict keeps the raw named values either way.
+    """
+
+    name: str
+    passed: bool
+    measured: float
+    bound: float
+    slack: float
+    context: dict = field(default_factory=dict)
+
+
+def make_report(name, measured, bound, *, context=None) -> CheckReport:
+    measured = float(measured)
+    bound = float(bound)
+    passed = bool(measured <= bound)
+    return CheckReport(
+        name=name,
+        passed=passed,
+        measured=measured,
+        bound=bound,
+        slack=_slack(measured, bound),
+        context=dict(context or {}),
+    )
+
+
+def _slack(measured, bound) -> float:
+    """measured / bound for a positive bound, else 0 on a pass and inf on a fail."""
+    if bound > 0.0:
+        return measured / bound
+    return 0.0 if measured <= bound else float("inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +118,17 @@ class RunContext:
 
     @cached_property
     def drift_radius(self) -> float:
+        """The global-drift radius: 25*sqrt(B)*d_out*N^2*|X| / (L*sigma_min^2(X))
+        with B the starting loss (linear), or per neuron
+        9*N^2*sqrt(n)*|y(0)-y| / (sqrt(m)*lambda) (ReLU)."""
         n_clients, p = len(self.batches), self.init_params
         if p.kind == LINEAR:
             smin = analysis.sigma_min_nonzero(self.X)
-            return analysis.drift_radius_deep_linear(
-                self.loss0, self.d_out, n_clients, self.norm_x, p.depth, smin
+            return 25.0 * np.sqrt(self.loss0) * self.d_out * n_clients**2 * self.norm_x / (
+                p.depth * smin**2
             )
-        return analysis.drift_radius_two_layer(
-            n_clients, self.X.shape[1], np.sqrt(2.0 * self.loss0), p.width, self.lambda_min
+        return 9.0 * n_clients**2 * np.sqrt(self.X.shape[1]) * np.sqrt(2.0 * self.loss0) / (
+            np.sqrt(p.width) * self.lambda_min
         )
 
 
@@ -90,27 +140,124 @@ def _literal_lambda_min_gram(Xc) -> float:
     return float(sv[-1] ** 2) if sv.size == Xc.shape[1] else 0.0
 
 
-def _at(report, **where):
-    return dataclasses.replace(report, context=report.context | where)
-
-
 def init_spectra(ctx):
-    return analysis.check_init_spectra(ctx.init_params, ctx.X)
+    """Initialization-scale windows on weight products and data features.
+
+    For each suffix product (layer i through the top, i >= 2, 1-based) the
+    extreme singular values must lie within [0.8, 1.2] of sqrt(width) per
+    factor; for each prefix product applied to the data (layers 1..j, j < L)
+    the same band holds relative to the extreme singular values of X; interior
+    products are checked against _INTERIOR_CONSTANT * sqrt(depth) at the same
+    per-factor scale. Lower bounds are reported floor-first, and rank-deficient
+    data uses its nonzero spectrum. Depth 1 has nothing to check and returns a
+    single vacuous-pass marker.
+    """
+    p, X = ctx.init_params, ctx.X
+    L, m = p.depth, p.width
+    if L == 1:
+        why = {"reason": "depth 1 has no weight products to bound"}
+        return [make_report("init-spectra:vacuous", measured=0.0, bound=0.0, context=why)]
+    reports = []
+    # suffix products: layers i..L (1-based), L - i + 1 factors
+    for i in range(2, L + 1):
+        W = analysis._product_range(p.layers, i - 1, L)
+        sv = np.linalg.svd(W, compute_uv=False)
+        unit = float(m) ** ((L - i + 1) / 2.0)
+        where = {"layers": f"{i}..{L}", "scale_unit": unit}
+        reports.append(
+            make_report(
+                f"init-suffix-sigma-max:{i}",
+                measured=sv[0],
+                bound=1.2 * unit,
+                context=where | {"observed_sigma_max": float(sv[0])},
+            )
+        )
+        reports.append(
+            make_report(
+                f"init-suffix-sigma-min:{i}",
+                measured=0.8 * unit,
+                bound=sv[-1],
+                context=where | {"floor": 0.8 * unit, "observed_sigma_min": float(sv[-1])},
+            )
+        )
+    # prefix products applied to the data: layers 1..j, j < L
+    sv_x = analysis.nonzero_singular_values(X)
+    if sv_x.size == 0:
+        raise ValueError("data are numerically zero")
+    r, smax_x, smin_x = sv_x.size, float(sv_x[0]), float(sv_x[-1])
+    for j in range(1, L):
+        WX = analysis._product_range(p.layers, 0, j) @ X
+        sv = np.linalg.svd(WX, compute_uv=False)
+        # W X has rank <= width, so a width below the data's rank leaves
+        # its r-th singular value at 0
+        smin = float(sv[r - 1]) if r <= sv.size else 0.0
+        unit = float(m) ** (j / 2.0)
+        where = {"layers": f"1..{j}", "scale_unit": unit, "data_rank": r}
+        reports.append(
+            make_report(
+                f"init-prefix-data-sigma-max:{j}",
+                measured=sv[0],
+                bound=1.2 * unit * smax_x,
+                context=where | {"observed_sigma_max": float(sv[0])},
+            )
+        )
+        reports.append(
+            make_report(
+                f"init-prefix-data-sigma-min:{j}",
+                measured=0.8 * unit * smin_x,
+                bound=smin,
+                context=where | {"floor": 0.8 * unit * smin_x, "observed_sigma_min": smin},
+            )
+        )
+    # interior products: layers i..j with 2 <= i <= j <= L-1 (all square)
+    for i in range(2, L):
+        for j in range(i, L):
+            W = analysis._product_range(p.layers, i - 1, j)
+            unit = float(m) ** ((j - i + 1) / 2.0)
+            reports.append(
+                make_report(
+                    f"init-interior-norm:{i}..{j}",
+                    measured=analysis._spectral_norm(W),
+                    bound=_INTERIOR_CONSTANT * np.sqrt(L) * unit,
+                    context={"layers": f"{i}..{j}", "scale_unit": unit},
+                )
+            )
+    return reports
 
 
 def gram_floor(ctx):
-    return [analysis.check_gram_floor(ctx.init_params, ctx.X)]
+    """The initialization-time floor 0.8^4 * depth * sigma_min(X)^2 / d_out
+    against the least nonzero eigenvalue of gram_P0 (see
+    analysis.gram_P0_lambda_min), floor-first."""
+    p = ctx.init_params
+    floor = 0.8**4 * p.depth * analysis.sigma_min_nonzero(ctx.X) ** 2 / p.d_out
+    observed, r = analysis.gram_P0_lambda_min(p, ctx.X)
+    context = {
+        "floor": floor,
+        "observed_lambda_min": observed,
+        "data_rank": r,
+        "width": p.width,
+        "depth": p.depth,
+    }
+    return [make_report("gram-floor", measured=floor, bound=observed, context=context)]
 
 
 def ntk_trace(ctx):
-    return [analysis.check_ntk_trace(ctx.X)]
+    """For unit-norm inputs the closed-form infinite-width Gram matrix has
+    trace exactly n/2: the absolute gap against _NTK_TRACE_TOL. The
+    self-angle is 0, so the trace is sum |x_i|^2/2, built without the matrix."""
+    n = ctx.X.shape[1]
+    gap = abs(0.5 * float(np.vdot(ctx.X, ctx.X)) - 0.5 * n)
+    context = {"n": n, "expected_trace": 0.5 * n}
+    return [make_report("ntk-trace", measured=gap, bound=_NTK_TRACE_TOL, context=context)]
 
 
 def local_descent(ctx, snap):
-    """One report per participant. The step factor is
-    1 - eta*depth*lam/(4*d_out) with lam the least eigenvalue of the client's
-    data Gram X_c^T X_c (linear), or 1 - eta*lam/2 with lam the least
-    H-infinity eigenvalue (ReLU)."""
+    """Per-step geometric decrease of each participant's local loss: the
+    worst step's ratio to the starting loss against the step factor's power.
+    The factor is 1 - eta*depth*lam/(4*d_out) with lam the least eigenvalue
+    of the client's data Gram X_c^T X_c (linear), or 1 - eta*lam/2 with lam
+    the least H-infinity eigenvalue (ReLU). One report per participant."""
     reports = []
     for losses, c in zip(snap.local_losses, snap.members):
         if ctx.init_params.kind == LINEAR:
@@ -119,62 +266,164 @@ def local_descent(ctx, snap):
         else:
             lam = ctx.lambda_min
             factor = 1.0 - ctx.eta * lam / 2.0
-        reports.append(_at(analysis.check_local_descent(losses, factor, lam), t=snap.t, client=c))
+        losses = [float(v) for v in losses]
+        base = losses[0]
+        worst_step, worst_slack, measured, bound = 0, None, 1.0, 1.0
+        if base > 0.0:
+            for k in range(1, len(losses)):
+                b = factor**k
+                ratio = losses[k] / base
+                slack = _slack(ratio, b)
+                if worst_slack is None or slack > worst_slack:
+                    worst_step, worst_slack, measured, bound = k, slack, ratio, b
+        context = {
+            "factor": factor,
+            "worst_step": worst_step,
+            "steps": len(losses) - 1,
+            "lambda": float(lam),
+            "loss0": base,
+            "t": snap.t,
+            "client": c,
+        }
+        reports.append(make_report("local-descent", measured, bound, context=context))
     return reports
 
 
 def local_deviation(ctx, snap):
-    """One report per local step k and bound: the coefficient of |xi_bar| is
-    57*k*eta*|X|^2/(10*d_out); the ReLU model adds the crude 2*eta*n*K as
-    local-deviation-crude."""
+    """Distance of the stacked local residual xi_k after local step k from
+    the broadcast-time one xi_bar, against a coefficient times |xi_bar|: the
+    coefficient is 57*k*eta*|X|^2/(10*d_out), and the ReLU model adds the
+    crude 2*eta*n*K as local-deviation-crude. One report per step and bound.
+    A stack concatenates each participant's flattened residual on its own
+    batch, in member order."""
     batches, members = ctx.batches, snap.members
-    xi_bar_S = analysis.stacked_residual([snap.global_params] * len(members), batches, members)
+
+    def stacked(params_per_member):
+        return np.concatenate(
+            [
+                vec_residual(p.predict(batches[c].X), batches[c].Y)
+                for p, c in zip(params_per_member, members, strict=True)
+            ]
+        )
+
+    xi_bar_S = stacked([snap.global_params] * len(members))
+    base = float(np.linalg.norm(xi_bar_S))
     reports = []
     for k in range(1, ctx.local_steps + 1):
-        xi_k = analysis.stacked_residual([traj[k] for traj in snap.trajectories], batches, members)
+        xi_k = stacked([traj[k] for traj in snap.trajectories])
+        measured = float(np.linalg.norm(xi_k - xi_bar_S))
         coefficients = {"local-deviation": 57.0 * k * ctx.eta * ctx.norm_x**2 / (10.0 * ctx.d_out)}
         if ctx.init_params.kind == RELU:
             coefficients["local-deviation-crude"] = 2.0 * ctx.eta * ctx.X.shape[1] * ctx.local_steps
         for name, coefficient in coefficients.items():
-            rep = analysis.check_local_deviation(xi_k, xi_bar_S, coefficient, k, ctx.eta)
-            reports.append(_at(dataclasses.replace(rep, name=name), t=snap.t))
+            context = {
+                "k": k, "eta": ctx.eta, "coefficient": coefficient, "base_norm": base, "t": snap.t,
+            }
+            reports.append(make_report(name, measured, coefficient * base, context=context))
     return reports
 
 
 def global_drift(ctx, snap):
+    """Largest parameter movement since initialization (params.drift: per
+    layer for the linear network, per neuron for the ReLU network) against
+    RunContext.drift_radius."""
+    measured, detail = snap.global_params.drift(ctx.init_params)
     radius = ctx.drift_radius
-    context = {"t": snap.t, "loss0": ctx.loss0, "radius": radius}
-    return [analysis.check_drift(snap.global_params, ctx.init_params, radius, context=context)]
+    context = {"t": snap.t, "loss0": ctx.loss0, "radius": radius} | detail
+    return [make_report("global-drift", measured=measured, bound=radius, context=context)]
 
 
 def local_drift(ctx, snap):
-    """One report per participant and local step."""
-    return [
-        _at(rep, t=snap.t, client=c, k=k)
-        for traj, c in zip(snap.trajectories, snap.members)
-        for k, rep in enumerate(analysis.check_local_drift(traj, ctx.batches[c]), start=1)
-    ]
+    """Spectral-norm distance of each local iterate (step k >= 1) from the
+    broadcast weights, against 24*sqrt(d_out)*|X_c| / (L*sigma_min^2(X_c))
+    times the client's residual norm at broadcast time (linear network
+    only). One report per participant and local step.
+
+    Each step changes a layer by a matrix of rank at most min(n_c, d_out),
+    so the spectral norms at step k come from a sketch of rank
+    k*min(n_c, d_out) (analysis._low_rank_spectral_norm), certified against
+    the rounding of k updates (2*k*eps*|W_global|_F). A client whose data
+    are numerically zero (no samples, say) gets radius 0: every gradient is
+    a product with X_c, so its deltas are 0 too.
+    """
+    reports = []
+    for traj, c in zip(snap.trajectories, snap.members):
+        batch, global_params = ctx.batches[c], traj[0]
+        sv = analysis.nonzero_singular_values(batch.X)
+        resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
+        norm_xc = smin = radius = 0.0
+        if sv.size:
+            norm_xc, smin = float(sv[0]), float(sv[-1])
+            radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
+                global_params.depth * smin**2
+            ) * resid
+        norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
+        context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
+        for k, local_params in enumerate(traj[1:], start=1):
+            rank = k * min(batch.n, global_params.d_out)
+            # each update rounds every entry of the layer once
+            rounding = k * np.finfo(float).eps
+            per_layer = tuple(
+                analysis._low_rank_spectral_norm(Wl - Wg, rank, rounding * norm)
+                for Wl, Wg, norm in zip(local_params.layers, global_params.layers, norms_g)
+            )
+            where = {"t": snap.t, "client": c, "k": k}
+            reports.append(
+                make_report(
+                    "local-drift",
+                    measured=max(per_layer),
+                    bound=radius,
+                    context={"per_layer_spectral": per_layer} | context | where,
+                )
+            )
+    return reports
 
 
 def first_order(ctx, snap):
-    """The first-order prediction's relative error, and the halving form: at
-    depth 1, where the prediction is exact, a vacuous pass with its reason."""
-    full, _, ratio = analysis.first_order_scaling(
-        snap.global_params, ctx.init_params, list(ctx.batches), list(snap.members),
-        ctx.eta, ctx.local_steps, trajectories=snap.trajectories, averaged=snap.averaged,
-    )
+    """The first-order prediction of the round's residual (see
+    analysis.predict_first_order): its relative error, and the halving form,
+    the ratio of its absolute errors at eta and at eta/2 against 4, the
+    signature of a second-order remainder.
+
+    Each probe scores the server average that its own round formed: at eta
+    the snapshot's round and average, at eta/2 one local_round of every
+    participant from the same state, on a client pool as a run's rounds
+    are. Where the ratio is undefined the halving form passes vacuously
+    with its reason: at depth 1, which is linear in its weights so that the
+    prediction is exact up to rounding and the eta/2 probe is skipped, and
+    when the eta/2 probe's error is exactly 0.
+    """
+    params, batches, members = snap.global_params, list(ctx.batches), list(snap.members)
+    Y = np.hstack([b.Y for b in batches])
+
+    def probe(eta, trajectories, averaged):
+        actual = vec_residual(averaged.predict(ctx.X), Y)
+        return analysis.predict_first_order(
+            params, ctx.init_params, trajectories, batches, members, eta, next_residual=actual
+        )
+
+    full = probe(ctx.eta, snap.trajectories, snap.averaged)
+    ratio, why = None, "depth 1 is linear in its weights: no remainder to halve"
+    if params.depth > 1:
+        own = [batches[c] for c in sorted(members)]
+        runs, average = local_round(params, own, 0.5 * ctx.eta, ctx.local_steps, keep=True)
+        half = probe(0.5 * ctx.eta, [iterates for iterates, _ in runs], average())
+        if half.actual_error == 0.0:
+            why = "the eta/2 probe's prediction error is 0: no remainder to halve"
+        else:
+            ratio = full.actual_error / half.actual_error
     terms = (
         "reconstruction_gap", "term_contraction", "term_gram_shift", "term_local_deviation",
     )
     halving = {"t": snap.t, "scaling_ratio": ratio}
     context = halving | {n: getattr(full, n) for n in terms}
-    relative = analysis.make_report(
+    relative = make_report(
         "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=context
     )
     if ratio is None:
-        why = {"t": snap.t, "reason": "depth 1 is linear in its weights: no remainder to halve"}
-        return [relative, analysis.make_report("first-order:halving-vacuous", 0, 0, context=why)]
-    halved = analysis.make_report("first-order:halving", abs(ratio - 4.0), 0.5, context=halving)
+        vacuous = {"t": snap.t, "reason": why}
+        return [relative, make_report("first-order:halving-vacuous", 0, 0, context=vacuous)]
+    halved = make_report("first-order:halving", abs(ratio - 4.0), 0.5, context=halving)
     return [relative, halved]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fedspectra import federation
+from fedspectra import analysis, federation
 
 
 @pytest.fixture
@@ -23,3 +23,18 @@ def usable_cores(monkeypatch):
         monkeypatch.setattr(federation, "_usable_cores", lambda: count)
 
     return usable
+
+
+@pytest.fixture
+def first_order_probes(monkeypatch):
+    """The FirstOrderReports of every analysis.predict_first_order call in
+    the test, in call order: verify.first_order makes its eta probe, then
+    its eta/2 probe."""
+    probes = []
+
+    def recorded(*args, _predict=analysis.predict_first_order, **kwargs):
+        probes.append(_predict(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(analysis, "predict_first_order", recorded)
+    return probes

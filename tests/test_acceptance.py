@@ -18,7 +18,7 @@ import pytest
 from fedspectra import analysis, verify
 from fedspectra.cli import EXIT_OK, main
 from fedspectra.data import partition_iid, synth_linear_dataset
-from fedspectra.federation import FederationConfig, run_fedavg
+from fedspectra.federation import FederationConfig, RoundSnapshot, run_fedavg
 from fedspectra.models import (
     LabeledBatch,
     TwoLayerParams,
@@ -49,6 +49,12 @@ def _relu_batches(d, n, n_clients, seed):
 
 def _initial_loss(params, batches):
     return sum(float(loss_of(params, b)) for b in batches)
+
+
+def _setup_context(params, ds):
+    """The run context of one client holding the whole dataset, as the
+    set-up checks read it: the data and the initial parameters."""
+    return verify.RunContext((LabeledBatch(X=ds.X, Y=ds.Y),), params, None, 0.01, 1)
 
 
 def _tallies(*keys):
@@ -98,9 +104,7 @@ def run4():
     result = run_fedavg(cfg, init, batches, observer=observer)
     state.elapsed = time.monotonic() - t0
     state.result = result
-    state.eta = eta
-    state.batches = batches
-    state.init = init
+    state.ctx = ctx
     return state
 
 
@@ -147,7 +151,8 @@ def run6_wide():
         n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
     )
     result = run_fedavg(cfg, init, batches, observer=observer)
-    _tally(state, "drift", [analysis.check_drift(result.params, init, ctx.drift_radius)])
+    end = RoundSnapshot(len(result.traces), (), (), result.params, (), None)
+    _tally(state, "drift", verify.global_drift(ctx, end))
     state.result = result
     return state
 
@@ -283,7 +288,7 @@ def test_criterion_07_gram_eigenvalue_floor():
     for seed in range(5):
         ds, _ = synth_linear_dataset(8, 2, 16, seed=seed)
         p = init_deep_linear(3, 512, 8, 2, seed=seed)
-        rep = analysis.check_gram_floor(p, ds.X)
+        (rep,) = verify.gram_floor(_setup_context(p, ds))
         assert rep.passed, f"seed {seed}: {rep}"
 
 
@@ -294,7 +299,7 @@ def test_criterion_08_initialization_spectra_bounds():
         p = init_deep_linear(3, 1000, 10, 5, seed=seed)
         reports = [
             r
-            for r in analysis.check_init_spectra(p, ds.X)
+            for r in verify.init_spectra(_setup_context(p, ds))
             if r.name.startswith(("init-suffix", "init-prefix"))
         ]
         assert len(reports) == 8
@@ -323,13 +328,11 @@ def test_criterion_10_hidden_row_drift_stays_in_radius(run6_wide):
     assert run6_wide.worst_drift <= 1.0
 
 
-def test_criterion_11_first_order_residual_prediction(run4):
+def test_criterion_11_first_order_residual_prediction(run4, first_order_probes):
     """Round-3 residual prediction: small error, quartering under eta halving."""
-    snap = run4.round3
-    full, half, ratio = analysis.first_order_scaling(
-        snap.global_params, run4.init, run4.batches, list(snap.members), run4.eta, 5,
-        trajectories=snap.trajectories, averaged=snap.averaged,
-    )
+    _, halved = verify.first_order(run4.ctx, run4.round3)
+    full, half = first_order_probes
+    ratio = halved.context["scaling_ratio"]
     assert full.relative_error <= 1e-2
     assert 3.5 <= ratio <= 4.5
     assert half.actual_error < full.actual_error

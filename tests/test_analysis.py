@@ -1,5 +1,8 @@
-"""Gram builders, spectra, bounds, checkers, and the first-order oracle."""
+"""Gram builders, spectra, bounds and the first-order oracle, and the verify
+checks that measure with them, each on a small run context and a hand-built
+round snapshot."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,31 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import analysis
+from fedspectra import analysis, verify
 from fedspectra.analysis import (
     bound_series,
-    check_drift,
-    check_gram_floor,
-    check_init_spectra,
-    check_local_descent,
-    check_local_deviation,
-    check_local_drift,
-    check_ntk_trace,
     contraction_factor,
-    drift_radius_deep_linear,
-    drift_radius_two_layer,
-    first_order_scaling,
     gram_H_infinity,
     gram_P0,
     gram_P0_lambda_min,
-    lambda_min_floor,
-    make_report,
     predict_first_order,
     sigma_min_nonzero,
     spectrum,
 )
 from fedspectra.data import partition_iid, synth_linear_dataset
-from fedspectra.federation import FederationConfig, local_round, run_fedavg
+from fedspectra.federation import FederationConfig, RoundSnapshot, local_round, run_fedavg
+from fedspectra.verify import make_report
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
@@ -59,6 +51,22 @@ def _perturbed(p: DeepLinearParams, scale, seed):
         layers=tuple(W + scale * rng.standard_normal(W.shape) for W in p.layers),
         width=p.width,
     )
+
+
+def _context(params, *batches, eta=0.01, steps=1, lambda_min=None):
+    """A run context over the given client batches, in client order."""
+    return verify.RunContext(batches, params, lambda_min, eta, steps)
+
+
+def _snapshot(params, trajectories=(), members=(0,), losses=(), averaged=None, t=0):
+    """Round t entered at params: the members' kept iterates, their local
+    losses and the round's average."""
+    return RoundSnapshot(t, tuple(members), losses, params, tuple(trajectories), averaged)
+
+
+def _linear_batch(p, X):
+    """X with zero targets, for a check that reads only the data."""
+    return LabeledBatch(X=X, Y=np.zeros((p.d_out, X.shape[1])))
 
 
 # ---------------------------------------------------------------- gram_P0 ----
@@ -174,8 +182,16 @@ def test_H_infinity_rejects_zero_column():
         gram_H_infinity(X)
 
 
+def _relu_context(X):
+    """A two-layer run context of one client holding X, whose stacked copy
+    of the data is already built."""
+    ctx = _context(init_two_layer(4, X.shape[0], seed=0), LabeledBatch(X=X, Y=np.zeros(X.shape[1])))
+    assert ctx.X.shape == X.shape
+    return ctx
+
+
 def test_ntk_trace_identity_for_unit_norm_inputs():
-    rep = check_ntk_trace(_unit_columns(6, 9, seed=2))
+    (rep,) = verify.ntk_trace(_relu_context(_unit_columns(6, 9, seed=2)))
     assert rep.passed and rep.measured <= 1e-10
 
 
@@ -186,7 +202,7 @@ def test_ntk_trace_agrees_with_the_trace_of_H_infinity(unit):
     if unit:
         X /= np.linalg.norm(X, axis=0)
     trace = float(np.trace(gram_H_infinity(X)))
-    rep = check_ntk_trace(X)
+    (rep,) = verify.ntk_trace(_relu_context(X))
     assert rep.context == {"n": 40, "expected_trace": 20.0} and rep.bound == 1e-10
     assert abs(rep.measured - abs(trace - 20.0)) <= 1e-12 * trace
     assert rep.passed == unit
@@ -194,9 +210,10 @@ def test_ntk_trace_agrees_with_the_trace_of_H_infinity(unit):
 
 def test_ntk_trace_builds_no_n_by_n_matrix():
     X = np.random.default_rng(6).standard_normal((16, 3000))
+    ctx = _relu_context(X)
     tracemalloc.start()
     try:
-        check_ntk_trace(X)
+        verify.ntk_trace(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,8 +328,12 @@ def test_bound_series_values_are_the_running_product_of_its_factors():
 
 
 def test_lambda_min_floor_values():
-    assert lambda_min_floor(3, 1.0, 1) == pytest.approx(1.2288)
-    assert lambda_min_floor(1, 0.0, 3) == 0.0
+    # gram-floor's floor 0.8^4 * depth * sigma_min(X)^2 / d_out, with
+    # sigma_min(I) = 1
+    for depth, d_out, floor in ((3, 1, 1.2288), (1, 3, 0.8**4 / 3)):
+        p = init_deep_linear(depth, 8, 4, d_out, seed=0)
+        (rep,) = verify.gram_floor(_context(p, _linear_batch(p, np.eye(4))))
+        assert rep.measured == rep.context["floor"] == pytest.approx(floor)
 
 
 # ------------------------------------------------------------------ checks ----
@@ -329,9 +350,13 @@ def test_make_report_orientation_and_slack():
     assert zero.passed and zero.slack == 0.0
 
 
+def _init_spectra(p, X):
+    return verify.init_spectra(_context(p, _linear_batch(p, X)))
+
+
 def test_check_init_spectra_depth_one_is_vacuous():
     p = DeepLinearParams(layers=(np.ones((2, 3)),), width=4)
-    reports = check_init_spectra(p, np.random.default_rng(0).standard_normal((3, 5)))
+    reports = _init_spectra(p, np.random.default_rng(0).standard_normal((3, 5)))
     assert len(reports) == 1
     assert reports[0].passed and "vacuous" in reports[0].name
 
@@ -339,7 +364,7 @@ def test_check_init_spectra_depth_one_is_vacuous():
 def test_check_init_spectra_report_inventory():
     p = init_deep_linear(3, 32, 4, 2, seed=0)
     X = np.random.default_rng(1).standard_normal((4, 6))
-    reports = check_init_spectra(p, X)
+    reports = _init_spectra(p, X)
     names = [r.name for r in reports]
     # depth 3: two suffix products, two prefix products, one interior block
     assert sum(n.startswith("init-suffix") for n in names) == 4
@@ -351,7 +376,7 @@ def test_check_init_spectra_report_inventory():
 def test_check_init_spectra_passes_at_moderate_width():
     ds, _ = synth_linear_dataset(10, 5, 32, seed=0)
     p = init_deep_linear(3, 1000, 10, 5, seed=0)
-    reports = check_init_spectra(p, ds.X)
+    reports = _init_spectra(p, ds.X)
     assert all(r.passed for r in reports)
 
 
@@ -360,7 +385,7 @@ def test_init_interior_norms_agree_with_the_dense_svd(width):
     # depth 4 has three interior products: layers 2..2, 2..3 and 3..3
     p = init_deep_linear(4, width, 10, 5, seed=width)
     X = np.random.default_rng(width).standard_normal((10, 32))
-    interior = [r for r in check_init_spectra(p, X) if r.name.startswith("init-interior")]
+    interior = [r for r in _init_spectra(p, X) if r.name.startswith("init-interior")]
     assert [r.name for r in interior] == [
         "init-interior-norm:2..2", "init-interior-norm:2..3", "init-interior-norm:3..3"
     ]
@@ -371,22 +396,31 @@ def test_init_interior_norms_agree_with_the_dense_svd(width):
         assert abs(r.measured - dense) <= 1e-12 * dense
 
 
+def _descent(losses, eta, lam=1.0):
+    """The local-descent report of one ReLU participant with these local
+    losses: its step factor is 1 - eta*lam/2."""
+    ctx = _context(init_two_layer(4, 2, seed=0), eta=eta, lambda_min=lam)
+    (rep,) = verify.local_descent(ctx, _snapshot(None, losses=(losses,)))
+    return rep
+
+
 def test_check_local_descent_trivial_cases():
     flat = [2.0, 2.0, 2.0]
-    rep = check_local_descent(flat, 1.0, 0.7)
+    rep = _descent(flat, eta=0.1, lam=0.0)  # factor 1
     assert rep.passed and rep.context["factor"] == 1.0
-    only_start = check_local_descent([5.0], 0.9, 0.7)
+    only_start = _descent([5.0], eta=0.2)  # factor 0.9
     assert only_start.passed and only_start.measured == 1.0
-    growing = check_local_descent([1.0, 2.0], 0.9, 0.5)
+    growing = _descent([1.0, 2.0], eta=0.2)
     assert not growing.passed
 
 
 def test_check_local_descent_reports_the_worst_step():
-    # ratios 0.75 and 0.725 against 0.95 and 0.9025: step 2 has the larger slack
-    rep = check_local_descent([4.0, 3.0, 2.9], 0.95, 1.0)
+    # factor 0.95: ratios 0.75 and 0.725 against 0.95 and 0.9025, so step 2
+    # has the larger slack
+    rep = _descent([4.0, 3.0, 2.9], eta=0.1)
     assert (rep.context["worst_step"], rep.measured, rep.bound) == (2, 0.725, 0.95**2)
     assert rep.passed and rep.context["factor"] == 0.95 and rep.context["lambda"] == 1.0
-    assert not check_local_descent([4.0, 3.9], 0.95, 1.0).passed
+    assert not _descent([4.0, 3.9], eta=0.1).passed
 
 
 def test_a_report_against_a_nonpositive_bound_has_no_negative_slack():
@@ -396,45 +430,69 @@ def test_a_report_against_a_nonpositive_bound_has_no_negative_slack():
     assert (fails.passed, fails.slack, passes.passed, passes.slack) == (False, np.inf, True, 0.0)
     assert make_report("x", 1.0, 4.0).slack == 0.25
     # a step factor of -0.5: step 1 cannot reach -0.5, step 2 reaches 0.25
-    rep = check_local_descent([4.0, 3.0, 0.5], -0.5, 1.0)
+    rep = _descent([4.0, 3.0, 0.5], eta=3.0)
     assert (rep.context["worst_step"], rep.passed, rep.slack) == (1, False, np.inf)
     # a factor of 0 with the loss at 0: every step meets its bound
-    rep = check_local_descent([4.0, 0.0, 0.0], 0.0, 1.0)
+    rep = _descent([4.0, 0.0, 0.0], eta=2.0)
     assert (rep.passed, rep.slack) == (True, 0.0)
 
 
 def test_check_local_deviation_bound_is_coefficient_times_base_norm():
-    xi = np.array([3.0, 4.0])
-    rep0 = check_local_deviation(xi, xi, 0.0, 0, 0.1)
-    assert rep0.passed and rep0.measured == 0.0 and rep0.bound == 0.0
-    moved = np.array([3.0, 4.5])
-    rep = check_local_deviation(moved, xi, 0.2, 2, 0.1)
-    assert (rep.measured, rep.bound) == (0.5, 0.2 * 5.0)
-    assert rep.context == {"k": 2, "eta": 0.1, "coefficient": 0.2, "base_norm": 5.0}
-    assert not check_local_deviation(moved, xi, 0.05, 2, 0.1).passed
-    with pytest.raises(ValueError):
-        check_local_deviation(xi, xi[:1], 1.0, 1, 0.1)
+    # one client of two unit samples whose residual at broadcast is (3, 4),
+    # and a step that moves the second prediction by 0.5
+    start = DeepLinearParams(layers=(np.zeros((1, 2)),), width=1)
+    moved = DeepLinearParams(layers=(np.array([[0.0, 0.5]]),), width=1)
+    batch = LabeledBatch(X=np.eye(2), Y=np.array([[-3.0, -4.0]]))
+
+    def deviation(step, eta):
+        (rep,) = verify.local_deviation(_context(start, batch, eta=eta), _snapshot(start, [step]))
+        return rep
+
+    rep0 = deviation((start, start), 0.1)
+    assert rep0.passed and rep0.measured == 0.0
+    rep = deviation((start, moved), 0.1)
+    coefficient = rep.context["coefficient"]
+    assert coefficient == pytest.approx(57.0 * 0.1 / 10.0)  # |X| = 1, k = 1, d_out = 1
+    assert (rep.measured, rep.bound) == (0.5, coefficient * 5.0)
+    assert rep.context == {"k": 1, "eta": 0.1, "coefficient": coefficient, "base_norm": 5.0, "t": 0}
+    assert not deviation((start, moved), 0.001).passed
 
 
 def test_drift_radius_plug_in_values():
-    assert drift_radius_two_layer(2, 4, 1.0, 100, 0.5) == pytest.approx(14.4)
-    # 25*sqrt(4)*3*2^2*1.5 / (3*0.5^2)
-    assert drift_radius_deep_linear(4.0, 3, 2, 1.5, 3, 0.5) == pytest.approx(1200.0)
+    X = np.random.default_rng(0).standard_normal((3, 8))
+    halves = (X[:, :4], X[:, 4:])
+    # 25*sqrt(B)*d_out*N^2*|X| / (L*sigma_min^2(X)), B the starting loss
+    p = init_deep_linear(3, 16, 3, 2, seed=0)
+    ctx = _context(p, *(LabeledBatch(X=Xc, Y=Xc[:2]) for Xc in halves))
+    sv = np.linalg.svd(X, compute_uv=False)
+    radius = 25.0 * np.sqrt(ctx.loss0) * 2 * 2**2 * sv[0] / (3 * sv[-1] ** 2)
+    assert ctx.drift_radius == pytest.approx(radius, rel=1e-12)
+    # 9*N^2*sqrt(n)*|y(0)-y| / (sqrt(m)*lambda), |y(0)-y| = sqrt(2 B)
+    q = init_two_layer(100, 3, seed=0)
+    ctx = _context(q, *(LabeledBatch(X=Xc, Y=Xc[0]) for Xc in halves), lambda_min=0.5)
+    radius = 9.0 * 2**2 * np.sqrt(8) * np.sqrt(2.0 * ctx.loss0) / (np.sqrt(100) * 0.5)
+    assert ctx.drift_radius == pytest.approx(radius, rel=1e-12)
+    (rep,) = verify.global_drift(ctx, _snapshot(q))
+    assert rep.bound == rep.context["radius"] == ctx.drift_radius
 
 
 def test_check_drift_zero_at_initialization():
+    X = np.random.default_rng(0).standard_normal((4, 6))
     p = init_deep_linear(3, 8, 4, 2, seed=0)
-    rep = check_drift(p, p, radius=1.0)
+    (rep,) = verify.global_drift(_context(p, LabeledBatch(X=X, Y=X[:2])), _snapshot(p))
     assert rep.passed and rep.measured == 0.0
     q = init_two_layer(8, 4, seed=0)
-    rep2 = check_drift(q, q, radius=0.5)
+    ctx = _context(q, LabeledBatch(X=X, Y=X[0]), lambda_min=0.5)
+    (rep2,) = verify.global_drift(ctx, _snapshot(q))
     assert rep2.passed and rep2.measured == 0.0
 
 
 def test_check_drift_fails_beyond_radius():
+    # targets equal to the initial predictions shrink the radius to about 0
     p = init_deep_linear(2, 4, 3, 2, seed=0)
+    X = np.random.default_rng(0).standard_normal((3, 5))
     moved = DeepLinearParams(layers=(p.layers[0] + 1.0, p.layers[1]), width=4)
-    rep = check_drift(moved, p, radius=1e-3)
+    (rep,) = verify.global_drift(_context(p, LabeledBatch(X=X, Y=p.predict(X))), _snapshot(moved))
     assert not rep.passed
 
 
@@ -450,14 +508,20 @@ def test_check_drift_fails_beyond_radius():
 )
 def test_check_drift_rejects_mismatched_architectures(now, init):
     with pytest.raises(ValueError, match="share an architecture"):
-        check_drift(now, init, radius=1.0)
+        verify.global_drift(_context(init), _snapshot(now))
+
+
+def _local_drift(trajectory, batch):
+    """local-drift's reports for one client's trajectory on its batch."""
+    p = trajectory[0]
+    return verify.local_drift(_context(p, batch), _snapshot(p, [trajectory]))
 
 
 def test_check_local_drift_zero_when_local_equals_global():
     ds, _ = synth_linear_dataset(4, 2, 8, seed=1)
     p = init_deep_linear(3, 8, 4, 2, seed=1)
     batch = LabeledBatch(X=ds.X, Y=ds.Y)
-    (rep,) = check_local_drift([p, p], batch)
+    (rep,) = _local_drift([p, p], batch)
     assert rep.passed and rep.measured == 0.0
 
 
@@ -466,7 +530,7 @@ def test_check_local_drift_passes_a_client_without_samples():
     p = init_deep_linear(2, 8, 4, 2, seed=1)
     batch = LabeledBatch(X=np.zeros((4, 0)), Y=np.zeros((2, 0)))
     (traj,), _ = _round(p, [batch], [0], 0.01, 2)
-    reports = check_local_drift(traj, batch)
+    reports = _local_drift(traj, batch)
     assert [(r.passed, r.measured, r.bound) for r in reports] == [(True, 0.0, 0.0)] * 2
 
 
@@ -483,7 +547,7 @@ def _client_trajectory(width, eta=2e-5, steps=3, seed=0):
 @pytest.mark.parametrize("width", [48, 256, 1000])
 def test_local_drift_sketch_agrees_with_dense_spectral_norms(width):
     p, batch, traj = _client_trajectory(width)
-    reports = check_local_drift(traj, batch)
+    reports = _local_drift(traj, batch)
     assert len(reports) == 3
     for k, rep in enumerate(reports, start=1):
         dense = [np.linalg.norm(Wl - Wg, ord=2) for Wl, Wg in zip(traj[k].layers, p.layers)]
@@ -493,8 +557,8 @@ def test_local_drift_sketch_agrees_with_dense_spectral_norms(width):
 
 def test_local_drift_sketch_is_reproducible():
     p, batch, traj = _client_trajectory(256)
-    first = check_local_drift(traj, batch)
-    assert [r.context for r in check_local_drift(traj, batch)] == [r.context for r in first]
+    first = _local_drift(traj, batch)
+    assert [r.context for r in _local_drift(traj, batch)] == [r.context for r in first]
 
 
 def test_local_drift_rejects_a_delta_above_the_rank_bound():
@@ -504,7 +568,7 @@ def test_local_drift_rejects_a_delta_above_the_rank_bound():
         layers=(p.layers[0], p.layers[1] + noise, p.layers[2]), width=p.width
     )
     with pytest.raises(ValueError, match="rank 5"):
-        check_local_drift([p, perturbed], batch)
+        _local_drift([p, perturbed], batch)
 
 
 def test_local_drift_fails_when_drift_exceeds_the_radius():
@@ -512,16 +576,16 @@ def test_local_drift_fails_when_drift_exceeds_the_radius():
     # targets within 1e-12 of the broadcast model's predictions shrink the
     # radius to almost nothing, while the local weights trained on real ones
     near = LabeledBatch(X=batch.X, Y=p.predict(batch.X) + 1e-12)
-    rep = check_local_drift(traj, near)[-1]
+    rep = _local_drift(traj, near)[-1]
     assert rep.measured > 0.0
     assert not rep.passed and rep.slack > 1.0
-    assert all(r.passed for r in check_local_drift(traj, batch))
+    assert all(r.passed for r in _local_drift(traj, batch))
 
 
 def test_check_gram_floor_on_a_moderate_instance():
     ds, _ = synth_linear_dataset(8, 2, 16, seed=0)
     p = init_deep_linear(3, 512, 8, 2, seed=0)
-    rep = check_gram_floor(p, ds.X)
+    (rep,) = verify.gram_floor(_context(p, LabeledBatch(X=ds.X, Y=ds.Y)))
     assert rep.passed
     assert rep.context["data_rank"] == 8
 
@@ -608,21 +672,28 @@ def test_predict_first_order_matches_the_dense_recursion():
     np.testing.assert_allclose(got, norms, rtol=0.0, atol=1e-10)
 
 
-def test_predict_first_order_prediction_is_accurate_and_eta_scaled():
+def _first_order_round(members):
+    """The run context of _round_state's run, and a hand-built snapshot of
+    its next round taken by `members`."""
     init, params, batches, cfg = _round_state()
-    members = [0, 1, 2]
+    ctx = _context(init, *batches, eta=cfg.eta, steps=cfg.local_steps)
     trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    full, half, ratio = first_order_scaling(
-        params, init, batches, members, cfg.eta, cfg.local_steps,
-        trajectories=trajs, averaged=averaged,
-    )
+    return ctx, _snapshot(params, trajs, members, averaged=averaged, t=2)
+
+
+def test_predict_first_order_prediction_is_accurate_and_eta_scaled(first_order_probes):
+    _, halved = verify.first_order(*_first_order_round([0, 1, 2]))
+    full, half = first_order_probes
+    ratio = halved.context["scaling_ratio"]
     assert full.relative_error <= 1e-2
     assert half.actual_error < full.actual_error
     assert 2.5 <= ratio <= 5.5  # quadratic remainder signature, loose band
 
 
-def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, usable_cores):
-    # the eta probe uses the round it is given; only the eta/2 probe trains,
+def test_first_order_scaling_predicts_from_the_given_trajectories(
+    monkeypatch, usable_cores, first_order_probes
+):
+    # the eta probe uses the snapshot's round; only the eta/2 probe trains,
     # every member in one round
     init, params, batches, cfg = _round_state()
     members = [0, 2]
@@ -636,6 +707,8 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, u
 
     trajs, averaged, want_full = probe(cfg.eta)
     _, _, want_half = probe(0.5 * cfg.eta)
+    ctx = _context(init, *batches, eta=cfg.eta, steps=cfg.local_steps)
+    snap = _snapshot(params, trajs, members, averaged=averaged)
     rounds = []
 
     def counted(self, round_batches, *args, _round=type(params).descend_round, **kwargs):
@@ -646,40 +719,38 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(monkeypatch, u
     for cores in (1, 2):
         usable_cores(cores)
         rounds.clear()
-        full, half, ratio = first_order_scaling(
-            params, init, batches, members, cfg.eta, cfg.local_steps,
-            trajectories=trajs, averaged=averaged,
-        )
+        first_order_probes.clear()
+        _, halved = verify.first_order(ctx, snap)
         # the probe's members descend on a client pool: one core runs them
         # serially, two side by side, unless BLAS cannot be held to one thread
         assert rounds == [(len(members), cores == 1 or blas_threads() is None)]
+        full, half = first_order_probes
         for got, want in ((full, want_full), (half, want_half)):
             np.testing.assert_array_equal(got.predicted, want.predicted)
             assert got.actual_error == want.actual_error
-        assert ratio == full.actual_error / half.actual_error
+        assert halved.context["scaling_ratio"] == full.actual_error / half.actual_error
 
 
-def test_first_order_scaling_scores_the_average_each_probe_round_formed(monkeypatch):
-    # the eta probe scores the average it is given, the eta/2 probe the
+def test_first_order_scaling_scores_the_average_each_probe_round_formed(
+    monkeypatch, first_order_probes
+):
+    # the eta probe scores the snapshot's average, the eta/2 probe the
     # average that its local_round summed as the round ran; neither averages
-    init, params, batches, cfg = _round_state()
-    members = [0, 2]
-    trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    ctx, snap = _first_order_round([0, 2])
     probes = []
 
-    def probe(*args, _round=analysis.local_round, **kwargs):
+    def probe(*args, _round=verify.local_round, **kwargs):
         runs, round_average = _round(*args, **kwargs)
         probes.append(round_average)
         return runs, round_average
 
-    monkeypatch.setattr(analysis, "local_round", probe)
-    X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
-    # any parameters handed in as the round's average are the ones scored
-    for given in (averaged, params):
-        full, half, _ = first_order_scaling(
-            params, init, batches, members, cfg.eta, cfg.local_steps,
-            trajectories=trajs, averaged=given,
-        )
+    monkeypatch.setattr(verify, "local_round", probe)
+    X, Y = ctx.X, np.hstack([b.Y for b in ctx.batches])
+    # any parameters a snapshot carries as its round's average are the ones scored
+    for given in (snap.averaged, snap.global_params):
+        first_order_probes.clear()
+        verify.first_order(ctx, dataclasses.replace(snap, averaged=given))
+        full, half = first_order_probes
         actual = vec_residual(given.predict(X), Y)
         assert full.actual_error == float(np.linalg.norm(actual - full.predicted))
         actual = vec_residual(probes.pop()().predict(X), Y)
@@ -687,19 +758,38 @@ def test_first_order_scaling_scores_the_average_each_probe_round_formed(monkeypa
     assert not probes
 
 
-def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(monkeypatch):
+def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(
+    monkeypatch, first_order_probes
+):
     # depth 1 is linear in its weights: the prediction is exact, so there is
     # no remainder whose scaling the eta/2 probe could measure
     ds, _ = synth_linear_dataset(4, 3, 12, seed=0)
     batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(12, 3)]
     init = init_deep_linear(1, 8, 4, 3, seed=0)
     trajs, averaged = _round(init, batches, [0, 1, 2], 0.01, 3)
-    monkeypatch.setattr(analysis, "local_round", None)
-    full, half, ratio = first_order_scaling(
-        init, init, batches, [0, 1, 2], 0.01, 3, trajectories=trajs, averaged=averaged
-    )
+    monkeypatch.setattr(verify, "local_round", None)
+    snap = _snapshot(init, trajs, [0, 1, 2], averaged=averaged)
+    relative, vacuous = verify.first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    (full,) = first_order_probes
     assert full.relative_error <= 1e-12
-    assert half is None and ratio is None
+    assert relative.context["scaling_ratio"] is None
+    assert vacuous.name == "first-order:halving-vacuous" and "depth 1" in vacuous.context["reason"]
+
+
+def test_first_order_passes_the_halving_form_vacuously_when_no_member_holds_a_sample():
+    # neither round moves, so both prediction errors are 0 and their ratio
+    # is undefined
+    ds, _ = synth_linear_dataset(2, 1, 2, seed=0)
+    empty = LabeledBatch(X=np.zeros((2, 0)), Y=np.zeros((1, 0)))
+    batches = [LabeledBatch(X=ds.X, Y=ds.Y), empty, empty]
+    init = init_deep_linear(3, 8, 2, 1, seed=0)
+    trajs, averaged = _round(init, batches, [1, 2], 0.01, 3)
+    snap = _snapshot(init, trajs, [1, 2], averaged=averaged)
+    relative, vacuous = verify.first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    assert relative.passed and relative.measured == 0.0
+    assert relative.context["scaling_ratio"] is None
+    assert vacuous.name == "first-order:halving-vacuous" and vacuous.passed
+    assert vacuous.context == {"t": 0, "reason": "the eta/2 probe's prediction error is 0: no remainder to halve"}
 
 
 def test_predict_first_order_validates_trajectories():

@@ -5,11 +5,12 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectra import cli, verify
@@ -146,9 +147,12 @@ def _configs(draw):
     idx, size = draw(st.booleans()), st.integers(1, 2**40)
     if idx:  # IDX data take the model's sizes from the files
         model = draw(st.builds(DeepLinearModel, size, size) | st.builds(TwoLayerModel, size))
+        partition = draw(st.sampled_from(["iid", "noniid"]))
+        # classes_per_client applies to the noniid partition only
+        classes = st.integers(1, 10) if partition == "noniid" else st.just(3)
         data = draw(
             st.builds(IdxData, st.text(), st.text(), st.none() | st.integers(1, 10**6),
-                      st.integers(1, 10), st.sampled_from(["iid", "noniid"]), st.booleans())
+                      classes, st.just(partition), st.booleans())
         )
     else:
         model = draw(
@@ -274,8 +278,25 @@ _DEFAULT_LINEAR_MODEL = {"kind": "deep-linear", "width": 500, "depth": 3, "d_in"
                 "analysis": {"max_gram_dim": 1024},
             },
         ),
+        (
+            # IDX data leave out the model sizes, and iid data classes_per_client
+            {"data": {"kind": "idx", "images": "i", "labels": "l", "partition": "iid"}},
+            {
+                "model": {"kind": "deep-linear", "width": 500, "depth": 3},
+                "data": {
+                    "kind": "idx", "images": "i", "labels": "l", "partition": "iid",
+                    "preprocess": False,
+                },
+                "federation": {
+                    "n_clients": 20, "local_steps": 5, "rounds": 100, "eta": 0.0005,
+                    "rate": 1.0, "seed": 0,
+                },
+                "sweep": _DEFAULT_SWEEP,
+                "analysis": {"max_gram_dim": 1024},
+            },
+        ),
     ],
-    ids=["default-linear", "relu-schedule-verify-sweep", "idx"],
+    ids=["default-linear", "relu-schedule-verify-sweep", "idx", "idx-iid"],
 )
 def test_serialize_text_is_pinned(doc, expected):
     # trace.json and verify.json echo this text, so its key order is part of
@@ -411,6 +432,9 @@ CONFIG_ERRORS = [
     # partition vs data kind
     ({"data": {"partition": "noniid"}}, "data.partition: unknown key"),
     (_idx(partition="bogus"), "data.partition: expected 'iid' or 'noniid', got 'bogus'"),
+    (_idx(partition="iid", classes_per_client=2),
+     "data.classes_per_client: applies to the noniid partition only; "
+     "iid data are dealt round-robin"),
     ({"data": {"kind": "idx", "images": "i"}},
      "data.images: idx data needs both images and labels paths"),
     ({"data": {"kind": "idx", "labels": "l"}},
@@ -1275,6 +1299,45 @@ def test_verify_passes_the_halving_form_vacuously_at_depth_one(tmp_path, monkeyp
     assert len(rounds) == doc["federation"]["rounds"]  # no eta/2 probe trained
 
 
+# Round-robin deals clients 0 and 1 one sample each and the other six none;
+# observed round 3 draws clients 3 and 7, so neither first-order probe moves
+ZERO_ERROR_PROBE = {
+    "model": {"kind": "deep-linear", "width": 8, "depth": 3, "d_in": 2, "d_out": 1},
+    "data": {"kind": "synthetic", "n": 2},
+    "federation": {
+        "n_clients": 8, "local_steps": 3, "rounds": 4, "eta": 0.01, "rate": 0.2, "seed": 4,
+    },
+}
+
+
+def test_verify_passes_the_halving_form_vacuously_when_the_half_rate_error_is_zero(tmp_path):
+    cfg = _write(tmp_path, "c.json", ZERO_ERROR_PROBE)
+    out = tmp_path / "out"
+    # width 8 is too narrow for the init-spectra windows, and only for them
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERIFY_FAILED
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert {c["name"].split(":")[0] for c in checks if not c["passed"]} == {
+        "init-suffix-sigma-min", "init-prefix-data-sigma-min"
+    }
+    by_round = {}
+    for c in checks:
+        if "t" in c["context"]:
+            by_round.setdefault(c["context"]["t"], []).append(c["name"])
+    each = [
+        "local-descent", "local-deviation", "global-drift", "local-drift",
+        "first-order:relative-error",
+    ]
+    assert by_round == {
+        0: each + ["first-order:halving"],
+        2: each + ["first-order:halving"],
+        3: each + ["first-order:halving-vacuous"],
+    }
+    (vacuous,) = [c for c in checks if c["name"] == "first-order:halving-vacuous"]
+    assert vacuous["context"] == {
+        "t": 3, "reason": "the eta/2 probe's prediction error is 0: no remainder to halve"
+    }
+
+
 def test_verify_observes_its_rounds_past_the_stop_loss_fraction(tmp_path):
     # train stops after one round here; verify still checks round 30
     doc = {
@@ -1364,3 +1427,65 @@ def test_verify_local_drift_passes_clients_without_samples(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
     checks = json.loads((out / "verify.json").read_text())["checks"]
     assert [c["name"] for c in checks] == ["local-drift"] * 2
+
+
+# ------------------------------------------------------------- config fuzz ----
+
+
+@st.composite
+def _small_synthetic_runs(draw):
+    """A command and a small synthetic config: width <= 32, n <= 40, <= 8
+    clients, <= 4 rounds and eta from 1e-4 to 1e3, some with a schedule, a
+    stop fraction, a small max_gram_dim or verify.checks/verify.rounds
+    subsets. Sizes stay small, so that no draw allocates much memory."""
+    width = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        sizes = st.fixed_dictionaries(
+            {"depth": st.integers(1, 3), "d_in": st.integers(1, 4), "d_out": st.integers(1, 3)}
+        )
+        model = {"kind": "deep-linear", "width": width, **draw(sizes)}
+    else:
+        model = {"kind": "two-layer-relu", "width": width, "dim": draw(st.integers(1, 4))}
+    n_clients, rounds = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    federation = {
+        "n_clients": n_clients,
+        "local_steps": draw(st.integers(1, 3)),
+        "rounds": rounds,
+        "eta": 10.0 ** draw(st.floats(-4.0, 3.0)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    if draw(st.booleans()):
+        members = st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True)
+        federation["schedule"] = [draw(members) for _ in range(rounds)]
+    else:
+        federation["rate"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+    if draw(st.booleans()):
+        federation["stop_loss_fraction"] = draw(st.floats(1e-3, 1.0))
+    doc = {
+        "model": model,
+        "data": {"kind": "synthetic", "n": draw(st.integers(1, 40)), "preprocess": draw(st.booleans())},
+        "federation": federation,
+        "sweep": {"rates": [0.5, 1.0], "seeds": draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))},
+        "verify": {},
+    }
+    if draw(st.booleans()):
+        doc["analysis"] = {"max_gram_dim": draw(st.integers(1, 16))}
+    if draw(st.booleans()):
+        names = st.sampled_from(verify.known_checks(model["kind"]))
+        doc["verify"]["checks"] = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    if rounds and draw(st.booleans()):
+        doc["verify"]["rounds"] = draw(st.lists(st.integers(0, rounds - 1), max_size=2, unique=True))
+    return draw(st.sampled_from(["train", "verify", "sweep"])), doc
+
+
+# Budget: 200 draws in 5 s on 2 cores (2 s measured). Derandomized, so
+# every run of the suite checks the same draws.
+@settings(deadline=None, max_examples=200, derandomize=True)
+@example(run=("verify", ZERO_ERROR_PROBE))
+@given(run=_small_synthetic_runs())
+def test_small_synthetic_configs_end_in_an_exit_code(run):
+    command, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "c.json", doc)
+        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_DIVERGED, EXIT_CONFIG)

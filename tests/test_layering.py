@@ -13,6 +13,7 @@ is the only server average: a snapshot carries it, and the first-order
 probes score the averages their rounds formed. A run's
 loss series lives in `RunResult.losses` alone, a snapshot is a round's
 record with more fields, and only `analysis` computes the factor rho_t.
+Each check is one function in `verify`, and `analysis` builds no report.
 """
 
 import ast
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from fedspectra import analysis, federation, models
+from fedspectra import analysis, federation, models, verify
 from fedspectra.config import ExperimentConfig
 from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
@@ -50,9 +51,11 @@ def _imported(module) -> set:
 
 
 def _names(module) -> set:
-    """Every name, attribute and imported name that `module` mentions."""
+    """Every name, attribute, imported name and definition that `module`
+    mentions."""
     nodes = list(ast.walk(ast.parse((SRC / f"{module}.py").read_text())))
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
     return names
@@ -94,11 +97,21 @@ def test_a_round_has_one_server_sum():
 
 def test_first_order_scaling_scores_the_rounds_own_averages():
     # both probes read the average a round formed as it ran: the eta probe's
-    # comes in as `averaged` (a snapshot's), the eta/2 probe's from its round
-    assert "averaged" in inspect.signature(analysis.first_order_scaling).parameters
-    source = textwrap.dedent(inspect.getsource(analysis.first_order_scaling))
-    calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    # is the snapshot's `averaged`, the eta/2 probe's comes from its round
+    tree = ast.parse(textwrap.dedent(inspect.getsource(verify.first_order)))
+    nodes = list(ast.walk(tree))
+    assert "averaged" in {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    calls = [n.func for n in nodes if isinstance(n, ast.Call)]
     assert not [f for f in calls if isinstance(f, ast.Attribute) and f.attr == "average"]
+
+
+def test_each_check_is_written_once_in_verify():
+    # a check's measured value, bound and report live in its CHECKS
+    # function; analysis keeps the mathematics that the checks measure with
+    assert all(fn.__module__ == verify.__name__ for *_, fn in verify.CHECKS.values())
+    assert not [name for name in vars(analysis) if name.startswith("check_")]
+    assert not _names("analysis") & {"make_report", "CheckReport"}
+    assert "federation" not in _imported("analysis")
 
 
 def test_only_analysis_computes_the_contraction_factor():

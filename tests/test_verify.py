@@ -95,8 +95,8 @@ def test_select_defaults_to_the_first_middle_and_last_round(T, expected):
 def test_worst_per_name_keeps_a_failing_report_against_a_negative_bound():
     # a gram-floor whose observed eigenvalue rounds below zero fails, and
     # must outrank a passing report of the same name whatever their order
-    failing = analysis.make_report("gram-floor", 1.1, -5.7e-16)
-    passing = analysis.make_report("gram-floor", 0.5, 1.0)
+    failing = verify.make_report("gram-floor", 1.1, -5.7e-16)
+    passing = verify.make_report("gram-floor", 0.5, 1.0)
     assert not failing.passed and failing.slack > passing.slack
     for reports in ([passing, failing], [failing, passing]):
         assert verify.worst_per_name(reports) == [failing]
