@@ -15,11 +15,9 @@ from .analysis import (
     gram_P0,
     gram_P0_lambda_min,
     predict_first_order,
-    sigma_min_nonzero,
     spectrum,
 )
 from .data import (
-    Dataset,
     IdxFormatError,
     load_idx,
     partition_iid,

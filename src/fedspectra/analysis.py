@@ -82,14 +82,6 @@ def _nonzero(sv, shape) -> np.ndarray:
     return sv[sv > max(shape) * np.finfo(float).eps * sv[0]]
 
 
-def sigma_min_nonzero(M) -> float:
-    """Smallest numerically nonzero singular value."""
-    sv = nonzero_singular_values(M)
-    if sv.size == 0:
-        raise ValueError("matrix is numerically zero")
-    return float(sv[-1])
-
-
 def gram_P0(p: DeepLinearParams, X) -> np.ndarray:
     """Symmetric Gram matrix of the linear network's per-layer feature maps.
 

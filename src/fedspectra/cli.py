@@ -24,7 +24,6 @@ from .config import (
     serialize_config,
 )
 from .data import (
-    Dataset,
     IdxFormatError,
     gather_columns,
     load_idx,
@@ -62,7 +61,7 @@ def _load_dataset(cfg: ExperimentConfig):
         s = cfg.data.subset
         if s > ds.n:
             raise ConfigError(f"data.subset: {s} exceeds the {ds.n} available samples")
-        ds = Dataset(X=ds.X[:, :s], Y=ds.Y[:, :s], labels=ds.labels[:s])
+        ds = LabeledBatch(X=ds.X[:, :s], Y=ds.Y[:, :s], labels=ds.labels[:s])
     return ds
 
 
@@ -74,6 +73,16 @@ def _refuse_blank_images(X, index, need):
         raise ConfigError(
             f"data.images: image {blank.min()} is all zeros; {need} needs every image nonzero"
         )
+
+
+def _refuse_zero_data(cfg, batches):
+    """Raise the config error for IDX data whose every image that the
+    clients hold is all zeros: such data have no spectrum to bound.
+    Preprocessing has refused any blank image already, and synthetic
+    columns have unit norm."""
+    if isinstance(cfg.data, IdxData) and not cfg.data.preprocess:
+        if not any(b.X.any() for b in batches):
+            raise ConfigError("data.images: every image that the clients hold is all zeros")
 
 
 def _prepare_data(cfg: ExperimentConfig) -> tuple:
@@ -121,11 +130,13 @@ def build_experiment(cfg: ExperimentConfig, data=None) -> verify.RunContext:
         perturbed_columns=perturbed, dropped_samples=dropped,
     )
     if ctx.gram_dim > cfg.analysis.max_gram_dim:
+        _refuse_zero_data(cfg, batches)
         return ctx
     # the stacked data live only here: a context that cached them would hold
     # a second copy of the data through training
     X = np.hstack([b.X for b in batches])
     if isinstance(m, DeepLinearModel):
+        _refuse_zero_data(cfg, batches)
         return dataclasses.replace(ctx, lambda_min=analysis.gram_P0_lambda_min(init, X)[0])
     _refuse_blank_images(X, np.concatenate(index_lists), "the H-infinity Gram matrix")
     spec = analysis.spectrum(analysis.gram_H_infinity(X))

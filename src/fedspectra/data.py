@@ -1,11 +1,15 @@
-"""Dataset ingestion, synthetic teacher data, preprocessing, and partitioners."""
+"""Data ingestion, synthetic teacher data, preprocessing, and partitioners.
+
+The loaders, preprocessing and the label-skew split pass samples as one
+models.LabeledBatch, the type of each client's batch too.
+"""
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from .models import LabeledBatch
 from .rng import stream
 
 IMAGE_MAGIC = 0x00000803
@@ -20,31 +24,6 @@ class IdxFormatError(ValueError):
     """Malformed IDX file; the message names the offending field."""
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Feature columns X, targets Y, and optional integer class labels."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if self.Y.shape[-1] != self.X.shape[1]:
-            raise ValueError("X and Y must agree on the sample count")
-        if self.labels is not None:
-            if self.labels.shape != (self.X.shape[1],):
-                raise ValueError("labels must have one entry per sample")
-            if self.labels.size and self.Y.ndim == 2:
-                if self.labels.min() < 0 or self.labels.max() >= self.Y.shape[0]:
-                    raise ValueError("labels out of range for the target rows")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[1]
-
-
 def _read_exact(f, nbytes, path, what):
     # checked before reading: a read allocates every byte it asks for, and a header
     # may claim more than memory holds or an index can count
@@ -53,7 +32,7 @@ def _read_exact(f, nbytes, path, what):
     return f.read(nbytes)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
+def load_idx(images_path, labels_path) -> LabeledBatch:
     """Decode a big-endian IDX image/label file pair.
 
     Pixels are scaled to [0, 1] and each image is flattened column-first into
@@ -103,7 +82,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     Y = np.zeros((num_classes, count))
     if count:
         Y[labels, np.arange(count)] = 1.0
-    return Dataset(X=X, Y=Y, labels=labels)
+    return LabeledBatch(X=X, Y=Y, labels=labels)
 
 
 def save_idx(images_path, labels_path, X, labels, image_shape):
@@ -126,8 +105,8 @@ def save_idx(images_path, labels_path, X, labels, image_shape):
 def synth_linear_dataset(d_in, d_out, n, seed):
     """Teacher-generated regression data: unit-norm X columns, Y = W_star @ X.
 
-    Returns (Dataset, W_star). X is resampled until its least singular value
-    clears 1e-8, which needs n >= d_in.
+    Returns (LabeledBatch, W_star). X is resampled until its least singular
+    value clears 1e-8, which needs n >= d_in.
     """
     if n < d_in:
         raise ValueError(f"need n >= d_in for full row rank, got n={n} d_in={d_in}")
@@ -141,10 +120,10 @@ def synth_linear_dataset(d_in, d_out, n, seed):
         if np.linalg.svd(X, compute_uv=False)[-1] > 1e-8:
             break
     W_star = rng.standard_normal((d_out, d_in))
-    return Dataset(X=X, Y=W_star @ X), W_star
+    return LabeledBatch(X=X, Y=W_star @ X), W_star
 
 
-def partition_noniid(ds: Dataset, n_clients, classes_per_client, seed) -> tuple:
+def partition_noniid(ds: LabeledBatch, n_clients, classes_per_client, seed) -> tuple:
     """Label-skew split: each client draws a fixed number of classes, then each
     class's samples are dealt round-robin among the clients holding it.
 
@@ -385,13 +364,13 @@ def _column_norms(X) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def preprocess_unit_norm(ds: Dataset):
+def preprocess_unit_norm(ds: LabeledBatch):
     """Scale feature columns to unit norm and break up parallel pairs.
 
     When a column is parallel (within 1e-6 rad, either sign) to an earlier
     one, it is nudged by deterministic normal noise of scale 1e-3 and
     renormalized, until it is parallel to none; later columns are compared
-    with the nudged value. Returns (Dataset, number of perturbed columns).
+    with the nudged value. Returns (LabeledBatch, number of perturbed columns).
 
     A screen on sorted projections (`_Screen`) first flags every column with
     an earlier candidate: a column whose projections all lie close enough to
@@ -435,4 +414,4 @@ def preprocess_unit_norm(ds: Dataset):
         if attempt:
             perturbed += 1
             flagged[screen.record_nudge(j)] = True
-    return Dataset(X=X, Y=ds.Y, labels=ds.labels), perturbed
+    return LabeledBatch(X=X, Y=ds.Y, labels=ds.labels), perturbed

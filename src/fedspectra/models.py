@@ -22,14 +22,17 @@ from .rng import stream
 
 @dataclass(frozen=True, eq=False)
 class LabeledBatch:
-    """A block of samples: feature columns X and aligned targets Y.
+    """A block of samples: feature columns X, aligned targets Y and
+    optional integer class labels, from the data files to each client.
 
     Y is a (d_out, n) matrix for the deep linear model and a length-n
-    vector for the scalar-output ReLU model.
+    vector for the scalar-output ReLU model; a 2-D Y with labels has one
+    row per class.
     """
 
     X: np.ndarray
     Y: np.ndarray
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2:
@@ -41,6 +44,12 @@ class LabeledBatch:
                 f"sample count mismatch: X has {self.X.shape[1]} columns, "
                 f"Y has {self.Y.shape[-1]}"
             )
+        if self.labels is not None:
+            if self.labels.shape != (self.X.shape[1],):
+                raise ValueError("labels must have one entry per sample")
+            if self.labels.size and self.Y.ndim == 2:
+                if self.labels.min() < 0 or self.labels.max() >= self.Y.shape[0]:
+                    raise ValueError("labels out of range for the target rows")
 
     @property
     def n(self) -> int:
@@ -160,8 +169,8 @@ class _LocalDescent:
         runs, total = [], None
         # each client's state is made as `map` takes the client, in the
         # calling thread, so a thread pool's threads keep no weights of their own
-        clients = ((b, self._client(b, steps)) for b in batches)
-        for iterates, losses in map(lambda c: self._descend(*c, eta, steps, keep), clients):
+        clients = (self._client(b, steps) for b in batches)
+        for iterates, losses in map(lambda c: self._descend(c, eta, steps, keep), clients):
             runs.append((iterates if keep else (), losses))
             if total is None:
                 total = [W.copy() for W in iterates[-1]._weights()]
@@ -183,9 +192,9 @@ class _LocalDescent:
         """The state of one client's `steps` steps from self on batch: a copy of self's weights."""
         return _DenseClient(self, batch, steps)
 
-    def _descend(self, batch: LabeledBatch, client, eta, steps, keep) -> tuple:
+    def _descend(self, client, eta, steps, keep) -> tuple:
         """One client's `steps` full-batch gradient steps from self, taken on
-        client, the state _client made for batch. Returns (iterates, losses)
+        client, the state _client made for its batch. Returns (iterates, losses)
         as descend_round describes a run, but with the last iterate alone
         when not keep."""
         iterates, losses = [self], []

@@ -108,13 +108,31 @@ class RunContext:
         return global_loss(self.init_params, self.batches)
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        """X's nonzero singular values, descending: the one SVD of the data
+        that every check reads. Set-up refuses data that have none."""
+        sv = analysis.nonzero_singular_values(self.X)
+        if sv.size == 0:
+            raise ValueError("data are numerically zero")
+        return sv
+
+    @cached_property
+    def client_singular_values(self) -> tuple:
+        """Each client's nonzero singular values of X_c, descending."""
+        return tuple(analysis.nonzero_singular_values(b.X) for b in self.batches)
+
+    @cached_property
     def norm_x(self) -> float:
-        return float(np.linalg.norm(self.X, ord=2))
+        return float(self.singular_values[0])
 
     @cached_property
     def local_lambda(self) -> tuple:
-        """Least eigenvalue of each client's data Gram X_c^T X_c."""
-        return tuple(_literal_lambda_min_gram(b.X) for b in self.batches)
+        """Least eigenvalue of each client's data Gram X_c^T X_c: zero when
+        the client has no samples or their columns are dependent."""
+        return tuple(
+            float(sv[-1] ** 2) if sv.size == b.n > 0 else 0.0
+            for sv, b in zip(self.client_singular_values, self.batches)
+        )
 
     @cached_property
     def drift_radius(self) -> float:
@@ -123,7 +141,7 @@ class RunContext:
         9*N^2*sqrt(n)*|y(0)-y| / (sqrt(m)*lambda) (ReLU)."""
         n_clients, p = len(self.batches), self.init_params
         if p.kind == LINEAR:
-            smin = analysis.sigma_min_nonzero(self.X)
+            smin = float(self.singular_values[-1])
             return 25.0 * np.sqrt(self.loss0) * self.d_out * n_clients**2 * self.norm_x / (
                 p.depth * smin**2
             )
@@ -132,12 +150,26 @@ class RunContext:
         )
 
 
-def _literal_lambda_min_gram(Xc) -> float:
-    """Least eigenvalue of Xc^T Xc: zero when the columns are dependent."""
-    if Xc.shape[1] == 0:
-        return 0.0
-    sv = analysis.nonzero_singular_values(Xc)
-    return float(sv[-1] ** 2) if sv.size == Xc.shape[1] else 0.0
+def _sigma_window(stem, index, where, observed, unit, scales) -> list:
+    """Reports {stem}-sigma-max:{index} and {stem}-sigma-min:{index}: a
+    product's observed (largest, least) singular value within 1.2 and 0.8
+    times unit times its scale in `scales` (largest, least), floor-first."""
+    (top, bottom), (s_top, s_bottom) = observed, scales
+    floor = 0.8 * unit * s_bottom
+    return [
+        make_report(
+            f"{stem}-sigma-max:{index}",
+            measured=top,
+            bound=1.2 * unit * s_top,
+            context=where | {"observed_sigma_max": float(top)},
+        ),
+        make_report(
+            f"{stem}-sigma-min:{index}",
+            measured=floor,
+            bound=bottom,
+            context=where | {"floor": floor, "observed_sigma_min": float(bottom)},
+        ),
+    ]
 
 
 def init_spectra(ctx):
@@ -164,27 +196,10 @@ def init_spectra(ctx):
         sv = np.linalg.svd(W, compute_uv=False)
         unit = float(m) ** ((L - i + 1) / 2.0)
         where = {"layers": f"{i}..{L}", "scale_unit": unit}
-        reports.append(
-            make_report(
-                f"init-suffix-sigma-max:{i}",
-                measured=sv[0],
-                bound=1.2 * unit,
-                context=where | {"observed_sigma_max": float(sv[0])},
-            )
-        )
-        reports.append(
-            make_report(
-                f"init-suffix-sigma-min:{i}",
-                measured=0.8 * unit,
-                bound=sv[-1],
-                context=where | {"floor": 0.8 * unit, "observed_sigma_min": float(sv[-1])},
-            )
-        )
+        reports += _sigma_window("init-suffix", i, where, (sv[0], sv[-1]), unit, (1.0, 1.0))
     # prefix products applied to the data: layers 1..j, j < L
-    sv_x = analysis.nonzero_singular_values(X)
-    if sv_x.size == 0:
-        raise ValueError("data are numerically zero")
-    r, smax_x, smin_x = sv_x.size, float(sv_x[0]), float(sv_x[-1])
+    sv_x = ctx.singular_values
+    r, scales = sv_x.size, (float(sv_x[0]), float(sv_x[-1]))
     for j in range(1, L):
         WX = analysis._product_range(p.layers, 0, j) @ X
         sv = np.linalg.svd(WX, compute_uv=False)
@@ -193,22 +208,7 @@ def init_spectra(ctx):
         smin = float(sv[r - 1]) if r <= sv.size else 0.0
         unit = float(m) ** (j / 2.0)
         where = {"layers": f"1..{j}", "scale_unit": unit, "data_rank": r}
-        reports.append(
-            make_report(
-                f"init-prefix-data-sigma-max:{j}",
-                measured=sv[0],
-                bound=1.2 * unit * smax_x,
-                context=where | {"observed_sigma_max": float(sv[0])},
-            )
-        )
-        reports.append(
-            make_report(
-                f"init-prefix-data-sigma-min:{j}",
-                measured=0.8 * unit * smin_x,
-                bound=smin,
-                context=where | {"floor": 0.8 * unit * smin_x, "observed_sigma_min": smin},
-            )
-        )
+        reports += _sigma_window("init-prefix-data", j, where, (sv[0], smin), unit, scales)
     # interior products: layers i..j with 2 <= i <= j <= L-1 (all square)
     for i in range(2, L):
         for j in range(i, L):
@@ -230,7 +230,7 @@ def gram_floor(ctx):
     against the least nonzero eigenvalue of gram_P0 (see
     analysis.gram_P0_lambda_min), floor-first."""
     p = ctx.init_params
-    floor = 0.8**4 * p.depth * analysis.sigma_min_nonzero(ctx.X) ** 2 / p.d_out
+    floor = 0.8**4 * p.depth * float(ctx.singular_values[-1]) ** 2 / p.d_out
     observed, r = analysis.gram_P0_lambda_min(p, ctx.X)
     context = {
         "floor": floor,
@@ -348,8 +348,7 @@ def local_drift(ctx, snap):
     """
     reports = []
     for traj, c in zip(snap.trajectories, snap.members):
-        batch, global_params = ctx.batches[c], traj[0]
-        sv = analysis.nonzero_singular_values(batch.X)
+        batch, global_params, sv = ctx.batches[c], traj[0], ctx.client_singular_values[c]
         resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
         norm_xc = smin = radius = 0.0
         if sv.size:

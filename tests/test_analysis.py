@@ -18,7 +18,6 @@ from fedspectra.analysis import (
     gram_P0,
     gram_P0_lambda_min,
     predict_first_order,
-    sigma_min_nonzero,
     spectrum,
 )
 from fedspectra.data import partition_iid, synth_linear_dataset
@@ -266,8 +265,8 @@ def test_spectrum_rejects_non_finite():
 
 def test_rank_helpers():
     X = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
-    assert analysis.nonzero_singular_values(X).size == 1
-    assert sigma_min_nonzero(X) == pytest.approx(np.linalg.norm(X))
+    sv = analysis.nonzero_singular_values(X)
+    assert sv.size == 1 and sv[-1] == pytest.approx(np.linalg.norm(X))
 
 
 # ------------------------------------------------------------- bound_series ----

@@ -1,5 +1,6 @@
 """Config parsing, subcommand artifacts, and exit codes."""
 
+import inspect
 import json
 import os
 import struct
@@ -357,6 +358,16 @@ def _blank_idx(model, preprocess=False, **analysis):
     return doc
 
 
+def _blank_idx_subset(subset):
+    """_blank_idx's 40 images on the deep linear model, data.subset of them."""
+
+    def doc(tmp_path):
+        cfg = _blank_idx({"kind": "deep-linear", "width": 8})(tmp_path)
+        return cfg | {"data": cfg["data"] | {"subset": subset}}
+
+    return doc
+
+
 _BLANK = "data.images: image 7 is all zeros; {} needs every image nonzero"
 
 
@@ -510,6 +521,7 @@ CONFIG_ERRORS = [
      _BLANK.format("data.preprocess")),
     (_blank_idx({"kind": "two-layer-relu", "width": 8}),
      _BLANK.format("the H-infinity Gram matrix")),
+    (_blank_idx_subset(41), "data.subset: 41 exceeds the 40 available samples"),
 ]
 
 
@@ -656,6 +668,62 @@ def test_a_blank_image_trains_where_nothing_normalises_it(tmp_path):
     ):
         cfg = _write(tmp_path, f"{name}.json", doc(tmp_path))
         assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+
+
+def _save_pair(directory, pair) -> dict:
+    """Write the IDX pair that `pair` describes into directory and return
+    the data section's paths: seeded nonzero pixels, the `blank` columns
+    then zeroed, and column src copied to dst for each (src, dst) of
+    `repeats`."""
+    (rows, cols), n = pair["shape"], len(pair["labels"])
+    X = np.random.default_rng(pair["seed"]).integers(1, 256, (rows * cols, n)) / 255
+    X[:, pair["blank"]] = 0.0
+    for src, dst in pair["repeats"]:
+        X[:, dst] = X[:, src]
+    paths = {"images": str(Path(directory) / "i.idx"), "labels": str(Path(directory) / "l.idx")}
+    save_idx(paths["images"], paths["labels"], X, pair["labels"], pair["shape"])
+    return paths
+
+
+# Six blank 4x4 images labelled 0 and 1, dealt to 2 clients: on the deep
+# linear model, set-up or (over the limit) the checks that read X's
+# spectrum once raised from its SVD.
+_ALL_BLANK_PAIR = {
+    "shape": (4, 4), "seed": 0, "labels": [0, 1] * 3, "blank": list(range(6)), "repeats": [],
+}
+_LINEAR_8 = {"kind": "deep-linear", "width": 8, "depth": 2}
+_ALL_BLANK_RUN = {
+    "model": _LINEAR_8,
+    "data": {"kind": "idx", "partition": "iid"},
+    "federation": {"n_clients": 2, "rounds": 2},
+}
+_LIMIT_1 = {"max_gram_dim": 1}
+_LINEAR_OVER_THE_LIMIT = {
+    "analysis": _LIMIT_1, "verify": {"checks": ["init-spectra", "global-drift"]},
+}
+_ALL_BLANK = "every image that the clients hold is all zeros"
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "sweep"])
+@pytest.mark.parametrize(
+    "model, extra, message",
+    [
+        (_LINEAR_8, {}, _ALL_BLANK),
+        (_LINEAR_8, _LINEAR_OVER_THE_LIMIT, _ALL_BLANK),
+        (_relu(width=8)["model"], {},
+         "image 0 is all zeros; the H-infinity Gram matrix needs every image nonzero"),
+        (_relu(width=8)["model"], {"analysis": _LIMIT_1, "verify": {"checks": ["ntk-trace"]}},
+         _ALL_BLANK),
+    ],
+    ids=["linear", "linear-over-the-limit", "relu", "relu-over-the-limit"],
+)
+def test_all_blank_images_are_a_config_error(tmp_path, capsys, command, model, extra, message):
+    # such data have no spectrum for set-up or any check to bound
+    doc = _ALL_BLANK_RUN | extra | {"model": model}
+    doc["data"] = doc["data"] | _save_pair(tmp_path, _ALL_BLANK_PAIR)
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: data.images: {message}\n"
 
 
 def test_preprocessing_refuses_one_dimensional_inputs(tmp_path):
@@ -1067,6 +1135,32 @@ def test_an_idx_sweep_reads_and_preprocesses_its_data_once(tmp_path, monkeypatch
     assert (tmp_path / "sw" / "sweep.csv").read_text() == expected
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_reports_each_diverged_cell_and_skips_a_rate_that_completed_none(tmp_path, capsys):
+    doc = {
+        **SMALL_LINEAR,
+        "federation": {**SMALL_LINEAR["federation"], "eta": 1e6},
+        "sweep": {"rates": [0.5, 1.0], "seeds": [0]},
+    }
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr()
+    failed = [line.split(" diverged: ")[0] for line in printed.err.splitlines()]
+    assert failed == ["sweep: rate=0.5 seed=0", "sweep: rate=1.0 seed=0"]
+    assert printed.out == "sweep: 0 cells completed, 2 failed\n"
+    assert (out / "sweep.csv").read_text() == "rate,t,mean_loss,min_loss,max_loss\n"
+
+
+def test_a_plot_without_a_positive_finite_point_says_no_data(tmp_path):
+    points = [(0, 0.0), (1, -1.0), (2, float("nan")), (float("inf"), 1.0)]
+    path = tmp_path / "p.svg"
+    cli._svg_plot(path, [("loss", points)], title="t", x_label="round", y_label="loss")
+    svg = path.read_text()
+    assert ">no data</text>" in svg
+    assert "<polyline" not in svg and ">round</text>" not in svg
+
+
 # ------------------------------------------------------------------ verify ----
 
 
@@ -1120,6 +1214,38 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     setup, per_round = entries[: -len(expected)], entries[-len(expected) :]
     assert [e["name"] for e in setup][-1] == "gram-floor"
     assert per_round == [json.loads(json.dumps(cli._report_dict(r))) for r in expected]
+
+
+def test_verify_takes_one_svd_of_the_data_and_of_each_client(tmp_path, monkeypatch):
+    # after set-up, every check reads X's nonzero spectrum and each X_c's
+    # from RunContext, over however many rounds it observes; gram-floor's
+    # own decomposition of X keeps its left singular vectors
+    build, svd = cli.build_experiment, np.linalg.svd
+    # np.linalg.norm calls the svd of the module that defines it
+    defining = sys.modules[inspect.unwrap(np.linalg.norm).__globals__["__name__"]]
+    calls, contexts = [], []
+
+    def counted(M, *args, **kwargs):
+        calls.append((np.array(M), kwargs.get("compute_uv", True)))
+        return svd(M, *args, **kwargs)
+
+    def set_up(*args):
+        contexts.append(build(*args))
+        for module in (np.linalg, defining):
+            monkeypatch.setattr(module, "svd", counted)
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "build_experiment", set_up)
+    doc = {**SMALL_LINEAR, "verify": {"rounds": [1, 3]}}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    (ctx,) = contexts
+
+    def taken(A):
+        return [uv for M, uv in calls if M.shape == A.shape and np.array_equal(M, A)]
+
+    assert taken(ctx.X) == [False, True]
+    assert [taken(b.X) for b in ctx.batches] == [[False]] * 3
 
 
 @pytest.mark.parametrize(
@@ -1408,6 +1534,16 @@ def test_idx_pipeline_end_to_end(tmp_path):
     assert all(np.isfinite(losses))
 
 
+def test_data_subset_keeps_the_first_images(tmp_path):
+    full, kept = (
+        cli._load_dataset(parse_config(json.dumps(doc(tmp_path))))
+        for doc in (_blank_idx({"kind": "deep-linear", "width": 8}), _blank_idx_subset(10))
+    )
+    assert kept.X.tobytes() == full.X[:, :10].tobytes()
+    assert kept.Y.tobytes() == full.Y[:, :10].tobytes()
+    assert kept.labels.tolist() == full.labels[:10].tolist()
+
+
 def test_verify_local_drift_passes_clients_without_samples(tmp_path):
     # one class per client over three classes leaves clients 5 and 7 empty
     rng = np.random.default_rng(0)
@@ -1432,20 +1568,9 @@ def test_verify_local_drift_passes_clients_without_samples(tmp_path):
 # ------------------------------------------------------------- config fuzz ----
 
 
-@st.composite
-def _small_synthetic_runs(draw):
-    """A command and a small synthetic config: width <= 32, n <= 40, <= 8
-    clients, <= 4 rounds and eta from 1e-4 to 1e3, some with a schedule, a
-    stop fraction, a small max_gram_dim or verify.checks/verify.rounds
-    subsets. Sizes stay small, so that no draw allocates much memory."""
-    width = draw(st.integers(1, 32))
-    if draw(st.booleans()):
-        sizes = st.fixed_dictionaries(
-            {"depth": st.integers(1, 3), "d_in": st.integers(1, 4), "d_out": st.integers(1, 3)}
-        )
-        model = {"kind": "deep-linear", "width": width, **draw(sizes)}
-    else:
-        model = {"kind": "two-layer-relu", "width": width, "dim": draw(st.integers(1, 4))}
+def _draw_federation(draw) -> dict:
+    """<= 8 clients, <= 4 rounds and eta from 1e-4 to 1e3, some with a
+    schedule or a stop fraction."""
     n_clients, rounds = draw(st.integers(1, 8)), draw(st.integers(0, 4))
     federation = {
         "n_clients": n_clients,
@@ -1461,21 +1586,41 @@ def _small_synthetic_runs(draw):
         federation["rate"] = draw(st.floats(0.0, 1.0, exclude_min=True))
     if draw(st.booleans()):
         federation["stop_loss_fraction"] = draw(st.floats(1e-3, 1.0))
-    doc = {
-        "model": model,
-        "data": {"kind": "synthetic", "n": draw(st.integers(1, 40)), "preprocess": draw(st.booleans())},
-        "federation": federation,
-        "sweep": {"rates": [0.5, 1.0], "seeds": draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))},
-        "verify": {},
-    }
+    return federation
+
+
+def _draw_run(draw, doc) -> tuple:
+    """The command, and doc with a sweep grid, some with a small
+    max_gram_dim or verify.checks/verify.rounds subsets."""
+    rounds = doc["federation"]["rounds"]
+    seeds = st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True)
+    doc |= {"sweep": {"rates": [0.5, 1.0], "seeds": draw(seeds)}, "verify": {}}
     if draw(st.booleans()):
         doc["analysis"] = {"max_gram_dim": draw(st.integers(1, 16))}
     if draw(st.booleans()):
-        names = st.sampled_from(verify.known_checks(model["kind"]))
+        names = st.sampled_from(verify.known_checks(doc["model"]["kind"]))
         doc["verify"]["checks"] = draw(st.lists(names, min_size=1, max_size=3, unique=True))
     if rounds and draw(st.booleans()):
         doc["verify"]["rounds"] = draw(st.lists(st.integers(0, rounds - 1), max_size=2, unique=True))
     return draw(st.sampled_from(["train", "verify", "sweep"])), doc
+
+
+@st.composite
+def _small_synthetic_runs(draw):
+    """A command and a small synthetic config: width <= 32, n <= 40, and
+    the federation and run of _draw_federation and _draw_run. Sizes stay
+    small, so that no draw allocates much memory."""
+    width = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        sizes = st.fixed_dictionaries(
+            {"depth": st.integers(1, 3), "d_in": st.integers(1, 4), "d_out": st.integers(1, 3)}
+        )
+        model = {"kind": "deep-linear", "width": width, **draw(sizes)}
+    else:
+        model = {"kind": "two-layer-relu", "width": width, "dim": draw(st.integers(1, 4))}
+    federation = _draw_federation(draw)
+    data = {"kind": "synthetic", "n": draw(st.integers(1, 40)), "preprocess": draw(st.booleans())}
+    return _draw_run(draw, {"model": model, "data": data, "federation": federation})
 
 
 # Budget: 200 draws in 5 s on 2 cores (2 s measured). Derandomized, so
@@ -1487,5 +1632,57 @@ def test_small_synthetic_configs_end_in_an_exit_code(run):
     command, doc = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), "c.json", doc)
+        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_DIVERGED, EXIT_CONFIG)
+
+
+@st.composite
+def _small_idx_runs(draw):
+    """A command, a small IDX config and the seeded pair it reads: sides
+    1-4 and n <= 24, with some or all images blank and exact repeats;
+    1-4 classes, iid or noniid data, a subset (some above n),
+    preprocessing, width <= 16, and the federation and run of
+    _draw_federation and _draw_run."""
+    n = draw(st.integers(1, 24))
+    columns = st.integers(0, n - 1)
+    # about one draw in six all blank, one in three some
+    blank = {2: st.lists(columns, min_size=1, max_size=3), 3: st.just(list(range(n)))}
+    pair = {
+        "shape": (draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        "seed": draw(st.integers(0, 2**16)),
+        "labels": draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n)),
+        "blank": draw(blank.get((draw(st.integers(0, 5)) + 1) // 2, st.just([]))),
+        "repeats": draw(st.lists(st.tuples(columns, columns), max_size=3)),
+    }
+    width = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        model = {"kind": "deep-linear", "width": width, "depth": draw(st.integers(1, 3))}
+    else:
+        model = {"kind": "two-layer-relu", "width": width}
+    data = {"kind": "idx", "preprocess": draw(st.booleans())}
+    if draw(st.booleans()):
+        data["partition"] = "iid"
+    else:
+        data["classes_per_client"] = draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)) == 2:
+        data["subset"] = draw(st.integers(1, n + 4))
+    federation = _draw_federation(draw)
+    command, doc = _draw_run(draw, {"model": model, "data": data, "federation": federation})
+    return command, doc, pair
+
+
+# Budget: 200 draws in 6 s on 2 cores (3 s measured). Derandomized, so
+# every run of the suite checks the same draws.
+@settings(deadline=None, max_examples=200, derandomize=True)
+@example(run=("train", _ALL_BLANK_RUN, _ALL_BLANK_PAIR))
+@example(run=("verify", _ALL_BLANK_RUN, _ALL_BLANK_PAIR))
+@example(run=("sweep", _ALL_BLANK_RUN, _ALL_BLANK_PAIR))
+@example(run=("verify", _ALL_BLANK_RUN | _LINEAR_OVER_THE_LIMIT, _ALL_BLANK_PAIR))
+@given(run=_small_idx_runs())
+def test_small_idx_configs_end_in_an_exit_code(run):
+    command, doc, pair = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _save_pair(tmp, pair)
+        cfg = _write(Path(tmp), "c.json", {**doc, "data": doc["data"] | paths})
         code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
     assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_DIVERGED, EXIT_CONFIG)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fedspectra import data
 from fedspectra.data import (
-    Dataset,
     IdxFormatError,
     load_idx,
     partition_iid,
@@ -21,6 +20,7 @@ from fedspectra.data import (
     save_idx,
     synth_linear_dataset,
 )
+from fedspectra.models import LabeledBatch
 from fedspectra.rng import stream
 from oracles import deal_noniid_loop, preprocess_unit_norm_loop
 
@@ -164,7 +164,7 @@ def _labeled_dataset(n=30, num_classes=5, seed=0):
     X = rng.standard_normal((4, n))
     Y = np.zeros((num_classes, n))
     Y[labels, np.arange(n)] = 1.0
-    return Dataset(X=X, Y=Y, labels=labels)
+    return LabeledBatch(X=X, Y=Y, labels=labels)
 
 
 def _drawn_classes(labels, n_clients, per_client, seed):
@@ -221,7 +221,7 @@ def test_partition_noniid_requires_labels():
 )
 def test_partition_noniid_deals_like_the_loop(n, num_classes, n_clients, per_client, seed):
     labels = np.random.default_rng(seed).integers(0, num_classes, size=n)
-    ds = Dataset(X=np.zeros((1, n)), Y=np.zeros((num_classes, n)), labels=labels)
+    ds = LabeledBatch(X=np.zeros((1, n)), Y=np.zeros((num_classes, n)), labels=labels)
     indices, dropped = partition_noniid(ds, n_clients, per_client, seed)
     drawn = _drawn_classes(labels, n_clients, per_client, seed)
     got = tuple(tuple(ix.tolist()) for ix in indices)
@@ -299,7 +299,7 @@ def test_column_norms_equal_numpys_bit_for_bit(d, n, order, seed):
 def test_preprocess_normalizes_and_is_idempotent():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 10)) * 3.0
-    ds = Dataset(X=X, Y=np.zeros((2, 10)))
+    ds = LabeledBatch(X=X, Y=np.zeros((2, 10)))
     out, perturbed = preprocess_unit_norm(ds)
     assert perturbed == 0
     np.testing.assert_allclose(np.linalg.norm(out.X, axis=0), 1.0, atol=1e-12)
@@ -310,8 +310,8 @@ def test_preprocess_normalizes_and_is_idempotent():
 
 def _matches_the_loop(X):
     """Run preprocess_unit_norm and the sequential oracle on X; assert the same
-    count and bit-identical columns, and return the preprocessed Dataset and count."""
-    out, perturbed = preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, X.shape[1]))))
+    count and bit-identical columns, and return the preprocessed LabeledBatch and count."""
+    out, perturbed = preprocess_unit_norm(LabeledBatch(X=X, Y=np.zeros((1, X.shape[1]))))
     want, want_perturbed = preprocess_unit_norm_loop(X)
     assert perturbed == want_perturbed
     assert out.X.tobytes() == want.tobytes()
@@ -475,7 +475,7 @@ def test_preprocess_falls_back_to_the_full_prefix_test_near_a_microradian(monkey
 
 def _pass_peak(X) -> int:
     """Peak bytes that preprocess_unit_norm allocates on X, its output included."""
-    ds = Dataset(X=X, Y=np.zeros((1, X.shape[1])))
+    ds = LabeledBatch(X=X, Y=np.zeros((1, X.shape[1])))
     tracemalloc.start()
     try:
         preprocess_unit_norm(ds)
@@ -528,7 +528,7 @@ def test_preprocess_rejects_zero_column():
     X = np.zeros((3, 2))
     X[:, 0] = 1.0
     with pytest.raises(ValueError, match="zero column"):
-        preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, 2))))
+        preprocess_unit_norm(LabeledBatch(X=X, Y=np.zeros((1, 2))))
 
 
 def test_preprocess_refuses_many_columns_in_one_dimension():
@@ -536,8 +536,8 @@ def test_preprocess_refuses_many_columns_in_one_dimension():
     # to +-1 again, so the nudges would never end
     X = np.array([[0.5, -2.0, 3.0]])
     with pytest.raises(ValueError, match="3 columns in 1 dimension are parallel"):
-        preprocess_unit_norm(Dataset(X=X, Y=np.zeros((1, 3))))
-    one, perturbed = preprocess_unit_norm(Dataset(X=X[:, :1], Y=np.zeros((1, 1))))
+        preprocess_unit_norm(LabeledBatch(X=X, Y=np.zeros((1, 3))))
+    one, perturbed = preprocess_unit_norm(LabeledBatch(X=X[:, :1], Y=np.zeros((1, 1))))
     assert one.X.tolist() == [[1.0]] and perturbed == 0
 
 
@@ -560,7 +560,7 @@ def test_partition_iid_covers_everything_once(n, n_clients):
 def test_preprocess_is_idempotent_on_random_data(seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((5, 8))
-    ds = Dataset(X=X, Y=np.zeros((1, 8)))
+    ds = LabeledBatch(X=X, Y=np.zeros((1, 8)))
     once, _ = preprocess_unit_norm(ds)
     twice, count = preprocess_unit_norm(once)
     assert count == 0

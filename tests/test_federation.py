@@ -467,17 +467,17 @@ def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch, 
     lock, started, state = threading.Lock(), threading.Event(), {"running": 0, "puts": []}
     descend = DeepLinearParams._descend
 
-    def failing(self, batch, *args):
-        if batch is batches[3]:
+    def failing(self, client, *args):
+        if client.batch is batches[3]:
             assert started.wait(10.0)
             raise MemoryError("client 3")
         with lock:
             state["running"] += 1
-        if batch is batches[4]:
+        if client.batch is batches[4]:
             started.set()
             time.sleep(0.1)
         try:
-            return descend(self, batch, *args)
+            return descend(self, client, *args)
         finally:
             with lock:
                 state["running"] -= 1
@@ -553,6 +553,17 @@ def test_divergence_raises_with_context():
         run_fedavg(cfg, params, batches)
     assert exc.value.round_index == 0
     assert exc.value.client is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_initial_loss_names_no_round():
+    params, batches = _workload(seed=0)
+    batches[2] = LabeledBatch(X=batches[2].X, Y=np.full_like(batches[2].Y, np.inf))
+    cfg = FederationConfig(n_clients=4, local_steps=2, rounds=3, eta=0.01)
+    with pytest.raises(DivergenceError) as exc:
+        run_fedavg(cfg, params, batches)
+    assert (exc.value.round_index, exc.value.client, exc.value.step) == (None, None, None)
+    assert str(exc.value) == "non-finite initial loss inf" and exc.value.loss == np.inf
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -721,9 +732,9 @@ def test_each_client_gram_is_formed_once_per_run(monkeypatch):
     used = {id(b): [] for b in batches}
     descend = TwoLayerParams._descend
 
-    def spy(self, batch, *args):
-        out = descend(self, batch, *args)
-        used[id(batch)].append(batch.__dict__.get("gram"))
+    def spy(self, client, *args):
+        out = descend(self, client, *args)
+        used[id(client.batch)].append(client.batch.__dict__.get("gram"))
         return out
 
     monkeypatch.setattr(TwoLayerParams, "_descend", spy)

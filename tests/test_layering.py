@@ -14,6 +14,8 @@ probes score the averages their rounds formed. A run's
 loss series lives in `RunResult.losses` alone, a snapshot is a round's
 record with more fields, and only `analysis` computes the factor rho_t.
 Each check is one function in `verify`, and `analysis` builds no report.
+Samples are one type, `models.LabeledBatch`, from the data files to each
+client, and the checks read the data's singular values from `RunContext`.
 """
 
 import ast
@@ -25,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from fedspectra import analysis, federation, models, verify
+import fedspectra
+from fedspectra import analysis, data, federation, models, verify
 from fedspectra.config import ExperimentConfig
 from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
@@ -112,6 +115,15 @@ def test_each_check_is_written_once_in_verify():
     assert not [name for name in vars(analysis) if name.startswith("check_")]
     assert not _names("analysis") & {"make_report", "CheckReport"}
     assert "federation" not in _imported("analysis")
+
+
+def test_the_data_are_described_once():
+    # data loads, draws, preprocesses and splits LabeledBatch, the clients'
+    # type; the checks read X's and each X_c's spectrum off RunContext
+    for module in (data, fedspectra):
+        assert "Dataset" not in vars(module)
+    assert "sigma_min_nonzero" not in vars(analysis) | vars(fedspectra)
+    assert "_literal_lambda_min_gram" not in vars(verify)
 
 
 def test_only_analysis_computes_the_contraction_factor():

@@ -182,6 +182,25 @@ def test_shape_validation():
         TwoLayerParams(hidden=np.zeros((4, 3)), signs=np.array([1.0, -1.0, 2.0, 1.0]))
 
 
+def test_a_batch_holds_one_label_per_sample_within_the_target_rows():
+    X, Y = np.zeros((3, 4)), np.zeros((2, 4))
+    for bad in (np.zeros(4), np.zeros((3, 4, 1))):  # X is features x samples
+        with pytest.raises(ValueError, match="X must be 2-D"):
+            LabeledBatch(X=bad, Y=Y)
+    with pytest.raises(ValueError, match="Y must be 1-D or 2-D"):
+        LabeledBatch(X=X, Y=np.zeros((1, 2, 4)))
+    with pytest.raises(ValueError, match="sample count mismatch"):
+        LabeledBatch(X=X, Y=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="one entry per sample"):
+        LabeledBatch(X=X, Y=Y, labels=np.zeros(3, dtype=np.int64))
+    for labels in ([0, 1, 2, 0], [0, -1, 1, 0]):  # a 2-D Y has one row per class
+        with pytest.raises(ValueError, match="out of range"):
+            LabeledBatch(X=X, Y=Y, labels=np.array(labels))
+    # a 1-D Y has no rows to index, and no samples have no labels to check
+    assert LabeledBatch(X=X, Y=np.zeros(4), labels=np.array([0, 7, 2, 9])).n == 4
+    assert LabeledBatch(X=X[:, :0], Y=Y[:, :0], labels=np.zeros(0, dtype=np.int64)).n == 0
+
+
 def _dense_descent(p, batch, eta, steps):
     """The update a client's descent replaces: a new W - eta * G per layer
     per step, each loss from a separate forward pass."""
@@ -391,7 +410,7 @@ def test_a_round_has_no_average_once_a_client_diverged(state):
             average()
         # without keep, a client that diverges before its last step forms no
         # iterate beyond its start, whichever state it descends on
-        iterates, losses = p._descend(batches[0], p._client(batches[0], 10), eta, 10, keep)
+        iterates, losses = p._descend(p._client(batches[0], 10), eta, 10, keep)
         assert len(losses) < 11 and iterates[0] is p
         assert len(iterates) == (len(losses) if keep else 1)
 
