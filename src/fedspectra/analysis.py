@@ -253,68 +253,97 @@ class FirstOrderReport:
     relative_error: float | None = None
 
 
-def predict_first_order(
-    global_params,
-    init_params,
-    trajectories,
-    batches,
-    members,
-    eta,
-    *,
-    next_residual=None,
-) -> FirstOrderReport:
-    """Predict the post-round flattened residual from this round's local
-    trajectories, and decompose the prediction against initialization-time
-    Gram matrices.
+class FirstOrderStart:
+    """The round-start terms of the first-order prediction of a round from
+    global_params taken by `members`, which every probe of the round shares;
+    batches covers every client and fixes the global sample order (client
+    0's samples first).
 
-    trajectories[i] is the list of member i's local parameter snapshots
-    (step 0 = broadcast copy, K+1 entries), aligned with sorted(members);
-    batches covers every client and fixes the global sample order (client 0's
-    samples first). next_residual, when given, is the measured residual after
-    the server average, used to fill the error fields.
+    members are sorted; member i holds batches[members[i]], with P0[i] its
+    initial factor pairs and R_bar_S[i] its residual at global_params.
+    xi_bar is the flattened global residual at global_params, and
+    contraction the members' initial Gram blocks times it, a d_out x n
+    matrix. ins_g/outs_g and ins_0 are the global and initial chains on X.
     """
-    if not isinstance(global_params, DeepLinearParams):
-        raise TypeError("the residual recursion is defined for the linear network")
-    members = sorted(int(c) for c in members)
-    if len(trajectories) != len(members):
+
+    def __init__(self, global_params, init_params, batches, members):
+        if not isinstance(global_params, DeepLinearParams):
+            raise TypeError("the residual recursion is defined for the linear network")
+        self.global_params, self.batches = global_params, tuple(batches)
+        self.members = tuple(sorted(int(c) for c in members))
+        X = np.hstack([b.X for b in batches])
+        Y = np.hstack([b.Y for b in batches])
+        self.xi_bar = vec_residual(global_params.predict(X), Y)
+        # the global residual as a d_out x n matrix, and each client's columns
+        R_bar = self.xi_bar.reshape(global_params.d_out, -1, order="F")
+        starts = np.cumsum([0] + [b.n for b in batches])
+        self.ins_g, self.outs_g = input_chain(global_params, X), output_chain(global_params)
+        self.ins_0, outs_0 = input_chain(init_params, X), output_chain(init_params)
+        self.P0 = tuple(
+            _gram_pairs(init_params, outs_0, init_params, batches[c].X) for c in self.members
+        )
+        self.R_bar_S = tuple(
+            global_params.predict(batches[c].X) - batches[c].Y for c in self.members
+        )
+        self.contraction = sum(
+            _gram_times(pairs, self.ins_0, R_bar[:, starts[c] : starts[c + 1]])
+            for pairs, c in zip(self.P0, self.members)
+        )
+
+    def iterate_terms(self, i, p) -> tuple:
+        """Member i's iterate p, as its three d_out x n terms of the
+        prediction: (moved, gram_shift, deviation), the current features'
+        Gram block times p's residual, its gap from the initial one, and the
+        initial block times p's residual less the broadcast one.
+
+        A function of (i, iterate) as descend_round's keep takes it: a round
+        from global_params over the members' batches, in member order, that
+        passes it holds these terms instead of its iterates.
+        """
+        batch = self.batches[self.members[i]]
+        R_k = p.predict(batch.X) - batch.Y
+        # p's output chain is built anew even when p is global_params: numpy
+        # multiplies an array by its own transpose as a symmetric product,
+        # which rounds otherwise
+        pairs = _gram_pairs(self.global_params, self.outs_g, p, batch.X)
+        moved = _gram_times(pairs, self.ins_g, R_k)
+        gram_shift = moved - _gram_times(self.P0[i], self.ins_0, R_k)
+        deviation = _gram_times(self.P0[i], self.ins_0, R_k - self.R_bar_S[i])
+        return moved, gram_shift, deviation
+
+
+def predict_first_order(start, terms, eta, *, next_residual=None) -> FirstOrderReport:
+    """Predict the post-round flattened residual from a round's terms, and
+    decompose the prediction against initialization-time Gram matrices.
+
+    terms[i][k] is start.iterate_terms(i, iterate k) of member i, for every
+    iterate that a local step starts from (k = 0 .. K-1, so K entries for K
+    local steps), summed by step, then by member. next_residual, when
+    given, is the measured residual after the server average, used to fill
+    the error fields.
+    """
+    if len(terms) != len(start.members):
         raise ValueError("need one trajectory per participant")
-    steps = {len(traj) for traj in trajectories}
+    steps = {len(member_terms) for member_terms in terms}
     if len(steps) != 1:
         raise ValueError("trajectories must have equal length")
-    (k_plus_1,) = steps
-    if k_plus_1 < 2:
+    (local_steps,) = steps
+    if local_steps < 1:
         raise ValueError("trajectories must contain at least one local step")
-    local_steps = k_plus_1 - 1
-    X = np.hstack([b.X for b in batches])
-    Y = np.hstack([b.Y for b in batches])
-    xi_bar = vec_residual(global_params.predict(X), Y)
+    xi_bar = start.xi_bar
     base_norm = float(np.linalg.norm(xi_bar))
-    s = len(members)
-    # the global residual as a d_out x n matrix, and each client's columns
-    R_bar = xi_bar.reshape(global_params.d_out, -1, order="F")
-    starts = np.cumsum([0] + [b.n for b in batches])
-
-    # the global and initial chains on X, and the initial factor pairs per member
-    ins_g, outs_g = input_chain(global_params, X), output_chain(global_params)
-    ins_0, outs_0 = input_chain(init_params, X), output_chain(init_params)
-    P0 = {c: _gram_pairs(init_params, outs_0, init_params, batches[c].X) for c in members}
-    R_bar_S = {c: global_params.predict(batches[c].X) - batches[c].Y for c in members}
-    contraction = sum(
-        _gram_times(P0[c], ins_0, R_bar[:, starts[c] : starts[c + 1]]) for c in members
-    )
-    update, shift_sum, dev_sum = np.zeros((3, *R_bar.shape))
+    s = len(start.members)
+    update, shift_sum, dev_sum = np.zeros((3, *start.contraction.shape))
     for k in range(local_steps):
-        for traj, c in zip(trajectories, members):
-            X_c, p = batches[c].X, traj[k]
-            R_k = p.predict(X_c) - batches[c].Y
-            moved = _gram_times(_gram_pairs(global_params, outs_g, p, X_c), ins_g, R_k)
+        for member_terms in terms:
+            moved, gram_shift, deviation = member_terms[k]
             update += moved
-            shift_sum += moved - _gram_times(P0[c], ins_0, R_k)
-            dev_sum += _gram_times(P0[c], ins_0, R_k - R_bar_S[c])
+            shift_sum += gram_shift
+            dev_sum += deviation
 
     coeff = eta / s
     predicted = xi_bar - coeff * update.flatten(order="F")
-    term1 = xi_bar - (eta * local_steps / s) * contraction.flatten(order="F")
+    term1 = xi_bar - (eta * local_steps / s) * start.contraction.flatten(order="F")
     term2 = coeff * shift_sum.flatten(order="F")
     term3 = coeff * dev_sum.flatten(order="F")
     gap = float(np.linalg.norm((term1 - term2 - term3) - predicted))

@@ -191,11 +191,11 @@ def client_pool():
     server sum, so at most that many client states live beside the
     sum. The pool has one thread per usable core (the process's CPU
     affinity, so `taskset` bounds it) and measures which way is faster: for
-    each value of keep, the first call of more than one client runs side by
-    side to warm up, the second serially and the third side by side, both
-    timed, and every later call the way that took less time per client. On
-    one usable core, or where OpenBLAS's thread count cannot be set, every
-    call runs serially.
+    calls that keep iterates and for calls that do not, the first call of
+    more than one client runs side by side to warm up, the second serially
+    and the third side by side, both timed, and every later call the way
+    that took less time per client. On one usable core, or where
+    OpenBLAS's thread count cannot be set, every call runs serially.
 
     A call of more than one client on more than one thread runs with
     OpenBLAS held to one thread, whichever way it runs, restored on return
@@ -204,11 +204,11 @@ def client_pool():
     output is the same whichever way a call runs.
     """
     count = _usable_cores() if blas_threads() is not None else 1
-    timed = {}  # keep -> seconds per client of the calls that chose the way
+    timed = {}  # whether a call keeps -> seconds per client of the calls that chose the way
 
     def descend(params, batches, eta, steps, keep):
         together = hold = count > 1 and len(batches) > 1
-        seconds = timed.setdefault(keep, []) if hold else None
+        seconds = timed.setdefault(bool(keep), []) if hold else None
         if seconds is not None:
             together = len(seconds) != 1 if len(seconds) < 3 else seconds[2] < seconds[1]
         start = time.perf_counter()
@@ -240,16 +240,41 @@ def client_pool():
         yield descend
 
 
+def side_by_side(calls) -> list:
+    """The results of calls, each a function of no arguments, in order.
+
+    The calls run on one thread per usable core when more than one core is
+    usable and numpy's OpenBLAS already runs one thread, else one after
+    another. So no call runs at a BLAS thread count other than the serial
+    loop's, and where they run side by side each call's arithmetic is the
+    serial loop's. A call that raises raises here, once no call is running;
+    calls not yet started then do not start.
+    """
+    threads = blas_threads()
+    count = _usable_cores() if threads is not None and threads[0]() == 1 else 1
+    if count == 1 or len(calls) < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        futures = [pool.submit(call) for call in calls]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+
+
 def local_round(params, batches, eta, steps, keep=False) -> tuple:
     """One round of full-batch gradient descent from params on each batch
     (params.descend_round, the clients run as client_pool runs them).
 
-    Returns (runs, average). runs[i] is (iterates, losses) for batches[i]:
+    Returns (runs, average). runs[i] is (kept, losses) for batches[i]:
     losses has steps+1 entries, index 0 being the starting point, and so has
-    iterates when keep, else it is empty. average() returns the server
-    average of the last iterates, already summed as the round ran, kept or
-    not. Raises DivergenceError, its client being the index into batches and
-    its round None, for the first batch whose loss went non-finite.
+    kept when keep, else it is empty: the iterates themselves when keep is
+    True, else keep(i, iterate) of each, called in the thread that descends
+    the client (see descend_round). average() returns the server average of
+    the last iterates, already summed as the round ran, kept or not.
+    Raises DivergenceError, its client being the index into batches and its
+    round None, for the first batch whose loss went non-finite.
     """
     with client_pool() as descend:
         runs, average = descend(params, batches, eta, steps, keep)

@@ -148,36 +148,43 @@ class _LocalDescent:
         client per call of `map` (builtin map, or any map that also yields in
         batch order, such as federation.client_pool's window on a thread pool).
 
-        Returns (runs, average). runs[i] is (iterates, losses) for
-        batches[i]: losses[k] is the loss of iterate k, read off the residual
-        that iterate's gradient forms; the last takes one forward pass. A
-        client's descent stops at its first non-finite loss, which then ends
-        its losses. iterates holds iterates 0 (self) to the last when keep,
-        else nothing. average() returns the server average of the last
-        iterates, np.mean over a stacked axis 0 bit for bit, and raises
-        ValueError when a client's loss ended non-finite.
+        Returns (runs, average). runs[i] is (kept, losses) for batches[i]:
+        losses[k] is the loss of iterate k, read off the residual that
+        iterate's gradient forms; the last takes one forward pass. A client's
+        descent stops at its first non-finite loss, which then ends its
+        losses. kept holds one entry per iterate, 0 (self) to the last, when
+        keep: the iterate itself when keep is True, else keep(i, iterate),
+        called in the thread that descends the client as each iterate is
+        formed; it is empty when not keep. average() returns the server
+        average of the last iterates, np.mean over a stacked axis 0 bit for
+        bit, and raises ValueError when a client's loss ended non-finite.
 
-        Without keep, a client forms iterate `steps` alone, on every state,
-        or none (its last iterate is then self) if its loss turns non-finite
-        first. Kept or not, each last iterate joins the sum as soon as `map`
-        yields it: an unkept round under builtin map holds one client's
-        weights beside the sum, one under a map that runs at most w clients
-        ahead w.
+        A client holds no iterate beyond its last unless keep holds it: when
+        not keep, it forms iterate `steps` alone, on every state, or none
+        (its last iterate is then self) if its loss turns non-finite first.
+        Each last iterate joins the sum as soon as `map` yields it: a round
+        that keeps no iterate under builtin map holds one client's weights
+        beside the sum, one under a map that runs at most w clients ahead w.
         """
         if not batches:
             raise ValueError("need at least one batch")
+        if keep is True:
+            keep = _the_iterate
         runs, total = [], None
         # each client's state is made as `map` takes the client, in the
-        # calling thread, so a thread pool's threads keep no weights of their own
-        clients = (self._client(b, steps) for b in batches)
-        for iterates, losses in map(lambda c: self._descend(c, eta, steps, keep), clients):
-            runs.append((iterates if keep else (), losses))
+        # calling thread, so a thread pool's threads keep no weights of their
+        # own; a fresh pair per client, as enumerate would hold its last pair,
+        # and the state in it, until the next
+        clients = ((i, self._client(b, steps)) for i, b in enumerate(batches))
+        descents = map(lambda ic: self._descend(ic[1], eta, steps, keep, ic[0]), clients)
+        for kept, losses, last in descents:
+            runs.append((kept, losses))
             if total is None:
-                total = [W.copy() for W in iterates[-1]._weights()]
+                total = [W.copy() for W in last._weights()]
             else:
-                for T, W in zip(total, iterates[-1]._weights()):
+                for T, W in zip(total, last._weights()):
                     T += W
-            iterates = W = None  # this client's weights go before map starts the next
+            kept = last = W = None  # this client's weights go before map starts the next
         for T in total:
             T /= len(runs)
 
@@ -192,19 +199,28 @@ class _LocalDescent:
         """The state of one client's `steps` steps from self on batch: a copy of self's weights."""
         return _DenseClient(self, batch, steps)
 
-    def _descend(self, client, eta, steps, keep) -> tuple:
-        """One client's `steps` full-batch gradient steps from self, taken on
-        client, the state _client made for its batch. Returns (iterates, losses)
-        as descend_round describes a run, but with the last iterate alone
-        when not keep."""
-        iterates, losses = [self], []
+    def _descend(self, client, eta, steps, keep, i) -> tuple:
+        """`steps` full-batch gradient steps from self, taken on client, the
+        state _client made for batches[i]. Returns (kept, losses, last):
+        kept and losses as descend_round describes a run, keep being a
+        function of (i, iterate) or False, and last the last iterate."""
+        last, losses = self, []
+        kept = [keep(i, self)] if keep else []
         for k in range(steps + 1):
             losses.append(client.loss_and_step(eta if k < steps else None))
             if k == steps or not np.isfinite(losses[-1]):
                 break
             if keep or k == steps - 1:
-                iterates.append(client.iterate())
-        return tuple(iterates if keep else iterates[-1:]), losses
+                last = None  # unless keep holds it, the iterate before goes before the copy
+                last = client.iterate()
+                if keep:
+                    kept.append(keep(i, last))
+        return tuple(kept), losses, last
+
+
+def _the_iterate(i, iterate):
+    """descend_round's keep=True: each client keeps its iterates themselves."""
+    return iterate
 
 
 class _DenseClient:

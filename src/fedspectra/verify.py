@@ -10,12 +10,12 @@ acceptance runs tally every report.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import analysis
-from .federation import global_loss, local_round
+from .federation import global_loss, local_round, side_by_side
 from .models import DeepLinearParams, TwoLayerParams, vec_residual
 
 LINEAR = DeepLinearParams.kind
@@ -346,9 +346,11 @@ def local_drift(ctx, snap):
     are numerically zero (no samples, say) gets radius 0: every gradient is
     a product with X_c, so its deltas are 0 too.
     """
-    reports = []
+    # every trajectory starts at the broadcast weights
+    global_params, reports = snap.global_params, []
+    norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
     for traj, c in zip(snap.trajectories, snap.members):
-        batch, global_params, sv = ctx.batches[c], traj[0], ctx.client_singular_values[c]
+        batch, sv = ctx.batches[c], ctx.client_singular_values[c]
         resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
         norm_xc = smin = radius = 0.0
         if sv.size:
@@ -356,7 +358,6 @@ def local_drift(ctx, snap):
             radius = 24.0 * np.sqrt(global_params.d_out) * norm_xc / (
                 global_params.depth * smin**2
             ) * resid
-        norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
         context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
         for k, local_params in enumerate(traj[1:], start=1):
             rank = k * min(batch.n, global_params.d_out)
@@ -387,26 +388,33 @@ def first_order(ctx, snap):
     Each probe scores the server average that its own round formed: at eta
     the snapshot's round and average, at eta/2 one local_round of every
     participant from the same state, on a client pool as a run's rounds
-    are. Where the ratio is undefined the halving form passes vacuously
-    with its reason: at depth 1, which is linear in its weights so that the
-    prediction is exact up to rounding and the eta/2 probe is skipped, and
-    when the eta/2 probe's error is exactly 0.
+    are. Both probes share the round-start terms (analysis.FirstOrderStart);
+    the eta/2 round keeps each iterate's terms, formed as it descends, instead
+    of the iterate. Where the ratio is undefined the halving form passes
+    vacuously with its reason: at depth 1, which is linear in its weights so
+    that the prediction is exact up to rounding and the eta/2 probe is
+    skipped, and when the eta/2 probe's error is exactly 0.
     """
-    params, batches, members = snap.global_params, list(ctx.batches), list(snap.members)
+    params, batches = snap.global_params, ctx.batches
+    start = analysis.FirstOrderStart(params, ctx.init_params, batches, snap.members)
     Y = np.hstack([b.Y for b in batches])
 
-    def probe(eta, trajectories, averaged):
+    def probe(eta, terms, averaged):
         actual = vec_residual(averaged.predict(ctx.X), Y)
-        return analysis.predict_first_order(
-            params, ctx.init_params, trajectories, batches, members, eta, next_residual=actual
-        )
+        return analysis.predict_first_order(start, terms, eta, next_residual=actual)
 
-    full = probe(ctx.eta, snap.trajectories, snap.averaged)
+    # a step's terms are those of the iterate it starts from: the last enters none
+    terms = [
+        [start.iterate_terms(i, p) for p in traj[:-1]] for i, traj in enumerate(snap.trajectories)
+    ]
+    full = probe(ctx.eta, terms, snap.averaged)
     ratio, why = None, "depth 1 is linear in its weights: no remainder to halve"
     if params.depth > 1:
-        own = [batches[c] for c in sorted(members)]
-        runs, average = local_round(params, own, 0.5 * ctx.eta, ctx.local_steps, keep=True)
-        half = probe(0.5 * ctx.eta, [iterates for iterates, _ in runs], average())
+        own = [batches[c] for c in start.members]
+        runs, average = local_round(
+            params, own, 0.5 * ctx.eta, ctx.local_steps, keep=start.iterate_terms
+        )
+        half = probe(0.5 * ctx.eta, [kept[:-1] for kept, _ in runs], average())
         if half.actual_error == 0.0:
             why = "the eta/2 probe's prediction error is 0: no remainder to halve"
         else:
@@ -500,11 +508,24 @@ def worst_per_name(reports) -> list:
 
 def run_checks(ctx, names, snapshots) -> list:
     """Reports of the named checks in table order: the set-up checks once,
-    then for each snapshot the worst report per name of each per-round check."""
+    then for each snapshot the worst report per name of each per-round check.
+
+    Each set-up check, and each per-round check of each snapshot, is one
+    independent call, and federation.side_by_side runs them, on the usable
+    cores where BLAS already runs one thread. They share ctx, whose cached
+    properties are each computed once, under cached_property's lock (a
+    Python without that lock may compute one twice, to the same value).
+    """
     rows = [(per_round, fn) for name, (_, per_round, _, fn) in CHECKS.items() if name in names]
-    reports = [rep for per_round, fn in rows if not per_round for rep in fn(ctx)]
-    for snap in snapshots:
-        for per_round, fn in rows:
-            if per_round:
-                reports.extend(worst_per_name(fn(ctx, snap)))
-    return reports
+    calls = [partial(fn, ctx) for per_round, fn in rows if not per_round]
+    calls += [
+        partial(_worst_of, fn, ctx, snap)
+        for snap in snapshots
+        for per_round, fn in rows
+        if per_round
+    ]
+    return [rep for reports in side_by_side(calls) for rep in reports]
+
+
+def _worst_of(check, ctx, snap) -> list:
+    return worst_per_name(check(ctx, snap))

@@ -614,11 +614,19 @@ def _round_state(seed=0, rounds_before=2, eta=0.02):
     return init, result.params, batches, cfg
 
 
+def _predict(params, init, trajs, batches, members, eta, **kwargs):
+    """predict_first_order of the round from params whose members' kept
+    trajectories are trajs."""
+    start = analysis.FirstOrderStart(params, init, batches, members)
+    terms = [[start.iterate_terms(i, p) for p in traj[:-1]] for i, traj in enumerate(trajs)]
+    return predict_first_order(start, terms, eta, **kwargs)
+
+
 def test_predict_first_order_with_zero_rate_returns_current_residual():
     init, params, batches, cfg = _round_state()
     members = [0, 1, 2]
     trajs, _ = _round(params, batches, members, 0.0, cfg.local_steps)
-    rep = predict_first_order(params, init, trajs, batches, members, 0.0)
+    rep = _predict(params, init, trajs, batches, members, 0.0)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
     np.testing.assert_array_equal(rep.predicted, vec_residual(params.predict(X), Y))
@@ -628,7 +636,7 @@ def test_predict_first_order_terms_recombine():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
     trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
+    rep = _predict(params, init, trajs, batches, members, cfg.eta)
     assert rep.reconstruction_gap <= 1e-10 * max(rep.base_norm, 1.0)
 
 
@@ -664,7 +672,7 @@ def test_predict_first_order_matches_the_dense_recursion():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
     trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    rep = predict_first_order(params, init, trajs, batches, members, cfg.eta)
+    rep = _predict(params, init, trajs, batches, members, cfg.eta)
     predicted, norms = _dense_first_order(params, init, trajs, batches, members, cfg.eta)
     assert np.linalg.norm(rep.predicted - predicted) <= 1e-12 * np.linalg.norm(predicted)
     got = [rep.term_contraction, rep.term_gram_shift, rep.term_local_deviation]
@@ -701,7 +709,7 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(
     def probe(eta):
         trajs, averaged = _round(params, batches, members, eta, cfg.local_steps)
         actual = vec_residual(averaged.predict(X), Y)
-        rep = predict_first_order(params, init, trajs, batches, members, eta, next_residual=actual)
+        rep = _predict(params, init, trajs, batches, members, eta, next_residual=actual)
         return trajs, averaged, rep
 
     trajs, averaged, want_full = probe(cfg.eta)
@@ -791,8 +799,53 @@ def test_first_order_passes_the_halving_form_vacuously_when_no_member_holds_a_sa
     assert vacuous.context == {"t": 0, "reason": "the eta/2 probe's prediction error is 0: no remainder to halve"}
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_round_keeps_each_iterates_first_order_terms_bit_for_bit(
+    cores, one_blas_thread, usable_cores
+):
+    # the eta/2 probe's round hands each iterate to the per-iterate term as
+    # it descends, on its client's thread, and keeps the terms alone
+    init, params, batches, cfg = _round_state()
+    members = [0, 2]
+    start = analysis.FirstOrderStart(params, init, batches, members)
+    own = [batches[c] for c in members]
+    usable_cores(cores)
+    runs, _ = local_round(params, own, cfg.eta, cfg.local_steps, keep=start.iterate_terms)
+    trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    for i, ((kept, _), traj) in enumerate(zip(runs, trajs, strict=True)):
+        assert len(kept) == len(traj) == cfg.local_steps + 1
+        for got, p in zip(kept, traj):
+            want = start.iterate_terms(i, p)
+            assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_the_half_rate_probe_holds_no_round_of_iterates(usable_cores):
+    # a width-500 round of 4 clients x 3 steps, as the wide verify config
+    # has; kept, the eta/2 round's 12 new iterates would hold 12 interior
+    # layers beside the server sum
+    width = 500
+    ds, _ = synth_linear_dataset(10, 5, 32, seed=1)
+    batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(32, 4)]
+    init = init_deep_linear(3, width, 10, 5, seed=1)
+    trajs, averaged = _round(init, batches, [0, 1, 2, 3], 2e-5, 3)
+    ctx = _context(init, *batches, eta=2e-5, steps=3)
+    snap = _snapshot(init, trajs, [0, 1, 2, 3], averaged=averaged)
+    ctx.X  # the stacked data, cached before the count starts
+    usable_cores(1)
+    tracemalloc.start()
+    try:
+        relative, halved = verify.first_order(ctx, snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert relative.passed and halved.name == "first-order:halving"
+    # the sum, one client's state and the iterate copied from it: each
+    # iterate's terms are formed, and the iterate let go, before the next
+    assert peak < 4.5 * width * width * 8
+
+
 def test_predict_first_order_validates_trajectories():
     init, params, batches, cfg = _round_state()
     trajs, _ = _round(params, batches, [0], cfg.eta, cfg.local_steps)
     with pytest.raises(ValueError):
-        predict_first_order(params, init, trajs, batches, [0, 1], cfg.eta)
+        _predict(params, init, trajs, batches, [0, 1], cfg.eta)

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedspectra import cli, verify
+from fedspectra import cli, federation, verify
 from fedspectra.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -1172,18 +1173,60 @@ WIDE_LINEAR = {
 }
 
 
-def test_verify_all_checks_pass_on_wide_linear_model(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.json", WIDE_LINEAR)
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    report = json.loads((out / "verify.json").read_text())
+def _verify_on_cores(tmp_path, monkeypatch, usable_cores, capsys, doc) -> list:
+    """(verify.json bytes, printed lines) of `verify` on doc on the host's
+    usable cores and on 1, 2 and 4 (a host with one of those runs it once),
+    having checked that the checks ran side by side off the calling thread
+    on more than one core, and serially on it on one."""
+    threads, side_by_side = set(), federation.side_by_side
+
+    def spy(calls):
+        return side_by_side([lambda c=c: threads.add(threading.get_ident()) or c() for c in calls])
+
+    monkeypatch.setattr(verify, "side_by_side", spy)
+    cfg = _write(tmp_path, "c.json", doc)
+    outs = []
+    counts = [1, 2, 4] if federation._usable_cores() in (1, 2, 4) else [None, 1, 2, 4]
+    for cores in counts:
+        if cores is not None:
+            usable_cores(cores)
+        threads.clear()
+        out = tmp_path / f"cores-{cores}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        outs.append(((out / "verify.json").read_bytes(), capsys.readouterr().out))
+        serial = blas_threads() is None or (cores or federation._usable_cores()) == 1
+        assert (threads == {threading.get_ident()}) is serial
+    return outs
+
+
+def test_verify_all_checks_pass_on_wide_linear_model(
+    tmp_path, capsys, monkeypatch, one_blas_thread, usable_cores
+):
+    # at one BLAS thread, whether the checks run side by side or serially,
+    # verify.json is the same byte for byte
+    outs = _verify_on_cores(tmp_path, monkeypatch, usable_cores, capsys, WIDE_LINEAR)
+    assert len({text for text, _ in outs}) == 1
+    report = json.loads(outs[0][0])
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert any(n.startswith("init-suffix") for n in names)
     assert "gram-floor" in names
     assert "first-order:relative-error" in names
-    printed = capsys.readouterr().out
-    assert printed.count("PASS") == len(names)
+    assert all(printed.count("PASS") == len(names) for _, printed in outs)
+
+
+def test_verify_json_is_byte_identical_across_usable_cores_on_a_relu_model(
+    tmp_path, capsys, monkeypatch, one_blas_thread, usable_cores
+):
+    doc = {
+        "model": {"kind": "two-layer-relu", "width": 256, "dim": 6},
+        "data": {"kind": "synthetic", "n": 24},
+        "federation": {"n_clients": 3, "local_steps": 2, "rounds": 3, "eta": 0.05, "seed": 0},
+    }
+    outs = _verify_on_cores(tmp_path, monkeypatch, usable_cores, capsys, doc)
+    assert len({text for text, _ in outs}) == 1
+    names = {c["name"] for c in json.loads(outs[0][0])["checks"]}
+    assert names == set(verify.known_checks("two-layer-relu")) | {"local-deviation-crude"}
 
 
 def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):

@@ -511,6 +511,38 @@ def test_the_default_pool_has_one_thread_per_usable_core(monkeypatch, blas):
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.parametrize("cores, threads, together", [(1, 1, False), (2, 1, True), (2, 2, False)])
+def test_calls_run_side_by_side_only_where_blas_already_runs_one_thread(
+    usable_cores, cores, threads, together
+):
+    # so no call runs at a BLAS thread count other than the serial loop's;
+    # the results keep the calls' order, and a call that raises raises
+    get, put = blas_threads()
+    before = get()
+    put(threads)
+    try:
+        if get() != threads:
+            pytest.skip(f"OpenBLAS will not run {threads} threads here")
+        usable_cores(cores)
+        caller, seen = threading.get_ident(), []
+
+        def call(k):
+            seen.append((threading.get_ident() != caller, get()))
+            return k
+
+        def fail():
+            raise ValueError("call 1")
+
+        assert federation.side_by_side([lambda k=k: call(k) for k in range(6)]) == list(range(6))
+        assert set(seen) == {(together, threads)} and len(seen) == 6
+        with pytest.raises(ValueError, match="call 1"):
+            federation.side_by_side([lambda: call(0), fail, lambda: call(2)])
+        assert get() == threads
+    finally:
+        put(before)
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
 @pytest.mark.parametrize("slower", ["side by side", "serial"])
 def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypatch, slower):
     monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -532,6 +564,27 @@ def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypat
     faster = "serial" if slower == "side by side" else "side by side"
     chosen = ["side by side", "serial", "side by side", faster, faster]
     assert ways == [(keep, way, 1) for keep in (False, True) for way in chosen]
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
+    monkeypatch, usable_cores
+):
+    # the timed choice asks whether a call keeps, not what it keeps: a call
+    # that keeps each iterate's terms follows one that keeps the iterates
+    params, batches = _workload(n_clients=6, n=40)
+    ways, descend_round = [], DeepLinearParams.descend_round
+
+    def spy(self, *args, map=map):
+        ways.append("serial" if map is builtins.map else "side by side")
+        return descend_round(self, *args, map=map)
+
+    monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
+    usable_cores(2)
+    with federation.client_pool() as descend:
+        for keep in (True, lambda i, p: p.layers[0][0, 0], True):
+            descend(params, batches, 0.01, 2, keep)
+    assert ways == ["side by side", "serial", "side by side"]
 
 
 def test_stop_loss_ends_the_run_early():

@@ -5,13 +5,14 @@ not import `config`, so `federation.FederationConfig` stays usable without
 either: imports run cli -> config -> verify -> federation. Every config
 section runs its field rules through `federation.Settings` on construction,
 and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
-thread count, so no other module knows when it is held. Local descent has
-one loop, `models._LocalDescent._descend`, which every parameter class
-inherits and runs on the client state that the class picks, and a round has
-one server sum, which `descend_round` forms as each client ends and which
-is the only server average: a snapshot carries it, and the first-order
-probes score the averages their rounds formed. A run's
-loss series lives in `RunResult.losses` alone, a snapshot is a round's
+thread count, so no other module knows when it is held, and only it starts
+threads, so the rounds' clients and the verify checks share one pool rule.
+Local descent has one loop, `models._LocalDescent._descend`, which every
+parameter class inherits and runs on the client state that the class picks,
+and a round has one server sum, which `descend_round` forms as each client
+ends and which is the only server average: a snapshot carries it, and the
+first-order probes score the averages their rounds formed. A run's loss
+series lives in `RunResult.losses` alone, a snapshot is a round's
 record with more fields, and only `analysis` computes the factor rho_t.
 Each check is one function in `verify`, and `analysis` builds no report.
 Samples are one type, `models.LabeledBatch`, from the data files to each
@@ -82,6 +83,26 @@ def test_library_modules_do_not_import_config(module):
 def test_only_federation_knows_the_blas_thread_policy(module):
     # models defines blas_threads; federation's client_pool alone calls it
     assert module in ("models", "federation") or "blas_threads" not in _names(module)
+
+
+def _imported_stdlib(module) -> set:
+    """The modules outside fedspectra that `module` imports, named as the
+    import statement names them (`concurrent.futures`)."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_federation_starts_threads(module):
+    # client_pool and side_by_side decide when work runs side by side
+    imported = _imported_stdlib(module)
+    threads = {"threading", "_thread", "concurrent", "concurrent.futures"}
+    assert module == "federation" or not imported & threads
 
 
 @pytest.mark.parametrize("cls", [DeepLinearParams, TwoLayerParams], ids=lambda c: c.__name__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import federation
+from fedspectra import federation, models
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
@@ -410,9 +410,10 @@ def test_a_round_has_no_average_once_a_client_diverged(state):
             average()
         # without keep, a client that diverges before its last step forms no
         # iterate beyond its start, whichever state it descends on
-        iterates, losses = p._descend(p._client(batches[0], 10), eta, 10, keep)
-        assert len(losses) < 11 and iterates[0] is p
-        assert len(iterates) == (len(losses) if keep else 1)
+        client = p._client(batches[0], 10)
+        kept, losses, last = p._descend(client, eta, 10, keep and models._the_iterate, 0)
+        assert len(losses) < 11 and len(kept) == (len(losses) if keep else 0)
+        assert last is (kept[-1] if keep else p)
 
 
 def _stacked_average(runs):
