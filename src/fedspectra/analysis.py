@@ -296,16 +296,18 @@ class FirstOrderStart:
         Gram block times p's residual, its gap from the initial one, and the
         initial block times p's residual less the broadcast one.
 
-        A function of (i, iterate) as descend_round's keep takes it: a round
-        from global_params over the members' batches, in member order, that
-        passes it holds these terms instead of its iterates.
+        A round from global_params over the members' batches, in member
+        order, can form them as each iterate is formed (descend_round's
+        keep) and hold them instead of its iterates.
         """
         batch = self.batches[self.members[i]]
-        R_k = p.predict(batch.X) - batch.Y
         # p's output chain is built anew even when p is global_params: numpy
         # multiplies an array by its own transpose as a symmetric product,
         # which rounds otherwise
         pairs = _gram_pairs(self.global_params, self.outs_g, p, batch.X)
+        # the top layer's input is that of p.predict, which multiplies the
+        # same products in the same order
+        R_k = p.scale * (p.layers[-1] @ pairs[-1][1]) - batch.Y
         moved = _gram_times(pairs, self.ins_g, R_k)
         gram_shift = moved - _gram_times(self.P0[i], self.ins_0, R_k)
         deviation = _gram_times(self.P0[i], self.ins_0, R_k - self.R_bar_S[i])

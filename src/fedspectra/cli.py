@@ -402,11 +402,12 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    snapshots = []  # in round order, one per observed round
+    snapshots = []  # in round order, one per observed round, holding no iterate
     # the selected rounds are observed whatever the loss reaches
     fed = dataclasses.replace(fed, stop_loss_fraction=None)
     cfg = dataclasses.replace(cfg, federation=fed)  # both headers record the run
-    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=set(rounds))
+    observed = set(rounds)
+    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=observed, keep=False)
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
     _write_json(

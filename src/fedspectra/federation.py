@@ -124,7 +124,8 @@ class RoundTrace:
 @dataclass(frozen=True)
 class RoundSnapshot(RoundTrace):
     """Handed to an observer: the round's record plus the global params
-    entering round t, every participant's full local trajectory (step 0 is
+    entering round t, what each participant kept of its local iterates (see
+    run_fedavg's keep: by default its full local trajectory, step 0 being
     the broadcast copy) and the server average of their last iterates, the
     params entering round t + 1. No array in it is written to once built."""
 
@@ -270,9 +271,10 @@ def local_round(params, batches, eta, steps, keep=False) -> tuple:
     Returns (runs, average). runs[i] is (kept, losses) for batches[i]:
     losses has steps+1 entries, index 0 being the starting point, and so has
     kept when keep, else it is empty: the iterates themselves when keep is
-    True, else keep(i, iterate) of each, called in the thread that descends
-    the client (see descend_round). average() returns the server average of
-    the last iterates, already summed as the round ran, kept or not.
+    True, else keep(i, k, iterate) of each iterate k, called in the thread
+    that descends the client (see descend_round). average() returns the
+    server average of the last iterates, already summed as the round ran,
+    kept or not.
     Raises DivergenceError, its client being the index into batches and its
     round None, for the first batch whose loss went non-finite.
     """
@@ -310,6 +312,7 @@ def run_fedavg(
     *,
     observer=None,
     observe_rounds=None,
+    keep=True,
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
@@ -318,7 +321,9 @@ def run_fedavg(
       BLAS thread every output is the same whichever way a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average, its `averaged`, is
-      applied. Only those rounds keep every local iterate; the others keep none.
+      applied. Only those rounds keep anything of their local iterates, and
+      they keep what `keep` asks, as local_round's keep means it: every
+      iterate by default, nothing when False. The others keep none.
     - the global loss entering round t is summed in client order from the
       participants' step-0 losses of round t, each a forward pass at the
       weights entering it, and a loss_of pass for every other client; only
@@ -340,7 +345,8 @@ def run_fedavg(
                 members = sample_participants(t, cfg)
                 observed = observer is not None and (observe_rounds is None or t in observe_rounds)
                 batches = [client_batches[c] for c in members]
-                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, observed)
+                asked = keep if observed else False
+                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, asked)
                 step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
                 value = float(
                     sum(
@@ -370,7 +376,7 @@ def run_fedavg(
                         members=members,
                         local_losses=local_losses,
                         global_params=params,
-                        trajectories=tuple(iterates for iterates, _ in runs),
+                        trajectories=tuple(kept for kept, _ in runs),
                         averaged=averaged,
                     )
                 )

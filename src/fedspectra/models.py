@@ -138,8 +138,10 @@ def _subtract_product(W, A, B):
 class _LocalDescent:
     """The local-descent loop both parameter classes share, each client on a
     state from _client: loss_and_step(eta) returns the loss of the iterate
-    the state holds, then takes one step unless eta is None; iterate()
-    returns that iterate as parameters no later step writes to. A class
+    the state holds, then takes one step unless eta is None; iterate(lent)
+    returns that iterate as parameters no later step writes to, or, when
+    lent, as parameters that may share the state's arrays, to be read only
+    before its next step. A class
     supplies _weights() (its arrays), _with(arrays) (a new object around
     them) and _step_in_place(arrays, batch, eta), the dense state's step."""
 
@@ -153,13 +155,16 @@ class _LocalDescent:
         iterate's gradient forms; the last takes one forward pass. A client's
         descent stops at its first non-finite loss, which then ends its
         losses. kept holds one entry per iterate, 0 (self) to the last, when
-        keep: the iterate itself when keep is True, else keep(i, iterate),
-        called in the thread that descends the client as each iterate is
-        formed; it is empty when not keep. average() returns the server
-        average of the last iterates, np.mean over a stacked axis 0 bit for
-        bit, and raises ValueError when a client's loss ended non-finite.
+        keep: the iterate itself when keep is True, else keep(i, k, iterate)
+        of iterate k, called in the thread that descends the client as each
+        iterate is formed, which may read the iterate only until it returns
+        (the next step may write to the iterate's arrays, so no iterate is
+        copied for it); it is empty when not keep. average() returns the
+        server average of the last iterates, np.mean over a stacked axis 0
+        bit for bit, and raises ValueError when a client's loss ended
+        non-finite.
 
-        A client holds no iterate beyond its last unless keep holds it: when
+        A client holds no iterate beyond its last unless keep is True: when
         not keep, it forms iterate `steps` alone, on every state, or none
         (its last iterate is then self) if its loss turns non-finite first.
         Each last iterate joins the sum as soon as `map` yields it: a round
@@ -203,22 +208,22 @@ class _LocalDescent:
         """`steps` full-batch gradient steps from self, taken on client, the
         state _client made for batches[i]. Returns (kept, losses, last):
         kept and losses as descend_round describes a run, keep being a
-        function of (i, iterate) or False, and last the last iterate."""
+        function of (i, k, iterate) or False, and last the last iterate."""
         last, losses = self, []
-        kept = [keep(i, self)] if keep else []
+        kept = [keep(i, 0, self)] if keep else []
         for k in range(steps + 1):
             losses.append(client.loss_and_step(eta if k < steps else None))
             if k == steps or not np.isfinite(losses[-1]):
                 break
             if keep or k == steps - 1:
                 last = None  # unless keep holds it, the iterate before goes before the copy
-                last = client.iterate()
+                last = client.iterate(lent=keep is not _the_iterate)
                 if keep:
-                    kept.append(keep(i, last))
+                    kept.append(keep(i, k + 1, last))
         return tuple(kept), losses, last
 
 
-def _the_iterate(i, iterate):
+def _the_iterate(i, k, iterate):
     """descend_round's keep=True: each client keeps its iterates themselves."""
     return iterate
 
@@ -234,9 +239,10 @@ class _DenseClient:
         self.steps_left -= eta is not None
         return self.start._step_in_place(self.weights, self.batch, eta)
 
-    def iterate(self) -> _LocalDescent:
+    def iterate(self, lent=False) -> _LocalDescent:
         # after the last step the copy is written no more, so it is handed out
-        weights = self.weights if self.steps_left == 0 else [W.copy() for W in self.weights]
+        shared = lent or self.steps_left == 0
+        weights = self.weights if shared else [W.copy() for W in self.weights]
         return self.start._with(weights)
 
 
@@ -410,7 +416,7 @@ class _SampleSpaceClient:
             Z -= step
         return _half_square(residual)
 
-    def iterate(self) -> TwoLayerParams:
+    def iterate(self, lent=False) -> TwoLayerParams:
         H = self.A @ self.batch.X.T  # a fresh array, sharing nothing with A, Z or the start
         H *= self.rate
         return self.start._with((np.subtract(self.start.hidden, H, out=H),))

@@ -3,14 +3,17 @@
 Each check states its inequality whole: what it measures, its bound from the
 paper's formula and its reports, with `analysis` supplying only the
 mathematics it measures with. Set-up checks take a RunContext. Per-round
-checks also take a RoundSnapshot and return one report per candidate
-(client, local step or bound form), with the round, client and step in its
-context. `fedspectra verify` keeps the worst report per name and round; the
-acceptance runs tally every report.
+checks also take a RoundSnapshot, or, when they read the round's local
+iterates, an ObservedRound and their measure of each iterate (see
+run_checks), and return one report per candidate (client, local step or
+bound form), with the round, client and step in its context. `fedspectra
+verify` keeps the worst report per name and round; the acceptance runs
+tally every report.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,28 +292,59 @@ def local_descent(ctx, snap):
     return reports
 
 
-def local_deviation(ctx, snap):
+@dataclass(frozen=True, eq=False)
+class ObservedRound:
+    """One observed round as the checks that read its local iterates see
+    it: the run's context and the round's snapshot, whose kept iterates, if
+    any, no check reads. redescend descends the round again from the
+    snapshot's start and hands each iterate to the checks' measures as it
+    is formed. What the round's measures share is derived on first use, as
+    RunContext's is."""
+
+    ctx: RunContext
+    snap: object
+
+    @cached_property
+    def batches(self) -> tuple:
+        """The members' batches, in member order."""
+        return tuple(self.ctx.batches[c] for c in self.snap.members)
+
+    @cached_property
+    def global_norms(self) -> tuple:
+        """The Frobenius norm of each broadcast layer."""
+        return tuple(float(np.linalg.norm(Wg)) for Wg in self.snap.global_params.layers)
+
+    @cached_property
+    def first_order_start(self):
+        """The round-start terms of the first-order prediction, which both
+        of its probes share (analysis.FirstOrderStart)."""
+        ctx, snap = self.ctx, self.snap
+        return analysis.FirstOrderStart(
+            snap.global_params, ctx.init_params, ctx.batches, snap.members
+        )
+
+
+def local_deviation_residual(rnd, i, k, iterate):
+    """local-deviation's measure of member i's iterate k: its flattened
+    residual on its own batch."""
+    batch = rnd.batches[i]
+    return vec_residual(iterate.predict(batch.X), batch.Y)
+
+
+def local_deviation(rnd, residuals):
     """Distance of the stacked local residual xi_k after local step k from
     the broadcast-time one xi_bar, against a coefficient times |xi_bar|: the
     coefficient is 57*k*eta*|X|^2/(10*d_out), and the ReLU model adds the
     crude 2*eta*n*K as local-deviation-crude. One report per step and bound.
-    A stack concatenates each participant's flattened residual on its own
-    batch, in member order."""
-    batches, members = ctx.batches, snap.members
-
-    def stacked(params_per_member):
-        return np.concatenate(
-            [
-                vec_residual(p.predict(batches[c].X), batches[c].Y)
-                for p, c in zip(params_per_member, members, strict=True)
-            ]
-        )
-
-    xi_bar_S = stacked([snap.global_params] * len(members))
+    residuals[i][k] is member i's local_deviation_residual at iterate k
+    (iterate 0 being the broadcast weights), and a stack concatenates them
+    in member order."""
+    ctx, snap = rnd.ctx, rnd.snap
+    xi_bar_S = np.concatenate([member[0] for member in residuals])
     base = float(np.linalg.norm(xi_bar_S))
     reports = []
     for k in range(1, ctx.local_steps + 1):
-        xi_k = stacked([traj[k] for traj in snap.trajectories])
+        xi_k = np.concatenate([member[k] for member in residuals])
         measured = float(np.linalg.norm(xi_k - xi_bar_S))
         coefficients = {"local-deviation": 57.0 * k * ctx.eta * ctx.norm_x**2 / (10.0 * ctx.d_out)}
         if ctx.init_params.kind == RELU:
@@ -333,25 +367,42 @@ def global_drift(ctx, snap):
     return [make_report("global-drift", measured=measured, bound=radius, context=context)]
 
 
-def local_drift(ctx, snap):
-    """Spectral-norm distance of each local iterate (step k >= 1) from the
-    broadcast weights, against 24*sqrt(d_out)*|X_c| / (L*sigma_min^2(X_c))
-    times the client's residual norm at broadcast time (linear network
-    only). One report per participant and local step.
+def local_drift_norms(rnd, i, k, iterate):
+    """local-drift's measure of member i's iterate k: at k = 0, the
+    broadcast weights, the member's residual norm, which scales its radius;
+    after step k, each layer's spectral-norm distance from the broadcast
+    weights.
 
     Each step changes a layer by a matrix of rank at most min(n_c, d_out),
     so the spectral norms at step k come from a sketch of rank
     k*min(n_c, d_out) (analysis._low_rank_spectral_norm), certified against
-    the rounding of k updates (2*k*eps*|W_global|_F). A client whose data
-    are numerically zero (no samples, say) gets radius 0: every gradient is
-    a product with X_c, so its deltas are 0 too.
+    the rounding of k updates (2*k*eps*|W_global|_F).
     """
-    # every trajectory starts at the broadcast weights
+    batch, global_params = rnd.batches[i], rnd.snap.global_params
+    if k == 0:
+        return float(np.linalg.norm(vec_residual(iterate.predict(batch.X), batch.Y)))
+    rank = k * min(batch.n, global_params.d_out)
+    # each update rounds every entry of the layer once
+    rounding = k * np.finfo(float).eps
+    return tuple(
+        analysis._low_rank_spectral_norm(Wl - Wg, rank, rounding * norm)
+        for Wl, Wg, norm in zip(iterate.layers, global_params.layers, rnd.global_norms)
+    )
+
+
+def local_drift(rnd, norms):
+    """Spectral-norm distance of each local iterate (step k >= 1) from the
+    broadcast weights, against 24*sqrt(d_out)*|X_c| / (L*sigma_min^2(X_c))
+    times the client's residual norm at broadcast time (linear network
+    only). One report per participant and local step; norms[i][k] is
+    member i's local_drift_norms at iterate k. A client whose data are
+    numerically zero (no samples, say) gets radius 0: every gradient is a
+    product with X_c, so its deltas are 0 too.
+    """
+    ctx, snap = rnd.ctx, rnd.snap
     global_params, reports = snap.global_params, []
-    norms_g = [float(np.linalg.norm(Wg)) for Wg in global_params.layers]
-    for traj, c in zip(snap.trajectories, snap.members):
-        batch, sv = ctx.batches[c], ctx.client_singular_values[c]
-        resid = float(np.linalg.norm(vec_residual(global_params.predict(batch.X), batch.Y)))
+    for (resid, *per_step), c in zip(norms, snap.members, strict=True):
+        sv = ctx.client_singular_values[c]
         norm_xc = smin = radius = 0.0
         if sv.size:
             norm_xc, smin = float(sv[0]), float(sv[-1])
@@ -359,14 +410,7 @@ def local_drift(ctx, snap):
                 global_params.depth * smin**2
             ) * resid
         context = {"client_residual_norm": resid, "sigma_min_Xc": smin, "norm_Xc": norm_xc}
-        for k, local_params in enumerate(traj[1:], start=1):
-            rank = k * min(batch.n, global_params.d_out)
-            # each update rounds every entry of the layer once
-            rounding = k * np.finfo(float).eps
-            per_layer = tuple(
-                analysis._low_rank_spectral_norm(Wl - Wg, rank, rounding * norm)
-                for Wl, Wg, norm in zip(local_params.layers, global_params.layers, norms_g)
-            )
+        for k, per_layer in enumerate(per_step, start=1):
             where = {"t": snap.t, "client": c, "k": k}
             reports.append(
                 make_report(
@@ -379,51 +423,67 @@ def local_drift(ctx, snap):
     return reports
 
 
-def first_order(ctx, snap):
+def first_order_terms(rnd, i, k, iterate):
+    """first-order's measure of member i's iterate k: its terms of the
+    prediction (analysis.FirstOrderStart.iterate_terms) when a local step
+    starts from it, k < K; None for the last iterate, which starts none."""
+    if k < rnd.ctx.local_steps:
+        return rnd.first_order_start.iterate_terms(i, iterate)
+    return None
+
+
+def half_rate_probe(rnd):
+    """first-order's eta/2 probe: one local_round at eta/2 of every
+    participant from the round's start, on a client pool as a run's rounds
+    are, that keeps each iterate's first_order_terms, formed as it descends,
+    instead of the iterate. Its analysis.FirstOrderReport, or None at depth
+    1, which is linear in its weights, so that the prediction is exact up to
+    rounding and there is no remainder to probe."""
+    ctx, snap = rnd.ctx, rnd.snap
+    if snap.global_params.depth == 1:
+        return None
+    keep = partial(first_order_terms, rnd)
+    runs, average = local_round(
+        snap.global_params, rnd.batches, 0.5 * ctx.eta, ctx.local_steps, keep=keep
+    )
+    return _first_order_probe(rnd, 0.5 * ctx.eta, [kept for kept, _ in runs], average())
+
+
+def _first_order_probe(rnd, eta, terms, averaged):
+    """The prediction of a round at eta from its members' first_order_terms,
+    scored against the average that the round formed."""
+    ctx = rnd.ctx
+    actual = vec_residual(averaged.predict(ctx.X), np.hstack([b.Y for b in ctx.batches]))
+    steps = [member[:-1] for member in terms]  # the last iterate starts no step
+    return analysis.predict_first_order(rnd.first_order_start, steps, eta, next_residual=actual)
+
+
+def first_order(rnd, terms, half):
     """The first-order prediction of the round's residual (see
     analysis.predict_first_order): its relative error, and the halving form,
     the ratio of its absolute errors at eta and at eta/2 against 4, the
     signature of a second-order remainder.
 
-    Each probe scores the server average that its own round formed: at eta
-    the snapshot's round and average, at eta/2 one local_round of every
-    participant from the same state, on a client pool as a run's rounds
-    are. Both probes share the round-start terms (analysis.FirstOrderStart);
-    the eta/2 round keeps each iterate's terms, formed as it descends, instead
-    of the iterate. Where the ratio is undefined the halving form passes
-    vacuously with its reason: at depth 1, which is linear in its weights so
-    that the prediction is exact up to rounding and the eta/2 probe is
-    skipped, and when the eta/2 probe's error is exactly 0.
+    terms[i][k] is member i's first_order_terms at iterate k, and half the
+    round's half_rate_probe. Each probe scores the server average that its
+    own round formed: at eta the snapshot's, at eta/2 its local_round's.
+    Where the ratio is undefined the halving form passes vacuously with its
+    reason: at depth 1, where half is None, and when the eta/2 probe's
+    error is exactly 0.
     """
-    params, batches = snap.global_params, ctx.batches
-    start = analysis.FirstOrderStart(params, ctx.init_params, batches, snap.members)
-    Y = np.hstack([b.Y for b in batches])
-
-    def probe(eta, terms, averaged):
-        actual = vec_residual(averaged.predict(ctx.X), Y)
-        return analysis.predict_first_order(start, terms, eta, next_residual=actual)
-
-    # a step's terms are those of the iterate it starts from: the last enters none
-    terms = [
-        [start.iterate_terms(i, p) for p in traj[:-1]] for i, traj in enumerate(snap.trajectories)
-    ]
-    full = probe(ctx.eta, terms, snap.averaged)
+    ctx, snap = rnd.ctx, rnd.snap
+    full = _first_order_probe(rnd, ctx.eta, terms, snap.averaged)
     ratio, why = None, "depth 1 is linear in its weights: no remainder to halve"
-    if params.depth > 1:
-        own = [batches[c] for c in start.members]
-        runs, average = local_round(
-            params, own, 0.5 * ctx.eta, ctx.local_steps, keep=start.iterate_terms
-        )
-        half = probe(0.5 * ctx.eta, [kept[:-1] for kept, _ in runs], average())
+    if half is not None:
         if half.actual_error == 0.0:
             why = "the eta/2 probe's prediction error is 0: no remainder to halve"
         else:
             ratio = full.actual_error / half.actual_error
-    terms = (
+    names = (
         "reconstruction_gap", "term_contraction", "term_gram_shift", "term_local_deviation",
     )
     halving = {"t": snap.t, "scaling_ratio": ratio}
-    context = halving | {n: getattr(full, n) for n in terms}
+    context = halving | {n: getattr(full, n) for n in names}
     relative = make_report(
         "first-order:relative-error", measured=full.relative_error, bound=1e-2, context=context
     )
@@ -434,17 +494,38 @@ def first_order(ctx, snap):
     return [relative, halved]
 
 
-# Every check in report order: name -> (model kinds, runs per round, model
-# kinds whose bound needs the Gram matrix that set-up builds, function).
+class Check(NamedTuple):
+    """A row of CHECKS: the model kinds the check applies to, whether it
+    runs per observed round, the model kinds whose bound needs the Gram
+    matrix that set-up builds, and the check. A per-round check that reads
+    the round's local iterates also names its measure(rnd, i, k, iterate) of
+    member i's iterate k, and its check is then check(rnd, measured),
+    measured[i][k] being that measure, or check(rnd, measured, probed) when
+    it names a probe(rnd) as well: a further computation from the round's
+    start whose result it is handed (see run_checks)."""
+
+    kinds: tuple
+    per_round: bool
+    gram_kinds: tuple
+    check: object
+    measure: object = None
+    probe: object = None
+
+
+# Every check in report order.
 CHECKS = {
-    "init-spectra": ((LINEAR,), False, (), init_spectra),
-    "gram-floor": ((LINEAR,), False, (LINEAR,), gram_floor),
-    "ntk-trace": ((RELU,), False, (), ntk_trace),
-    "local-descent": ((LINEAR, RELU), True, (RELU,), local_descent),
-    "local-deviation": ((LINEAR, RELU), True, (), local_deviation),
-    "global-drift": ((LINEAR, RELU), True, (RELU,), global_drift),
-    "local-drift": ((LINEAR,), True, (), local_drift),
-    "first-order": ((LINEAR,), True, (), first_order),
+    "init-spectra": Check((LINEAR,), False, (), init_spectra),
+    "gram-floor": Check((LINEAR,), False, (LINEAR,), gram_floor),
+    "ntk-trace": Check((RELU,), False, (), ntk_trace),
+    "local-descent": Check((LINEAR, RELU), True, (RELU,), local_descent),
+    "local-deviation": Check(
+        (LINEAR, RELU), True, (), local_deviation, measure=local_deviation_residual
+    ),
+    "global-drift": Check((LINEAR, RELU), True, (RELU,), global_drift),
+    "local-drift": Check((LINEAR,), True, (), local_drift, measure=local_drift_norms),
+    "first-order": Check(
+        (LINEAR,), True, (), first_order, measure=first_order_terms, probe=half_rate_probe
+    ),
 }
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -470,18 +551,18 @@ def select(ctx, wanted, rounds, T, max_gram_dim) -> tuple:
     """
     kind = ctx.init_params.kind
     names = [n for n in known_checks(kind) if wanted is None or n in wanted]
-    if not any(CHECKS[n][1] for n in names):
+    if not any(CHECKS[n].per_round for n in names):
         rounds = []
     elif rounds is None:
         rounds = sorted({0, T // 2, T - 1}) if T else []
-    if not rounds and all(CHECKS[n][1] for n in names):
+    if not rounds and all(CHECKS[n].per_round for n in names):
         raise ValueError(
             f"verify.rounds: no round of {T} is observed, and every selected check "
             f"({', '.join(names)}) runs per round; nothing would be checked"
         )
     for name in names:
-        _, per_round, gram_kinds, _ = CHECKS[name]
-        if kind not in gram_kinds or (per_round and not rounds):
+        row = CHECKS[name]
+        if kind not in row.gram_kinds or (row.per_round and not rounds):
             continue
         if ctx.gram_dim > max_gram_dim:
             need = _GRAM_NAMES[kind].format(ctx.gram_dim)
@@ -508,24 +589,77 @@ def worst_per_name(reports) -> list:
 
 def run_checks(ctx, names, snapshots) -> list:
     """Reports of the named checks in table order: the set-up checks once,
-    then for each snapshot the worst report per name of each per-round check.
+    then for each snapshot the worst report per name of each per-round
+    check.
 
-    Each set-up check, and each per-round check of each snapshot, is one
-    independent call, and federation.side_by_side runs them, on the usable
-    cores where BLAS already runs one thread. They share ctx, whose cached
-    properties are each computed once, under cached_property's lock (a
-    Python without that lock may compute one twice, to the same value).
+    No snapshot need hold an iterate: each snapshot's round is descended
+    once more from its start (redescend), every selected measure recording
+    each iterate as it is formed, so that no iterate outlives the step
+    after it. Each set-up check, each per-round check that reads no
+    iterate, each round's re-descent and each probe is one independent
+    call, and federation.side_by_side runs them, on the usable cores where
+    BLAS already runs one thread; the checks that read iterates then reduce
+    their measures. The calls share ctx, and a round's calls its
+    ObservedRound, whose cached properties are each computed once, under
+    cached_property's lock (a Python without that lock may compute one
+    twice, to the same value).
     """
-    rows = [(per_round, fn) for name, (_, per_round, _, fn) in CHECKS.items() if name in names]
-    calls = [partial(fn, ctx) for per_round, fn in rows if not per_round]
-    calls += [
-        partial(_worst_of, fn, ctx, snap)
-        for snap in snapshots
-        for per_round, fn in rows
-        if per_round
-    ]
-    return [rep for reports in side_by_side(calls) for rep in reports]
+    table = {name: row for name, row in CHECKS.items() if name in names}
+    measured = [(name, row.measure) for name, row in table.items() if row.measure]
+    rounds = [ObservedRound(ctx, snap) for snap in snapshots]
+    calls = {name: partial(row.check, ctx) for name, row in table.items() if not row.per_round}
+    for j, rnd in enumerate(rounds):
+        for name, row in table.items():
+            if row.per_round and not row.measure:
+                calls[j, name] = partial(_worst_of, row.check, ctx, rnd.snap)
+            if row.probe:
+                calls[j, name, "probe"] = partial(row.probe, rnd)
+        if measured:
+            calls[j] = partial(redescend, rnd, measured)
+    done = dict(zip(calls, side_by_side(list(calls.values()))))
+    reports = [rep for name, row in table.items() if not row.per_round for rep in done[name]]
+    for j, rnd in enumerate(rounds):
+        for name, row in table.items():
+            if row.per_round and not row.measure:
+                reports += done[j, name]
+            elif row.measure:
+                probed = (done[j, name, "probe"],) if row.probe else ()
+                reports += worst_per_name(row.check(rnd, done[j][name], *probed))
+    return reports
 
 
 def _worst_of(check, ctx, snap) -> list:
     return worst_per_name(check(ctx, snap))
+
+
+def redescend(rnd, measured) -> dict:
+    """Descend rnd's round once more from its start, on a client pool as a
+    run's rounds are, each measure of `measured`, (name, measure) pairs,
+    recording every iterate as it is formed, on its client's thread.
+    Returns name -> that measure of each member's iterates, [i][k] for
+    member i's iterate k.
+
+    Raises ValueError, naming the round, unless the round's local losses
+    and server average are the snapshot's bit for bit: the measures would
+    describe some other round.
+    """
+    ctx, snap = rnd.ctx, rnd.snap
+    measures = [measure for _, measure in measured]
+
+    def record(i, k, iterate):
+        return tuple(measure(rnd, i, k, iterate) for measure in measures)
+
+    runs, average = local_round(
+        snap.global_params, rnd.batches, ctx.eta, ctx.local_steps, keep=record
+    )
+    pairs = zip(average()._weights(), snap.averaged._weights(), strict=True)
+    same_losses = [list(ls) for _, ls in runs] == [list(ls) for ls in snap.local_losses]
+    if not (same_losses and all(np.array_equal(a, b) for a, b in pairs)):
+        raise ValueError(
+            f"round {snap.t}: descended again from its start, the round's local losses "
+            "or server average differ from the snapshot's, so no check of it is made"
+        )
+    return {
+        name: [[values[j] for values in kept] for kept, _ in runs]
+        for j, (name, _) in enumerate(measured)
+    }

@@ -28,8 +28,8 @@ def usable_cores(monkeypatch):
 @pytest.fixture
 def first_order_probes(monkeypatch):
     """The FirstOrderReports of every analysis.predict_first_order call in
-    the test, in call order: verify.first_order makes its eta probe, then
-    its eta/2 probe."""
+    the test, in call order: verify.half_rate_probe makes the eta/2 probe,
+    and verify.first_order the eta probe."""
     probes = []
 
     def recorded(*args, _predict=analysis.predict_first_order, **kwargs):

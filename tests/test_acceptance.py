@@ -3,8 +3,10 @@
 One test per criterion; run with -rA (set in pyproject) so the summary shows a
 single PASSED/FAILED line for each. The two reference training runs (a deep
 linear job and a two-layer ReLU job) are module fixtures shared by the
-criteria that inspect them, with per-round checks computed inside observers so
-no trajectory history has to be retained.
+criteria that inspect them, with per-round checks computed inside observers
+from per-iterate measures recorded as each round runs, the measures that
+`fedspectra verify` records as it descends a round again, so that no local
+iterate is retained.
 """
 
 import json
@@ -75,9 +77,21 @@ def _tally(state, key, reports):
             fields[f"{key}_fail"].append(rep.context)
 
 
+def _deviation_keep(ctx):
+    """local-deviation's measure as run_fedavg's keep, for a run in which
+    every client takes part in every round, so that member i is client i:
+    each round records the measure of each iterate as it forms it, as
+    verify's re-descent does, and keeps no iterate."""
+    everyone = RoundSnapshot(0, tuple(range(len(ctx.batches))), (), ctx.init_params, (), None)
+    return partial(verify.local_deviation_residual, verify.ObservedRound(ctx, everyone))
+
+
 def _local_checks(state, ctx, snap):
+    """Tally the round's local-descent reports, and its local-deviation
+    reports from the measures that _deviation_keep kept."""
     _tally(state, "descent", verify.local_descent(ctx, snap))
-    _tally(state, "deviation", verify.local_deviation(ctx, snap))
+    rnd = verify.ObservedRound(ctx, snap)
+    _tally(state, "deviation", verify.local_deviation(rnd, snap.trajectories))
 
 
 # ---------------------------------------------------------- shared run (4) ----
@@ -101,7 +115,7 @@ def run4():
         _local_checks(state, ctx, snap)
 
     cfg = FederationConfig(n_clients=8, local_steps=5, rounds=500, eta=eta, seed=2)
-    result = run_fedavg(cfg, init, batches, observer=observer)
+    result = run_fedavg(cfg, init, batches, observer=observer, keep=_deviation_keep(ctx))
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.ctx = ctx
@@ -127,7 +141,7 @@ def run6():
         n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
     )
     observer = partial(_local_checks, state, ctx)
-    result = run_fedavg(cfg, init, batches, observer=observer)
+    result = run_fedavg(cfg, init, batches, observer=observer, keep=_deviation_keep(ctx))
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.lambda_min = lam
@@ -330,8 +344,11 @@ def test_criterion_10_hidden_row_drift_stays_in_radius(run6_wide):
 
 def test_criterion_11_first_order_residual_prediction(run4, first_order_probes):
     """Round-3 residual prediction: small error, quartering under eta halving."""
-    _, halved = verify.first_order(run4.ctx, run4.round3)
-    full, half = first_order_probes
+    rnd = verify.ObservedRound(run4.ctx, run4.round3)
+    half = verify.half_rate_probe(rnd)
+    measured = verify.redescend(rnd, [("first-order", verify.first_order_terms)])
+    _, halved = verify.first_order(rnd, measured["first-order"], half)
+    half, full = first_order_probes
     ratio = halved.context["scaling_ratio"]
     assert full.relative_error <= 1e-2
     assert 3.5 <= ratio <= 4.5

@@ -3,6 +3,7 @@ checks that measure with them, each on a small run context and a hand-built
 round snapshot."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,14 @@ def _snapshot(params, trajectories=(), members=(0,), losses=(), averaged=None, t
     """Round t entered at params: the members' kept iterates, their local
     losses and the round's average."""
     return RoundSnapshot(t, tuple(members), losses, params, tuple(trajectories), averaged)
+
+
+def _measured(measure, rnd, trajectories):
+    """A check's measure of each member's given iterates, [i][k] for member
+    i's iterate k, as a re-descent of the round would record them."""
+    return [
+        [measure(rnd, i, k, p) for k, p in enumerate(traj)] for i, traj in enumerate(trajectories)
+    ]
 
 
 def _linear_batch(p, X):
@@ -444,7 +453,9 @@ def test_check_local_deviation_bound_is_coefficient_times_base_norm():
     batch = LabeledBatch(X=np.eye(2), Y=np.array([[-3.0, -4.0]]))
 
     def deviation(step, eta):
-        (rep,) = verify.local_deviation(_context(start, batch, eta=eta), _snapshot(start, [step]))
+        rnd = verify.ObservedRound(_context(start, batch, eta=eta), _snapshot(start))
+        residuals = _measured(verify.local_deviation_residual, rnd, [step])
+        (rep,) = verify.local_deviation(rnd, residuals)
         return rep
 
     rep0 = deviation((start, start), 0.1)
@@ -513,7 +524,8 @@ def test_check_drift_rejects_mismatched_architectures(now, init):
 def _local_drift(trajectory, batch):
     """local-drift's reports for one client's trajectory on its batch."""
     p = trajectory[0]
-    return verify.local_drift(_context(p, batch), _snapshot(p, [trajectory]))
+    rnd = verify.ObservedRound(_context(p, batch), _snapshot(p))
+    return verify.local_drift(rnd, _measured(verify.local_drift_norms, rnd, [trajectory]))
 
 
 def test_check_local_drift_zero_when_local_equals_global():
@@ -688,9 +700,18 @@ def _first_order_round(members):
     return ctx, _snapshot(params, trajs, members, averaged=averaged, t=2)
 
 
+def _first_order(ctx, snap):
+    """first-order's reports of the round: its eta/2 probe, then its measure
+    of each iterate that snap kept."""
+    rnd = verify.ObservedRound(ctx, snap)
+    half = verify.half_rate_probe(rnd)
+    terms = _measured(verify.first_order_terms, rnd, snap.trajectories)
+    return verify.first_order(rnd, terms, half)
+
+
 def test_predict_first_order_prediction_is_accurate_and_eta_scaled(first_order_probes):
-    _, halved = verify.first_order(*_first_order_round([0, 1, 2]))
-    full, half = first_order_probes
+    _, halved = _first_order(*_first_order_round([0, 1, 2]))
+    half, full = first_order_probes
     ratio = halved.context["scaling_ratio"]
     assert full.relative_error <= 1e-2
     assert half.actual_error < full.actual_error
@@ -727,11 +748,11 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(
         usable_cores(cores)
         rounds.clear()
         first_order_probes.clear()
-        _, halved = verify.first_order(ctx, snap)
+        _, halved = _first_order(ctx, snap)
         # the probe's members descend on a client pool: one core runs them
         # serially, two side by side, unless BLAS cannot be held to one thread
         assert rounds == [(len(members), cores == 1 or blas_threads() is None)]
-        full, half = first_order_probes
+        half, full = first_order_probes
         for got, want in ((full, want_full), (half, want_half)):
             np.testing.assert_array_equal(got.predicted, want.predicted)
             assert got.actual_error == want.actual_error
@@ -756,8 +777,8 @@ def test_first_order_scaling_scores_the_average_each_probe_round_formed(
     # any parameters a snapshot carries as its round's average are the ones scored
     for given in (snap.averaged, snap.global_params):
         first_order_probes.clear()
-        verify.first_order(ctx, dataclasses.replace(snap, averaged=given))
-        full, half = first_order_probes
+        _first_order(ctx, dataclasses.replace(snap, averaged=given))
+        half, full = first_order_probes
         actual = vec_residual(given.predict(X), Y)
         assert full.actual_error == float(np.linalg.norm(actual - full.predicted))
         actual = vec_residual(probes.pop()().predict(X), Y)
@@ -776,7 +797,7 @@ def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(
     trajs, averaged = _round(init, batches, [0, 1, 2], 0.01, 3)
     monkeypatch.setattr(verify, "local_round", None)
     snap = _snapshot(init, trajs, [0, 1, 2], averaged=averaged)
-    relative, vacuous = verify.first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap)
     (full,) = first_order_probes
     assert full.relative_error <= 1e-12
     assert relative.context["scaling_ratio"] is None
@@ -792,7 +813,7 @@ def test_first_order_passes_the_halving_form_vacuously_when_no_member_holds_a_sa
     init = init_deep_linear(3, 8, 2, 1, seed=0)
     trajs, averaged = _round(init, batches, [1, 2], 0.01, 3)
     snap = _snapshot(init, trajs, [1, 2], averaged=averaged)
-    relative, vacuous = verify.first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap)
     assert relative.passed and relative.measured == 0.0
     assert relative.context["scaling_ratio"] is None
     assert vacuous.name == "first-order:halving-vacuous" and vacuous.passed
@@ -803,18 +824,23 @@ def test_first_order_passes_the_halving_form_vacuously_when_no_member_holds_a_sa
 def test_a_round_keeps_each_iterates_first_order_terms_bit_for_bit(
     cores, one_blas_thread, usable_cores
 ):
-    # the eta/2 probe's round hands each iterate to the per-iterate term as
-    # it descends, on its client's thread, and keeps the terms alone
+    # a round hands each iterate to first-order's measure as it descends, on
+    # its client's thread, and keeps the terms alone; the last iterate starts
+    # no step, so its terms are not formed
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    start = analysis.FirstOrderStart(params, init, batches, members)
+    ctx = _context(init, *batches, eta=cfg.eta, steps=cfg.local_steps)
+    rnd = verify.ObservedRound(ctx, _snapshot(params, members=members))
     own = [batches[c] for c in members]
     usable_cores(cores)
-    runs, _ = local_round(params, own, cfg.eta, cfg.local_steps, keep=start.iterate_terms)
+    keep = functools.partial(verify.first_order_terms, rnd)
+    runs, _ = local_round(params, own, cfg.eta, cfg.local_steps, keep=keep)
     trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    start = analysis.FirstOrderStart(params, init, batches, members)
     for i, ((kept, _), traj) in enumerate(zip(runs, trajs, strict=True)):
         assert len(kept) == len(traj) == cfg.local_steps + 1
-        for got, p in zip(kept, traj):
+        assert kept[-1] is None
+        for got, p in zip(kept[:-1], traj):
             want = start.iterate_terms(i, p)
             assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -834,13 +860,13 @@ def test_the_half_rate_probe_holds_no_round_of_iterates(usable_cores):
     usable_cores(1)
     tracemalloc.start()
     try:
-        relative, halved = verify.first_order(ctx, snap)
+        relative, halved = _first_order(ctx, snap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert relative.passed and halved.name == "first-order:halving"
-    # the sum, one client's state and the iterate copied from it: each
-    # iterate's terms are formed, and the iterate let go, before the next
+    # the sum and one client's state: each iterate's terms are formed from
+    # the state's own arrays before its next step (2.6 layers measured)
     assert peak < 4.5 * width * width * 8
 
 

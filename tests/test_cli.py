@@ -1229,7 +1229,10 @@ def test_verify_json_is_byte_identical_across_usable_cores_on_a_relu_model(
     assert names == set(verify.known_checks("two-layer-relu")) | {"local-deviation-crude"}
 
 
-def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
+def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path, one_blas_thread):
+    # verify measures each iterate at the BLAS thread count of its round,
+    # and the reports below are measured in this thread: at one BLAS thread
+    # both are the same bits
     cfg = _write(tmp_path, "c.json", WIDE_LINEAR)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -1244,9 +1247,18 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     )
     expected, candidates = [], 0
     for snap in snapshots:
-        for kinds, per_round, _, check in verify.CHECKS.values():
-            if per_round and "deep-linear" in kinds:
-                reports = check(ctx, snap)
+        rnd = verify.ObservedRound(ctx, snap)
+        for row in verify.CHECKS.values():
+            if row.per_round and "deep-linear" in row.kinds:
+                if row.measure is None:
+                    reports = row.check(ctx, snap)
+                else:  # the measure of each iterate that the run kept
+                    measured = [
+                        [row.measure(rnd, i, k, p) for k, p in enumerate(traj)]
+                        for i, traj in enumerate(snap.trajectories)
+                    ]
+                    probed = (row.probe(rnd),) if row.probe else ()
+                    reports = row.check(rnd, measured, *probed)
                 candidates += len(reports)
                 for name in dict.fromkeys(r.name for r in reports):
                     same = [r for r in reports if r.name == name]
@@ -1345,9 +1357,10 @@ def test_verify_writes_the_trace_files_of_train(tmp_path, doc):
 def test_verify_probes_at_the_blas_thread_count_of_its_rounds(
     tmp_path, monkeypatch, usable_cores, cores
 ):
-    # the first-order check's eta/2 probe descends as the run's rounds did:
-    # on one usable core every descent, probe included, sees 2 BLAS threads;
-    # on two, rounds of several clients hold BLAS to one
+    # each observed round's re-descent and the first-order check's eta/2
+    # probe descend as the run's rounds did: on one usable core every
+    # descent, run, re-descent and probe, sees 2 BLAS threads; on two,
+    # rounds of several clients hold BLAS to one
     get, put = blas_threads()
     before = get()
     put(2)
@@ -1366,7 +1379,8 @@ def test_verify_probes_at_the_blas_thread_count_of_its_rounds(
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
         report = json.loads((tmp_path / "v" / "verify.json").read_text())
         probes = sum(c["name"] == "first-order:halving" for c in report["checks"])
-        assert probes and len(seen) == SMALL_LINEAR["federation"]["rounds"] + probes
+        # one re-descent and one probe per observed round
+        assert probes and len(seen) == SMALL_LINEAR["federation"]["rounds"] + 2 * probes
         assert set(seen) == {2 if cores == 1 else 1}
     finally:
         put(before)
@@ -1465,7 +1479,8 @@ def test_verify_passes_the_halving_form_vacuously_at_depth_one(tmp_path, monkeyp
     assert errors and all(c["passed"] and c["measured"] <= 1e-12 for c in errors)
     assert len(vacuous) == len(errors) and all("depth 1" in c["context"]["reason"] for c in vacuous)
     assert not any(c["name"] == "first-order:halving" for c in checks)
-    assert len(rounds) == doc["federation"]["rounds"]  # no eta/2 probe trained
+    # each observed round descends once more for its measures; no eta/2 probe trains
+    assert len(rounds) == doc["federation"]["rounds"] + len(errors)
 
 
 # Round-robin deals clients 0 and 1 one sample each and the other six none;

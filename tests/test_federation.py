@@ -346,6 +346,24 @@ def test_an_unobserved_linear_round_holds_one_client_at_a_time(usable_cores):
     assert peak < 2.5 * width * width * 8
 
 
+def test_a_round_observed_as_verify_observes_it_holds_no_iterate(usable_cores):
+    # verify's run records each observed round and keeps none of its
+    # iterates, so the round holds what an unobserved one holds
+    width = 500
+    params, batches = _workload(n_clients=20, d_in=10, d_out=5, n=80, width=width)
+    cfg = FederationConfig(n_clients=20, local_steps=5, rounds=1, eta=0.0005)
+    usable_cores(1)
+    seen = []
+    tracemalloc.start()
+    try:
+        run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={0}, keep=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.t for s in seen] == [0] and seen[0].trajectories == ((),) * 20
+    assert peak < 2.5 * width * width * 8
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_an_unobserved_round_holds_one_client_per_worker_beside_the_sum(workers, usable_cores):
     # a run's first round of several clients runs side by side, one client
@@ -582,7 +600,7 @@ def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
     monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
     usable_cores(2)
     with federation.client_pool() as descend:
-        for keep in (True, lambda i, p: p.layers[0][0, 0], True):
+        for keep in (True, lambda i, k, p: p.layers[0][0, 0], True):
             descend(params, batches, 0.01, 2, keep)
     assert ways == ["side by side", "serial", "side by side"]
 

@@ -14,7 +14,9 @@ ends and which is the only server average: a snapshot carries it, and the
 first-order probes score the averages their rounds formed. A run's loss
 series lives in `RunResult.losses` alone, a snapshot is a round's
 record with more fields, and only `analysis` computes the factor rho_t.
-Each check is one function in `verify`, and `analysis` builds no report.
+Each check is written in `verify` alone, and `analysis` builds no report.
+No check reads the iterates a snapshot kept: verify descends each observed
+round again and measures each iterate as it is formed, so its run keeps none.
 Samples are one type, `models.LabeledBatch`, from the data files to each
 client, and the checks read the data's singular values from `RunContext`.
 """
@@ -131,11 +133,27 @@ def test_first_order_scaling_scores_the_rounds_own_averages():
 
 def test_each_check_is_written_once_in_verify():
     # a check's measured value, bound and report live in its CHECKS
-    # function; analysis keeps the mathematics that the checks measure with
-    assert all(fn.__module__ == verify.__name__ for *_, fn in verify.CHECKS.values())
+    # functions; analysis keeps the mathematics that the checks measure with
+    rows = verify.CHECKS.values()
+    functions = [fn for row in rows for fn in (row.check, row.measure, row.probe) if fn]
+    assert all(fn.__module__ == verify.__name__ for fn in functions)
     assert not [name for name in vars(analysis) if name.startswith("check_")]
     assert not _names("analysis") & {"make_report", "CheckReport"}
     assert "federation" not in _imported("analysis")
+
+
+def test_no_check_reads_the_iterates_a_snapshot_kept():
+    # a check that reads local iterates measures each as verify.redescend
+    # forms it again, so verify's run keeps none: each call in cli that
+    # observes a run asks it to keep nothing
+    assert "trajectories" not in _names("verify")
+    nodes = ast.walk(ast.parse((SRC / "cli.py").read_text()))
+    calls = [n for n in nodes if isinstance(n, ast.Call)]
+    observing = [c for c in calls if "observer" in {k.arg for k in c.keywords}]
+    kept = [[k.value for k in c.keywords if k.arg == "keep"] for c in observing]
+    assert observing and all(
+        len(v) == 1 and isinstance(v[0], ast.Constant) and v[0].value is False for v in kept
+    )
 
 
 def test_the_data_are_described_once():

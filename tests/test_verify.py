@@ -1,6 +1,8 @@
 """The verify checks' bound inputs, from the paper's formulas, on tiny runs."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,17 @@ def _round_zero(doc):
     return ctx, snapshots[0]
 
 
+def _local_deviation(ctx, snap):
+    """local-deviation's reports of the round, its measure taken of each
+    iterate that the snapshot kept."""
+    rnd = verify.ObservedRound(ctx, snap)
+    residuals = [
+        [verify.local_deviation_residual(rnd, i, k, p) for k, p in enumerate(traj)]
+        for i, traj in enumerate(snap.trajectories)
+    ]
+    return verify.local_deviation(rnd, residuals)
+
+
 def test_local_descent_factor_per_model_kind():
     ctx, snap = _round_zero(TINY_LINEAR)
     reports = verify.local_descent(ctx, snap)
@@ -51,7 +64,7 @@ def test_local_descent_factor_per_model_kind():
 def test_local_deviation_coefficient_per_model_kind():
     ctx, snap = _round_zero(TINY_LINEAR)
     norm_x = np.linalg.norm(ctx.X, ord=2)
-    reports = verify.local_deviation(ctx, snap)
+    reports = _local_deviation(ctx, snap)
     assert [r.name for r in reports] == ["local-deviation"] * 3
     for k, rep in enumerate(reports, start=1):
         # 57*k*eta*|X|^2/(10*d_out)
@@ -59,7 +72,7 @@ def test_local_deviation_coefficient_per_model_kind():
 
     ctx, snap = _round_zero(TINY_RELU)
     norm_x = np.linalg.norm(ctx.X, ord=2)
-    reports = verify.local_deviation(ctx, snap)
+    reports = _local_deviation(ctx, snap)
     assert [r.name for r in reports] == ["local-deviation", "local-deviation-crude"] * 3
     for k, (rep, crude) in enumerate(zip(reports[::2], reports[1::2]), start=1):
         assert rep.context["coefficient"] == pytest.approx(57.0 * k * 0.05 * norm_x**2 / 10.0)
@@ -100,3 +113,68 @@ def test_worst_per_name_keeps_a_failing_report_against_a_negative_bound():
     assert not failing.passed and failing.slack > passing.slack
     for reports in ([passing, failing], [failing, passing]):
         assert verify.worst_per_name(reports) == [failing]
+
+
+WIDE_ROUND = {
+    "model": {"kind": "deep-linear", "depth": 3, "width": 500, "d_in": 10, "d_out": 5},
+    "data": {"kind": "synthetic", "n": 32},
+    "federation": {"n_clients": 4, "local_steps": 3, "rounds": 1, "eta": 2e-05, "seed": 1},
+}
+
+
+def _recorded_round(doc):
+    """The run context of doc and its round 0 as verify records it: no iterate kept."""
+    cfg = cli.parse_config(json.dumps(doc))
+    ctx = cli.build_experiment(cfg)
+    snapshots = []
+    run_fedavg(
+        cfg.federation, ctx.init_params, list(ctx.batches),
+        observer=snapshots.append, observe_rounds={0}, keep=False,
+    )
+    return ctx, snapshots[0]
+
+
+def test_a_re_descent_holds_no_round_of_iterates(usable_cores):
+    # a width-500 round of 4 clients x 3 steps; every measure of the linear
+    # model records each iterate as it is formed, and holds none of them
+    usable_cores(1)  # the run's and the re-descent's, so that both round alike
+    ctx, snap = _recorded_round(WIDE_ROUND)
+    width = WIDE_ROUND["model"]["width"]
+    rnd = verify.ObservedRound(ctx, snap)
+    measured = [(name, row.measure) for name, row in verify.CHECKS.items() if row.measure]
+    assert [name for name, _ in measured] == ["local-deviation", "local-drift", "first-order"]
+    ctx.X, ctx.client_singular_values  # the run's set-up, cached before the count starts
+    tracemalloc.start()
+    try:
+        kept = verify.redescend(rnd, measured)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(kept[name]) == 4 and len(kept[name][0]) == 4 for name, _ in measured)
+    # the sum, one client's state, one delta of local-drift's sketch and
+    # its residual blocks (4.2 layers measured); kept, the round's 12 new
+    # iterates would hold 12 interior layers more
+    assert peak < 4.5 * width * width * 8
+
+
+@pytest.mark.parametrize("field", ["local_losses", "averaged"])
+def test_a_snapshot_that_its_round_does_not_reproduce_is_refused(field):
+    # a re-descent measures the round that the snapshot records or none:
+    # one ulp off in a local loss or in the average names the round
+    ctx, snap = _recorded_round(TINY_LINEAR)
+    snap = dataclasses.replace(snap, t=7)
+    if field == "local_losses":
+        (first, *rest), *others = snap.local_losses
+        off = ((np.nextafter(first, np.inf), *rest), *others)
+    else:
+        W, *layers = snap.averaged.layers
+        W = W.copy()
+        W[0, 0] = np.nextafter(W[0, 0], np.inf)
+        off = dataclasses.replace(snap.averaged, layers=(W, *layers))
+    for recorded, raises in ((snap, False), (dataclasses.replace(snap, **{field: off}), True)):
+        names = verify.known_checks("deep-linear")
+        if not raises:
+            assert verify.run_checks(ctx, names, [recorded])
+            continue
+        with pytest.raises(ValueError, match="round 7: .* differ from the snapshot's"):
+            verify.run_checks(ctx, names, [recorded])
