@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
+EXIT_NOT_REPRODUCED = 4
 
 CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
 
@@ -402,12 +403,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    snapshots = []  # in round order, one per observed round, holding no iterate
+    snapshots = []  # in round order, one per observed round
     # the selected rounds are observed whatever the loss reaches
     fed = dataclasses.replace(fed, stop_loss_fraction=None)
     cfg = dataclasses.replace(cfg, federation=fed)  # both headers record the run
-    observed = set(rounds)
-    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=observed, keep=False)
+    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=set(rounds))
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
     _write_json(
@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except verify.ReplayError as e:
+        print(f"not reproduced: {e}", file=sys.stderr)
+        return EXIT_NOT_REPRODUCED
 
 
 if __name__ == "__main__":

@@ -124,13 +124,12 @@ class RoundTrace:
 @dataclass(frozen=True)
 class RoundSnapshot(RoundTrace):
     """Handed to an observer: the round's record plus the global params
-    entering round t, what each participant kept of its local iterates (see
-    run_fedavg's keep: by default its full local trajectory, step 0 being
-    the broadcast copy) and the server average of their last iterates, the
-    params entering round t + 1. No array in it is written to once built."""
+    entering round t and the server average of the participants' last
+    iterates, the params entering round t + 1. It holds no local iterate: a
+    caller that reads them descends the round again from global_params
+    (local_round). No array in it is written to once built."""
 
     global_params: object
-    trajectories: tuple
     averaged: object
 
 
@@ -312,7 +311,6 @@ def run_fedavg(
     *,
     observer=None,
     observe_rounds=None,
-    keep=True,
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
@@ -321,9 +319,7 @@ def run_fedavg(
       BLAS thread every output is the same whichever way a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average, its `averaged`, is
-      applied. Only those rounds keep anything of their local iterates, and
-      they keep what `keep` asks, as local_round's keep means it: every
-      iterate by default, nothing when False. The others keep none.
+      applied. No round keeps its local iterates.
     - the global loss entering round t is summed in client order from the
       participants' step-0 losses of round t, each a forward pass at the
       weights entering it, and a loss_of pass for every other client; only
@@ -345,8 +341,7 @@ def run_fedavg(
                 members = sample_participants(t, cfg)
                 observed = observer is not None and (observe_rounds is None or t in observe_rounds)
                 batches = [client_batches[c] for c in members]
-                asked = keep if observed else False
-                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, asked)
+                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, False)
                 step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
                 value = float(
                     sum(
@@ -376,7 +371,6 @@ def run_fedavg(
                         members=members,
                         local_losses=local_losses,
                         global_params=params,
-                        trajectories=tuple(kept for kept, _ in runs),
                         averaged=averaged,
                     )
                 )

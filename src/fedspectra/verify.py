@@ -292,14 +292,18 @@ def local_descent(ctx, snap):
     return reports
 
 
+class ReplayError(RuntimeError):
+    """Raised when an observed round, descended again from its start, is not
+    the round that the run took."""
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedRound:
     """One observed round as the checks that read its local iterates see
-    it: the run's context and the round's snapshot, whose kept iterates, if
-    any, no check reads. redescend descends the round again from the
-    snapshot's start and hands each iterate to the checks' measures as it
-    is formed. What the round's measures share is derived on first use, as
-    RunContext's is."""
+    it: the run's context and the round's snapshot, which holds no iterate.
+    redescend descends the round again from the snapshot's start and hands
+    each iterate to the checks' measures as it is formed. What the round's
+    measures share is derived on first use, as RunContext's is."""
 
     ctx: RunContext
     snap: object
@@ -317,7 +321,10 @@ class ObservedRound:
     @cached_property
     def first_order_start(self):
         """The round-start terms of the first-order prediction, which both
-        of its probes share (analysis.FirstOrderStart)."""
+        of its probes share (analysis.FirstOrderStart). Every client thread
+        of both probes reads them, at once, so run_checks builds them before
+        it starts the round's calls: from Python 3.12 cached_property takes
+        no lock, and each thread would build its own."""
         ctx, snap = self.ctx, self.snap
         return analysis.FirstOrderStart(
             snap.global_params, ctx.init_params, ctx.batches, snap.members
@@ -500,16 +507,14 @@ class Check(NamedTuple):
     matrix that set-up builds, and the check. A per-round check that reads
     the round's local iterates also names its measure(rnd, i, k, iterate) of
     member i's iterate k, and its check is then check(rnd, measured),
-    measured[i][k] being that measure, or check(rnd, measured, probed) when
-    it names a probe(rnd) as well: a further computation from the round's
-    start whose result it is handed (see run_checks)."""
+    measured[i][k] being that measure; first-order's also takes the round's
+    half_rate_probe (see run_checks)."""
 
     kinds: tuple
     per_round: bool
     gram_kinds: tuple
     check: object
     measure: object = None
-    probe: object = None
 
 
 # Every check in report order.
@@ -523,9 +528,7 @@ CHECKS = {
     ),
     "global-drift": Check((LINEAR, RELU), True, (RELU,), global_drift),
     "local-drift": Check((LINEAR,), True, (), local_drift, measure=local_drift_norms),
-    "first-order": Check(
-        (LINEAR,), True, (), first_order, measure=first_order_terms, probe=half_rate_probe
-    ),
+    "first-order": Check((LINEAR,), True, (), first_order, measure=first_order_terms),
 }
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -599,10 +602,11 @@ def run_checks(ctx, names, snapshots) -> list:
     iterate, each round's re-descent and each probe is one independent
     call, and federation.side_by_side runs them, on the usable cores where
     BLAS already runs one thread; the checks that read iterates then reduce
-    their measures. The calls share ctx, and a round's calls its
-    ObservedRound, whose cached properties are each computed once, under
-    cached_property's lock (a Python without that lock may compute one
-    twice, to the same value).
+    their measures, first-order with the round's half_rate_probe. The
+    calls share ctx, and a round's calls its ObservedRound, whose cached
+    properties are each computed once under cached_property's lock (a
+    Python without that lock may compute one twice, to the same value),
+    save first_order_start, built here before any call starts.
     """
     table = {name: row for name, row in CHECKS.items() if name in names}
     measured = [(name, row.measure) for name, row in table.items() if row.measure]
@@ -612,8 +616,9 @@ def run_checks(ctx, names, snapshots) -> list:
         for name, row in table.items():
             if row.per_round and not row.measure:
                 calls[j, name] = partial(_worst_of, row.check, ctx, rnd.snap)
-            if row.probe:
-                calls[j, name, "probe"] = partial(row.probe, rnd)
+        if "first-order" in table:
+            rnd.first_order_start  # built once, before the threads that read it start
+            calls[j, "probe"] = partial(half_rate_probe, rnd)
         if measured:
             calls[j] = partial(redescend, rnd, measured)
     done = dict(zip(calls, side_by_side(list(calls.values()))))
@@ -623,7 +628,7 @@ def run_checks(ctx, names, snapshots) -> list:
             if row.per_round and not row.measure:
                 reports += done[j, name]
             elif row.measure:
-                probed = (done[j, name, "probe"],) if row.probe else ()
+                probed = (done[j, "probe"],) if name == "first-order" else ()
                 reports += worst_per_name(row.check(rnd, done[j][name], *probed))
     return reports
 
@@ -639,7 +644,7 @@ def redescend(rnd, measured) -> dict:
     Returns name -> that measure of each member's iterates, [i][k] for
     member i's iterate k.
 
-    Raises ValueError, naming the round, unless the round's local losses
+    Raises ReplayError, naming the round, unless the round's local losses
     and server average are the snapshot's bit for bit: the measures would
     describe some other round.
     """
@@ -655,7 +660,7 @@ def redescend(rnd, measured) -> dict:
     pairs = zip(average()._weights(), snap.averaged._weights(), strict=True)
     same_losses = [list(ls) for _, ls in runs] == [list(ls) for ls in snap.local_losses]
     if not (same_losses and all(np.array_equal(a, b) for a, b in pairs)):
-        raise ValueError(
+        raise ReplayError(
             f"round {snap.t}: descended again from its start, the round's local losses "
             "or server average differ from the snapshot's, so no check of it is made"
         )

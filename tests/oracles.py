@@ -300,13 +300,12 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
         observed = observer is not None and (observe_rounds is None or t in observe_rounds)
         batches = [client_batches[c] for c in members]
         try:
-            runs, average = local_round(params, batches, cfg.eta, cfg.local_steps, observed)
+            runs, average = local_round(params, batches, cfg.eta, cfg.local_steps)
         except DivergenceError as e:
             c = members[e.client]
             raise DivergenceError(
                 f"round {t}, client {c}: {e}", round_index=t, client=c, step=e.step, loss=e.loss
             ) from e
-        trajectories = tuple(iterates for iterates, _ in runs)
         local_losses = tuple(tuple(ls) for _, ls in runs)
         averaged = average()
         if observed:
@@ -316,7 +315,6 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
                     members=members,
                     local_losses=local_losses,
                     global_params=params,
-                    trajectories=trajectories,
                     averaged=averaged,
                 )
             )

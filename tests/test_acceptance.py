@@ -4,9 +4,9 @@ One test per criterion; run with -rA (set in pyproject) so the summary shows a
 single PASSED/FAILED line for each. The two reference training runs (a deep
 linear job and a two-layer ReLU job) are module fixtures shared by the
 criteria that inspect them, with per-round checks computed inside observers
-from per-iterate measures recorded as each round runs, the measures that
-`fedspectra verify` records as it descends a round again, so that no local
-iterate is retained.
+as `fedspectra verify` computes them, each round's local iterates measured
+as the round is descended again from its start, so that no local iterate is
+retained.
 """
 
 import json
@@ -77,21 +77,14 @@ def _tally(state, key, reports):
             fields[f"{key}_fail"].append(rep.context)
 
 
-def _deviation_keep(ctx):
-    """local-deviation's measure as run_fedavg's keep, for a run in which
-    every client takes part in every round, so that member i is client i:
-    each round records the measure of each iterate as it forms it, as
-    verify's re-descent does, and keeps no iterate."""
-    everyone = RoundSnapshot(0, tuple(range(len(ctx.batches))), (), ctx.init_params, (), None)
-    return partial(verify.local_deviation_residual, verify.ObservedRound(ctx, everyone))
-
-
 def _local_checks(state, ctx, snap):
     """Tally the round's local-descent reports, and its local-deviation
-    reports from the measures that _deviation_keep kept."""
+    reports, measured as verify measures them: on the round descended
+    again from its start."""
     _tally(state, "descent", verify.local_descent(ctx, snap))
     rnd = verify.ObservedRound(ctx, snap)
-    _tally(state, "deviation", verify.local_deviation(rnd, snap.trajectories))
+    measured = verify.redescend(rnd, [("local-deviation", verify.local_deviation_residual)])
+    _tally(state, "deviation", verify.local_deviation(rnd, measured["local-deviation"]))
 
 
 # ---------------------------------------------------------- shared run (4) ----
@@ -115,7 +108,7 @@ def run4():
         _local_checks(state, ctx, snap)
 
     cfg = FederationConfig(n_clients=8, local_steps=5, rounds=500, eta=eta, seed=2)
-    result = run_fedavg(cfg, init, batches, observer=observer, keep=_deviation_keep(ctx))
+    result = run_fedavg(cfg, init, batches, observer=observer)
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.ctx = ctx
@@ -141,7 +134,7 @@ def run6():
         n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
     )
     observer = partial(_local_checks, state, ctx)
-    result = run_fedavg(cfg, init, batches, observer=observer, keep=_deviation_keep(ctx))
+    result = run_fedavg(cfg, init, batches, observer=observer)
     state.elapsed = time.monotonic() - t0
     state.result = result
     state.lambda_min = lam
@@ -165,7 +158,7 @@ def run6_wide():
         n_clients=4, local_steps=5, rounds=2000, eta=0.05, seed=0, stop_loss_fraction=1e-2
     )
     result = run_fedavg(cfg, init, batches, observer=observer)
-    end = RoundSnapshot(len(result.traces), (), (), result.params, (), None)
+    end = RoundSnapshot(len(result.traces), (), (), result.params, None)
     _tally(state, "drift", verify.global_drift(ctx, end))
     state.result = result
     return state

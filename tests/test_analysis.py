@@ -58,10 +58,10 @@ def _context(params, *batches, eta=0.01, steps=1, lambda_min=None):
     return verify.RunContext(batches, params, lambda_min, eta, steps)
 
 
-def _snapshot(params, trajectories=(), members=(0,), losses=(), averaged=None, t=0):
-    """Round t entered at params: the members' kept iterates, their local
-    losses and the round's average."""
-    return RoundSnapshot(t, tuple(members), losses, params, tuple(trajectories), averaged)
+def _snapshot(params, members=(0,), losses=(), averaged=None, t=0):
+    """Round t entered at params: its members, their local losses and the
+    round's average."""
+    return RoundSnapshot(t, tuple(members), losses, params, averaged)
 
 
 def _measured(measure, rnd, trajectories):
@@ -697,15 +697,15 @@ def _first_order_round(members):
     init, params, batches, cfg = _round_state()
     ctx = _context(init, *batches, eta=cfg.eta, steps=cfg.local_steps)
     trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    return ctx, _snapshot(params, trajs, members, averaged=averaged, t=2)
+    return ctx, _snapshot(params, members, averaged=averaged, t=2), trajs
 
 
-def _first_order(ctx, snap):
+def _first_order(ctx, snap, trajs):
     """first-order's reports of the round: its eta/2 probe, then its measure
-    of each iterate that snap kept."""
+    of each of the members' iterates trajs."""
     rnd = verify.ObservedRound(ctx, snap)
     half = verify.half_rate_probe(rnd)
-    terms = _measured(verify.first_order_terms, rnd, snap.trajectories)
+    terms = _measured(verify.first_order_terms, rnd, trajs)
     return verify.first_order(rnd, terms, half)
 
 
@@ -736,7 +736,7 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(
     trajs, averaged, want_full = probe(cfg.eta)
     _, _, want_half = probe(0.5 * cfg.eta)
     ctx = _context(init, *batches, eta=cfg.eta, steps=cfg.local_steps)
-    snap = _snapshot(params, trajs, members, averaged=averaged)
+    snap = _snapshot(params, members, averaged=averaged)
     rounds = []
 
     def counted(self, round_batches, *args, _round=type(params).descend_round, **kwargs):
@@ -748,7 +748,7 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(
         usable_cores(cores)
         rounds.clear()
         first_order_probes.clear()
-        _, halved = _first_order(ctx, snap)
+        _, halved = _first_order(ctx, snap, trajs)
         # the probe's members descend on a client pool: one core runs them
         # serially, two side by side, unless BLAS cannot be held to one thread
         assert rounds == [(len(members), cores == 1 or blas_threads() is None)]
@@ -764,7 +764,7 @@ def test_first_order_scaling_scores_the_average_each_probe_round_formed(
 ):
     # the eta probe scores the snapshot's average, the eta/2 probe the
     # average that its local_round summed as the round ran; neither averages
-    ctx, snap = _first_order_round([0, 2])
+    ctx, snap, trajs = _first_order_round([0, 2])
     probes = []
 
     def probe(*args, _round=verify.local_round, **kwargs):
@@ -777,7 +777,7 @@ def test_first_order_scaling_scores_the_average_each_probe_round_formed(
     # any parameters a snapshot carries as its round's average are the ones scored
     for given in (snap.averaged, snap.global_params):
         first_order_probes.clear()
-        _first_order(ctx, dataclasses.replace(snap, averaged=given))
+        _first_order(ctx, dataclasses.replace(snap, averaged=given), trajs)
         half, full = first_order_probes
         actual = vec_residual(given.predict(X), Y)
         assert full.actual_error == float(np.linalg.norm(actual - full.predicted))
@@ -796,8 +796,8 @@ def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(
     init = init_deep_linear(1, 8, 4, 3, seed=0)
     trajs, averaged = _round(init, batches, [0, 1, 2], 0.01, 3)
     monkeypatch.setattr(verify, "local_round", None)
-    snap = _snapshot(init, trajs, [0, 1, 2], averaged=averaged)
-    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    snap = _snapshot(init, [0, 1, 2], averaged=averaged)
+    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap, trajs)
     (full,) = first_order_probes
     assert full.relative_error <= 1e-12
     assert relative.context["scaling_ratio"] is None
@@ -812,8 +812,8 @@ def test_first_order_passes_the_halving_form_vacuously_when_no_member_holds_a_sa
     batches = [LabeledBatch(X=ds.X, Y=ds.Y), empty, empty]
     init = init_deep_linear(3, 8, 2, 1, seed=0)
     trajs, averaged = _round(init, batches, [1, 2], 0.01, 3)
-    snap = _snapshot(init, trajs, [1, 2], averaged=averaged)
-    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap)
+    snap = _snapshot(init, [1, 2], averaged=averaged)
+    relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap, trajs)
     assert relative.passed and relative.measured == 0.0
     assert relative.context["scaling_ratio"] is None
     assert vacuous.name == "first-order:halving-vacuous" and vacuous.passed
@@ -855,12 +855,12 @@ def test_the_half_rate_probe_holds_no_round_of_iterates(usable_cores):
     init = init_deep_linear(3, width, 10, 5, seed=1)
     trajs, averaged = _round(init, batches, [0, 1, 2, 3], 2e-5, 3)
     ctx = _context(init, *batches, eta=2e-5, steps=3)
-    snap = _snapshot(init, trajs, [0, 1, 2, 3], averaged=averaged)
+    snap = _snapshot(init, [0, 1, 2, 3], averaged=averaged)
     ctx.X  # the stacked data, cached before the count starts
     usable_cores(1)
     tracemalloc.start()
     try:
-        relative, halved = _first_order(ctx, snap)
+        relative, halved = _first_order(ctx, snap, trajs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Config parsing, subcommand artifacts, and exit codes."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -19,6 +20,7 @@ from fedspectra import cli, federation, verify
 from fedspectra.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_NOT_REPRODUCED,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     ConfigError,
@@ -891,19 +893,25 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(
         "ntk-trace", "local-descent", "local-deviation", "global-drift"
     }
     assert (tmp_path / "v" / "trace.csv").read_bytes() == outs[0]
-    # each iterate handed to an observer is the one whose loss the run
-    # recorded, and it outlives the run unchanged
+    # the params handed to an observer outlive the run unchanged, and the
+    # round descended again from them has the losses the run recorded
     seen = []
     run_fedavg(cfg.federation, exp.init_params, list(exp.batches),
-               observer=lambda s: seen.append((s, [[q.hidden.copy() for q in traj]
-                                                   for traj in s.trajectories])))
+               observer=lambda s: seen.append((s, s.global_params.hidden.copy(),
+                                               s.averaged.hidden.copy())))
     assert seen
-    for snap, copies in seen:
-        for traj, held, losses, c in zip(snap.trajectories, copies, snap.local_losses,
-                                         snap.members):
+    for snap, start, averaged in seen:
+        assert np.array_equal(snap.global_params.hidden, start)
+        assert np.array_equal(snap.averaged.hidden, averaged)
+        own = [exp.batches[c] for c in snap.members]
+        runs, average = federation.local_round(
+            snap.global_params, own, cfg.federation.eta, cfg.federation.local_steps, keep=True
+        )
+        assert np.array_equal(average().hidden, averaged)
+        for (traj, losses), recorded, batch in zip(runs, snap.local_losses, own, strict=True):
             assert len(traj) == cfg.federation.local_steps + 1
-            assert all(np.array_equal(q.hidden, H) for q, H in zip(traj, held))
-            recomputed = [loss_of(q, exp.batches[c]) for q in traj]
+            assert losses == list(recorded)
+            recomputed = [loss_of(q, batch) for q in traj]
             np.testing.assert_allclose(recomputed, losses, rtol=1e-12, atol=0)
 
 
@@ -1229,10 +1237,11 @@ def test_verify_json_is_byte_identical_across_usable_cores_on_a_relu_model(
     assert names == set(verify.known_checks("two-layer-relu")) | {"local-deviation-crude"}
 
 
-def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path, one_blas_thread):
-    # verify measures each iterate at the BLAS thread count of its round,
-    # and the reports below are measured in this thread: at one BLAS thread
-    # both are the same bits
+def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
+    # at the host's BLAS thread count: the expected reports measure each
+    # round descended again as verify does, whose client pools hold BLAS as
+    # its own do, from first-order terms of the round's start built in this
+    # thread, as run_checks builds them; so both are the same bits
     cfg = _write(tmp_path, "c.json", WIDE_LINEAR)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -1248,16 +1257,14 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path, one_bla
     expected, candidates = [], 0
     for snap in snapshots:
         rnd = verify.ObservedRound(ctx, snap)
-        for row in verify.CHECKS.values():
+        rnd.first_order_start
+        for check, row in verify.CHECKS.items():
             if row.per_round and "deep-linear" in row.kinds:
                 if row.measure is None:
                     reports = row.check(ctx, snap)
-                else:  # the measure of each iterate that the run kept
-                    measured = [
-                        [row.measure(rnd, i, k, p) for k, p in enumerate(traj)]
-                        for i, traj in enumerate(snap.trajectories)
-                    ]
-                    probed = (row.probe(rnd),) if row.probe else ()
+                else:  # the measure of each iterate of the round descended again
+                    measured = verify.redescend(rnd, [(check, row.measure)])[check]
+                    probed = (verify.half_rate_probe(rnd),) if check == "first-order" else ()
                     reports = row.check(rnd, measured, *probed)
                 candidates += len(reports)
                 for name in dict.fromkeys(r.name for r in reports):
@@ -1269,6 +1276,28 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path, one_bla
     setup, per_round = entries[: -len(expected)], entries[-len(expected) :]
     assert [e["name"] for e in setup][-1] == "gram-floor"
     assert per_round == [json.loads(json.dumps(cli._report_dict(r))) for r in expected]
+
+
+def test_verify_exits_4_when_an_observed_round_is_not_reproduced(tmp_path, monkeypatch, capsys):
+    # a snapshot one ulp off the round that the run took: descended again,
+    # the round does not reproduce it, so verify checks nothing, writes no
+    # verify.json and says which round, under an exit code of its own
+    run = cli.run_fedavg
+
+    def nudged(*args, observer, **kwargs):
+        def observe(snap):
+            (first, *rest), *others = snap.local_losses
+            off = ((np.nextafter(first, np.inf), *rest), *others)
+            observer(dataclasses.replace(snap, local_losses=off))
+
+        return run(*args, observer=observe, **kwargs)
+
+    monkeypatch.setattr(cli, "run_fedavg", nudged)
+    cfg = _write(tmp_path, "c.json", SMALL_LINEAR)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_NOT_REPRODUCED
+    assert "not reproduced: round 0: " in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
 
 
 def test_verify_takes_one_svd_of_the_data_and_of_each_client(tmp_path, monkeypatch):

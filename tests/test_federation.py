@@ -219,9 +219,12 @@ def test_observer_sees_requested_rounds_with_full_trajectories():
     assert sorted(seen) == [0, 4]
     snap = seen[0]
     assert snap.global_params is params
-    assert all(len(traj) == 4 for traj in snap.trajectories)
-    # broadcast copy is the entering global model
-    assert snap.trajectories[0][0] is params
+    # the round's full trajectories, descended again from the snapshot,
+    # start at the entering global model and have the losses the run recorded
+    own = [batches[c] for c in snap.members]
+    runs, _ = local_round(snap.global_params, own, cfg.eta, cfg.local_steps, keep=True)
+    assert all(len(traj) == 4 and traj[0] is params for traj, _ in runs)
+    assert [tuple(losses) for _, losses in runs] == list(snap.local_losses)
 
 
 def test_a_snapshot_carries_the_average_the_run_applies():
@@ -237,7 +240,6 @@ def test_a_snapshot_carries_the_average_the_run_applies():
 
 
 def test_observed_rounds_do_not_change_the_run():
-    # observed rounds keep every local iterate, the others only the last one
     params, batches = _workload(seed=4, width=64)
     cfg = FederationConfig(n_clients=4, local_steps=3, rounds=5, eta=0.013, seed=1)
     plain = run_fedavg(cfg, params, batches)
@@ -250,20 +252,21 @@ def test_observed_rounds_do_not_change_the_run():
 
 
 def test_snapshot_iterates_outlive_the_run_unchanged():
-    # descent updates its weights in place; no iterate handed to an observer
-    # may share them, so each snapshot still holds what a fresh descent gives
+    # descent updates its weights in place; neither the start nor the
+    # average handed to an observer may share them, so each snapshot still
+    # holds what a fresh descent of its round starts from and gives
     params, batches = _workload(seed=6, width=64)
     cfg = FederationConfig(n_clients=4, local_steps=3, rounds=4, eta=0.011, seed=2)
     seen = []
-    run_fedavg(cfg, params, batches, observer=seen.append)
-    for snap in seen:
-        for traj, c in zip(snap.trajectories, snap.members):
-            ((fresh, _),), _ = local_round(
-                snap.global_params, [batches[c]], cfg.eta, cfg.local_steps, keep=True
-            )
-            assert len(traj) == len(fresh) == cfg.local_steps + 1
-            for a, b in zip(traj, fresh):
-                assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(a.layers, b.layers))
+    run_fedavg(
+        cfg, params, batches,
+        observer=lambda s: seen.append((s, [W.copy() for W in s.global_params.layers])),
+    )
+    for snap, start in seen:
+        assert all(np.array_equal(W, W0) for W, W0 in zip(snap.global_params.layers, start))
+        own = [batches[c] for c in snap.members]
+        _, fresh = local_round(snap.global_params, own, cfg.eta, cfg.local_steps)
+        assert all(np.array_equal(Wa, Wb) for Wa, Wb in zip(snap.averaged.layers, fresh().layers))
 
 
 def _uneven_workload(width, sizes, seed=3, depth=3, d_in=10, d_out=5):
@@ -313,8 +316,13 @@ def test_rounds_match_the_dense_step_oracle(width, sizes, eta):
     assert all(len(s.members) == len(sizes) // 2 for s in seen)
     for snap, after in zip(seen, [s.global_params for s in seen[1:]] + [result.params]):
         start = snap.global_params
+        # the observed round's iterates, descended again from its start
+        own = [batches[c] for c in snap.members]
+        runs, again = local_round(start, own, cfg.eta, cfg.local_steps, keep=True)
+        assert all(np.array_equal(a, b) for a, b in zip(again().layers, after.layers))
+        assert [tuple(ls) for _, ls in runs] == list(snap.local_losses)
         last = []
-        for c, traj, losses in zip(snap.members, snap.trajectories, snap.local_losses):
+        for c, (traj, _), losses in zip(snap.members, runs, snap.local_losses):
             want, want_losses = _dense_steps_linear(start, batches[c], cfg.eta, cfg.local_steps)
             assert len(traj) == len(want) and traj[0] is start
             assert losses[-1] < losses[0]
@@ -356,11 +364,11 @@ def test_a_round_observed_as_verify_observes_it_holds_no_iterate(usable_cores):
     seen = []
     tracemalloc.start()
     try:
-        run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={0}, keep=False)
+        run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [s.t for s in seen] == [0] and seen[0].trajectories == ((),) * 20
+    assert [s.t for s in seen] == [0]
     assert peak < 2.5 * width * width * 8
 
 
@@ -577,11 +585,11 @@ def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypat
 
     monkeypatch.setattr(DeepLinearParams, "descend_round", timed)
     cfg = FederationConfig(n_clients=6, local_steps=2, rounds=10, eta=0.01)
-    # kept iterates cost more, so rounds with and without them are timed apart
+    # observed rounds keep no iterate, so they are timed with the others
     run_fedavg(cfg, params, batches, observer=lambda s: None, observe_rounds={5, 6, 7, 8, 9})
     faster = "serial" if slower == "side by side" else "side by side"
-    chosen = ["side by side", "serial", "side by side", faster, faster]
-    assert ways == [(keep, way, 1) for keep in (False, True) for way in chosen]
+    chosen = ["side by side", "serial", "side by side"] + [faster] * 7
+    assert ways == [(False, way, 1) for way in chosen]
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
@@ -714,10 +722,8 @@ def test_run_matches_the_eager_loop_bit_for_bit(kind, case, usable_cores):
     assert [s.t for s in seen["new"]] == [s.t for s in seen["eager"]] == [1, 4]
     for a, b in zip(seen["new"], seen["eager"]):
         assert (a.members, a.local_losses) == (b.members, b.local_losses)
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            assert len(ta) == len(tb) == cfg.local_steps + 1
-            for qa, qb in zip(ta, tb):
-                assert all(np.array_equal(x, y) for x, y in zip(qa._weights(), qb._weights()))
+        for qa, qb in ((a.global_params, b.global_params), (a.averaged, b.averaged)):
+            assert all(np.array_equal(x, y) for x, y in zip(qa._weights(), qb._weights()))
 
 
 @pytest.mark.parametrize("kind", ["deep-linear", "two-layer-relu"])

@@ -135,7 +135,7 @@ def test_each_check_is_written_once_in_verify():
     # a check's measured value, bound and report live in its CHECKS
     # functions; analysis keeps the mathematics that the checks measure with
     rows = verify.CHECKS.values()
-    functions = [fn for row in rows for fn in (row.check, row.measure, row.probe) if fn]
+    functions = [fn for row in rows for fn in (row.check, row.measure) if fn]
     assert all(fn.__module__ == verify.__name__ for fn in functions)
     assert not [name for name in vars(analysis) if name.startswith("check_")]
     assert not _names("analysis") & {"make_report", "CheckReport"}
@@ -144,16 +144,13 @@ def test_each_check_is_written_once_in_verify():
 
 def test_no_check_reads_the_iterates_a_snapshot_kept():
     # a check that reads local iterates measures each as verify.redescend
-    # forms it again, so verify's run keeps none: each call in cli that
-    # observes a run asks it to keep nothing
+    # forms it again: a snapshot holds none, and no observed run can be
+    # asked to keep any
     assert "trajectories" not in _names("verify")
-    nodes = ast.walk(ast.parse((SRC / "cli.py").read_text()))
-    calls = [n for n in nodes if isinstance(n, ast.Call)]
-    observing = [c for c in calls if "observer" in {k.arg for k in c.keywords}]
-    kept = [[k.value for k in c.keywords if k.arg == "keep"] for c in observing]
-    assert observing and all(
-        len(v) == 1 and isinstance(v[0], ast.Constant) and v[0].value is False for v in kept
-    )
+    assert [f.name for f in dataclasses.fields(federation.RoundSnapshot)] == [
+        "t", "members", "local_losses", "global_params", "averaged"
+    ]
+    assert "keep" not in inspect.signature(federation.run_fedavg).parameters
 
 
 def test_the_data_are_described_once():

@@ -35,13 +35,10 @@ def _round_zero(doc):
 
 def _local_deviation(ctx, snap):
     """local-deviation's reports of the round, its measure taken of each
-    iterate that the snapshot kept."""
+    iterate of the round descended again."""
     rnd = verify.ObservedRound(ctx, snap)
-    residuals = [
-        [verify.local_deviation_residual(rnd, i, k, p) for k, p in enumerate(traj)]
-        for i, traj in enumerate(snap.trajectories)
-    ]
-    return verify.local_deviation(rnd, residuals)
+    measured = verify.redescend(rnd, [("local-deviation", verify.local_deviation_residual)])
+    return verify.local_deviation(rnd, measured["local-deviation"])
 
 
 def test_local_descent_factor_per_model_kind():
@@ -122,23 +119,11 @@ WIDE_ROUND = {
 }
 
 
-def _recorded_round(doc):
-    """The run context of doc and its round 0 as verify records it: no iterate kept."""
-    cfg = cli.parse_config(json.dumps(doc))
-    ctx = cli.build_experiment(cfg)
-    snapshots = []
-    run_fedavg(
-        cfg.federation, ctx.init_params, list(ctx.batches),
-        observer=snapshots.append, observe_rounds={0}, keep=False,
-    )
-    return ctx, snapshots[0]
-
-
 def test_a_re_descent_holds_no_round_of_iterates(usable_cores):
     # a width-500 round of 4 clients x 3 steps; every measure of the linear
     # model records each iterate as it is formed, and holds none of them
     usable_cores(1)  # the run's and the re-descent's, so that both round alike
-    ctx, snap = _recorded_round(WIDE_ROUND)
+    ctx, snap = _round_zero(WIDE_ROUND)
     width = WIDE_ROUND["model"]["width"]
     rnd = verify.ObservedRound(ctx, snap)
     measured = [(name, row.measure) for name, row in verify.CHECKS.items() if row.measure]
@@ -161,7 +146,7 @@ def test_a_re_descent_holds_no_round_of_iterates(usable_cores):
 def test_a_snapshot_that_its_round_does_not_reproduce_is_refused(field):
     # a re-descent measures the round that the snapshot records or none:
     # one ulp off in a local loss or in the average names the round
-    ctx, snap = _recorded_round(TINY_LINEAR)
+    ctx, snap = _round_zero(TINY_LINEAR)
     snap = dataclasses.replace(snap, t=7)
     if field == "local_losses":
         (first, *rest), *others = snap.local_losses
@@ -176,5 +161,28 @@ def test_a_snapshot_that_its_round_does_not_reproduce_is_refused(field):
         if not raises:
             assert verify.run_checks(ctx, names, [recorded])
             continue
-        with pytest.raises(ValueError, match="round 7: .* differ from the snapshot's"):
+        with pytest.raises(verify.ReplayError, match="round 7: .* differ from the snapshot's"):
             verify.run_checks(ctx, names, [recorded])
+
+
+def test_the_round_start_terms_are_built_once_before_the_rounds_calls_start(monkeypatch):
+    # the client threads of a round's re-descent and of its eta/2 probe read
+    # the round-start terms at once; from Python 3.12 cached_property takes
+    # no lock, so run_checks builds them before it hands the calls over
+    ctx, snap = _round_zero(TINY_LINEAR)
+    built, starts = [], []
+    run, start = verify.side_by_side, analysis.FirstOrderStart
+
+    def calls_start(calls):
+        readers = [c.args[0] for c in calls if c.func in (verify.redescend, verify.half_rate_probe)]
+        built.extend("first_order_start" in vars(rnd) for rnd in readers)
+        return run(calls)
+
+    def counted(*args):
+        starts.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(verify, "side_by_side", calls_start)
+    monkeypatch.setattr(analysis, "FirstOrderStart", counted)
+    verify.run_checks(ctx, verify.known_checks("deep-linear"), [snap])
+    assert built == [True, True] and len(starts) == 1
