@@ -6,7 +6,13 @@ architecture. The Gram eigenvalue fluctuates with the random initialization
 but should sit above the floor once the network is reasonably wide.
 """
 
-from fedspectra import LabeledBatch, init_deep_linear, synth_linear_dataset, verify
+from fedspectra import (
+    LabeledBatch,
+    gram_P0_lambda_min,
+    init_deep_linear,
+    synth_linear_dataset,
+    verify,
+)
 
 ds, _ = synth_linear_dataset(d_in=8, d_out=2, n=16, seed=0)
 batches = (LabeledBatch(X=ds.X, Y=ds.Y),)
@@ -14,9 +20,10 @@ batches = (LabeledBatch(X=ds.X, Y=ds.Y),)
 
 def context(width):
     """The run context of one client holding every sample; the set-up checks
-    read only its data and initial parameters."""
+    read only its data, initial parameters and least Gram eigenvalue."""
     p = init_deep_linear(3, width, 8, 2, seed=0)
-    return verify.RunContext(batches, p, None, eta=0.01, local_steps=1)
+    lam = gram_P0_lambda_min(p, ds.X)[0]
+    return verify.RunContext(batches, p, lam, eta=0.01, local_steps=1)
 
 
 print(f"floor = {verify.gram_floor(context(32))[0].context['floor']:.4f}")

@@ -230,19 +230,19 @@ def init_spectra(ctx):
 
 def gram_floor(ctx):
     """The initialization-time floor 0.8^4 * depth * sigma_min(X)^2 / d_out
-    against the least nonzero eigenvalue of gram_P0 (see
-    analysis.gram_P0_lambda_min), floor-first."""
-    p = ctx.init_params
-    floor = 0.8**4 * p.depth * float(ctx.singular_values[-1]) ** 2 / p.d_out
-    observed, r = analysis.gram_P0_lambda_min(p, ctx.X)
+    against the least nonzero eigenvalue of gram_P0 that set-up took (see
+    analysis.gram_P0_lambda_min), floor-first; select refuses the check
+    where set-up left it out."""
+    p, sv = ctx.init_params, ctx.singular_values
+    floor = 0.8**4 * p.depth * float(sv[-1]) ** 2 / p.d_out
     context = {
         "floor": floor,
-        "observed_lambda_min": observed,
-        "data_rank": r,
+        "observed_lambda_min": ctx.lambda_min,
+        "data_rank": sv.size,
         "width": p.width,
         "depth": p.depth,
     }
-    return [make_report("gram-floor", measured=floor, bound=observed, context=context)]
+    return [make_report("gram-floor", measured=floor, bound=ctx.lambda_min, context=context)]
 
 
 def ntk_trace(ctx):

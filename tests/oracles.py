@@ -327,3 +327,24 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
         traces.append(RoundTrace(t=t, members=members, local_losses=local_losses))
         losses.append(value)
     return RunResult(traces=tuple(traces), params=params, losses=tuple(losses))
+
+
+def gram_H_infinity_closed_form(X):
+    """H-infinity as one numpy expression, each step a new n x n array:
+    x_i.x_j * (pi - angle(x_i, x_j)) / (2 pi), the self-angle set to 0."""
+    X = np.asarray(X, dtype=float)
+    norms = np.linalg.norm(X, axis=0)
+    G = X.T @ X
+    theta = np.arccos(np.clip(G / np.outer(norms, norms), -1.0, 1.0))
+    np.fill_diagonal(theta, 0.0)
+    return G * (np.pi - theta) / (2.0 * np.pi)
+
+
+def gram_P0_kron(ins, outs, scale):
+    """The deep linear Gram matrix from its chains (ins[j] = A_j, outs[j] =
+    B_j): the sum of np.kron(A_j^T A_j, B_j B_j^T), then a scaled copy."""
+    n, d = ins[0].shape[1], outs[0].shape[0]
+    P = np.zeros((n * d, n * d))
+    for A, B in zip(ins, outs):
+        P += np.kron(A.T @ A, B @ B.T)
+    return (scale**2) * P

@@ -53,10 +53,11 @@ def _initial_loss(params, batches):
     return sum(float(loss_of(params, b)) for b in batches)
 
 
-def _setup_context(params, ds):
+def _setup_context(params, ds, lambda_min=None):
     """The run context of one client holding the whole dataset, as the
-    set-up checks read it: the data and the initial parameters."""
-    return verify.RunContext((LabeledBatch(X=ds.X, Y=ds.Y),), params, None, 0.01, 1)
+    set-up checks read it: the data, the initial parameters and the least
+    Gram eigenvalue that set-up took."""
+    return verify.RunContext((LabeledBatch(X=ds.X, Y=ds.Y),), params, lambda_min, 0.01, 1)
 
 
 def _tallies(*keys):
@@ -295,7 +296,8 @@ def test_criterion_07_gram_eigenvalue_floor():
     for seed in range(5):
         ds, _ = synth_linear_dataset(8, 2, 16, seed=seed)
         p = init_deep_linear(3, 512, 8, 2, seed=seed)
-        (rep,) = verify.gram_floor(_setup_context(p, ds))
+        lam = analysis.gram_P0_lambda_min(p, ds.X)[0]
+        (rep,) = verify.gram_floor(_setup_context(p, ds, lam))
         assert rep.passed, f"seed {seed}: {rep}"
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectra import analysis, verify
@@ -35,7 +35,14 @@ from fedspectra.models import (
     vec_residual,
 )
 
-from oracles import eig_2x2, gram_H_tkc, gram_linear_bruteforce, mc_relu_kernel
+from oracles import (
+    eig_2x2,
+    gram_H_infinity_closed_form,
+    gram_H_tkc,
+    gram_linear_bruteforce,
+    gram_P0_kron,
+    mc_relu_kernel,
+)
 
 
 def _round(params, batches, members, eta, steps):
@@ -272,6 +279,128 @@ def test_spectrum_rejects_non_finite():
         spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _symmetric(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A + A.T
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-13])
+def test_spectrum_leaves_its_argument_as_it_was(skew):
+    M = _symmetric(70, seed=12)
+    M[40, 3] += skew
+    before = M.tobytes()
+    M.flags.writeable = False  # a write would raise
+    spectrum(M)
+    assert M.tobytes() == before
+
+
+def test_spectrum_of_an_exactly_symmetric_matrix_is_that_of_its_symmetrized_copy():
+    for n in (1, 33, 100):
+        M = _symmetric(n, seed=n)
+        for A in (M, np.asfortranarray(M)):
+            want = np.linalg.eigvalsh(0.5 * (A + A.T))
+            assert spectrum(A).eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (90, 37), (37, 90), (99, 98)])
+def test_spectrum_symmetrizes_an_asymmetry_within_the_tolerance(where):
+    # the asymmetry sits above or below the diagonal, in the first or a later
+    # block of rows; eigh alone would read only one triangle
+    M = _symmetric(100, seed=13)
+    M[where] += 1e-13
+    got = spectrum(M).eigenvalues
+    assert got.tobytes() == np.linalg.eigvalsh(0.5 * (M + M.T)).tobytes()
+    assert got.tobytes() != np.linalg.eigvalsh(M).tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 1), (90, 37), (37, 90)])
+def test_spectrum_refuses_a_1e_9_asymmetry_with_the_largest_gap(where):
+    M = _symmetric(100, seed=14)
+    M[where] += 1e-9
+    M[5, 60] += 1e-12
+    message = f"matrix is materially asymmetric (max |M - M^T| = {np.max(np.abs(M - M.T)):g})"
+    with pytest.raises(ValueError) as raised:
+        spectrum(M)
+    assert str(raised.value) == message
+
+
+def _with_repeats(X, repeat, flip):
+    """X with its column 0 repeated, and column 0 negated, when asked."""
+    extra = [X[:, :1]] * repeat + [-X[:, :1]] * flip
+    return np.hstack([X, *extra])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 40),
+    repeat=st.integers(0, 2),
+    flip=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+)
+@example(d=3, n=1, repeat=0, flip=0, seed=0)
+@example(d=3, n=1, repeat=1, flip=0, seed=1)
+@example(d=4, n=1, repeat=0, flip=1, seed=2)
+@example(d=1, n=5, repeat=1, flip=1, seed=3)
+def test_H_infinity_is_the_closed_form_expression_bit_for_bit(d, n, repeat, flip, seed):
+    X = _with_repeats(np.random.default_rng(seed).standard_normal((d, n)), repeat, flip)
+    H = gram_H_infinity(X)
+    want = gram_H_infinity_closed_form(X)
+    assert H.tobytes() == want.tobytes()
+    assert np.array_equal(H, H.T)
+    got = spectrum(H).eigenvalues
+    assert got.tobytes() == np.linalg.eigvalsh(0.5 * (want + want.T)).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    depth=st.integers(1, 4),
+    d_in=st.integers(1, 5),
+    d_out=st.integers(1, 3),
+    n=st.integers(1, 9),
+    repeat=st.integers(0, 2),
+    flip=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+)
+@example(depth=1, d_in=3, d_out=1, n=1, repeat=0, flip=0, seed=0)
+@example(depth=4, d_in=3, d_out=2, n=1, repeat=1, flip=1, seed=1)
+@example(depth=1, d_in=4, d_out=3, n=5, repeat=2, flip=0, seed=2)
+@example(depth=4, d_in=5, d_out=1, n=7, repeat=0, flip=1, seed=3)
+def test_gram_P0_is_the_scaled_kron_sum_bit_for_bit(depth, d_in, d_out, n, repeat, flip, seed):
+    p = init_deep_linear(depth, 6, d_in, d_out, seed)
+    X = _with_repeats(np.random.default_rng(seed).standard_normal((d_in, n)), repeat, flip)
+    P = gram_P0(p, X)
+    want = gram_P0_kron(input_chain(p, X), output_chain(p), p.scale)
+    assert P.tobytes() == want.tobytes()
+    assert np.array_equal(P, P.T)
+
+
+def _peak_in_grams(f, side):
+    """tracemalloc's peak while f runs, in arrays of side x side floats."""
+    tracemalloc.start()
+    try:
+        f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (side * side * 8)
+
+
+def test_set_up_gram_matrices_are_built_in_place():
+    """Traced peaks in Gram-sized arrays: H-infinity with its spectrum holds
+    X^T X and one angle array, P0 only itself, and gram_P0_lambda_min P0
+    and the finiteness test's booleans. LAPACK's working copy of the matrix
+    in eigh is allocated outside the allocator that tracemalloc traces, so
+    it is not counted here."""
+    X = _unit_columns(16, 600, seed=15)
+    assert _peak_in_grams(lambda: spectrum(gram_H_infinity(X)), 600) <= 2.25
+    # P0 of 100 samples at d_out 6, on data of rank 80
+    p = init_deep_linear(3, 32, 80, 6, seed=16)
+    X = np.random.default_rng(17).standard_normal((80, 100))
+    assert _peak_in_grams(lambda: gram_P0(p, X), 600) <= 1.25
+    assert _peak_in_grams(lambda: gram_P0_lambda_min(p, X), 480) <= 1.5
+
+
 def test_rank_helpers():
     X = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
     sv = analysis.nonzero_singular_values(X)
@@ -340,7 +469,8 @@ def test_lambda_min_floor_values():
     # sigma_min(I) = 1
     for depth, d_out, floor in ((3, 1, 1.2288), (1, 3, 0.8**4 / 3)):
         p = init_deep_linear(depth, 8, 4, d_out, seed=0)
-        (rep,) = verify.gram_floor(_context(p, _linear_batch(p, np.eye(4))))
+        lam = gram_P0_lambda_min(p, np.eye(4))[0]
+        (rep,) = verify.gram_floor(_context(p, _linear_batch(p, np.eye(4)), lambda_min=lam))
         assert rep.measured == rep.context["floor"] == pytest.approx(floor)
 
 
@@ -596,8 +726,10 @@ def test_local_drift_fails_when_drift_exceeds_the_radius():
 def test_check_gram_floor_on_a_moderate_instance():
     ds, _ = synth_linear_dataset(8, 2, 16, seed=0)
     p = init_deep_linear(3, 512, 8, 2, seed=0)
-    (rep,) = verify.gram_floor(_context(p, LabeledBatch(X=ds.X, Y=ds.Y)))
+    lam = gram_P0_lambda_min(p, ds.X)[0]
+    (rep,) = verify.gram_floor(_context(p, LabeledBatch(X=ds.X, Y=ds.Y), lambda_min=lam))
     assert rep.passed
+    assert rep.bound == rep.context["observed_lambda_min"] == lam
     assert rep.context["data_rank"] == 8
 
 
