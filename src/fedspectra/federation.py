@@ -180,22 +180,44 @@ def _blas_held(hold):
 
 
 @contextmanager
+def _windowed(pool, count):
+    """Yields a map for descend_round: builtin map when count is 1, else an
+    ordered, bounded window of count clients on pool. A client is submitted,
+    and its state made, only once descend_round has added the result that
+    many clients before it to the server sum, so at most that many client
+    states live beside the sum. On leaving, no client of it is still
+    running: those not yet started never start."""
+    pending = deque()
+
+    def window(fn, clients):
+        for client in clients:  # taken only once the window has room
+            pending.append(pool.submit(fn, client))
+            if len(pending) == count:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        yield map if count == 1 else window
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+@contextmanager
 def client_pool():
     """Yields descend(params, batches, eta, steps, keep), which runs
     params.descend_round, its clients on one thread pool that lives as long
     as the context, e.g. a whole run.
 
-    Side by side, the clients go through an ordered, bounded window of the
-    pool's size: a client is taken, and its state made, only once
-    descend_round has added the result that many clients before it to the
-    server sum, so at most that many client states live beside the
-    sum. The pool has one thread per usable core (the process's CPU
-    affinity, so `taskset` bounds it) and measures which way is faster: for
-    calls that keep iterates and for calls that do not, the first call of
-    more than one client runs side by side to warm up, the second serially
-    and the third side by side, both timed, and every later call the way
-    that took less time per client. On one usable core, or where
-    OpenBLAS's thread count cannot be set, every call runs serially.
+    Side by side, the clients go through _windowed's ordered window of the
+    pool's size. The pool has one thread per usable core (the process's CPU
+    affinity, so `taskset` bounds it) and measures which way is faster: the
+    first call of more than one client runs side by side to warm up, the
+    second serially and the third side by side, both timed, and every later
+    call the way that took less time per client. On one usable core, or
+    where OpenBLAS's thread count cannot be set, every call runs serially.
 
     A call of more than one client on more than one thread runs with
     OpenBLAS held to one thread, whichever way it runs, restored on return
@@ -204,35 +226,17 @@ def client_pool():
     output is the same whichever way a call runs.
     """
     count = _usable_cores() if blas_threads() is not None else 1
-    timed = {}  # whether a call keeps -> seconds per client of the calls that chose the way
+    seconds = []  # seconds per client of the calls that chose the way
 
     def descend(params, batches, eta, steps, keep):
         together = hold = count > 1 and len(batches) > 1
-        seconds = timed.setdefault(bool(keep), []) if hold else None
-        if seconds is not None:
+        if hold:
             together = len(seconds) != 1 if len(seconds) < 3 else seconds[2] < seconds[1]
         start = time.perf_counter()
-        with _blas_held(hold):
-            if not together:
-                result = params.descend_round(batches, eta, steps, keep)
-            else:
-                pending = deque()
-
-                def window(fn, clients):
-                    for client in clients:  # taken only once the window has room
-                        pending.append(pool.submit(fn, client))
-                        if len(pending) == count:
-                            yield pending.popleft().result()
-                    while pending:
-                        yield pending.popleft().result()
-
-                try:
-                    result = params.descend_round(batches, eta, steps, keep, map=window)
-                finally:  # no client may still run once the hold is let go
-                    for future in pending:
-                        future.cancel()
-                    wait(pending)
-        if seconds is not None and len(seconds) < 3:
+        # the window closes first: no client may still run once the hold is let go
+        with _blas_held(hold), _windowed(pool, count if together else 1) as clients_map:
+            result = params.descend_round(batches, eta, steps, keep, map=clients_map)
+        if hold and len(seconds) < 3:
             seconds.append((time.perf_counter() - start) / len(batches))
         return result
 
@@ -240,27 +244,47 @@ def client_pool():
         yield descend
 
 
-def side_by_side(calls) -> list:
-    """The results of calls, each a function of no arguments, in order.
+@contextmanager
+def unit_pool():
+    """Yields (submit, descend): one thread pool for a batch of work whose
+    units are calls of no arguments and clients of rounds, so that no pool
+    opens, or is waited on, inside a pool thread.
 
-    The calls run on one thread per usable core when more than one core is
-    usable and numpy's OpenBLAS already runs one thread, else one after
-    another. So no call runs at a BLAS thread count other than the serial
-    loop's, and where they run side by side each call's arithmetic is the
-    serial loop's. A call that raises raises here, once no call is running;
-    calls not yet started then do not start.
+    submit(call) queues call and returns a function of no arguments that
+    waits for its result and returns it, or raises what it raised.
+    descend(params, batches, eta, steps, keep) is local_round with each
+    client a unit, queued behind the units before it through _windowed's
+    window, and the server sum formed in the calling thread in client order.
+
+    Units run on one thread per usable core when more than one is usable
+    and numpy's OpenBLAS already runs one thread, else each at once in the
+    calling thread, so no unit runs at a BLAS thread count other than the
+    serial loop's. A round holds BLAS where client_pool would, so it takes
+    the bits that a run's round took. A unit that raises raises in the
+    calling thread once no unit is running; units not yet started never do.
     """
     threads = blas_threads()
-    count = _usable_cores() if threads is not None and threads[0]() == 1 else 1
-    if count == 1 or len(calls) < 2:
-        return [call() for call in calls]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        futures = [pool.submit(call) for call in calls]
+    cores = _usable_cores() if threads is not None else 1
+    count = cores if threads is not None and threads[0]() == 1 else 1
+
+    def submit(call):
+        if count == 1:
+            result = call()
+            return lambda: result
+        return pool.submit(call).result
+
+    def descend(params, batches, eta, steps, keep):
+        with _blas_held(cores > 1 and len(batches) > 1), _windowed(pool, count) as clients_map:
+            runs, average = params.descend_round(batches, eta, steps, keep, map=clients_map)
+        _raise_local_divergence(runs, range(len(runs)), None)
+        return runs, average
+
+    with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
         try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+            yield submit, descend
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # and waits for the units running
+            raise
 
 
 def local_round(params, batches, eta, steps, keep=False) -> tuple:

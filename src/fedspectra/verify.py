@@ -6,9 +6,10 @@ mathematics it measures with. Set-up checks take a RunContext. Per-round
 checks also take a RoundSnapshot, or, when they read the round's local
 iterates, an ObservedRound and their measure of each iterate (see
 run_checks), and return one report per candidate (client, local step or
-bound form), with the round, client and step in its context. `fedspectra
-verify` keeps the worst report per name and round; the acceptance runs
-tally every report.
+bound form), with the round, client and step in its context. run_checks
+runs every check, and the clients of every round it descends again, on
+one thread pool. `fedspectra verify` keeps the worst report per name and
+round; the acceptance runs tally every report.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .federation import global_loss, local_round, side_by_side
+from .federation import global_loss, unit_pool
 from .models import DeepLinearParams, TwoLayerParams, vec_residual
 
 LINEAR = DeepLinearParams.kind
@@ -439,18 +440,19 @@ def first_order_terms(rnd, i, k, iterate):
     return None
 
 
-def half_rate_probe(rnd):
-    """first-order's eta/2 probe: one local_round at eta/2 of every
-    participant from the round's start, on a client pool as a run's rounds
-    are, that keeps each iterate's first_order_terms, formed as it descends,
-    instead of the iterate. Its analysis.FirstOrderReport, or None at depth
-    1, which is linear in its weights, so that the prediction is exact up to
-    rounding and there is no remainder to probe."""
+def half_rate_probe(rnd, descend):
+    """first-order's eta/2 probe: one round at eta/2 of every participant
+    from the round's start that keeps each iterate's first_order_terms,
+    formed as it descends, instead of the iterate. descend runs the round,
+    as federation.local_round does (run_checks passes its unit_pool's). Its
+    analysis.FirstOrderReport, or None at depth 1, which is linear in its
+    weights, so that the prediction is exact up to rounding and there is no
+    remainder to probe."""
     ctx, snap = rnd.ctx, rnd.snap
     if snap.global_params.depth == 1:
         return None
     keep = partial(first_order_terms, rnd)
-    runs, average = local_round(
+    runs, average = descend(
         snap.global_params, rnd.batches, 0.5 * ctx.eta, ctx.local_steps, keep=keep
     )
     return _first_order_probe(rnd, 0.5 * ctx.eta, [kept for kept, _ in runs], average())
@@ -473,7 +475,7 @@ def first_order(rnd, terms, half):
 
     terms[i][k] is member i's first_order_terms at iterate k, and half the
     round's half_rate_probe. Each probe scores the server average that its
-    own round formed: at eta the snapshot's, at eta/2 its local_round's.
+    own round formed: at eta the snapshot's, at eta/2 the probe's round's.
     Where the ratio is undefined the halving form passes vacuously with its
     reason: at depth 1, where half is None, and when the eta/2 probe's
     error is exactly 0.
@@ -598,15 +600,18 @@ def run_checks(ctx, names, snapshots) -> list:
     No snapshot need hold an iterate: each snapshot's round is descended
     once more from its start (redescend), every selected measure recording
     each iterate as it is formed, so that no iterate outlives the step
-    after it. Each set-up check, each per-round check that reads no
-    iterate, each round's re-descent and each probe is one independent
-    call, and federation.side_by_side runs them, on the usable cores where
-    BLAS already runs one thread; the checks that read iterates then reduce
-    their measures, first-order with the round's half_rate_probe. The
-    calls share ctx, and a round's calls its ObservedRound, whose cached
-    properties are each computed once under cached_property's lock (a
-    Python without that lock may compute one twice, to the same value),
-    save first_order_start, built here before any call starts.
+    after it. Everything runs on one federation.unit_pool, on the usable
+    cores where BLAS already runs one thread. This thread queues each
+    set-up check and each per-round check that reads no iterate as a unit;
+    then, round by round, it drives the round's half_rate_probe and its
+    re-descent, whose clients join the same queue a unit each, and forms
+    their sums and the replay test itself. Once every unit is done, the
+    checks that read iterates reduce their measures here, first-order with
+    the round's probe. The units share ctx, and a round's units its
+    ObservedRound, whose cached properties are each computed once under
+    cached_property's lock (a Python without that lock may compute one
+    twice, to the same value), save first_order_start, built here before
+    the round's clients start.
     """
     table = {name: row for name, row in CHECKS.items() if name in names}
     measured = [(name, row.measure) for name, row in table.items() if row.measure]
@@ -616,12 +621,16 @@ def run_checks(ctx, names, snapshots) -> list:
         for name, row in table.items():
             if row.per_round and not row.measure:
                 calls[j, name] = partial(_worst_of, row.check, ctx, rnd.snap)
-        if "first-order" in table:
-            rnd.first_order_start  # built once, before the threads that read it start
-            calls[j, "probe"] = partial(half_rate_probe, rnd)
-        if measured:
-            calls[j] = partial(redescend, rnd, measured)
-    done = dict(zip(calls, side_by_side(list(calls.values()))))
+    with unit_pool() as (submit, descend):
+        queued = {key: submit(call) for key, call in calls.items()}
+        done = {}
+        for j, rnd in enumerate(rounds):
+            if "first-order" in table:
+                rnd.first_order_start  # built once, before the clients that read it start
+                done[j, "probe"] = half_rate_probe(rnd, descend)
+            if measured:
+                done[j] = redescend(rnd, measured, descend)
+        done |= {key: result() for key, result in queued.items()}
     reports = [rep for name, row in table.items() if not row.per_round for rep in done[name]]
     for j, rnd in enumerate(rounds):
         for name, row in table.items():
@@ -637,10 +646,11 @@ def _worst_of(check, ctx, snap) -> list:
     return worst_per_name(check(ctx, snap))
 
 
-def redescend(rnd, measured) -> dict:
-    """Descend rnd's round once more from its start, on a client pool as a
-    run's rounds are, each measure of `measured`, (name, measure) pairs,
-    recording every iterate as it is formed, on its client's thread.
+def redescend(rnd, measured, descend) -> dict:
+    """Descend rnd's round once more from its start, each measure of
+    `measured`, (name, measure) pairs, recording every iterate as it is
+    formed, on its client's thread. descend runs the round, as
+    federation.local_round does (run_checks passes its unit_pool's).
     Returns name -> that measure of each member's iterates, [i][k] for
     member i's iterate k.
 
@@ -654,7 +664,7 @@ def redescend(rnd, measured) -> dict:
     def record(i, k, iterate):
         return tuple(measure(rnd, i, k, iterate) for measure in measures)
 
-    runs, average = local_round(
+    runs, average = descend(
         snap.global_params, rnd.batches, ctx.eta, ctx.local_steps, keep=record
     )
     pairs = zip(average()._weights(), snap.averaged._weights(), strict=True)

@@ -20,7 +20,7 @@ import pytest
 from fedspectra import analysis, verify
 from fedspectra.cli import EXIT_OK, main
 from fedspectra.data import partition_iid, synth_linear_dataset
-from fedspectra.federation import FederationConfig, RoundSnapshot, run_fedavg
+from fedspectra.federation import FederationConfig, RoundSnapshot, local_round, run_fedavg
 from fedspectra.models import (
     LabeledBatch,
     TwoLayerParams,
@@ -84,7 +84,9 @@ def _local_checks(state, ctx, snap):
     again from its start."""
     _tally(state, "descent", verify.local_descent(ctx, snap))
     rnd = verify.ObservedRound(ctx, snap)
-    measured = verify.redescend(rnd, [("local-deviation", verify.local_deviation_residual)])
+    measured = verify.redescend(
+        rnd, [("local-deviation", verify.local_deviation_residual)], local_round
+    )
     _tally(state, "deviation", verify.local_deviation(rnd, measured["local-deviation"]))
 
 
@@ -340,8 +342,8 @@ def test_criterion_10_hidden_row_drift_stays_in_radius(run6_wide):
 def test_criterion_11_first_order_residual_prediction(run4, first_order_probes):
     """Round-3 residual prediction: small error, quartering under eta halving."""
     rnd = verify.ObservedRound(run4.ctx, run4.round3)
-    half = verify.half_rate_probe(rnd)
-    measured = verify.redescend(rnd, [("first-order", verify.first_order_terms)])
+    half = verify.half_rate_probe(rnd, local_round)
+    measured = verify.redescend(rnd, [("first-order", verify.first_order_terms)], local_round)
     _, halved = verify.first_order(rnd, measured["first-order"], half)
     half, full = first_order_probes
     ratio = halved.context["scaling_ratio"]

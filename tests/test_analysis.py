@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedspectra import analysis, verify
+from fedspectra import analysis, federation, verify
 from fedspectra.analysis import (
     bound_series,
     contraction_factor,
@@ -836,7 +836,7 @@ def _first_order(ctx, snap, trajs):
     """first-order's reports of the round: its eta/2 probe, then its measure
     of each of the members' iterates trajs."""
     rnd = verify.ObservedRound(ctx, snap)
-    half = verify.half_rate_probe(rnd)
+    half = verify.half_rate_probe(rnd, federation.local_round)
     terms = _measured(verify.first_order_terms, rnd, trajs)
     return verify.first_order(rnd, terms, half)
 
@@ -899,12 +899,12 @@ def test_first_order_scaling_scores_the_average_each_probe_round_formed(
     ctx, snap, trajs = _first_order_round([0, 2])
     probes = []
 
-    def probe(*args, _round=verify.local_round, **kwargs):
+    def probe(*args, _round=federation.local_round, **kwargs):
         runs, round_average = _round(*args, **kwargs)
         probes.append(round_average)
         return runs, round_average
 
-    monkeypatch.setattr(verify, "local_round", probe)
+    monkeypatch.setattr(federation, "local_round", probe)
     X, Y = ctx.X, np.hstack([b.Y for b in ctx.batches])
     # any parameters a snapshot carries as its round's average are the ones scored
     for given in (snap.averaged, snap.global_params):
@@ -927,7 +927,7 @@ def test_first_order_scaling_skips_the_half_rate_probe_at_depth_one(
     batches = [LabeledBatch(X=ds.X[:, ix], Y=ds.Y[:, ix]) for ix in partition_iid(12, 3)]
     init = init_deep_linear(1, 8, 4, 3, seed=0)
     trajs, averaged = _round(init, batches, [0, 1, 2], 0.01, 3)
-    monkeypatch.setattr(verify, "local_round", None)
+    monkeypatch.setattr(federation, "local_round", None)
     snap = _snapshot(init, [0, 1, 2], averaged=averaged)
     relative, vacuous = _first_order(_context(init, *batches, eta=0.01, steps=3), snap, trajs)
     (full,) = first_order_probes

@@ -1,5 +1,6 @@
 """Config parsing, subcommand artifacts, and exit codes."""
 
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -39,7 +40,7 @@ from fedspectra.config import (
     VerifySection,
 )
 from fedspectra.data import save_idx
-from fedspectra.federation import FederationConfig, run_fedavg
+from fedspectra.federation import FederationConfig, local_round, run_fedavg
 from fedspectra.models import DeepLinearParams, _descends_in_sample_space, blas_threads, loss_of
 
 
@@ -1186,12 +1187,14 @@ def _verify_on_cores(tmp_path, monkeypatch, usable_cores, capsys, doc) -> list:
     usable cores and on 1, 2 and 4 (a host with one of those runs it once),
     having checked that the checks ran side by side off the calling thread
     on more than one core, and serially on it on one."""
-    threads, side_by_side = set(), federation.side_by_side
+    threads, unit_pool = set(), federation.unit_pool
 
-    def spy(calls):
-        return side_by_side([lambda c=c: threads.add(threading.get_ident()) or c() for c in calls])
+    @contextlib.contextmanager
+    def spy():
+        with unit_pool() as (submit, descend):
+            yield lambda call: submit(lambda: threads.add(threading.get_ident()) or call()), descend
 
-    monkeypatch.setattr(verify, "side_by_side", spy)
+    monkeypatch.setattr(verify, "unit_pool", spy)
     cfg = _write(tmp_path, "c.json", doc)
     outs = []
     counts = [1, 2, 4] if federation._usable_cores() in (1, 2, 4) else [None, 1, 2, 4]
@@ -1263,8 +1266,10 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
                 if row.measure is None:
                     reports = row.check(ctx, snap)
                 else:  # the measure of each iterate of the round descended again
-                    measured = verify.redescend(rnd, [(check, row.measure)])[check]
-                    probed = (verify.half_rate_probe(rnd),) if check == "first-order" else ()
+                    measured = verify.redescend(rnd, [(check, row.measure)], local_round)[check]
+                    probed = ()
+                    if check == "first-order":
+                        probed = (verify.half_rate_probe(rnd, local_round),)
                     reports = row.check(rnd, measured, *probed)
                 candidates += len(reports)
                 for name in dict.fromkeys(r.name for r in reports):

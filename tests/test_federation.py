@@ -536,6 +536,14 @@ def test_the_default_pool_has_one_thread_per_usable_core(monkeypatch, blas):
     assert max(state["ahead"]) == (3 if held else 1)
 
 
+def _side_by_side(calls) -> list:
+    """The results of calls, each a function of no arguments, in order,
+    each a unit of one unit_pool."""
+    with federation.unit_pool() as (submit, _):
+        results = [submit(call) for call in calls]
+        return [result() for result in results]
+
+
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
 @pytest.mark.parametrize("cores, threads, together", [(1, 1, False), (2, 1, True), (2, 2, False)])
 def test_calls_run_side_by_side_only_where_blas_already_runs_one_thread(
@@ -559,13 +567,37 @@ def test_calls_run_side_by_side_only_where_blas_already_runs_one_thread(
         def fail():
             raise ValueError("call 1")
 
-        assert federation.side_by_side([lambda k=k: call(k) for k in range(6)]) == list(range(6))
+        assert _side_by_side([lambda k=k: call(k) for k in range(6)]) == list(range(6))
         assert set(seen) == {(together, threads)} and len(seen) == 6
         with pytest.raises(ValueError, match="call 1"):
-            federation.side_by_side([lambda: call(0), fail, lambda: call(2)])
+            _side_by_side([lambda: call(0), fail, lambda: call(2)])
         assert get() == threads
     finally:
         put(before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_unit_pool_round_is_local_round_bit_for_bit(cores, one_blas_thread, usable_cores):
+    # its clients queue behind the units before them, a unit each, and the
+    # server sum still adds them in client order; a client whose loss goes
+    # non-finite names itself as local_round's does
+    params, batches = _workload(n_clients=5, n=40)
+    usable_cores(cores)
+    want, want_average = local_round(params, batches, 0.01, 3, keep=True)
+    with federation.unit_pool() as (submit, descend):
+        busy = [submit(lambda: time.sleep(0.01)) for _ in range(3)]
+        runs, average = descend(params, batches, 0.01, 3, keep=True)
+        assert [wait() for wait in busy] == [None] * 3
+        with pytest.raises(DivergenceError) as exc:
+            descend(params, batches, 1e6, 8, False)
+    assert (exc.value.client, exc.value.round_index) == (0, None)
+    for (kept, losses), (want_kept, want_losses) in zip(runs, want, strict=True):
+        assert losses == want_losses
+        for p, q in zip(kept, want_kept, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(p._weights(), q._weights()))
+    pairs = zip(average()._weights(), want_average()._weights(), strict=True)
+    assert all(np.array_equal(x, y) for x, y in pairs)
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
@@ -596,8 +628,8 @@ def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypat
 def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
     monkeypatch, usable_cores
 ):
-    # the timed choice asks whether a call keeps, not what it keeps: a call
-    # that keeps each iterate's terms follows one that keeps the iterates
+    # one series times every call of a pool, whether and whatever it keeps:
+    # a call that keeps each iterate's terms follows one that keeps none
     params, batches = _workload(n_clients=6, n=40)
     ways, descend_round = [], DeepLinearParams.descend_round
 
@@ -608,7 +640,7 @@ def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
     monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
     usable_cores(2)
     with federation.client_pool() as descend:
-        for keep in (True, lambda i, k, p: p.layers[0][0, 0], True):
+        for keep in (False, lambda i, k, p: p.layers[0][0, 0], True):
             descend(params, batches, 0.01, 2, keep)
     assert ways == ["side by side", "serial", "side by side"]
 

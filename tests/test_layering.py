@@ -83,7 +83,7 @@ def test_library_modules_do_not_import_config(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_federation_knows_the_blas_thread_policy(module):
-    # models defines blas_threads; federation's client_pool alone calls it
+    # models defines blas_threads; federation's pools alone call it
     assert module in ("models", "federation") or "blas_threads" not in _names(module)
 
 
@@ -101,7 +101,7 @@ def _imported_stdlib(module) -> set:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_federation_starts_threads(module):
-    # client_pool and side_by_side decide when work runs side by side
+    # client_pool and unit_pool decide when work runs side by side
     imported = _imported_stdlib(module)
     threads = {"threading", "_thread", "concurrent", "concurrent.futures"}
     assert module == "federation" or not imported & threads

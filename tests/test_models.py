@@ -449,9 +449,11 @@ def test_a_round_side_by_side_averages_its_clients_as_average_does(
 
     monkeypatch.setattr(type(p), "descend_round", spy)
     usable_cores(2)
-    with federation.client_pool() as descend:
-        runs, kept = descend(p, batches, 0.01, 3, True)
-        _, folded = descend(p, batches, 0.01, 3, False)
+    rounds = []
+    for keep in (True, False):
+        with federation.client_pool() as descend:
+            rounds.append(descend(p, batches, 0.01, 3, keep))
+    (runs, kept), (_, folded) = rounds
     assert windowed == [True, True]
     want = _stacked_average(runs)
     for q in (kept(), folded()):

@@ -1,14 +1,19 @@
 """The verify checks' bound inputs, from the paper's formulas, on tiny runs."""
 
+import concurrent.futures
+import contextlib
 import dataclasses
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedspectra import analysis, cli, verify
-from fedspectra.federation import run_fedavg
+from fedspectra import analysis, cli, federation, models, verify
+from fedspectra.federation import local_round, run_fedavg
+from fedspectra.models import blas_threads
 
 TINY_LINEAR = {
     "model": {"kind": "deep-linear", "depth": 3, "width": 64, "d_in": 6, "d_out": 2},
@@ -22,22 +27,30 @@ TINY_RELU = {
 }
 
 
-def _round_zero(doc):
+def _observed(doc, rounds):
+    """The run context of doc and the snapshots of its rounds in `rounds`."""
     cfg = cli.parse_config(json.dumps(doc))
     ctx = cli.build_experiment(cfg)
     snapshots = []
     run_fedavg(
         cfg.federation, ctx.init_params, list(ctx.batches),
-        observer=snapshots.append, observe_rounds={0},
+        observer=snapshots.append, observe_rounds=set(rounds),
     )
-    return ctx, snapshots[0]
+    return ctx, snapshots
+
+
+def _round_zero(doc):
+    ctx, (snap,) = _observed(doc, {0})
+    return ctx, snap
 
 
 def _local_deviation(ctx, snap):
     """local-deviation's reports of the round, its measure taken of each
     iterate of the round descended again."""
     rnd = verify.ObservedRound(ctx, snap)
-    measured = verify.redescend(rnd, [("local-deviation", verify.local_deviation_residual)])
+    measured = verify.redescend(
+        rnd, [("local-deviation", verify.local_deviation_residual)], local_round
+    )
     return verify.local_deviation(rnd, measured["local-deviation"])
 
 
@@ -131,7 +144,7 @@ def test_a_re_descent_holds_no_round_of_iterates(usable_cores):
     ctx.X, ctx.client_singular_values  # the run's set-up, cached before the count starts
     tracemalloc.start()
     try:
-        kept = verify.redescend(rnd, measured)
+        kept = verify.redescend(rnd, measured, local_round)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,21 +181,120 @@ def test_a_snapshot_that_its_round_does_not_reproduce_is_refused(field):
 def test_the_round_start_terms_are_built_once_before_the_rounds_calls_start(monkeypatch):
     # the client threads of a round's re-descent and of its eta/2 probe read
     # the round-start terms at once; from Python 3.12 cached_property takes
-    # no lock, so run_checks builds them before it hands the calls over
+    # no lock, so run_checks builds them before either round's clients start
     ctx, snap = _round_zero(TINY_LINEAR)
     built, starts = [], []
-    run, start = verify.side_by_side, analysis.FirstOrderStart
+    pool, start = verify.unit_pool, analysis.FirstOrderStart
 
-    def calls_start(calls):
-        readers = [c.args[0] for c in calls if c.func in (verify.redescend, verify.half_rate_probe)]
-        built.extend("first_order_start" in vars(rnd) for rnd in readers)
-        return run(calls)
+    @contextlib.contextmanager
+    def calls_start():
+        with pool() as (submit, descend):
+
+            def round_starts(*args, **kwargs):
+                built.append(len(starts) == 1)
+                return descend(*args, **kwargs)
+
+            yield submit, round_starts
 
     def counted(*args):
         starts.append(args)
         return start(*args)
 
-    monkeypatch.setattr(verify, "side_by_side", calls_start)
+    monkeypatch.setattr(verify, "unit_pool", calls_start)
     monkeypatch.setattr(analysis, "FirstOrderStart", counted)
     verify.run_checks(ctx, verify.known_checks("deep-linear"), [snap])
     assert built == [True, True] and len(starts) == 1
+
+
+def _pool_events(tmp_path, monkeypatch, rounds) -> list:
+    """(event, thread) of every thread pool that `fedspectra verify` opens,
+    shuts down or waits on, in order, observing `rounds` of a 4-round run
+    of the tiny linear config; thread is the waiting or opening thread."""
+    events = []
+
+    class Pool(federation.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append(("open", threading.get_ident()))
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            events.append(("wait", threading.get_ident()))
+            super().shutdown(*args, **kwargs)
+
+    def waited(self, *args, _result=concurrent.futures.Future.result, **kwargs):
+        events.append(("wait", threading.get_ident()))
+        return _result(self, *args, **kwargs)
+
+    def waited_on_all(futures, *args, _wait=federation.wait, **kwargs):
+        events.append(("wait", threading.get_ident()))
+        return _wait(futures, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(federation, "wait", waited_on_all)
+    monkeypatch.setattr(concurrent.futures.Future, "result", waited)
+    doc = TINY_LINEAR | {
+        "federation": TINY_LINEAR["federation"] | {"rounds": 4},
+        "verify": {"rounds": rounds},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / f"rounds-{len(rounds)}"
+    # width 64 is below init-spectra's band, which does not matter here
+    exits = (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) in exits
+    return events
+
+
+def test_verify_opens_as_many_pools_however_many_rounds_it_observes(
+    tmp_path, monkeypatch, one_blas_thread, usable_cores
+):
+    # the run's client pool and the checks' unit pool: each observed
+    # round's re-descent and eta/2 probe put their clients on the latter
+    usable_cores(2)
+    opened = [
+        [event for event, _ in _pool_events(tmp_path, monkeypatch, rounds)].count("open")
+        for rounds in ([0], [0, 1, 2, 3])
+    ]
+    assert opened == [2, 2]
+
+
+def test_no_pool_opens_or_is_waited_on_inside_a_pool_thread(
+    tmp_path, monkeypatch, one_blas_thread, usable_cores
+):
+    usable_cores(2)
+    events = _pool_events(tmp_path, monkeypatch, [0, 2])
+    assert {"open", "wait"} == {event for event, _ in events}
+    assert {thread for _, thread in events} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_the_checks_compute_on_at_most_one_thread_per_usable_core(
+    cores, monkeypatch, one_blas_thread, usable_cores
+):
+    # every check and every client of a round descended again is one unit
+    # of one pool, and no unit opens a pool of its own
+    doc = TINY_LINEAR | {"federation": TINY_LINEAR["federation"] | {"rounds": 3}}
+    ctx, snapshots = _observed(doc, {0, 1, 2})
+    usable_cores(cores)
+    lock, running, most = threading.Lock(), [0], [0]
+
+    def counted(fn):
+        def unit(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.002)  # long enough that units which may overlap do
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        return unit
+
+    rows = {name: row._replace(check=counted(row.check)) for name, row in verify.CHECKS.items()}
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    monkeypatch.setattr(models._LocalDescent, "_descend", counted(models._LocalDescent._descend))
+    assert verify.run_checks(ctx, verify.known_checks("deep-linear"), snapshots)
+    assert most[0] <= cores
+    assert (most[0] > 1) is (blas_threads() is not None)
