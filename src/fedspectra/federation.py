@@ -3,11 +3,11 @@
 import math
 import numbers
 import os
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -78,8 +78,8 @@ class FederationConfig(Settings):
     entry per round, the rate left at its default), else a `rate` share of
     the clients, at least one, drawn uniformly without replacement. Either
     way they are visited and averaged in ascending client order, side by
-    side on the usable cores or one after another, whichever a timed round
-    finds faster (see client_pool). The run ends early once the global loss
+    side on the usable cores or one after another, as the round's stated
+    cost says (see client_pool). The run ends early once the global loss
     reaches stop_loss_fraction times the starting loss, after one more round
     of local descent that it discards (see run_fedavg).
     """
@@ -179,14 +179,21 @@ def _blas_held(hold):
         put(before)
 
 
+# A round runs side by side once its cheapest client's stated cost (client_cost,
+# multiply-adds) reaches this break-even, measured for 8 clients x 5 steps on 2
+# cores at one BLAS thread, ms per client serial vs side by side: depth-3 linear
+# on 4 samples, width 320 (6.9 M) 1.8 vs 2.2, 384 (9.8 M) 1.5-2.7 vs 1.7-2.4;
+# ReLU of width 128 on 784 inputs, 100 samples (34 M) 2.3-2.9 vs 1.8-2.1.
+SIDE_BY_SIDE_COST = 10_000_000
+
+
 @contextmanager
 def _windowed(pool, count):
     """Yields a map for descend_round: builtin map when count is 1, else an
-    ordered, bounded window of count clients on pool. A client is submitted,
-    and its state made, only once descend_round has added the result that
-    many clients before it to the server sum, so at most that many client
-    states live beside the sum. On leaving, no client of it is still
-    running: those not yet started never start."""
+    ordered window of count clients on pool (_round_descent's depth). A
+    client is submitted, and its state made, only once the result count
+    clients before it is in the server sum, so at most count client states
+    live beside the sum. On leaving, no client of it runs, or ever starts."""
     pending = deque()
 
     def window(fn, clients):
@@ -205,64 +212,54 @@ def _windowed(pool, count):
         wait(pending)
 
 
-@contextmanager
-def client_pool():
-    """Yields descend(params, batches, eta, steps, keep), which runs
-    params.descend_round, its clients on one thread pool that lives as long
-    as the context, e.g. a whole run.
-
-    Side by side, the clients go through _windowed's ordered window of the
-    pool's size. The pool has one thread per usable core (the process's CPU
-    affinity, so `taskset` bounds it) and measures which way is faster: the
-    first call of more than one client runs side by side to warm up, the
-    second serially and the third side by side, both timed, and every later
-    call the way that took less time per client. On one usable core, or
-    where OpenBLAS's thread count cannot be set, every call runs serially.
-
-    A call of more than one client on more than one thread runs with
-    OpenBLAS held to one thread, whichever way it runs, restored on return
-    or raise once no client is running. Each client's arithmetic and the
-    order of the sum are the serial loop's, so at one BLAS thread every
-    output is the same whichever way a call runs.
-    """
-    count = _usable_cores() if blas_threads() is not None else 1
-    seconds = []  # seconds per client of the calls that chose the way
+def _round_descent(pool, cores, threads, serially):
+    """descend(params, batches, eta, steps, keep): params.descend_round in
+    _windowed's window on pool when there are several threads and the
+    cheapest client costs SIDE_BY_SIDE_COST or more, as deep as threads
+    times the costliest's cost in cheapest ones, rounded down, at most the
+    round (an uneven round lets short clients pass a long head); else inside
+    serially(call), which returns call's result. On several usable cores a
+    round of several clients holds OpenBLAS to one thread either way."""
 
     def descend(params, batches, eta, steps, keep):
-        together = hold = count > 1 and len(batches) > 1
-        if hold:
-            together = len(seconds) != 1 if len(seconds) < 3 else seconds[2] < seconds[1]
-        start = time.perf_counter()
+        costs = [params.client_cost(b, steps) for b in batches]
+        together = threads > 1 and min(costs) >= SIDE_BY_SIDE_COST
+        depth = min(len(costs), threads * (max(costs) // min(costs))) if together else 1
         # the window closes first: no client may still run once the hold is let go
-        with _blas_held(hold), _windowed(pool, count if together else 1) as clients_map:
-            result = params.descend_round(batches, eta, steps, keep, map=clients_map)
-        if hold and len(seconds) < 3:
-            seconds.append((time.perf_counter() - start) / len(batches))
-        return result
+        with _blas_held(cores > 1 and len(batches) > 1), _windowed(pool, depth) as clients_map:
+            call = partial(params.descend_round, batches, eta, steps, keep, map=clients_map)
+            return call() if depth > 1 else serially(call)
 
+    return descend
+
+
+@contextmanager
+def client_pool():
+    """Yields _round_descent's descend on one thread pool that lives as long
+    as the context, e.g. a whole run: one thread per usable core (CPU
+    affinity, so `taskset` bounds it), and a serial round in the calling
+    thread. The choice is read off the shapes, not timed, so under CPU steal
+    a round sent side by side stays there. On one usable core, or where
+    OpenBLAS's thread count cannot be set, every round runs serially."""
+    count = _usable_cores() if blas_threads() is not None else 1
     with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
-        yield descend
+        yield _round_descent(pool, count, count, lambda call: call())
 
 
 @contextmanager
 def unit_pool():
     """Yields (submit, descend): one thread pool for a batch of work whose
     units are calls of no arguments and clients of rounds, so that no pool
-    opens, or is waited on, inside a pool thread.
-
-    submit(call) queues call and returns a function of no arguments that
-    waits for its result and returns it, or raises what it raised.
-    descend(params, batches, eta, steps, keep) is local_round with each
-    client a unit, queued behind the units before it through _windowed's
-    window, and the server sum formed in the calling thread in client order.
-
+    opens, or is waited on, inside a pool thread. submit(call) queues call
+    and returns a function of no arguments that waits for its result and
+    returns it, or raises what it raised. descend is local_round on the
+    pool: a unit per client of a round side by side, one per serial round,
+    so the calling thread computes only server sums beside the units.
     Units run on one thread per usable core when more than one is usable
     and numpy's OpenBLAS already runs one thread, else each at once in the
     calling thread, so no unit runs at a BLAS thread count other than the
-    serial loop's. A round holds BLAS where client_pool would, so it takes
-    the bits that a run's round took. A unit that raises raises in the
-    calling thread once no unit is running; units not yet started never do.
-    """
+    serial loop's. A unit that raises raises in the calling thread once no
+    unit is running; units not yet started never do."""
     threads = blas_threads()
     cores = _usable_cores() if threads is not None else 1
     count = cores if threads is not None and threads[0]() == 1 else 1
@@ -274,12 +271,12 @@ def unit_pool():
         return pool.submit(call).result
 
     def descend(params, batches, eta, steps, keep):
-        with _blas_held(cores > 1 and len(batches) > 1), _windowed(pool, count) as clients_map:
-            runs, average = params.descend_round(batches, eta, steps, keep, map=clients_map)
+        runs, average = rounds(params, batches, eta, steps, keep)
         _raise_local_divergence(runs, range(len(runs)), None)
         return runs, average
 
     with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
+        rounds = _round_descent(pool, cores, count, lambda call: submit(call)())
         try:
             yield submit, descend
         except BaseException:
@@ -288,19 +285,11 @@ def unit_pool():
 
 
 def local_round(params, batches, eta, steps, keep=False) -> tuple:
-    """One round of full-batch gradient descent from params on each batch
-    (params.descend_round, the clients run as client_pool runs them).
-
-    Returns (runs, average). runs[i] is (kept, losses) for batches[i]:
-    losses has steps+1 entries, index 0 being the starting point, and so has
-    kept when keep, else it is empty: the iterates themselves when keep is
-    True, else keep(i, k, iterate) of each iterate k, called in the thread
-    that descends the client (see descend_round). average() returns the
-    server average of the last iterates, already summed as the round ran,
-    kept or not.
-    Raises DivergenceError, its client being the index into batches and its
-    round None, for the first batch whose loss went non-finite.
-    """
+    """One round of full-batch gradient descent from params on each batch,
+    on a client pool of its own: (runs, average) as params.descend_round
+    returns them. Raises DivergenceError, its client being the index into
+    batches and its round None, for the first batch whose loss went
+    non-finite."""
     with client_pool() as descend:
         runs, average = descend(params, batches, eta, steps, keep)
     _raise_local_divergence(runs, range(len(runs)), None)
@@ -338,9 +327,8 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - the clients of every round descend on one client_pool, opened for
-      the whole run; the server sum is formed in client order, so at one
-      BLAS thread every output is the same whichever way a round runs.
+    - every round descends on one client_pool, opened for the whole run, so
+      at one BLAS thread every output is the same however a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average, its `averaged`, is
       applied. No round keeps its local iterates.

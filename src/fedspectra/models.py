@@ -1,14 +1,14 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
-Both parameter classes expose the same three members: predict(X), one
-round of local descent descend_round(batches, eta, steps, keep, map), which
-also forms the round's server average, and drift(init). Gradients of the
-(unnormalized) square loss are closed-form; there is no automatic
-differentiation anywhere. All arithmetic is 64-bit. A parameter object is
-never changed once built: each client's descent runs one shared loop on a
-client state whose private arrays it updates in place (a copy of the
-weights, or the ReLU net's pre-activations in sample space), and hands out
-only arrays the state no longer writes to.
+Both parameter classes expose the same four members: predict(X), one round
+of local descent descend_round(batches, eta, steps, keep, map), which also
+forms the round's server average, its cost per client client_cost(batch,
+steps), and drift(init). Gradients of the (unnormalized) square loss are
+closed-form; there is no automatic differentiation anywhere. All arithmetic
+is 64-bit. A parameter object is never changed once built: each client's
+descent runs one shared loop on a client state whose private arrays it
+updates in place (a copy of the weights, or the ReLU net's pre-activations
+in sample space), and hands out only arrays the state no longer writes to.
 """
 
 import ctypes
@@ -141,9 +141,9 @@ class _LocalDescent:
     the state holds, then takes one step unless eta is None; iterate(lent)
     returns that iterate as parameters no later step writes to, or, when
     lent, as parameters that may share the state's arrays, to be read only
-    before its next step. A class
-    supplies _weights() (its arrays), _with(arrays) (a new object around
-    them) and _step_in_place(arrays, batch, eta), the dense state's step."""
+    before its next step. A class supplies _weights() (its arrays),
+    _with(arrays) (a new object around them) and _step_in_place(arrays,
+    batch, eta), the dense state's step."""
 
     def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
         """`steps` full-batch gradient steps from self on each batch, one
@@ -308,6 +308,10 @@ class DeepLinearParams(_LocalDescent):
     def _with(self, layers) -> "DeepLinearParams":
         return DeepLinearParams(layers=tuple(layers), width=self.width)
 
+    def client_cost(self, batch: LabeledBatch, steps) -> int:
+        """Multiply-adds of `steps` steps on batch: per layer 3 products a step, 1 at the end."""
+        return (3 * steps + 1) * batch.n * sum(W.size for W in self.layers)
+
     def _step_in_place(self, layers, batch, eta) -> float:
         E, factors = _backprop_deep_linear(layers, self.scale, batch, eta is not None)
         for W, (left, right) in zip(layers, factors):
@@ -366,6 +370,10 @@ class TwoLayerParams(_LocalDescent):
             grad *= eta
             weights[0] -= grad  # the signs stay fixed
         return _half_square(residual)
+
+    def client_cost(self, batch: LabeledBatch, steps) -> int:
+        """Multiply-adds of `steps` steps on batch in the cheaper state (_relu_costs)."""
+        return min(_relu_costs(self.width, self.dim, batch.n, steps))
 
     def _client(self, batch: LabeledBatch, steps):
         """Sample space for a client whose shape makes it cheaper, else the dense copy."""
@@ -525,22 +533,26 @@ def _relu_residual(Z, signs, y) -> np.ndarray:
     return (signs / np.sqrt(Z.shape[0])) @ np.maximum(Z, 0.0) - y
 
 
-def _descends_in_sample_space(width, dim, n, steps) -> bool:
-    """Whether `steps` ReLU steps on n samples take no more multiply-adds in
-    sample space than dense. Dense forms H X and M X^T per step and H X once
+def _relu_costs(width, dim, n, steps) -> tuple:
+    """(dense, sample space): the multiply-adds of `steps` ReLU steps on n
+    samples in each state. Dense forms H X and M X^T per step and H X once
     more for the last loss: (2K+1)*m*d*n. Sample space forms H0 X, X^T X and
-    the last iterate's A X^T once and M X^T X per step:
-    2*m*d*n + d*n^2 + K*m*n^2, K being `steps`.
-    A client without samples costs nothing either way and takes sample space.
+    the last iterate's A X^T once and M X^T X per step: 2*m*d*n + d*n^2 +
+    K*m*n^2, K being `steps`.
 
-    X^T X is formed once per run (LabeledBatch.gram), but the rule still
+    X^T X is formed once per run (LabeledBatch.gram), but the count still
     charges its d*n^2 to every round, so no client changes path. Kept
     iterates (one more m*d*n product each in sample space) are left out on
     purpose: an observed round must round as an unobserved one does. Forming
-    kept iterates lazily is the open route (ROADMAP item 14).
-    """
+    kept iterates lazily is the open route (ROADMAP item 14)."""
     dense = (2 * steps + 1) * width * dim * n
-    return 2 * width * dim * n + dim * n * n + steps * width * n * n <= dense
+    return dense, 2 * width * dim * n + dim * n * n + steps * width * n * n
+
+
+def _descends_in_sample_space(width, dim, n, steps) -> bool:
+    """Whether sample space costs no more than dense (_relu_costs), as for n = 0."""
+    dense, sample = _relu_costs(width, dim, n, steps)
+    return sample <= dense
 
 
 def grad_two_layer(p: TwoLayerParams, batch: LabeledBatch) -> np.ndarray:

@@ -26,6 +26,14 @@ def usable_cores(monkeypatch):
 
 
 @pytest.fixture
+def cheap_rounds_side_by_side(monkeypatch):
+    """Let rounds of clients far cheaper than federation.SIDE_BY_SIDE_COST,
+    as most tests' are, descend side by side on more than one usable core:
+    any client that costs a multiply-add reaches the patched constant."""
+    monkeypatch.setattr(federation, "SIDE_BY_SIDE_COST", 1)
+
+
+@pytest.fixture
 def first_order_probes(monkeypatch):
     """The FirstOrderReports of every analysis.predict_first_order call in
     the test, in call order: verify.half_rate_probe makes the eta/2 probe,

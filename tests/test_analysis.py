@@ -851,7 +851,7 @@ def test_predict_first_order_prediction_is_accurate_and_eta_scaled(first_order_p
 
 
 def test_first_order_scaling_predicts_from_the_given_trajectories(
-    monkeypatch, usable_cores, first_order_probes
+    monkeypatch, usable_cores, first_order_probes, cheap_rounds_side_by_side
 ):
     # the eta probe uses the snapshot's round; only the eta/2 probe trains,
     # every member in one round

@@ -864,6 +864,29 @@ def test_train_trace_is_byte_identical_across_runs_and_workers(
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
+def test_an_uneven_non_iid_run_is_byte_identical_on_one_two_and_four_cores(
+    tmp_path, one_blas_thread, usable_cores
+):
+    # 800 28x28 images split by class over 8 clients of 67 to 130 samples:
+    # on more than one core the rounds run side by side in a window of two
+    # clients per thread, and trace.csv is the serial loop's byte for byte
+    rng = np.random.default_rng(1)
+    save_idx(tmp_path / "i.idx", tmp_path / "l.idx", rng.integers(0, 256, (784, 800)) / 255,
+             rng.integers(0, 10, 800), (28, 28))
+    doc = {
+        "model": {"kind": "two-layer-relu", "width": 128},
+        **_idx(images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"),
+               partition="noniid", classes_per_client=3, preprocess=True),
+        "federation": {"n_clients": 8, "rounds": 3, "seed": 0},
+    }
+    cfg = parse_config(json.dumps(doc))
+    exp = cli.build_experiment(cfg)
+    costs = [exp.init_params.client_cost(b, cfg.federation.local_steps) for b in exp.batches]
+    assert min(costs) >= federation.SIDE_BY_SIDE_COST and max(costs) // min(costs) == 2
+    outs = _train_on_cores(tmp_path, _write(tmp_path, "c.json", doc), usable_cores, (1, 2, 4))
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_relu_clients_below_dim_run_deterministic_and_pass_verify(
     tmp_path, one_blas_thread, usable_cores
 ):

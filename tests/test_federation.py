@@ -424,10 +424,11 @@ def _spy_on_clients(monkeypatch, summing_lag=0.005):
 
 @pytest.mark.parametrize("cores", [1, 2, 8])
 def test_parallel_clients_run_in_an_ordered_bounded_window(
-    monkeypatch, cores, one_blas_thread, usable_cores
+    monkeypatch, cores, one_blas_thread, usable_cores, cheap_rounds_side_by_side
 ):
-    # the first round runs side by side on the pool's threads, one per
-    # usable core, unless there is one; the second serially, timed
+    # both rounds run side by side on the pool's threads, one per usable
+    # core, unless there is one; the clients are equal, so the window holds
+    # one client per thread
     params, batches = _workload(n_clients=20, n=80)
     cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01)
     usable_cores(1)
@@ -447,7 +448,9 @@ def test_parallel_clients_run_in_an_ordered_bounded_window(
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch, usable_cores):
+def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(
+    monkeypatch, usable_cores, cheap_rounds_side_by_side
+):
     get, put = blas_threads()
     before = get()
     put(2)
@@ -459,7 +462,7 @@ def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch, us
         cfg = FederationConfig(n_clients=20, local_steps=2, rounds=2, eta=0.01)
         state = _spy_on_clients(monkeypatch, summing_lag=0.0)
         usable_cores(2)
-        run_fedavg(cfg, params, batches)  # side by side, then serially, both held
+        run_fedavg(cfg, params, batches)  # side by side, held
         assert state["threads"] == [1] * 40
         assert get() == 2
         state["threads"].clear()
@@ -483,7 +486,9 @@ def test_parallel_clients_hold_blas_to_one_thread_and_restore_it(monkeypatch, us
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
-def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch, usable_cores):
+def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(
+    monkeypatch, usable_cores, cheap_rounds_side_by_side
+):
     # client 3 fails while client 4 descends beside it; the thread count is
     # put back only once client 4 has ended
     get, put = blas_threads()
@@ -523,14 +528,16 @@ def test_a_failing_client_lets_go_of_blas_only_once_no_client_runs(monkeypatch, 
 
 
 @pytest.mark.parametrize("blas", ["settable", "fixed"])
-def test_the_default_pool_has_one_thread_per_usable_core(monkeypatch, blas):
+def test_the_default_pool_has_one_thread_per_usable_core(
+    monkeypatch, blas, cheap_rounds_side_by_side
+):
     monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     if blas == "fixed":
         monkeypatch.setattr(federation, "blas_threads", lambda: None)
     params, batches = _workload(n_clients=20, n=80)
     state = _spy_on_clients(monkeypatch)
-    # a run's first round runs side by side, unless BLAS cannot be held to
-    # one thread: then the clients would fight over its cores
+    # a round runs side by side, unless BLAS cannot be held to one thread:
+    # then the clients would fight over its cores
     run_fedavg(FederationConfig(n_clients=20, local_steps=2, rounds=1, eta=0.01), params, batches)
     held = blas == "settable" and blas_threads() is not None
     assert max(state["ahead"]) == (3 if held else 1)
@@ -600,37 +607,16 @@ def test_a_unit_pool_round_is_local_round_bit_for_bit(cores, one_blas_thread, us
     assert all(np.array_equal(x, y) for x, y in pairs)
 
 
-@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
-@pytest.mark.parametrize("slower", ["side by side", "serial"])
-def test_the_default_runs_clients_the_way_its_timed_rounds_find_faster(monkeypatch, slower):
-    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    params, batches = _workload(n_clients=6, n=40)
-    get = blas_threads()[0]
-    ways, descend_round = [], DeepLinearParams.descend_round
-
-    def timed(self, batches, eta, steps, keep=False, map=map):
-        way = "serial" if map is builtins.map else "side by side"
-        ways.append((keep, way, get()))
-        if way == slower:
-            time.sleep(0.05)
-        return descend_round(self, batches, eta, steps, keep, map=map)
-
-    monkeypatch.setattr(DeepLinearParams, "descend_round", timed)
-    cfg = FederationConfig(n_clients=6, local_steps=2, rounds=10, eta=0.01)
-    # observed rounds keep no iterate, so they are timed with the others
-    run_fedavg(cfg, params, batches, observer=lambda s: None, observe_rounds={5, 6, 7, 8, 9})
-    faster = "serial" if slower == "side by side" else "side by side"
-    chosen = ["side by side", "serial", "side by side"] + [faster] * 7
-    assert ways == [(False, way, 1) for way in chosen]
-
-
-@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
-def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
-    monkeypatch, usable_cores
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_a_round_runs_side_by_side_once_its_cheapest_client_costs_the_constant(
+    monkeypatch, cores, usable_cores
 ):
-    # one series times every call of a pool, whether and whatever it keeps:
-    # a call that keeps each iterate's terms follows one that keeps none
-    params, batches = _workload(n_clients=6, n=40)
+    # read off the shapes, the same for every round of a pool, whether and
+    # whatever it keeps: below the constant serially, at it side by side on
+    # more than one usable core
+    params, batches = _uneven_workload(16, (3, 5, 3, 4, 6, 3))
+    cheapest = min(params.client_cost(b, 2) for b in batches)
+    assert cheapest == params.client_cost(batches[0], 2) > 0
     ways, descend_round = [], DeepLinearParams.descend_round
 
     def spy(self, *args, map=map):
@@ -638,11 +624,66 @@ def test_a_pool_times_a_keep_function_with_the_calls_that_keep_iterates(
         return descend_round(self, *args, map=map)
 
     monkeypatch.setattr(DeepLinearParams, "descend_round", spy)
-    usable_cores(2)
-    with federation.client_pool() as descend:
-        for keep in (False, lambda i, k, p: p.layers[0][0, 0], True):
-            descend(params, batches, 0.01, 2, keep)
-    assert ways == ["side by side", "serial", "side by side"]
+    usable_cores(cores)
+    together = cores > 1 and blas_threads() is not None
+    for constant, way in ((cheapest + 1, "serial"), (cheapest, "side by side")):
+        monkeypatch.setattr(federation, "SIDE_BY_SIDE_COST", constant)
+        ways.clear()
+        with federation.client_pool() as descend:
+            for keep in (False, lambda i, k, p: p.layers[0][0, 0], True, False):
+                descend(params, batches, 0.01, 2, keep)
+            descend(params, batches[:1], 0.01, 2, False)  # one client: serially
+        assert ways == [way if together else "serial"] * 4 + ["serial"]
+
+
+def _window_reached(sizes) -> int:
+    """The most clients that ran ahead of the server sum in a run of two
+    rounds, every client of `sizes` in each."""
+    params, batches = _uneven_workload(16, sizes)
+    cfg = FederationConfig(n_clients=len(sizes), local_steps=2, rounds=2, eta=0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            state = _spy_on_clients(patch)
+            run_fedavg(cfg, params, batches)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(state["ahead"]) == 2 * len(sizes)
+    return max(state["ahead"])
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+@pytest.mark.parametrize("cores", [2, 4])
+def test_an_uneven_round_lets_short_clients_run_past_a_long_head(
+    cores, one_blas_thread, usable_cores, cheap_rounds_side_by_side
+):
+    # the costliest client costs 14/4 of the cheapest, so the window holds
+    # three times the threads; equal clients keep one per thread
+    usable_cores(cores)
+    uneven = (14, 4, 5) + (4, 6) * 8 + (7,)
+    assert _window_reached(uneven) == 3 * cores
+    assert _window_reached((5, 9) + (5,) * 18) == cores
+    assert _window_reached((14, 4, 5, 4)) == 4  # all the round has
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_an_uneven_round_holds_its_window_of_clients_beside_the_sum(workers, usable_cores):
+    # width 500 clients of 4 to 12 samples: the window holds three client
+    # states per worker, each a copy of the weights, beside the sum
+    width, sizes = 500, (12, 4) + (4, 8) * 9
+    params, batches = _uneven_workload(width, sizes, d_in=10, d_out=5)
+    cfg = FederationConfig(n_clients=len(sizes), local_steps=5, rounds=1, eta=0.0005)
+    assert min(params.client_cost(b, 5) for b in batches) >= federation.SIDE_BY_SIDE_COST
+    usable_cores(workers)
+    tracemalloc.start()
+    try:
+        run_fedavg(cfg, params, batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = 3 * workers if blas_threads() is not None else 1
+    assert peak < (window + 1.5) * sum(W.nbytes for W in params.layers)
 
 
 def test_stop_loss_ends_the_run_early():

@@ -6,7 +6,8 @@ either: imports run cli -> config -> verify -> federation. Every config
 section runs its field rules through `federation.Settings` on construction,
 and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
 thread count, so no other module knows when it is held, and only it starts
-threads, so the rounds' clients and the verify checks share one pool rule.
+threads, so the rounds' clients and the verify checks share one pool rule,
+which reads no clock: each parameter class states a client's cost.
 Local descent has one loop, `models._LocalDescent._descend`, which every
 parameter class inherits and runs on the client state that the class picks,
 and a round has one server sum, which `descend_round` forms as each client
@@ -105,6 +106,19 @@ def test_only_federation_starts_threads(module):
     imported = _imported_stdlib(module)
     threads = {"threading", "_thread", "concurrent", "concurrent.futures"}
     assert module == "federation" or not imported & threads
+
+
+def test_federation_schedules_by_stated_cost_not_by_the_clock():
+    # whether a round runs side by side is read off the shapes, the same in
+    # every run and on every host
+    assert "time" not in _imported_stdlib("federation")
+    assert not _names("federation") & {"perf_counter", "monotonic", "time"}
+
+
+@pytest.mark.parametrize("cls", _LocalDescent.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_parameter_class_states_its_client_cost(cls):
+    # client_pool compares it with federation.SIDE_BY_SIDE_COST
+    assert "client_cost" in vars(cls)
 
 
 @pytest.mark.parametrize("cls", [DeepLinearParams, TwoLayerParams], ids=lambda c: c.__name__)

@@ -1,5 +1,7 @@
 """Model forward/gradient correctness against loop and finite-difference oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +317,22 @@ def test_relu_descent_takes_the_path_with_fewer_multiply_adds(
     assert picked == [_SampleSpaceClient if sample_space else _DenseClient]
 
 
+@pytest.mark.parametrize("steps", [1, 5, 20])
+def test_a_relu_client_costs_the_cheaper_of_its_two_states(steps):
+    # one count both picks the state and states the cost; the pick is the
+    # dense-or-sample rule's on a grid of shapes that includes the idx-setup
+    # boundary at width 128, 784 inputs and 600 samples
+    for width, dim, n in itertools.product((16, 128, 2048), (4, 16, 64, 784), (0, 1, 8, 100, 600)):
+        dense = (2 * steps + 1) * width * dim * n
+        sample = 2 * width * dim * n + dim * n * n + steps * width * n * n
+        assert _descends_in_sample_space(width, dim, n, steps) is (sample <= dense)
+        p = TwoLayerParams(hidden=np.zeros((width, dim)), signs=np.ones(width))
+        batch = LabeledBatch(X=np.zeros((dim, n)), Y=np.zeros(n))
+        assert p.client_cost(batch, steps) == min(dense, sample)
+    assert _descends_in_sample_space(128, 784, 600, 5)
+    assert not _descends_in_sample_space(128, 784, 640, 5)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_relu_client_with_one_or_no_sample_descends_in_sample_space(n):
     p = init_two_layer(16, 64, seed=3)
@@ -436,9 +454,9 @@ def test_a_round_averages_its_clients_as_average_does(state):
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
 @pytest.mark.parametrize("state", STATES)
 def test_a_round_side_by_side_averages_its_clients_as_average_does(
-    state, monkeypatch, usable_cores
+    state, monkeypatch, usable_cores, cheap_rounds_side_by_side
 ):
-    # a client pool's first call of several clients, kept or not, runs them in
+    # a client pool's round of several clients, kept or not, runs them in
     # its window, and the server sum still adds each client in batch order
     p, batches, _ = _clients(state)
     windowed, descend_round = [], type(p).descend_round
