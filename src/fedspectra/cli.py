@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, verify
-from .config import (
-    ConfigError,
-    DeepLinearModel,
-    ExperimentConfig,
-    IdxData,
-    parse_config,
-    serialize_config,
-)
+from .config import ConfigError, ExperimentConfig, IdxData, parse_config, serialize_config
 from .data import (
     IdxFormatError,
     gather_columns,
@@ -30,11 +23,10 @@ from .data import (
     partition_iid,
     partition_noniid,
     preprocess_unit_norm,
-    relu_targets,
     synth_linear_dataset,
 )
 from .federation import DivergenceError, run_fedavg
-from .models import LabeledBatch, init_deep_linear, init_two_layer
+from .models import LabeledBatch
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,9 +39,7 @@ CSV_HEADER = "t,participants,loss,ratio,rho_theory,bound_cum"
 
 def _load_dataset(cfg: ExperimentConfig):
     if cfg.data.kind == "synthetic":
-        m = cfg.model
-        d_in, d_out = (m.d_in, m.d_out) if isinstance(m, DeepLinearModel) else (m.dim, 1)
-        return synth_linear_dataset(d_in, d_out, cfg.data.n, cfg.federation.seed)[0]
+        return synth_linear_dataset(*cfg.model.sizes(), cfg.data.n, cfg.federation.seed)[0]
     try:
         ds = load_idx(cfg.data.images, cfg.data.labels)
     except OSError as e:
@@ -112,22 +102,13 @@ def build_experiment(cfg: ExperimentConfig, data=None) -> verify.RunContext:
         )
     else:
         index_lists, dropped = partition_iid(ds.n, fed.n_clients), 0
-    if isinstance(m, DeepLinearModel):
-        targets = ds.Y
-    elif ds.labels is not None:
-        targets = relu_targets(ds.labels, ds.Y.shape[0])
-    else:
-        targets = np.ravel(ds.Y)
+    targets = m.targets(ds)
     batches = tuple(
         LabeledBatch(X=cols, Y=targets[..., ix])
         for cols, ix in zip(gather_columns(ds.X, index_lists), index_lists)
     )
-    if isinstance(m, DeepLinearModel):
-        init = init_deep_linear(m.depth, m.width, ds.X.shape[0], ds.Y.shape[0], fed.seed)
-    else:
-        init = init_two_layer(m.width, ds.X.shape[0], fed.seed)
     ctx = verify.RunContext(
-        batches, init, None, fed.eta, fed.local_steps,
+        batches, m.init(ds.X.shape[0], ds.Y.shape[0], fed.seed), None, fed.eta, fed.local_steps,
         perturbed_columns=perturbed, dropped_samples=dropped,
     )
     if ctx.gram_dim > cfg.analysis.max_gram_dim:
@@ -136,12 +117,11 @@ def build_experiment(cfg: ExperimentConfig, data=None) -> verify.RunContext:
     # the stacked data live only here: a context that cached them would hold
     # a second copy of the data through training
     X = np.hstack([b.X for b in batches])
-    if isinstance(m, DeepLinearModel):
-        _refuse_zero_data(cfg, batches)
-        return dataclasses.replace(ctx, lambda_min=analysis.gram_P0_lambda_min(init, X)[0])
-    _refuse_blank_images(X, np.concatenate(index_lists), "the H-infinity Gram matrix")
-    spec = analysis.spectrum(analysis.gram_H_infinity(X))
-    return dataclasses.replace(ctx, lambda_min=spec.lambda_min, lambda_max=spec.lambda_max)
+    if m.nonzero_images_for:  # a blank image is named before all-blank data
+        _refuse_blank_images(X, np.concatenate(index_lists), m.nonzero_images_for)
+    _refuse_zero_data(cfg, batches)
+    lambda_min, lambda_max = m.gram_lambda(ctx.init_params, X)
+    return dataclasses.replace(ctx, lambda_min=lambda_min, lambda_max=lambda_max)
 
 
 def _g17(v) -> str:

@@ -2,7 +2,9 @@
 
 Each section checks its own values on construction and ExperimentConfig the
 rules across sections; parse_config reads JSON, checks the shape and value
-types, and builds the config, and serialize_config writes it back.
+types, and builds the config, and serialize_config writes it back. The model
+sections answer set-up's questions about their kind (data sizes, targets,
+initial weights, Gram spectrum), so no caller tests it.
 """
 
 import dataclasses
@@ -11,9 +13,10 @@ import types
 import typing
 from dataclasses import dataclass
 
-from . import verify
+from . import analysis, verify
+from .data import relu_targets
 from .federation import FederationConfig, Settings, is_int, positive, setting, unit_interval
-from .models import DeepLinearParams, TwoLayerParams
+from .models import DeepLinearParams, TwoLayerParams, init_deep_linear, init_two_layer
 
 
 class ConfigError(ValueError):
@@ -37,25 +40,52 @@ def _list_of(noun, rule=None, repeats=False):
 
 
 # The fields of a kind's class are the keys it accepts, in the order
-# serialize_config writes them after `kind`.
+# serialize_config writes them after `kind`; its constants are unannotated,
+# so no keys. gram_lambda gives set-up's (lambda_min, lambda_max or None);
+# nonzero_images_for names its Gram matrix if that needs no blank image.
 @dataclass(frozen=True)
 class DeepLinearModel(Settings):
     kind = DeepLinearParams.kind
+    size_keys = ("d_in", "d_out")  # of synthetic data's sizes() (inputs, outputs)
+    nonzero_images_for = None  # P0's spectrum takes X's nonzero singular values
     width: int = setting(500, check=positive)
     depth: int = setting(3, check=positive)
     d_in: int = setting(10, check=positive)
     d_out: int = setting(5, check=positive)
 
+    def sizes(self) -> tuple:
+        return self.d_in, self.d_out
+
+    def targets(self, ds):
+        return ds.Y
+
+    def init(self, d_in, d_out, seed) -> DeepLinearParams:
+        return init_deep_linear(self.depth, self.width, d_in, d_out, seed)
+
+    def gram_lambda(self, init, X) -> tuple:
+        return analysis.gram_P0_lambda_min(init, X)[0], None
+
 
 @dataclass(frozen=True)
 class TwoLayerModel(Settings):
     kind = TwoLayerParams.kind
+    size_keys = ("dim",)
+    nonzero_images_for = "the H-infinity Gram matrix"
     width: int = setting(500, check=positive)
     dim: int = setting(10, check=positive)
 
+    def sizes(self) -> tuple:
+        return self.dim, 1
 
-# the model keys that size synthetic data; IDX data take the sizes from the files
-SYNTHETIC_SIZES = ("d_in", "d_out", "dim")
+    def targets(self, ds):
+        return ds.Y.ravel() if ds.labels is None else relu_targets(ds.labels, ds.Y.shape[0])
+
+    def init(self, d_in, d_out, seed) -> TwoLayerParams:
+        return init_two_layer(self.width, d_in, seed)
+
+    def gram_lambda(self, init, X) -> tuple:
+        spec = analysis.spectrum(analysis.gram_H_infinity(X))
+        return spec.lambda_min, spec.lambda_max
 
 
 @dataclass(frozen=True)
@@ -134,11 +164,11 @@ class ExperimentConfig:
         for t in self.verify.rounds or ():
             if not 0 <= t < T:
                 raise ValueError(f"verify.rounds: round {t} outside [0, {T})")
-        dim = "d_in" if isinstance(model, DeepLinearModel) else "dim"
-        if isinstance(self.data, SyntheticData) and self.data.n < getattr(model, dim):
-            raise ValueError(f"data.n: need at least {dim} samples for synthetic data")
+        key = model.size_keys[0]  # the input size
+        if isinstance(self.data, SyntheticData) and self.data.n < getattr(model, key):
+            raise ValueError(f"data.n: need at least {key} samples for synthetic data")
         for f in dataclasses.fields(model) if isinstance(self.data, IdxData) else ():
-            if f.name in SYNTHETIC_SIZES and getattr(model, f.name) != f.default:
+            if f.name in model.size_keys and getattr(model, f.name) != f.default:
                 raise ValueError(
                     f"model.{f.name}: applies to synthetic data only; "
                     "IDX data take the sizes from the files"
@@ -229,7 +259,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     reproduces c exactly."""
     idx = isinstance(cfg.data, IdxData)
     unset = {
-        "model": SYNTHETIC_SIZES if idx else (),
+        "model": cfg.model.size_keys if idx else (),
         "data": ("classes_per_client",) if idx and cfg.data.partition == "iid" else (),
     }
     doc = {}

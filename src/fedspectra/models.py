@@ -1,10 +1,10 @@
 """The two network models: a deep linear stack and a two-layer ReLU net.
 
-Both parameter classes expose the same four members: predict(X), one round
+Both parameter classes expose the same five members: predict(X), one round
 of local descent descend_round(batches, eta, steps, keep, map), which also
 forms the round's server average, its cost per client client_cost(batch,
-steps), and drift(init). Gradients of the (unnormalized) square loss are
-closed-form; there is no automatic differentiation anywhere. All arithmetic
+steps), the side gram_dim(n) of set-up's Gram matrix, and drift(init).
+Gradients of the (unnormalized) square loss are closed-form; all arithmetic
 is 64-bit. A parameter object is never changed once built: each client's
 descent runs one shared loop on a client state whose private arrays it
 updates in place (a copy of the weights, or the ReLU net's pre-activations
@@ -257,6 +257,7 @@ class DeepLinearParams(_LocalDescent):
     """
 
     kind = "deep-linear"  # the config's model.kind
+    gram_phrase = "a {}-dim Gram matrix"  # P0, formatted with its side
     layers: tuple
     width: int
 
@@ -302,6 +303,10 @@ class DeepLinearParams(_LocalDescent):
             Z = W @ Z
         return self.scale * Z
 
+    def gram_dim(self, n) -> int:
+        """Side of set-up's P0 on the row space of n samples: min(d_in, n)*d_out."""
+        return min(self.d_in, n) * self.d_out
+
     def _weights(self) -> tuple:
         return self.layers
 
@@ -332,6 +337,7 @@ class TwoLayerParams(_LocalDescent):
     """Hidden weights (rows are neurons) and the fixed output signs."""
 
     kind = "two-layer-relu"  # the config's model.kind
+    gram_phrase = "the {}-dim H-infinity Gram matrix"
     hidden: np.ndarray
     signs: np.ndarray
 
@@ -357,6 +363,10 @@ class TwoLayerParams(_LocalDescent):
         if X.ndim != 2 or X.shape[0] != self.dim:
             raise ValueError(f"X must have {self.dim} rows, got shape {X.shape}")
         return (self.signs / np.sqrt(self.width)) @ np.maximum(self.hidden @ X, 0.0)
+
+    def gram_dim(self, n) -> int:
+        """Side of set-up's H-infinity on n samples: n."""
+        return n
 
     def _weights(self) -> tuple:
         return (self.hidden,)

@@ -100,12 +100,8 @@ class RunContext:
 
     @property
     def gram_dim(self) -> int:
-        """Side of the Gram matrix that set-up builds, from the batch shapes:
-        P0 on the data's row space, min(d_in, n)*d_out (linear), or
-        H-infinity, n (ReLU)."""
-        n = sum(b.n for b in self.batches)
-        p = self.init_params
-        return min(p.d_in, n) * p.d_out if p.kind == LINEAR else n
+        """Side of the Gram matrix that set-up builds: init_params.gram_dim(n)."""
+        return self.init_params.gram_dim(sum(b.n for b in self.batches))
 
     @cached_property
     def loss0(self) -> float:
@@ -534,7 +530,6 @@ CHECKS = {
 }
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-_GRAM_NAMES = {LINEAR: "a {}-dim Gram matrix", RELU: "the {}-dim H-infinity Gram matrix"}
 
 
 def known_checks(kind) -> tuple:
@@ -570,7 +565,7 @@ def select(ctx, wanted, rounds, T, max_gram_dim) -> tuple:
         if kind not in row.gram_kinds or (row.per_round and not rounds):
             continue
         if ctx.gram_dim > max_gram_dim:
-            need = _GRAM_NAMES[kind].format(ctx.gram_dim)
+            need = ctx.init_params.gram_phrase.format(ctx.gram_dim)
             raise ValueError(
                 f"analysis.max_gram_dim: {name} needs {need}; raise the limit or shrink the data"
             )

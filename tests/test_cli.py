@@ -164,8 +164,8 @@ def _configs(draw):
             st.builds(DeepLinearModel, *[size] * 4)
             | st.builds(TwoLayerModel, size, st.integers(1, 50))
         )
-        dim = model.d_in if isinstance(model, DeepLinearModel) else model.dim
-        data = draw(st.builds(SyntheticData, st.integers(dim, dim + 50), st.booleans()))
+        d_in = model.sizes()[0]
+        data = draw(st.builds(SyntheticData, st.integers(d_in, d_in + 50), st.booleans()))
     n_clients, rounds = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     members = st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True).map(tuple)
     schedule = draw(st.none() | st.tuples(*[members] * rounds))

@@ -20,6 +20,10 @@ No check reads the iterates a snapshot kept: verify descends each observed
 round again and measures each iterate as it is formed, so its run keeps none.
 Samples are one type, `models.LabeledBatch`, from the data files to each
 client, and the checks read the data's singular values from `RunContext`.
+The model kind is decided by its classes: set-up asks the config's model
+section and the Gram size the parameter class, so `cli` names no per-kind
+function or class, and in `verify` only the check table and the three bound
+formulas that differ by kind name the kind.
 """
 
 import ast
@@ -33,7 +37,7 @@ import pytest
 
 import fedspectra
 from fedspectra import analysis, data, federation, models, verify
-from fedspectra.config import ExperimentConfig
+from fedspectra.config import DeepLinearModel, ExperimentConfig, TwoLayerModel
 from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
 
@@ -217,3 +221,54 @@ def test_config_runs_no_value_rule_outside_construction():
     nodes = list(ast.walk(ast.parse((SRC / "config.py").read_text())))
     assert not _names("config") & {"check_setting", "metadata"}
     assert not [n for n in nodes if isinstance(n, ast.keyword) and n.arg == "read"]
+
+
+def _owners_mentioning(module, names, attrs) -> set:
+    """The top-level definitions of `module` (functions, methods by their own
+    name, assigned names) that mention any of `names` or any attribute in
+    `attrs`."""
+    owners = set()
+    for top in ast.parse((SRC / f"{module}.py").read_text()).body:
+        parts = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in parts:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = {node.name}
+            elif isinstance(node, ast.Assign):
+                owner = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                owner = {top.name} if isinstance(top, ast.ClassDef) else set()
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Name) and n.id in names) or (
+                    isinstance(n, ast.Attribute) and n.attr in attrs
+                ):
+                    owners |= owner
+    return owners
+
+
+def test_the_model_kind_is_decided_by_its_classes():
+    # set-up asks the config's model section, and the Gram size the
+    # parameter class; only the check table and the bound formulas that
+    # differ by kind name the kind
+    per_kind = {
+        "DeepLinearModel", "TwoLayerModel", "DeepLinearParams", "TwoLayerParams",
+        "init_deep_linear", "init_two_layer", "relu_targets", "gram_P0_lambda_min",
+        "gram_H_infinity",
+    }
+    assert not _names("cli") & per_kind
+    tree = ast.parse((SRC / "config.py").read_text())
+    (cfg,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig"]
+    calls = [n for n in ast.walk(cfg) if isinstance(n, ast.Call)]
+    tests = [c for c in calls if isinstance(c.func, ast.Name) and c.func.id == "isinstance"]
+    assert not [c for c in tests if "model" in ast.unparse(c.args[0])]
+    assert not {n.id for c in tests for n in ast.walk(c) if isinstance(n, ast.Name)} & per_kind
+    allowed = {
+        "LINEAR", "RELU", "CHECKS", "known_checks", "select",
+        "drift_radius", "local_descent", "local_deviation",
+    }
+    assert _owners_mentioning("verify", {"LINEAR", "RELU"}, {"kind"}) <= allowed
+
+
+def test_model_sections_keep_their_keys():
+    # a per-kind constant on a section is unannotated, so no new config key
+    fields = [[f.name for f in dataclasses.fields(c)] for c in (DeepLinearModel, TwoLayerModel)]
+    assert fields == [["width", "depth", "d_in", "d_out"], ["width", "dim"]]

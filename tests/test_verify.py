@@ -95,8 +95,12 @@ def test_gram_dim_is_the_side_of_the_matrix_set_up_builds():
     # rank min(d_in, n) = 6 of 12 samples, times d_out = 2
     U, sv, _ = np.linalg.svd(ctx.X, full_matrices=False)
     assert ctx.gram_dim == analysis.gram_P0(ctx.init_params, U * sv).shape[0] == 12
+    # the parameter class's side on either side of min(d_in, n), d_in = 6
+    assert [ctx.init_params.gram_dim(n) for n in (4, 6, 9)] == [8, 12, 12]
     ctx = cli.build_experiment(cli.parse_config(json.dumps(TINY_RELU)))
     assert ctx.gram_dim == analysis.gram_H_infinity(ctx.X).shape[0] == 15
+    # n whatever the input size, dim = 5
+    assert [ctx.init_params.gram_dim(n) for n in (3, 5, 9)] == [3, 5, 9]
 
 
 def test_select_observes_rounds_only_for_per_round_checks():
