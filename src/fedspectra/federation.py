@@ -79,7 +79,7 @@ class FederationConfig(Settings):
     the clients, at least one, drawn uniformly without replacement. Either
     way they are visited and averaged in ascending client order, side by
     side on the usable cores or one after another, as the round's stated
-    cost says (see client_pool). The run ends early once the global loss
+    cost says (see scheduler). The run ends early once the global loss
     reaches stop_loss_fraction times the starting loss, after one more round
     of local descent that it discards (see run_fedavg).
     """
@@ -190,7 +190,7 @@ SIDE_BY_SIDE_COST = 10_000_000
 @contextmanager
 def _windowed(pool, count):
     """Yields a map for descend_round: builtin map when count is 1, else an
-    ordered window of count clients on pool (_round_descent's depth). A
+    ordered window of count clients on pool (scheduler's depth). A
     client is submitted, and its state made, only once the result count
     clients before it is in the server sum, so at most count client states
     live beside the sum. On leaving, no client of it runs, or ever starts."""
@@ -212,71 +212,53 @@ def _windowed(pool, count):
         wait(pending)
 
 
-def _round_descent(pool, cores, threads, serially):
-    """descend(params, batches, eta, steps, keep): params.descend_round in
-    _windowed's window on pool when there are several threads and the
-    cheapest client costs SIDE_BY_SIDE_COST or more, as deep as threads
-    times the costliest's cost in cheapest ones, rounded down, at most the
-    round (an uneven round lets short clients pass a long head); else inside
-    serially(call), which returns call's result. On several usable cores a
-    round of several clients holds OpenBLAS to one thread either way."""
-
-    def descend(params, batches, eta, steps, keep):
-        costs = [params.client_cost(b, steps) for b in batches]
-        together = threads > 1 and min(costs) >= SIDE_BY_SIDE_COST
-        depth = min(len(costs), threads * (max(costs) // min(costs))) if together else 1
-        # the window closes first: no client may still run once the hold is let go
-        with _blas_held(cores > 1 and len(batches) > 1), _windowed(pool, depth) as clients_map:
-            call = partial(params.descend_round, batches, eta, steps, keep, map=clients_map)
-            return call() if depth > 1 else serially(call)
-
-    return descend
-
-
 @contextmanager
-def client_pool():
-    """Yields _round_descent's descend on one thread pool that lives as long
-    as the context, e.g. a whole run: one thread per usable core (CPU
-    affinity, so `taskset` bounds it), and a serial round in the calling
-    thread. The choice is read off the shapes, not timed, so under CPU steal
-    a round sent side by side stays there. On one usable core, or where
-    OpenBLAS's thread count cannot be set, every round runs serially."""
-    count = _usable_cores() if blas_threads() is not None else 1
-    with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
-        yield _round_descent(pool, count, count, lambda call: call())
+def scheduler():
+    """Yields (submit, descend) on one thread pool that lives as long as the
+    context, e.g. a whole run or a batch of checks, so that no pool opens,
+    or is waited on, inside a pool thread. It has one thread per usable core
+    (CPU affinity, so `taskset` bounds it) where OpenBLAS's thread count can
+    be set, else one, and starts them on first use.
 
+    submit(call) takes a call of no arguments and returns a function of no
+    arguments that waits for its result and returns it, or raises what it
+    raised. The call is queued on the pool only when it has several threads
+    and OpenBLAS already runs one thread, so that no unit runs at a BLAS
+    thread count other than the serial loop's; else it runs at once in the
+    calling thread, and one that raises raises from submit itself.
 
-@contextmanager
-def unit_pool():
-    """Yields (submit, descend): one thread pool for a batch of work whose
-    units are calls of no arguments and clients of rounds, so that no pool
-    opens, or is waited on, inside a pool thread. submit(call) queues call
-    and returns a function of no arguments that waits for its result and
-    returns it, or raises what it raised. descend is local_round on the
-    pool: a unit per client of a round side by side, one per serial round,
-    so the calling thread computes only server sums beside the units.
-    Units run on one thread per usable core when more than one is usable
-    and numpy's OpenBLAS already runs one thread, else each at once in the
-    calling thread, so no unit runs at a BLAS thread count other than the
-    serial loop's. A unit that raises raises in the calling thread once no
-    unit is running; units not yet started never do."""
+    descend(params, batches, eta, steps, keep) is params.descend_round's
+    (runs, average), and raises for no client (see raising). A round runs
+    in _windowed's window when the pool has several threads and its
+    cheapest client costs SIDE_BY_SIDE_COST or more, as deep as the threads
+    times the costliest client's cost in cheapest ones, rounded down, at
+    most the round (an uneven round lets short clients pass a long head);
+    else it is one unit. The choice is read off the shapes, not timed, so
+    under CPU steal a round sent side by side stays there. On several usable
+    cores a round of several clients holds OpenBLAS to one thread either way.
+
+    Leaving by an exception cancels the units not yet started and waits for
+    those running."""
     threads = blas_threads()
-    cores = _usable_cores() if threads is not None else 1
-    count = cores if threads is not None and threads[0]() == 1 else 1
+    count = _usable_cores() if threads is not None else 1
+    inline = count == 1 or threads[0]() != 1
 
     def submit(call):
-        if count == 1:
+        if inline:
             result = call()
             return lambda: result
         return pool.submit(call).result
 
     def descend(params, batches, eta, steps, keep):
-        runs, average = rounds(params, batches, eta, steps, keep)
-        _raise_local_divergence(runs, range(len(runs)), None)
-        return runs, average
+        costs = [params.client_cost(b, steps) for b in batches]
+        together = count > 1 and min(costs) >= SIDE_BY_SIDE_COST
+        depth = min(len(costs), count * (max(costs) // min(costs))) if together else 1
+        # the window closes first: no client may still run once the hold is let go
+        with _blas_held(count > 1 and len(batches) > 1), _windowed(pool, depth) as clients_map:
+            call = partial(params.descend_round, batches, eta, steps, keep, map=clients_map)
+            return call() if depth > 1 else submit(call)()
 
-    with ThreadPoolExecutor(max_workers=count) as pool:  # starts threads on first use
-        rounds = _round_descent(pool, cores, count, lambda call: submit(call)())
+    with ThreadPoolExecutor(max_workers=count) as pool:
         try:
             yield submit, descend
         except BaseException:
@@ -284,16 +266,25 @@ def unit_pool():
             raise
 
 
+def raising(descend):
+    """descend as local_round runs it: raises DivergenceError, its client
+    being the index into batches and its round None, for the first batch
+    whose loss went non-finite."""
+
+    def checked(params, batches, eta, steps, keep):
+        runs, average = descend(params, batches, eta, steps, keep)
+        _raise_local_divergence(runs, range(len(runs)), None)
+        return runs, average
+
+    return checked
+
+
 def local_round(params, batches, eta, steps, keep=False) -> tuple:
     """One round of full-batch gradient descent from params on each batch,
-    on a client pool of its own: (runs, average) as params.descend_round
-    returns them. Raises DivergenceError, its client being the index into
-    batches and its round None, for the first batch whose loss went
-    non-finite."""
-    with client_pool() as descend:
-        runs, average = descend(params, batches, eta, steps, keep)
-    _raise_local_divergence(runs, range(len(runs)), None)
-    return runs, average
+    on a scheduler of its own: (runs, average) as params.descend_round
+    returns them, raising as raising describes."""
+    with scheduler() as (_, descend):
+        return raising(descend)(params, batches, eta, steps, keep)
 
 
 def _raise_local_divergence(runs, clients, t):
@@ -327,7 +318,7 @@ def run_fedavg(
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
-    - every round descends on one client_pool, opened for the whole run, so
+    - every round descends on one scheduler, opened for the whole run, so
       at one BLAS thread every output is the same however a round runs.
     - observer(snapshot) fires for rounds in observe_rounds (every round when
       observe_rounds is None) before the server average, its `averaged`, is
@@ -345,7 +336,7 @@ def run_fedavg(
         raise ValueError("need one batch per client")
     params, traces, losses = init_params, [], []
     stop = cfg.stop_loss_fraction
-    with client_pool() as descend:
+    with scheduler() as (_, descend):
         for t in range(cfg.rounds + 1):
             if t == cfg.rounds:
                 value = global_loss(params, client_batches)

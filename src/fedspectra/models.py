@@ -148,7 +148,7 @@ class _LocalDescent:
     def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
         """`steps` full-batch gradient steps from self on each batch, one
         client per call of `map` (builtin map, or any map that also yields in
-        batch order, such as federation.client_pool's window on a thread pool).
+        batch order, such as federation.scheduler's window on a thread pool).
 
         Returns (runs, average). runs[i] is (kept, losses) for batches[i]:
         losses[k] is the loss of iterate k, read off the residual that

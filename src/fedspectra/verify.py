@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .federation import global_loss, unit_pool
+from .federation import global_loss, raising, scheduler
 from .models import DeepLinearParams, TwoLayerParams, vec_residual
 
 LINEAR = DeepLinearParams.kind
@@ -440,7 +440,7 @@ def half_rate_probe(rnd, descend):
     """first-order's eta/2 probe: one round at eta/2 of every participant
     from the round's start that keeps each iterate's first_order_terms,
     formed as it descends, instead of the iterate. descend runs the round,
-    as federation.local_round does (run_checks passes its unit_pool's). Its
+    as federation.local_round does (run_checks passes its scheduler's). Its
     analysis.FirstOrderReport, or None at depth 1, which is linear in its
     weights, so that the prediction is exact up to rounding and there is no
     remainder to probe."""
@@ -595,14 +595,15 @@ def run_checks(ctx, names, snapshots) -> list:
     No snapshot need hold an iterate: each snapshot's round is descended
     once more from its start (redescend), every selected measure recording
     each iterate as it is formed, so that no iterate outlives the step
-    after it. Everything runs on one federation.unit_pool, on the usable
-    cores where BLAS already runs one thread. This thread queues each
-    set-up check and each per-round check that reads no iterate as a unit;
-    then, round by round, it drives the round's half_rate_probe and its
-    re-descent, whose clients join the same queue a unit each, and forms
-    their sums and the replay test itself. Once every unit is done, the
-    checks that read iterates reduce their measures here, first-order with
-    the round's probe. The units share ctx, and a round's units its
+    after it. Everything runs on one federation.scheduler. This thread
+    submits each set-up check and each per-round check that reads no
+    iterate as a unit; then, round by round, it drives the round's
+    half_rate_probe and its re-descent, whose clients join the same queue
+    a unit each (a serial round is one unit), and forms their sums and the
+    replay test itself; either round raises DivergenceError as
+    federation.local_round does. Once every unit is done, the checks that
+    read iterates reduce their measures here, first-order with the round's
+    probe. The units share ctx, and a round's units its
     ObservedRound, whose cached properties are each computed once under
     cached_property's lock (a Python without that lock may compute one
     twice, to the same value), save first_order_start, built here before
@@ -616,9 +617,9 @@ def run_checks(ctx, names, snapshots) -> list:
         for name, row in table.items():
             if row.per_round and not row.measure:
                 calls[j, name] = partial(_worst_of, row.check, ctx, rnd.snap)
-    with unit_pool() as (submit, descend):
+    with scheduler() as (submit, descend):
         queued = {key: submit(call) for key, call in calls.items()}
-        done = {}
+        done, descend = {}, raising(descend)
         for j, rnd in enumerate(rounds):
             if "first-order" in table:
                 rnd.first_order_start  # built once, before the clients that read it start
@@ -645,7 +646,7 @@ def redescend(rnd, measured, descend) -> dict:
     """Descend rnd's round once more from its start, each measure of
     `measured`, (name, measure) pairs, recording every iterate as it is
     formed, on its client's thread. descend runs the round, as
-    federation.local_round does (run_checks passes its unit_pool's).
+    federation.local_round does (run_checks passes its scheduler's).
     Returns name -> that measure of each member's iterates, [i][k] for
     member i's iterate k.
 

@@ -5,19 +5,23 @@ from fedspectra import analysis, federation
 
 @pytest.fixture
 def one_blas_thread():
-    """Hold numpy's BLAS to one thread for the test. Runs on different
-    numbers of usable cores are byte-identical only there: on one core a
-    client descends at every BLAS thread, on more with BLAS held to one, and
-    BLAS may split a product's sums differently with more threads."""
+    """Hold numpy's BLAS to one thread for the test, so that a
+    federation.scheduler opened in it on several usable cores runs its units
+    on its threads. Runs on different numbers of usable cores are
+    byte-identical only there: on one core a client descends at every BLAS
+    thread, on more with BLAS held to one, and BLAS may split a product's
+    sums differently with more threads."""
     with federation._blas_held(True):
         yield
 
 
 @pytest.fixture
 def usable_cores(monkeypatch):
-    """usable_cores(k) makes every client pool the test opens see k usable
-    cores, as a process bound to k CPUs (e.g. by `taskset`) does: one runs
-    every round serially, k > 1 gives the pool k threads."""
+    """usable_cores(k) makes every federation.scheduler the test opens see
+    k usable cores, as a process bound to k CPUs (e.g. by `taskset`) does:
+    one runs every round and every unit serially in the calling thread,
+    k > 1 gives the scheduler k threads where BLAS's thread count can be
+    set."""
 
     def usable(count):
         monkeypatch.setattr(federation, "_usable_cores", lambda: count)

@@ -881,7 +881,7 @@ def test_first_order_scaling_predicts_from_the_given_trajectories(
         rounds.clear()
         first_order_probes.clear()
         _, halved = _first_order(ctx, snap, trajs)
-        # the probe's members descend on a client pool: one core runs them
+        # the probe's members descend on a scheduler: one core runs them
         # serially, two side by side, unless BLAS cannot be held to one thread
         assert rounds == [(len(members), cores == 1 or blas_threads() is None)]
         half, full = first_order_probes

@@ -1210,14 +1210,14 @@ def _verify_on_cores(tmp_path, monkeypatch, usable_cores, capsys, doc) -> list:
     usable cores and on 1, 2 and 4 (a host with one of those runs it once),
     having checked that the checks ran side by side off the calling thread
     on more than one core, and serially on it on one."""
-    threads, unit_pool = set(), federation.unit_pool
+    threads, scheduler = set(), federation.scheduler
 
     @contextlib.contextmanager
     def spy():
-        with unit_pool() as (submit, descend):
+        with scheduler() as (submit, descend):
             yield lambda call: submit(lambda: threads.add(threading.get_ident()) or call()), descend
 
-    monkeypatch.setattr(verify, "unit_pool", spy)
+    monkeypatch.setattr(verify, "scheduler", spy)
     cfg = _write(tmp_path, "c.json", doc)
     outs = []
     counts = [1, 2, 4] if federation._usable_cores() in (1, 2, 4) else [None, 1, 2, 4]
@@ -1265,7 +1265,7 @@ def test_verify_json_is_byte_identical_across_usable_cores_on_a_relu_model(
 
 def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
     # at the host's BLAS thread count: the expected reports measure each
-    # round descended again as verify does, whose client pools hold BLAS as
+    # round descended again as verify does, whose schedulers hold BLAS as
     # its own do, from first-order terms of the round's start built in this
     # thread, as run_checks builds them; so both are the same bits
     cfg = _write(tmp_path, "c.json", WIDE_LINEAR)

@@ -545,8 +545,8 @@ def test_the_default_pool_has_one_thread_per_usable_core(
 
 def _side_by_side(calls) -> list:
     """The results of calls, each a function of no arguments, in order,
-    each a unit of one unit_pool."""
-    with federation.unit_pool() as (submit, _):
+    each a unit of one scheduler."""
+    with federation.scheduler() as (submit, _):
         results = [submit(call) for call in calls]
         return [result() for result in results]
 
@@ -585,19 +585,22 @@ def test_calls_run_side_by_side_only_where_blas_already_runs_one_thread(
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cores", [1, 2])
-def test_a_unit_pool_round_is_local_round_bit_for_bit(cores, one_blas_thread, usable_cores):
+def test_a_scheduler_round_is_local_round_bit_for_bit(cores, one_blas_thread, usable_cores):
     # its clients queue behind the units before them, a unit each, and the
-    # server sum still adds them in client order; a client whose loss goes
-    # non-finite names itself as local_round's does
+    # server sum still adds them in client order; descend raises for no
+    # client, and through raising, as in local_round, a client whose loss
+    # goes non-finite names itself
     params, batches = _workload(n_clients=5, n=40)
     usable_cores(cores)
     want, want_average = local_round(params, batches, 0.01, 3, keep=True)
-    with federation.unit_pool() as (submit, descend):
+    with federation.scheduler() as (submit, descend):
         busy = [submit(lambda: time.sleep(0.01)) for _ in range(3)]
         runs, average = descend(params, batches, 0.01, 3, keep=True)
         assert [wait() for wait in busy] == [None] * 3
+        diverged, _ = descend(params, batches, 1e6, 8, False)
+        assert not np.isfinite(diverged[0][1][-1])
         with pytest.raises(DivergenceError) as exc:
-            descend(params, batches, 1e6, 8, False)
+            federation.raising(descend)(params, batches, 1e6, 8, False)
     assert (exc.value.client, exc.value.round_index) == (0, None)
     for (kept, losses), (want_kept, want_losses) in zip(runs, want, strict=True):
         assert losses == want_losses
@@ -629,7 +632,7 @@ def test_a_round_runs_side_by_side_once_its_cheapest_client_costs_the_constant(
     for constant, way in ((cheapest + 1, "serial"), (cheapest, "side by side")):
         monkeypatch.setattr(federation, "SIDE_BY_SIDE_COST", constant)
         ways.clear()
-        with federation.client_pool() as descend:
+        with federation.scheduler() as (_, descend):
             for keep in (False, lambda i, k, p: p.layers[0][0, 0], True, False):
                 descend(params, batches, 0.01, 2, keep)
             descend(params, batches[:1], 0.01, 2, False)  # one client: serially

@@ -6,8 +6,9 @@ either: imports run cli -> config -> verify -> federation. Every config
 section runs its field rules through `federation.Settings` on construction,
 and `config.py` runs none of them itself. Only `federation` sets numpy's BLAS
 thread count, so no other module knows when it is held, and only it starts
-threads, so the rounds' clients and the verify checks share one pool rule,
-which reads no clock: each parameter class states a client's cost.
+threads, in one thread pool, `federation.scheduler`, whose rule the rounds'
+clients and the verify checks share and which reads no clock: each parameter
+class states a client's cost.
 Local descent has one loop, `models._LocalDescent._descend`, which every
 parameter class inherits and runs on the client state that the class picks,
 and a round has one server sum, which `descend_round` forms as each client
@@ -106,10 +107,37 @@ def _imported_stdlib(module) -> set:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_federation_starts_threads(module):
-    # client_pool and unit_pool decide when work runs side by side
+    # federation.scheduler decides when work runs side by side
     imported = _imported_stdlib(module)
     threads = {"threading", "_thread", "concurrent", "concurrent.futures"}
     assert module == "federation" or not imported & threads
+
+
+def _pool_sites() -> list:
+    """(module, innermost function) of every call in the package that
+    constructs a ThreadPoolExecutor, however it is imported."""
+    sites = []
+
+    def visit(module, node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call):
+            called = {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+            if "ThreadPoolExecutor" in called:
+                sites.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, where)
+
+    for module in MODULES:
+        visit(module, ast.parse((SRC / f"{module}.py").read_text()), None)
+    return sites
+
+
+def test_one_scheduler_constructs_the_only_thread_pool():
+    # run_fedavg, local_round and verify.run_checks each open it; no second
+    # pool type decides its own thread count or how a serial round runs
+    assert _pool_sites() == [("federation", "scheduler")]
+    assert not {"client_pool", "unit_pool", "_round_descent"} & set(vars(federation))
 
 
 def test_federation_schedules_by_stated_cost_not_by_the_clock():
@@ -121,7 +149,7 @@ def test_federation_schedules_by_stated_cost_not_by_the_clock():
 
 @pytest.mark.parametrize("cls", _LocalDescent.__subclasses__(), ids=lambda c: c.__name__)
 def test_every_parameter_class_states_its_client_cost(cls):
-    # client_pool compares it with federation.SIDE_BY_SIDE_COST
+    # federation.scheduler compares it with SIDE_BY_SIDE_COST
     assert "client_cost" in vars(cls)
 
 

@@ -456,7 +456,7 @@ def test_a_round_averages_its_clients_as_average_does(state):
 def test_a_round_side_by_side_averages_its_clients_as_average_does(
     state, monkeypatch, usable_cores, cheap_rounds_side_by_side
 ):
-    # a client pool's round of several clients, kept or not, runs them in
+    # a scheduler's round of several clients, kept or not, runs them in
     # its window, and the server sum still adds each client in batch order
     p, batches, _ = _clients(state)
     windowed, descend_round = [], type(p).descend_round
@@ -469,7 +469,7 @@ def test_a_round_side_by_side_averages_its_clients_as_average_does(
     usable_cores(2)
     rounds = []
     for keep in (True, False):
-        with federation.client_pool() as descend:
+        with federation.scheduler() as (_, descend):
             rounds.append(descend(p, batches, 0.01, 3, keep))
     (runs, kept), (_, folded) = rounds
     assert windowed == [True, True]

@@ -1,5 +1,6 @@
 """The verify checks' bound inputs, from the paper's formulas, on tiny runs."""
 
+import builtins
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -188,7 +189,7 @@ def test_the_round_start_terms_are_built_once_before_the_rounds_calls_start(monk
     # no lock, so run_checks builds them before either round's clients start
     ctx, snap = _round_zero(TINY_LINEAR)
     built, starts = [], []
-    pool, start = verify.unit_pool, analysis.FirstOrderStart
+    pool, start = verify.scheduler, analysis.FirstOrderStart
 
     @contextlib.contextmanager
     def calls_start():
@@ -204,7 +205,7 @@ def test_the_round_start_terms_are_built_once_before_the_rounds_calls_start(monk
         starts.append(args)
         return start(*args)
 
-    monkeypatch.setattr(verify, "unit_pool", calls_start)
+    monkeypatch.setattr(verify, "scheduler", calls_start)
     monkeypatch.setattr(analysis, "FirstOrderStart", counted)
     verify.run_checks(ctx, verify.known_checks("deep-linear"), [snap])
     assert built == [True, True] and len(starts) == 1
@@ -252,7 +253,7 @@ def _pool_events(tmp_path, monkeypatch, rounds) -> list:
 def test_verify_opens_as_many_pools_however_many_rounds_it_observes(
     tmp_path, monkeypatch, one_blas_thread, usable_cores
 ):
-    # the run's client pool and the checks' unit pool: each observed
+    # the run's scheduler and the checks' scheduler: each observed
     # round's re-descent and eta/2 probe put their clients on the latter
     usable_cores(2)
     opened = [
@@ -302,3 +303,63 @@ def test_the_checks_compute_on_at_most_one_thread_per_usable_core(
     assert verify.run_checks(ctx, verify.known_checks("deep-linear"), snapshots)
     assert most[0] <= cores
     assert (most[0] > 1) is (blas_threads() is not None)
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count cannot be set")
+def test_verify_descends_its_rounds_side_by_side_at_two_blas_threads(
+    tmp_path, monkeypatch, usable_cores, cheap_rounds_side_by_side
+):
+    # the eta/2 probe and the re-descent go through the window, as the run's
+    # own rounds do; either way a round holds BLAS to one thread, so
+    # verify.json is the one every serial round writes
+    get, put = blas_threads()
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS will not run 2 threads here")
+        usable_cores(2)
+        ctx, snapshots = _observed(TINY_LINEAR, {0})
+        windowed, descend_round = [], models.DeepLinearParams.descend_round
+
+        def spy(self, *args, map=map):
+            windowed.append(map is not builtins.map)
+            return descend_round(self, *args, map=map)
+
+        monkeypatch.setattr(models.DeepLinearParams, "descend_round", spy)
+        verify.run_checks(ctx, verify.known_checks("deep-linear"), snapshots)
+        assert windowed == [True, True]  # the eta/2 probe, then the re-descent
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(TINY_LINEAR))
+        written = []
+        for constant, together in ((1, True), (float("inf"), False)):
+            monkeypatch.setattr(federation, "SIDE_BY_SIDE_COST", constant)
+            windowed.clear()
+            out = tmp_path / f"together-{together}"
+            # width 64 is below init-spectra's band, which does not matter here
+            exits = (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
+            assert cli.main(["verify", "--config", str(path), "--out", str(out)]) in exits
+            assert windowed == [together] * 3  # the run's round, the probe, the re-descent
+            written.append((out / "verify.json").read_bytes())
+        assert written[0] == written[1]
+    finally:
+        put(before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_probe_exits_with_the_divergence_code(tmp_path, monkeypatch, capsys):
+    # the rounds run_checks drives raise DivergenceError as local_round does,
+    # naming the client by its index, and verify reports it without a traceback
+    def steep(rnd, descend, _probe=verify.half_rate_probe):
+        def diverging(params, batches, eta, steps, keep):
+            return descend(params, batches, 1e6 * eta, steps, keep)
+
+        return _probe(rnd, diverging)
+
+    monkeypatch.setattr(verify, "half_rate_probe", steep)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TINY_LINEAR))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: non-finite local loss") and "Traceback" not in err
