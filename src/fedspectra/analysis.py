@@ -281,8 +281,8 @@ class FirstOrderReport:
     contracted current residual; term_gram_shift measures feature movement
     since initialization; term_local_deviation measures within-round client
     divergence; reconstruction_gap certifies the three terms recombine into
-    predicted. actual_error and relative_error are filled when the true next
-    residual is supplied.
+    predicted. actual_error is the distance from predicted to the measured
+    next residual, and relative_error that over base_norm.
     """
 
     predicted: np.ndarray
@@ -291,8 +291,8 @@ class FirstOrderReport:
     term_gram_shift: float
     term_local_deviation: float
     reconstruction_gap: float
-    actual_error: float | None = None
-    relative_error: float | None = None
+    actual_error: float
+    relative_error: float
 
 
 class FirstOrderStart:
@@ -356,15 +356,15 @@ class FirstOrderStart:
         return moved, gram_shift, deviation
 
 
-def predict_first_order(start, terms, eta, *, next_residual=None) -> FirstOrderReport:
+def predict_first_order(start, terms, eta, *, next_residual) -> FirstOrderReport:
     """Predict the post-round flattened residual from a round's terms, and
     decompose the prediction against initialization-time Gram matrices.
 
     terms[i][k] is start.iterate_terms(i, iterate k) of member i, for every
     iterate that a local step starts from (k = 0 .. K-1, so K entries for K
-    local steps), summed by step, then by member. next_residual, when
-    given, is the measured residual after the server average, used to fill
-    the error fields.
+    local steps), summed by step, then by member. next_residual is the
+    measured flattened residual after the server average, which the error
+    fields score the prediction against.
     """
     if len(terms) != len(start.members):
         raise ValueError("need one trajectory per participant")
@@ -392,13 +392,11 @@ def predict_first_order(start, terms, eta, *, next_residual=None) -> FirstOrderR
     term3 = coeff * dev_sum.flatten(order="F")
     gap = float(np.linalg.norm((term1 - term2 - term3) - predicted))
 
-    actual_error = relative_error = None
-    if next_residual is not None:
-        next_residual = np.asarray(next_residual, dtype=float)
-        if next_residual.shape != predicted.shape:
-            raise ValueError("next_residual has the wrong shape")
-        actual_error = float(np.linalg.norm(next_residual - predicted))
-        relative_error = actual_error / base_norm if base_norm > 0.0 else float("inf")
+    next_residual = np.asarray(next_residual, dtype=float)
+    if next_residual.shape != predicted.shape:
+        raise ValueError("next_residual has the wrong shape")
+    actual_error = float(np.linalg.norm(next_residual - predicted))
+    relative_error = actual_error / base_norm if base_norm > 0.0 else float("inf")
     return FirstOrderReport(
         predicted=predicted,
         base_norm=base_norm,

@@ -3,7 +3,7 @@
 Artifacts are deterministic functions of (config, seed): CSV traces with
 17-significant-digit floats, JSON reports, and self-contained SVG loss plots.
 Exit codes: 0 success, 1 verification failure, 2 runtime divergence,
-3 configuration or usage error.
+3 configuration or usage error, 4 an observed round not reproduced.
 """
 
 import argparse
@@ -151,10 +151,10 @@ def _report_dict(report) -> dict:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_plot(path, curves, *, title, x_label, y_label, width=720, height=480):
+def _svg_plot(path, curves, *, title, x_label, y_label):
     """Write a minimal log-y line plot: curves is a list of (label, points)
     with points as (x, y) pairs; nonpositive and non-finite y are skipped."""
-    left, right, top, bottom = 72, 24, 36, 48
+    width, height, left, right, top, bottom = 720, 480, 72, 24, 36, 48
     xs, ys = [], []
     for _, pts in curves:
         for x, y in pts:
@@ -383,11 +383,16 @@ def cmd_verify(cfg: ExperimentConfig, out_dir) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    snapshots = []  # in round order, one per observed round
+    snapshots = []  # in round order, one per selected round
+
+    def observer(snap):
+        if snap.t in rounds:
+            snapshots.append(snap)
+
     # the selected rounds are observed whatever the loss reaches
     fed = dataclasses.replace(fed, stop_loss_fraction=None)
     cfg = dataclasses.replace(cfg, federation=fed)  # both headers record the run
-    _train("verify", cfg, ctx, out, observer=snapshots.append, observe_rounds=set(rounds))
+    _train("verify", cfg, ctx, out, observer=observer)
     reports = verify.run_checks(ctx, names, snapshots)
     all_passed = all(r.passed for r in reports)
     _write_json(

@@ -279,7 +279,7 @@ def raising(descend):
     return checked
 
 
-def local_round(params, batches, eta, steps, keep=False) -> tuple:
+def local_round(params, batches, eta, steps, keep=None) -> tuple:
     """One round of full-batch gradient descent from params on each batch,
     on a scheduler of its own: (runs, average) as params.descend_round
     returns them, raising as raising describes."""
@@ -314,15 +314,13 @@ def run_fedavg(
     client_batches,
     *,
     observer=None,
-    observe_rounds=None,
 ) -> RunResult:
     """Drive the broadcast / local-descent / average loop for cfg.rounds rounds.
 
     - every round descends on one scheduler, opened for the whole run, so
       at one BLAS thread every output is the same however a round runs.
-    - observer(snapshot) fires for rounds in observe_rounds (every round when
-      observe_rounds is None) before the server average, its `averaged`, is
-      applied. No round keeps its local iterates.
+    - observer(snapshot) fires for every round before the server average,
+      its `averaged`, is applied. No round keeps its local iterates.
     - the global loss entering round t is summed in client order from the
       participants' step-0 losses of round t, each a forward pass at the
       weights entering it, and a loss_of pass for every other client; only
@@ -342,9 +340,8 @@ def run_fedavg(
                 value = global_loss(params, client_batches)
             else:
                 members = sample_participants(t, cfg)
-                observed = observer is not None and (observe_rounds is None or t in observe_rounds)
                 batches = [client_batches[c] for c in members]
-                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, False)
+                runs, average = descend(params, batches, cfg.eta, cfg.local_steps, None)
                 step0 = {c: ls[0] for c, (_, ls) in zip(members, runs)}
                 value = float(
                     sum(
@@ -367,7 +364,7 @@ def run_fedavg(
             _raise_local_divergence(runs, members, t)
             averaged = average()
             local_losses = tuple(tuple(ls) for _, ls in runs)
-            if observed:
+            if observer is not None:
                 observer(
                     RoundSnapshot(
                         t=t,

@@ -8,7 +8,8 @@ Gradients of the (unnormalized) square loss are closed-form; all arithmetic
 is 64-bit. A parameter object is never changed once built: each client's
 descent runs one shared loop on a client state whose private arrays it
 updates in place (a copy of the weights, or the ReLU net's pre-activations
-in sample space), and hands out only arrays the state no longer writes to.
+in sample space), lends each iterate to keep only until its next step,
+and writes no more to a client's last iterate once it is handed out.
 """
 
 import ctypes
@@ -138,14 +139,13 @@ def _subtract_product(W, A, B):
 class _LocalDescent:
     """The local-descent loop both parameter classes share, each client on a
     state from _client: loss_and_step(eta) returns the loss of the iterate
-    the state holds, then takes one step unless eta is None; iterate(lent)
-    returns that iterate as parameters no later step writes to, or, when
-    lent, as parameters that may share the state's arrays, to be read only
-    before its next step. A class supplies _weights() (its arrays),
-    _with(arrays) (a new object around them) and _step_in_place(arrays,
-    batch, eta), the dense state's step."""
+    the state holds, then takes one step unless eta is None; iterate()
+    returns that iterate as parameters that may share the state's arrays,
+    to be read only before its next step. A class supplies _weights() (its
+    arrays), _with(arrays) (a new object around them) and
+    _step_in_place(arrays, batch, eta), the dense state's step."""
 
-    def descend_round(self, batches, eta, steps, keep=False, map=map) -> tuple:
+    def descend_round(self, batches, eta, steps, keep=None, map=map) -> tuple:
         """`steps` full-batch gradient steps from self on each batch, one
         client per call of `map` (builtin map, or any map that also yields in
         batch order, such as federation.scheduler's window on a thread pool).
@@ -154,27 +154,24 @@ class _LocalDescent:
         losses[k] is the loss of iterate k, read off the residual that
         iterate's gradient forms; the last takes one forward pass. A client's
         descent stops at its first non-finite loss, which then ends its
-        losses. kept holds one entry per iterate, 0 (self) to the last, when
-        keep: the iterate itself when keep is True, else keep(i, k, iterate)
-        of iterate k, called in the thread that descends the client as each
+        losses. kept holds keep(i, k, iterate) of each iterate k, 0 (self) to
+        the last, called in the thread that descends the client as each
         iterate is formed, which may read the iterate only until it returns
         (the next step may write to the iterate's arrays, so no iterate is
-        copied for it); it is empty when not keep. average() returns the
+        copied for it); it is empty when keep is None. average() returns the
         server average of the last iterates, np.mean over a stacked axis 0
         bit for bit, and raises ValueError when a client's loss ended
         non-finite.
 
-        A client holds no iterate beyond its last unless keep is True: when
-        not keep, it forms iterate `steps` alone, on every state, or none
-        (its last iterate is then self) if its loss turns non-finite first.
-        Each last iterate joins the sum as soon as `map` yields it: a round
-        that keeps no iterate under builtin map holds one client's weights
-        beside the sum, one under a map that runs at most w clients ahead w.
+        Without keep, a client forms iterate `steps` alone, on every state,
+        or none (its last iterate is then self) if its loss turns non-finite
+        first. Each last iterate joins the sum as soon as `map` yields it: a
+        round that keeps no iterate under builtin map holds one client's
+        weights beside the sum, one under a map that runs at most w clients
+        ahead w.
         """
         if not batches:
             raise ValueError("need at least one batch")
-        if keep is True:
-            keep = _the_iterate
         runs, total = [], None
         # each client's state is made as `map` takes the client, in the
         # calling thread, so a thread pool's threads keep no weights of their
@@ -202,13 +199,13 @@ class _LocalDescent:
 
     def _client(self, batch: LabeledBatch, steps):
         """The state of one client's `steps` steps from self on batch: a copy of self's weights."""
-        return _DenseClient(self, batch, steps)
+        return _DenseClient(self, batch)
 
     def _descend(self, client, eta, steps, keep, i) -> tuple:
         """`steps` full-batch gradient steps from self, taken on client, the
         state _client made for batches[i]. Returns (kept, losses, last):
         kept and losses as descend_round describes a run, keep being a
-        function of (i, k, iterate) or False, and last the last iterate."""
+        function of (i, k, iterate) or None, and last the last iterate."""
         last, losses = self, []
         kept = [keep(i, 0, self)] if keep else []
         for k in range(steps + 1):
@@ -216,34 +213,25 @@ class _LocalDescent:
             if k == steps or not np.isfinite(losses[-1]):
                 break
             if keep or k == steps - 1:
-                last = None  # unless keep holds it, the iterate before goes before the copy
-                last = client.iterate(lent=keep is not _the_iterate)
+                last = None  # the iterate before goes before the next is formed
+                last = client.iterate()
                 if keep:
                     kept.append(keep(i, k + 1, last))
         return tuple(kept), losses, last
 
 
-def _the_iterate(i, k, iterate):
-    """descend_round's keep=True: each client keeps its iterates themselves."""
-    return iterate
-
-
 class _DenseClient:
     """A copy of the start's weights, which the start's class steps in place."""
 
-    def __init__(self, start: _LocalDescent, batch: LabeledBatch, steps):
-        self.start, self.batch, self.steps_left = start, batch, steps
+    def __init__(self, start: _LocalDescent, batch: LabeledBatch):
+        self.start, self.batch = start, batch
         self.weights = [W.copy() for W in start._weights()]
 
     def loss_and_step(self, eta) -> float:
-        self.steps_left -= eta is not None
         return self.start._step_in_place(self.weights, self.batch, eta)
 
-    def iterate(self, lent=False) -> _LocalDescent:
-        # after the last step the copy is written no more, so it is handed out
-        shared = lent or self.steps_left == 0
-        weights = self.weights if shared else [W.copy() for W in self.weights]
-        return self.start._with(weights)
+    def iterate(self) -> _LocalDescent:
+        return self.start._with(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +422,7 @@ class _SampleSpaceClient:
             Z -= step
         return _half_square(residual)
 
-    def iterate(self, lent=False) -> TwoLayerParams:
+    def iterate(self) -> TwoLayerParams:
         H = self.A @ self.batch.X.T  # a fresh array, sharing nothing with A, Z or the start
         H *= self.rate
         return self.start._with((np.subtract(self.start.hidden, H, out=H),))

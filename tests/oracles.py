@@ -2,7 +2,7 @@
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 finite differences, Monte Carlo) and shares no code with the package beyond
-numpy, so agreement between the two is evidence rather than tautology. Two
+numpy, so agreement between the two is evidence rather than tautology. Three
 functions are exceptions, and each says why in its docstring.
 """
 
@@ -204,6 +204,13 @@ def relu_gradient_step_loops(hidden, signs, X, y, eta):
     return out
 
 
+def copied(i, k, iterate):
+    """A descend_round keep that holds member i's iterate k whole, as a copy:
+    the round lends each iterate only until the client's next step. An
+    exception to this module's rule: it copies the package's own weights."""
+    return iterate._with([W.copy() for W in iterate._weights()])
+
+
 def stacked_mean(arrays):
     """Unweighted elementwise mean of equally shaped arrays, through one
     stacked copy: np.mean adds the slices of axis 0 in list order."""
@@ -223,7 +230,7 @@ def preprocess_unit_norm_loop(X):
     every column, in order, is tested against all earlier ones and nudged
     until it is parallel to none. Returns (X, number of perturbed columns).
 
-    The one exception to this module's rule: the nudges draw from
+    An exception to this module's rule: the nudges draw from
     `fedspectra.rng.stream` under the package's perturbation key, because the
     output is compared bit for bit and the noise is part of it.
     """
@@ -266,12 +273,12 @@ def deal_noniid_loop(labels, client_classes):
     return tuple(tuple(sorted(ix)) for ix in assigned), dropped
 
 
-def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe_rounds=None):
+def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None):
     """`federation.run_fedavg` as it ran before the global loss was read off
     the next round's step-0 losses: a full global_loss pass before the first
     round and after every average, the stop test at the top of each round.
 
-    The other exception to this module's rule: it drives the package's own
+    An exception to this module's rule: it drives the package's own
     sampling, local round and average, since what it checks is only the
     order of the loop around them, bit for bit.
     """
@@ -297,7 +304,6 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
         if stop is not None and losses[-1] <= stop * losses[0]:
             break
         members = sample_participants(t, cfg)
-        observed = observer is not None and (observe_rounds is None or t in observe_rounds)
         batches = [client_batches[c] for c in members]
         try:
             runs, average = local_round(params, batches, cfg.eta, cfg.local_steps)
@@ -308,7 +314,7 @@ def eager_run_fedavg(cfg, init_params, client_batches, *, observer=None, observe
             ) from e
         local_losses = tuple(tuple(ls) for _, ls in runs)
         averaged = average()
-        if observed:
+        if observer is not None:
             observer(
                 RoundSnapshot(
                     t=t,

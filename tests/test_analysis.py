@@ -36,6 +36,7 @@ from fedspectra.models import (
 )
 
 from oracles import (
+    copied,
     eig_2x2,
     gram_H_infinity_closed_form,
     gram_H_tkc,
@@ -48,7 +49,7 @@ from oracles import (
 def _round(params, batches, members, eta, steps):
     """The members' local trajectories of one round from params (every
     iterate kept), and the server average that the round formed."""
-    runs, average = local_round(params, [batches[c] for c in members], eta, steps, keep=True)
+    runs, average = local_round(params, [batches[c] for c in members], eta, steps, keep=copied)
     return [iterates for iterates, _ in runs], average()
 
 
@@ -758,6 +759,12 @@ def _round_state(seed=0, rounds_before=2, eta=0.02):
     return init, result.params, batches, cfg
 
 
+def _residual(params, batches):
+    """The flattened residual of params on every batch, client 0's samples first."""
+    X, Y = np.hstack([b.X for b in batches]), np.hstack([b.Y for b in batches])
+    return vec_residual(params.predict(X), Y)
+
+
 def _predict(params, init, trajs, batches, members, eta, **kwargs):
     """predict_first_order of the round from params whose members' kept
     trajectories are trajs."""
@@ -769,8 +776,9 @@ def _predict(params, init, trajs, batches, members, eta, **kwargs):
 def test_predict_first_order_with_zero_rate_returns_current_residual():
     init, params, batches, cfg = _round_state()
     members = [0, 1, 2]
-    trajs, _ = _round(params, batches, members, 0.0, cfg.local_steps)
-    rep = _predict(params, init, trajs, batches, members, 0.0)
+    trajs, averaged = _round(params, batches, members, 0.0, cfg.local_steps)
+    actual = _residual(averaged, batches)
+    rep = _predict(params, init, trajs, batches, members, 0.0, next_residual=actual)
     X = np.hstack([b.X for b in batches])
     Y = np.hstack([b.Y for b in batches])
     np.testing.assert_array_equal(rep.predicted, vec_residual(params.predict(X), Y))
@@ -779,8 +787,9 @@ def test_predict_first_order_with_zero_rate_returns_current_residual():
 def test_predict_first_order_terms_recombine():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    rep = _predict(params, init, trajs, batches, members, cfg.eta)
+    trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    actual = _residual(averaged, batches)
+    rep = _predict(params, init, trajs, batches, members, cfg.eta, next_residual=actual)
     assert rep.reconstruction_gap <= 1e-10 * max(rep.base_norm, 1.0)
 
 
@@ -815,8 +824,9 @@ def _dense_first_order(params, init, trajs, batches, members, eta):
 def test_predict_first_order_matches_the_dense_recursion():
     init, params, batches, cfg = _round_state()
     members = [0, 2]
-    trajs, _ = _round(params, batches, members, cfg.eta, cfg.local_steps)
-    rep = _predict(params, init, trajs, batches, members, cfg.eta)
+    trajs, averaged = _round(params, batches, members, cfg.eta, cfg.local_steps)
+    actual = _residual(averaged, batches)
+    rep = _predict(params, init, trajs, batches, members, cfg.eta, next_residual=actual)
     predicted, norms = _dense_first_order(params, init, trajs, batches, members, cfg.eta)
     assert np.linalg.norm(rep.predicted - predicted) <= 1e-12 * np.linalg.norm(predicted)
     got = [rep.term_contraction, rep.term_gram_shift, rep.term_local_deviation]
@@ -1004,6 +1014,7 @@ def test_the_half_rate_probe_holds_no_round_of_iterates(usable_cores):
 
 def test_predict_first_order_validates_trajectories():
     init, params, batches, cfg = _round_state()
-    trajs, _ = _round(params, batches, [0], cfg.eta, cfg.local_steps)
+    trajs, averaged = _round(params, batches, [0], cfg.eta, cfg.local_steps)
+    actual = _residual(averaged, batches)
     with pytest.raises(ValueError):
-        _predict(params, init, trajs, batches, [0, 1], cfg.eta)
+        _predict(params, init, trajs, batches, [0, 1], cfg.eta, next_residual=actual)

@@ -929,13 +929,13 @@ def test_relu_clients_below_dim_run_deterministic_and_pass_verify(
         assert np.array_equal(snap.averaged.hidden, averaged)
         own = [exp.batches[c] for c in snap.members]
         runs, average = federation.local_round(
-            snap.global_params, own, cfg.federation.eta, cfg.federation.local_steps, keep=True
+            snap.global_params, own, cfg.federation.eta, cfg.federation.local_steps,
+            keep=lambda i, k, q: loss_of(q, own[i]),
         )
         assert np.array_equal(average().hidden, averaged)
-        for (traj, losses), recorded, batch in zip(runs, snap.local_losses, own, strict=True):
-            assert len(traj) == cfg.federation.local_steps + 1
+        for (recomputed, losses), recorded in zip(runs, snap.local_losses, strict=True):
+            assert len(recomputed) == cfg.federation.local_steps + 1
             assert losses == list(recorded)
-            recomputed = [loss_of(q, batch) for q in traj]
             np.testing.assert_allclose(recomputed, losses, rtol=1e-12, atol=0)
 
 
@@ -1008,6 +1008,21 @@ def test_train_divergence_exits_2(tmp_path):
     doc["federation"]["rounds"] = 50
     cfg = _write(tmp_path, "c.json", doc)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_divergence_in_the_run_exits_2_and_writes_nothing(tmp_path, capsys):
+    # every round observed: the run's own divergence is reported before any
+    # check measures the round, whose non-finite iterates no SVD converges on
+    doc = json.loads(json.dumps(SMALL_LINEAR))
+    doc["federation"].update(eta=5.0, rounds=50)
+    doc["verify"] = {"rounds": list(range(50))}
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == "divergence: round 2, client 0: non-finite local loss inf at local step 2\n"
+    assert list(out.iterdir()) == []
 
 
 def test_missing_config_file_exits_3(tmp_path):
@@ -1275,11 +1290,9 @@ def test_verify_json_keeps_the_worst_report_per_name_and_round(tmp_path):
 
     parsed = parse_config(json.dumps(WIDE_LINEAR))
     ctx = cli.build_experiment(parsed)
-    snapshots = []
-    run_fedavg(
-        parsed.federation, ctx.init_params, list(ctx.batches),
-        observer=snapshots.append, observe_rounds={0, 2},
-    )
+    seen = []
+    run_fedavg(parsed.federation, ctx.init_params, list(ctx.batches), observer=seen.append)
+    snapshots = [snap for snap in seen if snap.t in (0, 2)]
     expected, candidates = [], 0
     for snap in snapshots:
         rnd = verify.ObservedRound(ctx, snap)

@@ -34,6 +34,7 @@ from fedspectra.models import (
 )
 
 from oracles import (
+    copied,
     eager_run_fedavg,
     pooled_gradient_step_linear,
     relu_gradient_step_loops,
@@ -119,9 +120,9 @@ def _stepped(params, batch, eta, steps):
 
 def test_local_round_shapes_and_descent():
     params, batches = _workload()
-    ((traj, losses),), _ = local_round(params, batches[:1], eta=0.05, steps=4, keep=True)
+    ((traj, losses),), _ = local_round(params, batches[:1], eta=0.05, steps=4, keep=copied)
     assert len(traj) == 5 and len(losses) == 5
-    assert traj[0] is params
+    assert all(np.array_equal(W, W0) for W, W0 in zip(traj[0].layers, params.layers))
     assert losses == sorted(losses, reverse=True)  # small step descends monotonically
 
 
@@ -153,7 +154,8 @@ def test_aggregate_matches_a_stacked_mean_bit_for_bit():
         for p in (linear, relu):
             Y = [rng.standard_normal((2, 3) if p is linear else 3) for _ in range(n)]
             batches = [LabeledBatch(X=rng.standard_normal((5, 3)), Y=y) for y in Y]
-            runs, average = local_round(p, batches, 0.05, 2, keep=True)
+            # each client's last iterate as lent: the arrays the server sum adds
+            runs, average = local_round(p, batches, 0.05, 2, keep=lambda i, k, q: q)
             lasts = [iterates[-1] for iterates, _ in runs]
             weights = [q.layers if p is linear else (q.hidden,) for q in lasts]
             before = [[W.copy() for W in ws] for ws in weights]
@@ -213,17 +215,17 @@ def test_observer_sees_requested_rounds_with_full_trajectories():
     params, batches = _workload(seed=5)
     cfg = FederationConfig(n_clients=4, local_steps=3, rounds=6, eta=0.02, seed=2)
     seen = {}
-    run_fedavg(
-        cfg, params, batches, observer=lambda s: seen.setdefault(s.t, s), observe_rounds={0, 4}
-    )
-    assert sorted(seen) == [0, 4]
+    run_fedavg(cfg, params, batches, observer=lambda s: seen.setdefault(s.t, s))
+    assert sorted(seen) == list(range(cfg.rounds))
     snap = seen[0]
     assert snap.global_params is params
     # the round's full trajectories, descended again from the snapshot,
     # start at the entering global model and have the losses the run recorded
     own = [batches[c] for c in snap.members]
-    runs, _ = local_round(snap.global_params, own, cfg.eta, cfg.local_steps, keep=True)
-    assert all(len(traj) == 4 and traj[0] is params for traj, _ in runs)
+    runs, _ = local_round(snap.global_params, own, cfg.eta, cfg.local_steps, keep=copied)
+    assert all(len(traj) == 4 for traj, _ in runs)
+    starts = [traj[0] for traj, _ in runs]
+    assert all(np.array_equal(W, W0) for q in starts for W, W0 in zip(q.layers, params.layers))
     assert [tuple(losses) for _, losses in runs] == list(snap.local_losses)
 
 
@@ -244,8 +246,8 @@ def test_observed_rounds_do_not_change_the_run():
     cfg = FederationConfig(n_clients=4, local_steps=3, rounds=5, eta=0.013, seed=1)
     plain = run_fedavg(cfg, params, batches)
     seen = []
-    watched = run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={1, 3})
-    assert [s.t for s in seen] == [1, 3]
+    watched = run_fedavg(cfg, params, batches, observer=seen.append)
+    assert [s.t for s in seen] == list(range(cfg.rounds))
     assert plain.losses == watched.losses
     assert [tr.local_losses for tr in plain.traces] == [tr.local_losses for tr in watched.traces]
     assert all(np.array_equal(a, b) for a, b in zip(plain.params.layers, watched.params.layers))
@@ -318,13 +320,14 @@ def test_rounds_match_the_dense_step_oracle(width, sizes, eta):
         start = snap.global_params
         # the observed round's iterates, descended again from its start
         own = [batches[c] for c in snap.members]
-        runs, again = local_round(start, own, cfg.eta, cfg.local_steps, keep=True)
+        runs, again = local_round(start, own, cfg.eta, cfg.local_steps, keep=copied)
         assert all(np.array_equal(a, b) for a, b in zip(again().layers, after.layers))
         assert [tuple(ls) for _, ls in runs] == list(snap.local_losses)
         last = []
         for c, (traj, _), losses in zip(snap.members, runs, snap.local_losses):
             want, want_losses = _dense_steps_linear(start, batches[c], cfg.eta, cfg.local_steps)
-            assert len(traj) == len(want) and traj[0] is start
+            assert len(traj) == len(want)
+            assert all(np.array_equal(W, W0) for W, W0 in zip(traj[0].layers, start.layers))
             assert losses[-1] < losses[0]
             np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
             for q, layers in zip(traj[1:], want[1:]):
@@ -364,7 +367,7 @@ def test_a_round_observed_as_verify_observes_it_holds_no_iterate(usable_cores):
     seen = []
     tracemalloc.start()
     try:
-        run_fedavg(cfg, params, batches, observer=seen.append, observe_rounds={0})
+        run_fedavg(cfg, params, batches, observer=seen.append)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,7 +410,7 @@ def _spy_on_clients(monkeypatch, summing_lag=0.005):
             state["threads"].append(get())
         return descend(self, *args)
 
-    def summing(self, batches, eta, steps, keep=False, map=map):
+    def summing(self, batches, eta, steps, keep=None, map=map):
         def counted(fn, items):
             for result in map(fn, items):
                 yield result
@@ -592,15 +595,15 @@ def test_a_scheduler_round_is_local_round_bit_for_bit(cores, one_blas_thread, us
     # goes non-finite names itself
     params, batches = _workload(n_clients=5, n=40)
     usable_cores(cores)
-    want, want_average = local_round(params, batches, 0.01, 3, keep=True)
+    want, want_average = local_round(params, batches, 0.01, 3, keep=copied)
     with federation.scheduler() as (submit, descend):
         busy = [submit(lambda: time.sleep(0.01)) for _ in range(3)]
-        runs, average = descend(params, batches, 0.01, 3, keep=True)
+        runs, average = descend(params, batches, 0.01, 3, keep=copied)
         assert [wait() for wait in busy] == [None] * 3
-        diverged, _ = descend(params, batches, 1e6, 8, False)
+        diverged, _ = descend(params, batches, 1e6, 8, None)
         assert not np.isfinite(diverged[0][1][-1])
         with pytest.raises(DivergenceError) as exc:
-            federation.raising(descend)(params, batches, 1e6, 8, False)
+            federation.raising(descend)(params, batches, 1e6, 8, None)
     assert (exc.value.client, exc.value.round_index) == (0, None)
     for (kept, losses), (want_kept, want_losses) in zip(runs, want, strict=True):
         assert losses == want_losses
@@ -633,9 +636,9 @@ def test_a_round_runs_side_by_side_once_its_cheapest_client_costs_the_constant(
         monkeypatch.setattr(federation, "SIDE_BY_SIDE_COST", constant)
         ways.clear()
         with federation.scheduler() as (_, descend):
-            for keep in (False, lambda i, k, p: p.layers[0][0, 0], True, False):
+            for keep in (None, lambda i, k, p: p.layers[0][0, 0], copied, None):
                 descend(params, batches, 0.01, 2, keep)
-            descend(params, batches[:1], 0.01, 2, False)  # one client: serially
+            descend(params, batches[:1], 0.01, 2, None)  # one client: serially
         assert ways == [way if together else "serial"] * 4 + ["serial"]
 
 
@@ -791,11 +794,11 @@ def test_run_matches_the_eager_loop_bit_for_bit(kind, case, usable_cores):
     _assert_same_run(run_fedavg(cfg, params, batches), eager_run_fedavg(cfg, params, batches))
     seen = {"new": [], "eager": []}
     runs = [
-        run(cfg, params, batches, observer=seen[name].append, observe_rounds={1, 4})
+        run(cfg, params, batches, observer=seen[name].append)
         for name, run in (("new", run_fedavg), ("eager", eager_run_fedavg))
     ]
     _assert_same_run(*runs)
-    assert [s.t for s in seen["new"]] == [s.t for s in seen["eager"]] == [1, 4]
+    assert [s.t for s in seen["new"]] == [s.t for s in seen["eager"]] == list(range(cfg.rounds))
     for a, b in zip(seen["new"], seen["eager"]):
         assert (a.members, a.local_losses) == (b.members, b.local_losses)
         for qa, qb in ((a.global_params, b.global_params), (a.averaged, b.averaged)):

@@ -19,6 +19,9 @@ record with more fields, and only `analysis` computes the factor rho_t.
 Each check is written in `verify` alone, and `analysis` builds no report.
 No check reads the iterates a snapshot kept: verify descends each observed
 round again and measures each iterate as it is formed, so its run keeps none.
+An option with one value in use is a constant: a run's observer sees every
+round, a round lends each iterate to keep, and every first-order prediction
+is scored against the residual its round reached.
 Samples are one type, `models.LabeledBatch`, from the data files to each
 client, and the checks read the data's singular values from `RunContext`.
 The model kind is decided by its classes: set-up asks the config's model
@@ -37,7 +40,7 @@ from pathlib import Path
 import pytest
 
 import fedspectra
-from fedspectra import analysis, data, federation, models, verify
+from fedspectra import analysis, cli, data, federation, models, verify
 from fedspectra.config import DeepLinearModel, ExperimentConfig, TwoLayerModel
 from fedspectra.federation import RoundSnapshot, RoundTrace, Settings
 from fedspectra.models import DeepLinearParams, TwoLayerParams, _LocalDescent
@@ -197,6 +200,18 @@ def test_no_check_reads_the_iterates_a_snapshot_kept():
         "t", "members", "local_losses", "global_params", "averaged"
     ]
     assert "keep" not in inspect.signature(federation.run_fedavg).parameters
+
+
+def test_options_with_one_value_in_use_are_constants():
+    # verify's observer keeps the rounds it selected; a caller that wants an
+    # iterate past the client's next step copies it in keep
+    assert "observe_rounds" not in inspect.signature(federation.run_fedavg).parameters
+    assert "_the_iterate" not in vars(models)
+    for state in (models._DenseClient, models._SampleSpaceClient):
+        assert list(inspect.signature(state.iterate).parameters) == ["self"]
+    scored = inspect.signature(analysis.predict_first_order).parameters["next_residual"]
+    assert scored.default is inspect.Parameter.empty
+    assert not {"width", "height"} & set(inspect.signature(cli._svg_plot).parameters)
 
 
 def test_the_data_are_described_once():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspectra import federation, models
+from fedspectra import federation
 from fedspectra.models import (
     DeepLinearParams,
     LabeledBatch,
@@ -27,6 +27,7 @@ from fedspectra.models import (
 )
 
 from oracles import (
+    copied,
     deep_linear_forward_loops,
     finite_difference_grad,
     relu_forward_loops,
@@ -45,6 +46,11 @@ def _linear_instance(seed, depth=3, width=8, d_in=4, d_out=2, n=5):
 
 def _flatten(p: DeepLinearParams):
     return np.concatenate([W.ravel() for W in p.layers])
+
+
+def _lent(i, k, iterate):
+    """A keep that holds each iterate as the round lends it, uncopied."""
+    return iterate
 
 
 def _unflatten(flat, p: DeepLinearParams):
@@ -278,8 +284,9 @@ def test_fused_descent_matches_dense_steps(p, batch, eta, sample_space):
     if relu:
         assert _descends_in_sample_space(p.width, p.dim, batch.n, steps) is sample_space
     dense, dense_losses = _dense_descent(p, batch, eta, steps)
-    ((fused, losses),), average = p.descend_round([batch], eta, steps, keep=True)
-    assert len(fused) == len(losses) == steps + 1 and fused[0] is p
+    ((fused, losses),), average = p.descend_round([batch], eta, steps, keep=copied)
+    assert len(fused) == len(losses) == steps + 1
+    assert all(np.array_equal(W, W0) for W, W0 in zip(_weights(fused[0]), _weights(p)))
     assert losses[-1] < losses[0]  # the steps descend, so the updates are not negligible
     np.testing.assert_allclose(losses, dense_losses, rtol=1e-12, atol=0)
     for a, b in zip(fused[1:], dense[1:]):
@@ -290,7 +297,7 @@ def test_fused_descent_matches_dense_steps(p, batch, eta, sample_space):
                 assert np.array_equal(Wa, Wb)
     if relu and not sample_space:
         assert losses == dense_losses
-    ((unkept, last_losses),), last = p.descend_round([batch], eta, steps, keep=False)
+    ((unkept, last_losses),), last = p.descend_round([batch], eta, steps)
     assert unkept == () and last_losses == losses
     # one client's average is its last iterate, whether or not the round keeps iterates
     for q in (average(), last()):
@@ -340,7 +347,7 @@ def test_relu_client_with_one_or_no_sample_descends_in_sample_space(n):
     batch = _relu_batch(64, n, 1.0 / 8.0)
     steps = 4
     assert _descends_in_sample_space(p.width, p.dim, n, steps)
-    for keep in (True, False):
+    for keep in (_lent, None):
         ((iterates, losses),), average = p.descend_round([batch], 0.5, steps, keep=keep)
         last = average()
         assert len(losses) == steps + 1
@@ -354,7 +361,7 @@ def test_relu_client_with_one_or_no_sample_descends_in_sample_space(n):
             assert losses[-1] < losses[0]
             shift = dense[-1].hidden - p.hidden
             assert np.linalg.norm(last.hidden - dense[-1].hidden) <= 1e-12 * np.linalg.norm(shift)
-        # kept iterates are fresh arrays: none shares memory with another or the start
+        # its iterates are fresh arrays, even lent: none shares memory with another or the start
         arrays = [q.hidden for q in iterates]
         assert len(arrays) == (steps + 1 if keep else 0)
         assert not any(
@@ -366,16 +373,18 @@ def test_relu_client_with_one_or_no_sample_descends_in_sample_space(n):
 def test_descent_leaves_its_start_and_each_iterate_unchanged():
     p, batch = _linear_instance(seed=4)
     before = [W.copy() for W in p.layers]
-    ((iterates, _),), _ = p.descend_round([batch], 0.01, 3, keep=True)
+
+    def apart(i, k, iterate):  # each iterate a step forms is lent from the client's own copy
+        pairs = zip(iterate.layers, p.layers)
+        return k == 0 or not any(np.shares_memory(W, W0) for W, W0 in pairs)
+
+    ((apart_from_start, _),), _ = p.descend_round([batch], 0.01, 3, keep=apart)
+    assert all(apart_from_start)
     # with no steps every client's last iterate is the start, which the
     # server sum must not be formed in
     _, average = p.descend_round([batch, batch, batch], 0.01, 0)
     assert not any(np.shares_memory(W, W0) for W, W0 in zip(average().layers, p.layers))
     assert all(np.array_equal(W, W0) for W, W0 in zip(p.layers, before))
-    arrays = [W for q in iterates for W in q.layers]
-    assert not any(
-        np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
-    )
 
 
 # the three client states, each with the client sizes it takes at 3 and at
@@ -410,7 +419,7 @@ def _clients(state, seed=8):
 @pytest.mark.parametrize("state", STATES)
 def test_descent_stops_at_the_first_non_finite_loss(state):
     p, (batch, *_), eta = _clients(state)
-    ((iterates, losses),), _ = p.descend_round([batch], eta, 10, keep=True)
+    ((iterates, losses),), _ = p.descend_round([batch], eta, 10, keep=_lent)
     assert 1 < len(losses) < 11
     assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
     assert len(iterates) == len(losses)
@@ -420,7 +429,7 @@ def test_descent_stops_at_the_first_non_finite_loss(state):
 @pytest.mark.parametrize("state", STATES)
 def test_a_round_has_no_average_once_a_client_diverged(state):
     p, batches, eta = _clients(state)
-    for keep in (False, True):
+    for keep in (None, _lent):
         runs, average = p.descend_round(batches[:2], eta, 10, keep=keep)
         assert all(not np.isfinite(losses[-1]) for _, losses in runs)
         assert all(len(iterates) == (len(losses) if keep else 0) for iterates, losses in runs)
@@ -429,7 +438,7 @@ def test_a_round_has_no_average_once_a_client_diverged(state):
         # without keep, a client that diverges before its last step forms no
         # iterate beyond its start, whichever state it descends on
         client = p._client(batches[0], 10)
-        kept, losses, last = p._descend(client, eta, 10, keep and models._the_iterate, 0)
+        kept, losses, last = p._descend(client, eta, 10, keep, 0)
         assert len(losses) < 11 and len(kept) == (len(losses) if keep else 0)
         assert last is (kept[-1] if keep else p)
 
@@ -443,9 +452,9 @@ def _stacked_average(runs):
 def test_a_round_averages_its_clients_as_average_does(state):
     # the round's own sum is the server average, bit for bit the stacked mean
     p, batches, _ = _clients(state)
-    runs, kept = p.descend_round(batches, 0.01, 3, keep=True)
+    runs, kept = p.descend_round(batches, 0.01, 3, keep=copied)
     want = _stacked_average(runs)
-    _, folded = p.descend_round(batches, 0.01, 3, keep=False)
+    _, folded = p.descend_round(batches, 0.01, 3)
     for q in (kept(), folded()):
         assert all(np.array_equal(W, Wo) for W, Wo in zip(_weights(q), want))
     assert all(np.linalg.norm(W - W0) > 0 for W, W0 in zip(want, _weights(p)))
@@ -468,7 +477,7 @@ def test_a_round_side_by_side_averages_its_clients_as_average_does(
     monkeypatch.setattr(type(p), "descend_round", spy)
     usable_cores(2)
     rounds = []
-    for keep in (True, False):
+    for keep in (copied, None):
         with federation.scheduler() as (_, descend):
             rounds.append(descend(p, batches, 0.01, 3, keep))
     (runs, kept), (_, folded) = rounds

@@ -32,12 +32,9 @@ def _observed(doc, rounds):
     """The run context of doc and the snapshots of its rounds in `rounds`."""
     cfg = cli.parse_config(json.dumps(doc))
     ctx = cli.build_experiment(cfg)
-    snapshots = []
-    run_fedavg(
-        cfg.federation, ctx.init_params, list(ctx.batches),
-        observer=snapshots.append, observe_rounds=set(rounds),
-    )
-    return ctx, snapshots
+    seen = []
+    run_fedavg(cfg.federation, ctx.init_params, list(ctx.batches), observer=seen.append)
+    return ctx, [snap for snap in seen if snap.t in rounds]
 
 
 def _round_zero(doc):
